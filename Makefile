@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-cache bench-executor bench-scheduler experiments examples coverage clean
+.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -72,24 +72,14 @@ check: lint test chaos trace-demo
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Decoded-block cache benchmark: cache on vs off end-to-end inversion
-# (wall clock, exact copied-byte ledger, tracemalloc allocation profile).
-# Writes BENCH_cache.json; exit status 0 iff the acceptance criteria hold.
-bench-cache:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_cache.py
+# The end-to-end benchmark BENCHMARK.json declares (six workloads, the
+# end-to-end metrics and the per-layer table); the smoke form is what CI
+# runs.  Both only invoke the harness — see benchmarks/e2e/README.md.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
 
-# Execution-backend benchmark: serial vs threads vs processes end-to-end
-# inversion.  Writes BENCH_executor.json; the processes-speedup gate only
-# applies on multi-core hosts (single-core runs record the IPC overhead).
-bench-executor:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_executor.py
-
-# Scheduler benchmark: barrier vs dataflow inter-job scheduling (sync
-# points, critical path, wall clock under threads and processes).  Writes
-# BENCH_scheduler.json; the wall-clock gate only applies on multi-core
-# hosts.
-bench-scheduler:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_scheduler.py
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all

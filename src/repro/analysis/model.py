@@ -92,6 +92,18 @@ class PipelineModel:
                 return step
         raise KeyError(name)
 
+    def unit_needs(self) -> dict[str, frozenset[str]]:
+        """Each schedulable unit's external read set, by unit name: a unit
+        is one master phase or one whole job (map and reduce steps merge),
+        its needs every path its steps read and do not write themselves."""
+        reads: dict[str, set[str]] = {}
+        writes: dict[str, set[str]] = {}
+        for step in self.steps:
+            unit = step.job or step.name
+            reads.setdefault(unit, set()).update(step.reads)
+            writes.setdefault(unit, set()).update(step.writes)
+        return {unit: frozenset(reads[unit] - writes[unit]) for unit in reads}
+
     def block_dag(self):
         """The block-granularity dependency DAG over this pipeline's steps
         (:class:`repro.analysis.dataflow.BlockDAG`) — every DFS block write
@@ -347,7 +359,7 @@ def build_model(
 
     # Commit manifests: one per master phase and one per job, written by
     # the commit protocol when the two-phase output commit is on.  The
-    # phase names in ``steps`` mirror the driver's ``master_phase`` calls
+    # phase names in ``steps`` mirror the driver's unit and phase names
     # exactly, so deriving manifests from the steps keeps the two in sync.
     manifest_writes: set[str] = set()
     if cfg.output_commit:

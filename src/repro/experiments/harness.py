@@ -78,7 +78,7 @@ class ExperimentHarness:
             # accounting knows nothing about; keep the write volumes pinned.
             output_commit=False,
             # The paper's runs are strictly barrier-synchronized (Section 5);
-            # pin the mode so a dataflow-default runtime can never skew the
+            # pin the mode so a changed default can never skew the
             # reproduced step sequence or timings.
             schedule="barrier",
         )

@@ -75,8 +75,9 @@ class InversionConfig:
         Two-phase crash-consistent output commit (on by default): task
         attempts and master phases stage their writes under ``/_tmp`` and
         publish atomically at commit, with per-step manifests under
-        ``<root>/_commit/`` driving resume instead of existence probes.
-        Off reverts to the direct-write, probe-based behaviour.
+        ``<root>/_commit/`` — the one thing resume trusts.  Off reverts to
+        direct writes with no manifests, so ``invert(resume=True)`` and
+        ``schedule="dataflow"`` are refused.
     executor:
         Execution backend for task attempts: ``"serial"`` (default),
         ``"threads"``, or ``"processes"`` — any name registered with
@@ -87,13 +88,14 @@ class InversionConfig:
         Worker-pool width for the driver-built runtime.  ``None`` (default)
         sizes the pool to ``m0`` — one slot per simulated compute node.
     schedule:
-        Inter-step scheduling mode: ``"barrier"`` runs the pipeline as the
-        paper's strictly barrier-synchronized step sequence; ``"dataflow"``
-        launches every step the moment its DFS input blocks are published
-        (:mod:`repro.mapreduce.scheduler`), overlapping steps whose block
-        sets are disjoint.  ``None`` (default) defers to the runtime's
-        :attr:`~repro.mapreduce.RuntimeConfig.schedule`.  Dataflow mode
-        requires ``output_commit`` (readiness is keyed on sealed publishes).
+        Which runner executes the driver's one unit list
+        (:mod:`repro.mapreduce.scheduler`), for ``invert``, ``invert_path``
+        and ``lu`` alike: ``"barrier"`` (default) runs the units in plan
+        order on the calling thread, one in flight — the paper's strictly
+        barrier-synchronized step sequence; ``"dataflow"`` launches every
+        unit the moment its DFS input blocks are published, overlapping
+        steps whose block sets are disjoint.  Dataflow mode requires
+        ``output_commit`` (readiness is keyed on sealed publishes).
     """
 
     nb: int = 64
@@ -112,7 +114,7 @@ class InversionConfig:
     output_commit: bool = True
     executor: str = "serial"
     num_workers: int | None = None
-    schedule: str | None = None
+    schedule: str = "barrier"
 
     def __post_init__(self) -> None:
         if self.nb < 1:
@@ -129,10 +131,10 @@ class InversionConfig:
             raise ValueError("max_attempts must be >= 1")
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError("num_workers must be >= 1 (or None for m0)")
-        if self.schedule not in (None, "barrier", "dataflow"):
+        if self.schedule not in ("barrier", "dataflow"):
             raise ValueError(
                 f"unknown schedule {self.schedule!r} "
-                "(use 'barrier', 'dataflow', or None)"
+                "(use 'barrier' or 'dataflow')"
             )
         if self.schedule == "dataflow" and not self.output_commit:
             raise ValueError(

@@ -20,17 +20,28 @@ cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
 from ..dfs import formats
 from ..dfs.commit import STAGING_ROOT, CommitLog, CommitScope
 from ..dfs.filesystem import DFS
-from ..dfs.fsck import FsckReport, fsck
+from ..dfs.fsck import fsck
 from ..dfs.iostats import IOSnapshot
 from ..linalg import verify
 from ..linalg.lu import lu_decompose, lu_flop_count
-from ..mapreduce import MapReduceRuntime, Pipeline, PipelineRecord, RuntimeConfig
+from ..mapreduce import (
+    DataflowScheduler,
+    JobConf,
+    MapReduceRuntime,
+    Pipeline,
+    PipelineRecord,
+    RuntimeConfig,
+    SchedulerReport,
+    UnitSpec,
+    run_in_order,
+)
 from ..mapreduce.faults import FaultPolicy
 from ..telemetry.api import resolve_tracer
 from ..telemetry.spans import SpanKind
@@ -42,10 +53,13 @@ from .factors import (
     read_upper,
     write_leaf_factors,
 )
-from .invert_job import invert_job, read_final_inverse, reducer_indices
+from .invert_job import invert_job, read_final_inverse
 from .layout import Layout
 from .lu_jobs import lu_job, partition_job
 from .plan import InversionPlan, PlanNode
+
+if TYPE_CHECKING:  # repro.analysis imports this package; annotation only
+    from ..analysis.model import PipelineModel
 
 
 class MasterIO:
@@ -61,7 +75,7 @@ class MasterIO:
         self.bytes_written = 0
         self._scope: CommitScope | None = None
 
-    # -- two-phase commit scoping (driven by Pipeline.master_phase) ----------
+    # -- two-phase commit scoping (driven by Pipeline.execute_phase) ---------
 
     def begin_phase(self, scope: CommitScope) -> None:
         """Route subsequent writes into the phase's staging scope."""
@@ -121,10 +135,8 @@ class InversionResult:
     record: PipelineRecord
     config: InversionConfig
     io: IOSnapshot = field(default_factory=IOSnapshot)
-    #: Achieved schedule of a dataflow-mode run
-    #: (:class:`~repro.mapreduce.scheduler.SchedulerReport`); ``None`` for
-    #: barrier mode.
-    scheduler_report: object | None = None
+    #: Achieved schedule of a dataflow-mode run; ``None`` for barrier mode.
+    scheduler_report: SchedulerReport | None = None
 
     @property
     def num_jobs(self) -> int:
@@ -203,21 +215,6 @@ class MatrixInverter:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _plan_and_layout(self, n: int) -> tuple[InversionPlan, Layout]:
-        """Precompute the pipeline for order ``n`` — statically validated by
-        the :mod:`repro.analysis` pre-flight unless ``config.preflight`` is
-        off (raises :class:`~repro.analysis.PreflightError` on defects)."""
-        cfg = self.config
-        if cfg.preflight:
-            from ..analysis import preflight_check
-
-            model = preflight_check(n, cfg)
-            model.plan.validate()
-            return model.plan, model.layout
-        plan = InversionPlan(n=n, nb=cfg.nb, m0=cfg.m0, root=cfg.root)
-        plan.validate()
-        return plan, Layout(plan, cfg, n)
-
     def _job_validators(self):
         """Pre-run checks applied to every job the pipeline launches."""
         if not self.config.preflight:
@@ -231,21 +228,19 @@ class MatrixInverter:
 
         return [check_purity]
 
-    def _commit_log(self) -> CommitLog | None:
-        """The run's manifest log (``None`` with the protocol off)."""
-        if not self.config.output_commit:
-            return None
-        return CommitLog(self.runtime.dfs, self.config.root)
-
     def _pipeline(self) -> Pipeline:
+        cfg = self.config
         return Pipeline(
             self.runtime,
             validators=self._job_validators(),
-            retry_policy=self.config.retry,
-            max_attempts=self.config.max_attempts,
-            telemetry=self.config.telemetry,
-            commit_log=self._commit_log(),
-            output_commit=self.config.output_commit,
+            retry_policy=cfg.retry,
+            max_attempts=cfg.max_attempts,
+            telemetry=cfg.telemetry,
+            # The run's manifest log (``None`` with the protocol off).
+            commit_log=(
+                CommitLog(self.runtime.dfs, cfg.root) if cfg.output_commit else None
+            ),
+            output_commit=cfg.output_commit,
         )
 
     def _configure_cache(self) -> None:
@@ -262,409 +257,248 @@ class MatrixInverter:
             dfs.detach_cache()
 
     def _prepare(
-        self, a: np.ndarray, *, resume: bool = False
-    ) -> tuple[Layout, Pipeline, MasterIO]:
-        a = np.asarray(a, dtype=np.float64)
+        self,
+        n: int,
+        phase_name: str,
+        input_bytes: Callable[[], bytes],
+        *,
+        resume: bool = False,
+    ) -> tuple[Layout, Pipeline, MasterIO, PipelineModel | None]:
+        """Precompute the pipeline for order ``n`` and put its input on the
+        DFS (Section 5.1, step 1: the master writes ``input_bytes()`` and the
+        control files).
+
+        The plan is statically validated by the :mod:`repro.analysis`
+        pre-flight unless ``config.preflight`` is off (raises
+        :class:`~repro.analysis.PreflightError` on defects).  The static
+        model comes back too when one was built — the pre-flight's own, or
+        with pre-flight off one built for the dataflow runner, which takes
+        every unit's ``needs`` from it; never both.
+        """
         self._configure_cache()
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        n = a.shape[0]
         cfg = self.config
-        plan, layout = self._plan_and_layout(n)
+        model = None
+        if cfg.preflight or cfg.schedule == "dataflow":
+            from ..analysis import build_model, preflight_check
+
+            model = (preflight_check if cfg.preflight else build_model)(n, cfg)
+            layout = model.layout
+        else:
+            plan = InversionPlan(n=n, nb=cfg.nb, m0=cfg.m0, root=cfg.root)
+            layout = Layout(plan, cfg, n)
+        layout.plan.validate()
         dfs = self.runtime.dfs
-        if resume and cfg.output_commit:
+        pipeline = self._pipeline()
+        master = MasterIO(dfs)
+        if resume:
             # Roll back any debris the crashed run left — orphaned staging,
             # unsealed files, broken manifests — before trusting DFS state.
             self._resume_fsck(dfs)
-        if resume and dfs.exists(layout.input_path):
-            # Resuming a previous run of the same matrix: keep the DFS state
-            # and skip the ingestion phase entirely.
-            if cfg.input_format == "binary":
-                stored = formats.matrix_shape(dfs, layout.input_path)
-                if stored != (n, n):
-                    raise ValueError(
-                        f"cannot resume: stored input is {stored}, new input "
-                        f"is {(n, n)}"
-                    )
-            return layout, self._pipeline(), MasterIO(dfs)
+            if dfs.exists(layout.input_path):
+                # Resuming a previous run of the same matrix: keep the DFS
+                # state and skip the ingestion phase entirely.
+                if cfg.input_format == "binary":
+                    stored = formats.matrix_shape(dfs, layout.input_path)
+                    if stored != (n, n):
+                        raise ValueError(
+                            f"cannot resume: stored input is {stored}, new "
+                            f"input is {(n, n)}"
+                        )
+                return layout, pipeline, master, model
         if dfs.exists(cfg.root):
             dfs.delete(cfg.root, recursive=True)
         # A from-scratch run must not inherit staging debris (or stale
         # manifests — those lived under root and are gone with it).
         dfs.discard_staging(STAGING_ROOT)
 
-        master = MasterIO(dfs)
-        pipeline = self._pipeline()
-
-        # Step 1 (Section 5.1): master writes the input and control files.
         def write_inputs() -> None:
-            if cfg.input_format == "binary":
-                master.write_bytes(layout.input_path, formats.encode_matrix(a))
-            else:
-                master.write_bytes(
-                    layout.input_path,
-                    formats.encode_matrix_text(a).encode("utf-8"),
-                )
+            master.write_bytes(layout.input_path, input_bytes())
             for j in range(cfg.m0):
                 master.write_bytes(layout.map_input_path(j), str(j).encode())
 
-        pipeline.master_phase("write-input", write_inputs, io=master)
-        return layout, pipeline, master
+        pipeline.master_phase(phase_name, write_inputs, io=master)
+        return layout, pipeline, master, model
 
-    def _resume_fsck(self, dfs: DFS) -> FsckReport:
+    def _resume_fsck(self, dfs: DFS) -> None:
         """Repairing consistency check run before any resume decision."""
         tracer = resolve_tracer(self.config.telemetry)
-        if not tracer.enabled:
-            return fsck(dfs, root=self.config.root, repair=True)
         with tracer.span("resume-fsck", SpanKind.DFS_REPAIR) as span:
             report = fsck(dfs, root=self.config.root, repair=True)
-            span.set(
-                issues=len(report.issues),
-                files_checked=report.files_checked,
-                manifests_checked=report.manifests_checked,
-            )
-            return report
-
-    def _node_complete(self, layout: Layout, node: PlanNode) -> bool:
-        """True when a node's factors are already committed on the DFS.
-
-        Because every intermediate lives in HDFS, the pipeline is naturally
-        resumable after a *driver* failure: completed subtrees are detected
-        and skipped (task-level failures are handled separately by the
-        JobTracker's retries).  With the output-commit protocol on, the
-        check reads the per-step manifests — a step counts as done only if
-        its commit point was reached, so a crash between two files of a
-        multi-file write can never masquerade as completion.  With the
-        protocol off it falls back to the legacy existence probes.
-        """
-        log = self._commit_log()
-        if log is not None:
-            return self._node_committed(log, node)
-        nl = layout.of(node)
-        dfs = self.runtime.dfs
-        if dfs.exists(nl.l_path):  # leaf factors or combined files
-            return dfs.exists(nl.u_path) and dfs.exists(nl.p_path)
-        if node.is_leaf:
-            return False
-        return (
-            self._node_complete(layout, node.child1)
-            and all(dfs.exists(p) for p in nl.l2.file_paths())
-            and all(dfs.exists(p) for p in nl.u2.file_paths())
-            and all(dfs.exists(p) for p in nl.out.file_paths())
-            and self._node_complete(layout, node.child2)
-        )
-
-    def _node_committed(self, log: CommitLog, node: PlanNode) -> bool:
-        """Manifest-based completion: every step of the subtree committed."""
-        if node.is_leaf:
-            return log.committed(f"phase:master-lu:{node.dir}")
-        done = (
-            self._node_committed(log, node.child1)
-            and log.committed(f"job:lu:{node.dir}")
-            and self._node_committed(log, node.child2)
-        )
-        if not self.config.separate_files:
-            done = done and log.committed(f"phase:combine:{node.dir}")
-        return done
-
-    def _decompose(
-        self, layout: Layout, pipeline: Pipeline, master: MasterIO, node: PlanNode,
-        *, resume: bool = False,
-    ) -> None:
-        """Algorithm 2 as an in-order tree walk."""
-        if resume and self._node_complete(layout, node):
-            return
-        if node.is_leaf:
-            nl = layout.of(node)
-            is_whole_input = node is layout.plan.tree
-
-            def leaf_lu() -> None:
-                if is_whole_input:
-                    # Single-leaf plan (n <= nb): no partition job ran, so the
-                    # master reads the input file directly.
-                    if self.config.input_format == "binary":
-                        block = master.read_matrix(layout.input_path)
-                    else:
-                        block = formats.decode_matrix_text(
-                            master.read_bytes(layout.input_path).decode("utf-8")
-                        )
-                else:
-                    block = nl.matrix.read(master)
-                lu = lu_decompose(block, pivot=self.config.pivot)
-                write_leaf_factors(
-                    master, nl, lu, transpose_u=self.config.transpose_u
+            if tracer.enabled:
+                span.set(
+                    issues=len(report.issues),
+                    files_checked=report.files_checked,
+                    manifests_checked=report.manifests_checked,
                 )
 
-            pipeline.master_phase(
-                f"master-lu:{node.dir}",
-                leaf_lu,
-                flops=lu_flop_count(node.n),
-                io=master,
-            )
-            return
+    # -- the one step list ---------------------------------------------------------
 
-        self._decompose(layout, pipeline, master, node.child1, resume=resume)
-        nl = layout.of(node)
-        log = self._commit_log()
-        if log is not None:
-            job_done = resume and log.committed(f"job:lu:{node.dir}")
-        else:
-            job_done = resume and all(
-                self.runtime.dfs.exists(p)
-                for region in (nl.l2, nl.u2, nl.out)
-                for p in region.file_paths()
-            )
-        if not job_done:
-            pipeline.run_job(lu_job(layout, node))
-        self._decompose(layout, pipeline, master, node.child2, resume=resume)
-
-        if not self.config.separate_files:
-            # Section 6.1 ablation: serial combine on the master.
-            def do_combine() -> None:
-                combine_factors(layout, node, master, master)
-
-            pipeline.master_phase(f"combine:{node.dir}", do_combine, io=master)
-
-    def _assemble_inverse(
-        self, layout: Layout, pipeline: Pipeline, master: MasterIO
-    ) -> np.ndarray:
-        """Collect the final job's blocks into ``A^-1`` (column permutation
-        by the pivot array S, Section 4.3)."""
-        n = layout.plan.tree.n
-        out = np.zeros((n, n))
-
-        def collect() -> None:
-            out[:] = read_final_inverse(layout, master)
-
-        pipeline.master_phase("collect-output", collect, io=master)
-        return out
-
-    # -- dataflow scheduling ---------------------------------------------------
-
-    def _schedule_mode(self) -> str:
-        """Resolved scheduling mode: config wins, runtime config is the
-        fallback (``"barrier"`` unless someone opted in)."""
-        return self.config.schedule or self.runtime.config.schedule
-
-    def _dataflow_units(self, layout, pipeline, model, run_span, *, resume):
-        """The pipeline's schedulable units, in plan order.
-
-        Mirrors :meth:`invert`'s barrier step sequence exactly — one unit
-        per master phase, one per MapReduce job (map+reduce grouped:
-        intra-job dataflow is the JobTracker's business) — with each unit's
-        ``needs`` taken from the static model: its reads minus its own
-        writes.  ``write-input`` (already run by ``_prepare``) and
-        ``collect-output`` (runs after the schedule drains) are excluded.
-        """
-        from ..mapreduce.scheduler import UnitSpec
-
+    def _leaf_lu(self, layout: Layout, node: PlanNode, master: MasterIO) -> None:
+        """Algorithm 1 on the master: LU-decompose one leaf block."""
         cfg = self.config
-        dfs = self.runtime.dfs
-        log = self._commit_log()
-        nodes_by_dir: dict[str, PlanNode] = {}
+        nl = layout.of(node)
+        if node is not layout.plan.tree:
+            block = nl.matrix.read(master)
+        # Single-leaf plan (n <= nb): no partition job ran, so the master
+        # reads the input file directly.
+        elif cfg.input_format == "binary":
+            block = master.read_matrix(layout.input_path)
+        else:
+            block = formats.decode_matrix_text(
+                master.read_bytes(layout.input_path).decode("utf-8")
+            )
+        lu = lu_decompose(block, pivot=cfg.pivot)
+        write_leaf_factors(master, nl, lu, transpose_u=cfg.transpose_u)
 
-        def index(node: PlanNode) -> None:
-            nodes_by_dir[node.dir] = node
-            if not node.is_leaf:
-                index(node.child1)
-                index(node.child2)
+    def _units(
+        self, layout: Layout, pipeline: Pipeline, parent_span, resume: bool, final: bool
+    ) -> list[UnitSpec]:
+        """The pipeline's schedulable units, in plan order — emitted once,
+        for whichever runner ``config.schedule`` selects.
 
-        index(layout.plan.tree)
+        One unit per MapReduce job (map+reduce grouped: intra-job dataflow
+        is the JobTracker's business) and one per master phase: the
+        partition job (Algorithm 3), the steps of :func:`_algorithm2` and,
+        with ``final``, the inversion job.  The ingestion phase (already
+        run by ``_prepare``) and ``collect-output`` (runs after the units)
+        are not units.
 
-        # Group the model's steps into units: master steps stand alone, a
-        # job's map+reduce phases merge.
-        steps = [
-            s
-            for s in model.steps
-            if s.name not in ("write-input", "collect-output")
-        ]
-        grouped: list[tuple[str, str, list]] = []
-        i = 0
-        while i < len(steps):
-            step = steps[i]
-            if step.job is None:
-                grouped.append(("phase", step.name, [step]))
-                i += 1
-                continue
-            j = i
-            while j < len(steps) and steps[j].job == step.job:
-                j += 1
-            grouped.append(("job", step.job, steps[i:j]))
-            i = j
+        A unit's ``run``/``commit`` halves are :class:`Pipeline`'s
+        ``execute_*``/``commit_*``.  Its ``done`` flag is its manifest:
+        every intermediate lives in the DFS, so the pipeline resumes after
+        a *driver* failure, and a step counts as done only if its commit
+        point was reached — a crash between two files of a multi-file write
+        can never masquerade as completion.  Unit spans hang off
+        ``parent_span`` (unit threads do not inherit the ambient span) and,
+        in dataflow mode only, carry the schedule attributes.
+        """
+        dataflow = self.config.schedule == "dataflow"
 
-        def job_conf_factory(job_name: str):
-            if job_name == "partition":
-                return lambda: partition_job(layout)
-            if job_name == "invert-final":
-                return lambda: invert_job(layout)
-            if job_name.startswith("lu:"):
-                node = nodes_by_dir[job_name[len("lu:"):]]
-                return lambda: lu_job(layout, node)
-            raise KeyError(f"unknown job unit {job_name!r}")
-
-        def phase_body(phase_name: str):
-            """The master-phase work, as fn(MasterIO) -> None, plus flops."""
-            if phase_name.startswith("master-lu:"):
-                node = nodes_by_dir[phase_name[len("master-lu:"):]]
-                nl = layout.of(node)
-                is_whole_input = node is layout.plan.tree
-
-                def leaf_lu(master: MasterIO) -> None:
-                    if is_whole_input:
-                        if cfg.input_format == "binary":
-                            block = master.read_matrix(layout.input_path)
-                        else:
-                            block = formats.decode_matrix_text(
-                                master.read_bytes(layout.input_path).decode(
-                                    "utf-8"
-                                )
-                            )
-                    else:
-                        block = nl.matrix.read(master)
-                    lu = lu_decompose(block, pivot=cfg.pivot)
-                    write_leaf_factors(
-                        master, nl, lu, transpose_u=cfg.transpose_u
-                    )
-
-                return leaf_lu, lu_flop_count(node.n)
-            if phase_name.startswith("combine:"):
-                node = nodes_by_dir[phase_name[len("combine:"):]]
-
-                def do_combine(master: MasterIO) -> None:
-                    combine_factors(layout, node, master, master)
-
-                return do_combine, 0.0
-            raise KeyError(f"unknown phase unit {phase_name!r}")
+        def stamp(wait: float) -> dict[str, Any] | None:
+            if not dataflow:
+                return None
+            return {"schedule": "dataflow", "sched_wait_seconds": round(wait, 6)}
 
         units: list[UnitSpec] = []
-        for kind, name, members in grouped:
-            needs = frozenset(
-                set().union(*(s.reads for s in members))
-                - set().union(*(s.writes for s in members))
+
+        def add(kind: str, name: str, run, commit) -> None:
+            done = resume and pipeline.commit_log.committed(f"{kind}:{name}")
+            units.append(
+                UnitSpec(name=name, kind=kind, run=run, commit=commit, done=done)
             )
-            if kind == "job":
-                # invert-final always re-runs on resume, matching barrier
-                # semantics (its reducers' outputs feed collect-output).
-                done = (
-                    resume
-                    and name != "invert-final"
-                    and log is not None
-                    and log.committed(f"job:{name}")
+
+        def add_job(conf: JobConf) -> None:
+            add(
+                "job",
+                conf.name,
+                lambda wait: pipeline.execute_job(
+                    conf, parent_span=parent_span, span_attrs=stamp(wait)
+                ),
+                lambda result: pipeline.commit_job(
+                    conf.name, result, output_commit=conf.output_commit
+                ),
+            )
+
+        def add_phase(step: str, node: PlanNode, body, flops: float = 0.0) -> None:
+            name = f"{step}:{node.dir}"
+
+            def run(wait: float) -> tuple:
+                # Per-unit MasterIO: phase scoping and byte counters are
+                # mutable per-phase state, unshareable across unit threads.
+                master = MasterIO(self.runtime.dfs)
+                _, phase, published = pipeline.execute_phase(
+                    name,
+                    lambda: body(layout, node, master),
+                    flops=flops,
+                    io=master,
+                    parent_span=parent_span,
+                    span_attrs=stamp(wait),
                 )
-                make_conf = job_conf_factory(name)
+                return phase, published
 
-                def run_job_unit(wait: float, make_conf=make_conf) -> tuple:
-                    conf = make_conf()
-                    result = pipeline.execute_job(
-                        conf,
-                        parent_span=run_span,
-                        span_attrs={
-                            "schedule": "dataflow",
-                            "sched_wait_seconds": round(wait, 6),
-                        },
-                    )
-                    return (conf.name, conf.output_commit, result)
+            add("phase", name, run, lambda p: pipeline.commit_phase(name, *p))
 
-                def commit_job_unit(payload: tuple) -> None:
-                    conf_name, output_commit, result = payload
-                    pipeline.commit_job(
-                        conf_name, result, output_commit=output_commit
-                    )
-
-                units.append(
-                    UnitSpec(
-                        name=name,
-                        kind="job",
-                        needs=needs,
-                        run=run_job_unit,
-                        commit=commit_job_unit,
-                        done=done,
-                    )
-                )
-            else:
-                body, flops = phase_body(name)
-                done = (
-                    resume
-                    and log is not None
-                    and log.committed(f"phase:{name}")
-                )
-
-                def run_phase_unit(
-                    wait: float, name=name, body=body, flops=flops
-                ) -> tuple:
-                    # Per-unit MasterIO: phase scoping and byte counters are
-                    # mutable per-phase state, unshareable across threads.
-                    master = MasterIO(dfs)
-                    _, phase, published = pipeline.execute_phase(
-                        name,
-                        lambda: body(master),
-                        flops=flops,
-                        io=master,
-                        parent_span=run_span,
-                        span_attrs={
-                            "schedule": "dataflow",
-                            "sched_wait_seconds": round(wait, 6),
-                        },
-                    )
-                    return (phase, published)
-
-                def commit_phase_unit(payload: tuple, name=name) -> None:
-                    phase, published = payload
-                    pipeline.commit_phase(name, phase, published)
-
-                units.append(
-                    UnitSpec(
-                        name=name,
-                        kind="phase",
-                        needs=needs,
-                        run=run_phase_unit,
-                        commit=commit_phase_unit,
-                        done=done,
-                    )
-                )
+        tree = layout.plan.tree
+        if not tree.is_leaf:
+            add_job(partition_job(layout))
+        for step, node in _algorithm2(tree):
+            if step == "lu":
+                add_job(lu_job(layout, node))
+            elif step == "master-lu":
+                add_phase(step, node, self._leaf_lu, lu_flop_count(node.n))
+            elif not self.config.separate_files:
+                # Section 6.1 ablation: serial combine on the master.
+                add_phase(step, node, _combine)
+        if final:
+            add_job(invert_job(layout))
+            # Always re-runs on resume: its reducers' outputs feed
+            # collect-output, which is not itself resumable.
+            units[-1].done = False
         return units
 
-    def _invert_dataflow(
-        self, a: np.ndarray, *, resume: bool = False
-    ) -> InversionResult:
-        """Dataflow-mode :meth:`invert`: same steps, block-driven launches."""
-        from ..analysis.model import build_model
-        from ..mapreduce.scheduler import DataflowScheduler
+    def _run(
+        self,
+        span_name: str,
+        n: int,
+        ingest: tuple[str, Callable[[], bytes]],
+        *,
+        resume: bool = False,
+        final: bool = True,
+        span_attrs: dict[str, Any] | None = None,
+    ) -> InversionResult | LUFactors:
+        """The one execution path behind ``invert``/``invert_path``/``lu``.
 
+        Opens the run span, ingests the input (``ingest`` is the ingestion
+        phase's name and the input file's bytes), emits the unit list and
+        hands it to the runner ``config.schedule`` names; then, still inside
+        the span, reads the outcome back: ``A^-1`` and the run's I/O with
+        ``final``, else the assembled ``P A = L U``.
+        """
         cfg = self.config
-        if not cfg.output_commit:
+        if resume and not cfg.output_commit:
             raise ValueError(
-                "dataflow scheduling requires output_commit: step readiness "
-                "is keyed on sealed (published) blocks"
+                "resume requires output_commit: a step counts as done only "
+                "if its commit manifest was written"
             )
-        a = np.asarray(a, dtype=np.float64)
-        before = self.runtime.dfs.stats.snapshot()
+        dataflow = cfg.schedule == "dataflow"
+        dfs = self.runtime.dfs
+        before = dfs.stats.snapshot()
         tracer = resolve_tracer(cfg.telemetry)
-        with tracer.span("invert", SpanKind.RUN) as run_span:
+        with tracer.span(span_name, SpanKind.RUN) as run_span:
             if tracer.enabled:
-                run_span.set(
-                    n=a.shape[0], nb=cfg.nb, m0=cfg.m0, resume=resume,
-                    schedule="dataflow",
+                run_span.set(n=n, nb=cfg.nb, m0=cfg.m0, **(span_attrs or {}))
+                if dataflow:
+                    run_span.set(schedule="dataflow")
+            layout, pipeline, master, model = self._prepare(n, *ingest, resume=resume)
+            parent = run_span if tracer.enabled else None
+            units = self._units(layout, pipeline, parent, resume, final)
+            report = None
+            if dataflow:
+                needs = model.unit_needs()
+                for unit in units:
+                    unit.needs = needs[unit.name]
+                report = DataflowScheduler(
+                    dfs=dfs, units=units, model=model, telemetry=cfg.telemetry
+                ).run()
+            else:
+                run_in_order(units)
+            if not final:
+                tree = layout.plan.tree
+                return LUFactors(
+                    lower=read_lower(layout, tree, master),
+                    upper=read_upper(layout, tree, master),
+                    perm=read_perm(layout, tree, master),
+                    plan=layout.plan,
+                    record=pipeline.record,
                 )
-            layout, pipeline, master = self._prepare(a, resume=resume)
-            model = build_model(a.shape[0], cfg)
-            units = self._dataflow_units(
-                layout,
-                pipeline,
-                model,
-                run_span if tracer.enabled else None,
-                resume=resume,
+            # Step 5: collect the final job's blocks into A^-1 (column
+            # permutation by the pivot array S, Section 4.3).
+            inverse = pipeline.master_phase(
+                "collect-output",
+                lambda: read_final_inverse(layout, master),
+                io=master,
             )
-            scheduler = DataflowScheduler(
-                dfs=self.runtime.dfs,
-                units=units,
-                model=model,
-                telemetry=cfg.telemetry,
-            )
-            report = scheduler.run()
-            inverse = self._assemble_inverse(layout, pipeline, master)
-
-        io = self.runtime.dfs.stats.snapshot() - before
+        io = dfs.stats.snapshot() - before
         if tracer.enabled:
             tracer.metrics.absorb_iostats(io)
         return InversionResult(
@@ -672,10 +506,15 @@ class MatrixInverter:
             plan=layout.plan,
             layout=layout,
             record=pipeline.record,
-            config=self.config,
+            config=cfg,
             io=io,
             scheduler_report=report,
         )
+
+    def _encoded_input(self, a: np.ndarray) -> bytes:
+        if self.config.input_format == "binary":
+            return formats.encode_matrix(a)
+        return formats.encode_matrix_text(a).encode("utf-8")
 
     # -- public operations ---------------------------------------------------------
 
@@ -683,59 +522,21 @@ class MatrixInverter:
         """Invert ``a`` through the full MapReduce pipeline.
 
         ``resume=True`` continues a previous run of the same matrix on this
-        runtime's DFS (e.g. after a driver crash): completed stages are
-        detected by their persisted outputs and skipped.
+        runtime's DFS (e.g. after a driver crash): steps whose commit
+        manifest was written are skipped (requires ``output_commit``).
 
-        With ``schedule="dataflow"`` (on the inversion or runtime config)
-        the same steps run under the block-availability scheduler
-        (:mod:`repro.mapreduce.scheduler`) instead of the paper's barrier
-        sequence; results and DFS end-state are identical, completion order
-        is not.
+        With ``config.schedule="dataflow"`` the same steps run under the
+        block-availability scheduler (:mod:`repro.mapreduce.scheduler`)
+        instead of the paper's barrier sequence; results and DFS end-state
+        are identical, completion order is not.
         """
-        if self._schedule_mode() == "dataflow":
-            return self._invert_dataflow(a, resume=resume)
-        a = np.asarray(a, dtype=np.float64)
-        before = self.runtime.dfs.stats.snapshot()
-        tracer = resolve_tracer(self.config.telemetry)
-        with tracer.span("invert", SpanKind.RUN) as run_span:
-            if tracer.enabled:
-                run_span.set(
-                    n=a.shape[0], nb=self.config.nb, m0=self.config.m0,
-                    resume=resume,
-                )
-            layout, pipeline, master = self._prepare(a, resume=resume)
-            tree = layout.plan.tree
-
-            log = self._commit_log()
-            if log is not None:
-                partition_done = (
-                    resume
-                    and not tree.is_leaf
-                    and log.committed("job:partition")
-                )
-            else:
-                partition_done = resume and not tree.is_leaf and all(
-                    self.runtime.dfs.exists(p)
-                    for node in tree.input_nodes()
-                    if not node.is_leaf
-                    for p in layout.of(node).a3.file_paths()
-                ) and self.runtime.dfs.exists(layout.map_input_path(0))
-            if not tree.is_leaf and not partition_done:
-                pipeline.run_job(partition_job(layout))
-            self._decompose(layout, pipeline, master, tree, resume=resume)
-            pipeline.run_job(invert_job(layout))
-            inverse = self._assemble_inverse(layout, pipeline, master)
-
-        io = self.runtime.dfs.stats.snapshot() - before
-        if tracer.enabled:
-            tracer.metrics.absorb_iostats(io)
-        return InversionResult(
-            inverse=inverse,
-            plan=layout.plan,
-            layout=layout,
-            record=pipeline.record,
-            config=self.config,
-            io=io,
+        a = _as_square(a)
+        return self._run(
+            "invert",
+            a.shape[0],
+            ("write-input", lambda: self._encoded_input(a)),
+            resume=resume,
+            span_attrs={"resume": resume},
         )
 
     def distributed_residual(self, result: InversionResult) -> float:
@@ -753,54 +554,21 @@ class MatrixInverter:
         """Invert a matrix that already lives on this runtime's DFS (binary
         format) — the Section 1 deployment story where "the input matrix to
         be inverted would be generated by a MapReduce job and stored in
-        HDFS".  No driver-side ingestion: the file is linked into the work
-        directory and the pipeline reads it where it lies.
+        HDFS".  No driver-side ingestion: the file is copied into the work
+        directory (HDFS has no hardlinks; a rename would destroy the
+        caller's file) and the pipeline reads it where it lies.
         """
         dfs = self.runtime.dfs
         rows, cols = formats.matrix_shape(dfs, path)
         if rows != cols:
             raise ValueError(f"matrix at {path} is {rows}x{cols}, not square")
-        cfg = self.config
-        if cfg.input_format != "binary":
+        if self.config.input_format != "binary":
             raise ValueError("invert_path requires binary input_format")
-        plan, layout = self._plan_and_layout(rows)
-        self._configure_cache()
-        if dfs.exists(cfg.root):
-            dfs.delete(cfg.root, recursive=True)
-
-        before = dfs.stats.snapshot()
-        tracer = resolve_tracer(self.config.telemetry)
-        with tracer.span("invert-path", SpanKind.RUN) as run_span:
-            if tracer.enabled:
-                run_span.set(n=rows, nb=cfg.nb, m0=cfg.m0, path=path)
-            master = MasterIO(dfs)
-            pipeline = self._pipeline()
-
-            def link_inputs() -> None:
-                # Copy the matrix into the work directory (HDFS has no
-                # hardlinks; a rename would destroy the caller's file).
-                master.write_bytes(layout.input_path, dfs.read_bytes(path))
-                for j in range(cfg.m0):
-                    master.write_bytes(layout.map_input_path(j), str(j).encode())
-
-            pipeline.master_phase("link-input", link_inputs, io=master)
-
-            tree = plan.tree
-            if not tree.is_leaf:
-                pipeline.run_job(partition_job(layout))
-            self._decompose(layout, pipeline, master, tree)
-            pipeline.run_job(invert_job(layout))
-            inverse = self._assemble_inverse(layout, pipeline, master)
-        io = dfs.stats.snapshot() - before
-        if tracer.enabled:
-            tracer.metrics.absorb_iostats(io)
-        return InversionResult(
-            inverse=inverse,
-            plan=plan,
-            layout=layout,
-            record=pipeline.record,
-            config=cfg,
-            io=io,
+        return self._run(
+            "invert-path",
+            rows,
+            ("link-input", lambda: dfs.read_bytes(path)),
+            span_attrs={"path": path},
         )
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -829,26 +597,43 @@ class MatrixInverter:
 
     def lu(self, a: np.ndarray) -> LUFactors:
         """Run only the LU stage and assemble ``P A = L U``."""
-        a = np.asarray(a, dtype=np.float64)
-        tracer = resolve_tracer(self.config.telemetry)
-        with tracer.span("lu", SpanKind.RUN) as run_span:
-            if tracer.enabled:
-                run_span.set(n=a.shape[0], nb=self.config.nb, m0=self.config.m0)
-            layout, pipeline, master = self._prepare(a)
-            tree = layout.plan.tree
-            if not tree.is_leaf:
-                pipeline.run_job(partition_job(layout))
-            self._decompose(layout, pipeline, master, tree)
-            lower = read_lower(layout, tree, master)
-            upper = read_upper(layout, tree, master)
-            perm = read_perm(layout, tree, master)
-        return LUFactors(
-            lower=lower,
-            upper=upper,
-            perm=perm,
-            plan=layout.plan,
-            record=pipeline.record,
+        a = _as_square(a)
+        return self._run(
+            "lu",
+            a.shape[0],
+            ("write-input", lambda: self._encoded_input(a)),
+            final=False,
         )
+
+
+def _algorithm2(node: PlanNode) -> Iterator[tuple[str, PlanNode]]:
+    """Algorithm 2 as an in-order tree walk: a ``master-lu`` step per leaf
+    (LU-decomposed on the master), an ``lu`` job per internal node between
+    its two subtrees, and after them its ``combine`` slot — a step only for
+    the Section 6.1 ablation (``separate_files`` off).
+
+    Module-level on purpose: as a self-referencing closure inside ``_units``
+    it is a reference cycle that keeps the whole run (runtime, every DFS
+    block) alive until the cyclic collector gets to it.
+    """
+    if node.is_leaf:
+        yield "master-lu", node
+        return
+    yield from _algorithm2(node.child1)
+    yield "lu", node
+    yield from _algorithm2(node.child2)
+    yield "combine", node
+
+
+def _combine(layout: Layout, node: PlanNode, master: MasterIO) -> None:
+    combine_factors(layout, node, master, master)
+
+
+def _as_square(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
 
 
 def invert(

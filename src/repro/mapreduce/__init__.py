@@ -8,8 +8,7 @@ Hadoop-style counters, and multi-job pipelines with master-side phases.
 
 from .counters import Counters
 
-# HistoryReport/JobSummary moved to repro.telemetry.history; import from the
-# new home directly (the .history shim warns) but keep re-exporting them here.
+# HistoryReport/JobSummary live in repro.telemetry.history; re-exported here.
 from ..telemetry.history import HistoryReport, JobSummary
 from .backends import (
     ExecutionBackend,
@@ -55,6 +54,7 @@ from .scheduler import (
     SchedulerReport,
     SchedulerStallError,
     UnitSpec,
+    run_in_order,
 )
 from .types import (
     InputSplit,
@@ -121,5 +121,6 @@ __all__ = [
     "default_partitioner",
     "make_executor",
     "register_backend",
+    "run_in_order",
     "splits_for_workers",
 ]

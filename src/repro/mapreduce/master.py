@@ -12,7 +12,7 @@ machinery Section 7.4's end-to-end fault story depends on:
 * **Backoff + deadlines** — a :class:`~repro.mapreduce.retry.RetryPolicy` on
   the job conf spaces retry waves with capped exponential backoff
   (deterministically jittered) and bounds each attempt's wall-clock time, so
-  a *hung* task times out (:class:`~repro.mapreduce.worker.TaskTimeoutError`)
+  a *hung* task times out (:class:`~repro.mapreduce.backends.TaskTimeoutError`)
   instead of stalling its wave forever.
 * **Node health / blacklisting** — every attempt is placed on a simulated
   worker node; consecutive failures on one node temporarily blacklist it

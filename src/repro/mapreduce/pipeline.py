@@ -115,13 +115,12 @@ class Pipeline:
 
     # -- execute / commit split --------------------------------------------------
     #
-    # ``run_job``/``master_phase`` execute AND commit in one call — the
-    # barrier pipeline's behaviour.  The dataflow scheduler needs the two
-    # halves apart: ``execute_*`` runs the step (publishing its data blocks
-    # immediately, from a unit thread), while ``commit_*`` — the record
-    # append and manifest write — is deferred to the scheduler's plan-order
-    # flusher so ``record.steps`` and the ``job:``/``phase:`` manifests stay
-    # in deterministic plan order under concurrent completion.
+    # ``execute_*`` runs a step (publishing its data blocks immediately);
+    # ``commit_*`` appends it to the record and writes its manifest.  The
+    # in-order runner calls them back to back (as ``run_job`` and
+    # ``master_phase`` do, in one call); the dataflow scheduler defers
+    # ``commit_*`` to its plan-order flusher, so ``record.steps`` and the
+    # manifests stay in plan order under concurrent completion.
 
     def execute_job(
         self,
@@ -160,77 +159,11 @@ class Pipeline:
         self.commit_job(conf.name, result, output_commit=conf.output_commit)
         return result
 
-    def master_phase(
-        self,
-        name: str,
-        fn: Callable[[], Any],
-        *,
-        flops: float = 0.0,
-        bytes_read: int = 0,
-        bytes_written: int = 0,
-        io: PhaseIO | None = None,
-    ) -> Any:
-        """Run ``fn`` serially on the (conceptual) master node, recording its
-        declared resource usage for the cluster replay.
-
-        When ``io`` is given, the bytes the phase moved are drained from it
-        (``take_io``) and added to the declared counts — so callers don't
-        have to reach back into the record, and the phase's telemetry span
-        carries the byte attributes before it closes.
-
-        With a ``commit_log`` and an ``io`` adapter that supports phase
-        scoping (``begin_phase``/``end_phase``), the phase's writes are
-        staged, published atomically after ``fn`` returns, and recorded in
-        a ``phase:<name>`` manifest — the phase's durable done-marker.
-        """
-        scope = self._open_phase_scope(name, io)
-
-        def run() -> Any:
-            result = fn()
-            if scope is not None:
-                # Phase commit: one atomic publish, then the manifest.  A
-                # crash before the manifest write re-runs the whole phase.
-                published = scope.publish()
-                io.end_phase()
-                self.commit_log.record(f"phase:{name}", published)
-            return result
-
-        tracer = resolve_tracer(self.telemetry)
-        start = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(name, SpanKind.MASTER_PHASE) as span:
-                out = run()
-                if io is not None:
-                    r, w = io.take_io()
-                    bytes_read += r
-                    bytes_written += w
-                span.set(
-                    bytes_read=bytes_read, bytes_written=bytes_written, flops=flops
-                )
-        else:
-            out = run()
-            if io is not None:
-                r, w = io.take_io()
-                bytes_read += r
-                bytes_written += w
-        phase = MasterPhase(
-            name=name,
-            flops=flops,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            wall_seconds=time.perf_counter() - start,
-        )
-        self.record.steps.append(phase)
-        return out
-
     def _open_phase_scope(
         self, name: str, io: PhaseIO | None
     ) -> CommitScope | None:
-        if (
-            self.commit_log is None
-            or io is None
-            or not hasattr(io, "begin_phase")
-        ):
+        # ``io=None`` has no ``begin_phase`` either: no scope.
+        if self.commit_log is None or not hasattr(io, "begin_phase"):
             return None
         with self._seq_lock:
             self._phase_seq += 1
@@ -253,53 +186,45 @@ class Pipeline:
     ) -> tuple[Any, MasterPhase, list[str] | None]:
         """Run a master phase and publish its writes — without committing.
 
-        The dataflow half of :meth:`master_phase`: the phase's staged writes
-        are published atomically the moment ``fn`` returns (so dependents'
-        readiness can fire), but the record append and ``phase:`` manifest
-        are left to :meth:`commit_phase`, which the scheduler calls in plan
-        order.  Returns ``(fn's result, the MasterPhase record, published
-        paths)`` — published is ``None`` when no commit scope applied (no
-        commit log, or ``io`` without phase scoping).
+        When ``io`` is given, the bytes the phase moved are drained from it
+        (``take_io``) and added to the declared counts — so callers don't
+        have to reach back into the record, and the phase's telemetry span
+        carries the byte attributes before it closes.
+
+        With a ``commit_log`` and an ``io`` adapter that supports phase
+        scoping (``begin_phase``/``end_phase``), the phase's writes are
+        staged and published atomically the moment ``fn`` returns (so
+        dataflow dependents' readiness can fire); the record append and the
+        ``phase:<name>`` manifest — the phase's durable done-marker — are
+        left to :meth:`commit_phase`, which the dataflow scheduler defers
+        to plan order.  Returns ``(fn's result, the MasterPhase record,
+        published paths)`` — published is ``None`` when no commit scope
+        applied (no commit log, or ``io`` without phase scoping).
 
         ``parent_span`` pins the MASTER_PHASE span's parent explicitly
         (required from scheduler unit threads, which do not inherit the
         driving thread's ambient span).
         """
         scope = self._open_phase_scope(name, io)
-        published: list[str] | None = None if scope is None else []
-
-        def run() -> Any:
-            result = fn()
-            if scope is not None:
-                # Publish now — downstream readiness keys on the seal; the
-                # manifest (the durable done-marker) waits for plan order.
-                published.extend(scope.publish())
-                io.end_phase()
-            return result
-
+        published: list[str] | None = None
         tracer = resolve_tracer(self.telemetry)
         start = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(
-                name,
-                SpanKind.MASTER_PHASE,
-                parent=parent_span,
-                attrs=dict(span_attrs) if span_attrs else None,
-            ) as span:
-                out = run()
-                if io is not None:
-                    r, w = io.take_io()
-                    bytes_read += r
-                    bytes_written += w
-                span.set(
-                    bytes_read=bytes_read, bytes_written=bytes_written, flops=flops
-                )
-        else:
-            out = run()
+        with tracer.span(
+            name, SpanKind.MASTER_PHASE, parent=parent_span, attrs=span_attrs
+        ) as span:
+            out = fn()
+            if scope is not None:
+                # Publish now — downstream readiness keys on the seal; the
+                # manifest (the durable done-marker) waits for commit_phase.
+                published = scope.publish()
+                io.end_phase()
             if io is not None:
                 r, w = io.take_io()
                 bytes_read += r
                 bytes_written += w
+            span.set(
+                bytes_read=bytes_read, bytes_written=bytes_written, flops=flops
+            )
         phase = MasterPhase(
             name=name,
             flops=flops,
@@ -316,3 +241,11 @@ class Pipeline:
         self.record.steps.append(phase)
         if self.commit_log is not None and published is not None:
             self.commit_log.record(f"phase:{name}", published)
+
+    def master_phase(self, name: str, fn: Callable[[], Any], **kwargs: Any) -> Any:
+        """Run ``fn`` serially on the (conceptual) master node, recording its
+        declared resource usage for the cluster replay: :meth:`execute_phase`
+        (same keywords) then :meth:`commit_phase`, back to back."""
+        out, phase, published = self.execute_phase(name, fn, **kwargs)
+        self.commit_phase(name, phase, published)
+        return out

@@ -16,7 +16,7 @@ understands:
   (:mod:`repro.chaos`);
 * ``attempt_deadline`` — a wall-clock limit per task attempt.  An attempt
   that exceeds it is abandoned with a
-  :class:`~repro.mapreduce.worker.TaskTimeoutError`, counted as a failure,
+  :class:`~repro.mapreduce.backends.TaskTimeoutError`, counted as a failure,
   and retried (with a speculative duplicate) elsewhere — the defence against
   *hung* tasks, which plain failure-retry cannot see.
 

@@ -44,11 +44,6 @@ class RuntimeConfig:
 
     num_workers: int = 4
     executor: str = "serial"  # "serial" | "threads" | "processes"
-    #: Inter-step scheduling mode for pipelines driven on this runtime:
-    #: ``"barrier"`` (default, the paper's strictly synchronized job
-    #: sequence) or ``"dataflow"`` (launch each step when its input blocks
-    #: are published — :mod:`repro.mapreduce.scheduler`).
-    schedule: str = "barrier"
     job_launch_overhead: float = 1.0  # simulated seconds per job (Section 5)
     speculative: bool = False
     #: Run a DFS repair pass before a job when the topology changed
@@ -63,21 +58,10 @@ class RuntimeConfig:
     #: (:class:`~repro.telemetry.TraceConfig`); ``None`` defers to each job
     #: conf and then to the ambient tracer (:func:`repro.observe`).
     telemetry: TraceConfig | None = None
-    #: Capacity of the worker-shared decoded-block cache
-    #: (:class:`~repro.dfs.cache.BlockCache`) attached to the runtime's DFS;
-    #: 0 (default) leaves the DFS as the caller configured it.
-    block_cache_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.schedule not in ("barrier", "dataflow"):
-            raise ValueError(
-                f"unknown schedule {self.schedule!r} "
-                "(use 'barrier' or 'dataflow')"
-            )
-        if self.block_cache_bytes < 0:
-            raise ValueError("block_cache_bytes must be >= 0")
         if self.job_launch_overhead < 0:
             raise ValueError("job_launch_overhead must be >= 0")
         if self.max_node_failures < 1:
@@ -97,8 +81,6 @@ class MapReduceRuntime:
     ) -> None:
         self.config = config or RuntimeConfig()
         self.dfs = dfs if dfs is not None else DFS()
-        if self.config.block_cache_bytes:
-            self.dfs.attach_cache(self.config.block_cache_bytes)
         self._executor = make_executor(self.config.executor, self.config.num_workers)
         self._tracker = JobTracker(
             self.dfs,

@@ -1,4 +1,6 @@
-"""Dependency-driven (dataflow) scheduling of the inversion pipeline.
+"""The pipeline's schedulable units and the two runners that execute them:
+:func:`run_in_order` (the paper's barrier sequence, the degenerate schedule)
+and the dependency-driven :class:`DataflowScheduler`.
 
 The paper runs the recursion's ``2^d + 1`` jobs as a strictly
 barrier-synchronized sequence; the block-level dataflow analyzer
@@ -58,22 +60,33 @@ class UnitSpec:
 
     A unit is either a whole MapReduce job (its map and reduce phases —
     intra-job dataflow is the JobTracker's business) or one serial master
-    phase.  ``needs`` is the unit's external read set: every DFS path it
-    reads that it does not write itself.  ``run(wait_seconds)`` executes the
-    unit (in a scheduler thread) and returns an opaque completion payload;
-    ``commit(payload)`` — called later, in plan order, from the scheduler's
-    driving thread — appends the pipeline record entry and writes the
-    manifest.  ``done`` marks units already committed by a previous run
-    (resume): they are skipped entirely, their sealed outputs satisfying
-    dependents via the initial scan.
+    phase.  ``run(wait_seconds)`` executes the unit and returns an opaque
+    completion payload; ``commit(payload)`` appends the pipeline record
+    entry and writes the manifest.  ``done`` marks units already committed
+    by a previous run (resume): they are skipped entirely.  That is all
+    :func:`run_in_order` uses.  :class:`DataflowScheduler` also reads
+    ``needs``, the unit's external read set — every DFS path it reads that
+    it does not write itself: ``run`` starts (on a unit thread) once all of
+    it is published, ``commit`` waits for plan order, and a ``done`` unit's
+    sealed outputs satisfy dependents via the initial scan.
     """
 
     name: str
-    kind: str  # "job" | "phase"
-    needs: frozenset[str]
+    kind: str  # "job" | "phase" (also the prefix of the unit's manifest key)
     run: Callable[[float], Any]
     commit: Callable[[Any], None]
+    needs: frozenset[str] = frozenset()
     done: bool = False
+
+
+def run_in_order(units: list[UnitSpec]) -> None:
+    """The barrier schedule: plan order, one unit in flight, each committed
+    before the next starts (the paper's strictly synchronized sequence).
+    Plan order satisfies every dependency, so no threads, no listeners, no
+    readiness scan — and no need for the output-commit protocol."""
+    for unit in units:
+        if not unit.done:
+            unit.commit(unit.run(0.0))
 
 
 @dataclass
@@ -406,4 +419,5 @@ __all__ = [
     "SchedulerReport",
     "SchedulerStallError",
     "UnitSpec",
+    "run_in_order",
 ]

@@ -34,6 +34,11 @@ class DeadlockError(MPIError):
     """A receive waited longer than the world's timeout."""
 
 
+#: Pushed into every mailbox by :meth:`World.abort`; a ``recv`` that draws it
+#: raises instead of returning it.
+_ABORTED = object()
+
+
 def payload_bytes(obj: Any) -> int:
     """Accounting size of a message payload."""
     if isinstance(obj, np.ndarray):
@@ -73,6 +78,7 @@ class World:
         self.traffic = TrafficStats()
         self._mailboxes: dict[tuple[int, int, int], queue.SimpleQueue] = {}
         self._mailbox_lock = threading.Lock()
+        self._aborted = False  # guarded-by: _mailbox_lock
         self._barrier = threading.Barrier(size)
 
     def _box(self, src: int, dst: int, tag: int) -> queue.SimpleQueue:
@@ -81,8 +87,20 @@ class World:
             box = self._mailboxes.get(key)
             if box is None:
                 box = queue.SimpleQueue()
+                if self._aborted:
+                    box.put(_ABORTED)
                 self._mailboxes[key] = box
             return box
+
+    def abort(self) -> None:
+        """Cancel every wait in the world (a failed rank's peers must not sit
+        out the timeout): break the barrier and push a sentinel into every
+        mailbox — those that exist now and, via ``_box``, any created later."""
+        with self._mailbox_lock:
+            self._aborted = True
+            for box in self._mailboxes.values():
+                box.put(_ABORTED)
+        self._barrier.abort()
 
     def run(self, fn: Callable[["Comm"], Any]) -> list[Any]:
         """Run ``fn(comm)`` on every rank; returns per-rank results.
@@ -98,7 +116,7 @@ class World:
                 results[rank] = fn(Comm(self, rank))
             except Exception as exc:  # surfaced below
                 errors.append((rank, exc))
-                self._barrier.abort()
+                self.abort()
 
         threads = [
             threading.Thread(target=runner, args=(r,), name=f"mpi-rank-{r}")
@@ -135,14 +153,20 @@ class Comm:
     def recv(self, source: int, tag: int = 0) -> Any:
         if not 0 <= source < self.size:
             raise MPIError(f"bad source rank {source}")
+        box = self.world._box(source, self.rank, tag)
         try:
-            return self.world._box(source, self.rank, tag).get(
-                timeout=self.world.timeout
-            )
+            obj = box.get(timeout=self.world.timeout)
         except queue.Empty:
             raise DeadlockError(
                 f"rank {self.rank} timed out receiving from {source} (tag {tag})"
             ) from None
+        if obj is _ABORTED:
+            box.put(_ABORTED)  # the mailbox stays poisoned for later receives
+            raise MPIError(
+                f"rank {self.rank} aborted receiving from {source} (tag {tag}): "
+                "a peer rank failed"
+            )
+        return obj
 
     # -- collectives -------------------------------------------------------------
 

@@ -5,9 +5,8 @@ task counts, failures and retries, I/O volumes, and wall time, plus pipeline
 totals.  Works from a runtime's history or any list of
 :class:`~repro.mapreduce.types.JobResult`.
 
-Lives in :mod:`repro.telemetry` (the run-accounting read path) as of the
-telemetry subsystem; ``repro.mapreduce.history`` remains as a deprecated
-alias.
+Lives in :mod:`repro.telemetry` (the run-accounting read path); also
+re-exported as ``repro.HistoryReport`` and from :mod:`repro.mapreduce`.
 """
 
 from __future__ import annotations

@@ -203,17 +203,7 @@ class TestRegistry:
             backends._BACKENDS.pop("test-custom", None)
 
 
-class TestDeprecationShim:
-    def test_worker_module_reexports(self):
-        # Old import sites keep working: worker.py forwards to backends.py.
-        from repro.mapreduce import worker
-
-        assert worker.TaskTimeoutError is TaskTimeoutError
-        assert worker.SerialExecutor is SerialExecutor
-        assert worker.ThreadPoolBackend is ThreadPoolBackend
-        assert worker.ProcessPoolBackend is ProcessPoolBackend
-        assert worker.make_executor is make_executor
-
+class TestPackageExports:
     def test_package_exports(self):
         import repro.mapreduce as mr
 

@@ -1,5 +1,7 @@
 """MPI substrate: point-to-point, collectives, traffic accounting, grids."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,33 @@ class TestPointToPoint:
 
         with pytest.raises(MPIError, match="rank 1"):
             world.run(fn)
+
+    @pytest.mark.parametrize("recv_first", [True, False])
+    def test_rank_failure_wakes_blocked_recv(self, recv_first):
+        """A peer's failure cancels the wait: the blocked (or about to
+        block) receive raises at once instead of sitting out the 60 s
+        mailbox timeout, and the world reports the rank that failed."""
+        world = World(2, timeout=60)
+        woken: list[Exception] = []
+
+        def fn(comm):
+            if comm.rank == 1:
+                if recv_first:
+                    time.sleep(0.2)  # let rank 0 block in recv first
+                raise ValueError("rank boom")
+            if not recv_first:
+                time.sleep(0.2)  # mailbox is created after the abort
+            try:
+                comm.recv(source=1, tag=7)
+            except MPIError as exc:
+                woken.append(exc)
+                raise
+
+        start = time.perf_counter()
+        with pytest.raises(MPIError, match="rank 1 failed.*rank boom"):
+            world.run(fn)
+        assert time.perf_counter() - start < 2.0
+        assert len(woken) == 1 and not isinstance(woken[0], DeadlockError)
 
 
 class TestCollectives:

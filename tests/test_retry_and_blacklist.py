@@ -25,7 +25,7 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.counters import TASK_GROUP
 from repro.mapreduce.counters import TIMED_OUT_MAPS
-from repro.mapreduce.worker import SerialExecutor, ThreadPoolBackend
+from repro.mapreduce.backends import SerialExecutor, ThreadPoolBackend
 
 
 class EchoMapper(Mapper):

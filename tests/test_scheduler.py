@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro import InversionConfig
 from repro.analysis import build_model
 from repro.analysis.dataflow import barrier_slack_data, build_block_dag
 from repro.chaos import DriverCrashError
-from repro.dfs import DFS, CommitScope
+from repro.dfs import DFS, CommitScope, formats
 from repro.inversion import MatrixInverter
 from repro.mapreduce import (
     DataflowScheduler,
+    JobResult,
     MapReduceRuntime,
     RuntimeConfig,
     SchedulerStallError,
     UnitSpec,
+    run_in_order,
 )
 
 from conftest import random_invertible
@@ -151,61 +152,171 @@ class TestSchedulerCore:
         assert report.launch_order == ["b"]
 
 
-class TestDataflowInversion:
-    def test_matches_barrier_exactly(self, rng):
-        a = random_invertible(rng, 16)
-        results = {}
-        for schedule in ("barrier", "dataflow"):
-            dfs, rt = small_cluster()
-            cfg = InversionConfig(nb=4, m0=2, schedule=schedule)
-            try:
-                results[schedule] = MatrixInverter(cfg, runtime=rt).invert(a)
-            finally:
-                rt.shutdown()
-        barrier, dataflow = results["barrier"], results["dataflow"]
-        np.testing.assert_array_equal(barrier.inverse, dataflow.inverse)
-        # record.steps appends in deterministic plan order under both modes.
-        names = lambda r: [
-            getattr(s, "name", None) or s.conf.name for s in r.record.steps
+def run_both(executor, separate_files, op):
+    """``op(inverter)`` under each schedule on a fresh cluster; returns
+    ``{schedule: (op's result, sorted manifest paths)}``."""
+    out = {}
+    for schedule in ("barrier", "dataflow"):
+        dfs, rt = small_cluster(executor)
+        cfg = InversionConfig(
+            nb=4, m0=2, schedule=schedule, separate_files=separate_files
+        )
+        try:
+            result = op(MatrixInverter(cfg, runtime=rt))
+            out[schedule] = (result, sorted(dfs.list_files("/Root/_commit")))
+        finally:
+            rt.shutdown()
+    return out
+
+
+def record_bytes(record):
+    """The schedule-independent content of a pipeline record, in order:
+    everything but wall times and launch-order-dependent attempt IDs."""
+    rows = []
+    for step in record.steps:
+        if isinstance(step, JobResult):
+            tasks = sorted(
+                (t.kind.value, t.flops, t.bytes_read, t.bytes_written,
+                 t.bytes_shuffled)
+                for t in step.traces
+            )
+            rows.append((step.name, sorted(step.published_paths), tasks))
+        else:
+            rows.append(
+                (step.name, step.flops, step.bytes_read, step.bytes_written)
+            )
+    return rows
+
+
+class TestInOrderRunner:
+    def test_runs_and_commits_each_unit_in_plan_order(self, dfs):
+        events = []
+        units = [
+            publish_unit(dfs, name, [], [f"/Root/{name}"], log=events)
+            for name in ("a", "b", "c")
         ]
-        assert names(barrier) == names(dataflow)
+        for unit in units:
+            unit.commit = lambda payload: events.append(f"commit:{payload}")
+        units[1].done = True  # resumed: neither run nor committed
+        before = threading.active_count()
+        run_in_order(units)
+        assert events == ["a", "commit:a", "c", "commit:c"]
+        assert threading.active_count() == before
+        assert not dfs.publish_listeners
+
+
+class TestDataflowInversion:
+    @pytest.mark.parametrize("separate_files", [True, False])
+    def test_matches_barrier_exactly(self, rng, separate_files):
+        """One unit list, two runners: the inverse and the record (step
+        order and every step's byte/flop accounting) are identical — with
+        ``separate_files=False`` adding combine units."""
+        a = random_invertible(rng, 16)
+        runs = run_both("serial", separate_files, lambda inv: inv.invert(a))
+        barrier, dataflow = runs["barrier"][0], runs["dataflow"][0]
+        assert barrier.inverse.tobytes() == dataflow.inverse.tobytes()
+        # record.steps appends in deterministic plan order under both modes.
+        assert record_bytes(barrier.record) == record_bytes(dataflow.record)
+        names = [row[0] for row in record_bytes(barrier.record)]
+        assert any(n.startswith("combine:") for n in names) != separate_files
         assert dataflow.scheduler_report is not None
         assert barrier.scheduler_report is None
 
+    @pytest.mark.parametrize("separate_files", [True, False])
     @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_manifests_identical_to_barrier(self, rng, executor):
+    def test_manifests_identical_to_barrier(self, rng, executor, separate_files):
         a = random_invertible(rng, 16)
-        manifests = {}
-        for schedule in ("barrier", "dataflow"):
-            dfs, rt = small_cluster(executor)
-            cfg = InversionConfig(nb=4, m0=2, schedule=schedule)
-            try:
-                MatrixInverter(cfg, runtime=rt).invert(a)
-                manifests[schedule] = sorted(dfs.list_files("/Root/_commit"))
-            finally:
-                rt.shutdown()
-        assert manifests["barrier"] == manifests["dataflow"]
+        runs = run_both(executor, separate_files, lambda inv: inv.invert(a))
+        assert runs["barrier"][1] == runs["dataflow"][1]
+        assert any("combine" in path for path in runs["barrier"][1]) != separate_files
+
+    def test_invert_path_honours_schedule(self, rng):
+        a = random_invertible(rng, 16)
+
+        def op(inverter):
+            inverter.runtime.dfs.write_bytes("/in/A.bin", formats.encode_matrix(a))
+            return inverter.invert_path("/in/A.bin")
+
+        runs = run_both("serial", True, op)
+        (barrier, b_manifests), (dataflow, d_manifests) = (
+            runs["barrier"], runs["dataflow"],
+        )
+        assert barrier.scheduler_report is None
+        assert dataflow.scheduler_report is not None
+        assert dataflow.scheduler_report.launch_order
+        assert barrier.inverse.tobytes() == dataflow.inverse.tobytes()
+        assert record_bytes(barrier.record) == record_bytes(dataflow.record)
+        assert b_manifests == d_manifests
+
+    def test_lu_honours_schedule(self, rng, monkeypatch):
+        a = random_invertible(rng, 16)
+        scheduled = []
+        real_run = DataflowScheduler.run
+        monkeypatch.setattr(
+            DataflowScheduler,
+            "run",
+            lambda self: scheduled.append(1) or real_run(self),
+        )
+        runs = run_both("serial", True, lambda inv: inv.lu(a))
+        assert len(scheduled) == 1  # the dataflow run, not the barrier one
+        (barrier, b_manifests), (dataflow, d_manifests) = (
+            runs["barrier"], runs["dataflow"],
+        )
+        assert barrier.lower.tobytes() == dataflow.lower.tobytes()
+        assert barrier.upper.tobytes() == dataflow.upper.tobytes()
+        assert barrier.perm.tobytes() == dataflow.perm.tobytes()
+        assert record_bytes(barrier.record) == record_bytes(dataflow.record)
+        assert b_manifests == d_manifests
+
+    def test_resume_requires_output_commit(self, rng):
+        a = random_invertible(rng, 8)
+        dfs, rt = small_cluster()
+        cfg = InversionConfig(nb=2, m0=2, output_commit=False)
+        try:
+            with pytest.raises(ValueError, match="output_commit"):
+                MatrixInverter(cfg, runtime=rt).invert(a, resume=True)
+        finally:
+            rt.shutdown()
+
+    @pytest.mark.parametrize("preflight", [True, False])
+    def test_model_built_once_per_invert(self, rng, monkeypatch, preflight):
+        """The dataflow runner takes unit ``needs`` from the model the
+        pre-flight already built (or, pre-flight off, from its own one)."""
+        import repro.analysis as analysis
+        import repro.analysis.model as model_module
+        import repro.analysis.planlint as planlint
+
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # Every binding a caller could reach the builder through
+        # (preflight_check goes through planlint's).
+        counted_build = counting(model_module.build_model)
+        for module in (analysis, model_module, planlint):
+            monkeypatch.setattr(module, "build_model", counted_build)
+        monkeypatch.setattr(
+            analysis, "preflight_check", counting(analysis.preflight_check)
+        )
+        a = random_invertible(rng, 16)
+        dfs, rt = small_cluster()
+        cfg = InversionConfig(nb=4, m0=2, schedule="dataflow", preflight=preflight)
+        try:
+            result = MatrixInverter(cfg, runtime=rt).invert(a)
+        finally:
+            rt.shutdown()
+        assert result.residual(a) < 1e-9
+        assert calls.count("build_model") == 1
+        assert calls.count("preflight_check") == (1 if preflight else 0)
 
     def test_dataflow_requires_output_commit(self):
         with pytest.raises(ValueError, match="output_commit"):
             InversionConfig(nb=4, m0=2, schedule="dataflow", output_commit=False)
-
-    def test_runtime_config_schedule_is_fallback(self, rng):
-        a = random_invertible(rng, 8)
-        dfs = DFS(num_datanodes=3, replication=2, seed=0)
-        rt = MapReduceRuntime(
-            dfs=dfs,
-            config=RuntimeConfig(
-                num_workers=2, executor="serial", schedule="dataflow"
-            ),
-        )
-        try:
-            result = MatrixInverter(
-                InversionConfig(nb=2, m0=2), runtime=rt
-            ).invert(a)
-        finally:
-            rt.shutdown()
-        assert result.scheduler_report is not None
 
     def test_achieved_schedule_matches_predicted_critical_path(self, rng):
         """Every dynamic edge the scheduler observed is a static DAG edge,

@@ -25,7 +25,7 @@ from repro.mapreduce import (
     splits_for_workers,
 )
 from repro.mapreduce.counters import TASK_GROUP, TIMED_OUT_MAPS
-from repro.mapreduce.worker import TaskTimeoutError, _run_with_deadline
+from repro.mapreduce.backends import TaskTimeoutError, _run_with_deadline
 
 STRAGGLER_GROUP = "test.straggler"
 

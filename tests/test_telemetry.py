@@ -1,14 +1,11 @@
 """The telemetry subsystem: spans, metrics, reconciliation, zero-cost path."""
 
 import json
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import repro
 from repro import InversionConfig, MetricsRegistry, TraceConfig, observe
 from repro.inversion import MatrixInverter
 from repro.inversion.plan import total_job_count
@@ -207,37 +204,3 @@ class TestFailureCorrelation:
         # The failed attempts are span-correlated too.
         assert any(f.span_id for f in err.attempts)
         runtime.shutdown()
-
-
-class TestDeprecationShim:
-    def test_mapreduce_history_import_warns(self):
-        """repro.mapreduce.history still works but warns; repro.mapreduce
-        itself must import silently."""
-        code = (
-            "import warnings\n"
-            "import repro.mapreduce\n"
-            "warnings.simplefilter('error', DeprecationWarning)\n"
-            "try:\n"
-            "    import repro.mapreduce.history\n"
-            "except DeprecationWarning as w:\n"
-            "    assert 'repro.telemetry' in str(w)\n"
-            "    print('WARNED')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd=str(__import__("pathlib").Path(__file__).parent.parent),
-        )
-        assert proc.returncode == 0, proc.stderr[-500:]
-        assert "WARNED" in proc.stdout
-
-    def test_shim_reexports_history_report(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.mapreduce.history import HistoryReport
-
-        assert HistoryReport is repro.HistoryReport
