@@ -10,7 +10,9 @@ Five sweeps, one line each:
   block DAG.
 * **PU** — task-purity rules over the shipped examples and experiment
   drivers (plus the pipeline's own job confs, linted alongside PL).
-* **CN** — lock-discipline rules over the engine's threaded modules.
+* **CN** — lock-discipline rules over the engine's threaded modules; a
+  ``THREADED_MODULES`` entry that no longer exists on disk (a rename that
+  missed the list would silently shrink the sweep) is an error here.
 * **PS** — process-safety rules over the whole ``repro`` package.
 
 Any finding is listed below its family's row.  Exit status 0 iff no
@@ -27,6 +29,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.analysis import (  # noqa: E402
+    Finding,
     Severity,
     analyze_concurrency_files,
     analyze_procsafety_files,
@@ -36,6 +39,7 @@ from repro.analysis import (  # noqa: E402
     lint_dataflow,
     lint_pipeline,
     lint_source_file,
+    missing_threaded_modules,
 )
 
 
@@ -57,9 +61,19 @@ def main() -> int:
     pu = [f for p in source_paths for f in lint_source_file(p)]
     rows.append(("PU", "examples + experiments", len(source_paths), pu, time.perf_counter() - t0))
 
-    cn_paths = default_threaded_files()
+    cn_paths = [p for p in default_threaded_files() if p.is_file()]
     t0 = time.perf_counter()
-    cn = analyze_concurrency_files(cn_paths)
+    # Reported like an unparseable module (CN007): the sweep cannot see it.
+    cn = [
+        Finding.of(
+            "CN007",
+            f"THREADED_MODULES entry {rel} is missing on disk (renamed "
+            "without updating the list?)",
+            location=f"src/repro/{rel}",
+        )
+        for rel in missing_threaded_modules()
+    ]
+    cn += analyze_concurrency_files(cn_paths)
     rows.append(("CN", "engine threaded modules", len(cn_paths), cn, time.perf_counter() - t0))
 
     ps_paths = default_procsafety_files()

@@ -2,7 +2,7 @@
 
     python -m repro invert [--n N] [--nb NB] [--m0 M0] [--verify]
     python -m repro describe --n N [--nb NB] [--m0 M0]
-    python -m repro lint [paths...] [--n N] [--nb NB] [--m0 M0] [--self-check]
+    python -m repro lint [paths...] [--n N] [--nb NB] [--m0 M0]
     python -m repro chaos [--seed S] [--schedule NAME] [--json] [--list]
     python -m repro experiments [--fast]
     python -m repro table <1|2|3> / figure <6|7|8> / section <7.2|7.4|7.5>

@@ -24,12 +24,17 @@ task executes.  This package does exactly that:
   held across blocking calls — proved over the threaded engine itself;
 * :mod:`~repro.analysis.procsafety` — process-safety/ownership rules
   (``PS0xx``): closure-capture, escape, and borrowed-view mutation analysis
-  over task-boundary code — the static gate for the planned
+  over task-boundary code — the static gate on what may be handed to
   ``ProcessPoolBackend``;
 * :mod:`~repro.analysis.cli` — ``python -m repro lint``.
 
-The driver runs :func:`preflight_check` before each pipeline (opt out with
-``InversionConfig(preflight=False)``).
+The three source analyzers (``PU``/``CN``/``PS``) stand on one internal
+source-walking core, :mod:`~repro.analysis.source`.
+
+The driver runs :func:`preflight_check` once per run, before anything
+launches (opt out with ``InversionConfig(preflight=False)``); it is the
+run path's single call into this package besides the dataflow scheduler's
+own model check.
 """
 
 from .cli import lint_pipeline, lint_source_file

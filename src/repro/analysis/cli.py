@@ -1,6 +1,6 @@
 """``python -m repro lint`` — pre-flight static analysis from the shell.
 
-Three modes:
+Five modes:
 
 * **plan mode** (no paths): build the pipeline model for ``--n/--nb/--m0``
   and run the plan linter plus the purity checker over every task class the
@@ -17,17 +17,12 @@ Three modes:
 * **process-safety mode** (``--procsafety``): run the closure-capture /
   escape / mutation analyzer (rules ``PS001``–``PS008``) over the given
   paths, or over the whole ``repro`` package when no paths are given —
-  the gate the planned ``ProcessPoolBackend`` rides on;
+  the static gate on what ``ProcessPoolBackend`` may be handed;
 * **dataflow mode** (``--dataflow``): build the block-granularity
   dependency DAG for the plan and run the ``DF001``–``DF008`` rules —
   false barriers, write-before-read hazards, dead blocks, critical path
   vs the barrier schedule; ``--report`` adds the barrier-slack table and
-  ``--replay spans.jsonl`` cross-checks a recorded trace against the DAG;
-* **--self-check**: assert the analyzers themselves work — clean plans
-  produce no findings, seeded defects produce the expected rule ids, and
-  the engine's own modules pass the concurrency and process-safety
-  analyzers — so ``make lint`` has a real gate even where ruff/mypy are
-  unavailable.
+  ``--replay spans.jsonl`` cross-checks a recorded trace against the DAG.
 
 Exit status is nonzero iff any error-severity finding survives
 ``--ignore`` / inline suppressions, making the command scriptable in CI.
@@ -42,7 +37,6 @@ import pathlib
 import sys
 from typing import Sequence
 
-from ..dfs.commit import manifest_path, staging_path
 from ..inversion.config import InversionConfig
 from ..inversion.plan import total_job_count
 from .findings import (
@@ -62,7 +56,7 @@ from .dataflow import (
 )
 from .procsafety import analyze_procsafety_files, default_procsafety_files
 from .model import PipelineModel, build_model
-from .planlint import lint_model, lint_plan
+from .planlint import lint_plan
 from .purity import analyze_job, analyze_source
 
 
@@ -203,439 +197,6 @@ def lint_source_file(path: str | pathlib.Path) -> list[Finding]:
     return findings
 
 
-# -- self-check -------------------------------------------------------------------
-
-
-def _self_check(verbose: bool = True) -> int:
-    """Assert the analyzers detect what they claim to detect."""
-    failures: list[str] = []
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        if verbose:
-            print(f"  {'ok' if ok else 'FAIL'}  {label}")
-        if not ok:
-            failures.append(f"{label}: {detail}")
-
-    # 1. Clean pipelines (both analyzers) across the paper's ablations.
-    clean_cases = [
-        (4096, InversionConfig(nb=512)),
-        (256, InversionConfig(nb=64)),
-        (256, InversionConfig(nb=64, separate_files=False)),
-        (256, InversionConfig(nb=64, transpose_u=False)),
-        (256, InversionConfig(nb=64, block_wrap=False)),
-        (250, InversionConfig(nb=64, m0=2)),
-        (48, InversionConfig(nb=64)),  # single-leaf plan
-    ]
-    for n, config in clean_cases:
-        findings, model = lint_pipeline(n, config)
-        check(
-            f"clean plan n={n} nb={config.nb} m0={config.m0} "
-            f"sep={config.separate_files} wrap={config.block_wrap} "
-            f"tU={config.transpose_u} -> no findings "
-            f"({model.job_count} jobs)",
-            not findings,
-            render_text(findings),
-        )
-
-    # 2. Seeded defects each produce the expected rule id.
-    def rules_of(model: PipelineModel) -> set[str]:
-        return {f.rule for f in lint_model(model)}
-
-    model = build_model(512, InversionConfig(nb=64))
-    dropped = sorted(model.find_step("lu:/Root[reduce]").writes)[0]
-    model.find_step("lu:/Root[reduce]").writes.discard(dropped)
-    check("dropped intermediate write -> PL003", "PL003" in rules_of(model))
-
-    model = build_model(512, InversionConfig(nb=64))
-    model.find_step("partition[map]").writes.add(model.layout.input_path)
-    check("double-written path -> PL004", "PL004" in rules_of(model))
-
-    model = build_model(512, InversionConfig(nb=64))
-    model.steps = [s for s in model.steps if s.job != "invert-final"]
-    check("missing final job -> PL001", "PL001" in rules_of(model))
-
-    model = build_model(512, InversionConfig(nb=64))
-    model.grid = (3, 3)
-    check("f1*f2 != m0 -> PL007", "PL007" in rules_of(model))
-
-    model = build_model(512, InversionConfig(nb=64))
-    model.config = model.config.with_overrides(transpose_u=False)
-    check("transpose flag flipped -> PL006", "PL006" in rules_of(model))
-
-    model = build_model(512, InversionConfig(nb=64))
-    step = model.find_step("lu:/Root[reduce]")
-    step.reads.add(staging_path("attempt-bad", "/Root/lu/L2/L.0"))
-    step.writes.add(manifest_path(model.config.root, "job:lu:/Root"))
-    check(
-        "job touching staging/manifest paths -> PL009",
-        "PL009" in rules_of(model),
-    )
-
-    # 3. Purity checker on known-impure task bodies.
-    from .purity import analyze_callable
-
-    counter: list[int] = []
-
-    def impure_mapper(ctx, split):
-        import random
-
-        counter.append(random.random())  # noqa: S311 - the point of the test
-        split.payload = 0
-
-    purity_rules = {f.rule for f in analyze_callable(impure_mapper)}
-    check(
-        "impure mapper -> PU002/PU003/PU004",
-        {"PU002", "PU003", "PU004"} <= purity_rules,
-        str(purity_rules),
-    )
-    check("builtin -> PU001 info", {
-        f.rule for f in analyze_callable(len)
-    } == {"PU001"})
-
-    def clockbound_mapper(ctx, split):
-        from random import Random
-
-        rng = Random()
-        for key in {1, 2, 3}:
-            ctx.emit(key, rng.random())
-
-    pu67_rules = {f.rule for f in analyze_callable(clockbound_mapper)}
-    check(
-        "unseeded Random + set iteration -> PU006/PU007",
-        {"PU006", "PU007"} <= pu67_rules,
-        str(pu67_rules),
-    )
-
-    # 4. Concurrency analyzer: seeded-bad sources fire each CN rule, the
-    # engine's real threaded modules are clean.
-    from .concurrency import analyze_concurrency_sources
-
-    bad_store = """\
-import threading
-
-class Store:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._items = {}  # guarded-by: _lock
-
-    def get(self, key):
-        return self._items[key]
-
-    def put(self, key, value):
-        self._refresh(key)
-        self._items[key] = value
-
-    def _refresh(self, key):  # requires-lock: _lock
-        self._items.pop(key, None)
-
-    def snapshot(self):
-        return self._items
-
-    def drain(self, worker_thread):
-        with self._lock:
-            worker_thread.join()
-
-class Mislabeled:
-    def __init__(self):
-        self.state = 0  # guarded-by: _mutex
-
-class Pool:
-    def submit_all(self, items):
-        out = []
-        def task(item):
-            out.append(item)
-        return [task for _ in items]
-"""
-    cn_rules = {
-        f.rule
-        for f in analyze_concurrency_sources([(bad_store, "bad_store.py")])
-    }
-    check(
-        "seeded concurrency defects -> CN001/2/3/4/6/7/8",
-        {"CN001", "CN002", "CN003", "CN004", "CN006", "CN007", "CN008"}
-        <= cn_rules,
-        str(cn_rules),
-    )
-
-    bad_order = """\
-import threading
-
-class Left:
-    def __init__(self, right: "Right"):
-        self._lock = threading.Lock()
-        self.right = right
-
-    def poke(self):
-        with self._lock:
-            with self.right._lock:
-                pass
-
-class Right:
-    def __init__(self, left: "Left"):
-        self._lock = threading.Lock()
-        self.left = left
-
-    def poke(self):
-        with self._lock:
-            with self.left._lock:
-                pass
-
-class Caller:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.helper = Helper()
-
-    def outer(self):
-        with self._lock:
-            self.helper.inner()
-
-class Helper:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.caller: "Caller | None" = None
-
-    def inner(self):
-        with self._lock:
-            pass
-"""
-    order_rules = {
-        f.rule
-        for f in analyze_concurrency_sources([(bad_order, "bad_order.py")])
-    }
-    check(
-        "opposing lock nesting -> CN005 (helper without CN003 noise)",
-        "CN005" in order_rules and "CN003" not in order_rules,
-        str(order_rules),
-    )
-
-    clean_store = """\
-import threading
-
-class Good:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._data = {}  # guarded-by: _lock
-
-    def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-
-    def snapshot(self):
-        with self._lock:
-            return dict(self._data)
-"""
-    clean_cn = analyze_concurrency_sources([(clean_store, "clean_store.py")])
-    check(
-        "guarded store -> no concurrency findings",
-        not clean_cn,
-        render_text(clean_cn),
-    )
-
-    engine_findings = analyze_concurrency_files(default_threaded_files())
-    check(
-        "engine threaded modules (mapreduce/dfs/telemetry) concurrency-clean",
-        not engine_findings,
-        render_text(engine_findings),
-    )
-
-    # 5. Process-safety analyzer: seeded-bad sources fire every PS rule, the
-    # whole engine package is clean.
-    from .procsafety import analyze_procsafety_sources
-
-    bad_tasks = """\
-import threading
-import numpy as np
-from repro.dfs import DFS
-from repro.mapreduce import FnMapper, JobConf
-
-REGISTRY = {}
-lock = threading.Lock()
-dfs = DFS()
-log_file = open("/tmp/task.log", "w")
-
-def helper_scale(m, factor):
-    m *= factor
-
-def task(ctx, split):
-    with lock:
-        pass
-    dfs.read_bytes("/a")
-    log_file.write("x")
-    REGISTRY[split.index] = 1
-    m = ctx.read_matrix("/m")
-    m[0, 0] = 2.0
-    helper_scale(ctx.read_matrix("/m2"), 2.0)
-    np.random.shuffle([1, 2])
-    return m
-
-conf = JobConf(name="t", mapper_factory=lambda: FnMapper(task), splits=[])
-"""
-    ps_rules = {
-        f.rule
-        for f in analyze_procsafety_sources([(bad_tasks, "bad_tasks.py")])
-    }
-    check(
-        "seeded process-safety defects -> PS001/2/3/4/5/6/7",
-        {"PS001", "PS002", "PS003", "PS004", "PS005", "PS006", "PS007"}
-        <= ps_rules,
-        str(ps_rules),
-    )
-
-    bad_shm = """\
-import numpy as np
-from multiprocessing import shared_memory
-
-def ship_block(name):
-    shm = shared_memory.SharedMemory(name=name)
-    view = np.frombuffer(shm.buf, dtype=np.float64)
-    shm.close()
-    return float(view[0])
-"""
-    shm_rules = {
-        f.rule for f in analyze_procsafety_sources([(bad_shm, "bad_shm.py")])
-    }
-    check("view used after shm.close() -> PS008", shm_rules == {"PS008"},
-          str(shm_rules))
-
-    clean_task = """\
-import numpy as np
-from repro.mapreduce import FnMapper, JobConf
-
-def task(ctx, split):
-    rng = np.random.default_rng(1000 + split.index)
-    m = ctx.read_matrix("/m")
-    out = m @ m + rng.standard_normal(m.shape)
-    ctx.write_matrix(f"/out/part.{split.index}", out)
-
-conf = JobConf(name="t", mapper_factory=lambda: FnMapper(task), splits=[])
-"""
-    clean_ps = analyze_procsafety_sources([(clean_task, "clean_task.py")])
-    check(
-        "context-disciplined task -> no process-safety findings",
-        not clean_ps,
-        render_text(clean_ps),
-    )
-
-    engine_ps = analyze_procsafety_files(default_procsafety_files())
-    check(
-        "whole repro package process-safety-clean (ProcessPoolBackend gate)",
-        not engine_ps,
-        render_text(engine_ps),
-    )
-
-    # 6. Dataflow analyzer (DF rules): the acceptance plan's structure is
-    # reported, seeded model corruptions fire each defect rule, and a real
-    # traced run replays cleanly against the static DAG.
-    from .dataflow import build_block_dag, lint_dataflow, replay_spans
-    from .findings import Severity
-
-    acceptance = InversionConfig(nb=2, m0=2)
-    model = build_model(8, acceptance)
-    dag = build_block_dag(model)
-    df = lint_dataflow(model, dag, structural=True)
-    check(
-        "acceptance plan n=8 nb=2 m0=2 -> DF001+DF005 info only, "
-        "zero DF hazards",
-        {f.rule for f in df} == {"DF001", "DF005"}
-        and all(f.severity == Severity.INFO for f in df),
-        render_text(df),
-    )
-    depth1 = [
-        f for f in df if f.rule == "DF001" and f.location == "/Root"
-    ]
-    check(
-        "depth-1 sibling subtrees /Root/A1 and /Root/OUT barrier-independent",
-        len(depth1) == 1 and "/Root/A1" in depth1[0].message
-        and "/Root/OUT" in depth1[0].message,
-        render_text(depth1),
-    )
-    chain = dag.critical_path()
-    check(
-        "critical path edges strictly shorter than barrier sync points",
-        len(chain) - 1 < 2 * len(model.steps) - 1
-        and len(chain) == len(model.steps),
-        f"chain {len(chain)} of {len(model.steps)} stages",
-    )
-
-    def df_rules(m: PipelineModel) -> set[str]:
-        return {f.rule for f in lint_dataflow(m)}
-
-    model = build_model(8, acceptance)
-    model.find_step("lu:/Root[map]").reads.add(model.layout.final_path(0))
-    check("read of a later stage's block -> DF002", "DF002" in df_rules(model))
-
-    model = build_model(8, acceptance)
-    model.find_step("partition[map]").writes.add("/Root/dead.bin")
-    check("write nobody reads -> DF003", "DF003" in df_rules(model))
-
-    model = build_model(8, acceptance)
-    step = model.find_step("lu:/Root[map]")
-    step.reads.add(sorted(step.writes)[0])
-    check("same-stage DFS round-trip -> DF004", "DF004" in df_rules(model))
-
-    model = build_model(8, acceptance)
-    out_path = sorted(model.find_step("lu:/Root[reduce]").writes)[0]
-    model.find_step("lu:/Root[map]").reads.add(out_path)
-    check("reciprocal map/reduce reads -> DF006 cycle", "DF006" in df_rules(model))
-
-    model = build_model(8, acceptance)
-    model.find_step("invert-final[map]").reads.add(model.layout.final_path(0))
-    check(
-        "map reading its own job's reduce output -> DF007",
-        "DF007" in df_rules(model),
-    )
-
-    model = build_model(8, acceptance)
-    cross = model.find_step("master-lu:/Root/A1/A1").writes
-    model.find_step("master-lu:/Root/OUT/A1").reads.add(sorted(cross)[0])
-    df001_left = {
-        f.location for f in lint_dataflow(model, structural=True)
-        if f.rule == "DF001"
-    }
-    check(
-        "seeded cross-subtree edge removes the root's DF001 independence",
-        "/Root" not in df001_left,
-        str(df001_left),
-    )
-
-    # Static-vs-dynamic: record one traced inversion at the acceptance
-    # configuration and replay its span export against the DAG.
-    import tempfile
-
-    from ..telemetry.cli import run_traced_inversion
-    from ..telemetry.exporters import read_jsonl
-
-    with tempfile.TemporaryDirectory() as tmp:
-        jsonl = f"{tmp}/spans.jsonl"
-        run_traced_inversion(n=8, nb=2, m0=2, seed=0, jsonl=jsonl)
-        spans = read_jsonl(jsonl)
-    model = build_model(8, acceptance)
-    replay_findings, stats = replay_spans(model, spans)
-    check(
-        "traced n=8 run replays cleanly against the static DAG "
-        f"({stats.matched} reads matched)",
-        not replay_findings and stats.matched > 0
-        and stats.matched == stats.attributed,
-        render_text(replay_findings) or stats.summary(),
-    )
-    dropped_step = model.find_step("invert-final[map]")
-    dropped_step.reads -= set(
-        model.layout.map_input_path(j) for j in range(acceptance.m0)
-    )
-    replay_findings, _ = replay_spans(model, spans)
-    check(
-        "dropped model read surfaces as DF008 on replay",
-        {f.rule for f in replay_findings} == {"DF008"},
-        render_text(replay_findings),
-    )
-
-    if failures:
-        print(f"self-check FAILED ({len(failures)} failure(s))")
-        return 1
-    print("self-check OK")
-    return 0
-
-
 # -- entry point ------------------------------------------------------------------
 
 
@@ -692,21 +253,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "against the static DAG and flag observed read edges the model "
         "missed (DF008)",
     )
-    parser.add_argument(
-        "--self-check",
-        action="store_true",
-        help="verify the analyzers against clean and deliberately corrupted "
-        "pipelines",
-    )
     args = parser.parse_args(argv)
-
-    if args.self_check:
-        return _self_check()
 
     if (args.report or args.replay) and not args.dataflow:
         print("--report/--replay require --dataflow", file=sys.stderr)
         return 2
 
+    findings: list[Finding] = []
+    report = None  # --dataflow --report --json: the slack table, as data
     if args.dataflow:
         try:
             config = InversionConfig(nb=args.nb, m0=args.m0)
@@ -738,25 +292,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(render_barrier_slack(model, dag))
             if stats is not None:
                 print(f"replay {args.replay}: {stats.summary()}")
-        findings = filter_ignored(findings, args.ignore.split(","))
-        if args.json and args.report:
-            # Machine-readable --report: one object holding the slack table
-            # and the findings (plain --json stays a bare findings array).
-            print(
-                json.dumps(
-                    {
-                        "report": barrier_slack_data(model, dag),
-                        "findings": json.loads(render_json(findings)),
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(render_json(findings) if args.json else render_text(findings))
-        return 1 if has_errors(findings) else 0
-
-    findings: list[Finding] = []
-    if args.concurrency or args.procsafety:
+        elif args.report:
+            report = barrier_slack_data(model, dag)
+    elif args.concurrency or args.procsafety:
         if args.concurrency:
             analyze, default_paths, label = (
                 analyze_concurrency_files, default_threaded_files, "concurrency"
@@ -773,10 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         if not args.json:
             print(f"{label}: analyzed {len(paths)} module(s)")
-        findings = filter_ignored(findings, args.ignore.split(","))
-        print(render_json(findings) if args.json else render_text(findings))
-        return 1 if has_errors(findings) else 0
-    if args.paths:
+    elif args.paths:
         for path in args.paths:
             try:
                 findings.extend(lint_source_file(path))
@@ -801,7 +336,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
 
     findings = filter_ignored(findings, args.ignore.split(","))
-    print(render_json(findings) if args.json else render_text(findings))
+    if report is not None:
+        # Machine-readable --report: one object holding the slack table and
+        # the findings (plain --json stays a bare findings array).
+        print(
+            json.dumps(
+                {"report": report, "findings": json.loads(render_json(findings))},
+                indent=2,
+            )
+        )
+    else:
+        print(render_json(findings) if args.json else render_text(findings))
     return 1 if has_errors(findings) else 0
 
 

@@ -41,7 +41,7 @@ locks held.  Violations are reported through the shared
            handed to an executor/Thread) mutates enclosing mutable state
            without holding any lock.
 
-Suppressions reuse the purity checker's mechanism: append
+Suppressions reuse the shared mechanism: append
 ``# lint: ignore[CN006]`` (or a bare ``# lint: ignore``) to the line.
 
 Known limitations (see ``docs/static_analysis.md``): the analysis is
@@ -60,7 +60,17 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .findings import Finding
-from .purity import _line_suppresses
+from .source import (
+    SEQUENCE_MUTATORS,
+    FunctionNode,
+    ModuleSource,
+    NodeEmitter,
+    SourceAnalyzer,
+    dotted,
+    mutation_sites,
+    param_names,
+    params,
+)
 
 _GUARDED_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_]\w*)")
 _REQUIRES_RE = re.compile(r"#\s*requires-lock:\s*([A-Za-z_]\w*)")
@@ -69,15 +79,9 @@ _REQUIRES_RE = re.compile(r"#\s*requires-lock:\s*([A-Za-z_]\w*)")
 #: self-deadlock detection; "RLock"/"Condition" are reentrant).
 _LOCK_CTORS = {"Lock": "Lock", "RLock": "RLock", "Condition": "Condition"}
 
-#: Methods whose call mutates the receiver in place (subset shared with the
-#: purity checker, plus dict/list staples).
-_MUTATORS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "pop", "clear",
-        "add", "discard", "update", "setdefault", "popitem",
-        "sort", "reverse",
-    }
-)
+#: Methods whose call mutates the receiver in place: guarded attributes
+#: are dicts, sets and lists.
+_MUTATORS = SEQUENCE_MUTATORS
 
 #: Copy-making callables: wrapping a guarded attribute in one of these before
 #: returning it is the sanctioned escape (CN004 does not fire).
@@ -98,32 +102,20 @@ _BLOCKING_METHODS = frozenset(
 _CONSTRUCTION_METHODS = frozenset({"__init__", "__post_init__", "__del__"})
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _is_lock_ctor(node: ast.AST) -> str | None:
     """Lock kind when ``node`` is ``threading.Lock()`` / ``RLock()`` /
     ``Condition()`` or a dataclass ``field(default_factory=threading.Lock)``."""
     if not isinstance(node, ast.Call):
         return None
-    dotted = _dotted(node.func)
-    if dotted is not None:
-        leaf = dotted.split(".")[-1]
+    name = dotted(node.func)
+    if name is not None:
+        leaf = name.split(".")[-1]
         if leaf in _LOCK_CTORS:
             return _LOCK_CTORS[leaf]
         if leaf == "field":
             for kw in node.keywords:
                 if kw.arg == "default_factory":
-                    factory = _dotted(kw.value)
+                    factory = dotted(kw.value)
                     if factory is not None:
                         fleaf = factory.split(".")[-1]
                         if fleaf in _LOCK_CTORS:
@@ -206,28 +198,7 @@ class LockOrderEdge:
     location: str
 
 
-class _ModuleSource:
-    """One parsed input module."""
-
-    def __init__(self, text: str, filename: str) -> None:
-        self.text = text
-        self.filename = filename
-        self.lines = text.splitlines()
-        self.tree: ast.Module | None
-        self.parse_error: SyntaxError | None = None
-        try:
-            self.tree = ast.parse(text, filename=filename)
-        except SyntaxError as exc:
-            self.tree = None
-            self.parse_error = exc
-
-    def line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
-
-class ConcurrencyAnalyzer:
+class ConcurrencyAnalyzer(SourceAnalyzer):
     """Whole-package lockset and lock-order analysis.
 
     Feed modules with :meth:`add_module` (or :meth:`add_file`), then call
@@ -236,12 +207,13 @@ class ConcurrencyAnalyzer:
     and the lock-order graph resolve across file boundaries.
     """
 
+    parse_error_rule = "CN007"
+
     def __init__(self) -> None:
-        self._modules: list[_ModuleSource] = []
+        super().__init__()
         self.classes: dict[str, ClassModel] = {}
         self.edges: list[LockOrderEdge] = []
         self._lock_kinds: dict[str, str] = {}  # "Class.attr" -> kind
-        self.findings: list[Finding] = []
         # (class, method) -> locks directly acquired / callees, for the
         # transitive-acquisition fixpoint behind CN005.
         self._direct_acquires: dict[tuple[str, str], set[str]] = {}
@@ -249,23 +221,9 @@ class ConcurrencyAnalyzer:
         # Deferred call events: (held locks, callee, location).
         self._call_events: list[tuple[frozenset[str], tuple[str, str], str]] = []
 
-    # -- input -----------------------------------------------------------------
-
-    def add_module(self, text: str, filename: str = "<string>") -> None:
-        module = _ModuleSource(text, filename)
-        self._modules.append(module)
-        if module.tree is not None:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    self._collect_class(node, module)
-
-    def add_file(self, path: str | pathlib.Path) -> None:
-        path = pathlib.Path(path)
-        self.add_module(path.read_text(encoding="utf-8"), str(path))
-
     # -- class model collection ------------------------------------------------
 
-    def _collect_class(self, node: ast.ClassDef, module: _ModuleSource) -> None:
+    def _collect_class(self, node: ast.ClassDef, module: ModuleSource) -> None:
         model = ClassModel(name=node.name, filename=module.filename, node=node)
         self.classes[node.name] = model
         for stmt in node.body:
@@ -279,11 +237,11 @@ class ConcurrencyAnalyzer:
     def _collect_method(
         self,
         model: ClassModel,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        module: _ModuleSource,
+        fn: FunctionNode,
+        module: ModuleSource,
     ) -> None:
         for deco in fn.decorator_list:
-            deco_name = _dotted(deco) or ""
+            deco_name = dotted(deco) or ""
             if deco_name == "property" or deco_name.endswith(".setter"):
                 model.properties.add(fn.name)
         model.methods.setdefault(fn.name, fn)
@@ -307,10 +265,10 @@ class ConcurrencyAnalyzer:
         self,
         model: ClassModel,
         stmt: ast.Assign | ast.AnnAssign,
-        module: _ModuleSource,
+        module: ModuleSource,
         *,
         selfless: bool,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef | None = None,
+        fn: FunctionNode | None = None,
     ) -> None:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         value = stmt.value
@@ -352,7 +310,7 @@ class ConcurrencyAnalyzer:
         attr: str,
         value: ast.AST | None,
         annotation: ast.AST | None,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef | None,
+        fn: FunctionNode | None,
     ) -> None:
         """Record ``attr``'s (element) type when statically evident."""
         if annotation is not None:
@@ -367,23 +325,23 @@ class ConcurrencyAnalyzer:
         if value is None:
             return
         if isinstance(value, ast.Call):
-            callee = _dotted(value.func)
+            callee = dotted(value.func)
             if callee is not None:
                 model.attr_types.setdefault(attr, callee.split(".")[-1])
         elif isinstance(value, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             if isinstance(value.elt, ast.Call):
-                callee = _dotted(value.elt.func)
+                callee = dotted(value.elt.func)
                 if callee is not None:
                     model.attr_elem_types.setdefault(attr, callee.split(".")[-1])
         elif isinstance(value, (ast.List, ast.Tuple)) and value.elts:
             first = value.elts[0]
             if isinstance(first, ast.Call):
-                callee = _dotted(first.func)
+                callee = dotted(first.func)
                 if callee is not None:
                     model.attr_elem_types.setdefault(attr, callee.split(".")[-1])
         elif isinstance(value, ast.Name) and fn is not None:
             # ``self.x = param`` with an annotated parameter.
-            for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs):
+            for arg in params(fn):
                 if arg.arg == value.id:
                     resolved = self._first_match_later(
                         _ann_identifiers(arg.annotation)
@@ -409,40 +367,40 @@ class ConcurrencyAnalyzer:
     # -- analysis --------------------------------------------------------------
 
     def run(self) -> list[Finding]:
-        """Analyze every collected module; returns all findings."""
-        for module in self._modules:
-            if module.parse_error is not None:
-                exc = module.parse_error
-                self._emit(
-                    "CN007",
-                    f"{module.filename} does not parse: {exc.msg} "
-                    f"(line {exc.lineno})",
-                    f"{module.filename}:{exc.lineno or 1}",
-                )
-                continue
-            self._check_annotations(module)
-            assert module.tree is not None
-            for node in module.tree.body:
-                if isinstance(node, ast.ClassDef):
-                    model = self.classes[node.name]
-                    for stmt in node.body:
-                        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                            self._analyze_function(stmt, module, owner=model)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._analyze_function(node, module, owner=None)
+        # The class table spans the package: complete it before any module
+        # is analyzed, so receiver types resolve across file boundaries.
+        for module in self.modules:
+            if module.tree is not None:
+                for node in ast.walk(module.tree):
+                    if isinstance(node, ast.ClassDef):
+                        self._collect_class(node, module)
+        return super().run()
+
+    def analyze_module(self, module: ModuleSource) -> None:
+        self._check_annotations(module)
+        assert module.tree is not None
+        for node in module.tree.body:
+            if isinstance(node, ast.ClassDef):
+                model = self.classes[node.name]
+                for stmt in node.body:
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        _FunctionWalker(self, module, model, stmt).analyze()
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                _FunctionWalker(self, module, None, node).analyze()
+
+    def finish(self) -> None:
         self._resolve_call_events()
         self._check_lock_order()
-        return self._suppressed_filtered()
 
     # -- annotation sanity (CN007) ---------------------------------------------
 
-    def _check_annotations(self, module: _ModuleSource) -> None:
+    def _check_annotations(self, module: ModuleSource) -> None:
         for model in self.classes.values():
             if model.filename != module.filename:
                 continue
             for attr, lock in model.guarded.items():
                 if lock not in model.lock_attrs:
-                    self._emit(
+                    self.emit(
                         "CN007",
                         f"{model.name}.{attr} is guarded-by {lock!r} but "
                         f"{model.name} defines no such lock attribute",
@@ -450,17 +408,6 @@ class ConcurrencyAnalyzer:
                         hint="declare the lock (e.g. self._lock = "
                         "threading.Lock()) or fix the annotation",
                     )
-
-    # -- function analysis -----------------------------------------------------
-
-    def _analyze_function(
-        self,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        module: _ModuleSource,
-        owner: ClassModel | None,
-    ) -> None:
-        walker = _FunctionWalker(self, module, owner, fn)
-        walker.analyze()
 
     # -- lock-order graph ------------------------------------------------------
 
@@ -512,7 +459,7 @@ class ConcurrencyAnalyzer:
             if edge.held == edge.acquired:
                 # Re-acquisition: deadlock only for non-reentrant locks.
                 if self._lock_kinds.get(edge.held) == "Lock":
-                    self._emit(
+                    self.emit(
                         "CN005",
                         f"non-reentrant lock {edge.held} can be re-acquired "
                         "while already held (self-deadlock)",
@@ -528,7 +475,7 @@ class ConcurrencyAnalyzer:
             where = "; ".join(
                 f"{a} -> {b} at {locations.get((a, b), '?')}" for a, b in pairs
             )
-            self._emit(
+            self.emit(
                 "CN005",
                 "lock-order cycle (potential deadlock): "
                 + " -> ".join(cycle + [cycle[0]]),
@@ -536,30 +483,6 @@ class ConcurrencyAnalyzer:
                 hint=f"acquisition sites: {where}; impose a global order "
                 "or narrow one critical section",
             )
-
-    # -- findings --------------------------------------------------------------
-
-    def _emit(
-        self, rule: str, message: str, location: str, hint: str = ""
-    ) -> None:
-        self.findings.append(
-            Finding.of(rule, message, location=location, hint=hint)
-        )
-
-    def _suppressed_filtered(self) -> list[Finding]:
-        by_file = {m.filename: m for m in self._modules}
-        out: list[Finding] = []
-        for finding in self.findings:
-            filename, _, lineno = finding.location.rpartition(":")
-            module = by_file.get(filename)
-            if (
-                module is not None
-                and lineno.isdigit()
-                and _line_suppresses(module.line(int(lineno)), finding.rule)
-            ):
-                continue
-            out.append(finding)
-        return out
 
 
 class _Scope:
@@ -571,15 +494,15 @@ class _Scope:
         self.local_locks: set[str] = set()  # local names bound to Lock()
 
 
-class _FunctionWalker:
+class _FunctionWalker(NodeEmitter):
     """Walks one function body tracking the lockset and emitting findings."""
 
     def __init__(
         self,
         analyzer: ConcurrencyAnalyzer,
-        module: _ModuleSource,
+        module: ModuleSource,
         owner: ClassModel | None,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
+        fn: FunctionNode,
         *,
         enclosing: "_FunctionWalker | None" = None,
     ) -> None:
@@ -594,6 +517,9 @@ class _FunctionWalker:
             owner.name if owner is not None else f"<module {module.filename}>",
             fn.name,
         )
+        self.filename = module.filename
+        self.qualname = f"{owner.name}.{fn.name}" if owner is not None else fn.name
+        self.findings = analyzer.findings  # one list: emission order is the report order
         #: nested function name -> (node, mutated enclosing names seen
         #: without a lock); lambdas use a synthetic name.
         self.nested: dict[str, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda] = {}
@@ -618,8 +544,7 @@ class _FunctionWalker:
     def _seed_scope(self) -> None:
         if self.owner is not None:
             self.scope.types["self"] = self.owner.name
-        args = self.fn.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+        for arg in params(self.fn):
             resolved = self.analyzer._first_match_later(
                 _ann_identifiers(arg.annotation)
             )
@@ -717,7 +642,7 @@ class _FunctionWalker:
                 key = self._lock_key(item.context_expr)
                 if key is not None:
                     for held in self.lockset:
-                        self.analyzer.record_edge(held, key, self._loc(stmt))
+                        self.analyzer.record_edge(held, key, self.loc(stmt))
                     self.analyzer.record_direct_acquire(self.key, key)
                     acquired.append(key)
             added = [k for k in acquired if k not in self.lockset]
@@ -831,7 +756,7 @@ class _FunctionWalker:
                 self.key,
                 (model.name, node.attr),
                 frozenset(self.lockset),
-                self._loc(node),
+                self.loc(node),
             )
         guard = model.guarded.get(node.attr)
         if guard is None:
@@ -844,10 +769,9 @@ class _FunctionWalker:
             return
         rule = "CN002" if write else "CN001"
         action = "written" if write else "read"
-        self._emit(
+        self.emit(
             rule,
-            f"{self._qual()}: {model.name}.{node.attr} {action} without "
-            f"holding {required}",
+            f"{model.name}.{node.attr} {action} without holding {required}",
             node,
             hint=f"wrap the access in `with {'self' if is_self else '<obj>'}."
             f"{guard}:` or route it through a locked accessor",
@@ -866,7 +790,7 @@ class _FunctionWalker:
             if key is not None:
                 if func.attr == "acquire":
                     for held in self.lockset:
-                        self.analyzer.record_edge(held, key, self._loc(node))
+                        self.analyzer.record_edge(held, key, self.loc(node))
                     self.analyzer.record_direct_acquire(self.key, key)
                     self.lockset.add(key)
                 else:
@@ -874,9 +798,9 @@ class _FunctionWalker:
                 return
         blocking = self._blocking_desc(node)
         if blocking is not None and self.lockset:
-            self._emit(
+            self.emit(
                 "CN006",
-                f"{self._qual()}: holds {', '.join(sorted(self.lockset))} "
+                f"holds {', '.join(sorted(self.lockset))} "
                 f"across blocking call {blocking}",
                 node,
                 hint="copy what you need under the lock, release it, then "
@@ -889,7 +813,7 @@ class _FunctionWalker:
                 self.key,
                 (callee_model.name, method),
                 frozenset(self.lockset),
-                self._loc(node),
+                self.loc(node),
             )
             required = callee_model.requires_lock.get(method)
             if required is not None:
@@ -901,9 +825,9 @@ class _FunctionWalker:
                 if lock is not None:
                     required_key = f"{callee_model.name}.{lock}"
                     if required_key not in self.lockset:
-                        self._emit(
+                        self.emit(
                             "CN003",
-                            f"{self._qual()}: calls lock-required helper "
+                            f"calls lock-required helper "
                             f"{callee_model.name}.{method} without holding "
                             f"{required_key}",
                             node,
@@ -924,9 +848,9 @@ class _FunctionWalker:
 
     def _blocking_desc(self, node: ast.Call) -> str | None:
         func = node.func
-        dotted = _dotted(func)
-        if dotted in ("time.sleep", "sleep"):
-            return f"{dotted}()"
+        callee = dotted(func)
+        if callee in ("time.sleep", "sleep"):
+            return f"{callee}()"
         if not isinstance(func, ast.Attribute):
             return None
         name = func.attr
@@ -961,9 +885,9 @@ class _FunctionWalker:
             return
         if self.owner is model and self.fn.name in _CONSTRUCTION_METHODS:
             return
-        self._emit(
+        self.emit(
             "CN004",
-            f"{self._qual()}: returns guarded {model.name}.{value.attr} "
+            f"returns guarded {model.name}.{value.attr} "
             "directly — the reference escapes "
             f"{model.name}.{guard}'s protection",
             stmt,
@@ -999,21 +923,19 @@ class _FunctionWalker:
                 out.add(node.id)
         return out
 
-    # -- helpers ---------------------------------------------------------------
 
-    def _qual(self) -> str:
-        return f"{self.key[0]}.{self.key[1]}" if self.owner else self.key[1]
-
-    def _loc(self, node: ast.AST) -> str:
-        return f"{self.module.filename}:{getattr(node, 'lineno', 1)}"
-
-    def _emit(
-        self, rule: str, message: str, node: ast.AST, hint: str = ""
-    ) -> None:
-        self.analyzer._emit(rule, message, self._loc(node), hint)
+def _names_stored_under(fn: FunctionNode | ast.Lambda) -> set[str]:
+    """``fn``'s parameters plus every name stored anywhere beneath it.
+    Nested bodies are included on purpose: CN008 walks a callback's whole
+    subtree, so the name sets it compares against must cover it too."""
+    return set(param_names(fn)) | {
+        sub.id
+        for sub in ast.walk(fn)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del))
+    }
 
 
-class _NestedChecker:
+class _NestedChecker(NodeEmitter):
     """Analyzes a nested function defined inside a method.
 
     The nested body may run on *another thread* (executor thunk, Thread
@@ -1026,18 +948,21 @@ class _NestedChecker:
     def __init__(
         self,
         parent: _FunctionWalker,
-        node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
+        node: FunctionNode | ast.Lambda,
         *,
         escapes: bool,
     ) -> None:
         self.parent = parent
         self.node = node
         self.escapes = escapes
+        self.filename = parent.filename
+        self.qualname = f"{parent.qualname}.{getattr(node, 'name', '<lambda>')}"
+        self.findings = parent.findings
 
     def run(self) -> None:
         if isinstance(self.node, ast.Lambda):
             if self.escapes:
-                self._check_closure_mutations_lambda(self.node)
+                self._check_closure_mutations(set())
             return
         walker = _FunctionWalker(
             self.parent.analyzer,
@@ -1054,111 +979,55 @@ class _NestedChecker:
         walker.scope.types.update(self.parent.scope.types)
         walker._seed_scope()
         if self.escapes:
-            self._check_closure_mutations(walker)
+            self._check_closure_mutations(self._lines_under_local_lock(walker))
         walker._walk_stmts(self.node.body)
         walker._analyze_nested()
 
     # -- CN008 -----------------------------------------------------------------
 
-    def _own_names(self) -> set[str]:
-        assert not isinstance(self.node, ast.Lambda)
-        names: set[str] = set()
-        args = self.node.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            names.add(arg.arg)
-        for sub in ast.walk(self.node):
-            if isinstance(sub, ast.Name) and isinstance(
-                sub.ctx, (ast.Store, ast.Del)
-            ):
-                names.add(sub.id)
-        return names
-
-    def _enclosing_mutable_names(self) -> set[str]:
-        """Names bound anywhere up the enclosing-function chain (closure
-        candidates) — a callback may capture state from a grandparent scope
-        (executor thunk factories are the common double-nesting)."""
-        names: set[str] = set()
+    def _check_closure_mutations(self, lock_guarded_lines: set[int]) -> None:
+        """Unlocked in-place mutation of a name captured from up the
+        enclosing-function chain — a callback may capture state from a
+        grandparent scope (executor thunk factories are the common
+        double-nesting).  Only the captured container itself counts
+        (``out[k] = v``, ``out.append(v)``): ``out[k].append(v)`` mutates a
+        per-key element, and a mutation through an attribute goes through an
+        object whose own lock discipline CN001/CN002 check."""
+        own = _names_stored_under(self.node)
+        enclosing: set[str] = set()
         walker: _FunctionWalker | None = self.parent
         while walker is not None:
-            args = walker.fn.args
-            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-                names.add(arg.arg)
-            for sub in ast.walk(walker.fn):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-                    names.add(sub.id)
+            enclosing |= _names_stored_under(walker.fn)
             walker = walker.enclosing
-        return names
-
-    def _check_closure_mutations(self, walker: _FunctionWalker) -> None:
-        assert not isinstance(self.node, ast.Lambda)
-        own = self._own_names()
-        enclosing = self._enclosing_mutable_names()
-        lock_guarded_lines = self._lines_under_local_lock(walker)
+        if isinstance(self.node, ast.Lambda):
+            what, tail = "lambda", ""
+        else:
+            what, tail = "callback", " (it may run on another thread)"
         for sub in ast.walk(self.node):
-            mutated: str | None = None
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                if sub.func.attr in _MUTATORS and isinstance(
-                    sub.func.value, ast.Name
+            for mutated, target, _what in mutation_sites(sub, _MUTATORS):
+                while not isinstance(sub, ast.Call) and isinstance(
+                    target, ast.Subscript
                 ):
-                    mutated = sub.func.value.id
-            elif isinstance(sub, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                for target in targets:
-                    inner: ast.expr = target
-                    while isinstance(inner, ast.Subscript):
-                        inner = inner.value
-                    if isinstance(inner, ast.Name) and not isinstance(
-                        target, ast.Name
-                    ):
-                        mutated = inner.id
-            if (
-                mutated is not None
-                and mutated not in own
-                and mutated in enclosing
-                and getattr(sub, "lineno", 0) not in lock_guarded_lines
-            ):
-                self.parent._emit(
-                    "CN008",
-                    f"{self.parent._qual()}.{self.node.name}: escaping "
-                    f"callback mutates enclosing state {mutated!r} without "
-                    "a lock (it may run on another thread)",
-                    sub,
-                    hint="guard the shared structure with a lock, or have "
-                    "the callback return the value instead",
-                )
-
-    def _check_closure_mutations_lambda(self, lam: ast.Lambda) -> None:
-        enclosing = self._enclosing_mutable_names()
-        arg_names = {
-            a.arg
-            for a in (*lam.args.posonlyargs, *lam.args.args, *lam.args.kwonlyargs)
-        }
-        for sub in ast.walk(lam.body):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in _MUTATORS
-                and isinstance(sub.func.value, ast.Name)
-                and sub.func.value.id in enclosing
-                and sub.func.value.id not in arg_names
-            ):
-                self.parent._emit(
-                    "CN008",
-                    f"{self.parent._qual()}.<lambda>: escaping lambda "
-                    f"mutates enclosing state {sub.func.value.id!r} "
-                    "without a lock",
-                    sub,
-                    hint="guard the shared structure with a lock, or have "
-                    "the callback return the value instead",
-                )
+                    target = target.value
+                if (
+                    isinstance(target, ast.Name)
+                    and mutated not in own
+                    and mutated in enclosing
+                    and getattr(sub, "lineno", 0) not in lock_guarded_lines
+                ):
+                    self.emit(
+                        "CN008",
+                        f"escaping {what} mutates enclosing state "
+                        f"{mutated!r} without a lock{tail}",
+                        sub,
+                        hint="guard the shared structure with a lock, or have "
+                        "the callback return the value instead",
+                    )
 
     def _lines_under_local_lock(self, walker: _FunctionWalker) -> set[int]:
         """Line numbers inside ``with <lock>`` blocks of the nested body,
         where the lock resolves via the enclosing scope's lock locals or a
         class lock — those mutations are properly guarded."""
-        assert not isinstance(self.node, ast.Lambda)
         lines: set[int] = set()
         for sub in ast.walk(self.node):
             if isinstance(sub, (ast.With, ast.AsyncWith)):
@@ -1199,7 +1068,7 @@ def _find_cycles(graph: dict[str, set[str]]) -> list[list[str]]:
 
 #: The engine's threaded modules, relative to the ``repro`` package — the
 #: default analysis set for ``python -m repro lint --concurrency`` and the
-#: population whose lock discipline the self-check gates on.
+#: population whose lock discipline ``make lint`` gates on.
 THREADED_MODULES: tuple[str, ...] = (
     "mapreduce/master.py",
     "mapreduce/backends.py",
@@ -1229,9 +1098,9 @@ def missing_threaded_modules() -> list[str]:
     """Entries of :data:`THREADED_MODULES` that no longer exist on disk.
 
     A rename would otherwise silently drop the module from the CN sweep —
-    the analyzer skips unreadable files, so the lint would keep passing
-    while checking less.  ``scripts/check_threaded_modules.py`` gates
-    ``make lint`` on this returning empty.
+    the lint would keep passing while checking less.
+    ``scripts/lint_summary.py`` (``make lint``) reports each entry as an
+    error under the CN row.
     """
     root = pathlib.Path(__file__).resolve().parent.parent
     return [rel for rel in THREADED_MODULES if not (root / rel).is_file()]
@@ -1242,20 +1111,14 @@ def analyze_concurrency_sources(
 ) -> list[Finding]:
     """Concurrency findings for ``(text, filename)`` modules analyzed as one
     package (shared class table and lock-order graph)."""
-    analyzer = ConcurrencyAnalyzer()
-    for text, filename in sources:
-        analyzer.add_module(text, filename)
-    return analyzer.run()
+    return ConcurrencyAnalyzer.analyze_sources(sources)
 
 
 def analyze_concurrency_files(
     paths: Iterable[str | pathlib.Path],
 ) -> list[Finding]:
     """Concurrency findings for a set of module files."""
-    analyzer = ConcurrencyAnalyzer()
-    for path in paths:
-        analyzer.add_file(path)
-    return analyzer.run()
+    return ConcurrencyAnalyzer.analyze_files(paths)
 
 
 __all__ = [

@@ -47,9 +47,8 @@ class StepModel:
 class PipelineModel:
     """The precomputed pipeline of one inversion, ready for linting.
 
-    Mutable by design: tests (and the ``--self-check`` mode) corrupt a model
-    — remove a write, change :attr:`grid` — and assert the linter reports
-    the seeded defect.
+    Mutable by design: tests corrupt a model — remove a write, change
+    :attr:`grid` — and assert the linter reports the seeded defect.
     """
 
     config: InversionConfig

@@ -46,7 +46,7 @@ Rules:
 ``PS008``  ``multiprocessing.shared_memory`` segment closed or unlinked
            while a ``frombuffer`` view over its buffer is still used
            (checked in *every* function, not just task code — this is the
-           lifetime discipline the planned ``ProcessPoolBackend`` must obey).
+           lifetime discipline ``ProcessPoolBackend`` itself obeys).
 
 Suppressions reuse the shared mechanism: append ``# lint: ignore[PS004]``
 (or a bare ``# lint: ignore``) to the offending line.
@@ -61,17 +61,27 @@ from __future__ import annotations
 
 import ast
 import pathlib
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .findings import Finding
-from .purity import _line_suppresses
-
-_BOUNDARY_RE = re.compile(r"#\s*task-boundary\b")
-
-_FACTORY_KEYWORDS = ("mapper_factory", "reducer_factory", "combiner_factory")
-_TASK_METHODS = ("setup", "map", "map_record", "reduce", "cleanup", "__call__")
+from .source import (
+    API_PARAMS,
+    CONTAINER_MUTATORS,
+    ModuleSource,
+    NodeEmitter,
+    SourceAnalyzer,
+    TaskSite,
+    all_param_names,
+    bound_names,
+    discover_task_sites,
+    dotted,
+    import_bindings,
+    mutation_sites,
+    root_name,
+    scope_bindings,
+    unique,
+)
 
 #: Synchronization primitives (PS007).
 _LOCK_CTORS = frozenset(
@@ -120,15 +130,12 @@ _VIEW_METHODS = frozenset(
 )
 _VIEW_ATTRS = frozenset({"T", "real", "imag", "flat"})
 
-#: In-place mutators (numpy + container staples).
-_NP_MUTATORS = frozenset(
-    {"fill", "sort", "resize", "itemset", "put", "partition", "setfield",
-     "byteswap", "setflags"}
-)
-_CONTAINER_MUTATORS = frozenset(
-    {"append", "extend", "insert", "remove", "pop", "clear", "add",
-     "discard", "update", "setdefault", "popitem"}
-)
+#: In-place mutators: borrowed views are numpy arrays, module globals are
+#: containers.
+_MUTATORS = CONTAINER_MUTATORS | {
+    "fill", "sort", "resize", "itemset", "put", "partition", "setfield",
+    "byteswap", "setflags",
+}
 _ESCAPE_APPENDERS = frozenset({"append", "extend", "add", "insert"})
 
 #: ``random``/``np.random`` leaves that construct *private* generators —
@@ -137,29 +144,6 @@ _PRIVATE_RNG_LEAVES = frozenset(
     {"Random", "SystemRandom", "RandomState", "default_rng", "Generator",
      "SeedSequence", "PCG64", "Philox", "MT19937", "BitGenerator"}
 )
-
-_API_PARAMS = frozenset({"self", "cls", "ctx", "context"})
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _root_name(node: ast.AST) -> str | None:
-    """Leftmost Name of an attribute/subscript chain (``a`` in ``a.b[0].c``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 def _writable_true(call: ast.Call) -> bool:
@@ -177,10 +161,10 @@ def _classify_value(expr: ast.AST | None) -> tuple[str, str] | None:
     if isinstance(expr, ast.GeneratorExp):
         return "PS001", "a generator expression"
     if isinstance(expr, ast.Call):
-        dotted = _dotted(expr.func)
-        if dotted is None:
+        name = dotted(expr.func)
+        if name is None:
             return None
-        leaf = dotted.split(".")[-1]
+        leaf = name.split(".")[-1]
         if leaf in _LOCK_CTORS:
             return "PS007", f"a {leaf} primitive"
         if leaf in _UNPICKLABLE_CTORS:
@@ -189,112 +173,10 @@ def _classify_value(expr: ast.AST | None) -> tuple[str, str] | None:
             return "PS002", f"a {leaf} handle"
         return None
     if isinstance(expr, ast.Attribute):
-        dotted = _dotted(expr)
-        if dotted is not None and dotted.split(".")[-1] in _HANDLE_ATTRS:
-            return "PS002", f"the engine handle {dotted!r}"
+        name = dotted(expr)
+        if name is not None and name.split(".")[-1] in _HANDLE_ATTRS:
+            return "PS002", f"the engine handle {name!r}"
     return None
-
-
-def _function_param_names(
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
-) -> list[str]:
-    a = node.args
-    names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
-    if a.vararg:
-        names.append(a.vararg.arg)
-    if a.kwarg:
-        names.append(a.kwarg.arg)
-    return names
-
-
-class _LocalNames(ast.NodeVisitor):
-    """Names a function binds locally (assignments, loops, withitems,
-    nested def names — not nested bodies)."""
-
-    def __init__(self) -> None:
-        self.names: set[str] = set()
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            self.names.add(node.id)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.names.add(node.name)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.names.add(node.name)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.names.add(node.name)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.names.add((alias.asname or alias.name).split(".")[0])
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        for alias in node.names:
-            self.names.add(alias.asname or alias.name)
-
-
-def _local_names(body: Iterable[ast.stmt]) -> set[str]:
-    pass_ = _LocalNames()
-    for stmt in body:
-        pass_.visit(stmt)
-    return pass_.names
-
-
-def _scope_bindings(body: Iterable[ast.stmt]) -> dict[str, ast.AST]:
-    """name -> value expression for simple bindings in one scope (used to
-    classify what a captured name refers to).  Walks nested statements but
-    not nested function/class bodies."""
-    bindings: dict[str, ast.AST] = {}
-
-    def scan(stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bindings[stmt.name] = stmt
-                continue
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        bindings[target.id] = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name) and stmt.value is not None:
-                    bindings[stmt.target.id] = stmt.value
-            elif isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    if isinstance(item.optional_vars, ast.Name):
-                        bindings[item.optional_vars.id] = item.context_expr
-            for child_body in (
-                getattr(stmt, "body", None),
-                getattr(stmt, "orelse", None),
-                getattr(stmt, "finalbody", None),
-            ):
-                if isinstance(child_body, list):
-                    scan(child_body)
-            for handler in getattr(stmt, "handlers", []) or []:
-                scan(handler.body)
-
-    scan(body)
-    return bindings
-
-
-def _class_is_task(node: ast.ClassDef) -> bool:
-    base_names = {
-        b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
-        for b in node.bases
-    }
-    if any("Mapper" in b or "Reducer" in b for b in base_names):
-        return True
-    methods = {
-        stmt.name
-        for stmt in node.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    return bool(methods & {"map", "map_record", "reduce"})
 
 
 # -- helper (interprocedural) summaries -------------------------------------------
@@ -310,7 +192,62 @@ class _HelperInfo:
     mutated_params: set[int] = field(default_factory=set)
 
 
-class _HelperScan(ast.NodeVisitor):
+class _BorrowTracker:
+    """Which local names hold borrowed views, and where each came from —
+    the flow state the helper scan and the task walker both keep.
+    ``helpers`` lets a helper's "returns a borrowed view" summary count."""
+
+    helpers: dict[str, _HelperInfo]
+    borrowed: dict[str, str]  # name -> producer description
+
+    def _borrow_desc(self, expr: ast.AST) -> str | None:
+        if isinstance(expr, ast.Name):
+            return self.borrowed.get(expr.id)
+        if isinstance(expr, ast.Subscript):
+            return self._borrow_desc(expr.value)
+        if isinstance(expr, ast.Attribute):
+            if expr.attr in _VIEW_ATTRS:
+                return self._borrow_desc(expr.value)
+            return None
+        if isinstance(expr, ast.Call):
+            return self._call_borrow_desc(expr)
+        return None
+
+    def _call_borrow_desc(self, call: ast.Call) -> str | None:
+        name = dotted(call.func) or ""
+        leaf = name.split(".")[-1]
+        if leaf in _BORROW_CALLS and not _writable_true(call):
+            return f"{name}(...)"
+        if (
+            isinstance(call.func, ast.Name)
+            and call.func.id in self.helpers
+            and self.helpers[call.func.id].returns_borrowed
+        ):
+            return f"{call.func.id}(...) (helper returning a borrowed view)"
+        if isinstance(call.func, ast.Attribute) and leaf in _VIEW_METHODS:
+            return self._borrow_desc(call.func.value)
+        return None
+
+    def _bind_targets(self, targets: Sequence[ast.AST], value: ast.AST) -> None:
+        desc = self._borrow_desc(value)
+        pair = (
+            isinstance(value, ast.Call)
+            and (dotted(value.func) or "").split(".")[-1] in _BORROW_PAIR_CALLS
+        )
+        for target in targets:
+            if isinstance(target, ast.Name):
+                if desc is not None:
+                    self.borrowed[target.id] = desc
+                else:
+                    self.borrowed.pop(target.id, None)
+            elif isinstance(target, ast.Tuple) and pair and target.elts:
+                first = target.elts[0]
+                if isinstance(first, ast.Name):
+                    name = dotted(value.func) or "read_through"
+                    self.borrowed[first.id] = f"{name}(...)"
+
+
+class _HelperScan(ast.NodeVisitor, _BorrowTracker):
     """One pass over a helper body: which params it mutates in place and
     whether it returns a borrowed view.  ``helpers`` lets summaries
     propagate (run to a fixed point by the analyzer)."""
@@ -318,38 +255,9 @@ class _HelperScan(ast.NodeVisitor):
     def __init__(self, info: _HelperInfo, helpers: dict[str, _HelperInfo]) -> None:
         self.info = info
         self.helpers = helpers
-        # Local names currently bound to borrowed views.
-        self.borrowed: set[str] = set()
+        self.borrowed = {}
         self.param_index = {p: i for i, p in enumerate(info.params)}
         self.changed = False
-
-    # -- borrow classification ----------------------------------------------------
-
-    def _is_borrowed(self, expr: ast.AST) -> bool:
-        if isinstance(expr, ast.Name):
-            return expr.id in self.borrowed
-        if isinstance(expr, ast.Subscript):
-            return self._is_borrowed(expr.value)
-        if isinstance(expr, ast.Attribute):
-            return expr.attr in _VIEW_ATTRS and self._is_borrowed(expr.value)
-        if isinstance(expr, ast.Call):
-            return self._call_borrows(expr)
-        return False
-
-    def _call_borrows(self, call: ast.Call) -> bool:
-        dotted = _dotted(call.func) or ""
-        leaf = dotted.split(".")[-1]
-        if leaf in _BORROW_CALLS and not _writable_true(call):
-            return True
-        if (
-            isinstance(call.func, ast.Name)
-            and call.func.id in self.helpers
-            and self.helpers[call.func.id].returns_borrowed
-        ):
-            return True
-        if isinstance(call.func, ast.Attribute) and leaf in _VIEW_METHODS:
-            return self._is_borrowed(call.func.value)
-        return False
 
     # -- mutation recording ---------------------------------------------------------
 
@@ -360,44 +268,31 @@ class _HelperScan(ast.NodeVisitor):
                 self.info.mutated_params.add(idx)
                 self.changed = True
 
+    def _record_mutations(self, node: ast.AST) -> None:
+        for root, _target, _what in mutation_sites(node, _MUTATORS):
+            self._record_param_mutation(root)
+
     def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            if isinstance(target, (ast.Subscript, ast.Attribute)):
-                self._record_param_mutation(_root_name(target))
-            elif isinstance(target, ast.Name):
-                if self._is_borrowed(node.value):
-                    self.borrowed.add(target.id)
-                else:
-                    self.borrowed.discard(target.id)
-            elif isinstance(target, ast.Tuple) and isinstance(node.value, ast.Call):
-                dotted = _dotted(node.value.func) or ""
-                if dotted.split(".")[-1] in _BORROW_PAIR_CALLS and target.elts:
-                    first = target.elts[0]
-                    if isinstance(first, ast.Name):
-                        self.borrowed.add(first.id)
+        self._record_mutations(node)
+        self._bind_targets(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_param_mutation(_root_name(node.target))
+        self._record_mutations(node)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr in _NP_MUTATORS | _CONTAINER_MUTATORS:
-                self._record_param_mutation(_root_name(node.func.value))
-        for kw in node.keywords:
-            if kw.arg == "out":
-                self._record_param_mutation(_root_name(kw.value))
+        self._record_mutations(node)
         # Param handed to another mutating helper.
         if isinstance(node.func, ast.Name) and node.func.id in self.helpers:
             callee = self.helpers[node.func.id]
             for i, arg in enumerate(node.args):
                 if i in callee.mutated_params:
-                    self._record_param_mutation(_root_name(arg))
+                    self._record_param_mutation(root_name(arg))
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:
-        if node.value is not None and self._is_borrowed(node.value):
+        if node.value is not None and self._borrow_desc(node.value) is not None:
             if not self.info.returns_borrowed:
                 self.info.returns_borrowed = True
                 self.changed = True
@@ -407,7 +302,7 @@ class _HelperScan(ast.NodeVisitor):
 # -- the task-body walker ---------------------------------------------------------
 
 
-class _TaskWalker(ast.NodeVisitor):
+class _TaskWalker(ast.NodeVisitor, NodeEmitter, _BorrowTracker):
     """Walk one task-boundary function body, emitting PS findings."""
 
     def __init__(
@@ -429,67 +324,20 @@ class _TaskWalker(ast.NodeVisitor):
         self.module_globals = module_globals
         self.module_imports = module_imports
         self.helpers = helpers
-        self.params = set(params)
         self.local_names = local_names | set(params)
         self.self_name = self_name
         self.declared_global: set[str] = set()
-        self.borrowed: dict[str, str] = {}  # name -> producer description
+        self.borrowed = {}
         self.reported_captures: set[str] = set()
         self.findings: list[Finding] = []
 
-    # -- plumbing ------------------------------------------------------------------
-
-    def _loc(self, node: ast.AST) -> str:
-        return f"{self.filename}:{getattr(node, 'lineno', 1)}"
-
-    def _emit(self, rule: str, message: str, node: ast.AST, hint: str = "") -> None:
-        self.findings.append(
-            Finding.of(
-                rule,
-                f"{self.qualname}: {message}",
-                location=self._loc(node),
-                hint=hint,
-            )
-        )
-
-    # -- borrow classification (mirrors _HelperScan, plus descriptions) -------------
-
-    def _borrow_desc(self, expr: ast.AST) -> str | None:
-        if isinstance(expr, ast.Name):
-            return self.borrowed.get(expr.id)
-        if isinstance(expr, ast.Subscript):
-            return self._borrow_desc(expr.value)
-        if isinstance(expr, ast.Attribute):
-            if expr.attr in _VIEW_ATTRS:
-                return self._borrow_desc(expr.value)
-            return None
-        if isinstance(expr, ast.Call):
-            return self._call_borrow_desc(expr)
-        return None
-
-    def _call_borrow_desc(self, call: ast.Call) -> str | None:
-        dotted = _dotted(call.func) or ""
-        leaf = dotted.split(".")[-1]
-        if leaf in _BORROW_CALLS and not _writable_true(call):
-            return f"{dotted}(...)"
-        if (
-            isinstance(call.func, ast.Name)
-            and call.func.id in self.helpers
-            and self.helpers[call.func.id].returns_borrowed
-        ):
-            return f"{call.func.id}(...) (helper returning a borrowed view)"
-        if isinstance(call.func, ast.Attribute) and leaf in _VIEW_METHODS:
-            return self._borrow_desc(call.func.value)
-        return None
-
     # -- mutation / escape dispatch --------------------------------------------------
 
-    def _check_mutation(self, target: ast.AST, node: ast.AST, what: str) -> None:
-        root = _root_name(target)
-        if root is None:
-            return
+    def _check_mutation(self, root: str, node: ast.AST, what: str) -> None:
+        """Report an in-place mutation when its root name is a borrowed view
+        or a module global."""
         if root in self.borrowed:
-            self._emit(
+            self.emit(
                 "PS004",
                 f"{what} mutates borrowed view {root!r} "
                 f"(from {self.borrowed[root]})",
@@ -501,11 +349,11 @@ class _TaskWalker(ast.NodeVisitor):
             return
         if (
             root not in self.local_names
-            and root not in _API_PARAMS
+            and root not in API_PARAMS
             and root != self.self_name
             and root in self.module_globals
         ) or root in self.declared_global:
-            self._emit(
+            self.emit(
                 "PS003",
                 f"{what} mutates module-global {root!r}",
                 node,
@@ -517,7 +365,7 @@ class _TaskWalker(ast.NodeVisitor):
     def _check_capture(self, name: str, node: ast.AST) -> None:
         if (
             name in self.local_names
-            or name in _API_PARAMS
+            or name in API_PARAMS
             or name == self.self_name
             or name in self.reported_captures
         ):
@@ -535,7 +383,7 @@ class _TaskWalker(ast.NodeVisitor):
             "PS007": "synchronization cannot cross a process boundary; "
             "restructure so the lock stays driver-side",
         }
-        self._emit(
+        self.emit(
             rule,
             f"captures {desc} as {name!r} across the task boundary",
             node,
@@ -551,57 +399,38 @@ class _TaskWalker(ast.NodeVisitor):
         if isinstance(node.ctx, ast.Load):
             self._check_capture(node.id, node)
 
-    def _bind_targets(self, targets: Sequence[ast.AST], value: ast.AST) -> None:
-        desc = self._borrow_desc(value)
-        pair = (
-            isinstance(value, ast.Call)
-            and (_dotted(value.func) or "").split(".")[-1] in _BORROW_PAIR_CALLS
-        )
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if desc is not None:
-                    self.borrowed[target.id] = desc
-                else:
-                    self.borrowed.pop(target.id, None)
-            elif isinstance(target, ast.Tuple) and pair and target.elts:
-                first = target.elts[0]
-                if isinstance(first, ast.Name):
-                    dotted = _dotted(value.func) or "read_through"
-                    self.borrowed[first.id] = f"{dotted}(...)"
+    def _check_mutations(self, node: ast.AST) -> None:
+        for root, _target, what in mutation_sites(node, _MUTATORS):
+            self._check_mutation(root, node, what)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self.visit(node.value)
-        for target in node.targets:
-            if isinstance(target, (ast.Subscript, ast.Attribute)):
-                self._check_mutation(target, node, "assignment")
-                root = _root_name(target)
-                if (
-                    isinstance(target, ast.Attribute)
-                    and root is not None
-                    and (root == self.self_name or root in ("self", "cls"))
-                ):
-                    desc = self._borrow_desc(node.value)
-                    if desc is not None:
-                        self._emit(
-                            "PS005",
-                            f"stores borrowed view (from {desc}) on "
-                            f"{root}.{target.attr}",
-                            node,
-                            hint="the view outlives the task attempt and "
-                            "aliases the shared read buffer; copy first",
-                        )
+        for root, target, what in mutation_sites(node, _MUTATORS):
+            self._check_mutation(root, node, what)
+            if isinstance(target, ast.Attribute) and (
+                root == self.self_name or root in ("self", "cls")
+            ):
+                desc = self._borrow_desc(node.value)
+                if desc is not None:
+                    self.emit(
+                        "PS005",
+                        f"stores borrowed view (from {desc}) on "
+                        f"{root}.{target.attr}",
+                        node,
+                        hint="the view outlives the task attempt and "
+                        "aliases the shared read buffer; copy first",
+                    )
         self._bind_targets(node.targets, node.value)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
             self.visit(node.value)
-            if isinstance(node.target, (ast.Subscript, ast.Attribute)):
-                self._check_mutation(node.target, node, "assignment")
+            self._check_mutations(node)
             self._bind_targets([node.target], node.value)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self.visit(node.value)
-        self._check_mutation(node.target, node, "augmented assignment")
+        self._check_mutations(node)
         if isinstance(node.target, (ast.Attribute, ast.Subscript)):
             self.visit(node.target.value)
 
@@ -609,7 +438,7 @@ class _TaskWalker(ast.NodeVisitor):
         if node.value is not None:
             desc = self._borrow_desc(node.value)
             if desc is not None:
-                self._emit(
+                self.emit(
                     "PS005",
                     f"returns borrowed view (from {desc})",
                     node,
@@ -619,39 +448,40 @@ class _TaskWalker(ast.NodeVisitor):
             self.visit(node.value)
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func) or ""
-        parts = dotted.split(".")
+        name = dotted(node.func) or ""
+        parts = name.split(".")
         leaf = parts[-1] if parts else ""
 
         # PS006: module-global RNG.
         if len(parts) >= 2 and leaf not in _PRIVATE_RNG_LEAVES:
             if parts[0] == "random" or "random" in parts[:-1]:
-                self._emit(
+                self.emit(
                     "PS006",
-                    f"calls {dotted}() — the process-wide global RNG",
+                    f"calls {name}() — the process-wide global RNG",
                     node,
                     hint="forked workers inherit identical RNG state; use a "
                     "private default_rng(seed) derived from the split or "
                     "job params",
                 )
 
+        # PS004/PS003: mutating method on, or out= targeting, a borrowed
+        # view or a module global.
+        self._check_mutations(node)
+
         if isinstance(node.func, ast.Attribute):
-            # PS004: mutating method on a borrowed view / PS003 on globals.
-            if leaf in _NP_MUTATORS | _CONTAINER_MUTATORS:
-                self._check_mutation(node.func.value, node, f"call to .{leaf}()")
             # PS005: borrowed view appended to a captured container.
             if leaf in _ESCAPE_APPENDERS:
-                root = _root_name(node.func.value)
+                root = root_name(node.func.value)
                 if (
                     root is not None
                     and root not in self.local_names
-                    and root not in _API_PARAMS
+                    and root not in API_PARAMS
                     and root not in self.module_imports
                 ):
                     for arg in node.args:
                         desc = self._borrow_desc(arg)
                         if desc is not None:
-                            self._emit(
+                            self.emit(
                                 "PS005",
                                 f"appends borrowed view (from {desc}) to "
                                 f"captured container {root!r}",
@@ -660,11 +490,6 @@ class _TaskWalker(ast.NodeVisitor):
                                 "aliases the shared read buffer; copy first",
                             )
 
-        # PS004: out= targeting a borrowed view.
-        for kw in node.keywords:
-            if kw.arg == "out":
-                self._check_mutation(kw.value, node, "out= argument")
-
         # PS004: borrowed argument to a same-module mutating helper.
         if isinstance(node.func, ast.Name) and node.func.id in self.helpers:
             callee = self.helpers[node.func.id]
@@ -672,7 +497,7 @@ class _TaskWalker(ast.NodeVisitor):
                 if i in callee.mutated_params:
                     desc = self._borrow_desc(arg)
                     if desc is not None:
-                        self._emit(
+                        self.emit(
                             "PS004",
                             f"passes borrowed view (from {desc}) to "
                             f"{node.func.id}(), which mutates parameter "
@@ -687,7 +512,7 @@ class _TaskWalker(ast.NodeVisitor):
 # -- PS008: shared_memory lifetime --------------------------------------------------
 
 
-class _ShmWalker(ast.NodeVisitor):
+class _ShmWalker(ast.NodeVisitor, NodeEmitter):
     """Source-order scan of one function for shared_memory lifetime bugs."""
 
     def __init__(self, qualname: str, filename: str) -> None:
@@ -698,17 +523,6 @@ class _ShmWalker(ast.NodeVisitor):
         self.closed: dict[str, str] = {}  # shm name -> "close"/"unlink"
         self.reported: set[str] = set()
         self.findings: list[Finding] = []
-
-    def _emit(self, message: str, node: ast.AST) -> None:
-        self.findings.append(
-            Finding.of(
-                "PS008",
-                f"{self.qualname}: {message}",
-                location=f"{self.filename}:{getattr(node, 'lineno', 1)}",
-                hint="keep the segment open for the lifetime of every view "
-                "over its buffer; copy the data out before close()/unlink()",
-            )
-        )
 
     def _shm_of(self, expr: ast.AST) -> str | None:
         """Name of the SharedMemory object whose ``.buf`` appears in expr."""
@@ -726,8 +540,8 @@ class _ShmWalker(ast.NodeVisitor):
         value = node.value
         targets = [t for t in node.targets if isinstance(t, ast.Name)]
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func) or ""
-            leaf = dotted.split(".")[-1]
+            name = dotted(value.func) or ""
+            leaf = name.split(".")[-1]
             if leaf == "SharedMemory":
                 for t in targets:
                     self.shm_vars.add(t.id)
@@ -759,63 +573,31 @@ class _ShmWalker(ast.NodeVisitor):
         shm = self.views.get(node.id)
         if shm is not None and shm in self.closed and node.id not in self.reported:
             self.reported.add(node.id)
-            self._emit(
+            self.emit(
+                "PS008",
                 f"uses view {node.id!r} over shared_memory segment "
                 f"{shm!r} after {shm}.{self.closed[shm]}()",
                 node,
+                hint="keep the segment open for the lifetime of every view "
+                "over its buffer; copy the data out before close()/unlink()",
             )
 
 
 # -- the analyzer -----------------------------------------------------------------
 
 
-@dataclass
-class _TaskFn:
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
-    qualname: str
-    bindings: dict[str, ast.AST]
-    self_name: str | None = None
-
-
-@dataclass
-class _ModuleSource:
-    filename: str
-    tree: ast.Module
-    lines: list[str]
-
-
-class ProcSafetyAnalyzer:
+class ProcSafetyAnalyzer(SourceAnalyzer):
     """Process-safety analysis over one or more modules (no imports
     executed).  ``add_module``/``add_file`` then ``run``."""
 
-    def __init__(self) -> None:
-        self.modules: list[_ModuleSource] = []
-        self.findings: list[Finding] = []
-
-    def add_module(self, text: str, filename: str = "<string>") -> None:
-        try:
-            tree = ast.parse(text, filename=filename)
-        except SyntaxError as exc:
-            self.findings.append(
-                Finding.of(
-                    "PS001",
-                    f"{filename} does not parse: {exc.msg} (line {exc.lineno})",
-                    location=f"{filename}:{exc.lineno or 1}",
-                )
-            )
-            return
-        self.modules.append(_ModuleSource(filename, tree, text.splitlines()))
-
-    def add_file(self, path: str | pathlib.Path) -> None:
-        path = pathlib.Path(path)
-        self.add_module(path.read_text(encoding="utf-8"), str(path))
+    parse_error_rule = "PS001"
 
     # -- per-module machinery -------------------------------------------------------
 
     @staticmethod
     def _helper_summaries(tree: ast.Module) -> dict[str, _HelperInfo]:
         helpers = {
-            stmt.name: _HelperInfo(stmt, _function_param_names(stmt))
+            stmt.name: _HelperInfo(stmt, all_param_names(stmt))
             for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
@@ -824,7 +606,6 @@ class ProcSafetyAnalyzer:
             changed = False
             for info in helpers.values():
                 scan = _HelperScan(info, helpers)
-                scan.borrowed.clear()
                 for stmt in info.node.body:
                     scan.visit(stmt)
                 changed = changed or scan.changed
@@ -832,203 +613,38 @@ class ProcSafetyAnalyzer:
                 break
         return helpers
 
-    def _discover(self, mod: _ModuleSource) -> list[tuple[_TaskFn, str]]:
-        """All task-boundary functions with their capture environments.
-        Returns ``(task_fn, kind)`` pairs; ``kind`` labels the discovery
-        route for messages."""
-        found: list[tuple[_TaskFn, str]] = []
-        seen: set[ast.AST] = set()
-        lines = mod.lines
-
-        def boundary_annotated(node: ast.AST) -> bool:
-            lineno = getattr(node, "lineno", 0)
-            if 1 <= lineno <= len(lines):
-                return bool(_BOUNDARY_RE.search(lines[lineno - 1]))
-            return False
-
-        def register(
-            node: ast.AST,
-            qualname: str,
-            bindings: dict[str, ast.AST],
-            kind: str,
-            self_name: str | None = None,
-        ) -> None:
-            if node in seen or not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                return
-            seen.add(node)
-            found.append(
-                (_TaskFn(node, qualname, dict(bindings), self_name), kind)
-            )
-
-        def class_instance_checks(
-            cls: ast.ClassDef, bindings: dict[str, ast.AST]
-        ) -> None:
-            """Register task methods + __init__ capture checks of a class."""
-            for stmt in cls.body:
-                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if stmt.name in _TASK_METHODS:
-                    params = _function_param_names(stmt)
-                    register(
-                        stmt,
-                        f"{cls.name}.{stmt.name}",
-                        bindings,
-                        "method",
-                        self_name=params[0] if params else None,
-                    )
-                elif stmt.name == "__init__":
-                    self._check_init_captures(mod, cls, stmt, bindings)
-
-        def hook_target(call: ast.Call, bindings: dict[str, ast.AST]) -> None:
-            """``x.before_job.append(arg)`` — analyze the hook."""
-            if not call.args:
-                return
-            arg: ast.AST = call.args[0]
-            if isinstance(arg, ast.Name):
-                arg = bindings.get(arg.id, arg)
-            if isinstance(arg, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                register(arg, f"{arg.name} (before_job hook)", bindings, "hook")
-            elif isinstance(arg, ast.Lambda):
-                register(
-                    arg, f"<lambda:{arg.lineno}> (before_job hook)", bindings, "hook"
+    def _check_hook_captures(self, module: ModuleSource, site: TaskSite) -> None:
+        """``x.before_job.append(Hook(arg, ...))``: the constructor
+        arguments cross the boundary with the hook object."""
+        call = site.node
+        assert isinstance(call, ast.Call)
+        ctor: ast.AST = call.args[0]
+        if isinstance(ctor, ast.Name):
+            ctor = site.bindings[ctor.id]
+        assert isinstance(ctor, ast.Call)
+        for sub in (*ctor.args, *(kw.value for kw in ctor.keywords)):
+            expr = sub
+            if isinstance(sub, ast.Name):
+                expr = site.bindings.get(sub.id, sub)
+            classified = _classify_value(expr)
+            if classified is not None:
+                rule, desc = classified
+                self.emit(
+                    rule,
+                    f"before_job hook {site.qualname}(...) captures "
+                    f"{desc} by value",
+                    f"{module.filename}:{call.lineno}",
+                    hint="hooks ride the job launch path; keep "
+                    "engine handles out of their state or keep "
+                    "the hook driver-side",
                 )
-            elif isinstance(arg, ast.Call):
-                # Callable hook object: its constructor arguments cross the
-                # boundary with it.
-                ctor = _dotted(arg.func) or "hook"
-                for sub in (*arg.args, *(kw.value for kw in arg.keywords)):
-                    expr = sub
-                    if isinstance(sub, ast.Name):
-                        expr = bindings.get(sub.id, sub)
-                    classified = _classify_value(expr)
-                    if classified is not None:
-                        rule, desc = classified
-                        self.findings.append(
-                            Finding.of(
-                                rule,
-                                f"before_job hook {ctor}(...) captures "
-                                f"{desc} by value",
-                                location=f"{mod.filename}:{call.lineno}",
-                                hint="hooks ride the job launch path; keep "
-                                "engine handles out of their state or keep "
-                                "the hook driver-side",
-                            )
-                        )
-                # Same-module class: analyze its __call__ too.
-                cls = bindings.get(ctor.split(".")[0])
-                if isinstance(cls, ast.ClassDef):
-                    for stmt in cls.body:
-                        if (
-                            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and stmt.name == "__call__"
-                        ):
-                            params = _function_param_names(stmt)
-                            register(
-                                stmt,
-                                f"{cls.name}.__call__ (before_job hook)",
-                                bindings,
-                                "hook",
-                                self_name=params[0] if params else None,
-                            )
 
-        def scan_region(
-            stmts: Iterable[ast.stmt],
-            outer: dict[str, ast.AST],
-            qual: str,
-        ) -> None:
-            merged = {**outer, **_scope_bindings(stmts)}
-
-            def walk(node: ast.AST) -> None:
-                if isinstance(node, ast.ClassDef):
-                    if _class_is_task(node):
-                        class_instance_checks(node, merged)
-                    for stmt in node.body:
-                        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                            shadow = dict(merged)
-                            for p in _function_param_names(stmt):
-                                shadow.pop(p, None)
-                            scan_region(
-                                stmt.body, shadow, f"{qual}{node.name}.{stmt.name}."
-                            )
-                    return
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if boundary_annotated(node):
-                        register(node, f"{qual}{node.name}", merged, "boundary")
-                    shadow = dict(merged)
-                    for p in _function_param_names(node):
-                        shadow.pop(p, None)
-                    scan_region(node.body, shadow, f"{qual}{node.name}.")
-                    return
-                if isinstance(node, ast.Lambda):
-                    if boundary_annotated(node):
-                        register(
-                            node, f"{qual}<lambda:{node.lineno}>", merged, "boundary"
-                        )
-                    # Lambdas registered through other routes are handled
-                    # there; still scan the body expression for patterns.
-                    walk(node.body)
-                    return
-                if isinstance(node, ast.Call):
-                    self._discover_call(node, merged, qual, register, hook_target)
-                for child in ast.iter_child_nodes(node):
-                    walk(child)
-
-            for stmt in stmts:
-                walk(stmt)
-
-        scan_region(mod.tree.body, {}, "")
-        return found
-
-    def _discover_call(
-        self,
-        node: ast.Call,
-        bindings: dict[str, ast.AST],
-        qual: str,
-        register,
-        hook_target,
-    ) -> None:
-        callee = _dotted(node.func) or ""
-        leaf = callee.split(".")[-1]
-        if leaf in ("FnMapper", "FnReducer") and node.args:
-            arg: ast.AST = node.args[0]
-            if isinstance(arg, ast.Name):
-                arg = bindings.get(arg.id, arg)
-                label = getattr(arg, "name", None) or _dotted(node.args[0]) or "task"
-            else:
-                label = f"<lambda:{getattr(arg, 'lineno', node.lineno)}>"
-            register(arg, f"{qual}{label}", bindings, "fn")
-        elif leaf == "JobConf":
-            for kw in node.keywords:
-                if kw.arg not in _FACTORY_KEYWORDS:
-                    continue
-                value: ast.AST = kw.value
-                if isinstance(value, ast.Name):
-                    value = bindings.get(value.id, value)
-                label = (
-                    getattr(value, "name", None)
-                    or f"<lambda:{getattr(value, 'lineno', node.lineno)}>"
-                )
-                register(value, f"{qual}{label} ({kw.arg})", bindings, "factory")
-        elif (
-            leaf == "append"
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "before_job"
-        ):
-            hook_target(node, bindings)
-
-    def _check_init_captures(
-        self,
-        mod: _ModuleSource,
-        cls: ast.ClassDef,
-        init: ast.FunctionDef | ast.AsyncFunctionDef,
-        bindings: dict[str, ast.AST],
-    ) -> None:
+    def _check_init_captures(self, module: ModuleSource, site: TaskSite) -> None:
         """``self.x = <lock/handle/...>`` in a task __init__: the instance
         ships to the worker with that object aboard."""
-        local = _scope_bindings(init.body)
+        init = site.node
+        assert isinstance(init, (ast.FunctionDef, ast.AsyncFunctionDef))
+        local = scope_bindings(init.body)
         for stmt in ast.walk(init):
             if not isinstance(stmt, ast.Assign):
                 continue
@@ -1041,116 +657,91 @@ class ProcSafetyAnalyzer:
                     continue
                 expr: ast.AST = stmt.value
                 if isinstance(expr, ast.Name):
-                    expr = local.get(expr.id) or bindings.get(expr.id, expr)
+                    expr = local.get(expr.id) or site.bindings.get(expr.id, expr)
                 classified = _classify_value(expr)
                 if classified is not None:
                     rule, desc = classified
-                    self.findings.append(
-                        Finding.of(
-                            rule,
-                            f"{cls.name}.__init__ stores {desc} on "
-                            f"self.{target.attr} — it ships with every task "
-                            "instance",
-                            location=f"{mod.filename}:{stmt.lineno}",
-                            hint="pass picklable descriptors and recreate "
-                            "per-attempt state in setup()",
-                        )
+                    self.emit(
+                        rule,
+                        f"{site.qualname}.__init__ stores {desc} on "
+                        f"self.{target.attr} — it ships with every task "
+                        "instance",
+                        f"{module.filename}:{stmt.lineno}",
+                        hint="pass picklable descriptors and recreate "
+                        "per-attempt state in setup()",
                     )
-
-    # -- running --------------------------------------------------------------------
-
-    @staticmethod
-    def _module_imports(tree: ast.Module) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add((alias.asname or alias.name).split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name)
-        return names
 
     def _analyze_task_fn(
         self,
-        mod: _ModuleSource,
-        task: _TaskFn,
+        module: ModuleSource,
+        task: TaskSite,
         helpers: dict[str, _HelperInfo],
         module_globals: set[str],
         module_imports: set[str],
     ) -> None:
         node = task.node
-        params = _function_param_names(node)
-        if isinstance(node, ast.Lambda):
-            body: list[ast.stmt] = []
-            local = set(params)
-        else:
-            body = node.body
-            local = _local_names(body) | set(params)
+        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        params = all_param_names(node)
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
         walker = _TaskWalker(
             qualname=task.qualname,
-            filename=mod.filename,
+            filename=module.filename,
             bindings=task.bindings,
             module_globals=module_globals,
             module_imports=module_imports,
             helpers=helpers,
             params=params,
-            local_names=local,
+            local_names=bound_names(body),
             self_name=task.self_name,
         )
-        if isinstance(node, ast.Lambda):
-            walker.visit(node.body)
-        else:
-            for stmt in body:
-                walker.visit(stmt)
+        for stmt in body:
+            walker.visit(stmt)
         self.findings.extend(walker.findings)
 
-    def run(self) -> list[Finding]:
-        for mod in self.modules:
-            helpers = self._helper_summaries(mod.tree)
-            module_globals = {
-                name
-                for name, expr in _scope_bindings(mod.tree.body).items()
-                if not isinstance(
-                    expr, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                )
-            }
-            module_imports = self._module_imports(mod.tree)
-            for task, _kind in self._discover(mod):
-                self._analyze_task_fn(
-                    mod, task, helpers, module_globals, module_imports
-                )
-            # PS008 runs over every function — the lifetime discipline binds
-            # backend/engine code, not just task bodies.
-            for node in ast.walk(mod.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    shm = _ShmWalker(node.name, mod.filename)
-                    for stmt in node.body:
-                        shm.visit(stmt)
-                    self.findings.extend(shm.findings)
-        return self._suppressed_filtered()
+    # -- running --------------------------------------------------------------------
 
-    def _suppressed_filtered(self) -> list[Finding]:
-        lines_by_file = {m.filename: m.lines for m in self.modules}
-        out: list[Finding] = []
-        seen: set[tuple[str, str, str]] = set()
-        for f in self.findings:
-            filename, _, lineno = f.location.rpartition(":")
-            lines = lines_by_file.get(filename)
-            if (
-                lines is not None
-                and lineno.isdigit()
-                and 1 <= int(lineno) <= len(lines)
-                and _line_suppresses(lines[int(lineno) - 1], f.rule)
-            ):
-                continue
-            key = (f.rule, f.message, f.location)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(f)
-        out.sort(key=lambda f: (f.location, f.rule))
-        return out
+    def analyze_module(self, module: ModuleSource) -> None:
+        tree = module.tree
+        assert tree is not None
+        helpers = self._helper_summaries(tree)
+        module_globals = {
+            name
+            for name, expr in scope_bindings(tree.body).items()
+            if not isinstance(
+                expr, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            )
+        }
+        module_imports = {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in import_bindings(node)
+        }
+        sites = discover_task_sites(module)
+        # What ships *with* task objects first, then what runs inside tasks.
+        for site in sites:
+            if "init" in site.kinds:
+                self._check_init_captures(module, site)
+            elif "hook-object" in site.kinds:
+                self._check_hook_captures(module, site)
+        for site in sites:
+            if not site.kinds & {"init", "hook-object"}:
+                self._analyze_task_fn(
+                    module, site, helpers, module_globals, module_imports
+                )
+        # PS008 runs over every function — the lifetime discipline binds
+        # backend/engine code, not just task bodies.
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                shm = _ShmWalker(node.name, module.filename)
+                for stmt in node.body:
+                    shm.visit(stmt)
+                self.findings.extend(shm.findings)
+
+    def run(self) -> list[Finding]:
+        """Unsuppressed findings, exact repeats dropped, ordered by
+        ``(location, rule)``."""
+        return sorted(unique(super().run()), key=lambda f: (f.location, f.rule))
 
 
 # -- public API -------------------------------------------------------------------
@@ -1174,20 +765,14 @@ def analyze_procsafety_sources(
     sources: Iterable[tuple[str, str]],
 ) -> list[Finding]:
     """Process-safety findings for ``(text, filename)`` modules."""
-    analyzer = ProcSafetyAnalyzer()
-    for text, filename in sources:
-        analyzer.add_module(text, filename)
-    return analyzer.run()
+    return ProcSafetyAnalyzer.analyze_sources(sources)
 
 
 def analyze_procsafety_files(
     paths: Iterable[str | pathlib.Path],
 ) -> list[Finding]:
     """Process-safety findings for a set of module files."""
-    analyzer = ProcSafetyAnalyzer()
-    for path in paths:
-        analyzer.add_file(path)
-    return analyzer.run()
+    return ProcSafetyAnalyzer.analyze_files(paths)
 
 
 __all__ = [

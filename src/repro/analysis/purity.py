@@ -34,21 +34,31 @@ from __future__ import annotations
 import ast
 import inspect
 import linecache
-import re
 import textwrap
 from typing import Any, Callable, Iterable
 
 from ..mapreduce.job import FnMapper, FnReducer, JobConf, Mapper, Reducer
 from .findings import Finding
-
-#: Method names whose call mutates the receiver in place.
-_MUTATORS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "pop", "clear",
-        "add", "discard", "update", "setdefault", "popitem",
-        "sort", "reverse", "fill", "itemset", "resize", "put",
-    }
+from .source import (
+    API_PARAMS,
+    RECORD_METHODS,
+    SEQUENCE_MUTATORS,
+    TASK_METHODS,
+    FunctionNode,
+    ModuleSource,
+    NodeEmitter,
+    assigned_names,
+    discover_task_sites,
+    dotted,
+    line_suppresses,
+    mutation_sites,
+    param_names,
+    unique,
 )
+
+#: Method names whose call mutates the receiver in place: task inputs are
+#: containers of records and numpy blocks.
+_MUTATORS = SEQUENCE_MUTATORS | {"fill", "itemset", "resize", "put"}
 
 #: Exact dotted calls that are nondeterministic.
 _NONDET_EXACT = frozenset(
@@ -67,52 +77,26 @@ _NONDET_BARE = frozenset(
     }
 )
 
-#: Parameter names that are the sanctioned task API, not data inputs.
-_API_PARAMS = frozenset({"self", "cls", "ctx", "context"})
-
-_IGNORE_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _root_name(node: ast.AST) -> str | None:
-    """Leftmost Name of an attribute/subscript chain (``a`` in ``a.b[0].c``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
 
 def _is_nondet_call(call: ast.Call) -> str | None:
     """A human-readable description when ``call`` is nondeterministic."""
-    dotted = _dotted(call.func)
-    if dotted is None:
+    name = dotted(call.func)
+    if name is None:
         return None
-    parts = dotted.split(".")
+    parts = name.split(".")
     leaf = parts[-1]
     if leaf == "default_rng" or leaf == "Generator":
         if not call.args and not call.keywords:
-            return f"{dotted}() without a seed"
+            return f"{name}() without a seed"
         return None
     if leaf == "seed":
         return None  # explicit seeding is the fix, not the defect
     if parts[0] in ("random", "secrets"):
-        return f"{dotted}()"
+        return f"{name}()"
     if "random" in parts[:-1]:  # np.random.*, numpy.random.*
-        return f"{dotted}()"
-    if dotted in _NONDET_EXACT:
-        return f"{dotted}()"
+        return f"{name}()"
+    if name in _NONDET_EXACT:
+        return f"{name}()"
     if len(parts) == 1 and leaf in _NONDET_BARE:
         return f"{leaf}()"
     if len(parts) == 1 and leaf == "time":
@@ -125,27 +109,27 @@ def _is_wallclock_or_unseeded(call: ast.Call) -> str | None:
     wall-clock formatting/reads and seedable generator classes constructed
     without arguments (``random.*`` and ``np.random.*`` dotted calls are
     PU002 territory; this catches the bare-import spellings)."""
-    dotted = _dotted(call.func)
-    if dotted is None:
+    name = dotted(call.func)
+    if name is None:
         return None
-    parts = dotted.split(".")
+    parts = name.split(".")
     leaf = parts[-1]
     if (
         leaf in ("Random", "RandomState", "SystemRandom")
         and not call.args
         and not call.keywords
     ):
-        return f"{dotted}() without a seed"
+        return f"{name}() without a seed"
     if len(parts) >= 2:
         if leaf in ("now", "utcnow", "today") and parts[-2] in (
             "datetime",
             "date",
         ):
-            return f"{dotted}()"
+            return f"{name}()"
         if parts[0] == "time" and leaf in (
             "localtime", "gmtime", "ctime", "asctime", "strftime",
         ):
-            return f"{dotted}()"
+            return f"{name}()"
     return None
 
 
@@ -156,37 +140,14 @@ def _set_iteration_desc(node: ast.AST) -> str | None:
     if isinstance(node, ast.SetComp):
         return "a set comprehension"
     if isinstance(node, ast.Call):
-        dotted = _dotted(node.func)
-        leaf = dotted.split(".")[-1] if dotted else ""
+        name = dotted(node.func)
+        leaf = name.split(".")[-1] if name else ""
         if leaf in ("set", "frozenset"):
             return f"{leaf}(...)"
     return None
 
 
-class _CollectLocals(ast.NodeVisitor):
-    """Pre-pass: every name the function binds locally (params included)."""
-
-    def __init__(self) -> None:
-        self.names: set[str] = set()
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            self.names.add(node.id)
-
-    def visit_For(self, node: ast.For) -> None:
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.names.add(node.name)  # nested def binds its name; skip its body
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.names.add(node.name)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
-
-
-class _TaskBodyVisitor(ast.NodeVisitor):
+class _TaskBodyVisitor(ast.NodeVisitor, NodeEmitter):
     """Walk one task function body collecting purity findings."""
 
     def __init__(
@@ -197,7 +158,6 @@ class _TaskBodyVisitor(ast.NodeVisitor):
         line_offset: int,
         input_params: set[str],
         local_names: set[str],
-        self_name: str | None,
         check_self_state: bool,
     ) -> None:
         self.qualname = qualname
@@ -205,35 +165,15 @@ class _TaskBodyVisitor(ast.NodeVisitor):
         self.line_offset = line_offset
         self.input_params = input_params
         self.local_names = local_names
-        self.self_name = self_name
         self.check_self_state = check_self_state
         self.declared_shared: set[str] = set()  # global / nonlocal names
         self.findings: list[Finding] = []
 
-    # -- helpers -------------------------------------------------------------
-
-    def _loc(self, node: ast.AST) -> str:
-        line = getattr(node, "lineno", 1) + self.line_offset
-        return f"{self.filename}:{line}"
-
-    def _emit(self, rule: str, message: str, node: ast.AST, hint: str = "") -> None:
-        self.findings.append(
-            Finding.of(
-                rule,
-                f"{self.qualname}: {message}",
-                location=self._loc(node),
-                hint=hint,
-            )
-        )
-
-    def _classify_root(self, target: ast.AST, node: ast.AST, what: str) -> None:
-        """Report mutation of ``target`` according to who owns its root."""
-        root = _root_name(target)
-        if root is None:
-            return
-        if root == self.self_name or root in ("self", "cls"):
+    def _classify_root(self, root: str, node: ast.AST, what: str) -> None:
+        """Report an in-place mutation according to who owns its root name."""
+        if root in ("self", "cls"):
             if self.check_self_state:
-                self._emit(
+                self.emit(
                     "PU005",
                     f"{what} mutates instance state ({root}.…)",
                     node,
@@ -241,10 +181,10 @@ class _TaskBodyVisitor(ast.NodeVisitor):
                     "state diverges under retries and speculation",
                 )
             return
-        if root in _API_PARAMS:
+        if root in API_PARAMS:
             return
         if root in self.input_params:
-            self._emit(
+            self.emit(
                 "PU004",
                 f"{what} mutates input argument {root!r}",
                 node,
@@ -253,7 +193,7 @@ class _TaskBodyVisitor(ast.NodeVisitor):
             )
             return
         if root in self.declared_shared or root not in self.local_names:
-            self._emit(
+            self.emit(
                 "PU003",
                 f"{what} mutates shared state {root!r} captured from an "
                 "enclosing scope",
@@ -273,7 +213,7 @@ class _TaskBodyVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         desc = _is_nondet_call(node)
         if desc is not None:
-            self._emit(
+            self.emit(
                 "PU002",
                 f"calls {desc}",
                 node,
@@ -284,40 +224,51 @@ class _TaskBodyVisitor(ast.NodeVisitor):
         else:
             clock = _is_wallclock_or_unseeded(node)
             if clock is not None:
-                self._emit(
+                self.emit(
                     "PU006",
                     f"calls {clock}",
                     node,
                     hint="inject the seed/timestamp through the split or "
                     "job params so a retried attempt replays identically",
                 )
-        if isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
-            self._classify_root(
-                node.func.value, node, f"call to .{node.func.attr}()"
-            )
+        for root, _target, what in mutation_sites(node, _MUTATORS):
+            self._classify_root(root, node, what)
         self.generic_visit(node)
 
-    def _visit_targets(self, targets: Iterable[ast.AST], node: ast.AST) -> None:
+    def _check_rebinds(self, targets: Iterable[ast.AST], node: ast.AST) -> None:
         for target in targets:
             if isinstance(target, (ast.Tuple, ast.List)):
-                self._visit_targets(target.elts, node)
-            elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                self._classify_root(target, node, "assignment")
-            elif isinstance(target, ast.Name):
-                if target.id in self.declared_shared:
-                    self._emit(
-                        "PU003",
-                        f"assignment rebinds shared name {target.id!r} "
-                        "(global/nonlocal)",
-                        node,
-                        hint="emit through the context instead of writing "
-                        "to enclosing scopes",
-                    )
+                self._check_rebinds(target.elts, node)
+            elif isinstance(target, ast.Name) and target.id in self.declared_shared:
+                self.emit(
+                    "PU003",
+                    f"assignment rebinds shared name {target.id!r} "
+                    "(global/nonlocal)",
+                    node,
+                    hint="emit through the context instead of writing "
+                    "to enclosing scopes",
+                )
+
+    def _visit_store(self, node: ast.stmt, targets: list[ast.expr]) -> None:
+        for root, target, what in mutation_sites(node, _MUTATORS):
+            if not isinstance(target, ast.Name):  # ``x += 1`` rebinds a name
+                self._classify_root(root, node, what)
+        self._check_rebinds(targets, node)
+        self.generic_visit(node)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self._visit_store(node, node.targets)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._visit_store(node, [node.target])
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._visit_store(node, [node.target] if node.value is not None else [])
 
     def _check_set_iter(self, iterable: ast.AST, node: ast.AST) -> None:
         desc = _set_iteration_desc(iterable)
         if desc is not None:
-            self._emit(
+            self.emit(
                 "PU007",
                 f"iterates over {desc} (hash-randomized order)",
                 node,
@@ -333,80 +284,28 @@ class _TaskBodyVisitor(ast.NodeVisitor):
         self._check_set_iter(node.iter, node.iter)
         self.generic_visit(node)
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self._visit_targets(node.targets, node)
-        self.generic_visit(node)
 
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._visit_targets([node.target], node)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._visit_targets([node.target], node)
-        self.generic_visit(node)
-
-
-def _function_findings(
-    func_node: ast.FunctionDef | ast.AsyncFunctionDef,
+def _body_findings(
+    node: FunctionNode | ast.Lambda,
     *,
     qualname: str,
     filename: str,
     line_offset: int = 0,
-    check_self_state: bool,
+    check_self_state: bool = False,
 ) -> list[Finding]:
-    """Analyze one function AST node."""
-    arg_names = [a.arg for a in func_node.args.args]
-    arg_names += [a.arg for a in func_node.args.posonlyargs]
-    arg_names += [a.arg for a in func_node.args.kwonlyargs]
-    self_name = (
-        arg_names[0]
-        if arg_names and arg_names[0] in ("self", "cls")
-        else None
-    )
-    input_params = {a for a in arg_names if a not in _API_PARAMS}
-
-    locals_pass = _CollectLocals()
-    for stmt in func_node.body:
-        locals_pass.visit(stmt)
-    local_names = locals_pass.names | set(arg_names)
-
+    """Analyze one function or lambda AST node."""
+    names = set(param_names(node))
+    body = [node.body] if isinstance(node, ast.Lambda) else node.body
     visitor = _TaskBodyVisitor(
         qualname=qualname,
         filename=filename,
         line_offset=line_offset,
-        input_params=input_params,
-        local_names=local_names,
-        self_name=self_name,
+        input_params=names - API_PARAMS,
+        local_names=assigned_names(body) | names,
         check_self_state=check_self_state,
     )
-    for stmt in func_node.body:
+    for stmt in body:
         visitor.visit(stmt)
-    return visitor.findings
-
-
-def _lambda_findings(
-    lam: ast.Lambda,
-    *,
-    qualname: str,
-    filename: str,
-    line_offset: int = 0,
-) -> list[Finding]:
-    """Analyze one lambda AST node (no statements, so no locals pre-pass)."""
-    arg_names = [
-        a.arg
-        for a in (*lam.args.posonlyargs, *lam.args.args, *lam.args.kwonlyargs)
-    ]
-    visitor = _TaskBodyVisitor(
-        qualname=qualname,
-        filename=filename,
-        line_offset=line_offset,
-        input_params={a for a in arg_names if a not in _API_PARAMS},
-        local_names=set(arg_names),
-        self_name=None,
-        check_self_state=False,
-    )
-    visitor.visit(lam.body)
     return visitor.findings
 
 
@@ -418,17 +317,7 @@ def _suppressed(finding: Finding) -> bool:
     if not lineno.isdigit():
         return False
     line = linecache.getline(filename, int(lineno))
-    return _line_suppresses(line, finding.rule)
-
-
-def _line_suppresses(line: str, rule: str) -> bool:
-    match = _IGNORE_RE.search(line)
-    if not match:
-        return False
-    rules = match.group(1)
-    if rules is None:
-        return True
-    return rule in {r.strip().upper() for r in rules.split(",")}
+    return line_suppresses(line, finding.rule)
 
 
 # One analysis per code object: factories recreate task instances per call,
@@ -476,13 +365,7 @@ def _analyze_function_obj(
         None,
     )
     if func_node is not None:
-        findings = _function_findings(
-            func_node,
-            qualname=qualname,
-            filename=filename,
-            line_offset=base_line - func_node.lineno,
-            check_self_state=check_self_state,
-        )
+        node, line_offset = func_node, base_line - func_node.lineno
     else:
         # A lambda: getsource returns the whole enclosing statement, so pick
         # the lambda node matching the code object's line and arity.
@@ -507,12 +390,14 @@ def _analyze_function_obj(
                     location=filename,
                 )
             ]
-        findings = _lambda_findings(
-            lambdas[0],
-            qualname=qualname,
-            filename=filename,
-            line_offset=base_line - 1,
-        )
+        node, line_offset, check_self_state = lambdas[0], base_line - 1, False
+    findings = _body_findings(
+        node,
+        qualname=qualname,
+        filename=filename,
+        line_offset=line_offset,
+        check_self_state=check_self_state,
+    )
     findings = [f for f in findings if not _suppressed(f)]
     if code is not None:
         _CODE_CACHE[key] = tuple(findings)
@@ -523,7 +408,7 @@ def _overridden_methods(obj: Mapper | Reducer) -> list[tuple[str, Callable[..., 
     """(name, function) for task methods the class actually overrides."""
     base = Mapper if isinstance(obj, Mapper) else Reducer
     out: list[tuple[str, Callable[..., Any]]] = []
-    for name in ("setup", "map", "map_record", "reduce", "cleanup"):
+    for name in TASK_METHODS:
         fn = getattr(type(obj), name, None)
         if fn is None or getattr(base, name, None) is fn:
             continue
@@ -547,7 +432,7 @@ def analyze_callable(obj: Any) -> list[Finding]:
                 _analyze_function_obj(
                     fn,
                     # setup/cleanup legitimately build per-task state.
-                    check_self_state=name in ("map", "map_record", "reduce"),
+                    check_self_state=name in RECORD_METHODS,
                 )
             )
         return findings
@@ -576,29 +461,10 @@ def analyze_job(conf: JobConf) -> list[Finding]:
             continue
         findings.extend(analyze_callable(task))
     # The same class serves many jobs; drop exact duplicates.
-    seen: set[tuple[str, str, str]] = set()
-    unique: list[Finding] = []
-    for f in findings:
-        key = (f.rule, f.message, f.location)
-        if key not in seen:
-            seen.add(key)
-            unique.append(f)
-    return unique
+    return unique(findings)
 
 
 # -- source-file analysis (no imports executed) ---------------------------------
-
-
-def _class_is_task(node: ast.ClassDef) -> bool:
-    base_names = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in node.bases}
-    if any("Mapper" in b or "Reducer" in b for b in base_names):
-        return True
-    methods = {
-        stmt.name
-        for stmt in node.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    return bool(methods & {"map", "map_record", "reduce"})
 
 
 def analyze_source(text: str, filename: str = "<string>") -> list[Finding]:
@@ -610,80 +476,25 @@ def analyze_source(text: str, filename: str = "<string>") -> list[Finding]:
     Driver-side code is deliberately not checked: seeding generators or
     timing on the master is fine — only task bodies must be pure.
     """
-    try:
-        tree = ast.parse(text, filename=filename)
-    except SyntaxError as exc:
-        return [
-            Finding.of(
-                "PU001",
-                f"{filename} does not parse: {exc.msg} (line {exc.lineno})",
-                location=f"{filename}:{exc.lineno or 1}",
-            )
-        ]
-    lines = text.splitlines()
+    module = ModuleSource(text, filename)
+    if module.tree is None:
+        return [module.parse_failure("PU001")]
     findings: list[Finding] = []
-
-    functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.setdefault(node.name, node)
-
-    analyzed: set[ast.AST] = set()
-
-    def run(
-        func_node: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        *,
-        check_self_state: bool,
-    ) -> None:
-        if func_node in analyzed:
-            return
-        analyzed.add(func_node)
+    for site in discover_task_sites(module):
+        node = site.node
+        if "method" in site.kinds and node.name in TASK_METHODS:
+            qualname, check_self_state = site.qualname, node.name in RECORD_METHODS
+        elif "fn" in site.kinds:
+            qualname = getattr(node, "name", None) or f"<lambda:{node.lineno}>"
+            check_self_state = False
+        else:
+            continue  # factories and hooks run driver-side for purity's purposes
         findings.extend(
-            _function_findings(
-                func_node,
+            _body_findings(
+                node,
                 qualname=qualname,
                 filename=filename,
                 check_self_state=check_self_state,
             )
         )
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and _class_is_task(node):
-            for stmt in node.body:
-                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if stmt.name in ("map", "map_record", "reduce", "setup", "cleanup"):
-                    run(
-                        stmt,
-                        f"{node.name}.{stmt.name}",
-                        check_self_state=stmt.name
-                        in ("map", "map_record", "reduce"),
-                    )
-        elif isinstance(node, ast.Call):
-            callee = node.func
-            callee_name = (
-                callee.id
-                if isinstance(callee, ast.Name)
-                else getattr(callee, "attr", "")
-            )
-            if callee_name in ("FnMapper", "FnReducer") and node.args:
-                arg = node.args[0]
-                if isinstance(arg, ast.Name) and arg.id in functions:
-                    run(functions[arg.id], arg.id, check_self_state=False)
-                elif isinstance(arg, ast.Lambda):
-                    findings.extend(
-                        _lambda_findings(
-                            arg,
-                            qualname=f"<lambda:{arg.lineno}>",
-                            filename=filename,
-                        )
-                    )
-
-    def keep(f: Finding) -> bool:
-        _, _, lineno = f.location.rpartition(":")
-        if lineno.isdigit() and 1 <= int(lineno) <= len(lines):
-            return not _line_suppresses(lines[int(lineno) - 1], f.rule)
-        return True
-
-    return [f for f in findings if keep(f)]
+    return [f for f in findings if not module.suppresses(f)]

@@ -215,24 +215,10 @@ class MatrixInverter:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _job_validators(self):
-        """Pre-run checks applied to every job the pipeline launches."""
-        if not self.config.preflight:
-            return []
-        from ..analysis import PreflightError, analyze_job, has_errors
-
-        def check_purity(conf) -> None:
-            findings = analyze_job(conf)
-            if has_errors(findings):
-                raise PreflightError(findings)
-
-        return [check_purity]
-
     def _pipeline(self) -> Pipeline:
         cfg = self.config
         return Pipeline(
             self.runtime,
-            validators=self._job_validators(),
             retry_policy=cfg.retry,
             max_attempts=cfg.max_attempts,
             telemetry=cfg.telemetry,
@@ -633,6 +619,15 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        # A NaN/inf entry would flow through every job and come back as a
+        # NaN "inverse"; reject it before anything is written to the DFS.
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(
+            f"matrix has a non-finite entry {a[row, col]!r} at "
+            f"(row {row}, col {col}); every entry must be finite"
+        )
     return a
 
 

@@ -365,10 +365,11 @@ class ProcessPoolBackend:
     abandon hung attempts.  A worker that dies mid-attempt surfaces as a
     :class:`WorkerCrashError` for that task and the pool self-heals.
 
-    Construction runs the process-safety lint (``repro lint --procsafety``)
-    over the engine once per process as a pre-flight gate; tasks that still
-    fail to pickle at dispatch surface as :class:`TaskSerializationError`
-    results for exactly the affected tasks.
+    What may cross the process boundary is gated statically by ``repro lint
+    --procsafety`` (``make lint``, CI, tier-1) and per job by the master's
+    ``ensure_remote_runnable`` pickle probe; tasks that still fail to pickle
+    at dispatch surface as :class:`TaskSerializationError` results for
+    exactly the affected tasks.
     """
 
     in_process = False
@@ -379,12 +380,9 @@ class ProcessPoolBackend:
         max_workers: int = 8,
         *,
         start_method: str | None = None,
-        preflight: bool = True,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if preflight:
-            ensure_process_safety()
         self.max_workers = max_workers
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -615,37 +613,6 @@ class ProcessPoolBackend:
             self._dispose_worker(slot, kill=True)
 
 
-# -- process-safety pre-flight -------------------------------------------------
-
-_PREFLIGHT_PASSED = False
-
-
-def ensure_process_safety() -> None:
-    """Run ``repro lint --procsafety`` over the engine before the first
-    process pool is built (memoized per process).
-
-    Raises ``RuntimeError`` listing the findings if the sweep is not clean:
-    shipping task code with process-safety defects produces pickle errors
-    or silent state divergence that is far harder to diagnose at runtime.
-    """
-    global _PREFLIGHT_PASSED
-    if _PREFLIGHT_PASSED:
-        return
-    from ..analysis.procsafety import (
-        analyze_procsafety_files,
-        default_procsafety_files,
-    )
-
-    findings = analyze_procsafety_files(default_procsafety_files())
-    if findings:
-        shown = "; ".join(str(f) for f in findings[:5])
-        raise RuntimeError(
-            f"process-safety pre-flight failed with {len(findings)} "
-            f"finding(s): {shown} — run `python -m repro lint --procsafety`"
-        )
-    _PREFLIGHT_PASSED = True
-
-
 # -- registry ------------------------------------------------------------------
 
 _BACKENDS: dict[str, Callable[[int], ExecutionBackend]] = {}
@@ -692,7 +659,6 @@ __all__ = [
     "ThreadPoolBackend",
     "WorkerCrashError",
     "available_backends",
-    "ensure_process_safety",
     "make_executor",
     "register_backend",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol
 
 from ..dfs.commit import CommitLog, CommitScope, _quote
 from ..telemetry.api import TraceConfig, resolve_tracer
@@ -77,11 +77,6 @@ class PipelineRecord:
 class Pipeline:
     """Thin driver that runs jobs / master phases and records them in order.
 
-    ``validators`` are pre-run checks applied to every :class:`JobConf`
-    before it launches — the hook the inversion driver uses to run the
-    :mod:`repro.analysis` purity checker over each job's mapper/reducer
-    ahead of execution.  A validator signals a defect by raising.
-
     ``retry_policy`` and ``max_attempts`` are pipeline-wide defaults stamped
     onto each job conf before launch (a conf's own explicit retry policy
     wins), which is how ``InversionConfig.retry`` reaches every job of the
@@ -91,7 +86,6 @@ class Pipeline:
     def __init__(
         self,
         runtime: MapReduceRuntime,
-        validators: Sequence[Callable[[JobConf], None]] = (),
         retry_policy: RetryPolicy | None = None,
         max_attempts: int | None = None,
         telemetry: TraceConfig | None = None,
@@ -99,7 +93,6 @@ class Pipeline:
         output_commit: bool = True,
     ) -> None:
         self.runtime = runtime
-        self.validators: list[Callable[[JobConf], None]] = list(validators)
         self.retry_policy = retry_policy
         self.max_attempts = max_attempts
         self.telemetry = telemetry
@@ -129,7 +122,7 @@ class Pipeline:
         parent_span=None,
         span_attrs: dict | None = None,
     ) -> JobResult:
-        """Stamp defaults, validate, and run ``conf`` — without committing."""
+        """Stamp defaults and run ``conf`` — without committing."""
         if self.retry_policy is not None and conf.retry_policy is None:
             conf.retry_policy = self.retry_policy
         if self.max_attempts is not None:
@@ -137,8 +130,6 @@ class Pipeline:
         if self.telemetry is not None and conf.telemetry is None:
             conf.telemetry = self.telemetry
         conf.output_commit = conf.output_commit and self.output_commit
-        for validate in self.validators:
-            validate(conf)
         return self.runtime.run_job(
             conf, parent_span=parent_span, span_attrs=span_attrs
         )

@@ -239,8 +239,8 @@ def test_engine_threaded_modules_are_clean():
 
 def test_threaded_modules_list_matches_disk():
     """Every THREADED_MODULES entry must exist — a rename that misses the
-    list would silently shrink the CN sweep (make lint runs the same guard
-    via scripts/check_threaded_modules.py)."""
+    list would silently shrink the CN sweep (make lint reports the same
+    condition as an error in scripts/lint_summary.py's CN row)."""
     from repro.analysis import missing_threaded_modules
 
     assert missing_threaded_modules() == []

@@ -141,6 +141,16 @@ def test_flipped_transpose_flag_is_pl006():
     assert "PL006" in rule_ids(lint_model(model))
 
 
+def test_job_touching_commit_paths_is_pl009():
+    from repro.dfs.commit import manifest_path, staging_path
+
+    model = seeded_model()
+    step = model.find_step("lu:/Root[reduce]")
+    step.reads.add(staging_path("attempt-bad", "/Root/lu/L2/L.0"))
+    step.writes.add(manifest_path(model.config.root, "job:lu:/Root"))
+    assert "PL009" in rule_ids(lint_model(model))
+
+
 def test_orphaned_intermediate_is_pl005():
     model = seeded_model()
     model.find_step("partition[map]").writes.add("/Root/junk/never_read")
@@ -176,47 +186,82 @@ def test_preflight_error_carries_findings():
     assert err.findings == findings
 
 
-def test_pipeline_validators_run_before_the_job():
-    from repro.mapreduce import (
-        FnMapper,
-        JobConf,
-        MapReduceRuntime,
-        Pipeline,
-        splits_for_workers,
-    )
+def _count_analyze_job(monkeypatch) -> list[str]:
+    """Count ``purity.analyze_job`` calls through every binding a caller
+    could reach it by."""
+    import repro.analysis as analysis
+    import repro.analysis.cli as analysis_cli
+    import repro.analysis.purity as purity
 
-    seen = []
+    calls: list[str] = []
+    original = purity.analyze_job
 
-    def validator(conf):
-        seen.append(conf.name)
-        raise PreflightError([])
+    def counted(conf):
+        calls.append(conf.name)
+        return original(conf)
 
-    runtime = MapReduceRuntime()
-    try:
-        pipeline = Pipeline(runtime, validators=[validator])
-        conf = JobConf(
-            name="guarded",
-            mapper_factory=lambda: FnMapper(lambda ctx, split: None),
-            splits=splits_for_workers(2),
-        )
-        with pytest.raises(PreflightError):
-            pipeline.run_job(conf)
-        assert seen == ["guarded"]
-        assert pipeline.record.num_jobs == 0  # rejected before launch
-    finally:
-        runtime.shutdown()
+    for module in (analysis, analysis_cli, purity):
+        monkeypatch.setattr(module, "analyze_job", counted)
+    return calls
 
 
-def test_driver_preflight_can_be_disabled():
+@pytest.mark.parametrize("schedule", ["barrier", "dataflow"])
+@pytest.mark.parametrize("n, nb, jobs", [(16, 8, 3), (32, 4, 9)])
+def test_purity_runs_once_per_task_class_not_per_job(
+    monkeypatch, n, nb, jobs, schedule
+):
+    """One pre-flight per run: the purity checker sees one representative
+    conf per task class (partition, LU, final inversion), however many of
+    the ``2^d + 1`` jobs the run launches."""
     import numpy as np
 
     from repro.inversion import MatrixInverter
 
+    calls = _count_analyze_job(monkeypatch)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    with MatrixInverter(InversionConfig(nb=nb, m0=2, schedule=schedule)) as inverter:
+        result = inverter.invert(a)
+    assert result.num_jobs == jobs
+    assert len(calls) == 3
+
+
+def test_impure_pipeline_task_fails_preflight_before_any_job(monkeypatch):
+    """The gate the per-job validators used to double: a pipeline task
+    class gone impure is caught by the one pre-flight, before launch."""
+    import random
+
+    import numpy as np
+
+    from repro.inversion import MatrixInverter
+    from repro.inversion.invert_job import InvertMapper
+
+    def impure_map(self, ctx, split):
+        ctx.emit(split.index, random.random())
+
+    monkeypatch.setattr(InvertMapper, "map", impure_map)
+    a = np.eye(16) * 4.0
+    with MatrixInverter(InversionConfig(nb=4, m0=2)) as inverter:
+        with pytest.raises(PreflightError) as excinfo:
+            inverter.invert(a)
+        assert inverter.runtime.jobs_run() == 0
+        assert inverter.runtime.dfs.list_files("/") == []
+    assert "PU002" in {f.rule for f in excinfo.value.findings}
+    assert "impure_map" in str(excinfo.value)
+
+
+def test_driver_preflight_can_be_disabled(monkeypatch):
+    import numpy as np
+
+    from repro.inversion import MatrixInverter
+
+    calls = _count_analyze_job(monkeypatch)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((32, 32)) + 32 * np.eye(32)
     with MatrixInverter(InversionConfig(nb=8, preflight=False)) as inverter:
         result = inverter.invert(a)
     assert result.residual(a) < 1e-8
+    assert calls == []
 
 
 # -- rendering and CLI --------------------------------------------------------------
@@ -243,11 +288,6 @@ def test_cli_plan_mode_exit_codes(capsys):
     assert lint_main(["--n", "256", "--nb", "64", "--m0", "3"]) == 2
     assert lint_main(["--n", "0", "--nb", "64"]) == 2
     assert lint_main(["/nonexistent/pipeline.py"]) == 2
-
-
-def test_cli_self_check_passes(capsys):
-    assert lint_main(["--self-check"]) == 0
-    assert "self-check OK" in capsys.readouterr().out
 
 
 def test_cli_json_mode(capsys):

@@ -1,6 +1,6 @@
 """Process-safety analyzer: each PS rule fires on its seeded fixture, clean
 task code stays silent, and the whole engine package passes — the static
-gate the planned ProcessPoolBackend rides on.
+gate on what ProcessPoolBackend may be handed.
 
 Fixture modules live in ``tests/fixtures/procsafety/`` and are analyzed as
 source text — they are never imported, so the deliberate leaks and lifetime
@@ -324,7 +324,7 @@ def test_engine_package_is_procsafety_clean():
 
 def test_default_sweep_skips_pycache_artifacts():
     """Stale ``__pycache__`` debris (e.g. a ``.py`` dropped there by a
-    build tool) must never enter the self-check discovery sweep."""
+    build tool) must never enter the engine sweep."""
     paths = default_procsafety_files()
     assert paths
     assert all("__pycache__" not in p.parts for p in paths)

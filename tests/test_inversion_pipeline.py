@@ -17,6 +17,12 @@ from repro.mapreduce import (
 from conftest import random_invertible
 
 
+def _with_entry(a: np.ndarray, row: int, col: int, value: float) -> np.ndarray:
+    a = a.copy()
+    a[row, col] = value
+    return a
+
+
 class TestCorrectness:
     @pytest.mark.parametrize(
         "n, nb, m0",
@@ -61,6 +67,40 @@ class TestCorrectness:
     def test_non_square_rejected(self, rng):
         with pytest.raises(ValueError, match="square"):
             invert(rng.standard_normal((4, 5)))
+
+    @pytest.mark.parametrize(
+        "poison, where",
+        [
+            (lambda a: np.full_like(a, np.nan), (0, 0)),
+            (lambda a: np.full_like(a, np.inf), (0, 0)),
+            (lambda a: _with_entry(a, 5, 11, np.nan), (5, 11)),
+        ],
+        ids=["all-nan", "all-inf", "one-nan"],
+    )
+    def test_non_finite_input_rejected_before_any_write(self, rng, poison, where):
+        """A NaN/inf entry used to come back as a silent NaN inverse."""
+        a = poison(random_invertible(rng, 16))
+        cfg = InversionConfig(nb=4, m0=2)
+        runtime = MapReduceRuntime(config=RuntimeConfig(num_workers=2, executor="serial"))
+        try:
+            inverter = MatrixInverter(cfg, runtime=runtime)
+            pattern = rf"non-finite entry .* at \(row {where[0]}, col {where[1]}\)"
+            for call in (inverter.invert, inverter.lu):
+                with pytest.raises(ValueError, match=pattern):
+                    call(a)
+            with pytest.raises(ValueError, match=pattern):
+                inverter.solve(a, np.ones(16))
+            assert runtime.dfs.list_files("/") == []  # nothing under cfg.root either
+            assert runtime.jobs_run() == 0
+        finally:
+            runtime.shutdown()
+
+    def test_finite_input_is_not_touched(self, rng):
+        a = random_invertible(rng, 16)
+        before = a.copy()
+        res = invert(a, InversionConfig(nb=4, m0=2))
+        assert np.array_equal(a, before)
+        assert res.residual(a) < 1e-9
 
     def test_singular_matrix_fails_cleanly(self):
         from repro.mapreduce import JobFailedError

@@ -141,7 +141,16 @@ class TestEndToEnd:
         # The adopted result segments were unlinked after landing.
         assert leaked_dev_shm() == []
 
-    def test_inversion_pipeline_under_processes(self, rng):
+    def test_inversion_pipeline_under_processes(self, rng, monkeypatch):
+        # Building a process pool runs no whole-package sweep: the engine's
+        # process safety is gated by lint/CI/tier-1, user jobs by the pickle
+        # probe at launch.
+        import repro.analysis.procsafety as procsafety
+
+        def no_runtime_sweep(paths):
+            raise AssertionError("engine procsafety sweep ran at runtime")
+
+        monkeypatch.setattr(procsafety, "analyze_procsafety_files", no_runtime_sweep)
         n = 48
         a = random_invertible(rng, n)
         inverter = MatrixInverter(
