@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke experiments examples coverage clean
+.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke bench-e2e-compare experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -78,6 +78,14 @@ bench-e2e:
 
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+# How a gain (or "no regression") is shown: record the parent commit and the
+# change with `run.py --seed S --out <file>`, then
+# `make bench-e2e-compare A=parent.json B=change.json` — same/better/worse/
+# unresolved per (metric, workload), non-zero exit on any `worse`.
+bench-e2e-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-e2e-compare A=<parent.json> B=<change.json>"; exit 2; }
+	$(PYTHON) benchmarks/e2e/run.py compare $(A) $(B)
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all

@@ -16,10 +16,13 @@ block of ``C = U^-1 L^-1``.  The driver places each block at
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
+
 import numpy as np
 
 from ..dfs import formats
-from ..linalg.blockwrap import contiguous_ranges, strided_indices
+from ..linalg.blockwrap import contiguous_ranges
 from ..linalg.triangular import invert_lower_columns, invert_upper_rows
 from ..mapreduce import (
     InputSplit,
@@ -34,23 +37,28 @@ from .layout import Layout
 from .lu_jobs import control_splits, worker_id
 
 
+def _share(n: int, parts: int, part: int, wrap: bool) -> range:
+    """Indices of ``0..n`` owned by ``part`` of ``parts``: strided under block
+    wrap (Section 5.4), a contiguous range otherwise."""
+    if wrap:
+        return range(part, n, parts)
+    return range(*contiguous_ranges(n, parts)[part])
+
+
+def _indices(share: range) -> np.ndarray:
+    return np.arange(share.start, share.stop, share.step, dtype=np.int64)
+
+
 def _l_mapper_columns(layout: Layout, j: int, n: int) -> np.ndarray:
     """Columns of L^-1 owned by L-side mapper ``j``."""
     cfg = layout.config
-    if cfg.block_wrap:
-        return strided_indices(n, cfg.mhalf, j)
-    c1, c2 = contiguous_ranges(n, cfg.mhalf)[j]
-    return np.arange(c1, c2, dtype=np.int64)
+    return _indices(_share(n, cfg.mhalf, j, cfg.block_wrap))
 
 
 def _u_mapper_rows(layout: Layout, i: int, n: int) -> np.ndarray:
     """Rows of U^-1 owned by U-side mapper ``i`` (0-based within the U half)."""
     cfg = layout.config
-    uhalf = cfg.m0 - cfg.mhalf
-    if cfg.block_wrap:
-        return strided_indices(n, uhalf, i)
-    r1, r2 = contiguous_ranges(n, uhalf)[i]
-    return np.arange(r1, r2, dtype=np.int64)
+    return _indices(_share(n, cfg.m0 - cfg.mhalf, i, cfg.block_wrap))
 
 
 class InvertMapper(Mapper):
@@ -84,62 +92,81 @@ class InvertMapper(Mapper):
         ctx.emit(j, j)
 
 
-def _gather_rows(
-    ctx: TaskContext, layout: Layout, rows: np.ndarray, n: int
+def _overlap(a: range, b: range) -> range:
+    """``a & b`` for two ascending ranges — again an arithmetic progression,
+    with the steps' least common multiple as its step."""
+    step = math.lcm(a.step, b.step)
+    lo, hi = max(a.start, b.start), min(a.stop, b.stop)
+    first = next((r for r in range(lo, min(lo + step, hi)) if r in a and r in b), hi)
+    return range(first, hi, step)
+
+
+def _positions(share: range, part: range) -> slice:
+    """Where the elements of ``part`` (a non-empty sub-progression of
+    ``share``) sit within ``share``."""
+    return slice(share.index(part[0]), share.index(part[-1]) + 1, part.step // share.step)
+
+
+def _gather(
+    ctx: TaskContext,
+    want: range,
+    n: int,
+    parts: int,
+    wrap: bool,
+    path: Callable[[int], str],
+    *,
+    columns: bool,
 ) -> np.ndarray:
+    """The full-length rows ``want`` of the matrix whose rows the ``parts``
+    mappers wrote share by share to ``path(i)`` (``columns``: the same for
+    columns, i.e. on the transposes).  A reducer's share and a mapper's share
+    meet in an arithmetic progression, so each file lands by one strided
+    slice assignment; a file that is exactly ``want`` is returned as decoded —
+    a read-only view, which the reducer only multiplies."""
+    shares = [_share(n, parts, i, wrap) for i in range(parts)]
+    if want in shares:
+        return ctx.read_matrix(path(shares.index(want)))
+    out = np.empty((n, len(want)) if columns else (len(want), n))
+    dest = out.T if columns else out
+    for i, have in enumerate(shares):
+        both = _overlap(want, have)
+        if both:
+            data = ctx.read_matrix(path(i))
+            src = data.T if columns else data
+            dest[_positions(want, both)] = src[_positions(have, both)]
+    return out
+
+
+def _gather_rows(ctx: TaskContext, layout: Layout, rows: range, n: int) -> np.ndarray:
     """Assemble the requested full-length rows of ``U^-1`` from the strided
     (or contiguous) mapper output files."""
     cfg = layout.config
-    uhalf = cfg.m0 - cfg.mhalf
-    out = np.empty((rows.size, n))
-    if cfg.block_wrap:
-        for i in sorted({int(r) % uhalf for r in rows}):
-            data = ctx.read_matrix(layout.inv_u_path(i))
-            mask = rows % uhalf == i
-            out[mask] = data[rows[mask] // uhalf]
-    else:
-        ranges = contiguous_ranges(n, uhalf)
-        for i, (r1, r2) in enumerate(ranges):
-            sel = (rows >= r1) & (rows < r2)
-            if not np.any(sel):
-                continue
-            data = ctx.read_matrix(layout.inv_u_path(i))
-            out[sel] = data[rows[sel] - r1]
-    return out
+    return _gather(
+        ctx, rows, n, cfg.m0 - cfg.mhalf, cfg.block_wrap, layout.inv_u_path, columns=False
+    )
 
 
-def _gather_cols(
-    ctx: TaskContext, layout: Layout, cols: np.ndarray, n: int
-) -> np.ndarray:
+def _gather_cols(ctx: TaskContext, layout: Layout, cols: range, n: int) -> np.ndarray:
     """Assemble the requested full-length columns of ``L^-1``."""
     cfg = layout.config
-    out = np.empty((n, cols.size))
+    return _gather(ctx, cols, n, cfg.mhalf, cfg.block_wrap, layout.inv_l_path, columns=True)
+
+
+def _reducer_shares(layout: Layout, p: int, n: int) -> tuple[range, range]:
+    """:func:`reducer_indices` as ranges, which :func:`_gather` intersects."""
+    cfg = layout.config
     if cfg.block_wrap:
-        for j in sorted({int(c) % cfg.mhalf for c in cols}):
-            data = ctx.read_matrix(layout.inv_l_path(j))
-            mask = cols % cfg.mhalf == j
-            out[:, mask] = data[:, cols[mask] // cfg.mhalf]
-    else:
-        ranges = contiguous_ranges(n, cfg.mhalf)
-        for j, (c1, c2) in enumerate(ranges):
-            sel = (cols >= c1) & (cols < c2)
-            if not np.any(sel):
-                continue
-            data = ctx.read_matrix(layout.inv_l_path(j))
-            out[:, sel] = data[:, cols[sel] - c1]
-    return out
+        f1, f2 = cfg.grid
+        j1, j2 = divmod(p, f2)
+        return _share(n, f1, j1, True), _share(n, f2, j2, True)
+    return _share(n, cfg.m0, p, False), range(n)
 
 
 def reducer_indices(layout: Layout, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows of U^-1, cols of L^-1) owned by final-job reducer ``p`` — shared
     with the driver, which uses the same function to place blocks."""
-    cfg = layout.config
-    if cfg.block_wrap:
-        f1, f2 = cfg.grid
-        j1, j2 = divmod(p, f2)
-        return strided_indices(n, f1, j1), strided_indices(n, f2, j2)
-    r1, r2 = contiguous_ranges(n, cfg.m0)[p]
-    return np.arange(r1, r2, dtype=np.int64), np.arange(n, dtype=np.int64)
+    rows, cols = _reducer_shares(layout, p, n)
+    return _indices(rows), _indices(cols)
 
 
 class InvertReducer(Reducer):
@@ -154,13 +181,13 @@ class InvertReducer(Reducer):
         p = int(key)
         layout = self.layout
         n = layout.plan.tree.n
-        rows, cols = reducer_indices(layout, p, n)
-        if rows.size == 0 or cols.size == 0:
+        rows, cols = _reducer_shares(layout, p, n)
+        if not rows or not cols:
             return
         u_rows = _gather_rows(ctx, layout, rows, n)
         l_cols = _gather_cols(ctx, layout, cols, n)
         block = u_rows @ l_cols
-        ctx.report_flops(float(rows.size) * cols.size * n)
+        ctx.report_flops(float(len(rows)) * len(cols) * n)
         ctx.write_bytes(layout.final_path(p), formats.encode_matrix(block))
 
 

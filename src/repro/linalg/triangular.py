@@ -11,6 +11,19 @@ mappers.  :func:`invert_lower_columns` computes an arbitrary column subset,
 which is exactly a map task's share; :func:`invert_lower` is the full-matrix
 convenience built on the same kernel.
 
+The arithmetic inside one task is scheduled for BLAS-3.  Equation 4 is
+forward substitution on ``L X = I[:, columns]``, and there is one blocked
+recursion for forward substitution in this module, :func:`_solve_lower`:
+split ``L = [[L11, 0], [L21, L22]]``, solve the top half, fold it into the
+bottom half with one GEMM, solve the bottom half; only diagonal blocks of
+``_LEAF`` rows run the row loop above (:func:`forward_substitute`).  Column
+*c* of ``L^-1`` is zero above row *c*, so with the columns in ascending
+order every step works on a leading slice of ``X`` and the zeros are never
+multiplied.  :func:`blocked_forward_substitute` is the same recursion with
+every column active from row 0.  The mappers' column sets, the flop count
+they report (Table 2) and the result up to roundoff are those of the row
+loop.
+
 Upper-triangular inversion reuses the lower kernel on the transpose
 (Section 6.3: the implementation always stores ``U`` transposed), so
 ``U^-1 = (invert_lower(U^T))^T``.
@@ -48,6 +61,18 @@ def _check_invertible_diagonal(diag: np.ndarray) -> None:
         raise np.linalg.LinAlgError(f"triangular matrix singular: zero diagonal at {idx}")
 
 
+def _rhs_matrix(b: np.ndarray, n: int, what: str) -> tuple[np.ndarray, bool]:
+    """Private float64 ``n x k`` copy of a right-hand side (and whether it
+    was a vector)."""
+    x = np.array(b, dtype=np.float64)
+    one_d = x.ndim == 1
+    if one_d:
+        x = x[:, None]
+    if x.shape[0] != n:
+        raise ValueError(f"rhs has {x.shape[0]} rows, {what} is {n}x{n}")
+    return x, one_d
+
+
 # -- substitution -------------------------------------------------------------
 
 
@@ -56,14 +81,8 @@ def forward_substitute(
 ) -> np.ndarray:
     """Solve ``L y = b`` for lower-triangular ``L`` (b may have many columns)."""
     l = _check_square(l, "L")
-    b = np.asarray(b, dtype=np.float64)
-    y = b.astype(np.float64, copy=True)
-    one_d = y.ndim == 1
-    if one_d:
-        y = y[:, None]
     n = l.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"rhs has {y.shape[0]} rows, L is {n}x{n}")
+    y, one_d = _rhs_matrix(b, n, "L")
     if not unit_diagonal:
         _check_invertible_diagonal(np.diag(l))
     for i in range(n):
@@ -77,14 +96,8 @@ def forward_substitute(
 def back_substitute(u: np.ndarray, b: np.ndarray, *, unit_diagonal: bool = False) -> np.ndarray:
     """Solve ``U x = b`` for upper-triangular ``U``."""
     u = _check_square(u, "U")
-    b = np.asarray(b, dtype=np.float64)
-    x = b.astype(np.float64, copy=True)
-    one_d = x.ndim == 1
-    if one_d:
-        x = x[:, None]
     n = u.shape[0]
-    if x.shape[0] != n:
-        raise ValueError(f"rhs has {x.shape[0]} rows, U is {n}x{n}")
+    x, one_d = _rhs_matrix(b, n, "U")
     if not unit_diagonal:
         _check_invertible_diagonal(np.diag(u))
     for i in range(n - 1, -1, -1):
@@ -97,13 +110,64 @@ def back_substitute(u: np.ndarray, b: np.ndarray, *, unit_diagonal: bool = False
 
 # -- blocked (BLAS-3) substitution ---------------------------------------------
 
+# Diagonal blocks of at most this many rows are solved by the row loop.
+_LEAF = 64
+
+
+def _solve_lower(
+    l: np.ndarray,
+    x: np.ndarray,
+    lo: int,
+    hi: int,
+    starts: np.ndarray,
+    unit_diagonal: bool,
+    block: int,
+) -> None:
+    """Overwrite rows ``lo:hi`` of ``x`` with those of the solution of
+    ``L X = B``, given rows ``:lo`` already solved and folded into ``lo:hi``.
+
+    ``starts`` is ascending; column *t* of ``B`` is zero above row
+    ``starts[t]``, so the solution is too, and at row block ``lo:hi`` only the
+    leading ``searchsorted(starts, hi)`` columns are touched.  The recursion
+    is on ``L = [[L11, 0], [L21, L22]]``: solve L11, one GEMM ``X2 -= L21 X1``
+    over the columns already started above ``mid``, solve L22 — depth first,
+    so the working set is one half-block (Cosme et al.).  A module-level
+    function on purpose: a self-recursive closure is a reference cycle that
+    keeps ``l`` and ``x`` alive until the cyclic collector runs.
+    """
+    if hi - lo <= block:
+        k = int(np.searchsorted(starts, hi))
+        x[lo:hi, :k] = forward_substitute(
+            l[lo:hi, lo:hi], x[lo:hi, :k], unit_diagonal=unit_diagonal
+        )
+        return
+    mid = (lo + hi) // 2
+    _solve_lower(l, x, lo, mid, starts, unit_diagonal, block)
+    k = int(np.searchsorted(starts, mid))
+    x[mid:hi, :k] -= l[mid:hi, lo:mid] @ x[lo:mid, :k]
+    _solve_lower(l, x, mid, hi, starts, unit_diagonal, block)
+
+
+def _solve_upper(
+    u: np.ndarray, x: np.ndarray, lo: int, hi: int, unit_diagonal: bool, block: int
+) -> None:
+    """Mirror of :func:`_solve_lower` for ``U X = B``, every column active:
+    solve U22, ``X1 -= U12 X2``, solve U11."""
+    if hi - lo <= block:
+        x[lo:hi] = back_substitute(u[lo:hi, lo:hi], x[lo:hi], unit_diagonal=unit_diagonal)
+        return
+    mid = (lo + hi) // 2
+    _solve_upper(u, x, mid, hi, unit_diagonal, block)
+    x[lo:mid] -= u[lo:mid, mid:hi] @ x[mid:hi]
+    _solve_upper(u, x, lo, mid, unit_diagonal, block)
+
 
 def blocked_forward_substitute(
     l: np.ndarray,
     b: np.ndarray,
     *,
     unit_diagonal: bool = False,
-    block: int = 64,
+    block: int = _LEAF,
 ) -> np.ndarray:
     """Recursive blocked solve of ``L Y = B``.
 
@@ -111,30 +175,14 @@ def blocked_forward_substitute(
     recurses on ``L = [[L11, 0], [L21, L22]]`` — solve L11, one big GEMM
     update, solve L22 — turning most of the work into matrix-matrix products
     (the cache-friendly formulation the HPC guides recommend).  Identical
-    arithmetic up to roundoff; used by the inversion kernels for large
-    operands.
+    arithmetic up to roundoff.  It is :func:`_solve_lower` with every column
+    active from row 0; :func:`invert_lower_columns` is the same recursion on
+    the identity's columns.
     """
     l = _check_square(l, "L")
-    b = np.asarray(b, dtype=np.float64)
-    one_d = b.ndim == 1
-    y = b.astype(np.float64, copy=True)
-    if one_d:
-        y = y[:, None]
     n = l.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"rhs has {y.shape[0]} rows, L is {n}x{n}")
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= block:
-            sub = l[lo:hi, lo:hi]
-            y[lo:hi] = forward_substitute(sub, y[lo:hi], unit_diagonal=unit_diagonal)
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        y[mid:hi] -= l[mid:hi, lo:mid] @ y[lo:mid]
-        solve(mid, hi)
-
-    solve(0, n)
+    y, one_d = _rhs_matrix(b, n, "L")
+    _solve_lower(l, y, 0, n, np.zeros(y.shape[1], dtype=np.int64), unit_diagonal, block)
     return y[:, 0] if one_d else y
 
 
@@ -143,30 +191,13 @@ def blocked_back_substitute(
     b: np.ndarray,
     *,
     unit_diagonal: bool = False,
-    block: int = 64,
+    block: int = _LEAF,
 ) -> np.ndarray:
     """Recursive blocked solve of ``U X = B`` (mirror of the forward case)."""
     u = _check_square(u, "U")
-    b = np.asarray(b, dtype=np.float64)
-    one_d = b.ndim == 1
-    x = b.astype(np.float64, copy=True)
-    if one_d:
-        x = x[:, None]
     n = u.shape[0]
-    if x.shape[0] != n:
-        raise ValueError(f"rhs has {x.shape[0]} rows, U is {n}x{n}")
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= block:
-            sub = u[lo:hi, lo:hi]
-            x[lo:hi] = back_substitute(sub, x[lo:hi], unit_diagonal=unit_diagonal)
-            return
-        mid = (lo + hi) // 2
-        solve(mid, hi)
-        x[lo:mid] -= u[lo:mid, mid:hi] @ x[mid:hi]
-        solve(lo, mid)
-
-    solve(0, n)
+    x, one_d = _rhs_matrix(b, n, "U")
+    _solve_upper(u, x, 0, n, unit_diagonal, block)
     return x[:, 0] if one_d else x
 
 
@@ -180,24 +211,30 @@ def invert_lower_columns(l: np.ndarray, columns: np.ndarray | list[int]) -> np.n
     ``columns[t]`` of the inverse.  This is the unit of work of one mapper in
     the final inversion job (Section 5.4 assigns each mapper a strided set of
     columns for load balance).
+
+    Solved as ``L X = I[:, columns]`` by :func:`_solve_lower`: column *c* of
+    ``L^-1`` is zero above row *c*, so with the columns in ascending order
+    each row block works on a leading slice of ``X`` only, the off-diagonal
+    work is one GEMM per level, and Equation 4's row loop runs on the
+    ``_LEAF``-row diagonal blocks.  ``columns`` may be unsorted, repeated or
+    empty; ``l`` is only read.
     """
     l = _check_square(l, "L")
     cols = np.asarray(columns, dtype=np.int64)
     n = l.shape[0]
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         raise ValueError("column index out of range")
-    diag = np.diag(l)
-    _check_invertible_diagonal(diag)
+    _check_invertible_diagonal(np.diag(l))
+    order = np.argsort(cols, kind="stable")
+    starts = cols[order]
     x = np.zeros((n, cols.size))
-    # Row i of each requested column: Equation 4, vectorized across columns.
-    sel = np.zeros((n, cols.size))
-    sel[cols, np.arange(cols.size)] = 1.0  # identity restricted to the columns
-    for i in range(n):
-        acc = sel[i]
-        if i:
-            acc = acc - l[i, :i] @ x[:i]
-        x[i] = acc / diag[i]
-    return x
+    x[starts, np.arange(cols.size)] = 1.0  # identity restricted to the columns
+    _solve_lower(l, x, 0, n, starts, False, _LEAF)
+    if np.array_equal(starts, cols):  # a mapper's share is already ascending
+        return x
+    out = np.empty_like(x)
+    out[:, order] = x
+    return out
 
 
 def invert_lower(l: np.ndarray) -> np.ndarray:

@@ -1,6 +1,11 @@
 """Gauss-Jordan-on-MapReduce (the rejected design, measured) and the blocked
 triangular solvers."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -125,20 +130,62 @@ class TestBlockedSolvers:
         with pytest.raises(ValueError, match="rows"):
             blocked_forward_substitute(np.eye(4), np.zeros(5))
 
-    def test_blocked_is_faster_on_many_rhs(self, rng):
+    def test_blocked_is_faster_on_many_rhs(self):
         """The BLAS-3 formulation wins on large triangular solves with many
         right-hand sides (the guide's cache argument)."""
-        import timeit
-
-        n = 400
-        l = np.tril(rng.standard_normal((n, n))) + 3 * np.eye(n)
-        b = rng.standard_normal((n, n))
-        t_row = min(timeit.repeat(lambda: forward_substitute(l, b), number=1, repeat=4))
-        t_blk = min(
-            timeit.repeat(
-                lambda: blocked_forward_substitute(l, b, block=64), number=1, repeat=4
-            )
+        t_row, t_blk = _min_of_4_in_pinned_child(
+            """
+            n = 400
+            l = np.tril(rng.standard_normal((n, n))) + 3 * np.eye(n)
+            b = rng.standard_normal((n, n))
+            """,
+            "forward_substitute(l, b)",
+            "blocked_forward_substitute(l, b, block=64)",
         )
         # Generous margin: timing on shared CI boxes is noisy; the blocked
         # kernel should at minimum not be slower.
         assert t_blk < t_row * 1.1
+
+    def test_column_kernel_is_blas3(self):
+        """Speed guard for ``invert_lower_columns``: a return to one GEMV per
+        row fails here, not in the next benchmark run (measured ~8x at n=1536
+        and ~5x at n=1024 on columns ``::2``)."""
+        t_row, t_blk = _min_of_4_in_pinned_child(
+            """
+            n = 768
+            l = np.tril(rng.standard_normal((n, n))) + n**0.5 * np.eye(n)
+            cols = np.arange(0, n, 2)
+            rhs = np.eye(n)[:, cols]
+            """,
+            "forward_substitute(l, rhs)",
+            "invert_lower_columns(l, cols)",
+        )
+        assert t_blk < 0.5 * t_row
+
+
+def _min_of_4_in_pinned_child(setup: str, *stmts: str) -> list[float]:
+    """Best-of-4 seconds for each statement, timed in a fresh interpreter with
+    BLAS on one thread, as the benchmark does: on a shared 2-vCPU box a
+    threaded GEMM stalls ~10x for minutes while a sibling core is busy (both
+    guards failed 3 runs of 3 in such a phase), a GEMV never does."""
+    script = "\n".join(
+        [
+            "import timeit",
+            "import numpy as np",
+            "from repro.linalg.triangular import (blocked_forward_substitute,"
+            " forward_substitute, invert_lower_columns)",
+            "rng = np.random.default_rng(12345)",
+            textwrap.dedent(setup),
+            *(
+                f"print(min(timeit.repeat(lambda: {stmt}, number=1, repeat=4)))"
+                for stmt in stmts
+            ),
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-800:]
+    return [float(tok) for tok in proc.stdout.split()]

@@ -6,8 +6,19 @@ import pytest
 from repro import InversionConfig
 from repro.inversion import MatrixInverter
 from repro.inversion.factors import perm_from_bytes, perm_to_bytes, read_lower, read_perm, read_upper
+from repro.dfs.formats import decode_matrix, encode_matrix
+from repro.inversion.invert_job import (
+    InvertReducer,
+    _gather_cols,
+    _gather_rows,
+    _l_mapper_columns,
+    _reducer_shares,
+    _u_mapper_rows,
+    reducer_indices,
+)
 from repro.inversion.layout import Layout, factor_paths
 from repro.inversion.plan import InversionPlan
+from repro.linalg.blockwrap import contiguous_ranges
 from repro.linalg import is_lower_triangular, is_upper_triangular, permutation
 from repro.mapreduce import MapReduceRuntime
 
@@ -176,3 +187,135 @@ class TestPermCodec:
 
     def test_empty(self):
         assert perm_from_bytes(perm_to_bytes(np.array([], dtype=np.int64))).size == 0
+
+
+class _FakeTaskContext:
+    """Just enough ``TaskContext`` for the final job's reducer: files are
+    decoded read-only, as the DFS hands them out, and reads are logged."""
+
+    def __init__(self):
+        self.files, self.reads, self.written = {}, [], {}
+
+    def read_matrix(self, path):
+        self.reads.append(path)
+        return decode_matrix(self.files[path])
+
+    def write_bytes(self, path, data):
+        self.written[path] = decode_matrix(data)
+
+    def report_flops(self, flops):
+        pass
+
+
+def _mask_gather_rows(ctx, layout, rows, n):
+    """The boolean-mask gather the strided slices replaced (reference)."""
+    cfg = layout.config
+    uhalf = cfg.m0 - cfg.mhalf
+    out = np.empty((rows.size, n))
+    if cfg.block_wrap:
+        for i in sorted({int(r) % uhalf for r in rows}):
+            data = ctx.read_matrix(layout.inv_u_path(i))
+            mask = rows % uhalf == i
+            out[mask] = data[rows[mask] // uhalf]
+    else:
+        for i, (r1, r2) in enumerate(contiguous_ranges(n, uhalf)):
+            sel = (rows >= r1) & (rows < r2)
+            if not np.any(sel):
+                continue
+            data = ctx.read_matrix(layout.inv_u_path(i))
+            out[sel] = data[rows[sel] - r1]
+    return out
+
+
+def _mask_gather_cols(ctx, layout, cols, n):
+    cfg = layout.config
+    out = np.empty((n, cols.size))
+    if cfg.block_wrap:
+        for j in sorted({int(c) % cfg.mhalf for c in cols}):
+            data = ctx.read_matrix(layout.inv_l_path(j))
+            mask = cols % cfg.mhalf == j
+            out[:, mask] = data[:, cols[mask] // cfg.mhalf]
+    else:
+        for j, (c1, c2) in enumerate(contiguous_ranges(n, cfg.mhalf)):
+            sel = (cols >= c1) & (cols < c2)
+            if not np.any(sel):
+                continue
+            data = ctx.read_matrix(layout.inv_l_path(j))
+            out[:, sel] = data[:, cols[sel] - c1]
+    return out
+
+
+class TestFinalJobGathers:
+    """The reducers' strided-slice gathers against the mask-based ones.  With
+    block wrap a reducer's stride (``f1`` rows, ``f2`` columns) meets the
+    mappers' (``m0/2``) in every way: equal (m0=4; rows at m0=6, 8), dividing
+    it (m0=16; columns at m0=8, 12), divided by it (m0=2) and neither (2 vs 3
+    columns at m0=6, 4 vs 6 rows at m0=12)."""
+
+    @pytest.fixture(
+        params=[
+            (m0, wrap, n)
+            for m0 in (2, 4, 6, 8, 12, 16)
+            for wrap in (True, False)
+            for n in (m0 - 1, 37, 64)
+        ],
+        ids=lambda p: f"m0={p[0]}-wrap={p[1]}-n={p[2]}",
+    )
+    def final_job(self, request, rng):
+        m0, wrap, n = request.param
+        layout = make_layout(n=n, nb=64, m0=m0, block_wrap=wrap)
+        uinv, linv = rng.standard_normal((2, n, n))
+        ctx = _FakeTaskContext()
+        for i in range(m0 - layout.config.mhalf):
+            ctx.files[layout.inv_u_path(i)] = encode_matrix(uinv[_u_mapper_rows(layout, i, n)])
+        for j in range(layout.config.mhalf):
+            ctx.files[layout.inv_l_path(j)] = encode_matrix(linv[:, _l_mapper_columns(layout, j, n)])
+        return layout, n, ctx, uinv, linv
+
+    def test_same_arrays_from_the_same_reads(self, final_job):
+        layout, n, ctx, uinv, linv = final_job
+        for p in range(layout.config.m0):
+            (rows, cols), (row_idx, col_idx) = (
+                _reducer_shares(layout, p, n),
+                reducer_indices(layout, p, n),
+            )
+            assert list(rows) == list(row_idx) and list(cols) == list(col_idx)
+            if not rows or not cols:
+                continue
+            for new, old, want, idx, full in (
+                (_gather_rows, _mask_gather_rows, rows, row_idx, uinv[row_idx]),
+                (_gather_cols, _mask_gather_cols, cols, col_idx, linv[:, col_idx]),
+            ):
+                ctx.reads.clear()
+                got = new(ctx, layout, want, n)
+                new_reads = list(ctx.reads)
+                ctx.reads.clear()
+                assert np.array_equal(got, old(ctx, layout, idx, n))
+                assert np.array_equal(got, full)
+                assert new_reads == ctx.reads
+                # Either a private array or, zero-copy, one decoded file.
+                assert got.flags.writeable == got.flags.owndata
+                assert got.flags.owndata or len(new_reads) == 1
+
+    def test_reducer_never_writes_to_a_decoded_view(self, final_job):
+        """Every file the fake hands out is read-only, so a reducer that
+        wrote into a zero-copy gather would raise here."""
+        layout, n, ctx, uinv, linv = final_job
+        reducer = InvertReducer(layout)
+        for p in range(layout.config.m0):
+            reducer.reduce(ctx, p, iter(()))
+            rows, cols = reducer_indices(layout, p, n)
+            if rows.size and cols.size:
+                block = ctx.written[layout.final_path(p)]
+                assert np.allclose(block, uinv[rows] @ linv[:, cols], rtol=1e-12, atol=1e-12)
+            else:
+                assert layout.final_path(p) not in ctx.written
+
+    def test_m0_4_share_is_the_decoded_file(self):
+        layout = make_layout(n=64, nb=64, m0=4)
+        ctx = _FakeTaskContext()
+        for i in range(2):
+            ctx.files[layout.inv_u_path(i)] = encode_matrix(np.ones((32, 64)))
+        got = _gather_rows(ctx, layout, range(1, 64, 2), 64)
+        assert not got.flags.writeable and not got.flags.owndata
+        assert ctx.reads == [layout.inv_u_path(1)]

@@ -1,11 +1,20 @@
 """Triangular inversion (Equation 4) and substitution solvers."""
 
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.linalg import expected_residual_bound, lu_decompose
+from repro.linalg.blockwrap import contiguous_ranges, strided_indices
+from repro.linalg.verify import identity_residual
 from repro.linalg.triangular import (
     TriangularShapeError,
     back_substitute,
+    blocked_back_substitute,
+    blocked_forward_substitute,
     forward_substitute,
     invert_lower,
     invert_lower_columns,
@@ -14,6 +23,7 @@ from repro.linalg.triangular import (
     is_lower_triangular,
     is_upper_triangular,
 )
+from repro.workloads import ill_conditioned, random_dense
 
 
 def random_lower(rng, n, unit=False):
@@ -113,6 +123,115 @@ class TestLowerInverse:
         l[1, 1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             invert_lower(l)
+
+
+def _pipeline_lower(kind, n):
+    """A lower-triangular operand as the final job sees it: the F-ordered,
+    read-only ``U^T`` of a pivoted LU of a ``repro.workloads`` matrix."""
+    a = random_dense(n, seed=n) if kind == "random" else ill_conditioned(n, 1e8, seed=n)
+    l = lu_decompose(a).upper().T
+    l.setflags(write=False)
+    return l
+
+
+def _mapper_shares(n):
+    """Every column set a final-job mapper can own: the strided sets of
+    Section 5.4 and the contiguous ranges of ``block_wrap=False``."""
+    for parts in (1, 2, 3, 4, 8):
+        for part in range(parts):
+            yield strided_indices(n, parts, part)
+        for c1, c2 in contiguous_ranges(n, parts):
+            yield np.arange(c1, c2)
+
+
+class TestBlockedColumnKernel:
+    """``invert_lower_columns`` (blocked, zero-skipping) against the
+    row-by-row reference ``forward_substitute(l, I[:, cols])``."""
+
+    # Both are backward-stable solves of the same system, so each is within
+    # O(eps * cond) of the true columns; they differ by summation order only.
+    TOL = 1.0
+
+    @pytest.mark.parametrize("kind", ["random", "graded"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    def test_matches_row_loop_on_every_mapper_share(self, kind, n):
+        l = _pipeline_lower(kind, n)
+        eye = np.eye(n)
+        bound = self.TOL * np.finfo(float).eps * np.linalg.cond(l, 1)
+        full = np.zeros((n, n))
+        for cols in _mapper_shares(n):
+            got = invert_lower_columns(l, cols)
+            want = forward_substitute(l, eye[:, cols])
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous and got.flags.writeable
+            scale = np.abs(want).max() if cols.size else 0.0
+            assert np.abs(got - want).max(initial=0.0) <= bound * scale
+            full[:, cols] = got
+        # Every column was written by some mapper's share; together they invert L.
+        assert identity_residual(l, full) <= expected_residual_bound(l)
+
+    def test_structural_zeros_are_exact(self):
+        n = 130
+        l = _pipeline_lower("random", n)
+        cols = np.arange(1, n, 2)
+        got = invert_lower_columns(l, cols)
+        for t, c in enumerate(cols):
+            assert not got[:c, t].any()
+
+    def test_unsorted_duplicated_columns_keep_their_order(self, rng):
+        l = random_lower(rng, 90)
+        cols = [70, 3, 3, 89, 0, 70, 41]
+        got = invert_lower_columns(l, cols)
+        assert np.allclose(got, invert_lower(l)[:, cols], rtol=1e-9, atol=1e-12)
+        assert np.array_equal(got[:, 1], got[:, 2])
+
+    def test_upper_rows_on_read_only_operand(self, rng):
+        u = random_lower(rng, 100).T.copy()
+        u.setflags(write=False)
+        rows = np.arange(2, 100, 3)
+        got = invert_upper_rows(u, rows)
+        assert np.allclose(got, back_substitute(u, np.eye(100))[rows], rtol=1e-9, atol=1e-12)
+
+    def test_checks_run_before_any_arithmetic(self, rng):
+        l = random_lower(rng, 200)
+        l[150, 150] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="150"):
+            invert_lower_columns(l, [0])  # column 0 alone never divides by row 150
+        l = random_lower(rng, 8)
+        for bad in ([-1], [0, 8]):
+            with pytest.raises(ValueError, match="out of range"):
+                invert_lower_columns(l, bad)
+
+
+class TestKernelsHoldNoCycles:
+    """A self-recursive nested ``solve`` is a function -> cell -> function
+    cycle that pins the operand and the result until the cyclic collector
+    runs; the recursions are module-level functions so refcounting frees
+    both at once."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda l: blocked_forward_substitute(l, np.ones((l.shape[0], 2)), block=16),
+            lambda l: blocked_back_substitute(l.T, np.ones((l.shape[0], 2)), block=16),
+            lambda l: invert_lower_columns(l, np.arange(0, l.shape[0], 2)),
+        ],
+        ids=["blocked_forward", "blocked_back", "invert_lower_columns"],
+    )
+    def test_operand_and_result_freed_by_refcount(self, rng, kernel):
+        l = random_lower(rng, 150)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = sys.getrefcount(l)
+            out = kernel(l)
+            assert sys.getrefcount(l) == before
+            gone = weakref.ref(out)
+            del out
+            assert gone() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestUpperInverse:

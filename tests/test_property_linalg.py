@@ -8,6 +8,7 @@ from repro.linalg import (
     back_substitute,
     forward_substitute,
     invert_lower,
+    invert_lower_columns,
     lu_decompose,
     permutation,
     solve_lu,
@@ -72,6 +73,20 @@ class TestLUProperties:
         lower = lu_decompose(a).lower()
         linv = invert_lower(lower)
         assert np.allclose(lower @ linv, np.eye(a.shape[0]), atol=1e-7)
+
+
+    @given(square_matrices(max_n=80), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lower_inverse_columns_any_index_list(self, a, data):
+        """Column *t* of the result is column ``columns[t]`` of ``L^-1`` for
+        any index list — unsorted, repeated or empty."""
+        n = a.shape[0]
+        lower = lu_decompose(a).upper().T  # the U^T the final job inverts
+        cols = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        got = invert_lower_columns(lower, cols)
+        want = forward_substitute(lower, np.eye(n)[:, cols])
+        assert got.shape == (n, len(cols))
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max(initial=0.0))
 
 
 class TestPermutationProperties:
