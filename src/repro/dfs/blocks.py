@@ -2,8 +2,16 @@
 
 Files in the DFS are split into fixed-size blocks, each replicated onto
 ``replication`` distinct datanodes, mirroring HDFS.  Blocks carry a CRC32
-checksum that is verified on every read, so corruption injected by tests is
-detected exactly as Hadoop's client would detect it.
+checksum, and no payload is served that has not matched it: a replica's
+stored payload is an immutable ``bytes`` object, so once that object has
+matched the checksum — when ``write_block``/``rereplicate`` place it, or on
+the first read that serves it — the datanode remembers so and later reads of
+the same object skip the CRC.  Anything that changes a replica
+(``DataNode.put`` of unverified data, ``corrupt``, ``drop``) forgets the
+mark, so the next read re-verifies; scrubs (``replica_status``, the
+``HealthMonitor``) never consult it and checksum every replica every time.
+Corruption injected by tests is therefore detected exactly as Hadoop's client
+would detect it.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ class DataNode:
         self._lock = threading.Lock()
         self._alive = True  # guarded-by: _lock
         self._blocks: dict[BlockId, bytes] = {}  # guarded-by: _lock
+        # Blocks whose *current* payload object has matched the block
+        # checksum.  Kept beside the payload, under the same lock, so a
+        # replica and its mark can only change together.
+        self._verified: set[BlockId] = set()  # guarded-by: _lock
 
     @property
     def alive(self) -> bool:
@@ -65,17 +77,37 @@ class DataNode:
         with self._lock:
             self._alive = value
 
-    def put(self, block_id: BlockId, payload: bytes) -> None:
+    def put(self, block_id: BlockId, payload: bytes, *, verified: bool = False) -> None:
+        """Store a replica.  ``verified`` says the caller has just matched
+        this very ``payload`` object against the block checksum."""
         with self._lock:
             self._blocks[block_id] = payload
+            if verified:
+                self._verified.add(block_id)
+            else:
+                self._verified.discard(block_id)
 
     def get(self, block_id: BlockId) -> bytes | None:
         with self._lock:
             return self._blocks.get(block_id)
 
+    def fetch(self, block_id: BlockId) -> tuple[bytes | None, bool]:
+        """The stored payload and whether it is marked verified, read
+        together so a concurrent ``corrupt`` cannot slip between them."""
+        with self._lock:
+            return self._blocks.get(block_id), block_id in self._verified
+
+    def mark_verified(self, block_id: BlockId, payload: bytes) -> None:
+        """Remember that ``payload`` matched the checksum — unless the
+        replica was replaced since the caller fetched it."""
+        with self._lock:
+            if self._blocks.get(block_id) is payload:
+                self._verified.add(block_id)
+
     def drop(self, block_id: BlockId) -> None:
         with self._lock:
             self._blocks.pop(block_id, None)
+            self._verified.discard(block_id)
 
     def corrupt(self, block_id: BlockId) -> bool:
         """Flip a byte of the stored replica (test hook). Returns True if present."""
@@ -87,6 +119,7 @@ class DataNode:
             if mutated:
                 mutated[0] ^= 0xFF
             self._blocks[block_id] = bytes(mutated)
+            self._verified.discard(block_id)
             return True
 
     @property
@@ -153,7 +186,7 @@ class BlockStore:
             replicas = self._choose_replicas()
         checksum = zlib.crc32(payload)
         for node_idx in replicas:
-            self.datanodes[node_idx].put(block_id, payload)
+            self.datanodes[node_idx].put(block_id, payload, verified=True)
         info = BlockInfo(block_id=block_id, length=len(payload), checksum=checksum, replicas=replicas)
         with self._lock:
             self._blocks[block_id] = info
@@ -161,6 +194,10 @@ class BlockStore:
 
     def read_block(self, info: BlockInfo) -> bytes:
         """Read one healthy replica, skipping dead nodes and corrupt copies.
+
+        A replica is checksummed unless its datanode has this payload object
+        marked as already verified (see the module docstring); a payload that
+        passes here is marked, one that fails is skipped as corrupt.
 
         When no replica is usable the error spells out each replica's fate
         (dead node / payload missing / corrupt) so an operator — or a chaos
@@ -178,14 +215,16 @@ class BlockStore:
             if not node.alive:
                 statuses.append((node_idx, "dead"))
                 continue
-            payload = node.get(info.block_id)
+            payload, verified = node.fetch(info.block_id)
             if payload is None:
                 statuses.append((node_idx, "missing"))
                 continue
-            if zlib.crc32(payload) != info.checksum:
-                statuses.append((node_idx, "corrupt"))
-                corrupt_seen = True
-                continue
+            if not verified:
+                if zlib.crc32(payload) != info.checksum:
+                    statuses.append((node_idx, "corrupt"))
+                    corrupt_seen = True
+                    continue
+                node.mark_verified(info.block_id, payload)
             return payload
         detail = ", ".join(f"datanode {n}: {s}" for n, s in statuses) or "no replicas"
         if corrupt_seen:
@@ -215,33 +254,35 @@ class BlockStore:
     # they are never held while acquiring ``self._lock``, so the nesting
     # here cannot deadlock.
 
-    def _replica_status_locked(self, info: BlockInfo) -> list[tuple[int, str]]:
-        statuses: list[tuple[int, str]] = []
+    def _scrub_locked(self, info: BlockInfo) -> list[tuple[int, str, bytes | None]]:
+        """``(node_id, status, payload)`` per replica, every present payload
+        checksummed — a scrub never trusts a replica's verified mark."""
+        scrubbed: list[tuple[int, str, bytes | None]] = []
         for node_idx in info.replicas:
             node = self.datanodes[node_idx]
             if not node.alive:
-                statuses.append((node_idx, "dead"))
+                scrubbed.append((node_idx, "dead", None))
                 continue
             payload = node.get(info.block_id)
             if payload is None:
-                statuses.append((node_idx, "missing"))
+                scrubbed.append((node_idx, "missing", None))
             elif zlib.crc32(payload) != info.checksum:
-                statuses.append((node_idx, "corrupt"))
+                scrubbed.append((node_idx, "corrupt", payload))
             else:
-                statuses.append((node_idx, "healthy"))
-        return statuses
+                scrubbed.append((node_idx, "healthy", payload))
+        return scrubbed
 
     def replica_status(self, info: BlockInfo) -> list[tuple[int, str]]:
         """Per-replica ``(node_id, status)`` where status is ``"healthy"``,
         ``"dead"``, ``"missing"`` or ``"corrupt"``."""
         with self._lock:
-            return self._replica_status_locked(info)
+            return [(node_idx, status) for node_idx, status, _ in self._scrub_locked(info)]
 
     def live_replica_count(self, info: BlockInfo) -> int:
         """Healthy replicas currently reachable (live node + intact payload)."""
         with self._lock:
             return sum(
-                1 for _, status in self._replica_status_locked(info) if status == "healthy"
+                1 for _, status, _ in self._scrub_locked(info) if status == "healthy"
             )
 
     def drop_corrupt_replicas(self, info: BlockInfo) -> int:
@@ -251,7 +292,7 @@ class BlockStore:
         with self._lock:
             dropped = 0
             kept: list[int] = []
-            for node_idx, status in self._replica_status_locked(info):
+            for node_idx, status, _ in self._scrub_locked(info):
                 if status == "corrupt":
                     self.datanodes[node_idx].drop(info.block_id)
                     dropped += 1
@@ -268,18 +309,21 @@ class BlockStore:
         raises if no healthy source replica exists."""
         with self._lock:
             target = min(self.replication, sum(dn.alive for dn in self.datanodes))
-            healthy = [
-                node_idx
-                for node_idx, status in self._replica_status_locked(info)
-                if status == "healthy"
-            ]
+            healthy = {
+                node_idx: payload
+                for node_idx, status, payload in self._scrub_locked(info)
+                if status == "healthy" and payload is not None
+            }
             if len(healthy) >= target:
                 return 0
             if not healthy:
                 raise BlockMissingError(
                     f"{info.block_id}: no healthy replica to re-replicate from"
                 )
-            payload = self.datanodes[healthy[0]].get(info.block_id)
+            # Copy the very object the scrub just checksummed (not a second
+            # ``get``, which a racing ``corrupt`` could have replaced), so the
+            # new replicas can carry the verified mark.
+            payload = next(iter(healthy.values()))
             candidates = [
                 dn.node_id
                 for dn in self.datanodes
@@ -290,7 +334,7 @@ class BlockStore:
             for node_idx in candidates:
                 if len(new_replicas) >= target:
                     break
-                self.datanodes[node_idx].put(info.block_id, payload)
+                self.datanodes[node_idx].put(info.block_id, payload, verified=True)
                 new_replicas.append(node_idx)
                 made += 1
             info.replicas = tuple(new_replicas)

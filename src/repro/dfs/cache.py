@@ -22,9 +22,12 @@ Correctness rests on two properties:
   concurrent tasks cannot race: any attempted in-place mutation raises.
 
 The cache sits *above* the block integrity layer: a miss goes through
-``DFS.read_bytes``, which checksums every replica it touches, so corruption
-is detected exactly as without the cache; only content that already passed
-verification is ever served from memory.
+``DFS.read_bytes``, which serves a replica only if its stored payload has
+matched the block checksum — checked on that read, unless the datanode has
+that very payload object marked as already verified (see
+:mod:`repro.dfs.blocks`) — so corruption is detected exactly as without the
+cache; only content that already passed verification is ever served from
+memory.
 
 Accounting: cache hits are *logical* reads (task traces and Hadoop-style
 counters still see them) but not *physical* ones (no ``iostats.bytes_read``,

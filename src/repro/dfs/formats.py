@@ -33,9 +33,11 @@ def encode_matrix(matrix: np.ndarray) -> bytes:
     """Serialize a 2-D float64 array to the binary matrix format."""
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {matrix.shape}")
+        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
     header = _HEADER.pack(_MAGIC, m.shape[1], m.shape[0])
-    return header + m.tobytes()
+    # Join the header with the array's own buffer: a C-contiguous float64
+    # input is copied exactly once, straight into the payload.
+    return b"".join((header, m.data))
 
 
 def decode_matrix(data: bytes, *, writable: bool = False) -> np.ndarray:
@@ -106,7 +108,7 @@ def encode_matrix_text(matrix: np.ndarray) -> str:
     """Serialize a matrix as the ``a.txt`` whitespace text format."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {matrix.shape}")
+        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
     return "\n".join(" ".join(repr(float(v)) for v in row) for row in m) + "\n"
 
 

@@ -68,39 +68,58 @@ def write_leaf_factors(
     writer.write_bytes(layout_node.p_path, perm_to_bytes(lu.perm))
 
 
-def read_lower(layout: Layout, node: PlanNode, reader) -> np.ndarray:
-    """Assemble the full lower factor of ``node`` (unit diagonal explicit)."""
+def read_lower(layout: Layout, node: PlanNode, reader, out=None) -> np.ndarray:
+    """Assemble the full lower factor of ``node`` (unit diagonal explicit).
+
+    The recursion writes every level straight into one destination: ``out``
+    (a ``node.n x node.n`` writable array) when given, else a fresh array —
+    or, for a factor stored as a single file, the decoded read-only view.
+    """
     nl = layout.of(node)
     if reader.exists(nl.l_path):
         # Via the reader's matrix method (not raw bytes) so a decoded-block
         # cache on the DFS serves repeated factor reads from memory.
-        return reader.read_matrix(nl.l_path)
+        stored = reader.read_matrix(nl.l_path)
+        if out is None:
+            return stored
+        out[...] = stored
+        return out
     if node.is_leaf:
         raise FileNotFoundError(f"leaf factors missing: {nl.l_path}")
     n1 = node.n1
-    lower = np.zeros((node.n, node.n))
-    lower[:n1, :n1] = read_lower(layout, node.child1, reader)
+    if out is None:
+        out = np.empty((node.n, node.n))
+    read_lower(layout, node.child1, reader, out[:n1, :n1])
     l2 = nl.l2.read(reader)
     p2 = read_perm(layout, node.child2, reader)
-    lower[n1:, :n1] = permutation.apply_rows(p2, l2)
-    lower[n1:, n1:] = read_lower(layout, node.child2, reader)
-    return lower
+    out[n1:, :n1] = permutation.apply_rows(p2, l2)
+    read_lower(layout, node.child2, reader, out[n1:, n1:])
+    out[:n1, n1:] = 0.0
+    return out
 
 
-def read_upper(layout: Layout, node: PlanNode, reader) -> np.ndarray:
-    """Assemble the full upper factor of ``node``."""
+def read_upper(layout: Layout, node: PlanNode, reader, out=None) -> np.ndarray:
+    """Assemble the full upper factor of ``node`` (``out`` as in
+    :func:`read_lower`)."""
     nl = layout.of(node)
     if reader.exists(nl.u_path):
         stored = reader.read_matrix(nl.u_path)
-        return stored.T if layout.config.transpose_u else stored
+        if layout.config.transpose_u:
+            stored = stored.T
+        if out is None:
+            return stored
+        out[...] = stored
+        return out
     if node.is_leaf:
         raise FileNotFoundError(f"leaf factors missing: {nl.u_path}")
     n1 = node.n1
-    upper = np.zeros((node.n, node.n))
-    upper[:n1, :n1] = read_upper(layout, node.child1, reader)
-    upper[:n1, n1:] = nl.u2.read(reader)
-    upper[n1:, n1:] = read_upper(layout, node.child2, reader)
-    return upper
+    if out is None:
+        out = np.empty((node.n, node.n))
+    read_upper(layout, node.child1, reader, out[:n1, :n1])
+    nl.u2.read(reader, out[:n1, n1:])
+    read_upper(layout, node.child2, reader, out[n1:, n1:])
+    out[n1:, :n1] = 0.0
+    return out
 
 
 def read_perm(layout: Layout, node: PlanNode, reader) -> np.ndarray:

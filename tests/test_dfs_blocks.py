@@ -1,7 +1,14 @@
 """Block store: placement, replication, checksums, failures."""
 
+import sys
+import threading
+import time
+import zlib
+
+import numpy as np
 import pytest
 
+from repro.dfs import DFS, blocks
 from repro.dfs.blocks import (
     BlockCorruptionError,
     BlockMissingError,
@@ -101,3 +108,223 @@ class TestDeletion:
     def test_stored_bytes_accounting(self, store):
         store.write_block(b"12345678")
         assert store.total_stored_bytes == 8 * 3
+
+
+@pytest.fixture
+def crc_calls(monkeypatch):
+    """Every ``zlib.crc32`` call made from ``repro.dfs.blocks``, as
+    ``(calling function, payload length)``."""
+    calls: list[tuple[str, int]] = []
+
+    class CountingZlib:
+        @staticmethod
+        def crc32(data):
+            calls.append((sys._getframe(1).f_code.co_name, len(data)))
+            return zlib.crc32(data)
+
+    monkeypatch.setattr(blocks, "zlib", CountingZlib)
+    return calls
+
+
+class TestVerifyOnce:
+    """A stored payload object is checksummed once before it is first served;
+    anything that changes a replica makes the next read checksum it again."""
+
+    def test_reads_of_a_written_block_do_not_checksum_again(self, store, crc_calls):
+        info = store.write_block(b"written once")
+        for _ in range(3):
+            assert store.read_block(info) == b"written once"
+        assert crc_calls == [("write_block", 12)]
+
+    def test_corrupting_the_replica_just_served_fails_over(self, store):
+        info = store.write_block(b"fail over")
+        first = info.replicas[0]
+        served = store.read_block(info)
+        assert served is store.datanodes[first].get(info.block_id)
+        assert store.corrupt_replica(info, first)
+        again = store.read_block(info)
+        assert again == b"fail over"
+        assert again is store.datanodes[info.replicas[1]].get(info.block_id)
+
+    def test_all_replicas_corrupted_after_a_verified_read_raises(self, store):
+        info = store.write_block(b"doomed later")
+        assert store.read_block(info) == b"doomed later"
+        for node_idx in info.replicas:
+            store.corrupt_replica(info, node_idx)
+        with pytest.raises(BlockCorruptionError) as err:
+            store.read_block(info)
+        for node_idx in info.replicas:
+            assert f"datanode {node_idx}: corrupt" in str(err.value)
+
+    def test_rereplicate_onto_a_node_that_held_a_corrupt_copy(self, store):
+        info = store.write_block(b"fresh copy")
+        victim = info.replicas[0]
+        store.read_block(info)
+        store.corrupt_replica(info, victim)
+        assert store.drop_corrupt_replicas(info) == 1
+        for dn in store.datanodes:  # leave the victim as the only spare node
+            if dn.node_id != victim and dn.node_id not in info.replicas:
+                store.kill_datanode(dn.node_id)
+        assert store.rereplicate(info) == 1
+        assert victim in info.replicas
+        for node_idx in info.replicas:
+            if node_idx != victim:
+                store.kill_datanode(node_idx)
+        assert store.read_block(info) == b"fresh copy"
+
+    def test_rereplicated_copies_are_served_without_a_second_checksum(
+        self, store, crc_calls
+    ):
+        info = store.write_block(b"copied")
+        store.kill_datanode(info.replicas[0])
+        assert store.rereplicate(info) == 1
+        del crc_calls[:]
+        for node_idx in info.replicas[:-1]:
+            store.kill_datanode(node_idx)
+        assert store.read_block(info) == b"copied"
+        assert crc_calls == []
+
+    def test_drop_and_reput_forgets_the_mark(self, store, crc_calls):
+        info = store.write_block(b"original")
+        node = store.datanodes[info.replicas[0]]
+        store.read_block(info)
+        node.drop(info.block_id)
+        node.put(info.block_id, b"0riginal")  # unverified, and wrong
+        del crc_calls[:]
+        assert store.read_block(info) == b"original"
+        assert crc_calls == [("read_block", 8)]
+        assert store.replica_status(info)[0] == (info.replicas[0], "corrupt")
+
+    def test_put_over_a_verified_replica_forgets_the_mark(self, store):
+        info = store.write_block(b"original")
+        node = store.datanodes[info.replicas[0]]
+        store.read_block(info)
+        node.put(info.block_id, b"0riginal")
+        assert store.read_block(info) == b"original"
+        assert store.read_block(info) is not node.get(info.block_id)
+
+    def test_a_read_that_verifies_marks_the_replica(self, store, crc_calls):
+        info = store.write_block(b"verify me")
+        node = store.datanodes[info.replicas[0]]
+        node.put(info.block_id, bytes(bytearray(b"verify me")))  # unverified copy
+        del crc_calls[:]
+        store.read_block(info)
+        store.read_block(info)
+        assert crc_calls == [("read_block", 9)]
+
+    def test_mark_is_not_set_for_a_payload_that_was_replaced(self, store):
+        info = store.write_block(b"swap")
+        node = store.datanodes[info.replicas[0]]
+        node.put(info.block_id, b"swap"[:])
+        stale, verified = node.fetch(info.block_id)
+        assert not verified
+        node.corrupt(info.block_id)
+        node.mark_verified(info.block_id, stale)  # a reader that lost the race
+        assert node.fetch(info.block_id)[1] is False
+
+    def test_scrub_never_trusts_the_mark(self):
+        dfs = DFS(num_datanodes=4, replication=3, block_size=64, seed=0)
+        dfs.write_bytes("/f", bytes(range(50)))
+        assert dfs.read_bytes("/f") == bytes(range(50))  # verified and marked
+        info = dfs.namenode.get_file("/f").blocks[0]
+        victim = info.replicas[0]
+        assert dfs.blocks.corrupt_replica(info, victim)
+        assert (victim, "corrupt") in dfs.blocks.replica_status(info)
+        assert dfs.blocks.live_replica_count(info) == 2
+        assert dfs.health_monitor().scan().corrupt_replicas == 1
+
+    def test_scrub_checksums_every_replica_every_time(self, store, crc_calls):
+        info = store.write_block(b"scrubbed")
+        store.read_block(info)
+        del crc_calls[:]
+        store.replica_status(info)
+        store.replica_status(info)
+        assert crc_calls == [("_scrub_locked", 8)] * 6
+
+    def test_readers_racing_a_corruptor_never_see_a_bad_payload(self):
+        store = BlockStore(num_datanodes=3, replication=3, seed=1)
+        # Large enough that crc32 releases the GIL: a reader checksumming an
+        # unverified copy can be overtaken by the corruptor mid-CRC.
+        payload = bytes(range(256)) * 256
+        infos = [store.write_block(payload) for _ in range(8)]
+        checksum = zlib.crc32(payload)
+        bad: list[bytes] = []
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    for info in infos:
+                        got = store.read_block(info)
+                        if zlib.crc32(got) != checksum:
+                            bad.append(got)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        victims = [(info, node_idx) for info in infos for node_idx in info.replicas[:2]]
+
+        def corruptor():
+            try:
+                # The first two replicas of every block, over and over: the
+                # third stays healthy, so every read must succeed.
+                deadline = time.monotonic() + 0.4
+                while time.monotonic() < deadline:
+                    for info, node_idx in victims:
+                        # An intact but unverified copy, a yield so a reader
+                        # starts checksumming it, then the damage.
+                        store.datanodes[node_idx].put(
+                            info.block_id, bytes(bytearray(payload))
+                        )
+                        time.sleep(0)
+                        store.corrupt_replica(info, node_idx)
+            except BaseException as exc:
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            for t in readers:
+                t.start()
+            worker = threading.Thread(target=corruptor)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(old)
+        assert not errors
+        assert not bad
+        for info in infos:
+            assert [status for _, status in store.replica_status(info)] == [
+                "corrupt",
+                "corrupt",
+                "healthy",
+            ]
+            assert store.read_block(info) == payload
+
+
+class TestCrcCountGuard:
+    def test_fault_free_invert_checksums_written_bytes_only(self, crc_calls):
+        """Every stored byte is checksummed once, by the write that stored
+        it; no fault-free read pays for a CRC."""
+        from repro import InversionConfig, invert
+
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((96, 96)) + 96 * np.eye(96)
+        result = invert(
+            a, InversionConfig(nb=16, m0=4, block_cache_bytes=0, output_commit=False)
+        )
+        assert np.allclose(result.inverse @ a, np.eye(96), atol=1e-8)
+        assert crc_calls
+        assert {name for name, _ in crc_calls} == {"write_block"}
+        # One CRC per block written, over its logical bytes (the ledger counts
+        # every replica's copy).
+        assert len(crc_calls) == result.io.write_ops
+        replication = DFS().blocks.replication
+        assert sum(size for _, size in crc_calls) * replication == result.io.bytes_written

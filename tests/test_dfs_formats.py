@@ -1,7 +1,11 @@
 """Matrix codecs: binary and text round trips, range reads, sizes."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.dfs import formats
 
@@ -26,6 +30,15 @@ class TestBinaryCodec:
         with pytest.raises(ValueError):
             formats.encode_matrix(np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "encode", [formats.encode_matrix, formats.encode_matrix_text]
+    )
+    def test_non_2d_sequence_reports_the_converted_shape(self, encode):
+        with pytest.raises(ValueError, match=r"expected a 2-D array, got shape \(2,\)"):
+            encode([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"got shape \(1, 1, 1\)"):
+            encode([[[3.0]]])
+
     def test_rejects_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             formats.decode_matrix(b"XXXX" + b"\x00" * 32)
@@ -38,6 +51,61 @@ class TestBinaryCodec:
     def test_rejects_truncated_header(self):
         with pytest.raises(ValueError, match="header"):
             formats.decode_matrix(b"RM")
+
+
+def _reference_encode(matrix) -> bytes:
+    """The three-copy encoder ``encode_matrix`` replaced (reference)."""
+    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    return struct.pack("<4sIQ", b"RMX1", m.shape[1], m.shape[0]) + m.tobytes()
+
+
+#: How a base array reaches the encoder: as is, Fortran-ordered, transposed,
+#: row/column-strided, reversed, and as a read-only decoded view.
+_LAYOUTS = {
+    "c": lambda m: m,
+    "fortran": np.asfortranarray,
+    "transposed": lambda m: m.T,
+    "row-strided": lambda m: m[::2],
+    "col-strided": lambda m: m[:, 1::3],
+    "reversed": lambda m: m[::-1, ::-1],
+    "decoded": lambda m: formats.decode_matrix(_reference_encode(m)),
+}
+
+
+class TestEncodeCopiesOnce:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.sampled_from(
+            [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_]
+        ).flatmap(
+            lambda dtype: arrays(
+                dtype,
+                st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                elements=st.floats(-1e6, 1e6, width=32)
+                if np.issubdtype(dtype, np.floating)
+                else None,
+            )
+        ),
+        layout=st.sampled_from(sorted(_LAYOUTS)),
+    )
+    def test_bytes_identical_to_the_three_copy_encoder(self, base, layout):
+        m = _LAYOUTS[layout](base)
+        data = formats.encode_matrix(m)
+        assert type(data) is bytes
+        assert data == _reference_encode(m)
+        decoded = formats.decode_matrix(data)
+        assert decoded.shape == m.shape
+        assert np.array_equal(decoded, np.asarray(m, dtype=np.float64))
+        assert not decoded.flags.writeable
+        with pytest.raises(ValueError):
+            decoded[...] = 0.0
+
+    def test_payload_does_not_alias_the_source(self, rng):
+        m = rng.standard_normal((5, 4))
+        kept = m.copy()
+        data = formats.encode_matrix(m)
+        m[:] = 0.0
+        assert np.array_equal(formats.decode_matrix(data), kept)
 
 
 class TestDfsHelpers:

@@ -1,5 +1,7 @@
 """Layout and factor-assembly internals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.inversion.invert_job import (
 )
 from repro.inversion.layout import Layout, factor_paths
 from repro.inversion.plan import InversionPlan
+from repro.inversion.regions import Region
 from repro.linalg.blockwrap import contiguous_ranges
 from repro.linalg import is_lower_triangular, is_upper_triangular, permutation
 from repro.mapreduce import MapReduceRuntime
@@ -319,3 +322,178 @@ class TestFinalJobGathers:
         got = _gather_rows(ctx, layout, range(1, 64, 2), 64)
         assert not got.flags.writeable and not got.flags.owndata
         assert ctx.reads == [layout.inv_u_path(1)]
+
+
+def _ref_region_read(region, reader):
+    """The zero-filled, always-copying ``Region.read`` the in-place one
+    replaced (reference)."""
+    assert region.covered()
+    out = np.zeros((region.rows, region.cols))
+    for b in region.blocks:
+        out[b.r1 : b.r1 + b.rows, b.c1 : b.c1 + b.cols] = b.read_part(reader)
+    return out
+
+
+def _ref_read_lower(layout, node, reader):
+    """Level-by-level assembly: one fresh zeroed array per recursion level
+    (reference)."""
+    nl = layout.of(node)
+    if reader.exists(nl.l_path):
+        return reader.read_matrix(nl.l_path)
+    n1 = node.n1
+    lower = np.zeros((node.n, node.n))
+    lower[:n1, :n1] = _ref_read_lower(layout, node.child1, reader)
+    l2 = _ref_region_read(nl.l2, reader)
+    p2 = read_perm(layout, node.child2, reader)
+    lower[n1:, :n1] = permutation.apply_rows(p2, l2)
+    lower[n1:, n1:] = _ref_read_lower(layout, node.child2, reader)
+    return lower
+
+
+def _ref_read_upper(layout, node, reader):
+    nl = layout.of(node)
+    if reader.exists(nl.u_path):
+        stored = reader.read_matrix(nl.u_path)
+        return stored.T if layout.config.transpose_u else stored
+    n1 = node.n1
+    upper = np.zeros((node.n, node.n))
+    upper[:n1, :n1] = _ref_read_upper(layout, node.child1, reader)
+    upper[:n1, n1:] = _ref_region_read(nl.u2, reader)
+    upper[n1:, n1:] = _ref_read_upper(layout, node.child2, reader)
+    return upper
+
+
+class _LoggingReader:
+    """The master's reader (block cache honoured), every call logged."""
+
+    def __init__(self, dfs):
+        from repro.inversion.driver import MasterIO
+
+        self._io = MasterIO(dfs)
+        self.log = []
+
+    def take_log(self):
+        log, self.log = self.log, []
+        return log
+
+    def __getattr__(self, name):
+        method = getattr(self._io, name)
+
+        def logged(*args):
+            self.log.append((name, *args))
+            return method(*args)
+
+        return logged
+
+
+class TestInPlaceAssembly:
+    """``read_lower`` / ``read_upper`` / ``Region.read`` assemble straight into
+    one destination; against the level-by-level references they must return
+    the same arrays from the same reads in the same order."""
+
+    #: (n, nb, m0) of ``tests/test_edge_geometries.py``.
+    GEOMETRIES = [
+        (64, 4, 4),
+        (16, 1, 2),
+        (12, 4, 16),
+        (40, 10, 2),
+        (37, 10, 12),
+        (53, 7, 6),
+        (17, 16, 2),
+        (48, 4, 4),
+    ]
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            (geometry, transpose_u, separate_files)
+            for geometry in GEOMETRIES
+            for transpose_u in (True, False)
+            for separate_files in (True, False)
+        ],
+        ids=lambda p: "n={}-nb={}-m0={}-ut={}-sep={}".format(*p[0], p[1], p[2]),
+    )
+    def finished_run(self, request):
+        """A whole inversion — every task ran against read-only decoded
+        views, so one that wrote into a view would have raised here."""
+        (n, nb, m0), transpose_u, separate_files = request.param
+        from repro.workloads import diagonally_dominant
+
+        a = diagonally_dominant(n, seed=n)
+        cfg = InversionConfig(
+            nb=nb, m0=m0, transpose_u=transpose_u, separate_files=separate_files
+        )
+        runtime = MapReduceRuntime()
+        result = MatrixInverter(config=cfg, runtime=runtime).invert(a)
+        assert np.allclose(result.inverse @ a, np.eye(n), atol=1e-8)
+        yield Layout(result.plan, cfg, n), runtime.dfs
+        runtime.shutdown()
+
+    @pytest.fixture(params=[True, False], ids=["cache", "nocache"])
+    def reader(self, request, finished_run):
+        layout, dfs = finished_run
+        if request.param:
+            dfs.attach_cache(64 << 20)
+        else:
+            dfs.detach_cache()
+        return _LoggingReader(dfs)
+
+    @staticmethod
+    def _check(new, ref, reader):
+        """Same array from the same reads; private and writable, or one
+        decoded file's read-only view."""
+        got = new(reader)
+        new_log = reader.take_log()
+        want = ref(reader)
+        assert new_log == reader.take_log()
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        if not got.flags.writeable:
+            assert sum(1 for call in new_log if call[0].startswith("read_")) == 1
+        return got
+
+    def test_factors_match_the_level_by_level_reference(self, finished_run, reader):
+        layout, _ = finished_run
+        tree = layout.plan.tree
+        for node in tree.internal_nodes() + tree.leaves():
+            lower = self._check(
+                lambda r: read_lower(layout, node, r),
+                lambda r: _ref_read_lower(layout, node, r),
+                reader,
+            )
+            upper = self._check(
+                lambda r: read_upper(layout, node, r),
+                lambda r: _ref_read_upper(layout, node, r),
+                reader,
+            )
+            assert is_lower_triangular(lower) and is_upper_triangular(upper)
+
+    def test_regions_match_the_copying_reference(self, finished_run, reader):
+        layout, dfs = finished_run
+        for nl in layout.by_dir.values():
+            for region in (nl.a2, nl.a3, nl.a4, nl.matrix, nl.l2, nl.u2, nl.out):
+                if region is None or not all(dfs.exists(p) for p in region.file_paths()):
+                    continue
+                rows, cols = region.rows, region.cols
+                for sub in (
+                    region,
+                    region.sub(0, rows // 2, 0, cols),
+                    region.sub(rows // 2, rows, cols // 3, cols),
+                    region.sub(0, rows, 0, 0),
+                ) + tuple(Region(b.rows, b.cols, (replace(b, r1=0, c1=0),)) for b in region.blocks):
+                    got = self._check(
+                        sub.read, lambda r: _ref_region_read(sub, r), reader
+                    )
+                    if len(sub.blocks) != 1:
+                        assert got.flags.writeable and got.flags.owndata
+
+    def test_out_destination_is_filled_in_place(self, finished_run, reader):
+        layout, _ = finished_run
+        tree = layout.plan.tree
+        for read, ref in ((read_lower, _ref_read_lower), (read_upper, _ref_read_upper)):
+            # NaN-filled, so a cell the assembly skipped would show.
+            frame = np.full((tree.n + 2, tree.n + 2), np.nan)
+            out = frame[1:-1, 1:-1]
+            assert read(layout, tree, reader, out) is out
+            assert np.array_equal(out, ref(layout, tree, reader))
+            assert np.isnan(frame[0]).all() and np.isnan(frame[:, -1]).all()
