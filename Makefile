@@ -54,9 +54,12 @@ chaos:
 
 # Same schedule battery, but task attempts run in forked worker processes
 # over shared-memory DFS segments (the --sweep crash-point enumeration
-# stays serial by design).
+# stays serial by design).  The second line is the one backend x scheduler
+# cell where job confs are pickled to pool workers *from scheduler unit
+# threads* while a trace is live: nothing on a conf may be a live object.
 chaos-processes:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --seed 0 --executor processes
+	PYTHONPATH=src $(PYTHON) -m repro chaos --seed 0 --executor processes --scheduler dataflow
 
 # Traced inversion at the acceptance configuration: renders the span tree,
 # per-job timeline, and critical path, then audits span totals against the

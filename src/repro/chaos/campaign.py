@@ -42,7 +42,7 @@ from ..inversion.config import InversionConfig
 from ..inversion.driver import InversionResult, MatrixInverter
 from ..mapreduce.master import JobFailedError
 from ..mapreduce.runtime import MapReduceRuntime, RuntimeConfig
-from ..telemetry.api import TraceConfig
+from ..telemetry.api import TraceConfig, observe
 from .events import DriverCrashError, Nemesis
 from .schedule import FaultSchedule, builtin_schedules
 
@@ -265,28 +265,25 @@ def run_schedule(
     # driver-side (the master process), never inside a worker, so the handle
     # does not cross a process boundary.
     runtime.before_job.append(nemesis)  # lint: ignore[PS002]
+    config = InversionConfig(
+        nb=nb, m0=m0, retry=schedule.retry, schedule=scheduler
+    )
+    inverter = MatrixInverter(config=config, runtime=runtime)
     # Deterministic trace ID: same schedule + seed must reproduce the same
     # outcome dict bit-for-bit (the campaign's determinism invariant).
-    telemetry = TraceConfig(trace_id=f"chaos-{schedule.name}-seed{seed}")
-    config = InversionConfig(
-        nb=nb,
-        m0=m0,
-        retry=schedule.retry,
-        max_attempts=schedule.max_attempts,
-        telemetry=telemetry,
-        schedule=scheduler,
-    )
-    outcome.trace_id = telemetry.tracer().trace_id
-    inverter = MatrixInverter(config=config, runtime=runtime)
+    observation = observe(TraceConfig(trace_id=f"chaos-{schedule.name}-seed{seed}"))
+    outcome.trace_id = observation.trace_id
 
     try:
-        try:
-            result = inverter.invert(a)
-        except DriverCrashError:
-            # The old driver is dead; a new one resumes from DFS state
-            # (same TraceConfig, so both runs share one trace tree).
-            outcome.crashed_and_resumed = True
-            result = inverter.invert(a, resume=True)
+        # One observation around the run and its resume, so both share one
+        # trace tree.
+        with observation:
+            try:
+                result = inverter.invert(a)
+            except DriverCrashError:
+                # The old driver is dead; a new one resumes from DFS state.
+                outcome.crashed_and_resumed = True
+                result = inverter.invert(a, resume=True)
     except Exception as exc:  # noqa: BLE001 - campaign reports, never raises
         outcome.error = f"{type(exc).__name__}: {exc}"
         if isinstance(exc, JobFailedError):

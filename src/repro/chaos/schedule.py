@@ -10,7 +10,7 @@ failing run can be replayed bit-for-bit with ``--seed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..mapreduce.faults import (
@@ -42,8 +42,10 @@ ATTEMPT_DEADLINE = 0.05
 #: is to exercise the backoff code path and its counters, not to wait.
 FAST_BACKOFF = RetryPolicy(base_delay=0.002, backoff=2.0, max_delay=0.02, jitter=0.5)
 
-#: Backoff plus a per-attempt deadline: the full hardening configuration.
+#: Backoff plus a per-attempt deadline and a deeper attempt budget: the full
+#: hardening configuration.
 DEADLINE_RETRY = RetryPolicy(
+    max_attempts=6,
     base_delay=0.002,
     backoff=2.0,
     max_delay=0.02,
@@ -64,8 +66,7 @@ class FaultSchedule:
     name: str
     description: str
     events: tuple[FaultEvent, ...] = ()
-    retry: RetryPolicy | None = None
-    max_attempts: int = 4
+    retry: RetryPolicy = RetryPolicy()
     task_faults: Callable[[int], FaultPolicy] | None = None
 
     @property
@@ -118,8 +119,7 @@ def builtin_schedules(seed: int = 0) -> tuple[FaultSchedule, ...]:
                 "every task attempt fails with 15% probability; backoff plus a "
                 "deep attempt budget grinds through"
             ),
-            retry=FAST_BACKOFF,
-            max_attempts=8,
+            retry=replace(FAST_BACKOFF, max_attempts=8),
             task_faults=lambda seed: FailRandomly(rate=0.15, seed=seed),
         ),
         FaultSchedule(
@@ -128,8 +128,7 @@ def builtin_schedules(seed: int = 0) -> tuple[FaultSchedule, ...]:
                 "one worker fails every attempt scheduled onto it; the health "
                 "tracker blacklists it and retries land elsewhere"
             ),
-            retry=FAST_BACKOFF,
-            max_attempts=6,
+            retry=replace(FAST_BACKOFF, max_attempts=6),
             task_faults=lambda seed: FailOnNode(node_id=1),
         ),
         FaultSchedule(
@@ -139,7 +138,6 @@ def builtin_schedules(seed: int = 0) -> tuple[FaultSchedule, ...]:
                 "attempt deadline times them out and failover completes the job"
             ),
             retry=DEADLINE_RETRY,
-            max_attempts=6,
             task_faults=lambda seed: DelayAttempt(
                 seconds=HANG_SECONDS, job_substring="lu:", attempts_below=1
             ),
@@ -155,7 +153,6 @@ def builtin_schedules(seed: int = 0) -> tuple[FaultSchedule, ...]:
                 CrashDriver(at_job=3),
             ),
             retry=DEADLINE_RETRY,
-            max_attempts=6,
             task_faults=lambda seed: ComposedFaults(
                 DelayAttempt(
                     seconds=HANG_SECONDS, job_substring="lu:", attempts_below=1

@@ -19,17 +19,20 @@ def cmd_invert(args: argparse.Namespace) -> int:
         num_workers=args.num_workers,
         schedule=args.scheduler,
     )
-    inverter = MatrixInverter(config=config)
-    result = inverter.invert(a)
-    print(f"order {args.n}, nb={args.nb}, m0={args.m0}, "
-          f"executor={args.executor}, scheduler={args.scheduler}")
-    print(f"jobs: {result.num_jobs}  (depth {result.plan.depth})")
-    print(f"driver residual:      {result.residual(a):.3e}")
-    if args.verify:
-        print(f"distributed residual: {inverter.distributed_residual(result):.3e}")
-    print(f"DFS read {result.io.bytes_read / 1e6:.1f} MB, "
-          f"written {result.io.bytes_written / 1e6:.1f} MB")
-    inverter.close()
+    # The context manager shuts the runtime down on a failed inversion too
+    # (pool workers, shared-memory segments).
+    with MatrixInverter(config=config) as inverter:
+        result = inverter.invert(a)
+        print(f"order {args.n}, nb={args.nb}, m0={args.m0}, "
+              f"executor={args.executor}, scheduler={args.scheduler}")
+        print(f"jobs: {result.num_jobs}  (depth {result.plan.depth})")
+        print(f"driver residual:      {result.residual(a):.3e}")
+        if args.verify:
+            print(
+                f"distributed residual: {inverter.distributed_residual(result):.3e}"
+            )
+        print(f"DFS read {result.io.bytes_read / 1e6:.1f} MB, "
+              f"written {result.io.bytes_written / 1e6:.1f} MB")
     return 0
 
 

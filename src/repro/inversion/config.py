@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from ..dfs.cache import DEFAULT_BLOCK_CACHE_BYTES
 from ..linalg.blockwrap import factor_grid
 from ..mapreduce.retry import RetryPolicy
-from ..telemetry.api import TraceConfig
 
 
 @dataclass(frozen=True)
@@ -52,18 +51,12 @@ class InversionConfig:
         pre-flight catches would otherwise be a deep runtime failure.
         On by default; opt out for deliberately corrupted ablation runs.
     retry:
-        :class:`~repro.mapreduce.retry.RetryPolicy` applied to every job the
-        pipeline launches: exponential backoff between retry waves and an
-        optional per-attempt deadline that turns hung tasks into timeouts.
-        ``None`` (default) retries immediately with no deadline — the
-        pre-hardening behaviour.
-    max_attempts:
-        Per-task attempt budget for every pipeline job (Hadoop's
-        ``mapred.map.max.attempts``).
-    telemetry:
-        Explicit :class:`~repro.telemetry.TraceConfig` for the run.  ``None``
-        (default) uses the ambient tracer — enabled inside
-        ``with repro.observe():`` blocks, a zero-cost no-op otherwise.
+        :class:`~repro.mapreduce.retry.RetryPolicy` of every job the
+        pipeline launches: the per-task attempt budget (Hadoop's
+        ``mapred.map.max.attempts``), exponential backoff between retry
+        waves and an optional per-attempt deadline that turns hung tasks
+        into timeouts.  The default allows four attempts, retried
+        immediately, with no deadline.
     block_cache_bytes:
         Capacity of the worker-shared decoded-block cache
         (:class:`~repro.dfs.cache.BlockCache`) the driver attaches to the
@@ -82,8 +75,7 @@ class InversionConfig:
         Execution backend for task attempts: ``"serial"`` (default),
         ``"threads"``, or ``"processes"`` — any name registered with
         :func:`~repro.mapreduce.register_backend`.  Only consulted when the
-        driver builds its own runtime; an explicitly passed runtime or
-        runtime config wins.
+        driver builds its own runtime; an explicitly passed runtime wins.
     num_workers:
         Worker-pool width for the driver-built runtime.  ``None`` (default)
         sizes the pool to ``m0`` — one slot per simulated compute node.
@@ -107,9 +99,7 @@ class InversionConfig:
     root: str = "/Root"
     input_format: str = "binary"
     preflight: bool = True
-    retry: RetryPolicy | None = None
-    max_attempts: int = 4
-    telemetry: TraceConfig | None = None
+    retry: RetryPolicy = RetryPolicy()
     block_cache_bytes: int = DEFAULT_BLOCK_CACHE_BYTES
     output_commit: bool = True
     executor: str = "serial"
@@ -127,8 +117,6 @@ class InversionConfig:
             raise ValueError("m0 must be even (Section 5.3 splits mappers in half)")
         if self.input_format not in ("binary", "text"):
             raise ValueError(f"unknown input_format {self.input_format!r}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError("num_workers must be >= 1 (or None for m0)")
         if self.schedule not in ("barrier", "dataflow"):
@@ -151,9 +139,3 @@ class InversionConfig:
     def grid(self) -> tuple[int, int]:
         """The (f1, f2) block-wrap grid with m0 = f1 * f2 (Section 6.2)."""
         return factor_grid(self.m0)
-
-    def with_overrides(self, **kwargs) -> "InversionConfig":
-        """A copy with some fields replaced (ablation helper)."""
-        from dataclasses import replace
-
-        return replace(self, **kwargs)

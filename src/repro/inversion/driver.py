@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import numpy as np
 
 from ..dfs import formats
-from ..dfs.commit import STAGING_ROOT, CommitLog, CommitScope
+from ..dfs.commit import STAGING_ROOT, CommitLog
 from ..dfs.filesystem import DFS
 from ..dfs.fsck import fsck
 from ..dfs.iostats import IOSnapshot
@@ -43,8 +43,8 @@ from ..mapreduce import (
     run_in_order,
 )
 from ..mapreduce.faults import FaultPolicy
-from ..telemetry.api import resolve_tracer
-from ..telemetry.spans import SpanKind
+from ..mapreduce.job import AccountedIO
+from ..telemetry.spans import SpanKind, current_tracer
 from .config import InversionConfig
 from .factors import (
     combine_factors,
@@ -60,29 +60,31 @@ from .plan import InversionPlan, PlanNode
 
 if TYPE_CHECKING:  # repro.analysis imports this package; annotation only
     from ..analysis.model import PipelineModel
+    from ..dfs.commit import CommitScope
 
 
-class MasterIO:
+class MasterIO(AccountedIO):
     """DFS adapter for master-side phases with byte accounting.
 
-    Satisfies the same reader/writer protocol as a task context, so the
-    recursive factor assembly and Region reads work unchanged on the master.
+    The same accounted reader/writer as a task context
+    (:class:`~repro.mapreduce.job.AccountedIO`), so the recursive factor
+    assembly and Region reads work unchanged on the master; the bytes
+    accumulate here until the phase drains them (:meth:`take_io`).
     """
 
     def __init__(self, dfs: DFS) -> None:
-        self.dfs = dfs
+        super().__init__(dfs)
         self.bytes_read = 0
         self.bytes_written = 0
-        self._scope: CommitScope | None = None
 
     # -- two-phase commit scoping (driven by Pipeline.execute_phase) ---------
 
     def begin_phase(self, scope: CommitScope) -> None:
         """Route subsequent writes into the phase's staging scope."""
-        self._scope = scope
+        self.scope = scope
 
     def end_phase(self) -> None:
-        self._scope = None
+        self.scope = None
 
     def take_io(self) -> tuple[int, int]:
         """Return and reset the accumulated (read, written) byte counts."""
@@ -91,38 +93,11 @@ class MasterIO:
         self.bytes_written = 0
         return r, w
 
-    def read_bytes(self, path: str) -> bytes:
-        data = self.dfs.read_bytes(path)
-        self.bytes_read += len(data)
-        return data
-
-    def write_bytes(self, path: str, data: bytes) -> None:
-        if self._scope is not None:
-            self._scope.stage_bytes(path, data)
-        else:
-            self.dfs.write_bytes(path, data)
-        self.bytes_written += len(data)
-
-    def read_matrix(self, path: str) -> np.ndarray:
-        """Decoded-matrix read with the same cache semantics as
-        :meth:`~repro.mapreduce.job.TaskContext.read_matrix`: logical bytes
-        are accounted to the master either way, physical DFS traffic only on
-        a miss."""
-        cache = self.dfs.cache
-        if cache is None:
-            return formats.decode_matrix(self.read_bytes(path))
-        m, nbytes = cache.read_through(self.dfs, path)
-        self.dfs.stats.record_cache_request(nbytes)
+    def _account_read(self, nbytes: int) -> None:
         self.bytes_read += nbytes
-        return m
 
-    def read_rows(self, path: str, r1: int, r2: int) -> np.ndarray:
-        m = formats.read_rows(self.dfs, path, r1, r2)
-        self.bytes_read += m.nbytes
-        return m
-
-    def exists(self, path: str) -> bool:
-        return self.dfs.exists(path)
+    def _account_write(self, nbytes: int) -> None:
+        self.bytes_written += nbytes
 
 
 @dataclass
@@ -185,20 +160,18 @@ class MatrixInverter:
         self,
         config: InversionConfig | None = None,
         runtime: MapReduceRuntime | None = None,
-        runtime_config: RuntimeConfig | None = None,
         fault_policy: FaultPolicy | None = None,
     ) -> None:
         self.config = config or InversionConfig()
         self._owns_runtime = runtime is None
-        if runtime is None and runtime_config is None:
-            # Derive the runtime from the inversion config: one worker slot
-            # per compute node unless num_workers overrides it.
-            runtime_config = RuntimeConfig(
+        # The driver-built runtime is derived from the inversion config: one
+        # worker slot per compute node unless num_workers overrides it.
+        self.runtime = runtime or MapReduceRuntime(
+            config=RuntimeConfig(
                 num_workers=self.config.num_workers or self.config.m0,
                 executor=self.config.executor,
-            )
-        self.runtime = runtime or MapReduceRuntime(
-            config=runtime_config, fault_policy=fault_policy
+            ),
+            fault_policy=fault_policy,
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -214,20 +187,6 @@ class MatrixInverter:
         self.close()
 
     # -- plumbing ---------------------------------------------------------------
-
-    def _pipeline(self) -> Pipeline:
-        cfg = self.config
-        return Pipeline(
-            self.runtime,
-            retry_policy=cfg.retry,
-            max_attempts=cfg.max_attempts,
-            telemetry=cfg.telemetry,
-            # The run's manifest log (``None`` with the protocol off).
-            commit_log=(
-                CommitLog(self.runtime.dfs, cfg.root) if cfg.output_commit else None
-            ),
-            output_commit=cfg.output_commit,
-        )
 
     def _configure_cache(self) -> None:
         """Attach/detach the decoded-block cache per ``config.block_cache_bytes``.
@@ -274,7 +233,9 @@ class MatrixInverter:
             layout = Layout(plan, cfg, n)
         layout.plan.validate()
         dfs = self.runtime.dfs
-        pipeline = self._pipeline()
+        # The run's manifest log (``None`` with the protocol off).
+        log = CommitLog(dfs, cfg.root) if cfg.output_commit else None
+        pipeline = Pipeline(self.runtime, commit_log=log)
         master = MasterIO(dfs)
         if resume:
             # Roll back any debris the crashed run left — orphaned staging,
@@ -307,15 +268,13 @@ class MatrixInverter:
 
     def _resume_fsck(self, dfs: DFS) -> None:
         """Repairing consistency check run before any resume decision."""
-        tracer = resolve_tracer(self.config.telemetry)
-        with tracer.span("resume-fsck", SpanKind.DFS_REPAIR) as span:
+        with current_tracer().span("resume-fsck", SpanKind.DFS_REPAIR) as span:
             report = fsck(dfs, root=self.config.root, repair=True)
-            if tracer.enabled:
-                span.set(
-                    issues=len(report.issues),
-                    files_checked=report.files_checked,
-                    manifests_checked=report.manifests_checked,
-                )
+            span.set(
+                issues=len(report.issues),
+                files_checked=report.files_checked,
+                manifests_checked=report.manifests_checked,
+            )
 
     # -- the one step list ---------------------------------------------------------
 
@@ -380,9 +339,7 @@ class MatrixInverter:
                 lambda wait: pipeline.execute_job(
                     conf, parent_span=parent_span, span_attrs=stamp(wait)
                 ),
-                lambda result: pipeline.commit_job(
-                    conf.name, result, output_commit=conf.output_commit
-                ),
+                lambda result: pipeline.commit_job(conf.name, result),
             )
 
         def add_phase(step: str, node: PlanNode, body, flops: float = 0.0) -> None:
@@ -449,23 +406,22 @@ class MatrixInverter:
         dataflow = cfg.schedule == "dataflow"
         dfs = self.runtime.dfs
         before = dfs.stats.snapshot()
-        tracer = resolve_tracer(cfg.telemetry)
+        # Resolved once, here in the driving thread; everything below gets
+        # the tracer ambiently (same thread, or a unit thread the scheduler
+        # activates it on) and its parent span explicitly.
+        tracer = current_tracer()
         with tracer.span(span_name, SpanKind.RUN) as run_span:
-            if tracer.enabled:
-                run_span.set(n=n, nb=cfg.nb, m0=cfg.m0, **(span_attrs or {}))
-                if dataflow:
-                    run_span.set(schedule="dataflow")
+            run_span.set(n=n, nb=cfg.nb, m0=cfg.m0, **(span_attrs or {}))
+            if dataflow:
+                run_span.set(schedule="dataflow")
             layout, pipeline, master, model = self._prepare(n, *ingest, resume=resume)
-            parent = run_span if tracer.enabled else None
-            units = self._units(layout, pipeline, parent, resume, final)
+            units = self._units(layout, pipeline, run_span, resume, final)
             report = None
             if dataflow:
                 needs = model.unit_needs()
                 for unit in units:
                     unit.needs = needs[unit.name]
-                report = DataflowScheduler(
-                    dfs=dfs, units=units, model=model, telemetry=cfg.telemetry
-                ).run()
+                report = DataflowScheduler(dfs=dfs, units=units, model=model).run()
             else:
                 run_in_order(units)
             if not final:
@@ -564,13 +520,18 @@ class MatrixInverter:
         product also done where the data lives)."""
         from ..systemml import MatrixOps, read_matrix, save_matrix
 
-        a = np.asarray(a, dtype=np.float64)
+        a = _as_square(a)
         b = np.asarray(b, dtype=np.float64)
         one_d = b.ndim == 1
         if one_d:
             b = b[:, None]
-        if b.shape[0] != a.shape[0]:
-            raise ValueError(f"rhs has {b.shape[0]} rows, matrix is {a.shape[0]}")
+        if b.ndim != 2 or b.shape[0] != a.shape[0]:
+            raise ValueError(
+                f"rhs has shape {b.shape}, matrix is {a.shape[0]}x{a.shape[0]}"
+            )
+        # Checked before the inversion: a NaN/inf right-hand side would pay
+        # for every job and come back as NaNs.
+        _require_finite(b, "rhs")
         result = self.invert(a)
         ops = MatrixOps(self.runtime, m0=self.config.m0)
         h_inv = save_matrix(
@@ -619,16 +580,20 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    # A NaN/inf entry would flow through every job and come back as a NaN
+    # "inverse"; reject it before anything is written to the DFS.
+    _require_finite(a, "matrix")
+    return a
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
     finite = np.isfinite(a)
     if not finite.all():
-        # A NaN/inf entry would flow through every job and come back as a
-        # NaN "inverse"; reject it before anything is written to the DFS.
         row, col = (int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(
-            f"matrix has a non-finite entry {a[row, col]!r} at "
+            f"{what} has a non-finite entry {a[row, col]!r} at "
             f"(row {row}, col {col}); every entry must be finite"
         )
-    return a
 
 
 def invert(

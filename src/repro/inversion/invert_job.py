@@ -34,7 +34,7 @@ from ..mapreduce import (
 )
 from .factors import read_lower, read_upper
 from .layout import Layout
-from .lu_jobs import control_splits, worker_id
+from .lu_jobs import pipeline_job, worker_id
 
 
 def _share(n: int, parts: int, part: int, wrap: bool) -> range:
@@ -212,11 +212,10 @@ def read_final_inverse(layout: Layout, reader) -> np.ndarray:
 def invert_job(layout: Layout) -> JobConf:
     """The final job: ``m0`` mappers invert the triangular factors, ``m0``
     reducers multiply them (Figure 2's last stage)."""
-    m0 = layout.config.m0
-    return JobConf(
-        name="invert-final",
-        mapper_factory=TaskFactory(InvertMapper, (layout,)),
-        reducer_factory=TaskFactory(InvertReducer, (layout,)),
-        splits=control_splits(layout),
-        num_reduce_tasks=m0,
+    return pipeline_job(
+        layout,
+        "invert-final",
+        TaskFactory(InvertMapper, (layout,)),
+        TaskFactory(InvertReducer, (layout,)),
+        num_reduce_tasks=layout.config.m0,
     )

@@ -23,6 +23,8 @@ Hadoop deployment ships the same information through the job configuration
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from ..dfs import formats
@@ -49,6 +51,32 @@ def control_splits(layout: Layout) -> list[InputSplit]:
         InputSplit(index=j, payload=j, path=layout.map_input_path(j))
         for j in range(layout.config.m0)
     ]
+
+
+def pipeline_job(
+    layout: Layout,
+    name: str,
+    mapper: Callable[[], Mapper],
+    reducer: Callable[[], Reducer] | None = None,
+    num_reduce_tasks: int = 1,
+) -> JobConf:
+    """A complete conf for one job of the inversion workflow: the ``m0``
+    control-file splits plus the run's policy.
+
+    The one place ``layout.config`` (the run's :class:`InversionConfig`)
+    becomes the run-policy fields of a :class:`JobConf` — every job of the
+    package is built here, and nothing downstream re-stamps a conf.
+    """
+    cfg = layout.config
+    return JobConf(
+        name=name,
+        mapper_factory=mapper,
+        reducer_factory=reducer,
+        splits=control_splits(layout),
+        num_reduce_tasks=num_reduce_tasks,
+        retry=cfg.retry,
+        output_commit=cfg.output_commit,
+    )
 
 
 def worker_id(ctx: TaskContext, split: InputSplit) -> int:
@@ -132,10 +160,8 @@ class PartitionMapper(Mapper):
 
 def partition_job(layout: Layout) -> JobConf:
     """Map-only partition job over ``m0`` control-file splits."""
-    return JobConf(
-        name="partition",
-        mapper_factory=TaskFactory(PartitionMapper, (layout,)),
-        splits=control_splits(layout),
+    return pipeline_job(
+        layout, "partition", TaskFactory(PartitionMapper, (layout,))
     )
 
 
@@ -237,11 +263,10 @@ class LUJobReducer(Reducer):
 def lu_job(layout: Layout, node: PlanNode) -> JobConf:
     """The MapReduce job decomposing one internal node (lines 7-9 of
     Algorithm 2): ``m0`` mappers, ``m0`` reducers, control-pair shuffle."""
-    m0 = layout.config.m0
-    return JobConf(
-        name=f"lu:{node.dir}",
-        mapper_factory=TaskFactory(LUJobMapper, (layout, node)),
-        reducer_factory=TaskFactory(LUJobReducer, (layout, node)),
-        splits=control_splits(layout),
-        num_reduce_tasks=m0,
+    return pipeline_job(
+        layout,
+        f"lu:{node.dir}",
+        TaskFactory(LUJobMapper, (layout, node)),
+        TaskFactory(LUJobReducer, (layout, node)),
+        num_reduce_tasks=layout.config.m0,
     )

@@ -24,7 +24,7 @@ from ..mapreduce import (
 )
 from .invert_job import read_final_inverse
 from .layout import Layout
-from .lu_jobs import control_splits, worker_id
+from .lu_jobs import pipeline_job, worker_id
 
 
 class VerifyMapper(Mapper):
@@ -63,10 +63,6 @@ class MaxReducer(Reducer):
 
 
 def verify_job(layout: Layout) -> JobConf:
-    return JobConf(
-        name="verify-identity",
-        mapper_factory=TaskFactory(VerifyMapper, (layout,)),
-        reducer_factory=MaxReducer,
-        splits=control_splits(layout),
-        num_reduce_tasks=1,
+    return pipeline_job(
+        layout, "verify-identity", TaskFactory(VerifyMapper, (layout,)), MaxReducer
     )

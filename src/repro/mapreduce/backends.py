@@ -7,10 +7,8 @@ JobTracker and whatever executes its attempts:
   results *or raised exceptions* positionally — backends never raise on a
   task's behalf, the master decides what a failure means;
 * ``in_process`` tells the master whether thunks may capture live driver
-  objects (closures over the DFS) or must be picklable descriptors;
-* ``supports_shared_memory`` advertises that DFS payloads should be
-  exported into shared segments (:mod:`repro.dfs.shm`) for the backend's
-  workers.
+  objects (closures over the DFS) or must be picklable descriptors, which
+  read DFS payloads from shared segments (:mod:`repro.dfs.shm`).
 
 Backends register by name in a factory registry (:func:`register_backend`)
 so embedders can plug their own pools in behind :func:`make_executor`
@@ -79,8 +77,6 @@ class ExecutionBackend(Protocol):
     max_workers: int
     #: Thunks may capture live driver objects (False ⇒ picklable descriptors).
     in_process: bool
-    #: DFS payloads should be exported via :mod:`repro.dfs.shm`.
-    supports_shared_memory: bool
 
     def run_all(
         self,
@@ -138,7 +134,6 @@ class SerialExecutor:
 
     max_workers = 1
     in_process = True
-    supports_shared_memory = False
 
     def run_all(
         self,
@@ -182,7 +177,6 @@ class ThreadPoolBackend:
     """
 
     in_process = True
-    supports_shared_memory = False
 
     #: Collector poll interval while waiting for an attempt to start.
     _START_POLL_SECONDS = 0.005
@@ -373,29 +367,18 @@ class ProcessPoolBackend:
     """
 
     in_process = False
-    supports_shared_memory = True
 
-    def __init__(
-        self,
-        max_workers: int = 8,
-        *,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int = 8) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
+        # fork where the platform has it: dramatically cheaper per worker,
+        # and it shares the driver's resource tracker; _worker_main
+        # neutralizes the two fork hazards (inherited tracer/exporters)
+        # explicitly.
         methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            # fork is dramatically cheaper per worker and shares the
-            # driver's resource tracker; _worker_main neutralizes the two
-            # fork hazards (inherited tracer/exporters) explicitly.
-            start_method = "fork" if "fork" in methods else "spawn"
-        elif start_method not in methods:
-            raise ValueError(
-                f"start method {start_method!r} unavailable (have {methods})"
-            )
-        self._start_method = start_method
-        self._ctx = multiprocessing.get_context(start_method)
+        self._start_method = "fork" if "fork" in methods else "spawn"
+        self._ctx = multiprocessing.get_context(self._start_method)
         # Start the shared resource tracker *before* the first fork so
         # every forked child inherits it (see repro.dfs.shm docstring).
         from multiprocessing import resource_tracker

@@ -24,7 +24,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dfs.commit import CommitScope
-    from ..telemetry.api import TraceConfig
 
 from ..dfs import formats
 from ..dfs.filesystem import DFS
@@ -50,60 +49,28 @@ def default_partitioner(key: Any, num_partitions: int) -> int:
     return h % num_partitions
 
 
-class TaskContext:
-    """Execution context handed to mapper/reducer code.
+class AccountedIO:
+    """DFS I/O with byte accounting and commit-scope routing.
 
-    Wraps the shared DFS with per-task byte accounting and carries the emit
-    buffer, counters, and the job's parameter dictionary.
+    The one implementation behind a task attempt's :class:`TaskContext` and
+    the master phases' :class:`~repro.inversion.driver.MasterIO`, so scope
+    routing and cache accounting cannot drift apart between the two.
+    Subclasses only say *where* the bytes are accounted
+    (:meth:`_account_read` / :meth:`_account_write`).
     """
 
-    def __init__(
-        self,
-        dfs: DFS,
-        attempt_id: TaskAttemptId,
-        params: dict[str, Any],
-        trace: TaskTrace,
-        counters: Counters,
-        scope: "CommitScope | None" = None,
-    ) -> None:
+    def __init__(self, dfs: DFS, scope: "CommitScope | None" = None) -> None:
         self.dfs = dfs
-        self.attempt_id = attempt_id
-        self.params = params
-        self.trace = trace
-        self.counters = counters
         #: Two-phase output commit: when set, every write is staged under
-        #: this attempt's private ``/_tmp`` directory as a pending file; the
-        #: master publishes the winning attempt's files at task commit.
+        #: this scope's private ``/_tmp`` directory as a pending file, to be
+        #: published (the winning attempt's, or the phase's) at commit.
         self.scope = scope
-        self._emitted: list[tuple[Any, Any]] = []
-
-    # -- emit ----------------------------------------------------------------
-
-    def emit(self, key: Any, value: Any) -> None:
-        self._emitted.append((key, value))
-
-    @property
-    def emitted(self) -> list[tuple[Any, Any]]:
-        return self._emitted
-
-    # -- counters ------------------------------------------------------------
-
-    def increment(self, group: str, name: str, amount: int = 1) -> None:
-        self.counters.increment(group, name, amount)
-
-    def report_flops(self, flops: float) -> None:
-        """Declare floating-point work done outside the I/O helpers."""
-        self.trace.flops += flops
-
-    # -- accounted DFS I/O ----------------------------------------------------
 
     def _account_read(self, nbytes: int) -> None:
-        self.trace.bytes_read += nbytes
-        self.counters.increment(FILESYSTEM_GROUP, BYTES_READ, nbytes)
+        raise NotImplementedError
 
     def _account_write(self, nbytes: int) -> None:
-        self.trace.bytes_written += nbytes
-        self.counters.increment(FILESYSTEM_GROUP, BYTES_WRITTEN, nbytes)
+        raise NotImplementedError
 
     def read_bytes(self, path: str) -> bytes:
         data = self.dfs.read_bytes(path)
@@ -133,9 +100,9 @@ class TaskContext:
         """Read a binary matrix file, served from the worker-shared decoded
         cache when one is attached to the DFS.
 
-        Either way the task is accounted the file's full logical size (trace
-        + counters); only *physical* DFS traffic disappears on a hit.  The
-        result is read-only — copy before mutating.
+        Either way the caller is accounted the file's full logical size;
+        only *physical* DFS traffic disappears on a hit.  The result is
+        read-only — copy before mutating.
         """
         cache = self.dfs.cache
         if cache is None:
@@ -158,6 +125,59 @@ class TaskContext:
 
     def exists(self, path: str) -> bool:
         return self.dfs.exists(path)
+
+
+class TaskContext(AccountedIO):
+    """Execution context handed to mapper/reducer code.
+
+    Wraps the shared DFS with per-task byte accounting (trace + counters)
+    and carries the emit buffer, counters, and the job's parameter
+    dictionary.
+    """
+
+    def __init__(
+        self,
+        dfs: DFS,
+        attempt_id: TaskAttemptId,
+        params: dict[str, Any],
+        trace: TaskTrace,
+        counters: Counters,
+        scope: "CommitScope | None" = None,
+    ) -> None:
+        super().__init__(dfs, scope)
+        self.attempt_id = attempt_id
+        self.params = params
+        self.trace = trace
+        self.counters = counters
+        self._emitted: list[tuple[Any, Any]] = []
+
+    # -- emit ----------------------------------------------------------------
+
+    def emit(self, key: Any, value: Any) -> None:
+        self._emitted.append((key, value))
+
+    @property
+    def emitted(self) -> list[tuple[Any, Any]]:
+        return self._emitted
+
+    # -- counters ------------------------------------------------------------
+
+    def increment(self, group: str, name: str, amount: int = 1) -> None:
+        self.counters.increment(group, name, amount)
+
+    def report_flops(self, flops: float) -> None:
+        """Declare floating-point work done outside the I/O helpers."""
+        self.trace.flops += flops
+
+    # -- accounting hooks of AccountedIO ----------------------------------------
+
+    def _account_read(self, nbytes: int) -> None:
+        self.trace.bytes_read += nbytes
+        self.counters.increment(FILESYSTEM_GROUP, BYTES_READ, nbytes)
+
+    def _account_write(self, nbytes: int) -> None:
+        self.trace.bytes_written += nbytes
+        self.counters.increment(FILESYSTEM_GROUP, BYTES_WRITTEN, nbytes)
 
 
 class Mapper:
@@ -232,14 +252,10 @@ class JobConf:
     #: never splits across reducers.
     grouping_fn: Callable[[Any], Any] | None = None
     params: dict[str, Any] = field(default_factory=dict)
-    max_attempts: int = 4
-    #: Backoff/deadline behaviour for retries (:class:`RetryPolicy`); ``None``
-    #: retries immediately with no attempt deadline, as Hadoop does by default.
-    retry_policy: RetryPolicy | None = None
-    #: Per-job telemetry override (:class:`~repro.telemetry.TraceConfig`).
-    #: ``None`` falls back to the runtime's config, then the ambient tracer
-    #: activated by :func:`repro.observe`.
-    telemetry: "TraceConfig | None" = None
+    #: Attempt budget, backoff and per-attempt deadline (:class:`RetryPolicy`);
+    #: the default retries immediately, up to four attempts, with no
+    #: deadline, as Hadoop does.
+    retry: RetryPolicy = RetryPolicy()
     #: Two-phase output commit (on by default): task attempts stage their
     #: DFS writes under ``/_tmp/attempt-<id>/`` and the master atomically
     #: publishes only the winning attempt's files — crashed, losing, and
@@ -253,8 +269,6 @@ class JobConf:
             self.num_reduce_tasks = 0
         elif self.num_reduce_tasks < 1:
             raise ValueError("num_reduce_tasks must be >= 1 when a reducer is set")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
     @property
     def is_map_only(self) -> bool:

@@ -2,14 +2,14 @@
 
 Scheduling is wave-based: all runnable attempts of a phase are submitted to
 the worker pool together; failed tasks are resubmitted in the next wave with
-an incremented attempt number, up to ``max_attempts`` (Hadoop's
-``mapred.map.max.attempts`` semantics).  A task that exhausts its attempts
-fails the whole job.
+an incremented attempt number, up to the job's ``retry.max_attempts``
+(Hadoop's ``mapred.map.max.attempts`` semantics).  A task that exhausts its
+attempts fails the whole job.
 
 On top of the basic retry loop the tracker provides the failure-detection
 machinery Section 7.4's end-to-end fault story depends on:
 
-* **Backoff + deadlines** — a :class:`~repro.mapreduce.retry.RetryPolicy` on
+* **Backoff + deadlines** — the :class:`~repro.mapreduce.retry.RetryPolicy` on
   the job conf spaces retry waves with capped exponential backoff
   (deterministically jittered) and bounds each attempt's wall-clock time, so
   a *hung* task times out (:class:`~repro.mapreduce.backends.TaskTimeoutError`)
@@ -29,13 +29,20 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..dfs.commit import staging_dir
 from ..dfs.filesystem import DFS
-from ..telemetry.spans import NULL_TRACER, NullTracer, Span, SpanKind, Tracer
+from ..telemetry.spans import (
+    NULL_SPAN,
+    NULL_TRACER,
+    NullTracer,
+    Span,
+    SpanKind,
+    Tracer,
+    _NullSpan,
+)
 from .counters import (
     Counters,
     FAILED_MAPS,
@@ -268,20 +275,6 @@ class JobTracker:
         #: internal locking.
         self._exporter = None
         self._exporter_lock = threading.Lock()
-        #: Whether the backend streams per-completion outcomes; custom
-        #: backends without the ``on_outcome`` parameter fall back to
-        #: post-wave processing.
-        self._streams_outcomes = self._accepts_on_outcome(executor)
-
-    @staticmethod
-    def _accepts_on_outcome(executor: ExecutionBackend) -> bool:
-        import inspect
-
-        try:
-            sig = inspect.signature(executor.run_all)
-        except (TypeError, ValueError):  # pragma: no cover - C callables
-            return False
-        return "on_outcome" in sig.parameters
 
     def shutdown(self) -> None:
         """Retire tracker-owned resources (shared-memory exports)."""
@@ -300,69 +293,6 @@ class JobTracker:
                 self._exporter = ShmExporter(self.dfs)
             return self._exporter.sync()
 
-    def _absorb_remote(
-        self,
-        outcome: Any,
-        idx: int,
-        attempt_id: TaskAttemptId,
-        node: int,
-        kind: TaskKind,
-        tracer: Tracer | NullTracer,
-        wave_span: Span | None,
-        attempt_spans: dict[tuple[int, int], Span],
-    ) -> Any:
-        """Land one out-of-process outcome: replay its write-back through the
-        accounted DFS paths and record the attempt's TASK span driver-side.
-
-        Mirrors the in-process thunk contract — returns the attempt result
-        on success and the exception object on failure, so the wave's
-        outcome loop (publish winner / discard staging / node health) is
-        backend-agnostic.  DFS_WRITE spans emitted during the replay nest
-        under the TASK span via the ambient context.
-        """
-        from .remote import materialize_remote_outcome
-
-        if wave_span is None:
-            if isinstance(outcome, Exception):
-                return outcome
-            try:
-                materialize_remote_outcome(self.dfs, outcome)
-            except Exception as exc:  # noqa: BLE001 - becomes attempt failure
-                return exc
-            return outcome.result
-        try:
-            with tracer.span(
-                str(attempt_id),
-                SpanKind.TASK,
-                parent=wave_span,
-                attrs={
-                    "task": idx,
-                    "attempt": attempt_id.attempt,
-                    "node": node,
-                    "phase": kind.value,
-                },
-            ) as tspan:
-                attempt_spans[(idx, attempt_id.attempt)] = tspan
-                if isinstance(outcome, Exception):
-                    raise outcome
-                materialize_remote_outcome(self.dfs, outcome)
-                trace = outcome.result.trace
-                tspan.set(
-                    bytes_read=trace.bytes_read,
-                    bytes_written=trace.bytes_written,
-                    bytes_shuffled=trace.bytes_shuffled,
-                    flops=trace.flops,
-                )
-        except Exception as exc:  # noqa: BLE001 - becomes attempt failure
-            return exc
-        # The attempt already ran in a child; stretch the span back so its
-        # duration covers the attempt's wall clock, not just the replay.
-        if tspan.end is not None:
-            tspan.start = min(
-                tspan.start, tspan.end - outcome.result.trace.wall_seconds
-            )
-        return outcome.result
-
     # -- generic phase runner --------------------------------------------------
 
     def _sleep(self, seconds: float) -> None:
@@ -377,7 +307,7 @@ class JobTracker:
         work_items: list[Any],
         run_one,
         tracer: Tracer | NullTracer = NULL_TRACER,
-        job_span: Span | None = None,
+        job_span: Span | _NullSpan = NULL_SPAN,
     ) -> tuple[list[Any], _PhaseStats]:
         """Drive one phase (map or reduce) to completion.
 
@@ -385,11 +315,12 @@ class JobTracker:
         attempt_id, node)`` executes one attempt on a simulated worker node.
         Returns per-task results in task order plus launch/failure statistics.
 
-        With an enabled ``tracer``, each retry wave gets a WAVE span under
-        ``job_span`` and each attempt a TASK span under its wave.  Task spans
-        are opened *inside* the worker thread so DFS operations performed by
-        the attempt nest under them; the parent is passed explicitly because
-        worker threads do not inherit the driver's context.
+        Each retry wave gets a WAVE span under ``job_span`` and each attempt
+        a TASK span under its wave (all of them the shared no-op span under
+        the null tracer).  Task spans are opened *inside* the worker thread
+        so DFS operations performed by the attempt nest under them; the
+        parent is passed explicitly because worker threads do not inherit
+        the driver's context.
         """
         # Register this job's name so name-aware fault policies resolve each
         # attempt against *its own* job, even when the dataflow scheduler
@@ -404,8 +335,7 @@ class JobTracker:
 
             ensure_remote_runnable(conf)
 
-        policy = conf.retry_policy
-        deadline = policy.attempt_deadline if policy is not None else None
+        policy = conf.retry
         stats = _PhaseStats()
         results: list[Any] = [None] * len(work_items)
         next_attempt = [0] * len(work_items)
@@ -413,11 +343,10 @@ class JobTracker:
         failures: dict[int, list[AttemptFailure]] = {i: [] for i in pending}
         last_failed_node: dict[int, int] = {}
         timed_out_tasks: set[int] = set()
-        # Worker threads insert task spans concurrently (CN008: the traced()
-        # closures escape into the executor); writes take spans_lock, reads
-        # happen after run_all() returns (join point).
+        # Worker threads insert task spans concurrently (CN008: the thunks
+        # escape into the executor); every access takes spans_lock.
         spans_lock = threading.Lock()
-        attempt_spans: dict[tuple[int, int], Span] = {}
+        attempt_spans: dict[tuple[int, int], Any] = {}
         wave_no = 0
 
         def fail_permanently(idx: int) -> None:
@@ -429,59 +358,106 @@ class JobTracker:
                 last,
                 attempts=history,
                 trace_id=tracer.trace_id or None,
-                job_span_id=job_span.span_id if job_span is not None else None,
+                job_span_id=job_span.span_id or None,
             )
+
+        def in_task_span(
+            idx: int, attempt_id: TaskAttemptId, node: int, wave_span, body
+        ) -> Any:
+            """Run ``body`` — an in-process attempt, or the driver-side
+            landing of a remote one — inside that attempt's TASK span."""
+            with tracer.span(
+                str(attempt_id),
+                SpanKind.TASK,
+                parent=wave_span,
+                attrs={
+                    "task": idx,
+                    "attempt": attempt_id.attempt,
+                    "node": node,
+                    "phase": kind.value,
+                },
+            ) as tspan:
+                # Never crosses a process boundary (the ProcessPoolBackend
+                # ships RemoteTask descriptors and lands them driver-side),
+                # so the captured lock is shareable.
+                with spans_lock:  # lint: ignore[PS007]
+                    attempt_spans[(idx, attempt_id.attempt)] = tspan
+                out = body()
+                trace = getattr(out, "trace", None)
+                if trace is not None:
+                    tspan.set(
+                        bytes_read=trace.bytes_read,
+                        bytes_written=trace.bytes_written,
+                        bytes_shuffled=trace.bytes_shuffled,
+                        flops=trace.flops,
+                    )
+                return out
 
         def make_thunk(idx: int, attempt_id: TaskAttemptId, node: int, wave_span):
             item = work_items[idx]
-            if wave_span is None:
-                return lambda: run_one(item, attempt_id, node)  # task-boundary
 
-            def traced() -> Any:  # task-boundary
-                with tracer.span(
-                    str(attempt_id),
-                    SpanKind.TASK,
-                    parent=wave_span,
-                    attrs={
-                        "task": idx,
-                        "attempt": attempt_id.attempt,
-                        "node": node,
-                        "phase": kind.value,
-                    },
-                ) as tspan:
-                    # In-process backends only: these closures never cross a
-                    # process boundary, so the captured lock is shareable.
-                    # The ProcessPoolBackend path ships RemoteTask
-                    # descriptors instead and records spans driver-side.
-                    with spans_lock:  # lint: ignore[PS007]
-                        attempt_spans[(idx, attempt_id.attempt)] = tspan
-                    out = run_one(item, attempt_id, node)
-                    trace = getattr(out, "trace", None)
-                    if trace is not None:
-                        tspan.set(
-                            bytes_read=trace.bytes_read,
-                            bytes_written=trace.bytes_written,
-                            bytes_shuffled=trace.bytes_shuffled,
-                            flops=trace.flops,
-                        )
-                    return out
+            def attempt() -> Any:  # task-boundary
+                return in_task_span(
+                    idx, attempt_id, node, wave_span,
+                    lambda: run_one(item, attempt_id, node),
+                )
 
-            return traced
+            return attempt
+
+        def span_of(idx: int, attempt_id: TaskAttemptId) -> Any:
+            # NULL_SPAN for an attempt that never started (starved, killed
+            # before dispatch) as much as for an untraced one.
+            with spans_lock:
+                return attempt_spans.get((idx, attempt_id.attempt), NULL_SPAN)
+
+        def land_remote(
+            outcome: Any, idx: int, attempt_id: TaskAttemptId, node: int, wave_span
+        ) -> Any:
+            """Land one out-of-process outcome: replay its write-back through
+            the accounted DFS paths under the attempt's TASK span (DFS_WRITE
+            spans of the replay nest there via the ambient context).
+
+            Mirrors the in-process thunk contract — the attempt result on
+            success, the exception object on failure — so the outcome
+            handling below is backend-agnostic.
+            """
+            from .remote import materialize_remote_outcome
+
+            def land() -> Any:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                materialize_remote_outcome(self.dfs, outcome)
+                return outcome.result
+
+            try:
+                result = in_task_span(idx, attempt_id, node, wave_span, land)
+            except Exception as exc:  # noqa: BLE001 - becomes attempt failure
+                return exc
+            # The attempt already ran in a child; stretch the span back so
+            # its duration covers the attempt's wall clock, not just the
+            # replay.
+            tspan = span_of(idx, attempt_id)
+            if tspan.end is not None:
+                tspan.start = min(
+                    tspan.start, tspan.end - result.trace.wall_seconds
+                )
+            return result
 
         while pending:
             # Backoff before a retry wave: the wave launches together, so
-            # sleep the longest delay any of its tasks has earned.
-            if policy is not None:
-                delay = max(
-                    (
-                        policy.delay_for(next_attempt[idx], key=f"{job_id}:{kind.value}:{idx}")
-                        for idx in pending
-                    ),
-                    default=0.0,
-                )
-                if delay > 0:
-                    self._sleep(delay)
-                    stats.backoff_seconds += delay
+            # sleep the longest delay any of its tasks has earned (a task's
+            # first attempt has earned none).
+            delay = max(
+                (
+                    policy.delay_for(next_attempt[idx], key=f"{job_id}:{kind.value}:{idx}")
+                    for idx in pending
+                    if next_attempt[idx] > 0
+                ),
+                default=0.0,
+            )
+            if delay > 0:
+                self._sleep(delay)
+                stats.backoff_seconds += delay
             # Build the wave: one attempt per pending task, plus a speculative
             # duplicate when globally enabled or when the task just timed out
             # (a hung attempt hints at a slow node; hedge the retry).
@@ -490,7 +466,7 @@ class JobTracker:
                 copies = 2 if (self.speculative or idx in timed_out_tasks) else 1
                 for _ in range(copies):
                     attempt_no = next_attempt[idx]
-                    if attempt_no >= conf.max_attempts:
+                    if attempt_no >= policy.max_attempts:
                         break
                     next_attempt[idx] += 1
                     attempt_id = TaskAttemptId(
@@ -502,19 +478,14 @@ class JobTracker:
             if not wave:
                 fail_permanently(pending[0])
 
-            wave_ctx = (
-                tracer.span(
-                    f"{kind.value}-wave-{wave_no}",
-                    SpanKind.WAVE,
-                    parent=job_span,
-                    attrs={"phase": kind.value, "wave": wave_no, "tasks": len(wave)},
-                )
-                if tracer.enabled
-                else nullcontext(None)
-            )
             still_pending: set[int] = set(pending)
             wave_timed_out: set[int] = set()
-            with wave_ctx as wave_span:
+            with tracer.span(
+                f"{kind.value}-wave-{wave_no}",
+                SpanKind.WAVE,
+                parent=job_span,
+                attrs={"phase": kind.value, "wave": wave_no, "tasks": len(wave)},
+            ) as wave_span:
                 if in_process:
                     thunks = [
                         make_thunk(idx, attempt_id, node, wave_span)
@@ -549,9 +520,8 @@ class JobTracker:
                     """
                     idx, attempt_id, node = wave[pos]
                     if not in_process:
-                        outcome = self._absorb_remote(
-                            outcome, idx, attempt_id, node, kind,
-                            tracer, wave_span, attempt_spans,
+                        outcome = land_remote(
+                            outcome, idx, attempt_id, node, wave_span
                         )
                     if isinstance(outcome, Exception):
                         if getattr(outcome, "fatal", False):
@@ -568,19 +538,13 @@ class JobTracker:
                             # on_outcome runs in the driver thread (backend
                             # contract), so these mutations are single-threaded.
                             wave_timed_out.add(idx)  # lint: ignore[CN008]
-                        with spans_lock:
-                            failed_span = attempt_spans.get(
-                                (idx, attempt_id.attempt)
-                            )
                         failures[idx].append(
                             AttemptFailure(
                                 attempt=attempt_id,
                                 node=node,
                                 error=outcome,
                                 timed_out=timed_out,
-                                span_id=(
-                                    failed_span.span_id if failed_span else None
-                                ),
+                                span_id=span_of(idx, attempt_id).span_id or None,
                             )
                         )
                         last_failed_node[idx] = node  # lint: ignore[CN008]
@@ -606,32 +570,24 @@ class JobTracker:
                         # Stamp the winning attempt so reconciliation counts
                         # each task's bytes exactly once even under
                         # speculation.
-                        with spans_lock:
-                            won = attempt_spans.get((idx, attempt_id.attempt))
-                        if won is not None:
-                            won.set(committed=True)
+                        span_of(idx, attempt_id).set(committed=True)
                     if staged is not None:
                         self.dfs.discard_staging(
                             staging_dir(f"attempt-{attempt_id}")
                         )
 
-                if self._streams_outcomes:
-                    self.executor.run_all(
-                        thunks, deadline=deadline, on_outcome=process_outcome
-                    )
-                else:
-                    # Custom backend without the streaming hook: classic
-                    # post-wave processing, in submission order.
-                    outcomes = self.executor.run_all(thunks, deadline=deadline)
-                    for pos, outcome in enumerate(outcomes):
-                        process_outcome(pos, outcome)
+                self.executor.run_all(
+                    thunks,
+                    deadline=policy.attempt_deadline,
+                    on_outcome=process_outcome,
+                )
             wave_no += 1
             self.node_health.tick()
 
             exhausted = [
                 idx
                 for idx in still_pending
-                if next_attempt[idx] >= conf.max_attempts
+                if next_attempt[idx] >= policy.max_attempts
             ]
             if exhausted:
                 fail_permanently(exhausted[0])
@@ -652,7 +608,7 @@ class JobTracker:
         conf: JobConf,
         job_id: JobId,
         tracer: Tracer | NullTracer = NULL_TRACER,
-        job_span: Span | None = None,
+        job_span: Span | _NullSpan = NULL_SPAN,
     ) -> JobResult:
         counters = Counters()
 

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
 from ..dfs.commit import CommitLog, CommitScope, _quote
-from ..telemetry.api import TraceConfig, resolve_tracer
-from ..telemetry.spans import SpanKind
+from ..telemetry.spans import SpanKind, current_tracer
 from .job import JobConf
-from .retry import RetryPolicy
 from .runtime import MapReduceRuntime
 from .types import JobResult, TaskTrace
 
@@ -77,29 +75,17 @@ class PipelineRecord:
 class Pipeline:
     """Thin driver that runs jobs / master phases and records them in order.
 
-    ``retry_policy`` and ``max_attempts`` are pipeline-wide defaults stamped
-    onto each job conf before launch (a conf's own explicit retry policy
-    wins), which is how ``InversionConfig.retry`` reaches every job of the
-    inversion workflow without the job builders knowing about it.
+    A job conf arrives complete — its run policy (``retry``,
+    ``output_commit``) is attached where the conf is built — and is never
+    modified here.  ``commit_log`` is the manifest log for step-done markers
+    and phase staging; ``None`` is the one meaning of "commit protocol off".
     """
 
     def __init__(
-        self,
-        runtime: MapReduceRuntime,
-        retry_policy: RetryPolicy | None = None,
-        max_attempts: int | None = None,
-        telemetry: TraceConfig | None = None,
-        commit_log: CommitLog | None = None,
-        output_commit: bool = True,
+        self, runtime: MapReduceRuntime, commit_log: CommitLog | None = None
     ) -> None:
         self.runtime = runtime
-        self.retry_policy = retry_policy
-        self.max_attempts = max_attempts
-        self.telemetry = telemetry
-        #: Manifest log for step-done markers (``None`` disables manifests;
-        #: task-level staging is controlled separately by ``output_commit``).
         self.commit_log = commit_log
-        self.output_commit = output_commit
         self.record = PipelineRecord()
         self._phase_seq = 0  # guarded-by: _seq_lock
         # Only contended by the dataflow scheduler, whose unit threads open
@@ -122,24 +108,15 @@ class Pipeline:
         parent_span=None,
         span_attrs: dict | None = None,
     ) -> JobResult:
-        """Stamp defaults and run ``conf`` — without committing."""
-        if self.retry_policy is not None and conf.retry_policy is None:
-            conf.retry_policy = self.retry_policy
-        if self.max_attempts is not None:
-            conf.max_attempts = self.max_attempts
-        if self.telemetry is not None and conf.telemetry is None:
-            conf.telemetry = self.telemetry
-        conf.output_commit = conf.output_commit and self.output_commit
+        """Run ``conf`` — without committing."""
         return self.runtime.run_job(
             conf, parent_span=parent_span, span_attrs=span_attrs
         )
 
-    def commit_job(
-        self, name: str, result: JobResult, *, output_commit: bool = True
-    ) -> None:
+    def commit_job(self, name: str, result: JobResult) -> None:
         """Record ``result`` and write the job's durable done-marker."""
         self.record.steps.append(result)
-        if self.commit_log is not None and output_commit:
+        if self.commit_log is not None:
             # Written last: the job's durable done-marker.  A crash anywhere
             # before this line makes resume re-run the job (idempotently —
             # re-publishing overwrites the same final paths).
@@ -147,7 +124,7 @@ class Pipeline:
 
     def run_job(self, conf: JobConf) -> JobResult:
         result = self.execute_job(conf)
-        self.commit_job(conf.name, result, output_commit=conf.output_commit)
+        self.commit_job(conf.name, result)
         return result
 
     def _open_phase_scope(
@@ -198,7 +175,7 @@ class Pipeline:
         """
         scope = self._open_phase_scope(name, io)
         published: list[str] | None = None
-        tracer = resolve_tracer(self.telemetry)
+        tracer = current_tracer()
         start = time.perf_counter()
         with tracer.span(
             name, SpanKind.MASTER_PHASE, parent=parent_span, attrs=span_attrs

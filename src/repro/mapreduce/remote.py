@@ -68,7 +68,6 @@ class RemoteTask:
     #: Pre-assigned segment name for large write-back, so the driver can
     #: scrub it even when the worker is killed mid-attempt.
     result_segment: str = field(default_factory=new_segment_name)
-    inline_limit: int = INLINE_PAYLOAD_LIMIT
 
 
 @dataclass
@@ -237,7 +236,7 @@ def execute_remote_task(
 
     outcome = RemoteOutcome(result=result, direct_writes=wdfs.direct_writes)
     total = sum(len(data) for data in wdfs.staged_data.values())
-    if wdfs.staged_data and total >= task.inline_limit:
+    if wdfs.staged_data and total >= INLINE_PAYLOAD_LIMIT:
         seg = create_segment(total, name=task.result_segment)
         entries: list[tuple[str, int, int]] = []
         offset = 0

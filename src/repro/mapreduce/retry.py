@@ -4,9 +4,11 @@ Hadoop retries a failed task attempt immediately on whatever tracker has a
 free slot; in practice (and in every production scheduler since) retries are
 spaced by exponential backoff so a systemic fault — an overloaded datanode, a
 flapping network — is not hammered by the whole wave at once.  A
-:class:`RetryPolicy` bundles the three knobs the JobTracker's wave loop
-understands:
+:class:`RetryPolicy` is everything the JobTracker's wave loop needs to know
+about retrying one job's tasks:
 
+* ``max_attempts`` — the per-task attempt budget (Hadoop's
+  ``mapred.map.max.attempts``); a task that exhausts it fails the job;
 * ``base_delay`` / ``backoff`` / ``max_delay`` — classic capped exponential
   backoff between retry waves;
 * ``jitter`` — the fraction of each delay that is randomized.  Jitter is
@@ -20,8 +22,9 @@ understands:
   and retried (with a speculative duplicate) elsewhere — the defence against
   *hung* tasks, which plain failure-retry cannot see.
 
-The default policy is inert (no delay, no deadline), so jobs that do not opt
-in behave exactly as before.
+The default policy is the degenerate one — four attempts, retried
+immediately, no deadline (Hadoop's defaults) — so "no policy" needs no
+separate representation anywhere in the engine.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ class RetryPolicy:
 
     Attributes
     ----------
+    max_attempts:
+        Attempts a task may make before the job fails permanently.
     base_delay:
         Seconds to wait before the first retry wave (0 disables backoff).
     backoff:
@@ -52,6 +57,7 @@ class RetryPolicy:
         run forever (the pre-hardening behaviour).
     """
 
+    max_attempts: int = 4
     base_delay: float = 0.0
     backoff: float = 2.0
     max_delay: float = 30.0
@@ -60,6 +66,8 @@ class RetryPolicy:
     attempt_deadline: float | None = None
 
     def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         if self.base_delay < 0:
             raise ValueError("base_delay must be >= 0")
         if self.backoff < 1.0:

@@ -1,19 +1,17 @@
 """The MapReduce runtime facade.
 
 One :class:`MapReduceRuntime` plays the role of a Hadoop cluster: it owns the
-DFS, the worker pool, the job counter, and the *job launch overhead* — the
-constant per-job cost that drives the paper's choice of the bound value ``nb``
-(Section 5: "the time to LU decompose a matrix of order nb on the master node
-[should be] approximately equal to the constant time required to launch a
-MapReduce job") and the deviation from ideal scaling in Figure 6.
+DFS, the worker pool and the job counter.  (The constant per-job *launch
+overhead* that drives the paper's choice of ``nb`` is a property of the
+simulated cluster the history is replayed on —
+:attr:`repro.cluster.ClusterSpec.job_launch_overhead`.)
 
 Fault-tolerance plumbing lives here too:
 
 * ``before_job`` hooks fire ahead of every job launch — the injection point
   chaos nemeses use to kill datanodes, corrupt replicas, or crash the driver
   between pipeline stages;
-* when ``auto_repair`` is on (the default), a
-  :class:`~repro.dfs.health.HealthMonitor` repair pass runs before a job
+* a :class:`~repro.dfs.health.HealthMonitor` repair pass runs before a job
   whenever the cluster topology changed since the last check (datanode
   killed or revived), so replication converges back to target without anyone
   calling ``rereplicate`` by hand.
@@ -29,8 +27,7 @@ from typing import Callable
 
 from ..dfs.filesystem import DFS
 from ..dfs.health import RepairReport
-from ..telemetry.api import TraceConfig, resolve_tracer
-from ..telemetry.spans import SpanKind
+from ..telemetry.spans import SpanKind, current_tracer
 from .faults import FaultPolicy
 from .job import JobConf
 from .master import JobFailedError, JobTracker
@@ -44,26 +41,16 @@ class RuntimeConfig:
 
     num_workers: int = 4
     executor: str = "serial"  # "serial" | "threads" | "processes"
-    job_launch_overhead: float = 1.0  # simulated seconds per job (Section 5)
     speculative: bool = False
-    #: Run a DFS repair pass before a job when the topology changed
-    #: (datanode death/revival) since the last check.
-    auto_repair: bool = True
     #: Consecutive task failures on one node before it is blacklisted
     #: (Hadoop's ``mapred.max.tracker.failures``).
     max_node_failures: int = 3
     #: Scheduling waves a blacklisted node sits out before decaying back in.
     blacklist_window: int = 3
-    #: Telemetry for every job this runtime runs
-    #: (:class:`~repro.telemetry.TraceConfig`); ``None`` defers to each job
-    #: conf and then to the ambient tracer (:func:`repro.observe`).
-    telemetry: TraceConfig | None = None
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.job_launch_overhead < 0:
-            raise ValueError("job_launch_overhead must be >= 0")
         if self.max_node_failures < 1:
             raise ValueError("max_node_failures must be >= 1")
         if self.blacklist_window < 1:
@@ -92,7 +79,7 @@ class MapReduceRuntime:
             blacklist_window=self.config.blacklist_window,
         )
         self._job_ids = itertools.count(1)
-        # Serializes the launch preamble (before_job hooks, auto-repair,
+        # Serializes the launch preamble (before_job hooks, repair pass,
         # job-id allocation) and history appends when the dataflow
         # scheduler launches jobs from several unit threads at once.
         self._launch_lock = threading.Lock()
@@ -100,7 +87,7 @@ class MapReduceRuntime:
         #: Hooks invoked with the JobConf before each launch (chaos nemeses,
         #: schedulers).  A hook that raises aborts the launch.
         self.before_job: list[Callable[[JobConf], None]] = []
-        #: Repair passes triggered by ``auto_repair``, in order.
+        #: Repair passes triggered by topology changes, in order.
         self.repair_log: list[RepairReport] = []
         self._repair_epoch = self.dfs.blocks.failure_epoch
 
@@ -114,8 +101,6 @@ class MapReduceRuntime:
         return self._tracker.node_health
 
     def _maybe_auto_repair(self) -> None:
-        if not self.config.auto_repair:
-            return
         epoch = self.dfs.blocks.failure_epoch
         if epoch == self._repair_epoch:
             return
@@ -142,26 +127,20 @@ class MapReduceRuntime:
                 hook(conf)
             self._maybe_auto_repair()
             job_id = JobId(next(self._job_ids))
-        tracer = resolve_tracer(
-            conf.telemetry if conf.telemetry is not None else self.config.telemetry
-        )
-        attrs = {"job": str(job_id)}
-        if span_attrs:
-            attrs.update(span_attrs)
+        tracer = current_tracer()
+        attrs = {"job": str(job_id), **(span_attrs or {})}
         start = time.perf_counter()
-        if not tracer.enabled:
-            result = self._tracker.run_job(conf, job_id)
-        else:
-            with tracer.span(
-                conf.name, SpanKind.JOB, attrs=attrs, parent=parent_span
-            ) as job_span:
-                result = self._tracker.run_job(
-                    conf, job_id, tracer=tracer, job_span=job_span
-                )
-                job_span.set(
-                    attempts_launched=result.attempts_launched,
-                    attempts_failed=result.attempts_failed,
-                )
+        with tracer.span(
+            conf.name, SpanKind.JOB, attrs=attrs, parent=parent_span
+        ) as job_span:
+            result = self._tracker.run_job(
+                conf, job_id, tracer=tracer, job_span=job_span
+            )
+            job_span.set(
+                attempts_launched=result.attempts_launched,
+                attempts_failed=result.attempts_failed,
+            )
+        if tracer.enabled:
             tracer.metrics.absorb_counters(result.counters)
         result.wall_seconds = time.perf_counter() - start
         with self._launch_lock:
@@ -170,10 +149,6 @@ class MapReduceRuntime:
 
     def jobs_run(self) -> int:
         return len(self.history)
-
-    def total_launch_overhead(self) -> float:
-        """Simulated seconds spent launching jobs across the whole history."""
-        return self.config.job_launch_overhead * len(self.history)
 
     def shutdown(self) -> None:
         self._tracker.shutdown()

@@ -48,7 +48,6 @@ from typing import Any, Callable
 
 from ..dfs.filesystem import DFS
 from ..telemetry import spans as _spans
-from ..telemetry.api import TraceConfig, resolve_tracer
 
 #: Defect rules that make block-keyed scheduling unsound (the gate).
 GATE_RULES = ("DF002", "DF006", "DF007")
@@ -132,22 +131,14 @@ class DataflowScheduler:
 
     One scheduler drives one pipeline run.  The driving thread owns the
     launch loop and the plan-order flusher; each launched unit runs on its
-    own thread (bounded by ``max_inflight``), where the real parallelism
-    comes from the execution backend underneath.  All shared state is
-    guarded by ``_cond``; the publish listener and unit threads only flip
-    state and notify — blocking work (unit execution, commits, joins) stays
-    outside the lock.
+    own thread (at most ``min(32, max(4, len(units)))`` at once), where the
+    real parallelism comes from the execution backend underneath.  All
+    shared state is guarded by ``_cond``; the publish listener and unit
+    threads only flip state and notify — blocking work (unit execution,
+    commits, joins) stays outside the lock.
     """
 
-    def __init__(
-        self,
-        *,
-        dfs: DFS,
-        units: list[UnitSpec],
-        model=None,
-        telemetry: TraceConfig | None = None,
-        max_inflight: int | None = None,
-    ) -> None:
+    def __init__(self, *, dfs: DFS, units: list[UnitSpec], model=None) -> None:
         names = [u.name for u in units]
         if len(set(names)) != len(names):
             raise ValueError("unit names must be unique")
@@ -157,8 +148,7 @@ class DataflowScheduler:
         self._plan_index = {u.name: i for i, u in enumerate(units)}
         self._model = model
         self._dag = model.block_dag() if model is not None else None
-        self._telemetry = telemetry
-        self._max_inflight = max_inflight or min(32, max(4, len(units)))
+        self._max_inflight = min(32, max(4, len(units)))
         self._cond = threading.Condition()
         # -- state below is guarded-by: _cond --------------------------------
         self._needs_left: dict[str, set[str]] = {}  # guarded-by: _cond
@@ -172,7 +162,7 @@ class DataflowScheduler:
         # Resolved here, in the constructing (driving) thread, where the
         # run's ambient tracer is still visible — unit threads start with
         # fresh contextvars and could not resolve it themselves.
-        self._tracer = resolve_tracer(telemetry)
+        self._tracer = _spans.current_tracer()
         self.report = SchedulerReport()
 
     # -- pre-flight ------------------------------------------------------------
@@ -244,12 +234,10 @@ class DataflowScheduler:
     # -- unit execution --------------------------------------------------------
 
     def _unit_thread(self, name: str, wait_seconds: float) -> None:
-        if self._tracer.enabled:
-            # Unit threads start with fresh contextvars; activating the
-            # run's tracer restores ambient span emission for the unit's
-            # own spans and any work before them (before_job hooks,
-            # auto-repair).
-            _spans.activate(self._tracer)
+        # Unit threads start with fresh contextvars; activating the run's
+        # tracer restores ambient span emission for the unit's own spans
+        # and any work before them (before_job hooks, auto-repair).
+        _spans.activate(self._tracer)
         unit = self._by_name[name]
         try:
             for path in sorted(unit.needs):

@@ -24,6 +24,7 @@ import subprocess
 from typing import Any, Iterable
 
 from .job import JobConf, Mapper, Reducer, TaskContext
+from .retry import RetryPolicy
 from .types import InputSplit
 
 
@@ -105,7 +106,7 @@ def streaming_job(
     *,
     num_reduce_tasks: int = 1,
     timeout: float = 60.0,
-    max_attempts: int = 4,
+    retry: RetryPolicy = RetryPolicy(),
 ) -> JobConf:
     """Build a JobConf equivalent to ``hadoop jar hadoop-streaming.jar
     -input ... -mapper ... -reducer ...``."""
@@ -122,5 +123,5 @@ def streaming_job(
         ),
         splits=splits,
         num_reduce_tasks=num_reduce_tasks if reducer_command else 0,
-        max_attempts=max_attempts,
+        retry=retry,
     )

@@ -26,12 +26,12 @@ Everything hangs off one public entry point::
     print(obs.render_timeline())
     print(obs.reconcile(result).format())
 
-Telemetry is **zero-cost when disabled**: outside ``observe`` (and without an
-explicit :class:`TraceConfig`) every instrumentation site sees the no-op
-tracer, checks one flag, and allocates nothing.
+Telemetry is **zero-cost when disabled**: outside ``observe`` every
+instrumentation site sees the no-op tracer, whose spans are one shared inert
+object.
 """
 
-from .api import Observation, TraceConfig, observe, resolve_tracer
+from .api import Observation, TraceConfig, observe
 from .exporters import (
     InMemoryExporter,
     JsonLinesExporter,
@@ -104,5 +104,4 @@ __all__ = [
     "render_critical_path",
     "render_timeline",
     "render_tree",
-    "resolve_tracer",
 ]

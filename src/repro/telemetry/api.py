@@ -1,26 +1,25 @@
 """The public instrumentation surface: :class:`TraceConfig` and :func:`observe`.
 
-One object configures telemetry everywhere.  A :class:`TraceConfig` can be
+There is one way in: :func:`observe` instruments a ``with`` block ambiently —
+every driver, runtime, executor, DFS, and chaos campaign running inside the
+block emits into one span tree::
 
-* handed to :func:`observe` to instrument a ``with`` block ambiently —
-  every driver, runtime, executor, DFS, and chaos campaign running inside
-  the block emits into one span tree::
+    with repro.observe() as obs:
+        result = repro.invert(a)
+    print(obs.render_timeline())
+    print(obs.metrics.format())
 
-      with repro.observe() as obs:
-          result = repro.invert(a)
-      print(obs.render_timeline())
-      print(obs.metrics.format())
-
-* threaded through any of the engine's configuration objects
-  (``InversionConfig(telemetry=...)``, ``RuntimeConfig(telemetry=...)``,
-  ``JobConf(telemetry=...)``, ``Pipeline(telemetry=...)``) when ambient
-  scoping is too coarse — an explicit config always wins over the ambient
-  tracer.
+A :class:`TraceConfig` passed to :func:`observe` says *how* (fixed trace ID,
+JSONL sink, extra exporters).  No engine configuration object carries one:
+the engine resolves the tracer with
+:func:`~repro.telemetry.spans.current_tracer` in the driving thread and
+hands it (and parent spans) explicitly across thread boundaries, so a live
+tracer never rides a config that gets pickled to pool workers.
 
 A single ``TraceConfig`` owns a single lazily-created
 :class:`~repro.telemetry.spans.Tracer` (and through it a
-:class:`~repro.telemetry.metrics.MetricsRegistry`), so passing the same
-config to several components funnels them into the same trace tree.
+:class:`~repro.telemetry.metrics.MetricsRegistry`), so observing two blocks
+with the same config funnels them into the same trace tree.
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ from typing import IO, TYPE_CHECKING, Any
 
 from .exporters import JsonLinesExporter, SpanExporter
 from .metrics import MetricsRegistry
-from .spans import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    activate,
-    current_tracer,
-    deactivate,
-)
+from .spans import NULL_TRACER, NullTracer, Tracer, activate, deactivate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .reconcile import ReconciliationReport
@@ -82,25 +74,6 @@ class TraceConfig:
                 exporters += (JsonLinesExporter(self.jsonl_path),)
             self._tracer = Tracer(trace_id=self.trace_id, exporters=exporters)
         return self._tracer
-
-    def __getstate__(self) -> dict:
-        # The cached tracer is a live driver-side object (locks, exporter
-        # sinks) that must never cross a process boundary; a pickled config
-        # stays declarative and re-creates its tracer lazily.  Workers run
-        # under the no-op tracer regardless — spans for remote attempts are
-        # recorded driver-side.
-        state = self.__dict__.copy()
-        state["_tracer"] = None
-        return state
-
-
-def resolve_tracer(config: "TraceConfig | None") -> "Tracer | NullTracer":
-    """The tracer a component should emit into: the config's own tracer when
-    one is given, else whatever :func:`observe` (or an enclosing span)
-    activated, else the disabled tracer."""
-    if config is not None:
-        return config.tracer()
-    return current_tracer()
 
 
 class Observation:
@@ -215,4 +188,4 @@ def observe(
     return Observation(config)
 
 
-__all__ = ["Observation", "TraceConfig", "observe", "resolve_tracer"]
+__all__ = ["Observation", "TraceConfig", "observe"]

@@ -20,10 +20,12 @@ Two tracers exist:
 
 * :class:`Tracer` — the real recorder: thread-safe, feeds every finished span
   to its exporters, and keeps an in-memory copy for tree queries;
-* :data:`NULL_TRACER` — the disabled recorder.  Its ``enabled`` flag is
-  ``False`` and instrumented code checks that flag *before* building
-  attribute dictionaries, so a run without telemetry allocates nothing on
-  the hot path.
+* :data:`NULL_TRACER` — the disabled recorder.  Every span it hands out is
+  the one shared inert :data:`NULL_SPAN`, so instrumented code has a single
+  path — open the span, set attributes, close it — that records nothing
+  when telemetry is off.  Per-byte hot paths (DFS block I/O) may still test
+  ``enabled`` to skip building attributes; nothing selects between two ways
+  of *doing the work* on it.
 
 Parenting is ambient within a thread: entering a span makes it the current
 parent (a :mod:`contextvars` variable) for spans opened below it.  Worker
@@ -145,8 +147,8 @@ NULL_SPAN = _NullSpan()
 
 class NullTracer:
     """Disabled tracer: ``enabled`` is ``False``; every span is the shared
-    no-op span.  Instrumented code must check ``enabled`` before doing any
-    per-span work (building attribute dicts, reading clocks)."""
+    no-op span, whose ``trace_id``/``span_id`` are ``""`` (callers that
+    report ids turn that into ``None``)."""
 
     enabled = False
     trace_id = ""

@@ -9,6 +9,8 @@ grid, flipped transpose flag) produces the expected rule id.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import InversionConfig
@@ -137,7 +139,7 @@ def test_bad_grid_factorization_is_pl007():
 
 def test_flipped_transpose_flag_is_pl006():
     model = seeded_model()
-    model.config = model.config.with_overrides(transpose_u=False)
+    model.config = replace(model.config, transpose_u=False)
     assert "PL006" in rule_ids(lint_model(model))
 
 

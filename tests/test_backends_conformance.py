@@ -60,7 +60,6 @@ class TestConformance:
         assert isinstance(backend, ExecutionBackend)
         assert backend.max_workers >= 1
         assert isinstance(backend.in_process, bool)
-        assert isinstance(backend.supports_shared_memory, bool)
 
     def test_results_positional(self, backend):
         thunks = [partial(square, i) for i in range(7)]
@@ -97,19 +96,19 @@ class TestConformance:
 class TestCapabilityFlags:
     def test_serial(self):
         ex = SerialExecutor()
-        assert ex.in_process and not ex.supports_shared_memory
+        assert ex.in_process
 
     def test_threads(self):
         ex = ThreadPoolBackend(2)
         try:
-            assert ex.in_process and not ex.supports_shared_memory
+            assert ex.in_process
         finally:
             ex.shutdown()
 
     def test_processes(self):
         ex = ProcessPoolBackend(1)
         try:
-            assert not ex.in_process and ex.supports_shared_memory
+            assert not ex.in_process
         finally:
             ex.shutdown()
 

@@ -136,6 +136,52 @@ class TestCampaign:
         assert first.ok and second.ok
         assert _comparable(first) == _comparable(second)
 
+    def test_failed_run_is_span_correlated_and_reproducible(self):
+        # A permanent job failure: the outcome carries the run's trace id,
+        # the failed job's span and (in the error text) every failed
+        # attempt's span — identical on a second run of the same seed.
+        from repro.mapreduce import FailAlways, RetryPolicy, TaskKind
+
+        doomed = FaultSchedule(
+            name="doomed-map",
+            description="one partition mapper never succeeds",
+            retry=RetryPolicy(max_attempts=2),
+            task_faults=lambda seed: FailAlways(kind=TaskKind.MAP, task_index=1),
+        )
+        first = run_schedule(doomed, seed=3)
+        second = run_schedule(doomed, seed=3)
+        assert not first.ok
+        assert first.trace_id == "chaos-doomed-map-seed3"
+        assert first.error_span_id
+        assert "[trace chaos-doomed-map-seed3]" in first.error
+        assert first.error.count("(span ") == 2  # one per failed attempt
+        assert _comparable(first) == _comparable(second)
+
+    def test_resume_lands_in_the_crashed_runs_trace_tree(self, monkeypatch):
+        from repro.chaos import campaign
+        from repro.telemetry import SpanKind
+
+        observations = []
+
+        def recording_observe(config):
+            observations.append(campaign_observe(config))
+            return observations[-1]
+
+        campaign_observe = campaign.observe
+        monkeypatch.setattr(campaign, "observe", recording_observe)
+        outcome = run_schedule(schedule_by_name("combined"), seed=0)
+        assert outcome.ok and outcome.crashed_and_resumed
+        (obs,) = observations  # one observation around the run and its resume
+        assert {s.trace_id for s in obs.spans} == {outcome.trace_id}
+        runs = sorted(
+            (s for s in obs.spans if s.kind is SpanKind.RUN), key=lambda s: s.start
+        )
+        assert [r.attrs["resume"] for r in runs] == [False, True]
+        assert runs[0].status == "error" and runs[1].status == "ok"
+        by_id = {s.span_id: s for s in obs.spans}
+        fsck_span = next(s for s in obs.spans if s.name == "resume-fsck")
+        assert by_id[fsck_span.parent_id] is runs[1]
+
     def test_run_error_is_reported_not_raised(self):
         # A schedule whose events make the run impossible must produce a
         # red outcome, never an exception out of the harness.

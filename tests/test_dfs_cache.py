@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,7 +292,7 @@ class TestPaperAccounting:
         a = mat(rng, 96) + 0.1 * np.eye(96)
         cfg = InversionConfig(nb=24, m0=4)
         on = invert(a, cfg)
-        off = invert(a, cfg.with_overrides(block_cache_bytes=0))
+        off = invert(a, replace(cfg, block_cache_bytes=0))
         logical_on = sum(t.bytes_read for t in on.record.all_traces())
         logical_off = sum(t.bytes_read for t in off.record.all_traces())
         assert logical_on == logical_off

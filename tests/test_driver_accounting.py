@@ -1,14 +1,28 @@
 """Driver-side accounting: MasterIO, master phases, pipeline records, and
 the InversionResult surface."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import InversionConfig
 from repro.dfs import formats
+from repro.dfs.commit import CommitLog
 from repro.inversion import MatrixInverter
 from repro.inversion.driver import MasterIO
-from repro.mapreduce import MapReduceRuntime
+from repro.inversion.invert_job import invert_job
+from repro.inversion.layout import Layout
+from repro.inversion.lu_jobs import lu_job, partition_job
+from repro.inversion.plan import InversionPlan
+from repro.inversion.verify_job import verify_job
+from repro.mapreduce import (
+    FnMapper,
+    JobConf,
+    MapReduceRuntime,
+    RetryPolicy,
+    splits_for_workers,
+)
 from repro.mapreduce.pipeline import MasterPhase, Pipeline
 
 from conftest import random_invertible
@@ -43,6 +57,47 @@ class TestMasterIO:
         assert not io.exists("/nope")
         io.write_bytes("/yes", b"1")
         assert io.exists("/yes")
+
+
+class TestCompleteConfs:
+    """A job's run policy is attached once, where the conf is built; nothing
+    downstream re-stamps it."""
+
+    def test_every_builder_carries_the_runs_policy(self):
+        cfg = InversionConfig(
+            nb=8,
+            m0=4,
+            retry=RetryPolicy(max_attempts=7, attempt_deadline=3.0),
+            output_commit=False,
+        )
+        plan = InversionPlan(n=32, nb=8, m0=4, root=cfg.root)
+        layout = Layout(plan, cfg, 32)
+        confs = [
+            partition_job(layout),
+            lu_job(layout, plan.tree),
+            invert_job(layout),
+            verify_job(layout),
+        ]
+        for conf in confs:
+            assert conf.retry is cfg.retry, conf.name
+            assert conf.output_commit is False, conf.name
+
+    def test_pipeline_leaves_the_conf_it_was_given_untouched(self, dfs):
+        conf = JobConf(
+            name="probe",
+            mapper_factory=lambda: FnMapper(
+                lambda ctx, split: ctx.write_text(f"/out/{split.index}", "x")
+            ),
+            splits=splits_for_workers(2),
+            retry=RetryPolicy(max_attempts=2, base_delay=0.001),
+            output_commit=False,
+        )
+        before = copy.deepcopy(conf)
+        with MapReduceRuntime(dfs=dfs) as rt:
+            pipeline = Pipeline(rt, commit_log=CommitLog(dfs, "/Root"))
+            pipeline.run_job(conf)
+        assert conf == before
+        assert pipeline.commit_log.committed("job:probe")
 
 
 class TestPipelineRecord:

@@ -212,8 +212,6 @@ class TestValidation:
     def test_runtime_config_validated(self):
         with pytest.raises(ValueError):
             RuntimeConfig(num_workers=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(job_launch_overhead=-1)
 
     def test_fn_reducer_adapter(self, runtime, dfs):
         dfs.write_text("/in/a", "x x x")
@@ -243,7 +241,7 @@ class TestRuntimeBookkeeping:
         runtime.run_job(conf)
         runtime.run_job(conf)
         assert runtime.jobs_run() == 2
-        assert runtime.total_launch_overhead() == pytest.approx(2.0)
+        assert [j.name for j in runtime.history] == ["j", "j"]
 
     def test_job_ids_increment(self, runtime, dfs):
         dfs.write_text("/in/a", "w")

@@ -14,6 +14,7 @@ from repro.mapreduce import (
     MapReduceRuntime,
     Mapper,
     Reducer,
+    RetryPolicy,
     RuntimeConfig,
     TaskKind,
     splits_for_workers,
@@ -38,7 +39,7 @@ def simple_conf(num_workers=3, max_attempts=4):
         reducer_factory=PassReducer,
         splits=splits_for_workers(num_workers),
         num_reduce_tasks=num_workers,
-        max_attempts=max_attempts,
+        retry=RetryPolicy(max_attempts=max_attempts),
     )
 
 
@@ -122,7 +123,7 @@ class TestUserExceptions:
             name="explode",
             mapper_factory=lambda: FnMapper(explode),
             splits=splits_for_workers(1),
-            max_attempts=3,
+            retry=RetryPolicy(max_attempts=3),
         )
         rt = MapReduceRuntime(dfs=dfs)
         with pytest.raises(JobFailedError) as exc:
@@ -142,7 +143,7 @@ class TestUserExceptions:
             name="flaky",
             mapper_factory=lambda: FnMapper(flaky),
             splits=splits_for_workers(1),
-            max_attempts=4,
+            retry=RetryPolicy(max_attempts=4),
         )
         rt = MapReduceRuntime(dfs=dfs)
         result = rt.run_job(conf)

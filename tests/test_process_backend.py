@@ -173,7 +173,7 @@ class TestFaultRecovery:
             name="crashy",
             mapper_factory=CrashOnceMapper,
             splits=splits_for_workers(2),
-            max_attempts=3,
+            retry=RetryPolicy(max_attempts=3),
         )
         result = process_runtime.run_job(conf)
         assert result.succeeded
@@ -198,8 +198,7 @@ class TestFaultRecovery:
                 name="hung",
                 mapper_factory=EchoMapper,
                 splits=splits_for_workers(2),
-                retry_policy=RetryPolicy(attempt_deadline=0.4),
-                max_attempts=3,
+                retry=RetryPolicy(max_attempts=3, attempt_deadline=0.4),
             )
             result = rt.run_job(conf)
             assert result.succeeded
@@ -300,20 +299,6 @@ class TestPicklability:
         assert clone.as_dict() == c.as_dict()
         clone.increment("g", "n", 1)  # lock reconstructed and functional
         assert clone.value("g", "n") == 6
-
-    def test_trace_config_pickles_without_live_tracer(self):
-        # A chaos/trace run materializes the cached Tracer (locks, exporter
-        # sinks) before the job confs are built; that cache must not ride
-        # into the process-backend pickle probe (it sank the whole chaos
-        # battery under --executor processes once).
-        from repro.telemetry import TraceConfig
-
-        cfg = TraceConfig(trace_id="t")
-        tracer = cfg.tracer()
-        clone = pickle.loads(pickle.dumps(cfg))
-        assert clone.trace_id == "t"
-        assert clone._tracer is None  # re-created lazily, driver-side only
-        assert cfg.tracer() is tracer  # the original cache is untouched
 
     def test_scripted_fault_is_planned_driver_side(self):
         attempt = TaskAttemptId(

@@ -98,3 +98,68 @@ class TestRunAllFast:
         for artifact in ("Table 1", "Table 3", "Figure 6", "Figure 8",
                          "Section 7.4", "Section 8", "Section 7.5"):
             assert f"[{artifact}" in out, artifact
+
+
+class TestOptionCensus:
+    """Every independently settable run option, pinned: a new knob (or a
+    removed one) is a deliberate edit of this table, not a side effect."""
+
+    @staticmethod
+    def _fields(cls):
+        import dataclasses
+
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    @staticmethod
+    def _params(cls):
+        import inspect
+
+        return [p for p in inspect.signature(cls.__init__).parameters if p != "self"]
+
+    def test_config_dataclasses(self):
+        from repro import InversionConfig
+        from repro.mapreduce import RetryPolicy, RuntimeConfig
+
+        assert self._fields(InversionConfig) == [
+            "nb", "m0", "separate_files", "block_wrap", "transpose_u", "pivot",
+            "root", "input_format", "preflight", "retry", "block_cache_bytes",
+            "output_commit", "executor", "num_workers", "schedule",
+        ]
+        assert self._fields(RuntimeConfig) == [
+            "num_workers", "executor", "speculative", "max_node_failures",
+            "blacklist_window",
+        ]
+        assert self._fields(RetryPolicy) == [
+            "max_attempts", "base_delay", "backoff", "max_delay", "jitter",
+            "seed", "attempt_deadline",
+        ]
+
+    def test_job_conf_run_policy(self):
+        from repro.mapreduce import JobConf
+
+        # What the job *is* (name, factories, splits, shuffle shape, params)
+        # is not policy; everything after it is.
+        what = [
+            "name", "mapper_factory", "splits", "reducer_factory",
+            "combiner_factory", "num_reduce_tasks", "partitioner", "sort_keys",
+            "grouping_fn", "params",
+        ]
+        assert self._fields(JobConf) == what + ["retry", "output_commit"]
+
+    def test_constructor_parameters(self):
+        from repro.inversion import MatrixInverter
+        from repro.mapreduce import DataflowScheduler, Pipeline, ProcessPoolBackend
+
+        assert self._params(MatrixInverter) == ["config", "runtime", "fault_policy"]
+        assert self._params(Pipeline) == ["runtime", "commit_log"]
+        assert self._params(DataflowScheduler) == ["dfs", "units", "model"]
+        assert self._params(ProcessPoolBackend) == ["max_workers"]
+
+    def test_no_option_rides_the_descriptors(self):
+        from repro.chaos import FaultSchedule
+        from repro.mapreduce.remote import RemoteTask
+
+        assert "inline_limit" not in self._fields(RemoteTask)
+        assert self._fields(FaultSchedule) == [
+            "name", "description", "events", "retry", "task_faults",
+        ]

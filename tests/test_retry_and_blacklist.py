@@ -38,15 +38,14 @@ class PassReducer(Reducer):
         ctx.emit(key, list(values))
 
 
-def simple_conf(num_workers=3, max_attempts=4, retry_policy=None):
+def simple_conf(num_workers=3, retry=RetryPolicy()):
     return JobConf(
         name="echo-job",
         mapper_factory=EchoMapper,
         reducer_factory=PassReducer,
         splits=splits_for_workers(num_workers),
         num_reduce_tasks=num_workers,
-        max_attempts=max_attempts,
-        retry_policy=retry_policy,
+        retry=retry,
     )
 
 
@@ -168,9 +167,9 @@ class TestDeadlines:
         # abandoned, counted, and the retry (fault no longer matches) wins.
         policy = DelayAttempt(seconds=0.5, job_substring="echo", attempts_below=1)
         rt = runtime_with(dfs, policy)
-        retry = RetryPolicy(attempt_deadline=0.05)
+        retry = RetryPolicy(max_attempts=3, attempt_deadline=0.05)
         start = time.monotonic()
-        result = rt.run_job(simple_conf(retry_policy=retry, max_attempts=3))
+        result = rt.run_job(simple_conf(retry=retry))
         elapsed = time.monotonic() - start
         assert result.succeeded
         assert result.attempts_timed_out >= 3  # one per hung first attempt
@@ -183,7 +182,7 @@ class TestDeadlines:
         policy = DelayAttempt(seconds=0.5, job_substring="echo", attempts_below=1)
         rt = runtime_with(dfs, policy, speculative=True)
         result = rt.run_job(
-            simple_conf(retry_policy=RetryPolicy(attempt_deadline=0.05))
+            simple_conf(retry=RetryPolicy(attempt_deadline=0.05))
         )
         assert result.succeeded
         # After a timeout the task is marked slow: the next wave launches two
@@ -196,7 +195,7 @@ class TestBackoff:
         policy = FailOnce(job_substring="echo", kind=TaskKind.MAP, task_index=0)
         retry = RetryPolicy(base_delay=0.01, backoff=2.0, max_delay=0.05)
         rt = runtime_with(dfs, policy)
-        result = rt.run_job(simple_conf(retry_policy=retry))
+        result = rt.run_job(simple_conf(retry=retry))
         assert result.succeeded
         assert result.backoff_seconds >= 0.01
         assert result.attempts_failed == 1
@@ -213,7 +212,7 @@ class TestBlacklisting:
     def test_sick_node_is_blacklisted_and_job_completes(self, dfs):
         policy = FailOnNode(node_id=1)
         rt = runtime_with(dfs, policy, num_workers=3, max_node_failures=2)
-        result = rt.run_job(simple_conf(max_attempts=6))
+        result = rt.run_job(simple_conf(retry=RetryPolicy(max_attempts=6)))
         assert result.succeeded
         health = rt.node_health
         assert health.total_failures[1] >= 2
@@ -228,7 +227,7 @@ class TestBlacklisting:
         # task, not max_node_failures of them.
         policy = FailOnNode(node_id=0)
         rt = runtime_with(dfs, policy, num_workers=3, max_node_failures=10)
-        result = rt.run_job(simple_conf(max_attempts=3))
+        result = rt.run_job(simple_conf(retry=RetryPolicy(max_attempts=3)))
         assert result.succeeded
         health = rt.node_health
         assert health.total_failures[1] == 0
@@ -243,7 +242,7 @@ class TestJobFailedError:
     def test_error_carries_full_attempt_history(self, dfs):
         rt = runtime_with(dfs, FailAlways(kind=TaskKind.MAP, task_index=0))
         with pytest.raises(JobFailedError) as err:
-            rt.run_job(simple_conf(max_attempts=3))
+            rt.run_job(simple_conf(retry=RetryPolicy(max_attempts=3)))
         exc = err.value
         assert len(exc.attempts) == 3
         assert [a.attempt.attempt for a in exc.attempts] == [0, 1, 2]
@@ -262,7 +261,7 @@ class TestJobFailedError:
         with pytest.raises(JobFailedError) as err:
             rt.run_job(
                 simple_conf(
-                    max_attempts=2, retry_policy=RetryPolicy(attempt_deadline=0.05)
+                    retry=RetryPolicy(max_attempts=2, attempt_deadline=0.05)
                 )
             )
         assert all(a.timed_out for a in err.value.attempts)

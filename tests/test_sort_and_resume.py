@@ -132,6 +132,24 @@ class TestDistributedSolve:
             with pytest.raises(ValueError, match="rhs"):
                 inv.solve(random_invertible(rng, 16), np.zeros(17))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected_before_any_write(self, rng, bad):
+        a = random_invertible(rng, 16)
+        b = np.ones((16, 3))
+        b[5, 2] = bad
+        with MatrixInverter(InversionConfig(nb=8, m0=4)) as inv:
+            before = inv.runtime.dfs.stats.snapshot()
+            with pytest.raises(ValueError, match=r"rhs .*\(row 5, col 2\)"):
+                inv.solve(a, b)
+            assert inv.runtime.dfs.stats.snapshot() == before
+            assert inv.runtime.history == []
+
+    def test_rhs_of_wrong_rank_rejected(self, rng):
+        with MatrixInverter(InversionConfig(nb=8, m0=4)) as inv:
+            with pytest.raises(ValueError, match="rhs"):
+                inv.solve(random_invertible(rng, 16), np.zeros((16, 2, 2)))
+            assert inv.runtime.history == []
+
     def test_product_runs_as_jobs(self, rng):
         rt = MapReduceRuntime()
         a = random_invertible(rng, 32)

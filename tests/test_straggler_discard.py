@@ -103,8 +103,7 @@ class TestStragglerAccounting:
             reducer_factory=KeepAllReducer,
             splits=splits_for_workers(1),
             num_reduce_tasks=1,
-            max_attempts=3,
-            retry_policy=RetryPolicy(attempt_deadline=0.05),
+            retry=RetryPolicy(max_attempts=3, attempt_deadline=0.05),
         )
         try:
             result = rt.run_job(conf)
@@ -145,8 +144,7 @@ class TestStragglerAccounting:
             reducer_factory=KeepAllReducer,
             splits=splits_for_workers(1),
             num_reduce_tasks=1,
-            max_attempts=3,
-            retry_policy=RetryPolicy(attempt_deadline=0.05),
+            retry=RetryPolicy(max_attempts=3, attempt_deadline=0.05),
         )
         try:
             result = rt.run_job(conf)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro.mapreduce import JobFailedError, MapReduceRuntime
+from repro.mapreduce import JobFailedError, MapReduceRuntime, RetryPolicy
 from repro.mapreduce.streaming import (
     StreamingProcessError,
     parse_kv_line,
@@ -94,7 +94,9 @@ class TestStreamingJobs:
         crash = [PY, "-c", "import sys; sys.exit(1)"]
         with pytest.raises(JobFailedError):
             rt.run_job(
-                streaming_job("crash", ["/in/p0"], crash, max_attempts=2)
+                streaming_job(
+                    "crash", ["/in/p0"], crash, retry=RetryPolicy(max_attempts=2)
+                )
             )
 
     def test_empty_input_paths_rejected(self):

@@ -193,10 +193,9 @@ class TestFailureCorrelation:
         )
         from test_mapreduce_faults import simple_conf
 
-        conf = simple_conf(max_attempts=2)
-        conf.telemetry = TraceConfig(trace_id="failtrace")
-        with pytest.raises(JobFailedError) as excinfo:
-            runtime.run_job(conf)
+        with observe(TraceConfig(trace_id="failtrace")):
+            with pytest.raises(JobFailedError) as excinfo:
+                runtime.run_job(simple_conf(max_attempts=2))
         err = excinfo.value
         assert err.trace_id == "failtrace"
         assert err.job_span_id
@@ -204,3 +203,22 @@ class TestFailureCorrelation:
         # The failed attempts are span-correlated too.
         assert any(f.span_id for f in err.attempts)
         runtime.shutdown()
+
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    def test_untraced_failure_carries_none_not_empty_ids(self, dfs, executor):
+        # The null tracer's shared no-op span has "" ids; none of them may
+        # leak into the error (callers test `is None`).
+        from test_mapreduce_faults import simple_conf
+
+        with MapReduceRuntime(
+            dfs=dfs,
+            config=RuntimeConfig(num_workers=3, executor=executor),
+            fault_policy=FailAlways(kind=TaskKind.MAP, task_index=0),
+        ) as runtime:
+            with pytest.raises(JobFailedError) as excinfo:
+                runtime.run_job(simple_conf(max_attempts=2))
+        err = excinfo.value
+        assert err.trace_id is None and err.job_span_id is None
+        assert len(err.attempts) == 2
+        assert all(f.span_id is None for f in err.attempts)
+        assert "trace" not in str(err) and "span" not in str(err)

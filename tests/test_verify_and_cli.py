@@ -6,7 +6,13 @@ import pytest
 from repro import InversionConfig
 from repro.__main__ import main as cli_main
 from repro.inversion import MatrixInverter
-from repro.mapreduce import MapReduceRuntime
+from repro.mapreduce import (
+    FailOnce,
+    JobFailedError,
+    MapReduceRuntime,
+    RetryPolicy,
+    TaskKind,
+)
 
 from conftest import random_invertible
 
@@ -43,6 +49,38 @@ class TestDistributedVerification:
         assert inv.distributed_residual(result) > 0.5
         runtime.shutdown()
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_verify_job_honours_the_runs_retry(self, rng, budget):
+        """The verify job is launched outside the Pipeline; it still gets the
+        run's attempt budget because its conf is built complete."""
+        a = random_invertible(rng, 48)
+        fault = FailOnce(job_substring="verify", kind=TaskKind.MAP, task_index=0)
+        cfg = InversionConfig(nb=16, m0=4, retry=RetryPolicy(max_attempts=budget))
+        with MatrixInverter(cfg, fault_policy=fault) as inv:
+            result = inv.invert(a)
+            if budget == 1:
+                with pytest.raises(JobFailedError, match="verify-identity"):
+                    inv.distributed_residual(result)
+            else:
+                assert inv.distributed_residual(result) < 1e-9
+                assert result.record.job_results[-1].attempts_failed == 1
+
+    def test_verify_job_honours_output_commit_off(self, rng):
+        a = random_invertible(rng, 48)
+        cfg = InversionConfig(nb=16, m0=4, output_commit=False)
+        with MatrixInverter(cfg) as inv:
+            result = inv.invert(a)
+            dfs = inv.runtime.dfs
+            launched = []
+            inv.runtime.before_job.append(launched.append)
+            before = dfs.stats.snapshot()
+            assert inv.distributed_residual(result) < 1e-9
+            moved = dfs.stats.snapshot() - before
+        assert [c.name for c in launched] == ["verify-identity"]
+        assert not launched[0].output_commit
+        assert moved.bytes_staged == 0 and moved.files_published == 0
+        assert not dfs.namenode.exists("/_tmp", include_pending=True)
+
     def test_text_input_mode(self, rng):
         a = random_invertible(rng, 40)
         with MatrixInverter(InversionConfig(nb=16, m0=4, input_format="text")) as inv:
@@ -56,6 +94,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "jobs: 5" in out
         assert "distributed residual" in out
+
+    def test_invert_command_shuts_the_runtime_down_on_failure(self, monkeypatch):
+        from repro.linalg.lu import SingularMatrixError
+
+        def singular(self, a):
+            raise SingularMatrixError("injected")
+
+        shutdowns = []
+        real_shutdown = MapReduceRuntime.shutdown
+
+        def shutdown(self):
+            shutdowns.append(self)
+            real_shutdown(self)
+
+        monkeypatch.setattr(MatrixInverter, "invert", singular)
+        monkeypatch.setattr(MapReduceRuntime, "shutdown", shutdown)
+        with pytest.raises(SingularMatrixError):
+            cli_main(["invert", "--n", "16", "--nb", "8", "--executor", "threads"])
+        assert len(shutdowns) == 1
 
     def test_table_command(self, capsys):
         assert cli_main(["table", "3"]) == 0
