@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke bench-e2e-compare experiments examples coverage clean
+.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -89,6 +89,15 @@ bench-e2e-smoke:
 bench-e2e-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-e2e-compare A=<parent.json> B=<change.json>"; exit 2; }
 	$(PYTHON) benchmarks/e2e/run.py compare $(A) $(B)
+
+# The other half of a gain claim: N alternating parent/change pairs of one
+# workload (`git archive PARENT` into a temp dir, `__pycache__` stripped from
+# both trees, `run.py --workload W --seed s --seconds 12 --trace 0` for seeds
+# 1..N) — medians, quartiles and wins per side for the four end-to-end
+# metrics.  Only invokes the harness.
+bench-pairs:
+	@test -n "$(W)" -a -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10]"; exit 2; }
+	$(PYTHON) scripts/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(or $(N),10)
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all

@@ -14,9 +14,10 @@ def test_table2_inversion_cost(benchmark, harness):
     benchmark.extra_info["read_ratio"] = res.read_ratio
     assert 0.5 < res.read_ratio < 2.5
     assert 0.5 < res.write_ratio < 2.5
-    # Dense final product: measured mults between the triangular-aware model
-    # (2/3 n^3) and the dense bound (5/3 n^3).
-    assert 1.0 <= res.measured_ours.mults / res.model_ours.mults <= 2.6
+    # Panelled final product: measured 1.21x the triangular-aware model
+    # (2/3 n^3) here; the envelope is that plus 10 %, so a return to the
+    # dense product (2.0x) fails.
+    assert 1.0 <= res.measured_ours.mults / res.model_ours.mults <= 1.33
 
 
 def test_table2_scalapack_row(benchmark):

@@ -7,9 +7,15 @@ triangle holds ``U``, exactly the storage convention Algorithm 1 describes.
 The pivoting permutation is returned as the compact row array ``S`` with
 ``(PA)_i = A_{S[i]}`` so that ``P A = L U``.
 
-The inner update is the rank-1 outer-product elimination step, vectorized per
-the HPC guide (one BLAS-2 update per column instead of the scalar triple loop
-in the paper's listing — same arithmetic, same operation count n^3/3 mults).
+Verbatim from Algorithm 1: the pivot rule (largest ``|element|`` of the
+column at and below the diagonal, first on ties), the multiplier scaling and
+the rank-1 elimination step.  Blocked: the rank-1 step reaches only the
+columns of the current ``_PANEL``-wide panel; everything to the right of a
+finished panel receives that panel's updates at once, as one unit-lower solve
+``U12 = L11^-1 A12`` and one GEMM ``A22 -= L21 U12`` (right-looking).  Each
+column's pivot search therefore sees the same values as in the paper's
+listing up to summation order, so ``perm`` is Algorithm 1's, and the
+operation count is the same n^3/3 multiplications.
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import permutation
+from .triangular import _forward_in_place, blocked_back_substitute, blocked_forward_substitute
+
+# Columns eliminated by rank-1 updates before one GEMM folds them into the
+# trailing matrix.
+_PANEL = 32
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -76,7 +87,8 @@ def lu_decompose(
     Raises
     ------
     SingularMatrixError
-        If the best available pivot in some column is (near-)zero.
+        If the best available pivot in some column is (near-)zero, NaN or
+        infinite.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -84,25 +96,34 @@ def lu_decompose(
     n = a.shape[0]
     lu = a.copy()
     perm = permutation.identity(n)
+    every_column = np.zeros(n, dtype=np.int64)
 
-    for i in range(n):
-        if pivot:
-            # Algorithm 1 line 3: pick the max |element| in column i, rows i..n.
-            rel = int(np.argmax(np.abs(lu[i:, i])))
-            j = i + rel
-            if j != i:
-                lu[[i, j], :] = lu[[j, i], :]
-                perm[[i, j]] = perm[[j, i]]
-        pivot_val = lu[i, i]
-        if abs(pivot_val) <= pivot_tol:
-            raise SingularMatrixError(
-                f"zero pivot at step {i} (|pivot|={abs(pivot_val):.3e})"
-            )
-        if i + 1 < n:
+    for j0 in range(0, n, _PANEL):
+        j1 = min(j0 + _PANEL, n)
+        for i in range(j0, j1):
+            if pivot:
+                # Algorithm 1 line 3: pick the max |element| in column i, rows i..n.
+                j = i + int(np.argmax(np.abs(lu[i:, i])))
+                if j != i:
+                    row = lu[i].copy()
+                    lu[i] = lu[j]
+                    lu[j] = row
+                    perm[i], perm[j] = perm[j], perm[i]
+            pivot_val = lu[i, i]
+            if not pivot_tol < abs(pivot_val) < np.inf:  # also catches NaN
+                kind = "zero" if abs(pivot_val) <= pivot_tol else "non-finite"
+                raise SingularMatrixError(
+                    f"{kind} pivot at step {i} (|pivot|={abs(pivot_val):.3e})"
+                )
             # Lines 6-8: scale the multipliers.
             lu[i + 1 :, i] /= pivot_val
-            # Lines 9-13: rank-1 trailing update, vectorized.
-            lu[i + 1 :, i + 1 :] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 :])
+            # Lines 9-13: the rank-1 update, on the panel's own columns only.
+            lu[i + 1 :, i + 1 : j1] -= lu[i + 1 :, i : i + 1] * lu[i, i + 1 : j1]
+        if j1 < n:
+            # The columns right of the panel get its j1 - j0 updates at once:
+            # U12 = L11^-1 A12, then A22 -= L21 U12.
+            _forward_in_place(lu[j0:j1, j0:j1], lu[j0:j1, j1:], every_column[j1:], True)
+            lu[j1:, j1:] -= lu[j1:, j0:j1] @ lu[j0:j1, j1:]
 
     return LUResult(lu=lu, perm=perm)
 
@@ -113,13 +134,12 @@ def lu_reconstruct(result: LUResult) -> np.ndarray:
 
 
 def solve_lu(result: LUResult, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` given ``P A = L U``: forward then back substitution
-    applied to ``P b``."""
-    from .triangular import back_substitute, forward_substitute
-
+    """Solve ``A x = b`` given ``P A = L U``: blocked forward then back
+    substitution applied to ``P b`` (the row loops of
+    :mod:`repro.linalg.triangular` are the tests' reference only)."""
     pb = permutation.apply_rows(result.perm, np.asarray(b, dtype=np.float64))
-    y = forward_substitute(result.lower(), pb, unit_diagonal=True)
-    return back_substitute(result.upper(), y)
+    y = blocked_forward_substitute(result.lu, pb, unit_diagonal=True)
+    return blocked_back_substitute(result.lu, y)
 
 
 def lu_flop_count(n: int) -> float:

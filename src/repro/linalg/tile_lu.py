@@ -22,7 +22,7 @@ import numpy as np
 from . import permutation
 from .blockwrap import contiguous_ranges
 from .lu import LUResult, SingularMatrixError, lu_decompose
-from .triangular import forward_substitute
+from .triangular import blocked_forward_substitute
 
 
 @dataclass
@@ -44,7 +44,9 @@ def tile_lu(a: np.ndarray, tile: int = 32) -> tuple[LUResult, TileTaskCount]:
 
     For each diagonal step k: GETRF on tile (k,k) with local pivoting
     (applied across the tile row), TRSM to the tile row of U and tile column
-    of L, then GEMM updates on the trailing tiles.
+    of L, then GEMM updates on the trailing tiles.  The TRSMs are the
+    blocked solves of :mod:`repro.linalg.triangular` (its row loops are the
+    tests' reference only).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -79,7 +81,7 @@ def tile_lu(a: np.ndarray, tile: int = 32) -> tuple[LUResult, TileTaskCount]:
         for j1, j2 in ranges[k + 1 :]:
             if j2 <= j1:
                 continue
-            lu[k1:k2, j1:j2] = forward_substitute(
+            lu[k1:k2, j1:j2] = blocked_forward_substitute(
                 l_kk, lu[k1:k2, j1:j2], unit_diagonal=True
             )
             counts.trsm += 1
@@ -87,7 +89,7 @@ def tile_lu(a: np.ndarray, tile: int = 32) -> tuple[LUResult, TileTaskCount]:
         for i1, i2 in ranges[k + 1 :]:
             if i2 <= i1:
                 continue
-            lu[i1:i2, k1:k2] = forward_substitute(u_kk.T, lu[i1:i2, k1:k2].T).T
+            lu[i1:i2, k1:k2] = blocked_forward_substitute(u_kk.T, lu[i1:i2, k1:k2].T).T
             counts.trsm += 1
         # GEMM trailing updates.
         for i1, i2 in ranges[k + 1 :]:

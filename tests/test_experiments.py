@@ -49,10 +49,11 @@ class TestTable2:
         assert 0.5 < res.read_ratio < 3.0
 
     def test_mults_within_dense_factor(self, harness):
-        """Implementation multiplies densely: 5/3 n^3 vs the model's 2/3 n^3
-        triangular-aware count => ratio up to ~2.5."""
+        """The final product skips structural zeros panel by panel, so the
+        measured count sits just above the model's 2/3 n^3 — a dense product
+        would read 2.0."""
         res = table2.run(n=128, nb=16, m0=4, harness=harness)
-        assert 1.0 <= res.measured_ours.mults / res.model_ours.mults < 3.0
+        assert 1.0 <= res.measured_ours.mults / res.model_ours.mults < 1.5
 
     def test_format(self, harness):
         out = table2.format_result(table2.run(n=64, nb=16, m0=4, harness=harness))

@@ -162,6 +162,33 @@ class TestBlockedSolvers:
         )
         assert t_blk < 0.5 * t_row
 
+    def test_leaves_are_blas3(self):
+        """Speed guard for the leaf step: with 128 right-hand sides at n=512
+        the off-diagonal GEMMs are cheap and the leaves decide.  A row loop
+        under the recursion measured 0.85x of the plain row loop, inverted
+        leaf blocks ~0.5x."""
+        t_row, t_blk = _min_of_4_in_pinned_child(
+            """
+            n = 512
+            l = np.tril(rng.standard_normal((n, n))) + n**0.5 * np.eye(n)
+            b = rng.standard_normal((n, 128))
+            """,
+            "forward_substitute(l, b)",
+            "blocked_forward_substitute(l, b)",
+        )
+        assert t_blk < 0.7 * t_row
+
+    def test_leaf_lu_is_panelled(self):
+        """Speed guard for ``lu_decompose``: one rank-1 update of the whole
+        trailing matrix per column (Algorithm 1 verbatim) fails here
+        (measured ~0.45x at n=192)."""
+        t_ref, t_panel = _min_of_4_in_pinned_child(
+            "a = rng.standard_normal((192, 192))",
+            "algorithm1_lu(a)",
+            "lu_decompose(a)",
+        )
+        assert t_panel < 0.8 * t_ref
+
 
 def _min_of_4_in_pinned_child(setup: str, *stmts: str) -> list[float]:
     """Best-of-4 seconds for each statement, timed in a fresh interpreter with
@@ -174,6 +201,8 @@ def _min_of_4_in_pinned_child(setup: str, *stmts: str) -> list[float]:
             "import numpy as np",
             "from repro.linalg.triangular import (blocked_forward_substitute,"
             " forward_substitute, invert_lower_columns)",
+            "from repro.linalg.lu import lu_decompose",
+            "from test_linalg_lu import algorithm1_lu",
             "rng = np.random.default_rng(12345)",
             textwrap.dedent(setup),
             *(

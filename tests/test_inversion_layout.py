@@ -10,11 +10,13 @@ from repro.inversion import MatrixInverter
 from repro.inversion.factors import perm_from_bytes, perm_to_bytes, read_lower, read_perm, read_upper
 from repro.dfs.formats import decode_matrix, encode_matrix
 from repro.inversion.invert_job import (
+    _PANEL,
     InvertReducer,
     _gather_cols,
     _gather_rows,
     _l_mapper_columns,
     _reducer_shares,
+    _triangular_product,
     _u_mapper_rows,
     reducer_indices,
 )
@@ -267,7 +269,8 @@ class TestFinalJobGathers:
     def final_job(self, request, rng):
         m0, wrap, n = request.param
         layout = make_layout(n=n, nb=64, m0=m0, block_wrap=wrap)
-        uinv, linv = rng.standard_normal((2, n, n))
+        # triangular, as the mappers write them: the reducer skips the zeros
+        uinv, linv = np.triu(rng.standard_normal((n, n))), np.tril(rng.standard_normal((n, n)))
         ctx = _FakeTaskContext()
         for i in range(m0 - layout.config.mhalf):
             ctx.files[layout.inv_u_path(i)] = encode_matrix(uinv[_u_mapper_rows(layout, i, n)])
@@ -322,6 +325,65 @@ class TestFinalJobGathers:
         got = _gather_rows(ctx, layout, range(1, 64, 2), 64)
         assert not got.flags.writeable and not got.flags.owndata
         assert ctx.reads == [layout.inv_u_path(1)]
+
+
+def _panel_multiplications(rows, cols, n):
+    """Brute force: every inner index ``k`` is multiplied against the rows and
+    columns that start before the end of ``k``'s panel."""
+    total = 0
+    for k in range(n):
+        end = min((k // _PANEL + 1) * _PANEL, n)
+        total += sum(r < end for r in rows) * sum(c < end for c in cols)
+    return total
+
+
+class TestTriangularProduct:
+    """The reducers' panelled ``U^-1 L^-1`` against the dense product, and
+    the multiplications it reports against a count of what it multiplied."""
+
+    @pytest.mark.parametrize("n", [7, 64, 130])
+    @pytest.mark.parametrize("m0", [2, 4, 6, 8])
+    @pytest.mark.parametrize("wrap", [True, False], ids=["wrap", "contiguous"])
+    def test_every_reducer_share(self, rng, wrap, m0, n):
+        layout = make_layout(n=n, nb=64, m0=m0, block_wrap=wrap)
+        uinv, linv = np.triu(rng.standard_normal((n, n))), np.tril(rng.standard_normal((n, n)))
+        exact = issued = 0
+        for p in range(m0):
+            rows, cols = _reducer_shares(layout, p, n)
+            if not rows or not cols:
+                continue
+            u_rows = uinv[rows.start : rows.stop : rows.step]
+            l_cols = linv[:, cols.start : cols.stop : cols.step]
+            u_rows.setflags(write=False)
+            l_cols.setflags(write=False)
+            block, mults = _triangular_product(u_rows, rows, l_cols, cols)
+            tol = n * np.finfo(float).eps * np.abs(u_rows).max() * np.abs(l_cols).max()
+            assert np.abs(block - u_rows @ l_cols).max() <= tol
+            assert block.flags.c_contiguous and block.flags.writeable
+            assert mults == _panel_multiplications(rows, cols, n)
+            exact += sum(n - max(r, c) for r in rows for c in cols)
+            issued += mults
+        # the shares tile the matrix: Table 2's product term, then panel slack
+        assert exact == n * (n + 1) * (2 * n + 1) // 6
+        assert exact <= issued <= n**3
+        if n > _PANEL:
+            assert issued < 0.75 * n**3
+
+    def test_reported_multiplications_same_on_every_backend(self):
+        from repro import invert
+        from repro.workloads import random_dense
+
+        n, m0 = 130, 4
+        a = random_dense(n, seed=4)
+        layout = make_layout(n=n, nb=40, m0=m0)
+        product = sum(
+            _panel_multiplications(*_reducer_shares(layout, p, n), n) for p in range(m0)
+        )
+        mappers = sum(k * k for k in range(1, n + 1))  # Equation 4, both factors
+        for executor in ("serial", "threads", "processes"):
+            res = invert(a, InversionConfig(nb=40, m0=m0, executor=executor, num_workers=2))
+            (final,) = [j for j in res.record.job_results if j.name == "invert-final"]
+            assert sum(t.flops for t in final.traces) == mappers + product
 
 
 def _ref_region_read(region, reader):

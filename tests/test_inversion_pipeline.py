@@ -227,6 +227,40 @@ class TestLUOnly:
         assert np.allclose(reconstructed, a, atol=1e-10)
 
 
+class TestRunPathHasNoRowLoops:
+    """``forward_substitute`` / ``back_substitute`` are the tests' reference;
+    nothing on the pipeline's run path may reach them."""
+
+    @pytest.fixture
+    def row_loops_raise(self, monkeypatch):
+        import sys
+
+        from repro.linalg import triangular
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("row-loop substitution reached from the run path")
+
+        for loop in (triangular.forward_substitute, triangular.back_substitute):
+            for name, module in list(sys.modules.items()):
+                if name == "repro" or name.startswith("repro."):
+                    for key, value in list(vars(module).items()):
+                        if value is loop:
+                            monkeypatch.setattr(module, key, forbidden)
+        with pytest.raises(AssertionError):
+            triangular.forward_substitute(np.eye(2), np.ones(2))
+
+    def test_invert_lu_and_solve_complete(self, rng, row_loops_raise):
+        n = 96
+        a = random_invertible(rng, n)
+        cfg = InversionConfig(nb=24, m0=4)
+        assert invert(a, cfg).residual(a) < 1e-9
+        with MatrixInverter(cfg) as inverter:
+            factors = inverter.lu(a)
+            assert verify.lu_residual(a, factors.lower, factors.upper, factors.perm) < 1e-10
+            b = rng.standard_normal((n, 3))
+            assert np.allclose(a @ inverter.solve(a, b), b, atol=1e-8)
+
+
 class TestAccountingSurface:
     def test_io_snapshot_populated(self, rng):
         a = random_invertible(rng, 64)
@@ -236,13 +270,14 @@ class TestAccountingSurface:
 
     def test_flops_close_to_theory(self, rng):
         """Reported multiplications: LU contributes n^3/3 (Table 1), the two
-        triangular inversions n^3/3 (Table 2), and the final product — which
-        this implementation computes densely, as BLAS would — n^3, for 5/3 n^3
-        total."""
+        triangular inversions n^3/3 and the final product n^3/3 (Table 2),
+        for n^3 total — plus what the product's 64-wide panels multiply of
+        the structural zeros, a third again at this order.  A dense product
+        (5/3 n^3) fails here."""
         n = 96
         a = random_invertible(rng, n)
         res = invert(a, InversionConfig(nb=24, m0=4))
-        assert res.total_flops() == pytest.approx(5 / 3 * n**3, rel=0.2)
+        assert 0.98 * n**3 <= res.total_flops() <= 1.35 * n**3
 
     def test_record_contains_all_jobs(self, rng):
         a = random_invertible(rng, 64)

@@ -6,8 +6,28 @@ import pytest
 from repro.linalg import lu_decompose, solve_lu
 from repro.linalg.lu import SingularMatrixError, lu_flop_count, lu_reconstruct
 from repro.linalg import permutation, verify
+from repro.workloads import ill_conditioned, needs_cross_block_pivot, random_dense
 
 from conftest import random_invertible
+
+
+def algorithm1_lu(a):
+    """Algorithm 1 as the paper lists it, one rank-1 update of the whole
+    trailing matrix per column: the reference for the panelled kernel (and
+    for its speed guard in test_gj_mr_and_blocked.py)."""
+    lu = np.array(a, dtype=np.float64)
+    n = lu.shape[0]
+    perm = np.arange(n)
+    for i in range(n):
+        j = i + int(np.argmax(np.abs(lu[i:, i])))
+        if j != i:
+            lu[[i, j], :] = lu[[j, i], :]
+            perm[[i, j]] = perm[[j, i]]
+        if lu[i, i] == 0.0:
+            raise SingularMatrixError(f"zero pivot at step {i}")
+        lu[i + 1 :, i] /= lu[i, i]
+        lu[i + 1 :, i + 1 :] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 :])
+    return lu, perm
 
 
 class TestFactorization:
@@ -99,6 +119,47 @@ class TestErrors:
             lu_decompose(a, pivot_tol=1e-12)
 
 
+    def test_all_ones_fails_at_step_one(self):
+        with pytest.raises(SingularMatrixError, match="zero pivot at step 1 "):
+            lu_decompose(np.ones((40, 40)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (5, 7), (39, 39), (20, 35), (39, 0)])
+    def test_non_finite_entry_raises_never_returns_nan(self, bad, where):
+        # was: NaN factors, silently (NaN) or after a RuntimeWarning (inf)
+        a = random_dense(40, seed=1)
+        a[where] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SingularMatrixError, match=r"non-finite pivot at step \d+"
+        ):
+            lu_decompose(a)
+
+
+class TestPanelledAgainstAlgorithm1:
+    """The panelled right-looking kernel makes Algorithm 1's pivot choices
+    and computes its factors, up to the summation order of the GEMM."""
+
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            lambda n: random_dense(n, seed=n),
+            lambda n: ill_conditioned(n, 1e8, seed=n),
+            needs_cross_block_pivot,
+        ],
+        ids=["random_dense", "ill_conditioned", "needs_cross_block_pivot"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 128, 200])
+    def test_same_perm_and_factors(self, gen, n):
+        a = gen(n)
+        res = lu_decompose(a)
+        ref_lu, ref_perm = algorithm1_lu(a)
+        assert np.array_equal(res.perm, ref_perm)
+        # both are backward stable; the factors themselves move with cond(a)
+        drift = np.finfo(float).eps * np.linalg.cond(a, 1) * np.abs(ref_lu).max()
+        assert np.abs(res.lu - ref_lu).max() <= drift
+        assert verify.lu_residual(a, res.lower(), res.upper(), res.perm) < 1e-10
+
+
 class TestSolve:
     def test_solve_single_rhs(self, rng):
         a = random_invertible(rng, 12)
@@ -113,6 +174,11 @@ class TestSolve:
         res = lu_decompose(a)
         x = solve_lu(res, a @ x_true)
         assert np.allclose(x, x_true)
+
+    def test_solve_spans_several_leaves(self, rng):
+        a = random_invertible(rng, 150)
+        x_true = rng.standard_normal((150, 2))
+        assert np.allclose(solve_lu(lu_decompose(a), a @ x_true), x_true, atol=1e-8)
 
 
 class TestAccounting:

@@ -203,6 +203,78 @@ class TestBlockedColumnKernel:
                 invert_lower_columns(l, bad)
 
 
+def _packed_factors(kind, n):
+    """``LUResult.lu`` of a ``repro.workloads`` matrix, read-only: the
+    unit-lower ``L`` with ``U`` above its diagonal — and, transposed, ``U^T``
+    with ``L^T`` above its diagonal.  Neither is triangular as stored."""
+    a = random_dense(n, seed=n) if kind == "random" else ill_conditioned(n, 1e8, seed=n)
+    packed = lu_decompose(a).lu
+    packed.setflags(write=False)
+    return packed
+
+
+class TestBlockedSolvesAgainstRowLoop:
+    """``blocked_forward_substitute`` / ``blocked_back_substitute`` (inverted
+    leaf blocks, GEMMs throughout) against the row loops, over leaf widths
+    that are and are not powers of two and orders on both sides of a leaf."""
+
+    # Same reasoning, and the same value, as TestBlockedColumnKernel.TOL
+    # (worst observed ratio 0.27).
+    TOL = 1.0
+
+    @pytest.mark.parametrize("kind", ["random", "graded"])
+    @pytest.mark.parametrize("unit", [False, True], ids=["diag", "unit"])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 63, 64, 65, 129, 300])
+    def test_matches_row_loop_for_every_block_width(self, rng, kind, unit, n):
+        packed = _packed_factors(kind, n)
+        l = packed if unit else packed.T
+        tri = np.tril(l)
+        if unit:
+            np.fill_diagonal(tri, 1.0)
+        bound = self.TOL * np.finfo(float).eps * np.linalg.cond(tri, 1)
+        b = rng.standard_normal((n, 5))
+        want_f = forward_substitute(l, b, unit_diagonal=unit)
+        want_b = back_substitute(l.T, b, unit_diagonal=unit)
+        for block in (1, 3, 16, 48, 64):
+            got = blocked_forward_substitute(l, b, unit_diagonal=unit, block=block)
+            assert np.abs(got - want_f).max() <= bound * np.abs(want_f).max()
+            got = blocked_back_substitute(l.T, b, unit_diagonal=unit, block=block)
+            assert np.abs(got - want_b).max() <= bound * np.abs(want_b).max()
+        # the default width, on a vector
+        got = blocked_forward_substitute(l, b[:, 0], unit_diagonal=unit)
+        assert got.shape == (n,)
+        assert np.abs(got - want_f[:, 0]).max() <= bound * np.abs(want_f).max()
+
+    def test_upper_triangle_is_never_read(self, rng):
+        l = random_lower(rng, 70)
+        junk = l + np.triu(np.full((70, 70), np.nan), k=1)
+        b = rng.standard_normal((70, 3))
+        assert np.array_equal(
+            blocked_forward_substitute(junk, b), blocked_forward_substitute(l, b)
+        )
+        assert np.array_equal(
+            blocked_back_substitute(junk.T, b), blocked_back_substitute(l.T, b)
+        )
+        assert np.array_equal(
+            invert_lower_columns(junk, [0, 40]), invert_lower_columns(l, [0, 40])
+        )
+
+    @pytest.mark.parametrize("solve", [blocked_forward_substitute, blocked_back_substitute])
+    @pytest.mark.parametrize("block", [0, -1])
+    def test_block_below_one_rejected(self, solve, block):
+        # was: recursion until RecursionError
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            solve(np.eye(4), np.ones(4), block=block)
+
+    def test_zero_diagonal_named_in_the_factor_not_the_leaf(self, rng):
+        l = random_lower(rng, 100)
+        l[70, 70] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="70"):
+            blocked_forward_substitute(l, np.ones(100))
+        # ... and ignored when the diagonal is implied
+        blocked_forward_substitute(l, np.ones(100), unit_diagonal=True)
+
+
 class TestKernelsHoldNoCycles:
     """A self-recursive nested ``solve`` is a function -> cell -> function
     cycle that pins the operand and the result until the cyclic collector
