@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs experiments examples coverage clean
+.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs profile experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -98,6 +98,10 @@ bench-e2e-compare:
 bench-pairs:
 	@test -n "$(W)" -a -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10]"; exit 2; }
 	$(PYTHON) scripts/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(or $(N),10)
+
+profile:
+	@test -n "$(W)" || { echo "usage: make profile W=<workload> [SMOKE=1]"; exit 2; }
+	$(PYTHON) scripts/profile_call.py --workload $(W) $(if $(SMOKE),--smoke)
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all

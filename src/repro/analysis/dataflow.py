@@ -193,10 +193,11 @@ class BlockDAG:
         WHITE, GREY, BLACK = 0, 1, 2
         color = {name: WHITE for name in self.stages}
         parent: dict[str, str] = {}
+        successors = self._successors()
 
         def dfs(node: str) -> list[str] | None:
             color[node] = GREY
-            for succ in sorted(self._successors().get(node, set())):
+            for succ in sorted(successors.get(node, ())):
                 if color.get(succ, WHITE) == GREY:
                     cycle = [succ, node]
                     cur = node

@@ -6,17 +6,19 @@ write-once intermediates) and are re-read by every task in a wave: ``L1^-1``,
 (arXiv:1801.04723) attributes much of Spark's advantage over the paper's
 Hadoop pipeline to exactly this reuse being served from memory.  The
 :class:`BlockCache` gives the simulated cluster the same lever: a byte-capped
-LRU of *decoded, read-only* matrices keyed by ``(path, generation)``.
+LRU of *decoded, read-only* matrices keyed by file ``generation``.
 
 Correctness rests on two properties:
 
 * **generation keys** — the namenode stamps every :class:`~repro.dfs.namenode.FileEntry`
   with a globally monotonic generation at creation; overwriting a path makes
-  a new entry with a new generation, so a stale cached matrix can never be
-  served for rewritten content.  Renames keep the entry (and its generation),
-  which is safe because generations are globally unique.  ``DFS.delete`` /
-  ``DFS.rename`` additionally drop affected keys eagerly so dead entries do
-  not linger until LRU eviction.
+  a new entry with a new generation, so a generation names one immutable
+  content and a stale cached matrix can never be served for rewritten
+  content.  A rename keeps the entry (and its generation), so the moved file
+  is still a hit under its new path.  The DFS drops the generations of the
+  entries it collects — deleted, or displaced by a rename or publish
+  (``DFS._gc_entries`` → :meth:`BlockCache.drop`) — so dead values do not
+  linger until LRU eviction; nothing is ever found by scanning keys.
 * **read-only values** — cached arrays are the non-writable views produced by
   :func:`repro.dfs.formats.decode_matrix`, so sharing one object between
   concurrent tasks cannot race: any attempted in-place mutation raises.
@@ -40,21 +42,17 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from . import formats
-from .namenode import normalize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .filesystem import DFS
 
 #: Default capacity wired into :class:`~repro.inversion.config.InversionConfig`.
 DEFAULT_BLOCK_CACHE_BYTES = 64 << 20
-
-#: Cache key: (normalized path, file generation).
-CacheKey = tuple[str, int]
 
 
 class BlockCache:
@@ -71,7 +69,7 @@ class BlockCache:
             raise ValueError("capacity_bytes must be >= 1")
         self.capacity_bytes = capacity_bytes
         self._lock = threading.Lock()
-        self._entries: OrderedDict[CacheKey, np.ndarray] = OrderedDict()  # guarded-by: _lock
+        self._entries: OrderedDict[int, np.ndarray] = OrderedDict()  # guarded-by: _lock
         self._used_bytes = 0  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
@@ -79,10 +77,10 @@ class BlockCache:
 
     # -- core map operations ---------------------------------------------------
 
-    def get(self, key: CacheKey) -> np.ndarray | None:
-        """The cached matrix for ``key``, bumping its recency; ``None`` on
-        miss.  The returned array is read-only, so handing it out unshielded
-        is safe."""
+    def get(self, key: int) -> np.ndarray | None:
+        """The matrix cached for file generation ``key``, bumping its
+        recency; ``None`` on miss.  The returned array is read-only, so
+        handing it out unshielded is safe."""
         with self._lock:
             found = self._entries.get(key)
             if found is None:
@@ -92,7 +90,7 @@ class BlockCache:
             self._hits += 1
             return found
 
-    def put(self, key: CacheKey, matrix: np.ndarray) -> bool:
+    def put(self, key: int, matrix: np.ndarray) -> bool:
         """Insert a decoded matrix, evicting LRU entries to fit.  Returns
         False (and caches nothing) when the matrix alone exceeds capacity
         or the value is writable (a writable array could be mutated by its
@@ -114,21 +112,18 @@ class BlockCache:
                 self._evictions += 1
             return True
 
-    def drop_path(self, path: str) -> int:
-        """Eagerly drop every generation cached under ``path`` (or under the
-        directory ``path/``).  Returns the number of entries dropped.  Purely
-        hygiene — generation keys already make stale hits impossible."""
-        prefix = normalize(path)
-        dir_prefix = prefix.rstrip("/") + "/"
+    def drop(self, generations: Iterable[int]) -> int:
+        """Drop the values cached for ``generations`` (those of collected
+        file entries); returns how many were present.  Purely hygiene — a
+        collected generation can never be requested again."""
+        dropped = 0
         with self._lock:
-            doomed = [
-                key
-                for key in self._entries
-                if key[0] == prefix or key[0].startswith(dir_prefix)
-            ]
-            for key in doomed:
-                self._used_bytes -= int(self._entries.pop(key).nbytes)
-            return len(doomed)
+            for key in generations:
+                found = self._entries.pop(key, None)
+                if found is not None:
+                    self._used_bytes -= int(found.nbytes)
+                    dropped += 1
+        return dropped
 
     def clear(self) -> None:
         with self._lock:
@@ -145,16 +140,16 @@ class BlockCache:
         no DFS I/O happens at all; on a miss the file goes through the normal
         checksummed ``DFS.read_bytes`` path and the decoded view is inserted.
         """
-        entry = dfs.namenode.get_file(normalize(path))
-        key = (normalize(path), entry.generation)
-        found = self.get(key)
+        entry = dfs.namenode.get_file(path)
+        found = self.get(entry.generation)
         if found is not None:
-            dfs.stats.record_cache_hit(entry.length)
-            return found, entry.length
+            nbytes = entry.length
+            dfs.stats.record_cache_hit(nbytes)
+            return found, nbytes
         data = dfs.read_bytes(path)
         matrix = formats.decode_matrix(data)
         dfs.stats.record_cache_miss(len(data))
-        self.put(key, matrix)
+        self.put(entry.generation, matrix)
         return matrix, len(data)
 
     # -- introspection ---------------------------------------------------------
@@ -182,4 +177,4 @@ class BlockCache:
             }
 
 
-__all__ = ["BlockCache", "CacheKey", "DEFAULT_BLOCK_CACHE_BYTES"]
+__all__ = ["BlockCache", "DEFAULT_BLOCK_CACHE_BYTES"]

@@ -31,6 +31,7 @@ from .namenode import (
     FileNotFound,
     IsADirectory,
     NameNode,
+    NotADirectory,
     normalize,
 )
 
@@ -161,10 +162,9 @@ class DFS:
         until :meth:`publish` (or ``namenode.seal``) makes it visible —
         the first phase of the two-phase output commit.
         """
-        path = normalize(path)
         if self.fault_hooks:
             for hook in list(self.fault_hooks):
-                hook("create", path)
+                hook("create", normalize(path))
         entry = self.namenode.create_file(path, overwrite=overwrite, pending=pending)
         self.stats.record_create()
         return DFSWriter(self, entry)
@@ -207,7 +207,7 @@ class DFS:
             return data
 
     def _read_bytes(self, path: str, *, local: bool = False) -> bytes:
-        entry = self.namenode.get_file(normalize(path))
+        entry = self.namenode.get_file(path)
         self.stats.record_open()
         if len(entry.blocks) == 1:
             # Single-block file: the stored payload *is* the file content —
@@ -235,17 +235,26 @@ class DFS:
     def _read_range(
         self, path: str, offset: int, length: int, *, local: bool = False
     ) -> bytes:
-        entry = self.namenode.get_file(normalize(path))
+        entry = self.namenode.get_file(path)
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
         self.stats.record_open()
         end = offset + length
+        blocks = entry.blocks
+        if len(blocks) == 1 and length and offset < blocks[0].length:
+            # Single-block file (every matrix file under the default block
+            # size): the range is one slice of the one payload.
+            data = self.blocks.read_block(blocks[0])
+            if offset or end < len(data):
+                data = data[offset:end]
+            self.stats.record_read(len(data), local=local)
+            return data
         # Collect whole payloads or memoryview slices — no intermediate
         # bytearray, so the bytes are copied at most once (b"".join) and not
         # at all when the range hits exactly one whole block.
         parts: list[bytes | memoryview] = []
         pos = 0
-        for info in entry.blocks:
+        for info in blocks:
             block_start, block_end = pos, pos + info.length
             pos = block_end
             if block_end <= offset:
@@ -268,16 +277,16 @@ class DFS:
     # -- namespace -----------------------------------------------------------
 
     def exists(self, path: str) -> bool:
-        return self.namenode.exists(normalize(path))
+        return self.namenode.exists(path)
 
     def is_dir(self, path: str) -> bool:
-        return self.namenode.is_dir(normalize(path))
+        return self.namenode.is_dir(path)
 
     def mkdirs(self, path: str) -> None:
-        self.namenode.mkdirs(normalize(path))
+        self.namenode.mkdirs(path)
 
     def list_dir(self, path: str) -> list[str]:
-        return self.namenode.list_dir(normalize(path))
+        return self.namenode.list_dir(path)
 
     def glob(self, pattern: str) -> list[str]:
         """Match files anywhere in the tree against a ``fnmatch`` pattern."""
@@ -285,31 +294,17 @@ class DFS:
         return [p for p in self.namenode.walk_files("/") if fnmatch.fnmatch(p, pattern)]
 
     def list_files(self, path: str = "/") -> list[str]:
-        return self.namenode.walk_files(normalize(path))
+        return self.namenode.walk_files(path)
 
     def file_size(self, path: str) -> int:
-        return self.namenode.get_file(normalize(path)).length
+        return self.namenode.get_file(path).length
 
     def delete(self, path: str, *, recursive: bool = False) -> None:
-        removed = self.namenode.delete(normalize(path), recursive=recursive)
-        self._gc_entries(removed)
-        if self.cache is not None:
-            # Hygiene only: the deleted entries' (path, generation) keys can
-            # never be requested again, but dropping them eagerly frees
-            # capacity instead of waiting for LRU eviction.
-            self.cache.drop_path(path)
+        self._gc_entries(self.namenode.delete(path, recursive=recursive))
 
     def rename(self, src: str, dst: str, *, overwrite: bool = False) -> None:
-        displaced = self.namenode.rename(
-            normalize(src), normalize(dst), overwrite=overwrite
-        )
-        self._gc_entries(displaced)
-        if self.cache is not None:
-            # The moved entries keep their (globally unique) generations, so
-            # the cached values under the old path are unreachable — drop
-            # them; a replaced destination's cached values are stale too.
-            self.cache.drop_path(src)
-            self.cache.drop_path(dst)
+        # The moved entries keep their generations, hence their cached views.
+        self._gc_entries(self.namenode.rename(src, dst, overwrite=overwrite))
 
     # -- two-phase commit -----------------------------------------------------
 
@@ -326,42 +321,35 @@ class DFS:
         if self.fault_hooks:
             for hook in list(self.fault_hooks):
                 hook("publish", normalize(pairs[0][1]))
-        normalized = [(normalize(s), normalize(d)) for s, d in pairs]
         nbytes = sum(
             self.namenode.get_file(src, include_pending=True).length
-            for src, _ in normalized
+            for src, _ in pairs
         )
         tracer = current_tracer()
         if tracer.enabled:
-            with tracer.span(normalized[0][1], SpanKind.COMMIT) as span:
-                displaced = self.namenode.publish(normalized)
-                span.set(files=len(normalized), bytes=nbytes)
+            with tracer.span(normalize(pairs[0][1]), SpanKind.COMMIT) as span:
+                displaced = self.namenode.publish(pairs)
+                span.set(files=len(pairs), bytes=nbytes)
         else:
-            displaced = self.namenode.publish(normalized)
+            displaced = self.namenode.publish(pairs)
         self._gc_entries(displaced)
-        self.stats.record_publish(nbytes, files=len(normalized))
-        if self.cache is not None:
-            for src, dst in normalized:
-                self.cache.drop_path(src)
-                self.cache.drop_path(dst)
+        self.stats.record_publish(nbytes, files=len(pairs))
         if self.publish_listeners:
             # After the namenode publish: the destinations are sealed and
             # visible, so a listener-triggered reader can never observe a
             # pending file.
-            sealed = [dst for _, dst in normalized]
+            sealed = [normalize(dst) for _, dst in pairs]
             for listener in list(self.publish_listeners):
                 listener(sealed)
 
     def discard_staging(self, path: str) -> None:
         """Delete an uncommitted staging subtree (aborted or losing attempt);
         a missing path is fine — discard is idempotent."""
-        path = normalize(path)
-        if not self.namenode.exists(path, include_pending=True):
+        try:
+            removed = self.namenode.delete(path, recursive=True)
+        except (FileNotFound, NotADirectory):
             return
-        removed = self.namenode.delete(path, recursive=True)
         self._gc_entries(removed)
-        if self.cache is not None:
-            self.cache.drop_path(path)
 
     def _gc_entries(self, entries: list[FileEntry]) -> None:
         """Collect the blocks of removed or displaced file entries.
@@ -369,32 +357,42 @@ class DFS:
         Pending entries are debited from the staging ledger: bytes that
         were staged but never published count as discarded, keeping the
         ``staged == published + discarded`` conservation term exact.
+        Sealed ones may have a decoded view in the block cache (a pending
+        file cannot — ``read_through`` never sees it); their generations can
+        never be requested again, so the views are dropped here, exactly,
+        instead of waiting for LRU eviction.
         """
+        if not entries:
+            return
         pending_bytes = 0
         pending_files = 0
+        sealed: list[int] = []
         for entry in entries:
             for info in entry.blocks:
                 self.blocks.delete_block(info)
-            if not entry.sealed:
+            if entry.sealed:
+                sealed.append(entry.generation)
+            else:
                 pending_bytes += entry.length
                 pending_files += 1
-        if entries:
-            self.stats.record_delete(len(entries))
+        self.stats.record_delete(len(entries))
         if pending_files:
             self.stats.record_discard(pending_bytes, files=pending_files)
+        if sealed and self.cache is not None:
+            self.cache.drop(sealed)
 
     # -- replication maintenance ------------------------------------------------
 
     def under_replicated_blocks(self) -> int:
         """Blocks whose healthy replica count is below the target (what the
         real namenode's replication monitor tracks)."""
-        target = self.blocks.replication
+        target = min(
+            self.blocks.replication, sum(dn.alive for dn in self.blocks.datanodes)
+        )
         count = 0
         for path in self.namenode.walk_files("/"):
             for info in self.namenode.get_file(path).blocks:
-                if self.blocks.live_replica_count(info) < min(
-                    target, sum(dn.alive for dn in self.blocks.datanodes)
-                ):
+                if self.blocks.live_replica_count(info) < target:
                     count += 1
         return count
 
@@ -433,15 +431,10 @@ class DFS:
     def tree(self, path: str = "/") -> str:
         """ASCII rendering of the namespace (debugging aid for Figure 4)."""
         lines: list[str] = []
-        for file_path in self.namenode.walk_files(normalize(path)):
+        for file_path in self.namenode.walk_files(path):
             size = self.file_size(file_path)
             lines.append(f"{file_path}  ({size} B)")
         return "\n".join(lines)
 
 
-def file_not_found(path: str) -> FileNotFound:
-    """Helper for callers that raise namespace errors without a namenode."""
-    return FileNotFound(path)
-
-
-__all__ = ["DFS", "DFSWriter", "FileNotFound", "IsADirectory", "file_not_found"]
+__all__ = ["DFS", "DFSWriter", "FileNotFound", "IsADirectory"]

@@ -4,6 +4,16 @@ The namenode keeps the directory tree and, per file, the ordered list of
 blocks that make up the file's contents — the same split of responsibilities
 as HDFS.  Paths are '/'-separated and rooted at ``/``; the paper's directory
 layout (``Root/A1/A3/...``, Figure 4) maps directly onto this tree.
+
+Resolution is one dictionary lookup: the namenode keeps a flat index from
+every canonical path to its entry, maintained by the four mutators
+(``create_file``, ``mkdirs``, ``delete``, ``rename``/``publish``) under the
+namespace lock, so the cost of an operation does not grow with the depth of
+the path.  ``DirEntry.children`` is what a directory *contains* (listing,
+recursive delete, the sorted depth-first order of ``walk_files``), not how a
+path is found.  Only a directory that is not there costs more than a lookup:
+its missing tail is created, one component at a time, from the nearest
+existing ancestor down — or that ancestor is named in the error.
 """
 
 from __future__ import annotations
@@ -39,13 +49,15 @@ class DirectoryNotEmpty(DFSError):
 
 
 def normalize(path: str) -> str:
-    """Collapse a DFS path to canonical ``/a/b/c`` form."""
-    parts = [p for p in path.split("/") if p not in ("", ".")]
-    return "/" + "/".join(parts)
+    """Collapse a DFS path to canonical ``/a/b/c`` form.
 
-
-def split_path(path: str) -> list[str]:
-    return [p for p in path.split("/") if p not in ("", ".")]
+    An already-canonical string (all ``Layout`` and ``staging_path`` ever
+    build) is returned unchanged after a split-free check; the check is
+    conservative — ``/a/.b`` takes the slow road and comes back as it was.
+    """
+    if path[:1] == "/" and path[-1] != "/" and "//" not in path and "/." not in path:
+        return path
+    return "/" + "/".join(p for p in path.split("/") if p not in ("", "."))
 
 
 @dataclass
@@ -54,9 +66,9 @@ class FileEntry:
 
     ``generation`` is a namenode-global monotonic stamp assigned when the
     entry is created.  Overwriting a path creates a *new* entry with a new
-    generation, so ``(path, generation)`` uniquely identifies one immutable
-    file content — the key the decoded-block cache uses to stay correct
-    across overwrite/rename/delete without explicit invalidation callbacks.
+    generation, so a generation alone identifies one immutable file content
+    — the key the decoded-block cache uses: an overwrite can never be served
+    stale, and a renamed file (same entry, same generation) stays cached.
     """
 
     name: str
@@ -91,45 +103,62 @@ class NameNode:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self.root = DirEntry(name="")  # guarded-by: _lock
+        #: Canonical path -> entry, for exactly the nodes reachable from
+        #: ``root`` (pending files included).
+        self._index: dict[str, FileEntry | DirEntry] = {"/": self.root}  # guarded-by: _lock
         self._next_generation = 1  # guarded-by: _lock
 
-    # -- traversal -----------------------------------------------------------
+    # -- resolution ----------------------------------------------------------
 
-    def _walk(self, path: str) -> "FileEntry | DirEntry | None":  # requires-lock: _lock
-        node: FileEntry | DirEntry = self.root
-        for part in split_path(path):
-            if not isinstance(node, DirEntry):
-                return None
-            child = node.children.get(part)
-            if child is None:
-                return None
-            node = child
-        return node
+    def _dir(self, path: str, *, create: bool) -> DirEntry:  # requires-lock: _lock
+        """The directory at canonical ``path``: an index hit, else its
+        missing tail is created from the nearest existing ancestor down
+        (``create``) or the component that stops the descent is named."""
+        found = self._index.get(path)
+        if found is None:
+            parent, name = self._parent_dir(path, create=create)
+            if not create:
+                raise FileNotFound(f"no such directory: {name!r} in {path!r}")
+            found = parent.children[name] = self._index[path] = DirEntry(name=name)
+        elif not isinstance(found, DirEntry):
+            raise NotADirectory(f"{found.name!r} in {path!r} is a file")
+        return found
 
     def _parent_dir(  # requires-lock: _lock
         self, path: str, *, create: bool
     ) -> tuple[DirEntry, str]:
-        parts = split_path(path)
-        if not parts:
+        head, _, name = path.rpartition("/")
+        if not name:
             raise DFSError("path refers to the root directory")
-        node: DirEntry = self.root
-        for part in parts[:-1]:
-            child = node.children.get(part)
-            if child is None:
-                if not create:
-                    raise FileNotFound(f"no such directory: {part!r} in {path!r}")
-                child = DirEntry(name=part)
-                node.children[part] = child
-            if not isinstance(child, DirEntry):
-                raise NotADirectory(f"{part!r} in {path!r} is a file")
-            node = child
-        return node, parts[-1]
+        return self._dir(head or "/", create=create), name
+
+    def _unindex(  # requires-lock: _lock
+        self, path: str, node: "FileEntry | DirEntry", removed: list[FileEntry]
+    ) -> None:
+        """Drop the subtree at ``path`` from the index, collecting its files."""
+        del self._index[path]
+        if isinstance(node, FileEntry):
+            removed.append(node)
+            return
+        for name, child in node.children.items():
+            self._unindex(f"{path}/{name}", child, removed)
+
+    def _reindex(  # requires-lock: _lock
+        self, old: str, new: str, node: "FileEntry | DirEntry"
+    ) -> None:
+        """Re-key the subtree that moved from ``old`` to ``new``."""
+        del self._index[old]
+        self._index[new] = node
+        if isinstance(node, DirEntry):
+            for name, child in node.children.items():
+                self._reindex(f"{old}/{name}", f"{new}/{name}", child)
 
     # -- operations ----------------------------------------------------------
 
     def create_file(
         self, path: str, *, overwrite: bool = False, pending: bool = False
     ) -> FileEntry:
+        path = normalize(path)
         with self._lock:
             parent, name = self._parent_dir(path, create=True)
             existing = parent.children.get(name)
@@ -141,40 +170,26 @@ class NameNode:
                 # fresh generation supersedes it.
                 if not overwrite and existing.sealed:
                     raise FileAlreadyExists(path)
-            entry = FileEntry(
-                name=name, generation=self._next_generation, sealed=not pending
-            )
+            entry = FileEntry(name=name, generation=self._next_generation, sealed=not pending)
             self._next_generation += 1
-            parent.children[name] = entry
+            parent.children[name] = self._index[path] = entry
             return entry
 
     def seal(self, path: str) -> FileEntry:
         """Make a pending file visible (the second phase of a direct write)."""
         with self._lock:
-            node = self._walk(path)
-            if node is None:
-                raise FileNotFound(path)
-            if isinstance(node, DirEntry):
-                raise IsADirectory(path)
+            node = self.get_file(path, include_pending=True)
             node.sealed = True
             return node
 
     def mkdirs(self, path: str) -> DirEntry:
+        path = normalize(path)
         with self._lock:
-            node: DirEntry = self.root
-            for part in split_path(path):
-                child = node.children.get(part)
-                if child is None:
-                    child = DirEntry(name=part)
-                    node.children[part] = child
-                if not isinstance(child, DirEntry):
-                    raise NotADirectory(f"{part!r} in {path!r} is a file")
-                node = child
-            return node
+            return self._dir(path, create=True)
 
     def get_file(self, path: str, *, include_pending: bool = False) -> FileEntry:
         with self._lock:
-            node = self._walk(path)
+            node = self._index.get(normalize(path))
             if node is None:
                 raise FileNotFound(path)
             if isinstance(node, DirEntry):
@@ -185,25 +200,23 @@ class NameNode:
 
     def exists(self, path: str, *, include_pending: bool = False) -> bool:
         with self._lock:
-            node = self._walk(path)
+            node = self._index.get(normalize(path))
             if isinstance(node, FileEntry) and not node.sealed:
                 return include_pending
             return node is not None
 
     def is_dir(self, path: str) -> bool:
         with self._lock:
-            return isinstance(self._walk(path), DirEntry)
+            return isinstance(self._index.get(normalize(path)), DirEntry)
 
     def is_file(self, path: str, *, include_pending: bool = False) -> bool:
         with self._lock:
-            node = self._walk(path)
-            if not isinstance(node, FileEntry):
-                return False
-            return node.sealed or include_pending
+            node = self._index.get(normalize(path))
+            return isinstance(node, FileEntry) and (node.sealed or include_pending)
 
     def list_dir(self, path: str) -> list[str]:
         with self._lock:
-            node = self._walk(path)
+            node = self._index.get(normalize(path))
             if node is None:
                 raise FileNotFound(path)
             if isinstance(node, FileEntry):
@@ -212,6 +225,7 @@ class NameNode:
 
     def delete(self, path: str, *, recursive: bool = False) -> list[FileEntry]:
         """Remove a path; returns all file entries removed (for block GC)."""
+        path = normalize(path)
         with self._lock:
             parent, name = self._parent_dir(path, create=False)
             node = parent.children.get(name)
@@ -221,20 +235,10 @@ class NameNode:
                 raise DirectoryNotEmpty(path)
             del parent.children[name]
             removed: list[FileEntry] = []
-
-            def collect(entry: FileEntry | DirEntry) -> None:
-                if isinstance(entry, FileEntry):
-                    removed.append(entry)
-                else:
-                    for child in entry.children.values():
-                        collect(child)
-
-            collect(node)
+            self._unindex(path, node, removed)
             return removed
 
-    def rename(
-        self, src: str, dst: str, *, overwrite: bool = False
-    ) -> list[FileEntry]:
+    def rename(self, src: str, dst: str, *, overwrite: bool = False) -> list[FileEntry]:
         """Move ``src`` to ``dst``; returns displaced file entries (for GC).
 
         ``dst`` names the final path, never a containing directory: renaming
@@ -242,7 +246,9 @@ class NameNode:
         a directory by spelling out ``dir/name``).  An existing file at
         ``dst`` raises :class:`FileAlreadyExists` unless ``overwrite=True``,
         in which case it is atomically replaced and returned for block GC.
+        A directory cannot move below itself (:class:`DFSError`).
         """
+        src, dst = normalize(src), normalize(dst)
         with self._lock:
             return self._rename_locked(src, dst, overwrite=overwrite)
 
@@ -253,6 +259,8 @@ class NameNode:
         node = src_parent.children.get(src_name)
         if node is None:
             raise FileNotFound(src)
+        if isinstance(node, DirEntry) and dst.startswith(src + "/"):
+            raise DFSError(f"cannot move directory {src!r} below itself")
         dst_parent, dst_name = self._parent_dir(dst, create=True)
         displaced: list[FileEntry] = []
         existing = dst_parent.children.get(dst_name)
@@ -268,6 +276,7 @@ class NameNode:
         if seal and isinstance(node, FileEntry):
             node.sealed = True
         dst_parent.children[dst_name] = node
+        self._reindex(src, dst, node)
         return displaced
 
     def publish(self, pairs: list[tuple[str, str]]) -> list[FileEntry]:
@@ -279,52 +288,47 @@ class NameNode:
         overwritten (a re-publish after a crash must win over debris).
         Returns displaced file entries for block GC.
         """
+        pairs = [(normalize(src), normalize(dst)) for src, dst in pairs]
         with self._lock:
             for src, dst in pairs:
-                node = self._walk(src)
+                node = self._index.get(src)
                 if node is None:
                     raise FileNotFound(src)
                 if isinstance(node, DirEntry):
                     raise IsADirectory(src)
-                existing = self._walk(dst)
-                if isinstance(existing, DirEntry):
+                if isinstance(self._index.get(dst), DirEntry):
                     raise IsADirectory(dst)
             displaced: list[FileEntry] = []
             for src, dst in pairs:
-                displaced.extend(
-                    self._rename_locked(src, dst, overwrite=True, seal=True)
-                )
+                displaced.extend(self._rename_locked(src, dst, overwrite=True, seal=True))
             return displaced
 
-    def walk_files(
-        self, path: str = "/", *, include_pending: bool = False
-    ) -> list[str]:
+    def _files_under(self, path: str) -> list[tuple[str, FileEntry]]:  # requires-lock: _lock
+        """Every ``(path, entry)`` under ``path``, pending included,
+        depth-first and sorted within each directory."""
+        base = normalize(path)
+        node = self._index.get(base)
+        if node is None:
+            raise FileNotFound(path)
+        found: list[tuple[str, FileEntry]] = []
+
+        def recurse(prefix: str, entry: FileEntry | DirEntry) -> None:
+            if isinstance(entry, FileEntry):
+                found.append((prefix, entry))
+                return
+            for name in sorted(entry.children):
+                recurse(f"{prefix}/{name}", entry.children[name])
+
+        recurse("" if base == "/" else base, node)
+        return found
+
+    def walk_files(self, path: str = "/", *, include_pending: bool = False) -> list[str]:
         """All file paths under ``path``, depth-first, sorted within each dir."""
         with self._lock:
-            node = self._walk(path)
-            if node is None:
-                raise FileNotFound(path)
-            base = normalize(path)
-            result: list[str] = []
-
-            def recurse(prefix: str, entry: FileEntry | DirEntry) -> None:
-                if isinstance(entry, FileEntry):
-                    if entry.sealed or include_pending:
-                        result.append(prefix)
-                    return
-                for name in sorted(entry.children):
-                    child_prefix = prefix.rstrip("/") + "/" + name
-                    recurse(child_prefix, entry.children[name])
-
-            recurse(base, node)
-            return result
+            found = self._files_under(path)
+            return [p for p, entry in found if entry.sealed or include_pending]
 
     def pending_files(self, path: str = "/") -> list[str]:
         """All unsealed file paths under ``path`` (fsck's raw material)."""
         with self._lock:
-            sealed = set(self.walk_files(path))
-            return [
-                p
-                for p in self.walk_files(path, include_pending=True)
-                if p not in sealed
-            ]
+            return [p for p, entry in self._files_under(path) if not entry.sealed]

@@ -22,51 +22,67 @@ def mat(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n))
 
 
+def frozen(n: int, fill: float = 0.0) -> np.ndarray:
+    arr = np.full((n, n), fill)
+    arr.flags.writeable = False
+    return arr
+
+
 class TestBlockCacheUnit:
+    """Keys are file generations: one int names one immutable content."""
+
     def test_put_get_roundtrip_and_lru_eviction(self):
         cache = BlockCache(capacity_bytes=3 * 800)  # room for three 10x10
-        arrays = {}
-        for i in range(4):
-            a = np.arange(100, dtype=np.float64).reshape(10, 10) + i
-            a.flags.writeable = False
-            arrays[i] = a
-            cache.put((f"/f{i}", i), a)
-        # 10x10 float64 = 800 B; the fourth insert evicts the LRU (i=0).
-        assert cache.get(("/f0", 0)) is None
-        assert cache.get(("/f3", 3)) is arrays[3]
+        arrays = {gen: frozen(10, gen) for gen in range(4)}
+        for gen, arr in arrays.items():
+            cache.put(gen, arr)
+        # 10x10 float64 = 800 B; the fourth insert evicts the LRU (gen 0).
+        assert cache.get(0) is None
+        assert cache.get(3) is arrays[3]
         assert cache.stats()["evictions"] == 1
         assert cache.used_bytes <= cache.capacity_bytes
 
     def test_get_bumps_recency(self):
         cache = BlockCache(capacity_bytes=2 * 800)
-        a, b, c = (np.zeros((10, 10)) for _ in range(3))
-        for arr in (a, b, c):
-            arr.flags.writeable = False
-        cache.put(("/a", 1), a)
-        cache.put(("/b", 2), b)
-        assert cache.get(("/a", 1)) is a  # bump /a
-        cache.put(("/c", 3), c)  # evicts /b, not /a
-        assert cache.get(("/b", 2)) is None
-        assert cache.get(("/a", 1)) is a
+        a, b, c = (frozen(10) for _ in range(3))
+        cache.put(1, a)
+        cache.put(2, b)
+        assert cache.get(1) is a  # bump generation 1
+        cache.put(3, c)  # evicts 2, not 1
+        assert cache.get(2) is None
+        assert cache.get(1) is a
 
     def test_oversized_and_writable_values_are_rejected(self):
         cache = BlockCache(capacity_bytes=100)
-        big = np.zeros((10, 10))
-        big.flags.writeable = False
-        assert not cache.put(("/big", 1), big)  # 800 B > 100 B capacity
-        small_writable = np.zeros((2, 2))
-        assert not cache.put(("/w", 1), small_writable)
+        assert not cache.put(1, frozen(10))  # 800 B > 100 B capacity
+        assert not cache.put(1, np.zeros((2, 2)))  # writable
         assert len(cache) == 0
 
-    def test_drop_path_removes_file_and_subtree(self):
+    def test_drop_removes_exactly_the_named_generations(self):
         cache = BlockCache(capacity_bytes=1 << 20)
-        for i, path in enumerate(["/dir/a", "/dir/sub/b", "/other/c"]):
-            arr = np.zeros((2, 2))
-            arr.flags.writeable = False
-            cache.put((path, i), arr)
-        assert cache.drop_path("/dir") == 2
-        assert len(cache) == 1
-        assert cache.get(("/other/c", 2)) is not None
+        for gen in (1, 2, 3):
+            cache.put(gen, frozen(2))
+        assert cache.drop([1, 3, 99]) == 2  # 99 was never cached
+        assert len(cache) == 1 and cache.used_bytes == 32
+        assert cache.get(2) is not None
+        assert cache.drop([]) == 0
+
+    def test_deleting_a_directory_drops_exactly_its_generations(self, dfs, rng):
+        cache = dfs.attach_cache(1 << 20)
+        sizes = {"/dir/a": 4, "/dir/sub/b": 6, "/other/c": 8, "/dirx": 5}
+        for path, n in sizes.items():
+            formats.write_matrix(dfs, path, mat(rng, n))
+            cache.read_through(dfs, path)
+        doomed = {dfs.namenode.get_file(p).generation for p in ("/dir/a", "/dir/sub/b")}
+        kept = {dfs.namenode.get_file(p).generation for p in ("/other/c", "/dirx")}
+        before = cache.used_bytes
+        dfs.delete("/dir", recursive=True)
+        assert cache.used_bytes == before - 8 * (4 * 4 + 6 * 6)
+        assert len(cache) == 2
+        hits = cache.stats()["hits"]
+        assert all(cache.get(gen) is None for gen in doomed)
+        assert all(cache.get(gen) is not None for gen in kept)
+        assert cache.stats()["hits"] == hits + 2
 
 
 class TestReadThrough:
@@ -101,20 +117,72 @@ class TestReadThrough:
         got, _ = cache.read_through(dfs, "/m.bin")
         np.testing.assert_array_equal(got, b)
 
-    def test_rename_never_serves_stale_and_drops_old_keys(self, dfs, rng):
+    def test_rename_never_serves_stale_and_keeps_the_view(self, dfs, rng):
         cache = dfs.attach_cache(1 << 20)
         a, b = mat(rng, 6), mat(rng, 6)
         formats.write_matrix(dfs, "/old.bin", a)
-        cache.read_through(dfs, "/old.bin")
-        assert len(cache) == 1
+        first, _ = cache.read_through(dfs, "/old.bin")
         dfs.rename("/old.bin", "/new.bin")
-        assert len(cache) == 0  # hygiene: unreachable keys dropped eagerly
+        # Same entry, same generation: the decoded view moved with the file.
+        before = dfs.stats.snapshot()
+        got, _ = cache.read_through(dfs, "/new.bin")
+        delta = dfs.stats.snapshot() - before
+        assert got is first
+        assert delta.cache_hits == 1 and delta.bytes_read == 0
         # A different file can now take the old path without any staleness.
         formats.write_matrix(dfs, "/old.bin", b)
         got, _ = cache.read_through(dfs, "/old.bin")
         np.testing.assert_array_equal(got, b)
         got, _ = cache.read_through(dfs, "/new.bin")
         np.testing.assert_array_equal(got, a)
+
+    def test_rename_over_a_cached_destination_drops_it(self, dfs, rng):
+        cache = dfs.attach_cache(1 << 20)
+        formats.write_matrix(dfs, "/src.bin", mat(rng, 6))
+        formats.write_matrix(dfs, "/dst.bin", mat(rng, 5))
+        cache.read_through(dfs, "/dst.bin")
+        displaced = dfs.namenode.get_file("/dst.bin").generation
+        dfs.rename("/src.bin", "/dst.bin", overwrite=True)
+        assert cache.get(displaced) is None and len(cache) == 0
+
+    def test_publish_over_a_cached_destination_drops_the_displaced_generation(
+        self, dfs, rng
+    ):
+        cache = dfs.attach_cache(1 << 20)
+        old, new = mat(rng, 6), mat(rng, 6)
+        formats.write_matrix(dfs, "/Root/keep.bin", mat(rng, 4))
+        formats.write_matrix(dfs, "/Root/out.bin", old)
+        cache.read_through(dfs, "/Root/keep.bin")
+        cache.read_through(dfs, "/Root/out.bin")
+        displaced = dfs.namenode.get_file("/Root/out.bin").generation
+        used = cache.used_bytes
+        dfs.stage_bytes("/_tmp/t/Root/out.bin", formats.encode_matrix(new))
+        dfs.publish([("/_tmp/t/Root/out.bin", "/Root/out.bin")])
+        assert cache.get(displaced) is None
+        assert len(cache) == 1 and cache.used_bytes == used - old.nbytes
+        got, _ = cache.read_through(dfs, "/Root/out.bin")
+        np.testing.assert_array_equal(got, new)
+
+    def test_staging_churn_leaves_a_warm_cache_untouched(self, dfs, rng):
+        cache = dfs.attach_cache(1 << 20)
+        warm = [f"/Root/w{i}.bin" for i in range(5)]
+        for path in warm:
+            formats.write_matrix(dfs, path, mat(rng, 6))
+            cache.read_through(dfs, path)
+        snapshot = cache.stats()
+        order = list(cache._entries)
+        payload = formats.encode_matrix(mat(rng, 3))
+        for i in range(100):
+            dfs.stage_bytes(f"/_tmp/a{i}/Root/f{i}.bin", payload)
+            dfs.stage_bytes(f"/_tmp/a{i}/Root/lost{i}.bin", payload)
+            dfs.publish([(f"/_tmp/a{i}/Root/f{i}.bin", f"/Root/f{i}.bin")])
+            dfs.discard_staging(f"/_tmp/a{i}")
+        assert cache.stats() == snapshot  # no lookup, no drop, no eviction
+        assert list(cache._entries) == order
+        for path in warm:
+            cache.read_through(dfs, path)
+        assert cache.stats()["hits"] == snapshot["hits"] + len(warm)
+        assert cache.stats()["misses"] == snapshot["misses"]
 
     def test_delete_drops_cached_entries(self, dfs, rng):
         cache = dfs.attach_cache(1 << 20)

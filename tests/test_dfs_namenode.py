@@ -1,10 +1,17 @@
 """Namenode namespace semantics."""
 
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.dfs.namenode import (
+    DFSError,
+    DirEntry,
     DirectoryNotEmpty,
     FileAlreadyExists,
+    FileEntry,
     FileNotFound,
     IsADirectory,
     NameNode,
@@ -152,6 +159,22 @@ class TestRename:
         nn.rename("/a", "/b")
         assert nn.get_file("/b").generation == entry.generation
 
+    def test_directory_cannot_move_below_itself(self, nn):
+        nn.create_file("/d/f")
+        with pytest.raises(DFSError):
+            nn.rename("/d", "/d/sub/d")
+        assert nn.walk_files("/") == ["/d/f"]  # nothing moved, nothing created
+        assert not nn.exists("/d/sub")
+
+    def test_through_a_file_component_is_not_a_directory(self, nn):
+        nn.create_file("/f")
+        for op in (nn.delete, lambda p: nn.rename(p, "/g"), lambda p: nn.rename("/f", p)):
+            with pytest.raises(NotADirectory):
+                op("/f/x/y")
+        assert not nn.exists("/f/x/y")
+        with pytest.raises(FileNotFound):
+            nn.get_file("/f/x/y")
+
 
 class TestPendingLifecycle:
     def test_pending_file_is_invisible_until_sealed(self, nn):
@@ -215,3 +238,329 @@ class TestPublish:
         with pytest.raises(IsADirectory):
             nn.publish([("/_tmp/t/Root/a", "/Root/a"), ("/_tmp/t/Root/b", "/Root/b")])
         assert not nn.exists("/Root/a")
+
+
+# -- the flat index against the tree walk it replaced ---------------------------
+
+
+def split_join(path: str) -> str:
+    """``normalize`` as the seed wrote it: split, filter, join."""
+    return "/" + "/".join(p for p in path.split("/") if p not in ("", "."))
+
+
+class TestNormalizeFastPath:
+    @given(st.text(alphabet="/.ab", max_size=12))
+    @example("")
+    @example("/")
+    @example("/a/.")
+    @example("a//b/")
+    @example("/./")
+    @example("/a/.b")
+    @example("/a/b.")
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_split_and_join(self, raw):
+        assert normalize(raw) == split_join(raw)
+
+    @given(st.text(alphabet="/.ab", max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_strings_come_back_unchanged(self, raw):
+        canonical = normalize(raw)
+        assert normalize(canonical) == canonical
+
+
+class TreeWalkNameNode:
+    """The namenode as it resolved paths before the index: every operation
+    walks ``root`` one component at a time.  Kept here only, as the reference
+    model.  One deliberate difference from the seed: moving a directory below
+    itself raises (the seed detached the subtree and leaked it)."""
+
+    def __init__(self) -> None:
+        self.root = DirEntry(name="")
+        self._next_generation = 1
+
+    @staticmethod
+    def _parts(path):
+        return [p for p in path.split("/") if p not in ("", ".")]
+
+    def _walk(self, path):
+        node = self.root
+        for part in self._parts(path):
+            if not isinstance(node, DirEntry):
+                return None
+            node = node.children.get(part)
+            if node is None:
+                return None
+        return node
+
+    def _parent_dir(self, path, *, create):
+        parts = self._parts(path)
+        if not parts:
+            raise DFSError("path refers to the root directory")
+        node = self.root
+        for part in parts[:-1]:
+            child = node.children.get(part)
+            if child is None:
+                if not create:
+                    raise FileNotFound(path)
+                child = node.children[part] = DirEntry(name=part)
+            if not isinstance(child, DirEntry):
+                raise NotADirectory(path)
+            node = child
+        return node, parts[-1]
+
+    def create_file(self, path, *, overwrite=False, pending=False):
+        parent, name = self._parent_dir(path, create=True)
+        existing = parent.children.get(name)
+        if existing is not None:
+            if isinstance(existing, DirEntry):
+                raise IsADirectory(path)
+            if not overwrite and existing.sealed:
+                raise FileAlreadyExists(path)
+        entry = FileEntry(name=name, generation=self._next_generation, sealed=not pending)
+        self._next_generation += 1
+        parent.children[name] = entry
+        return entry
+
+    def seal(self, path):
+        node = self.get_file(path, include_pending=True)
+        node.sealed = True
+        return node
+
+    def mkdirs(self, path):
+        node = self.root
+        for part in self._parts(path):
+            child = node.children.get(part)
+            if child is None:
+                child = node.children[part] = DirEntry(name=part)
+            if not isinstance(child, DirEntry):
+                raise NotADirectory(path)
+            node = child
+        return node
+
+    def get_file(self, path, *, include_pending=False):
+        node = self._walk(path)
+        if node is None:
+            raise FileNotFound(path)
+        if isinstance(node, DirEntry):
+            raise IsADirectory(path)
+        if not node.sealed and not include_pending:
+            raise FileNotFound(path)
+        return node
+
+    def exists(self, path, *, include_pending=False):
+        node = self._walk(path)
+        if isinstance(node, FileEntry) and not node.sealed:
+            return include_pending
+        return node is not None
+
+    def is_dir(self, path):
+        return isinstance(self._walk(path), DirEntry)
+
+    def is_file(self, path, *, include_pending=False):
+        node = self._walk(path)
+        return isinstance(node, FileEntry) and (node.sealed or include_pending)
+
+    def list_dir(self, path):
+        node = self._walk(path)
+        if node is None:
+            raise FileNotFound(path)
+        if isinstance(node, FileEntry):
+            raise NotADirectory(path)
+        return sorted(node.children)
+
+    def delete(self, path, *, recursive=False):
+        parent, name = self._parent_dir(path, create=False)
+        node = parent.children.get(name)
+        if node is None:
+            raise FileNotFound(path)
+        if isinstance(node, DirEntry) and node.children and not recursive:
+            raise DirectoryNotEmpty(path)
+        del parent.children[name]
+        removed = []
+
+        def collect(entry):
+            if isinstance(entry, FileEntry):
+                removed.append(entry)
+            else:
+                for child in entry.children.values():
+                    collect(child)
+
+        collect(node)
+        return removed
+
+    def rename(self, src, dst, *, overwrite=False, seal=False):
+        src_parent, src_name = self._parent_dir(src, create=False)
+        node = src_parent.children.get(src_name)
+        if node is None:
+            raise FileNotFound(src)
+        if isinstance(node, DirEntry) and split_join(dst).startswith(split_join(src) + "/"):
+            raise DFSError("directory below itself")
+        dst_parent, dst_name = self._parent_dir(dst, create=True)
+        displaced = []
+        existing = dst_parent.children.get(dst_name)
+        if existing is not None and existing is not node:
+            if isinstance(existing, DirEntry):
+                raise IsADirectory(dst)
+            if not overwrite and existing.sealed:
+                raise FileAlreadyExists(dst)
+            displaced.append(existing)
+        del src_parent.children[src_name]
+        node.name = dst_name
+        if seal and isinstance(node, FileEntry):
+            node.sealed = True
+        dst_parent.children[dst_name] = node
+        return displaced
+
+    def publish(self, pairs):
+        for src, dst in pairs:
+            node = self._walk(src)
+            if node is None:
+                raise FileNotFound(src)
+            if isinstance(node, DirEntry):
+                raise IsADirectory(src)
+            if isinstance(self._walk(dst), DirEntry):
+                raise IsADirectory(dst)
+        displaced = []
+        for src, dst in pairs:
+            displaced.extend(self.rename(src, dst, overwrite=True, seal=True))
+        return displaced
+
+    def walk_files(self, path="/", *, include_pending=False):
+        node = self._walk(path)
+        if node is None:
+            raise FileNotFound(path)
+        result = []
+
+        def recurse(prefix, entry):
+            if isinstance(entry, FileEntry):
+                if entry.sealed or include_pending:
+                    result.append(prefix)
+                return
+            for name in sorted(entry.children):
+                recurse(prefix.rstrip("/") + "/" + name, entry.children[name])
+
+        recurse(split_join(path), node)
+        return result
+
+    def pending_files(self, path="/"):
+        sealed = set(self.walk_files(path))
+        return [p for p in self.walk_files(path, include_pending=True) if p not in sealed]
+
+
+def describe(value):
+    """A result with entry identity taken out, so two namenodes compare."""
+    if isinstance(value, FileEntry):
+        return ("file", value.name, value.generation, value.sealed)
+    if isinstance(value, DirEntry):
+        return ("dir", value.name, sorted(value.children))
+    if isinstance(value, list):
+        return [describe(v) for v in value]
+    return value
+
+
+def outcome(call):
+    try:
+        return ("ok", describe(call()))
+    except DFSError as exc:
+        return ("raised", type(exc))
+
+
+def reachable(nn: NameNode) -> dict:
+    found = {"/": nn.root}
+    stack = [("", nn.root)]
+    while stack:
+        prefix, node = stack.pop()
+        for name, child in node.children.items():
+            found[f"{prefix}/{name}"] = child
+            if isinstance(child, DirEntry):
+                stack.append((f"{prefix}/{name}", child))
+    return found
+
+
+#: Two names, three levels: 14 paths, so sequences collide constantly —
+#: files in the way of directories, overwrites, renames onto each other.
+CANONICAL = ["/" + "/".join(parts) for k in (1, 2, 3) for parts in product("ab", repeat=k)]
+SPELLINGS = [
+    lambda p: p,  # three in seven stay canonical
+    lambda p: p,
+    lambda p: p,
+    lambda p: p + "/",
+    lambda p: p[1:],
+    lambda p: p.replace("/", "//"),
+    lambda p: "/." + p,
+]
+paths = st.one_of(
+    st.just("/"),
+    st.builds(lambda p, spell: spell(p), st.sampled_from(CANONICAL), st.sampled_from(SPELLINGS)),
+)
+QUERIES = [
+    lambda nn, p: nn.exists(p),
+    lambda nn, p: nn.exists(p, include_pending=True),
+    lambda nn, p: nn.is_dir(p),
+    lambda nn, p: nn.is_file(p),
+    lambda nn, p: nn.is_file(p, include_pending=True),
+    lambda nn, p: nn.get_file(p),
+    lambda nn, p: nn.get_file(p, include_pending=True),
+    lambda nn, p: nn.list_dir(p),
+    lambda nn, p: nn.walk_files(p),
+    lambda nn, p: nn.walk_files(p, include_pending=True),
+    lambda nn, p: nn.pending_files(p),
+]
+
+
+class NamespaceMachine(RuleBasedStateMachine):
+    """Every mutator, on the indexed namenode and on the tree walk: the same
+    results, the same exception types, and an index that is exactly the set
+    of paths reachable from the root."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.real = NameNode()
+        self.model = TreeWalkNameNode()
+
+    def both(self, op) -> None:
+        assert outcome(lambda: op(self.real)) == outcome(lambda: op(self.model))
+
+    @rule(path=paths, overwrite=st.booleans(), pending=st.booleans())
+    def create_file(self, path, overwrite, pending):
+        self.both(lambda nn: nn.create_file(path, overwrite=overwrite, pending=pending))
+
+    @rule(path=paths)
+    def mkdirs(self, path):
+        self.both(lambda nn: nn.mkdirs(path))
+
+    @rule(path=paths)
+    def seal(self, path):
+        self.both(lambda nn: nn.seal(path))
+
+    @rule(path=paths, recursive=st.booleans())
+    def delete(self, path, recursive):
+        self.both(lambda nn: nn.delete(path, recursive=recursive))
+
+    @rule(src=paths, dst=paths, overwrite=st.booleans())
+    def rename(self, src, dst, overwrite):
+        self.both(lambda nn: nn.rename(src, dst, overwrite=overwrite))
+
+    @rule(pairs=st.lists(st.tuples(paths, paths), min_size=1, max_size=3))
+    def publish(self, pairs):
+        self.both(lambda nn: nn.publish(pairs))
+
+    @invariant()
+    def index_is_exactly_the_reachable_paths(self):
+        index, tree = self.real._index, reachable(self.real)
+        assert index.keys() == tree.keys()
+        assert all(index[path] is node for path, node in tree.items())
+
+    @invariant()
+    def every_query_agrees(self):
+        for path in ["/", *CANONICAL]:
+            for query in QUERIES:
+                assert outcome(lambda: query(self.real, path)) == outcome(
+                    lambda: query(self.model, path)
+                ), path
+
+
+NamespaceMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestNamespaceAgainstTreeWalk = NamespaceMachine.TestCase
