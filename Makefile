@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs profile experiments examples coverage clean
+.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs profile profile-mem experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -102,6 +102,12 @@ bench-pairs:
 profile:
 	@test -n "$(W)" || { echo "usage: make profile W=<workload> [SMOKE=1]"; exit 2; }
 	$(PYTHON) scripts/profile_call.py --workload $(W) $(if $(SMOKE),--smoke)
+
+# The memory high-water mark of one call: tracemalloc peak in n^2 units, the
+# allocation sites live at the peak and the DFS bytes by file class there.
+profile-mem:
+	@test -n "$(W)" || { echo "usage: make profile-mem W=<workload> [SMOKE=1]"; exit 2; }
+	$(PYTHON) scripts/profile_call.py --workload $(W) --memory $(if $(SMOKE),--smoke)
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all

@@ -1,7 +1,10 @@
-"""cProfile of one ``repro.invert`` call of an end-to-end benchmark workload.
+"""cProfile (or the memory high-water mark) of one ``repro.invert`` call of
+an end-to-end benchmark workload.
 
 Usage:  python scripts/profile_call.py --workload W [--smoke] [--top 25]
+        python scripts/profile_call.py --workload W --memory [--smoke]
         make profile W=deep_n512_nb16
+        make profile-mem W=kernel_n1536
 
 One warm-up call, then one profiled call of the workload exactly as
 ``benchmarks/e2e/child.py`` makes it (same input generator, same
@@ -13,6 +16,16 @@ Call counts are deterministic for the serial workloads, so they are the
 number to compare across revisions; ``tests/test_call_budget.py`` pins the
 smoke shape of ``deep_n512_nb16``.  This only *imports* the harness's
 ``spec.py``; nothing under ``benchmarks/e2e/`` is written.
+
+``--memory`` traces the call with :mod:`tracemalloc` instead and prints its
+peak in units of one ``n x n`` float64 matrix (``8 n^2`` bytes), the top
+allocation sites live at the peak, and what the DFS held at the peak: live
+file bytes by file class (each payload once — replicas share it) and the
+block cache's views, split into views of a stored payload and private
+copies.  After a traced warm-up the call runs twice: the first pass finds
+the peak, the second stops at it (the first sample within 0.5 % of it, taken
+at every function return) to take the snapshot.  Only this process is
+traced, so on the process-pool workload the children's work is missing.
 """
 
 from __future__ import annotations
@@ -21,7 +34,10 @@ import argparse
 import cProfile
 import pathlib
 import pstats
+import re
 import sys
+import threading
+import tracemalloc
 from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -81,15 +97,156 @@ def self_time_by_file(stats: pstats.Stats) -> dict[str, tuple[float, int]]:
     return {name: (cell[0], int(cell[1])) for name, cell in groups.items()}
 
 
+#: DFS file classes, first match wins: what the pipeline keeps where.
+FILE_CLASSES: tuple[tuple[str, re.Pattern[str]], ...] = (
+    ("staging /_tmp", re.compile(r"^/_tmp/")),
+    ("manifests _commit/", re.compile(r"/_commit/")),
+    ("control MapInput/", re.compile(r"/MapInput/")),
+    ("input a.bin", re.compile(r"/a\.(bin|txt)$")),
+    ("INV/L.*, INV/U.*", re.compile(r"/INV/")),
+    ("FINAL/A.*", re.compile(r"/FINAL/")),
+    ("Schur OUT/A.*", re.compile(r"/OUT/A\.")),
+    ("factors L2/U2, l/u/p.bin", re.compile(r"/[LU]2/|/OUT/(l|u|ut|p)\.bin$")),
+    ("partition A2/A3/A4, A.i", re.compile(r"/A[234]/|/A\.\d+$")),
+)
+
+
+def file_class(path: str) -> str:
+    for name, pattern in FILE_CLASSES:
+        if pattern.search(path):
+            return name
+    return "other"
+
+
+def dfs_composition(dfs) -> tuple[dict[str, int], dict[str, int]]:
+    """Live DFS bytes by file class, and the block cache's bytes split into
+    views of a stored payload and private copies."""
+    by_class: dict[str, int] = defaultdict(int)
+    payloads: set[int] = set()
+    namenode = dfs.namenode
+    for path in namenode.walk_files("/", include_pending=True):
+        entry = namenode.get_file(path, include_pending=True)
+        by_class[file_class(path)] += entry.length
+        for info in entry.blocks:
+            for node in dfs.blocks.datanodes:
+                payload = node.get(info.block_id)
+                if payload is not None:
+                    payloads.add(id(payload))
+    cache = {"views of a stored payload": 0, "private copies": 0}
+    if dfs.cache is not None:
+        with dfs.cache._lock:
+            cached = list(dfs.cache._entries.values())
+        for array in cached:
+            base = array
+            while isinstance(base, np.ndarray) and base.base is not None:
+                base = base.base
+            if isinstance(base, memoryview):
+                base = base.obj
+            shared = id(base) in payloads
+            cache["views of a stored payload" if shared else "private copies"] += array.nbytes
+    return dict(by_class), cache
+
+
+class _PeakProbe:
+    """Samples traced memory at every function return; once armed with a
+    target, snapshots the heap and the DFS the first time it is reached."""
+
+    def __init__(self, dfs, target: int | None) -> None:
+        self.dfs = dfs
+        self.target = target
+        self.seen = 0
+        self.snapshot: tracemalloc.Snapshot | None = None
+        self.at_snapshot = 0
+        self.composition: tuple[dict[str, int], dict[str, int]] | None = None
+
+    def __call__(self, frame, event, arg) -> None:
+        if event not in ("return", "c_return"):
+            return
+        current = tracemalloc.get_traced_memory()[0]
+        if current > self.seen:
+            self.seen = current
+        if self.target is not None and self.snapshot is None and current >= self.target:
+            self.at_snapshot = current
+            self.snapshot = tracemalloc.take_snapshot()
+            self.composition = dfs_composition(self.dfs)
+
+
+def memory_profile(workload: Workload, seed: int = 0) -> tuple[int, _PeakProbe]:
+    """Warm up, then trace two calls: (peak bytes, probe of the second)."""
+    a = np.random.default_rng(seed).standard_normal((workload.n, workload.n))
+    config = repro.InversionConfig(**workload.config)
+
+    def traced_call(target: int | None) -> tuple[int, _PeakProbe]:
+        inverter = repro.MatrixInverter(config)
+        probe = _PeakProbe(inverter.runtime.dfs, target)
+        tracemalloc.start(8)
+        sys.setprofile(probe)
+        threading.setprofile(probe)
+        try:
+            if workload.observed:
+                with repro.observe():
+                    inverter.invert(a)
+            else:
+                inverter.invert(a)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)  # type: ignore[arg-type]
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            inverter.close()
+        return peak, probe
+
+    traced_call(None)  # warm-up, traced too: the first traced call runs higher
+    peak, first = traced_call(None)
+    _, second = traced_call(int(first.seen * 0.995))
+    return peak, second
+
+
+def print_memory(workload: Workload, top: int) -> None:
+    peak, probe = memory_profile(workload)
+    unit = 8 * workload.n**2
+    print(f"{workload.name}: n={workload.n} {workload.config}")
+    print(
+        f"tracemalloc peak: {peak / unit:.2f} n^2 ({peak / 2**20:.1f} MiB; "
+        f"n^2 = {unit / 2**20:.1f} MiB)"
+    )
+    if probe.snapshot is None or probe.composition is None:
+        print("the second pass never reached the first pass's peak")
+        print("(a threaded run does not repeat; run again, or a serial workload)")
+        return
+    print(f"snapshot at {probe.at_snapshot / unit:.2f} n^2\n")
+    by_class, cache = probe.composition
+    print(f"{'live DFS files at the peak':<34}{'n^2':>8}")
+    for name, nbytes in sorted(by_class.items(), key=lambda kv: -kv[1]):
+        print(f"  {name:<32}{nbytes / unit:>8.2f}")
+    print(f"  {'total':<32}{sum(by_class.values()) / unit:>8.2f}")
+    print(f"{'block cache at the peak':<34}{'n^2':>8}")
+    for name, nbytes in cache.items():
+        print(f"  {name:<32}{nbytes / unit:>8.2f}")
+    print(f"\ntop {top} allocation sites live at the peak")
+    stats = probe.snapshot.filter_traces(
+        (tracemalloc.Filter(False, tracemalloc.__file__),)
+    ).statistics("lineno")
+    for stat in stats[:top]:
+        frame = stat.traceback[0]
+        print(f"{stat.size / unit:>8.2f} n^2  {source_group(frame.filename)}:{frame.lineno}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(BY_NAME))
     parser.add_argument("--smoke", action="store_true", help="quarter-order shape")
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument(
+        "--memory", action="store_true", help="tracemalloc peak instead of cProfile"
+    )
     args = parser.parse_args()
     workload = BY_NAME[args.workload]
     if args.smoke:
         workload = workload.smoke()
+    if args.memory:
+        print_memory(workload, min(args.top, 12))
+        return 0
     stats = profile_workload(workload)
     total_s = stats.total_tt  # type: ignore[attr-defined]
     print(f"{workload.name}: n={workload.n} {workload.config}")

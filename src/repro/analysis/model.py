@@ -103,6 +103,32 @@ class PipelineModel:
             writes.setdefault(unit, set()).update(step.writes)
         return {unit: frozenset(reads[unit] - writes[unit]) for unit in reads}
 
+    def outcome(self) -> frozenset[str]:
+        """The files a run keeps: the input and the ``MapInput`` control
+        files (the verify job reads them), everything the final job reads
+        (it re-runs on every resume) — the factor files among them — and
+        what ``collect-output`` reads: ``FINAL/*`` and the perm files."""
+        keep = {self.layout.input_path} | _control_paths(self.layout)
+        for step in self.steps:
+            if step.job == "invert-final" or step.name == "collect-output":
+                keep |= step.reads
+        return frozenset(keep)
+
+    def retirements(self) -> dict[str, tuple[str, ...]]:
+        """Per unit, the paths outside :meth:`outcome` it is the last reader
+        of in plan order — dead once it has committed.  Both runners commit
+        in plan order, so under either every other reader has committed
+        before it."""
+        keep = self.outcome()
+        last: dict[str, str] = {}
+        for unit, needs in self.unit_needs().items():  # plan order
+            for path in needs - keep:
+                last[path] = unit
+        retired: dict[str, list[str]] = {}
+        for path, unit in last.items():
+            retired.setdefault(unit, []).append(path)
+        return {unit: tuple(sorted(paths)) for unit, paths in retired.items()}
+
     def block_dag(self):
         """The block-granularity dependency DAG over this pipeline's steps
         (:class:`repro.analysis.dataflow.BlockDAG`) — every DFS block write

@@ -19,9 +19,10 @@ and then checks four end-to-end invariants:
     under-replicated blocks, no corrupt replicas — once the
     :class:`~repro.dfs.health.HealthMonitor` has run.
 ``no-orphans``
-    Every file under the work root was predicted by the static pipeline
-    model (:func:`repro.analysis.build_model`); crashes and retries leave no
-    stray intermediates behind.
+    The files under the work root are exactly the live set: every file the
+    static pipeline model (:func:`repro.analysis.build_model`) predicts,
+    less those a committed manifest retires — crashes and retries leave no
+    stray intermediates behind, and no dead one outlives its last reader.
 
 The invariants are deliberately external: they consult the static model and
 numpy, never the engine's own bookkeeping, so an engine bug cannot vouch for
@@ -37,7 +38,7 @@ import numpy as np
 
 from ..analysis import build_model
 from ..dfs.filesystem import DFS
-from ..dfs.fsck import fsck
+from ..dfs.fsck import fsck, sound_manifests
 from ..inversion.config import InversionConfig
 from ..inversion.driver import InversionResult, MatrixInverter
 from ..mapreduce.master import JobFailedError
@@ -218,17 +219,32 @@ def _check_replication(dfs: DFS) -> InvariantResult:
 
 
 def _check_no_orphans(dfs: DFS, config: InversionConfig, n: int) -> InvariantResult:
-    predicted = build_model(n, config).all_writes()
+    model = build_model(n, config)
+    predicted = model.all_writes()
+    sound, _ = sound_manifests(dfs, config.root)
+    retired = {path for _, paths in sound.values() for path in paths}
     actual = set(dfs.list_files(config.root))
     orphans = sorted(actual - predicted)
+    undead = sorted(actual & retired)
+    # Data files only: resume keys ingestion on the input file, so a crash
+    # between its publish and its manifest leaves that manifest unwritten.
+    missing = sorted(predicted - model.manifest_writes - retired - actual)
+    problems = [
+        f"{len(paths)} {what}: {paths[:5]}"
+        for what, paths in (
+            ("orphan file(s)", orphans),
+            ("retired file(s) still present", undead),
+            ("live file(s) missing", missing),
+        )
+        if paths
+    ]
     return InvariantResult(
         name="no-orphans",
-        ok=not orphans,
+        ok=not problems,
         detail=(
-            f"{len(actual)} files under {config.root}, all predicted by the "
-            "static model"
-            if not orphans
-            else f"{len(orphans)} orphan file(s): {orphans[:5]}"
+            "; ".join(problems)
+            or f"{len(actual)} files under {config.root}: exactly the "
+            f"predicted set less {len(retired)} retired"
         ),
     )
 

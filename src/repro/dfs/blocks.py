@@ -23,6 +23,14 @@ import zlib
 from dataclasses import dataclass, field
 
 
+#: Block size of a DFS built without an explicit one: the 64 MB
+#: ``dfs.block.size`` default of Hadoop 1.1.1, the version the paper ran on.
+#: Every matrix file the benchmarks write is then one block, so a write keeps
+#: the encoder's bytes as the payload and a read returns that payload itself —
+#: no split copy, no join, and decoded views that point into it.
+DEFAULT_BLOCK_SIZE = 64 << 20
+
+
 class BlockCorruptionError(IOError):
     """Raised when a block's stored checksum does not match its payload."""
 
@@ -145,7 +153,7 @@ class BlockStore:
         self,
         num_datanodes: int = 4,
         replication: int = 3,
-        block_size: int = 1 << 20,
+        block_size: int = DEFAULT_BLOCK_SIZE,
         seed: int | None = 0,
     ) -> None:
         if num_datanodes < 1:

@@ -13,8 +13,9 @@ write point chosen by ``--crash-at``, and then runs
 :func:`repro.dfs.fsck.fsck` over the wreckage — showing exactly what a
 resume-time consistency check sees after a real crash.  ``--self-check``
 instead seeds one specimen of every debris category fsck claims to detect
-(orphaned staging, unsealed files, invalid manifests) and asserts each is
-found, rolled back, and stays gone — the CI gate ``make chaos`` runs.
+(orphaned staging, unsealed files, invalid manifests, retired files left
+behind) and asserts each is found, rolled back, and stays gone — the CI gate
+``make chaos`` runs.
 """
 
 from __future__ import annotations
@@ -122,17 +123,38 @@ def _self_check(as_json: bool) -> int:
             {"step": "job:lying", "published": [f"{root}/data/ghost.bin"]}
         ).encode(),
     )
+    # Category 4: the driver died after a reader's manifest retired two
+    # files and before it deleted the second.  The writer's manifest lists
+    # both; its missing file is retired, so it stays sound.
+    spent, gone = f"{root}/data/spent.bin", f"{root}/data/gone.bin"
+    dfs.write_bytes(spent, b"s" * 16)
+    for step, published, retired in (
+        ("job:writer", [gone, spent], []),
+        ("job:reader", [], [gone, spent]),
+    ):
+        dfs.write_bytes(
+            manifest_path(root, step),
+            _json.dumps(
+                {"step": step, "published": published, "retired": retired}
+            ).encode(),
+        )
 
     found = fsck(dfs, root=root, repair=False)
     kinds = {i.kind for i in found.issues}
     check(
-        "seeded debris -> all three categories detected",
-        kinds == {"orphaned-staging", "unsealed-file", "invalid-manifest"},
+        "seeded debris -> all four categories detected",
+        kinds
+        == {"orphaned-staging", "unsealed-file", "invalid-manifest", "retired-file"},
         str(sorted(kinds)),
     )
     check(
         "both bad manifests flagged",
         sum(i.kind == "invalid-manifest" for i in found.issues) == 2,
+        found.format(),
+    )
+    check(
+        "only the retired file still present is flagged",
+        [i.path for i in found.issues if i.kind == "retired-file"] == [spent],
         found.format(),
     )
     check("report-only mode leaves debris", not fsck(
@@ -155,6 +177,12 @@ def _self_check(as_json: bool) -> int:
         "commit dir keeps no invalidated manifests",
         not dfs.exists(manifest_path(root, "job:broken"))
         and not dfs.exists(manifest_path(root, "job:lying")),
+    )
+    check(
+        "retired file deleted, the manifests retiring it kept",
+        not dfs.exists(spent)
+        and dfs.exists(manifest_path(root, "job:writer"))
+        and dfs.exists(manifest_path(root, "job:reader")),
     )
 
     failures = [(label, detail) for label, ok, detail in checks if not ok]
@@ -188,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro dfs",
         description="DFS maintenance tools for the two-phase output commit: "
         "detect and roll back crash debris (orphaned staging, unsealed "
-        "files, invalid commit manifests)",
+        "files, invalid commit manifests, retired files left behind)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser(

@@ -9,16 +9,18 @@ any point leaves either nothing visible or everything visible — never a
 torn prefix.
 
 Completed steps are recorded in a :class:`CommitLog`: a JSON manifest per
-step, written *last*, listing exactly the files the step published.  Resume
-consults manifests instead of probing for file existence, so a crash
-between two files of a multi-file write can never be mistaken for a
-completed step.
+step, written *last*, listing exactly the files the step published and the
+files it retired — intermediates it was the last reader of, deleted right
+after the manifest is written.  Resume consults manifests instead of
+probing for file existence, so a crash between two files of a multi-file
+write can never be mistaken for a completed step, and fsck accepts a
+published file as missing only when a sound manifest retires it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .filesystem import DFS
@@ -93,14 +95,22 @@ class CommitLog:
     def path(self, step: str) -> str:
         return manifest_path(self.root, step)
 
-    def record(self, step: str, published: list[str]) -> None:
+    def record(
+        self, step: str, published: list[str], retired: Sequence[str] = ()
+    ) -> None:
         """Write the manifest for ``step`` — the step's commit point.
 
         The manifest itself goes through stage + publish, so a crash while
         writing it leaves no manifest at all and the step simply re-runs.
+        ``retired`` are the files the caller deletes once this returns.
         """
         payload = json.dumps(
-            {"step": step, "published": sorted(published)}, indent=0
+            {
+                "step": step,
+                "published": sorted(published),
+                "retired": sorted(retired),
+            },
+            indent=0,
         ).encode("utf-8")
         src = staging_path(f"manifest-{_quote(step)}", self.path(step))
         self.dfs.stage_bytes(src, payload)

@@ -20,7 +20,7 @@ import fnmatch
 from typing import TYPE_CHECKING
 
 from ..telemetry.spans import SpanKind, current_tracer
-from .blocks import BlockStore
+from .blocks import DEFAULT_BLOCK_SIZE, BlockStore
 from .iostats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,7 +109,7 @@ class DFS:
         self,
         num_datanodes: int = 4,
         replication: int = 3,
-        block_size: int = 1 << 20,
+        block_size: int = DEFAULT_BLOCK_SIZE,
         seed: int | None = 0,
     ) -> None:
         self.namenode = NameNode()

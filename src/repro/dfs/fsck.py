@@ -1,6 +1,6 @@
 """Crash-recovery consistency check for the two-phase commit protocol.
 
-After a driver crash the namespace can hold three kinds of debris, all of
+After a driver crash the namespace can hold four kinds of debris, all of
 them invisible to (or ignorable by) a correct resume but worth deleting so
 the commit ledger and the final tree stay clean:
 
@@ -12,10 +12,17 @@ the commit ledger and the final tree stay clean:
     Invisible to readers, superseded by the step's re-run.
 ``invalid-manifest``
     A commit manifest that is unparseable or lists a published path that
-    does not exist as a sealed file.  The manifest is deleted so resume
-    re-runs the step instead of trusting a broken commit record.
+    neither exists as a sealed file nor is retired by a sound manifest (a
+    step deletes the intermediates it was the last reader of right after
+    writing its manifest, which lists them as ``retired``).  The manifest
+    is deleted so resume re-runs the step instead of trusting a broken
+    commit record.
+``retired-file``
+    A file a sound manifest retires that still exists: the driver died
+    between writing the manifest and deleting the file.  No uncommitted
+    step reads it.
 
-:func:`fsck` detects all three; with ``repair=True`` (the default) it also
+:func:`fsck` detects all four; with ``repair=True`` (the default) it also
 rolls them back.  ``invert(resume=True)`` runs a repairing fsck before
 trusting any on-DFS state.
 """
@@ -81,7 +88,7 @@ class FsckReport:
         ]
         if self.clean:
             lines.append("  clean — no orphaned staging, unsealed files, "
-                         "or invalid manifests")
+                         "invalid manifests or retired files left behind")
         for issue in self.issues:
             action = "repaired" if issue.repaired else "found"
             lines.append(
@@ -127,39 +134,78 @@ def fsck(dfs: "DFS", *, root: str = "/Root", repair: bool = True) -> FsckReport:
 
     # 3. Manifests whose published files are missing or unsealed.
     report.files_checked = len(nn.walk_files("/"))
-    commit_dir = f"{root}/{COMMIT_DIR}"
-    if dfs.exists(commit_dir):
-        for manifest in dfs.list_files(commit_dir):
-            report.manifests_checked += 1
-            problem = _manifest_problem(dfs, manifest)
-            if problem is None:
+    sound, invalid = sound_manifests(dfs, root)
+    report.manifests_checked = len(sound) + len(invalid)
+    for manifest, problem in invalid.items():
+        report.issues.append(
+            FsckIssue(
+                kind="invalid-manifest",
+                path=manifest,
+                detail=problem,
+                repaired=repair,
+            )
+        )
+        if repair:
+            dfs.delete(manifest)
+
+    # 4. Files a sound manifest retires that the crash left in place.
+    for manifest, (_, retired) in sound.items():
+        for path in retired:
+            if not nn.exists(path):
                 continue
             report.issues.append(
                 FsckIssue(
-                    kind="invalid-manifest",
-                    path=manifest,
-                    detail=problem,
+                    kind="retired-file",
+                    path=path,
+                    detail=f"retired by {manifest}, never deleted",
                     repaired=repair,
                 )
             )
             if repair:
-                dfs.delete(manifest)
+                dfs.delete(path)
     return report
 
 
-def _manifest_problem(dfs: "DFS", manifest: str) -> str | None:
-    """Why ``manifest`` cannot be trusted, or ``None`` if it is sound."""
-    try:
-        payload = json.loads(dfs.read_bytes(manifest))
-        published = payload["published"]
-        if not isinstance(published, list):
-            raise TypeError("'published' is not a list")
-    except Exception as exc:  # noqa: BLE001 - any parse failure invalidates
-        return f"unparseable manifest ({type(exc).__name__}: {exc})"
-    for path in published:
-        if not dfs.exists(path):
-            return f"lists missing or unsealed file {path}"
-    return None
+def sound_manifests(
+    dfs: "DFS", root: str
+) -> tuple[dict[str, tuple[list[str], list[str]]], dict[str, str]]:
+    """The commit manifests under ``root``: the sound ones with their
+    ``(published, retired)`` lists, and the invalid ones with the reason.
+
+    A manifest is sound when it parses and every file it published exists
+    sealed or is retired by a sound manifest.  Dropping a manifest withdraws
+    its retirements, so soundness is a fixpoint.
+    """
+    sound: dict[str, tuple[list[str], list[str]]] = {}
+    invalid: dict[str, str] = {}
+    commit_dir = f"{root}/{COMMIT_DIR}"
+    if not dfs.exists(commit_dir):
+        return sound, invalid
+    for manifest in dfs.list_files(commit_dir):
+        try:
+            payload = json.loads(dfs.read_bytes(manifest))
+            lists = payload["published"], payload.get("retired", [])
+            if not all(isinstance(paths, list) for paths in lists):
+                raise TypeError("'published' or 'retired' is not a list")
+        except Exception as exc:  # noqa: BLE001 - any parse failure invalidates
+            invalid[manifest] = f"unparseable manifest ({type(exc).__name__}: {exc})"
+        else:
+            sound[manifest] = lists
+    changed = True
+    while changed:
+        retired = {path for _, paths in sound.values() for path in paths}
+        changed = False
+        for manifest, (published, _) in list(sound.items()):
+            missing = [
+                path
+                for path in published
+                if path not in retired and not dfs.exists(path)
+            ]
+            if missing:
+                invalid[manifest] = f"lists missing or unsealed file {missing[0]}"
+                del sound[manifest]
+                changed = True
+    return sound, invalid
 
 
-__all__ = ["FsckIssue", "FsckReport", "fsck"]
+__all__ = ["FsckIssue", "FsckReport", "fsck", "sound_manifests"]

@@ -310,8 +310,10 @@ class ShmExporter:
     segment per wave-delta.
 
     Overwritten or deleted files leave garbage bytes behind in old
-    segments; when the garbage exceeds ``compact_garbage_bytes`` the
-    exporter drops every segment and re-exports the live set.
+    segments.  A segment none of whose files is live any more is unlinked
+    outright; when the garbage left in segments that are still referenced
+    exceeds ``compact_garbage_bytes`` the exporter drops every segment and
+    re-exports the live set.
     """
 
     def __init__(
@@ -320,11 +322,12 @@ class ShmExporter:
         self.dfs = dfs
         self.compact_garbage_bytes = compact_garbage_bytes
         self._segments: dict[str, shared_memory.SharedMemory] = {}
+        #: Payload bytes written into each segment of ``_segments``.
+        self._segment_bytes: dict[str, int] = {}
         self._files: dict[str, ShmFile] = {}
         #: (generation, message) per path that failed to read, so a broken
         #: file is re-read only when its content actually changes.
         self._errors: dict[str, tuple[int, str]] = {}
-        self._garbage_bytes = 0
 
     def sync(self) -> ShmManifest:
         namenode = self.dfs.namenode
@@ -347,12 +350,6 @@ class ShmExporter:
                 errors[path] = failed[1]
                 continue
             fresh.append((path, generation))
-
-        self._garbage_bytes += sum(
-            entry.length
-            for path, entry in self._files.items()
-            if live.get(path) is not entry
-        )
 
         if fresh:
             payloads: list[tuple[str, int, bytes]] = []
@@ -377,13 +374,14 @@ class ShmExporter:
                     )
                     offset += len(data)
                 self._segments[seg.name] = seg
+                self._segment_bytes[seg.name] = offset
 
         self._files = live
         for path in list(self._errors):
             if path not in errors:
                 del self._errors[path]
         self._drop_dead_segments()
-        if self._garbage_bytes > self.compact_garbage_bytes:
+        if self.garbage_bytes > self.compact_garbage_bytes:
             self._compact()
         return ShmManifest(
             files=dict(self._files), errors=errors, dirs=dirs
@@ -405,6 +403,7 @@ class ShmExporter:
         for name in list(self._segments):
             if name not in referenced:
                 close_segment(self._segments.pop(name), unlink=True)
+                del self._segment_bytes[name]
 
     def _compact(self) -> None:
         """Drop everything; the next :meth:`sync` re-exports the live set.
@@ -414,13 +413,19 @@ class ShmExporter:
         """
         for name in list(self._segments):
             close_segment(self._segments.pop(name), unlink=True)
+        self._segment_bytes = {}
         self._files = {}
         self._errors = {}
-        self._garbage_bytes = 0
 
     @property
     def exported_bytes(self) -> int:
         return sum(entry.length for entry in self._files.values())
+
+    @property
+    def garbage_bytes(self) -> int:
+        """Bytes of dropped files left in segments that are still
+        referenced — what a compaction would reclaim."""
+        return sum(self._segment_bytes.values()) - self.exported_bytes
 
     @property
     def segment_count(self) -> int:

@@ -208,7 +208,7 @@ class MatrixInverter:
         input_bytes: Callable[[], bytes],
         *,
         resume: bool = False,
-    ) -> tuple[Layout, Pipeline, MasterIO, PipelineModel | None]:
+    ) -> tuple[Layout, Pipeline, MasterIO, PipelineModel]:
         """Precompute the pipeline for order ``n`` and put its input on the
         DFS (Section 5.1, step 1: the master writes ``input_bytes()`` and the
         control files).
@@ -216,21 +216,16 @@ class MatrixInverter:
         The plan is statically validated by the :mod:`repro.analysis`
         pre-flight unless ``config.preflight`` is off (raises
         :class:`~repro.analysis.PreflightError` on defects).  The static
-        model comes back too when one was built — the pre-flight's own, or
-        with pre-flight off one built for the dataflow runner, which takes
-        every unit's ``needs`` from it; never both.
+        model comes back too — the pre-flight's own, or with pre-flight off
+        one built here: every unit's ``needs`` and retired files come from
+        it.
         """
         self._configure_cache()
         cfg = self.config
-        model = None
-        if cfg.preflight or cfg.schedule == "dataflow":
-            from ..analysis import build_model, preflight_check
+        from ..analysis import build_model, preflight_check
 
-            model = (preflight_check if cfg.preflight else build_model)(n, cfg)
-            layout = model.layout
-        else:
-            plan = InversionPlan(n=n, nb=cfg.nb, m0=cfg.m0, root=cfg.root)
-            layout = Layout(plan, cfg, n)
+        model = (preflight_check if cfg.preflight else build_model)(n, cfg)
+        layout = model.layout
         layout.plan.validate()
         dfs = self.runtime.dfs
         # The run's manifest log (``None`` with the protocol off).
@@ -296,7 +291,12 @@ class MatrixInverter:
         write_leaf_factors(master, nl, lu, transpose_u=cfg.transpose_u)
 
     def _units(
-        self, layout: Layout, pipeline: Pipeline, parent_span, resume: bool, final: bool
+        self,
+        model: PipelineModel,
+        pipeline: Pipeline,
+        parent_span,
+        resume: bool,
+        final: bool,
     ) -> list[UnitSpec]:
         """The pipeline's schedulable units, in plan order — emitted once,
         for whichever runner ``config.schedule`` selects.
@@ -310,14 +310,25 @@ class MatrixInverter:
 
         A unit's ``run``/``commit`` halves are :class:`Pipeline`'s
         ``execute_*``/``commit_*``.  Its ``done`` flag is its manifest:
-        every intermediate lives in the DFS, so the pipeline resumes after
-        a *driver* failure, and a step counts as done only if its commit
-        point was reached — a crash between two files of a multi-file write
-        can never masquerade as completion.  Unit spans hang off
+        every intermediate a later step reads lives in the DFS until that
+        step commits, so the pipeline resumes after a *driver* failure, and
+        a step counts as done only if its commit point was reached — a crash
+        between two files of a multi-file write can never masquerade as
+        completion.  Unit spans hang off
         ``parent_span`` (unit threads do not inherit the ambient span) and,
         in dataflow mode only, carry the schedule attributes.
+
+        From the static model each unit takes its ``needs`` (the dataflow
+        runner's readiness set) and the files it retires: those outside the
+        run's outcome it is the last reader of in plan order
+        (:meth:`~repro.analysis.model.PipelineModel.retirements`), which its
+        commit lists in its manifest and then deletes.  A matrix is held
+        only while an uncommitted step still reads it.
         """
         dataflow = self.config.schedule == "dataflow"
+        layout = model.layout
+        needs = model.unit_needs()
+        retirements = model.retirements()
 
         def stamp(wait: float) -> dict[str, Any] | None:
             if not dataflow:
@@ -328,8 +339,16 @@ class MatrixInverter:
 
         def add(kind: str, name: str, run, commit) -> None:
             done = resume and pipeline.commit_log.committed(f"{kind}:{name}")
+            retired = retirements.get(name, ())
             units.append(
-                UnitSpec(name=name, kind=kind, run=run, commit=commit, done=done)
+                UnitSpec(
+                    name=name,
+                    kind=kind,
+                    run=run,
+                    commit=lambda payload: commit(payload, retired),
+                    needs=needs[name],
+                    done=done,
+                )
             )
 
         def add_job(conf: JobConf) -> None:
@@ -339,7 +358,9 @@ class MatrixInverter:
                 lambda wait: pipeline.execute_job(
                     conf, parent_span=parent_span, span_attrs=stamp(wait)
                 ),
-                lambda result: pipeline.commit_job(conf.name, result),
+                lambda result, retired: pipeline.commit_job(
+                    conf.name, result, retired
+                ),
             )
 
         def add_phase(step: str, node: PlanNode, body, flops: float = 0.0) -> None:
@@ -359,7 +380,12 @@ class MatrixInverter:
                 )
                 return phase, published
 
-            add("phase", name, run, lambda p: pipeline.commit_phase(name, *p))
+            add(
+                "phase",
+                name,
+                run,
+                lambda p, retired: pipeline.commit_phase(name, *p, retired),
+            )
 
         tree = layout.plan.tree
         if not tree.is_leaf:
@@ -415,12 +441,9 @@ class MatrixInverter:
             if dataflow:
                 run_span.set(schedule="dataflow")
             layout, pipeline, master, model = self._prepare(n, *ingest, resume=resume)
-            units = self._units(layout, pipeline, run_span, resume, final)
+            units = self._units(model, pipeline, run_span, resume, final)
             report = None
             if dataflow:
-                needs = model.unit_needs()
-                for unit in units:
-                    unit.needs = needs[unit.name]
                 report = DataflowScheduler(dfs=dfs, units=units, model=model).run()
             else:
                 run_in_order(units)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Sequence
 
 from ..dfs.commit import CommitLog, CommitScope, _quote
 from ..telemetry.spans import SpanKind, current_tracer
@@ -95,11 +95,13 @@ class Pipeline:
     # -- execute / commit split --------------------------------------------------
     #
     # ``execute_*`` runs a step (publishing its data blocks immediately);
-    # ``commit_*`` appends it to the record and writes its manifest.  The
-    # in-order runner calls them back to back (as ``run_job`` and
-    # ``master_phase`` do, in one call); the dataflow scheduler defers
-    # ``commit_*`` to its plan-order flusher, so ``record.steps`` and the
-    # manifests stay in plan order under concurrent completion.
+    # ``commit_*`` appends it to the record, writes its manifest and then
+    # deletes the files it retires.  The in-order runner calls them back to
+    # back (as ``run_job`` and ``master_phase`` do, in one call); the
+    # dataflow scheduler defers ``commit_*`` to its plan-order flusher, so
+    # ``record.steps`` and the manifests stay in plan order under concurrent
+    # completion — and a file is retired only after every step before its
+    # retirer in plan order, each of its readers among them, has committed.
 
     def execute_job(
         self,
@@ -113,14 +115,26 @@ class Pipeline:
             conf, parent_span=parent_span, span_attrs=span_attrs
         )
 
-    def commit_job(self, name: str, result: JobResult) -> None:
-        """Record ``result`` and write the job's durable done-marker."""
+    def commit_job(
+        self, name: str, result: JobResult, retired: Sequence[str] = ()
+    ) -> None:
+        """Record ``result``, write the job's durable done-marker and delete
+        the ``retired`` files."""
         self.record.steps.append(result)
-        if self.commit_log is not None:
-            # Written last: the job's durable done-marker.  A crash anywhere
-            # before this line makes resume re-run the job (idempotently —
-            # re-publishing overwrites the same final paths).
-            self.commit_log.record(f"job:{name}", result.published_paths)
+        # The manifest is the job's durable done-marker.  A crash anywhere
+        # before it is written makes resume re-run the job (idempotently —
+        # re-publishing overwrites the same final paths).
+        self._commit(f"job:{name}", result.published_paths, retired)
+
+    def _commit(
+        self, step: str, published: list[str] | None, retired: Sequence[str]
+    ) -> None:
+        if self.commit_log is not None and published is not None:
+            self.commit_log.record(step, published, retired)
+        # After the manifest: a crash in between leaves files a sound
+        # manifest retires, which fsck deletes.
+        for path in retired:
+            self.runtime.dfs.delete(path)
 
     def run_job(self, conf: JobConf) -> JobResult:
         result = self.execute_job(conf)
@@ -203,12 +217,16 @@ class Pipeline:
         return out, phase, published
 
     def commit_phase(
-        self, name: str, phase: MasterPhase, published: list[str] | None
+        self,
+        name: str,
+        phase: MasterPhase,
+        published: list[str] | None,
+        retired: Sequence[str] = (),
     ) -> None:
-        """Record an executed phase and write its ``phase:`` manifest."""
+        """Record an executed phase, write its ``phase:`` manifest and
+        delete the ``retired`` files."""
         self.record.steps.append(phase)
-        if self.commit_log is not None and published is not None:
-            self.commit_log.record(f"phase:{name}", published)
+        self._commit(f"phase:{name}", published, retired)
 
     def master_phase(self, name: str, fn: Callable[[], Any], **kwargs: Any) -> Any:
         """Run ``fn`` serially on the (conceptual) master node, recording its

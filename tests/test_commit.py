@@ -22,6 +22,7 @@ from repro.dfs import (
     staging_path,
 )
 from repro.dfs.commit import COMMIT_DIR
+from repro.dfs.fsck import sound_manifests
 from repro.inversion import MatrixInverter
 from repro.mapreduce import MapReduceRuntime, RuntimeConfig
 
@@ -157,9 +158,13 @@ class TestEndToEndProtocol:
         with MatrixInverter(config=config, runtime=runtime) as inverter:
             inverter.invert(a)
         assert runtime.history
+        sound, _ = sound_manifests(dfs, config.root)
+        retired = {path for _, paths in sound.values() for path in paths}
+        assert retired
         for job_result in runtime.history:
             for path in job_result.published_paths:
-                assert dfs.exists(path), path
+                # Still there, or deleted after its last reader committed.
+                assert dfs.exists(path) != (path in retired), path
                 assert not path.startswith(STAGING_ROOT)
         runtime.shutdown()
 

@@ -1,8 +1,10 @@
 """DFS facade: file I/O, range reads, accounting, namespace ops."""
 
+import numpy as np
 import pytest
 
-from repro.dfs import DFS, FileNotFound
+from repro.dfs import DFS, FileNotFound, formats
+from repro.dfs.blocks import DEFAULT_BLOCK_SIZE
 
 
 class TestRoundTrips:
@@ -37,6 +39,43 @@ class TestRoundTrips:
         w.close()
         with pytest.raises(ValueError):
             w.write(b"late")
+
+
+class TestWholeFileBlocks:
+    """At the default block size (Hadoop 1.1.1's 64 MB) a matrix file is one
+    block: the stored payload is the encoder's bytes object, a read returns
+    that object, and the cached decode is a view into it — one copy of the
+    matrix, however many readers."""
+
+    def test_default_is_the_hadoop_block_size(self):
+        assert DEFAULT_BLOCK_SIZE == 64 << 20
+        assert DFS().blocks.block_size == DEFAULT_BLOCK_SIZE
+
+    def test_matrix_read_returns_the_stored_payload(self):
+        dfs = DFS()
+        data = formats.encode_matrix(np.random.default_rng(0).standard_normal((1024, 1024)))
+        assert len(data) > 8 << 20
+        dfs.write_bytes("/m", data)
+        (info,) = dfs.namenode.get_file("/m").blocks
+        stored = [dfs.blocks.datanodes[i].get(info.block_id) for i in info.replicas]
+        assert all(payload is data for payload in stored)  # no split copy
+        assert dfs.read_bytes("/m") is data  # no join
+        matrix, nbytes = dfs.attach_cache(64 << 20).read_through(dfs, "/m")
+        assert nbytes == len(data)
+        assert np.shares_memory(matrix, np.frombuffer(data, dtype=np.uint8))
+        assert dfs.cache.get(dfs.namenode.get_file("/m").generation) is matrix
+
+    def test_file_larger_than_the_block_size_round_trips(self):
+        dfs = DFS(block_size=1 << 20)
+        matrix = np.random.default_rng(1).standard_normal((700, 640))  # 3.4 MiB
+        data = formats.encode_matrix(matrix)
+        dfs.write_bytes("/big", data)
+        assert len(dfs.namenode.get_file("/big").blocks) == 4
+        assert dfs.read_bytes("/big") == data
+        assert np.array_equal(formats.read_matrix(dfs, "/big"), matrix)
+        cached, _ = dfs.attach_cache(64 << 20).read_through(dfs, "/big")
+        assert np.array_equal(cached, matrix)
+        assert np.array_equal(formats.read_rows(dfs, "/big", 150, 500), matrix[150:500])
 
 
 class TestRangeReads:

@@ -1,9 +1,10 @@
 """fsck: detection and rollback of commit-protocol debris.
 
-Three debris categories a driver crash can leave behind — orphaned staging
-files, unsealed files outside staging, and manifests that lie about what
-was published — plus the CLI self-check and the auto-fsck that
-``invert(resume=True)`` runs before trusting any on-DFS state.
+Four debris categories a driver crash can leave behind — orphaned staging
+files, unsealed files outside staging, manifests that lie about what was
+published, and files a manifest retired that were never deleted — plus the
+CLI self-check and the auto-fsck that ``invert(resume=True)`` runs before
+trusting any on-DFS state.
 """
 
 import json
@@ -66,6 +67,51 @@ class TestDetection:
         )
 
 
+class TestRetiredFiles:
+    """A step deletes the files it was the last reader of right after its
+    manifest lists them as ``retired``."""
+
+    @pytest.fixture
+    def retiring(self, dfs):
+        log = CommitLog(dfs, "/Root")
+        dfs.write_bytes("/Root/x", b"spent")
+        log.record("job:writer", ["/Root/x"])
+        log.record("job:reader", [], ["/Root/x"])
+        return dfs, log
+
+    def test_missing_file_retired_by_a_sound_manifest_is_fine(self, retiring):
+        dfs, _ = retiring
+        dfs.delete("/Root/x")
+        report = fsck(dfs, repair=False)
+        assert report.clean, report.format()
+        assert report.manifests_checked == 2
+
+    def test_retired_file_left_behind_is_reported_and_deleted(self, retiring):
+        dfs, log = retiring
+        found = fsck(dfs, repair=False)
+        assert [(i.kind, i.path) for i in found.issues] == [("retired-file", "/Root/x")]
+        assert dfs.exists("/Root/x")
+        repaired = fsck(dfs, repair=True)
+        assert all(i.repaired for i in repaired.issues)
+        assert not dfs.exists("/Root/x")
+        assert log.committed("job:writer") and log.committed("job:reader")
+        assert fsck(dfs, repair=False).clean
+
+    def test_retirement_by_an_invalid_manifest_does_not_count(self, retiring):
+        dfs, log = retiring
+        dfs.delete("/Root/x")
+        dfs.delete(log.path("job:reader"))
+        log.record("job:reader", ["/Root/ghost"], ["/Root/x"])
+        report = fsck(dfs, repair=False)
+        # The reader lies, so its retirement is void and the writer's
+        # manifest lists a file that is simply gone.
+        assert sorted(i.path for i in report.issues) == [
+            log.path("job:reader"),
+            log.path("job:writer"),
+        ]
+        assert {i.kind for i in report.issues} == {"invalid-manifest"}
+
+
 class TestRepair:
     def test_report_only_leaves_debris_in_place(self, small):
         fsck(small, repair=False)
@@ -120,6 +166,46 @@ class TestResumeAutoFsck:
         # The lying manifest was dropped and the final job re-ran.
         assert log.committed("job:invert-final")
         assert "/Root/ghost.bin" not in log.published("job:invert-final")
+        runtime.shutdown()
+
+
+    def test_crash_between_manifest_and_retirement(self, rng):
+        """The driver dies after a step's manifest retired its dead inputs
+        and before it deleted them: fsck finds them, resume deletes them and
+        skips the step."""
+        from repro.analysis import build_model
+        from repro.chaos import DriverCrashError
+
+        dfs = DFS(num_datanodes=3, replication=2, block_size=1 << 16, seed=0)
+        runtime = MapReduceRuntime(
+            dfs=dfs, config=RuntimeConfig(num_workers=2, executor="serial")
+        )
+        config = InversionConfig(nb=2, m0=2)
+        a = random_invertible(rng, 8)
+        model = build_model(8, config)
+        step, retired = "lu:/Root/A1", model.retirements()["lu:/Root/A1"]
+        delete = dfs.delete
+
+        def crash_at_retirement(path, **kwargs):
+            if path == retired[0]:
+                dfs.delete = delete
+                raise DriverCrashError(f"crash before deleting {path}")
+            delete(path, **kwargs)
+
+        dfs.delete = crash_at_retirement
+        inverter = MatrixInverter(config=config, runtime=runtime)
+        with pytest.raises(DriverCrashError):
+            inverter.invert(a)
+        log = CommitLog(dfs, config.root)
+        assert log.committed(f"job:{step}")
+        report = fsck(dfs, root=config.root, repair=False)
+        assert sorted(i.path for i in report.issues if i.kind == "retired-file") == list(retired)
+        launched = len(runtime.history)
+        result = inverter.invert(a, resume=True)
+        assert result.residual(a) < 1e-8
+        assert step not in [job.name for job in runtime.history[launched:]]
+        assert fsck(dfs, root=config.root, repair=False).clean
+        assert not any(dfs.exists(path) for path in retired)
         runtime.shutdown()
 
 

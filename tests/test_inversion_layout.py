@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import InversionConfig
+from repro.dfs import DFS
 from repro.inversion import MatrixInverter
 from repro.inversion.factors import perm_from_bytes, perm_to_bytes, read_lower, read_perm, read_upper
 from repro.dfs.formats import decode_matrix, encode_matrix
@@ -477,7 +478,10 @@ class TestInPlaceAssembly:
     )
     def finished_run(self, request):
         """A whole inversion — every task ran against read-only decoded
-        views, so one that wrote into a view would have raised here."""
+        views, so one that wrote into a view would have raised here — and a
+        snapshot DFS holding every file as it was published: the run retires
+        intermediates once their last reader commits, the snapshot keeps
+        them all for the readers under test."""
         (n, nb, m0), transpose_u, separate_files = request.param
         from repro.workloads import diagonally_dominant
 
@@ -486,19 +490,27 @@ class TestInPlaceAssembly:
             nb=nb, m0=m0, transpose_u=transpose_u, separate_files=separate_files
         )
         runtime = MapReduceRuntime()
+        dfs, snapshot = runtime.dfs, DFS()
+
+        def copy(paths):
+            for path in paths:
+                snapshot.write_bytes(path, dfs.read_bytes(path))
+
+        dfs.publish_listeners.append(copy)
         result = MatrixInverter(config=cfg, runtime=runtime).invert(a)
         assert np.allclose(result.inverse @ a, np.eye(n), atol=1e-8)
-        yield Layout(result.plan, cfg, n), runtime.dfs
+        assert set(dfs.list_files(cfg.root)) < set(snapshot.list_files(cfg.root))
+        yield Layout(result.plan, cfg, n), snapshot
         runtime.shutdown()
 
     @pytest.fixture(params=[True, False], ids=["cache", "nocache"])
     def reader(self, request, finished_run):
-        layout, dfs = finished_run
+        layout, snapshot = finished_run
         if request.param:
-            dfs.attach_cache(64 << 20)
+            snapshot.attach_cache(64 << 20)
         else:
-            dfs.detach_cache()
-        return _LoggingReader(dfs)
+            snapshot.detach_cache()
+        return _LoggingReader(snapshot)
 
     @staticmethod
     def _check(new, ref, reader):
@@ -531,23 +543,28 @@ class TestInPlaceAssembly:
             assert is_lower_triangular(lower) and is_upper_triangular(upper)
 
     def test_regions_match_the_copying_reference(self, finished_run, reader):
-        layout, dfs = finished_run
-        for nl in layout.by_dir.values():
-            for region in (nl.a2, nl.a3, nl.a4, nl.matrix, nl.l2, nl.u2, nl.out):
-                if region is None or not all(dfs.exists(p) for p in region.file_paths()):
-                    continue
-                rows, cols = region.rows, region.cols
-                for sub in (
-                    region,
-                    region.sub(0, rows // 2, 0, cols),
-                    region.sub(rows // 2, rows, cols // 3, cols),
-                    region.sub(0, rows, 0, 0),
-                ) + tuple(Region(b.rows, b.cols, (replace(b, r1=0, c1=0),)) for b in region.blocks):
-                    got = self._check(
-                        sub.read, lambda r: _ref_region_read(sub, r), reader
-                    )
-                    if len(sub.blocks) != 1:
-                        assert got.flags.writeable and got.flags.owndata
+        layout, snapshot = finished_run
+        regions = [
+            region
+            for nl in layout.by_dir.values()
+            for region in (nl.a2, nl.a3, nl.a4, nl.matrix, nl.l2, nl.u2, nl.out)
+            if region is not None
+        ]
+        # Every region is checked, retired from the run's DFS or not.
+        assert all(snapshot.exists(p) for r in regions for p in r.file_paths())
+        for region in regions:
+            rows, cols = region.rows, region.cols
+            for sub in (
+                region,
+                region.sub(0, rows // 2, 0, cols),
+                region.sub(rows // 2, rows, cols // 3, cols),
+                region.sub(0, rows, 0, 0),
+            ) + tuple(Region(b.rows, b.cols, (replace(b, r1=0, c1=0),)) for b in region.blocks):
+                got = self._check(
+                    sub.read, lambda r: _ref_region_read(sub, r), reader
+                )
+                if len(sub.blocks) != 1:
+                    assert got.flags.writeable and got.flags.owndata
 
     def test_out_destination_is_filled_in_place(self, finished_run, reader):
         layout, _ = finished_run

@@ -242,6 +242,7 @@ class TestShmLifetime:
 
     def test_compaction_drops_garbage(self, dfs):
         dfs.write_bytes("/x", bytes(1000))
+        dfs.write_bytes("/y", b"kept")  # keeps the first segment referenced
         exporter = ShmExporter(dfs, compact_garbage_bytes=500)
         try:
             exporter.sync()
@@ -252,11 +253,34 @@ class TestShmLifetime:
             assert exporter.segment_count == 0
             manifest = exporter.sync()
             assert exporter.segment_count == 1
+            assert exporter.garbage_bytes == 0
             view = SharedDFSView(manifest)
             try:
                 assert view.read_bytes("/x") == b"fresh"
+                assert view.read_bytes("/y") == b"kept"
             finally:
                 view.close()
+        finally:
+            exporter.close()
+        assert leaked_dev_shm() == []
+
+    def test_unlinked_segments_are_not_garbage(self, dfs):
+        """A segment whose every file was dropped is unlinked outright; its
+        bytes must not count toward compaction, which would otherwise throw
+        away — and re-read — the live set for garbage that no longer exists."""
+        dfs.write_bytes("/dead", bytes(1000))
+        exporter = ShmExporter(dfs, compact_garbage_bytes=500)
+        try:
+            exporter.sync()
+            dfs.write_bytes("/live", b"live")
+            live = exporter.sync().files["/live"]
+            reads = dfs.stats.read_ops
+            dfs.delete("/dead")
+            manifest = exporter.sync()
+            assert exporter.garbage_bytes == 0
+            assert exporter.segment_count == 1
+            assert manifest.files == {"/live": live}  # no compaction
+            assert dfs.stats.read_ops == reads  # nothing re-exported
         finally:
             exporter.close()
         assert leaked_dev_shm() == []
