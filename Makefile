@@ -99,9 +99,11 @@ bench-pairs:
 	@test -n "$(W)" -a -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10]"; exit 2; }
 	$(PYTHON) scripts/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(or $(N),10)
 
+# Where the calls go: cProfile of one call.  CHILDREN=1 also profiles the
+# process pool's workers and prints them merged below the driver.
 profile:
-	@test -n "$(W)" || { echo "usage: make profile W=<workload> [SMOKE=1]"; exit 2; }
-	$(PYTHON) scripts/profile_call.py --workload $(W) $(if $(SMOKE),--smoke)
+	@test -n "$(W)" || { echo "usage: make profile W=<workload> [SMOKE=1] [CHILDREN=1]"; exit 2; }
+	$(PYTHON) scripts/profile_call.py --workload $(W) $(if $(SMOKE),--smoke) $(if $(CHILDREN),--children)
 
 # The memory high-water mark of one call: tracemalloc peak in n^2 units, the
 # allocation sites live at the peak and the DFS bytes by file class there.

@@ -2,8 +2,10 @@
 an end-to-end benchmark workload.
 
 Usage:  python scripts/profile_call.py --workload W [--smoke] [--top 25]
+        python scripts/profile_call.py --workload W --children [--smoke]
         python scripts/profile_call.py --workload W --memory [--smoke]
         make profile W=deep_n512_nb16
+        make profile W=procs_n1024 CHILDREN=1
         make profile-mem W=kernel_n1536
 
 One warm-up call, then one profiled call of the workload exactly as
@@ -16,6 +18,14 @@ Call counts are deterministic for the serial workloads, so they are the
 number to compare across revisions; ``tests/test_call_budget.py`` pins the
 smoke shape of ``deep_n512_nb16``.  This only *imports* the harness's
 ``spec.py``; nothing under ``benchmarks/e2e/`` is written.
+
+``--children`` also profiles the pool workers of the profiled call (the
+process-pool workload): before the pool forks, this script replaces
+``repro.mapreduce.backends._worker_main`` with a wrapper that runs the
+worker loop under cProfile and dumps one profile per worker to a temporary
+directory.  The workers' profiles are printed merged, below the driver's.
+It needs the ``fork`` start method (a spawned worker re-imports the
+unwrapped loop), and a worker killed mid-attempt leaves no profile.
 
 ``--memory`` traces the call with :mod:`tracemalloc` instead and prints its
 peak in units of one ``n x n`` float64 matrix (``8 n^2`` bytes), the top
@@ -32,10 +42,12 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pathlib
 import pstats
 import re
 import sys
+import tempfile
 import threading
 import tracemalloc
 from collections import defaultdict
@@ -52,8 +64,30 @@ import repro  # noqa: E402
 from spec import BY_NAME, Workload  # noqa: E402
 
 
-def profile_workload(workload: Workload, seed: int = 0) -> pstats.Stats:
-    """Warm up once, then profile one call; the profile of that call alone."""
+def profile_children(out_dir: str) -> None:
+    """Make every pool worker forked from now on run its loop under
+    cProfile and dump ``worker-<pid>.prof`` into ``out_dir`` as it exits."""
+    from repro.mapreduce import backends
+
+    worker_main = backends._worker_main
+
+    def profiled_worker_main(conn, shared_tracker: bool) -> None:
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            worker_main(conn, shared_tracker)
+        finally:
+            profiler.disable()
+            profiler.dump_stats(os.path.join(out_dir, f"worker-{os.getpid()}.prof"))
+
+    backends._worker_main = profiled_worker_main
+
+
+def profile_workload(
+    workload: Workload, seed: int = 0, children_dir: str | None = None
+) -> pstats.Stats:
+    """Warm up once, then profile one call; the profile of that call alone.
+    With ``children_dir``, that call's pool workers are profiled too."""
     a = np.random.default_rng(seed).standard_normal((workload.n, workload.n))
     config = repro.InversionConfig(**workload.config)
 
@@ -65,6 +99,8 @@ def profile_workload(workload: Workload, seed: int = 0) -> pstats.Stats:
             repro.invert(a, config)
 
     call()
+    if children_dir is not None:
+        profile_children(children_dir)
     profiler = cProfile.Profile()
     profiler.enable()
     call()
@@ -240,6 +276,10 @@ def main() -> int:
     parser.add_argument(
         "--memory", action="store_true", help="tracemalloc peak instead of cProfile"
     )
+    parser.add_argument(
+        "--children", action="store_true",
+        help="also profile the pool workers (merged, below the driver)",
+    )
     args = parser.parse_args()
     workload = BY_NAME[args.workload]
     if args.smoke:
@@ -247,18 +287,35 @@ def main() -> int:
     if args.memory:
         print_memory(workload, min(args.top, 12))
         return 0
-    stats = profile_workload(workload)
-    total_s = stats.total_tt  # type: ignore[attr-defined]
     print(f"{workload.name}: n={workload.n} {workload.config}")
-    print(f"total calls: {stats.total_calls}   self time: {total_s:.4f} s\n")  # type: ignore[attr-defined]
+    if not args.children:
+        print_profile("", profile_workload(workload), args.top)
+        return 0
+    with tempfile.TemporaryDirectory() as children_dir:
+        driver = profile_workload(workload, children_dir=children_dir)
+        dumps = sorted(pathlib.Path(children_dir).glob("worker-*.prof"))
+        print_profile("driver: ", driver, args.top)
+        if not dumps:
+            print("no worker profiles (not a process-pool workload, or no fork)")
+            return 1
+        print_profile(
+            f"workers ({len(dumps)} merged): ",
+            pstats.Stats(*(str(d) for d in dumps)),
+            args.top,
+        )
+    return 0
+
+
+def print_profile(title: str, stats: pstats.Stats, top: int) -> None:
+    total_s = stats.total_tt  # type: ignore[attr-defined]
+    print(f"{title}total calls: {stats.total_calls}   self time: {total_s:.4f} s\n")  # type: ignore[attr-defined]
     print(f"{'file':<44}{'self_s':>9}{'share':>8}{'calls':>10}")
     by_file = sorted(self_time_by_file(stats).items(), key=lambda kv: -kv[1][0])
     for name, (seconds, calls) in by_file:
         if seconds / total_s >= 0.002:
             print(f"{name:<44}{seconds:>9.4f}{seconds / total_s:>8.1%}{calls:>10}")
     print()
-    stats.sort_stats("tottime").print_stats(args.top)
-    return 0
+    stats.sort_stats("tottime").print_stats(top)
 
 
 if __name__ == "__main__":

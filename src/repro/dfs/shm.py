@@ -17,8 +17,11 @@ Lifetime discipline
   re-used across waves while file generations are unchanged, unlinked by
   :meth:`ShmExporter.close` (or compaction).  Unlinking with children still
   attached is safe on POSIX — their mappings stay valid until they close.
-* Result segments (large task write-back) are created by the *child* and
-  adopted by the driver, which unlinks them after landing the bytes.
+* Result segments (large task write-back) are created by the *child*; the
+  driver lands the bytes, then the exporter adopts the segment
+  (:meth:`ShmExporter.adopt`) and maps the published files in place.  It
+  is unlinked once no live or still-staged file maps into it, or at
+  compaction or close; a landing that fails first unlinks it at once.
 * Every open handle in this process is tracked in :data:`REGISTRY` so tests
   can assert nothing leaks after a job ends.
 * PS008 close discipline: views are created and consumed in different
@@ -307,13 +310,13 @@ class ShmExporter:
     through the normal accounted DFS read path — so the export shows up in
     iostats and DFS_READ spans as the one physical read it is, and worker
     reads against the segments cost nothing — and appended into one fresh
-    segment per wave-delta.
+    segment per wave-delta, unless their generation was adopted.
 
     Overwritten or deleted files leave garbage bytes behind in old
-    segments.  A segment none of whose files is live any more is unlinked
-    outright; when the garbage left in segments that are still referenced
-    exceeds ``compact_garbage_bytes`` the exporter drops every segment and
-    re-exports the live set.
+    segments.  A segment none of whose files is live (or pending adoption)
+    any more is unlinked outright; when the garbage left in segments that
+    are still referenced exceeds ``compact_garbage_bytes`` the exporter
+    drops every segment and re-exports the live set.
     """
 
     def __init__(
@@ -328,6 +331,23 @@ class ShmExporter:
         #: (generation, message) per path that failed to read, so a broken
         #: file is re-read only when its content actually changes.
         self._errors: dict[str, tuple[int, str]] = {}
+        #: generation -> (staged path, place): adopted, not yet published.
+        self._adopted: dict[int, tuple[str, ShmFile]] = {}
+
+    def adopt(
+        self,
+        seg: shared_memory.SharedMemory,
+        files: list[tuple[str, int, int, int]],
+    ) -> None:
+        """Own a landed result segment holding ``files``, each as
+        ``(staged_path, generation, offset, length)``.  Publishing is a
+        rename and keeps the generation, so :meth:`sync` finds the published
+        file here — after the same accounted, checksummed read as any."""
+        self._segments[seg.name] = seg
+        self._segment_bytes[seg.name] = sum(f[3] for f in files)
+        for path, generation, offset, length in files:
+            place = ShmFile(seg.name, offset, length, generation)
+            self._adopted[generation] = (path, place)
 
     def sync(self) -> ShmManifest:
         namenode = self.dfs.namenode
@@ -360,7 +380,11 @@ class ShmExporter:
                     self._errors[path] = (generation, str(exc))
                     errors[path] = str(exc)
                     continue
-                payloads.append((path, generation, data))
+                adopted = self._adopted.pop(generation, None)
+                if adopted is not None:
+                    live[path] = adopted[1]
+                else:
+                    payloads.append((path, generation, data))
             if payloads:
                 seg = create_segment(sum(len(d) for _, _, d in payloads))
                 offset = 0
@@ -380,6 +404,13 @@ class ShmExporter:
         for path in list(self._errors):
             if path not in errors:
                 del self._errors[path]
+        # Keep what is still staged.  One published since the walk (only a
+        # concurrent job can) is dropped too, and then copied next time.
+        self._adopted = {
+            generation: adopted
+            for generation, adopted in self._adopted.items()
+            if namenode.exists(adopted[0], include_pending=True)
+        }
         self._drop_dead_segments()
         if self.garbage_bytes > self.compact_garbage_bytes:
             self._compact()
@@ -398,8 +429,12 @@ class ShmExporter:
                 dirs.add(prefix)
         return frozenset(dirs)
 
+    def _held(self) -> list[ShmFile]:
+        """Every file a segment holds for a reader: live or still staged."""
+        return [*self._files.values(), *(p for _, p in self._adopted.values())]
+
     def _drop_dead_segments(self) -> None:
-        referenced = {entry.segment for entry in self._files.values()}
+        referenced = {entry.segment for entry in self._held()}
         for name in list(self._segments):
             if name not in referenced:
                 close_segment(self._segments.pop(name), unlink=True)
@@ -416,16 +451,14 @@ class ShmExporter:
         self._segment_bytes = {}
         self._files = {}
         self._errors = {}
-
-    @property
-    def exported_bytes(self) -> int:
-        return sum(entry.length for entry in self._files.values())
+        self._adopted = {}
 
     @property
     def garbage_bytes(self) -> int:
         """Bytes of dropped files left in segments that are still
         referenced — what a compaction would reclaim."""
-        return sum(self._segment_bytes.values()) - self.exported_bytes
+        held = sum(entry.length for entry in self._held())
+        return sum(self._segment_bytes.values()) - held
 
     @property
     def segment_count(self) -> int:

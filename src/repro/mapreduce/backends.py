@@ -39,11 +39,12 @@ counts it as an ordinary failure.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import multiprocessing
 import multiprocessing.connection
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 
@@ -293,6 +294,7 @@ def _worker_main(conn, shared_tracker: bool) -> None:
     spans.activate(spans.NULL_TRACER)
     shm.set_child_tracker_shared(shared_tracker)
     segments: dict[str, Any] = {}
+    blobs: OrderedDict[int, Any] = OrderedDict()
     while True:
         try:
             message = conn.recv()
@@ -303,7 +305,7 @@ def _worker_main(conn, shared_tracker: bool) -> None:
         seq, payload = message
         try:
             if isinstance(payload, RemoteTask):
-                value = execute_remote_task(payload, segments)
+                value = execute_remote_task(payload, segments, blobs)
             else:
                 value = payload()
             reply = ("ok", seq, value)
@@ -327,9 +329,8 @@ def _worker_main(conn, shared_tracker: bool) -> None:
                 break
     # Drop cyclic garbage that may still pin zero-copy views onto the
     # segments (e.g. a task's decode view caught in an uncollected cycle)
-    # before detaching, so close() never sees exported pointers.
-    import gc
-
+    # before detaching, so close() never sees exported pointers.  (The
+    # inherited heap is frozen: this walks only the worker's own objects.)
     gc.collect()
     for seg in segments.values():
         try:
@@ -406,7 +407,20 @@ class ProcessPoolBackend:
             daemon=True,
             name=f"repro-pool-{slot}",
         )
-        proc.start()
+        # Fork from a frozen heap, so the child's collections never walk (or
+        # copy-on-write-touch) what it inherited.  If two unit threads' forks
+        # race, one's unfreeze may precede the other's fork: that child just
+        # collects more slowly.  Each freeze here has its own unfreeze after
+        # it, so the driver never stays frozen; a heap the embedding program
+        # froze itself is left as it was.
+        ours = gc.get_freeze_count() == 0
+        if ours:
+            gc.freeze()
+        try:
+            proc.start()
+        finally:
+            if ours:
+                gc.unfreeze()
         child_conn.close()
         worker = _Worker(proc, parent_conn)
         self._workers[slot] = worker

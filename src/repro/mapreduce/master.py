@@ -293,6 +293,11 @@ class JobTracker:
                 self._exporter = ShmExporter(self.dfs)
             return self._exporter.sync()
 
+    def _adopt_result_segment(self, seg, files) -> None:
+        """Hand a landed result segment to the wave's exporter."""
+        with self._exporter_lock:
+            self._exporter.adopt(seg, files)
+
     # -- generic phase runner --------------------------------------------------
 
     def _sleep(self, seconds: float) -> None:
@@ -308,11 +313,14 @@ class JobTracker:
         run_one,
         tracer: Tracer | NullTracer = NULL_TRACER,
         job_span: Span | _NullSpan = NULL_SPAN,
+        shipped_conf: Any = None,
     ) -> tuple[list[Any], _PhaseStats]:
         """Drive one phase (map or reduce) to completion.
 
         ``work_items[i]`` is the input of logical task *i*; ``run_one(item,
         attempt_id, node)`` executes one attempt on a simulated worker node.
+        ``shipped_conf`` is ``conf`` pickled for an out-of-process backend,
+        ``None`` in process.
         Returns per-task results in task order plus launch/failure statistics.
 
         Each retry wave gets a WAVE span under ``job_span`` and each attempt
@@ -326,14 +334,7 @@ class JobTracker:
         # attempt against *its own* job, even when the dataflow scheduler
         # interleaves attempts of several live jobs.
         self.fault_policy.note_job(job_id, conf.name)
-
-        # Out-of-process backends get picklable descriptors instead of
-        # closures; fail fast (with the procsafety pointer) if they can't.
-        in_process = getattr(self.executor, "in_process", True)
-        if not in_process:
-            from .remote import ensure_remote_runnable
-
-            ensure_remote_runnable(conf)
+        in_process = shipped_conf is None
 
         policy = conf.retry
         stats = _PhaseStats()
@@ -426,7 +427,9 @@ class JobTracker:
             def land() -> Any:
                 if isinstance(outcome, Exception):
                     raise outcome
-                materialize_remote_outcome(self.dfs, outcome)
+                materialize_remote_outcome(
+                    self.dfs, outcome, self._adopt_result_segment
+                )
                 return outcome.result
 
             try:
@@ -492,13 +495,13 @@ class JobTracker:
                         for idx, attempt_id, node in wave
                     ]
                 else:
-                    from .remote import RemoteTask
+                    from .remote import Pickled, RemoteTask
 
-                    manifest = self._export_namespace()
+                    manifest = Pickled.of(self._export_namespace())
                     thunks = [
                         RemoteTask(
                             kind=kind,
-                            conf=conf,
+                            conf=shipped_conf,
                             item=work_items[idx],
                             attempt_id=attempt_id,
                             node=node,
@@ -612,6 +615,14 @@ class JobTracker:
     ) -> JobResult:
         counters = Counters()
 
+        # Out-of-process backends get picklable descriptors instead of
+        # closures, with the conf pickled once (or the procsafety pointer).
+        shipped_conf = None
+        if not getattr(self.executor, "in_process", True):
+            from .remote import ensure_remote_runnable
+
+            shipped_conf = ensure_remote_runnable(conf)
+
         # Map phase.
         def run_map(
             split: InputSplit, attempt_id: TaskAttemptId, node: int
@@ -622,7 +633,7 @@ class JobTracker:
 
         map_results, map_stats = self._run_phase(
             conf, TaskKind.MAP, job_id, list(conf.splits), run_map,
-            tracer=tracer, job_span=job_span,
+            tracer=tracer, job_span=job_span, shipped_conf=shipped_conf,
         )
         counters.increment(TASK_GROUP, LAUNCHED_MAPS, map_stats.launched)
         counters.increment(TASK_GROUP, FAILED_MAPS, map_stats.failed)
@@ -669,6 +680,7 @@ class JobTracker:
             run_reduce,
             tracer=tracer,
             job_span=job_span,
+            shipped_conf=shipped_conf,
         )
         counters.increment(TASK_GROUP, LAUNCHED_REDUCES, reduce_stats.launched)
         counters.increment(TASK_GROUP, FAILED_REDUCES, reduce_stats.failed)

@@ -6,6 +6,8 @@ picklable :class:`RemoteTask` per attempt (conf + work item + a
 pre-computed :class:`~repro.mapreduce.faults.ScriptedFault` directive + the
 shared-memory :class:`~repro.dfs.shm.ShmManifest`), the worker executes it
 against a :class:`WorkerDFS`, and a :class:`RemoteOutcome` flows back.
+Conf and manifest travel :class:`Pickled` once per job and per wave, and a
+worker unpickles each at most once (:func:`load_blob`).
 
 The data path is asymmetric by design:
 
@@ -18,20 +20,24 @@ The data path is asymmetric by design:
   payload (inline bytes when small), and the *driver* replays them through
   ``dfs.stage_bytes`` before the normal publish/discard commit decision —
   so the PR 7 crash-consistency ledger (staged == published + discarded)
-  and the reconciliation report hold without any special cases.
+  and the reconciliation report hold without any special cases.  The
+  result segment is then adopted by the exporter, not unlinked
+  (:meth:`~repro.dfs.shm.ShmExporter.adopt`): the next export maps each
+  published file where the child wrote it.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from ..dfs import formats
 from ..dfs.iostats import IOStats
 from ..dfs.namenode import normalize
 from ..dfs.shm import (
-    ShmManifest,
     SharedDFSView,
     attach_segment,
     close_segment,
@@ -51,20 +57,53 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: result segment instead of being pickled through the result pipe.
 INLINE_PAYLOAD_LIMIT = 128 * 1024
 
+#: Unpickled blobs a worker keeps: a few live jobs' confs and their waves'
+#: manifests under the dataflow scheduler, one of each under barrier.
+BLOB_CACHE_ENTRIES = 8
+
+#: Driver-side serials (``next()`` on a ``count`` is atomic under the GIL).
+_serials = itertools.count(1)
+
+
+class Pickled(NamedTuple):
+    """An object pickled once, named by a driver-side serial (not ``id()``,
+    which a collected object hands on)."""
+
+    key: int
+    data: bytes
+
+    @classmethod
+    def of(cls, obj: Any) -> "Pickled":
+        return cls(next(_serials), pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def load_blob(blob: Pickled, cache: "OrderedDict[int, Any]") -> Any:
+    """``blob`` unpickled through a worker's bounded cache (least recently
+    used evicted first)."""
+    if blob.key in cache:
+        cache.move_to_end(blob.key)
+        return cache[blob.key]
+    value = cache[blob.key] = pickle.loads(blob.data)
+    if len(cache) > BLOB_CACHE_ENTRIES:
+        cache.popitem(last=False)
+    return value
+
 
 @dataclass
 class RemoteTask:
     """One picklable attempt descriptor shipped to a pool worker."""
 
     kind: TaskKind
-    conf: JobConf
+    #: The job's :class:`~repro.mapreduce.job.JobConf`, pickled once per job.
+    conf: Pickled
     #: The map split or the merged reduce partition.
     item: Any
     attempt_id: TaskAttemptId
     node: int
     #: Driver-computed fault directive (stateful policies never cross).
     fault: ScriptedFault
-    manifest: ShmManifest
+    #: The wave's :class:`~repro.dfs.shm.ShmManifest`, pickled once per wave.
+    manifest: Pickled
     #: Pre-assigned segment name for large write-back, so the driver can
     #: scrub it even when the worker is killed mid-attempt.
     result_segment: str = field(default_factory=new_segment_name)
@@ -181,20 +220,12 @@ class WorkerDFS:
         pass
 
 
-def ensure_remote_runnable(conf: JobConf) -> None:
-    """Fail fast — before any wave launches — when a job conf cannot cross
-    the process boundary, with a pointer at the static gate."""
-    probe = (
-        conf.mapper_factory,
-        conf.reducer_factory,
-        conf.combiner_factory,
-        conf.partitioner,
-        conf.grouping_fn,
-        conf.params,
-        conf.splits,
-    )
+def ensure_remote_runnable(conf: JobConf) -> Pickled:
+    """The conf pickled once, as it ships; fails fast — before any wave
+    launches — when it cannot cross the process boundary, with a pointer at
+    the static gate."""
     try:
-        pickle.dumps(probe)
+        return Pickled.of(conf)
     except Exception as exc:
         raise TaskSerializationError(
             f"job {conf.name!r} cannot run on a process backend: {exc!r}. "
@@ -205,34 +236,34 @@ def ensure_remote_runnable(conf: JobConf) -> None:
 
 
 def execute_remote_task(
-    task: RemoteTask, segments: dict[str, Any] | None = None
+    task: RemoteTask, segments: dict[str, Any], blobs: "OrderedDict[int, Any]"
 ) -> RemoteOutcome:
     """Run one attempt inside a pool worker and package its outcome.
 
     ``segments`` is the worker's persistent name → ``SharedMemory`` cache;
     attachments outlive the task and are pruned to the current manifest so
-    a long-lived worker does not accumulate dead mappings.
+    a long-lived worker does not accumulate dead mappings.  ``blobs`` is
+    its :func:`load_blob` cache.
     """
     from .task import run_map_attempt, run_reduce_attempt
 
-    view = SharedDFSView(task.manifest, segments=segments)
+    conf = load_blob(task.conf, blobs)
+    manifest = load_blob(task.manifest, blobs)
+    view = SharedDFSView(manifest, segments=segments)
     wdfs = WorkerDFS(view)
     try:
         if task.kind is TaskKind.MAP:
             result = run_map_attempt(
-                wdfs, task.conf, task.item, task.attempt_id, task.fault,
+                wdfs, conf, task.item, task.attempt_id, task.fault,
                 node=task.node,
             )
         else:
             result = run_reduce_attempt(
-                wdfs, task.conf, task.item, task.attempt_id, task.fault,
+                wdfs, conf, task.item, task.attempt_id, task.fault,
                 node=task.node,
             )
     finally:
-        if segments is not None:
-            view.prune(task.manifest.segment_names())
-        else:
-            view.close()
+        view.prune(manifest.segment_names())
 
     outcome = RemoteOutcome(result=result, direct_writes=wdfs.direct_writes)
     total = sum(len(data) for data in wdfs.staged_data.values())
@@ -244,8 +275,8 @@ def execute_remote_task(
             seg.buf[offset : offset + len(data)] = data
             entries.append((path, offset, len(data)))
             offset += len(data)
-        # Close our mapping but do not unlink: the driver adopts the
-        # segment by name and unlinks it after landing the bytes.
+        # Close our mapping but do not unlink: the driver attaches the
+        # segment by name, lands the bytes and hands it to its exporter.
         close_segment(seg)
         outcome.staged_segment = (task.result_segment, entries)
     else:
@@ -253,35 +284,48 @@ def execute_remote_task(
     return outcome
 
 
-def materialize_remote_outcome(dfs: "DFS", outcome: RemoteOutcome) -> None:
+def materialize_remote_outcome(
+    dfs: "DFS", outcome: RemoteOutcome, adopt: Callable[..., None]
+) -> None:
     """Driver-side landing: replay the attempt's write-back into the real
     DFS through the ordinary accounted paths.
 
     Staged files are re-staged in the attempt's original stage order, so
     the commit ledger and the master's publish/discard decision see exactly
-    what an in-process attempt would have produced.
+    what an in-process attempt would have produced.  A result segment is
+    then passed to ``adopt`` with ``(staged_path, generation, offset,
+    length)`` per file; if landing fails first, it is unlinked here.
     """
-    staged_bytes: dict[str, bytes] = dict(outcome.inline_staged)
-    if outcome.staged_segment is not None:
+    if outcome.staged_segment is None:
+        for src, _final in outcome.result.staged:
+            dfs.stage_bytes(src, outcome.inline_staged[src])
+    else:
         name, entries = outcome.staged_segment
+        where = {path: (offset, length) for path, offset, length in entries}
         seg = attach_segment(name)
+        files = []
         try:
-            for path, offset, length in entries:
-                staged_bytes[path] = bytes(seg.buf[offset : offset + length])
-        finally:
+            for src, _final in outcome.result.staged:
+                offset, length = where[src]
+                dfs.stage_bytes(src, bytes(seg.buf[offset : offset + length]))
+                generation = dfs.namenode.get_file(src, include_pending=True).generation
+                files.append((src, generation, offset, length))
+        except BaseException:
             close_segment(seg, unlink=True)
-    for src, _final in outcome.result.staged:
-        dfs.stage_bytes(src, staged_bytes[src])
+            raise
+        adopt(seg, files)
     for path, data in outcome.direct_writes:
         dfs.write_bytes(path, data)
 
 
 __all__ = [
     "INLINE_PAYLOAD_LIMIT",
+    "Pickled",
     "RemoteOutcome",
     "RemoteTask",
     "WorkerDFS",
     "ensure_remote_runnable",
     "execute_remote_task",
+    "load_blob",
     "materialize_remote_outcome",
 ]

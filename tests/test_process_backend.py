@@ -5,26 +5,38 @@ merge-back, and shared-memory lifetime hygiene.
 
 from __future__ import annotations
 
+import gc
 import glob
 import os
 import pickle
+from collections import OrderedDict
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro import invert
+from repro.chaos.events import DriverCrashError
 from repro.dfs import DFS, fsck
+from repro.dfs.commit import staging_dir, staging_path
 from repro.dfs.shm import (
     REGISTRY,
     SEGMENT_PREFIX,
     ShmExporter,
+    ShmManifest,
     SharedDFSView,
+    close_segment,
+    create_segment,
 )
 from repro.inversion import InversionConfig, MatrixInverter
 from repro.mapreduce import (
     Counters,
     DelayAttempt,
     JobConf,
+    JobFailedError,
     Mapper,
     MapReduceRuntime,
+    ProcessPoolBackend,
     Reducer,
     RetryPolicy,
     RuntimeConfig,
@@ -35,9 +47,27 @@ from repro.mapreduce import (
     splits_for_workers,
 )
 from repro.mapreduce.counters import FILESYSTEM_GROUP, BYTES_READ
+from repro.mapreduce.remote import (
+    BLOB_CACHE_ENTRIES,
+    Pickled,
+    RemoteOutcome,
+    RemoteTask,
+    ensure_remote_runnable,
+    execute_remote_task,
+    load_blob,
+    materialize_remote_outcome,
+)
 from repro.mapreduce.types import TaskAttemptId, TaskId, JobId
 
 from conftest import random_invertible
+
+#: Bytes pickled into the pool's pipes for one call at ``procs_n1024``'s
+#: smoke shape: 1 113 940 measured when the conf and the manifest became
+#: bytes pickled once per job and per wave (1 155 320 before, when both were
+#: pickled as objects into every attempt), plus 15 % headroom.  The bytes
+#: barely moved — each attempt still carries both blobs — but the pickling
+#: work did; the distinct-key assertions pin that.
+DISPATCH_BYTES_BUDGET = 1_281_000
 
 
 def leaked_dev_shm() -> list[str]:
@@ -138,8 +168,18 @@ class TestEndToEnd:
         process_runtime.run_job(conf)
         for i in range(2):
             assert dfs.file_size(f"/big/part-{i}") == 256 * 1024
-        # The adopted result segments were unlinked after landing.
+        # Each attempt's result segment was adopted, not unlinked: the next
+        # export maps each part where its worker wrote it, one segment per
+        # task, and creates no segment of its own.
+        landed = set(leaked_dev_shm())
+        manifest = process_runtime._tracker._export_namespace()
+        parts = {manifest.files[f"/big/part-{i}"].segment for i in range(2)}
+        assert len(parts) == 2
+        assert {f"/dev/shm/{name}" for name in parts} == landed
+        assert set(leaked_dev_shm()) == landed
+        process_runtime.shutdown()
         assert leaked_dev_shm() == []
+        assert REGISTRY.live() == {}
 
     def test_inversion_pipeline_under_processes(self, rng, monkeypatch):
         # Building a process pool runs no whole-package sweep: the engine's
@@ -306,6 +346,466 @@ class TestShmLifetime:
         finally:
             exporter.close()
         assert REGISTRY.live() == {}
+
+
+def land_result_segment(dfs, exporter, tag, files):
+    """A finished attempt's large write-back, as the driver sees it: the
+    segment its worker wrote and closed, landed by the real landing code
+    and adopted by ``exporter``.  Returns the segment name and the
+    ``(staged, final)`` pairs to publish."""
+    seg = create_segment(sum(len(data) for data in files.values()))
+    entries, offset = [], 0
+    for path, data in files.items():
+        seg.buf[offset : offset + len(data)] = data
+        entries.append((staging_path(tag, path), offset, len(data)))
+        offset += len(data)
+    name = seg.name
+    close_segment(seg)
+    staged = [(staging_path(tag, path), path) for path in files]
+    outcome = RemoteOutcome(
+        result=SimpleNamespace(staged=staged), staged_segment=(name, entries)
+    )
+    materialize_remote_outcome(dfs, outcome, exporter.adopt)
+    return name, staged
+
+
+def shm_file(name: str) -> str:
+    return f"/dev/shm/{name}"
+
+
+class ReadPartMapper(Mapper):
+    """Reads ``/big/part-0`` (through the export under processes)."""
+
+    def map(self, ctx, split):
+        ctx.emit(0, len(ctx.read_bytes("/big/part-0")))
+
+
+class TestAdoptedSegments:
+    """A landed result segment becomes an export segment: its lifetime."""
+
+    def test_published_file_is_mapped_in_place(self, dfs):
+        exporter = ShmExporter(dfs)
+        try:
+            exporter.sync()
+            name, staged = land_result_segment(
+                dfs, exporter, "attempt-a", {"/p/x": b"x" * 300, "/p/y": b"yy"}
+            )
+            dfs.publish(staged)
+            reads = dfs.stats.read_ops
+            manifest = exporter.sync()
+            assert manifest.files["/p/x"].segment == name
+            assert manifest.files["/p/y"].segment == name
+            assert exporter.segment_count == 1  # no copy made
+            # ...after the same accounted read a copying export makes.
+            assert dfs.stats.read_ops == reads + 2
+            view = SharedDFSView(manifest)
+            try:
+                assert view.read_bytes("/p/x") == b"x" * 300
+                assert view.read_bytes("/p/y") == b"yy"
+            finally:
+                view.close()
+        finally:
+            exporter.close()
+        assert leaked_dev_shm() == []
+        assert REGISTRY.live() == {}
+
+    def test_discarded_attempt_segment_unlinked_at_next_sync(self, dfs):
+        exporter = ShmExporter(dfs)
+        try:
+            exporter.sync()
+            kept, _ = land_result_segment(
+                dfs, exporter, "attempt-pending", {"/p/a": bytes(100)}
+            )
+            lost, _ = land_result_segment(
+                dfs, exporter, "attempt-lost", {"/p/a": bytes(100)}
+            )
+            dfs.discard_staging(staging_dir("attempt-lost"))
+            exporter.sync()
+            # The discarded attempt's segment goes; the one whose staged
+            # file is still pending a commit decision stays.
+            assert not os.path.exists(shm_file(lost))
+            assert os.path.exists(shm_file(kept))
+            assert exporter.garbage_bytes == 0
+        finally:
+            exporter.close()
+        assert leaked_dev_shm() == []
+        assert REGISTRY.live() == {}
+
+    def test_losing_speculative_attempts_unlinked_at_next_sync(self):
+        dfs = DFS(num_datanodes=4, replication=3, seed=7)
+        rt = MapReduceRuntime(
+            dfs=dfs,
+            config=RuntimeConfig(
+                num_workers=2, executor="processes", speculative=True
+            ),
+        )
+        try:
+            conf = JobConf(
+                name="big", mapper_factory=BigOutputMapper,
+                splits=splits_for_workers(2),
+            )
+            result = rt.run_job(conf)
+            assert result.attempts_launched == 4
+            assert len(leaked_dev_shm()) == 4  # every attempt landed
+            manifest = rt._tracker._export_namespace()
+            winners = {shm_file(f.segment) for f in manifest.files.values()}
+            assert len(winners) == 2
+            assert set(leaked_dev_shm()) == winners
+        finally:
+            rt.shutdown()
+        assert leaked_dev_shm() == []
+        assert REGISTRY.live() == {}
+
+    def test_retired_file_segment_unlinked_once_nothing_maps_into_it(self, dfs):
+        exporter = ShmExporter(dfs)
+        try:
+            exporter.sync()
+            name, staged = land_result_segment(
+                dfs, exporter, "attempt-r",
+                {"/p/first": bytes(300), "/p/second": bytes(200)},
+            )
+            dfs.publish(staged)
+            exporter.sync()
+            dfs.delete("/p/first")
+            exporter.sync()
+            assert os.path.exists(shm_file(name))  # /p/second maps into it
+            assert exporter.garbage_bytes == 300
+            dfs.delete("/p/second")
+            exporter.sync()
+            assert not os.path.exists(shm_file(name))
+            assert exporter.segment_count == 0
+            assert exporter.garbage_bytes == 0
+        finally:
+            exporter.close()
+        assert leaked_dev_shm() == []
+
+    def test_compaction_fires_on_garbage_in_adopted_segments(self, dfs):
+        exporter = ShmExporter(dfs, compact_garbage_bytes=500)
+        try:
+            exporter.sync()
+            _, staged = land_result_segment(
+                dfs, exporter, "attempt-c",
+                {"/p/big": bytes(1000), "/p/kept": b"kept"},
+            )
+            dfs.publish(staged)
+            exporter.sync()
+            dfs.delete("/p/big")  # 1000 garbage bytes > 500
+            exporter.sync()
+            assert exporter.segment_count == 0  # compacted
+            manifest = exporter.sync()
+            assert exporter.segment_count == 1
+            assert exporter.garbage_bytes == 0
+            view = SharedDFSView(manifest)
+            try:
+                assert view.read_bytes("/p/kept") == b"kept"
+            finally:
+                view.close()
+        finally:
+            exporter.close()
+        assert leaked_dev_shm() == []
+
+    def test_failed_landing_unlinks_the_segment(self, dfs):
+        exporter = ShmExporter(dfs)
+
+        def crash(op, path):
+            raise DriverCrashError(f"injected driver crash at {op} {path}")
+
+        dfs.fault_hooks.append(crash)
+        try:
+            with pytest.raises(DriverCrashError):
+                land_result_segment(dfs, exporter, "attempt-f", {"/p/z": bytes(10)})
+            assert exporter.segment_count == 0
+        finally:
+            exporter.close()
+        assert leaked_dev_shm() == []
+        assert REGISTRY.live() == {}
+
+
+class TestCloseLeavesNothing:
+    """After ``MatrixInverter.close()`` no segment is open or on disk."""
+
+    N = 256
+    CONFIG = dict(nb=64, m0=2, executor="processes", num_workers=2)
+
+    @pytest.fixture
+    def adoptions(self, monkeypatch):
+        """Counts result segments handed to an exporter."""
+        calls = []
+        real = ShmExporter.adopt
+
+        def counting(exporter, seg, files):
+            calls.append(seg.name)
+            real(exporter, seg, files)
+
+        monkeypatch.setattr(ShmExporter, "adopt", counting)
+        return calls
+
+    def test_after_a_clean_run(self, rng, adoptions):
+        a = random_invertible(rng, self.N)
+        with MatrixInverter(config=InversionConfig(**self.CONFIG)) as inverter:
+            assert inverter.invert(a).residual(a) < 1e-8
+        assert adoptions  # the shape does write back through segments
+        assert REGISTRY.live() == {}
+        assert leaked_dev_shm() == []
+
+    def test_after_a_killed_worker(self, rng, adoptions):
+        a = random_invertible(rng, self.N)
+        config = InversionConfig(
+            **self.CONFIG,
+            retry=RetryPolicy(max_attempts=3, attempt_deadline=2.0),
+        )
+        hang = DelayAttempt(
+            seconds=30.0, kind=TaskKind.MAP, task_index=0,
+            job_substring="invert-final",
+        )
+        with MatrixInverter(config=config, fault_policy=hang) as inverter:
+            result = inverter.invert(a)
+            assert result.residual(a) < 1e-8
+            history = inverter.runtime.history
+            assert sum(job.attempts_timed_out for job in history) == 1
+        assert adoptions
+        assert REGISTRY.live() == {}
+        assert leaked_dev_shm() == []
+
+    def test_after_a_driver_crash_while_landing_an_adopted_file(
+        self, rng, adoptions, monkeypatch
+    ):
+        import repro.mapreduce.remote as remote
+
+        a = random_invertible(rng, self.N)
+        inverter = MatrixInverter(config=InversionConfig(**self.CONFIG))
+        dfs = inverter.runtime.dfs
+        crashed = []
+        real_materialize = remote.materialize_remote_outcome
+        real_stage = dfs.stage_bytes
+        landing = []
+
+        def materialize(dfs_, outcome, adopt):
+            landing.append(outcome.staged_segment is not None)
+            try:
+                real_materialize(dfs_, outcome, adopt)
+            finally:
+                landing.pop()
+
+        def stage_bytes(path, data):
+            if landing and landing[-1] and not crashed and adoptions:
+                # A later adopted file, after some segments were adopted.
+                crashed.append(path)
+                raise DriverCrashError(f"injected driver crash staging {path}")
+            real_stage(path, data)
+
+        monkeypatch.setattr(remote, "materialize_remote_outcome", materialize)
+        monkeypatch.setattr(dfs, "stage_bytes", stage_bytes)
+        try:
+            with pytest.raises(DriverCrashError):
+                inverter.invert(a)
+        finally:
+            inverter.close()
+        assert crashed
+        assert REGISTRY.live() == {}
+        assert leaked_dev_shm() == []
+
+
+class TestExportKeepsItsChecks:
+    """An adopted file is exported through the same accounted,
+    checksum-checked read as a copied one."""
+
+    @staticmethod
+    def run_big_then_read(executor: str, damage=None):
+        """Job 1 writes ``/big/part-*``; ``damage`` breaks part-0; job 2
+        reads it.  Returns (dfs, job 2's error or None)."""
+        dfs = DFS(num_datanodes=4, replication=3, seed=7)
+        rt = MapReduceRuntime(
+            dfs=dfs, config=RuntimeConfig(num_workers=2, executor=executor)
+        )
+        try:
+            rt.run_job(
+                JobConf(
+                    name="big", mapper_factory=BigOutputMapper,
+                    splits=splits_for_workers(2),
+                )
+            )
+            if damage is not None:
+                damage(dfs, dfs.namenode.get_file("/big/part-0").blocks[0])
+            try:
+                rt.run_job(
+                    JobConf(
+                        name="read", mapper_factory=ReadPartMapper,
+                        splits=splits_for_workers(1),
+                        retry=RetryPolicy(max_attempts=2),
+                    )
+                )
+            except JobFailedError as exc:
+                return dfs, exc
+            return dfs, None
+        finally:
+            rt.shutdown()
+
+    @staticmethod
+    def kill_replicas(dfs, info):
+        for node in info.replicas:
+            dfs.blocks.kill_datanode(node)
+
+    @staticmethod
+    def corrupt_replicas(dfs, info):
+        for node in info.replicas:
+            dfs.blocks.corrupt_replica(info, node)
+
+    @pytest.mark.parametrize("damage", ["kill_replicas", "corrupt_replicas"])
+    def test_unreadable_adopted_file_fails_the_reader(self, damage, adoptions_of):
+        breaker = getattr(self, damage)
+        serial_dfs, serial = self.run_big_then_read("serial", breaker)
+        remote_dfs, remote = self.run_big_then_read("processes", breaker)
+        assert adoptions_of  # part-0 was landed into an adopted segment
+        assert serial is not None and remote is not None
+        assert len(remote.attempts) == len(serial.attempts) == 2
+        with pytest.raises(IOError) as in_process:
+            serial_dfs.read_bytes("/big/part-0")
+        with pytest.raises(IOError) as at_export:
+            remote_dfs.read_bytes("/big/part-0")
+        assert type(serial.last_error) is type(in_process.value)
+        assert type(at_export.value) is type(in_process.value)
+        # The worker reports the read failure the export recorded in the
+        # manifest's errors.
+        assert isinstance(remote.last_error, IOError)
+        assert "unreadable at export time" in str(remote.last_error)
+        assert str(at_export.value) in str(remote.last_error)
+        assert REGISTRY.live() == {}
+        assert leaked_dev_shm() == []
+
+    def test_export_reads_equal_a_copying_export(self, monkeypatch):
+        adopting, error = self.run_big_then_read("processes")
+        assert error is None
+
+        def copy_instead(exporter, seg, files):
+            close_segment(seg, unlink=True)
+
+        monkeypatch.setattr(ShmExporter, "adopt", copy_instead)
+        copying, error = self.run_big_then_read("processes")
+        assert error is None
+        assert adopting.stats.read_ops == copying.stats.read_ops
+        assert adopting.stats.bytes_read == copying.stats.bytes_read
+        assert leaked_dev_shm() == []
+
+    @pytest.fixture
+    def adoptions_of(self, monkeypatch):
+        adopted = []
+        real = ShmExporter.adopt
+
+        def recording(exporter, seg, files):
+            adopted.extend(path for path, *_ in files)
+            real(exporter, seg, files)
+
+        monkeypatch.setattr(ShmExporter, "adopt", recording)
+        return adopted
+
+
+class TestDispatchBudget:
+    """A job's conf crosses the pipe as bytes pickled once, and a worker
+    unpickles each conf and each manifest at most once."""
+
+    @staticmethod
+    def task(conf_blob, manifest_blob):
+        return RemoteTask(
+            kind=TaskKind.MAP,
+            conf=conf_blob,
+            item=splits_for_workers(1)[0],
+            attempt_id=TaskAttemptId(
+                task=TaskId(job=JobId(1), kind=TaskKind.MAP, index=0), attempt=0
+            ),
+            node=0,
+            fault=ScriptedFault(),
+            manifest=manifest_blob,
+        )
+
+    def test_worker_unpickles_each_blob_once(self, monkeypatch):
+        conf = JobConf(
+            name="echo", mapper_factory=EchoMapper, splits=splits_for_workers(1)
+        )
+        conf_blob = ensure_remote_runnable(conf)
+        manifest_blob = Pickled.of(ShmManifest())
+        assert pickle.loads(conf_blob.data).name == "echo"  # the whole conf
+        loads = []
+        real_loads = pickle.loads
+
+        def counting(data, *args, **kwargs):
+            loads.append(data)
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", counting)
+        cache: OrderedDict = OrderedDict()
+        segments: dict = {}
+        execute_remote_task(self.task(conf_blob, manifest_blob), segments, cache)
+        assert len(loads) == 2  # the conf and the manifest
+        execute_remote_task(self.task(conf_blob, manifest_blob), segments, cache)
+        assert len(loads) == 2  # same keys: nothing unpickled
+        new_key = ensure_remote_runnable(conf)
+        execute_remote_task(self.task(new_key, manifest_blob), segments, cache)
+        assert len(loads) == 3  # a new key: one more
+        for _ in range(3 * BLOB_CACHE_ENTRIES):
+            load_blob(Pickled.of(conf), cache)
+        assert len(cache) == BLOB_CACHE_ENTRIES  # bounded
+        assert len(loads) == 3 + 3 * BLOB_CACHE_ENTRIES
+        # The keys are serials, never re-used.
+        assert Pickled.of(None).key != Pickled.of(None).key
+
+    def test_pickled_bytes_sent_per_call(self, monkeypatch):
+        """Bytes pickled into the pool's pipes for one call at
+        ``procs_n1024``'s smoke shape (n=256, nb=32, m0=4)."""
+        from multiprocessing import connection
+        from multiprocessing.reduction import ForkingPickler
+
+        a = np.random.default_rng(0).standard_normal((256, 256))
+        config = InversionConfig(nb=32, m0=4, executor="processes", num_workers=2)
+        invert(a, config)  # warm-up
+        sent = []
+        tasks = []
+        real_send = connection.Connection.send
+
+        def counting_send(conn, obj):
+            sent.append(len(ForkingPickler.dumps(obj)))
+            if obj is not None:
+                tasks.append(obj[1])
+            real_send(conn, obj)
+
+        monkeypatch.setattr(connection.Connection, "send", counting_send)
+        result = invert(a, config)
+        assert len(sent) == 70  # 68 attempts + 2 shutdown sentinels
+        # One conf per job, one manifest per wave (no retries here).
+        assert len({t.conf.key for t in tasks}) == result.record.num_jobs == 9
+        assert len({t.manifest.key for t in tasks}) == 17
+        assert sum(sent) <= DISPATCH_BYTES_BUDGET, (
+            f"{sum(sent)} bytes pickled to the workers for one call, budget "
+            f"{DISPATCH_BYTES_BUDGET}: is a conf or manifest pickled per "
+            f"attempt again?"
+        )
+
+
+class TestForkFromFrozenHeap:
+    def test_driver_unfrozen_and_worker_frozen(self):
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            # gc.get_freeze_count is a builtin: it pickles by reference and
+            # runs in the worker.
+            counts = backend.run_all([gc.get_freeze_count] * 2)
+        finally:
+            backend.shutdown()
+        assert gc.get_freeze_count() == 0  # the driver still collects
+        if backend._start_method == "fork":
+            assert all(count > 0 for count in counts), counts
+
+    def test_an_embedders_own_freeze_is_kept(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            backend = ProcessPoolBackend(max_workers=1)
+            try:
+                backend.run_all([gc.get_freeze_count])
+            finally:
+                backend.shutdown()
+            assert gc.get_freeze_count() >= frozen
+        finally:
+            gc.unfreeze()
 
 
 class TestPicklability:
