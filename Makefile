@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs profile profile-mem experiments examples coverage clean
+.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs profile profile-mem experiments examples coverage clean
 
 install:
 	pip install -e .
@@ -70,9 +70,6 @@ trace-demo:
 
 check: lint test chaos trace-demo
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 # The end-to-end benchmark BENCHMARK.json declares (six workloads, the
 # end-to-end metrics and the per-layer table); the smoke form is what CI
 # runs.  Both only invoke the harness — see benchmarks/e2e/README.md.
@@ -121,5 +118,5 @@ examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; done; echo "all examples ran"
 
 clean:
-	rm -rf src/repro.egg-info .pytest_cache .benchmarks
+	rm -rf src/repro.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -7,7 +7,8 @@ MapReduce job".
 This example runs that whole story on one cluster (one DFS, one runtime):
 
   1. a MapReduce job GENERATES observations (synthetic sensor readings);
-  2. SystemML-style jobs assemble the regularized covariance ``X^T X + eps I``;
+  2. a second job assembles the regularized covariance ``X^T X + eps I``
+     (each mapper's partial Gram matrix, summed by one reducer);
   3. the inversion pipeline inverts it — the precision matrix;
   4. a final MapReduce job CONSUMES the inverse (whitening the observations),
      with a verification job checking the result, all from DFS state.
@@ -22,12 +23,12 @@ from repro.dfs import formats
 from repro.inversion import MatrixInverter
 from repro.mapreduce import (
     FnMapper,
+    FnReducer,
     JobConf,
     MapReduceRuntime,
     splits_for_workers,
 )
 from repro.telemetry import HistoryReport
-from repro.systemml import MatrixOps, read_matrix, save_matrix
 
 N_SAMPLES, N_FEATURES, M0 = 400, 48, 4
 
@@ -55,20 +56,28 @@ def main() -> None:
     )
     print(f"stage 1: generated {N_SAMPLES}x{N_FEATURES} observations on the DFS")
 
-    # -- stage 2: covariance via generic matrix jobs --------------------------
-    obs = np.vstack(
-        [formats.read_matrix(dfs, f"/wf/obs/part.{j}") for j in range(M0)]
+    # -- stage 2: covariance X^T X = sum_j X_j^T X_j, one MapReduce job --------
+    def gram(ctx, split):
+        chunk = formats.decode_matrix(ctx.read_bytes(f"/wf/obs/part.{split.payload}"))
+        ctx.emit(0, chunk.T @ chunk)
+
+    def regularize(ctx, key, partials):
+        cov = sum(partials) + 5.0 * N_SAMPLES * np.eye(N_FEATURES)
+        ctx.write_bytes("/wf/cov", formats.encode_matrix(cov))
+
+    runtime.run_job(
+        JobConf(
+            name="covariance",
+            mapper_factory=lambda: FnMapper(gram),
+            reducer_factory=lambda: FnReducer(regularize),
+            splits=splits_for_workers(M0),
+            num_reduce_tasks=1,
+        )
     )
-    ops = MatrixOps(runtime, m0=M0)
-    h_x = save_matrix(dfs, "/wf/X", obs, chunks=M0)
-    h_xt = ops.transpose(h_x, "/wf/Xt")
-    h_cov = ops.multiply(h_xt, h_x, "/wf/XtX")
-    h_reg = save_matrix(dfs, "/wf/eps", 5.0 * N_SAMPLES * np.eye(N_FEATURES), chunks=M0)
-    h_cov = ops.add(h_cov, h_reg, "/wf/cov")
-    print("stage 2: covariance assembled by transpose/multiply/add jobs")
+    print("stage 2: covariance assembled by one map/reduce job")
 
     # -- stage 3: the inversion pipeline ----------------------------------------
-    cov = read_matrix(dfs, h_cov)
+    cov = formats.read_matrix(dfs, "/wf/cov")
     inverter = MatrixInverter(InversionConfig(nb=12, m0=M0), runtime=runtime)
     result = inverter.invert(cov)
     residual = inverter.distributed_residual(result)
@@ -76,16 +85,11 @@ def main() -> None:
           f"(distributed residual {residual:.1e})")
 
     # -- stage 4: a consumer job whitens the data against the inverse ----------
-    save_matrix(dfs, "/wf/precision", result.inverse, chunks=M0)
+    formats.write_matrix(dfs, "/wf/precision", result.inverse)
 
     def whiten(ctx, split):
         j = split.payload
-        prec = np.vstack(
-            [
-                formats.decode_matrix(ctx.read_bytes(f"/wf/precision/part.{i}"))
-                for i in range(M0)
-            ]
-        )
+        prec = formats.decode_matrix(ctx.read_bytes("/wf/precision"))
         chunk = formats.decode_matrix(ctx.read_bytes(f"/wf/obs/part.{j}"))
         ctx.write_bytes(f"/wf/white/part.{j}", formats.encode_matrix(chunk @ prec))
         ctx.emit(j, float(np.var(chunk @ prec)))

@@ -29,10 +29,7 @@ PACKAGES = [
     "repro.baselines",
     "repro.cluster",
     "repro.spark",
-    "repro.adaptive",
-    "repro.systemml",
     "repro.workloads",
-    "repro.apps",
     "repro.experiments",
 ]
 

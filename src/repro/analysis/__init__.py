@@ -33,8 +33,8 @@ source-walking core, :mod:`~repro.analysis.source`.
 
 The driver runs :func:`preflight_check` once per run, before anything
 launches (opt out with ``InversionConfig(preflight=False)``); it is the
-run path's single call into this package besides the dataflow scheduler's
-own model check.
+run path's single call into this package, and it covers the dataflow
+scheduler too.
 """
 
 from .cli import lint_pipeline, lint_source_file

@@ -57,7 +57,8 @@ from .dataflow import (
 from .procsafety import analyze_procsafety_files, default_procsafety_files
 from .model import PipelineModel, build_model
 from .planlint import lint_plan
-from .purity import analyze_job, analyze_source
+from .purity import analyze_job, analyze_module
+from .source import ModuleSource
 
 
 def pipeline_job_confs(layout) -> list:
@@ -168,13 +169,11 @@ def lint_source_file(path: str | pathlib.Path) -> list[Finding]:
     """Source mode for one file: purity of task callables plus plan lint of
     any statically resolvable pipeline configuration."""
     path = pathlib.Path(path)
-    text = path.read_text(encoding="utf-8")
-    findings = analyze_source(text, str(path))
-    try:
-        tree = ast.parse(text, filename=str(path))
-    except SyntaxError:
-        return findings  # analyze_source already reported it
-    for n, kwargs in _plan_specs_from_source(tree):
+    module = ModuleSource(path.read_text(encoding="utf-8"), str(path))
+    findings = analyze_module(module)
+    if module.tree is None:
+        return findings  # analyze_module already reported it
+    for n, kwargs in _plan_specs_from_source(module.tree):
         config_kwargs = {
             k: v for k, v in kwargs.items() if k in ("nb", "m0")
         }

@@ -468,7 +468,12 @@ def analyze_job(conf: JobConf) -> list[Finding]:
 
 
 def analyze_source(text: str, filename: str = "<string>") -> list[Finding]:
-    """Purity findings for every task callable defined in a source file.
+    """Purity findings for every task callable defined in a source file."""
+    return analyze_module(ModuleSource(text, filename))
+
+
+def analyze_module(module: ModuleSource) -> list[Finding]:
+    """Purity findings for every task callable of an already parsed module.
 
     Analyzes (a) methods of classes that look like mappers/reducers
     (subclass naming or a ``map``/``map_record``/``reduce`` method) and
@@ -476,7 +481,6 @@ def analyze_source(text: str, filename: str = "<string>") -> list[Finding]:
     Driver-side code is deliberately not checked: seeding generators or
     timing on the master is fine — only task bodies must be pure.
     """
-    module = ModuleSource(text, filename)
     if module.tree is None:
         return [module.parse_failure("PU001")]
     findings: list[Finding] = []
@@ -493,7 +497,7 @@ def analyze_source(text: str, filename: str = "<string>") -> list[Finding]:
             _body_findings(
                 node,
                 qualname=qualname,
-                filename=filename,
+                filename=module.filename,
                 check_self_state=check_self_state,
             )
         )

@@ -23,7 +23,7 @@ Row swaps and all other row operations drive ``[A | I]`` to ``[I | A^-1]``
 directly, so the right half *is* the inverse.  Work per job is tiny —
 O(n^2 / m0) — but there are exactly ``n`` jobs, so job-launch overhead
 dominates at scale: the paper's argument for block LU, in numbers
-(see ``bench_ablations.py``).
+(see ``tests/test_gj_mr_and_blocked.py``).
 """
 
 from __future__ import annotations

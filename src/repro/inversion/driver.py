@@ -444,7 +444,7 @@ class MatrixInverter:
             units = self._units(model, pipeline, run_span, resume, final)
             report = None
             if dataflow:
-                report = DataflowScheduler(dfs=dfs, units=units, model=model).run()
+                report = DataflowScheduler(dfs=dfs, units=units).run()
             else:
                 run_in_order(units)
             if not final:
@@ -537,12 +537,9 @@ class MatrixInverter:
         )
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve ``A X = B`` end-to-end on the cluster: invert ``A`` through
-        the pipeline, then compute ``A^-1 B`` as a distributed block-wrap
-        multiplication (Section 1's linear-system application, with the
-        product also done where the data lives)."""
-        from ..systemml import MatrixOps, read_matrix, save_matrix
-
+        """Solve ``A X = B``: invert ``A`` through the pipeline, then apply
+        the assembled inverse on the driver (Section 1's linear-system
+        application — invert once, serve many right-hand sides)."""
         a = _as_square(a)
         b = np.asarray(b, dtype=np.float64)
         one_d = b.ndim == 1
@@ -555,14 +552,7 @@ class MatrixInverter:
         # Checked before the inversion: a NaN/inf right-hand side would pay
         # for every job and come back as NaNs.
         _require_finite(b, "rhs")
-        result = self.invert(a)
-        ops = MatrixOps(self.runtime, m0=self.config.m0)
-        h_inv = save_matrix(
-            self.runtime.dfs, "/solve/Ainv", result.inverse, chunks=self.config.m0
-        )
-        h_b = save_matrix(self.runtime.dfs, "/solve/B", b, chunks=self.config.m0)
-        h_x = ops.multiply(h_inv, h_b, "/solve/X")
-        x = read_matrix(self.runtime.dfs, h_x)
+        x = self.invert(a).inverse @ b
         return x[:, 0] if one_d else x
 
     def lu(self, a: np.ndarray) -> LUFactors:

@@ -3,25 +3,11 @@
 verification residuals of Section 7.2."""
 
 from . import blockwrap, permutation, verify
-from .cg import (
-    CGResult,
-    cg_flops_per_solve,
-    conjugate_gradient,
-    inversion_flops,
-    solve_strategy_crossover,
-)
 from .condest import (
     condition_estimate,
     estimate_inverse_one_norm,
     expected_residual_bound,
     one_norm,
-)
-from .cholesky import (
-    NotPositiveDefiniteError,
-    cholesky_decompose,
-    cholesky_flop_count,
-    cholesky_invert,
-    cholesky_solve,
 )
 from .lu import LUResult, SingularMatrixError, lu_decompose, lu_flop_count, solve_lu
 from .refine import RefinementResult, newton_schulz_refine
@@ -42,19 +28,9 @@ from .triangular import (
 
 __all__ = [
     "LUResult",
-    "NotPositiveDefiniteError",
     "RefinementResult",
     "SingularMatrixError",
     "TileTaskCount",
-    "CGResult",
-    "cg_flops_per_solve",
-    "cholesky_decompose",
-    "conjugate_gradient",
-    "inversion_flops",
-    "solve_strategy_crossover",
-    "cholesky_flop_count",
-    "cholesky_invert",
-    "cholesky_solve",
     "condition_estimate",
     "estimate_inverse_one_norm",
     "expected_residual_bound",

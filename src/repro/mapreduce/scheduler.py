@@ -32,10 +32,11 @@ scheduler's flusher.  Manifests therefore form a plan-order prefix of the
 completed work — a crash mid-schedule resumes exactly like a barrier-mode
 crash, re-running (idempotently) anything published but not yet manifested.
 
-Pre-flight: before launching anything the scheduler re-runs the defect rules
-whose violation would make block-keyed scheduling unsound — ``DF002``
-(write-before-read hazard), ``DF006`` (dependency cycle), ``DF007``
-(generation-order violation) — and refuses to start on any finding.
+The scheduler runs no analysis of its own: the driver's pre-flight
+(:func:`repro.analysis.preflight_check`) has already linted the model whose
+``unit_needs`` it is handed, including the rules whose violation would make
+block-keyed scheduling unsound — ``DF002`` (write-before-read hazard),
+``DF006`` (dependency cycle), ``DF007`` (generation-order violation).
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ from typing import Any, Callable
 
 from ..dfs.filesystem import DFS
 from ..telemetry import spans as _spans
-
-#: Defect rules that make block-keyed scheduling unsound (the gate).
-GATE_RULES = ("DF002", "DF006", "DF007")
 
 
 @dataclass
@@ -119,10 +117,10 @@ class SchedulerReport:
 class SchedulerStallError(RuntimeError):
     """No unit is ready or running yet the schedule is incomplete.
 
-    Either the dependency structure has a cycle the pre-flight missed (it
-    cannot, short of a corrupted model) or a unit depends on a path nothing
-    publishes — the diagnostic lists every stuck unit with its missing
-    blocks.
+    Either the dependency structure has a cycle (the driver's pre-flight
+    rejects one unless ``preflight=False``) or a unit depends on a path
+    nothing publishes — the diagnostic lists every stuck unit with its
+    missing blocks.
     """
 
 
@@ -138,7 +136,7 @@ class DataflowScheduler:
     commits, joins) stays outside the lock.
     """
 
-    def __init__(self, *, dfs: DFS, units: list[UnitSpec], model=None) -> None:
+    def __init__(self, *, dfs: DFS, units: list[UnitSpec]) -> None:
         names = [u.name for u in units]
         if len(set(names)) != len(names):
             raise ValueError("unit names must be unique")
@@ -146,8 +144,6 @@ class DataflowScheduler:
         self._units = list(units)
         self._by_name = {u.name: u for u in units}
         self._plan_index = {u.name: i for i, u in enumerate(units)}
-        self._model = model
-        self._dag = model.block_dag() if model is not None else None
         self._max_inflight = min(32, max(4, len(units)))
         self._cond = threading.Condition()
         # -- state below is guarded-by: _cond --------------------------------
@@ -164,22 +160,6 @@ class DataflowScheduler:
         # fresh contextvars and could not resolve it themselves.
         self._tracer = _spans.current_tracer()
         self.report = SchedulerReport()
-
-    # -- pre-flight ------------------------------------------------------------
-
-    def _preflight(self) -> None:
-        if self._model is None:
-            return
-        from ..analysis import PreflightError
-        from ..analysis.dataflow import lint_dataflow
-
-        findings = [
-            f
-            for f in lint_dataflow(self._model, self._dag)
-            if f.rule in GATE_RULES
-        ]
-        if findings:
-            raise PreflightError(findings)
 
     # -- readiness -------------------------------------------------------------
 
@@ -292,7 +272,6 @@ class DataflowScheduler:
         earliest unit in plan order (deterministic regardless of which
         thread lost the race).
         """
-        self._preflight()
         self._dfs.publish_listeners.append(self._on_publish)
         threads: list[threading.Thread] = []
         try:

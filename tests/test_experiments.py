@@ -1,9 +1,11 @@
 """The evaluation harness: every table/figure module runs and reproduces the
-paper's qualitative claims at small scale (the benchmarks run them at the
-full reproduction scale)."""
+paper's qualitative claims at small scale (``python -m repro experiments``
+runs them at the full reproduction scale)."""
 
 import pytest
 
+from repro.cluster import ClusterSpec
+from repro.cluster.costmodel import ours_time
 from repro.experiments import (
     ExperimentHarness,
     fig6,
@@ -27,10 +29,10 @@ def harness():
 class TestTable1:
     def test_measured_read_near_model(self):
         res = table1.run(n=128, nb=16, m0=4)
-        # Dense-square factor files inflate reads over the packed model by
-        # at most ~2x; writes by ~2.5x.
-        assert 0.5 < res.read_ratio < 2.5
-        assert 0.5 < res.write_ratio < 3.0
+        # Reads track the (l+3) n^2 model closely; writes pay the
+        # dense-square factor-file representation (~2.4x the packed count).
+        assert 0.5 < res.read_ratio < 2.0
+        assert 1.0 < res.write_ratio < 3.0
 
     def test_mults_match_model_exactly(self):
         res = table1.run(n=128, nb=16, m0=4)
@@ -46,7 +48,8 @@ class TestTable1:
 class TestTable2:
     def test_measured_read_near_model(self, harness):
         res = table2.run(n=128, nb=16, m0=4, harness=harness)
-        assert 0.5 < res.read_ratio < 3.0
+        assert 0.5 < res.read_ratio < 2.5
+        assert 0.5 < res.write_ratio < 2.5
 
     def test_mults_within_dense_factor(self, harness):
         """The final product skips structural zeros panel by panel, so the
@@ -54,6 +57,12 @@ class TestTable2:
         would read 2.0."""
         res = table2.run(n=128, nb=16, m0=4, harness=harness)
         assert 1.0 <= res.measured_ours.mults / res.model_ours.mults < 1.5
+
+    def test_mults_envelope_at_reproduction_scale(self, harness):
+        """At n=256, nb=32, m0=8 the panelled product measures 1.21x the
+        model; the envelope is that plus 10 %, so a dense product fails."""
+        res = table2.run(n=256, nb=32, m0=8, harness=harness)
+        assert 1.0 <= res.measured_ours.mults / res.model_ours.mults <= 1.33
 
     def test_format(self, harness):
         out = table2.format_result(table2.run(n=64, nb=16, m0=4, harness=harness))
@@ -64,6 +73,8 @@ class TestTable3:
     def test_formula_matches_paper_without_execution(self):
         res = table3.run(execute=False)
         assert res.all_job_counts_match()
+        m4 = next(r for r in res.rows if r.name == "M4")
+        assert m4.jobs_formula == 33
 
     def test_executed_job_counts(self, harness):
         from repro.workloads import get
@@ -83,13 +94,23 @@ class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
         return fig6.run(
-            matrices=("M5",), node_counts=(2, 4, 8), scale=128,
+            matrices=("M1", "M3", "M5"), node_counts=(2, 4, 8), scale=128,
             harness=ExperimentHarness(),
         )
 
     def test_time_decreases_with_nodes(self, result):
-        curve = result.curve("M5")
-        assert curve.seconds == sorted(curve.seconds, reverse=True)
+        for curve in result.curves:
+            assert curve.seconds == sorted(curve.seconds, reverse=True)
+
+    def test_real_but_sub_ideal_speedup(self, result):
+        for curve in result.curves:
+            speedup = curve.seconds[0] / curve.seconds[-1]
+            ideal = curve.node_counts[-1] / curve.node_counts[0]
+            assert 2.0 < speedup < ideal, curve.matrix
+
+    def test_larger_matrices_scale_better(self, result):
+        last = len(result.curve("M1").node_counts) - 1
+        assert result.curve("M3").efficiency(last) > result.curve("M1").efficiency(last)
 
     def test_near_ideal_at_small_scale(self, result):
         curve = result.curve("M5")
@@ -109,7 +130,7 @@ class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
         return fig7.run(
-            matrix="M5", node_counts=(4, 8), scale=128, harness=ExperimentHarness()
+            matrix="M5", node_counts=(4, 8, 16), scale=128, harness=ExperimentHarness()
         )
 
     def test_optimizations_always_help(self, result):
@@ -118,7 +139,13 @@ class TestFig7:
 
     def test_separate_files_gain_grows_with_nodes(self, result):
         curve = result.curve("separate-files")
+        assert curve.ratio == sorted(curve.ratio)
         assert curve.ratio[-1] > curve.ratio[0]
+
+    def test_block_wrap_gain_holds_with_nodes(self, result):
+        curve = result.curve("block-wrap")
+        assert curve.ratio[-1] > curve.ratio[0] * 0.95
+        assert max(curve.ratio) > 1.15
 
     def test_format(self, result):
         assert "Figure 7" in fig7.format_result(result)
@@ -138,7 +165,8 @@ class TestFig8:
         assert at_max == sorted(at_max)
 
     def test_scalapack_wins_small_scale(self, result):
-        assert result.curve("M1").ratio[0] < 1.0
+        for curve in result.curves:
+            assert curve.ratio[0] < 1.0, curve.matrix
 
     def test_pipeline_wins_large_matrix_at_scale(self, result):
         assert result.curve("M3").ratio[-1] > 1.0
@@ -178,6 +206,8 @@ class TestSec74:
 
     def test_failure_run_slower_but_correct(self, result):
         assert result.hours_large_with_failure > result.hours_large_no_failure
+        # ...but by less than 2x (paper: 5 h -> 8 h).
+        assert result.hours_large_with_failure < 2 * result.hours_large_no_failure
         assert result.failure_recovered
         assert result.residual_ok
 
@@ -207,6 +237,33 @@ class TestSec75:
         assert 3 < result.ours_hours_large < 10  # paper: ~5
         assert 10 < result.ours_hours_medium < 30  # paper: ~15
         assert 6 < result.scala_hours_large < 20  # paper: ~8
+        assert result.scala_hours_medium > 20  # paper: > 48
 
     def test_format(self, result):
         assert "7.5" in sec75.format_result(result)
+
+
+class TestNbTradeoff:
+    """Section 5's bound value: small nb means many jobs (launch overhead),
+    large nb a long serial master LU; the optimum lies in between."""
+
+    def test_modeled_optimum_near_paper_nb(self):
+        cluster = ClusterSpec(num_nodes=64)
+        times = {
+            nb: ours_time(102400, cluster, nb).total
+            for nb in (400, 800, 1600, 3200, 6400, 12800, 25600)
+        }
+        best = min(times, key=times.get)
+        assert 1600 <= best <= 12800  # the paper's 3200 in the flat optimum
+        assert times[400] > times[best]  # too many jobs
+        assert times[25600] > times[best]  # serial master LU
+
+    def test_executed_sweep_has_an_interior_optimum(self, harness):
+        times = {
+            nb: harness.replay(
+                harness.run(256, nb, 4, seed=77), num_nodes=4, paper_n=16384
+            ).makespan
+            for nb in (16, 32, 64, 128)
+        }
+        best = min(times.values())
+        assert times[16] > best and times[128] > best

@@ -1,22 +1,17 @@
-"""Tile LU, Cholesky, and Newton-Schulz refinement (related-work kernels and
-the numerical-stability extension)."""
+"""Tile LU and Newton-Schulz refinement (a related-work kernel and the
+numerical-stability extension)."""
 
 import numpy as np
 import pytest
 
 from repro.linalg import (
-    NotPositiveDefiniteError,
-    cholesky_decompose,
-    cholesky_flop_count,
-    cholesky_invert,
-    cholesky_solve,
     lu_decompose,
     newton_schulz_refine,
     tile_lu,
     tile_task_counts,
 )
 from repro.linalg.verify import lu_residual
-from repro.workloads import ill_conditioned, symmetric_positive_definite
+from repro.workloads import ill_conditioned
 
 from conftest import random_invertible
 
@@ -55,54 +50,6 @@ class TestTileLU:
             tile_lu(rng.standard_normal((3, 4)))
         with pytest.raises(ValueError):
             tile_lu(np.eye(4), tile=0)
-
-
-class TestCholesky:
-    @pytest.mark.parametrize("n", [1, 2, 8, 33, 64])
-    def test_factor_reconstructs(self, n):
-        a = symmetric_positive_definite(n, seed=n)
-        lower = cholesky_decompose(a)
-        assert np.allclose(lower @ lower.T, a, atol=1e-8 * n)
-        assert np.allclose(np.triu(lower, k=1), 0)
-
-    def test_inverse(self):
-        a = symmetric_positive_definite(24, seed=1)
-        inv = cholesky_invert(a)
-        assert np.allclose(a @ inv, np.eye(24), atol=1e-9)
-
-    def test_matches_numpy_cholesky(self):
-        a = symmetric_positive_definite(16, seed=2)
-        assert np.allclose(cholesky_decompose(a), np.linalg.cholesky(a))
-
-    def test_solve(self, rng):
-        a = symmetric_positive_definite(20, seed=3)
-        x = rng.standard_normal(20)
-        assert np.allclose(cholesky_solve(a, a @ x), x)
-
-    def test_rejects_indefinite(self):
-        a = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky_decompose(a)
-
-    def test_rejects_asymmetric(self, rng):
-        a = symmetric_positive_definite(8, seed=4)
-        a[0, 1] += 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            cholesky_decompose(a)
-
-    def test_half_the_arithmetic_of_lu(self):
-        from repro.linalg import lu_flop_count
-
-        assert cholesky_flop_count(100) == lu_flop_count(100) / 2
-
-    def test_agrees_with_pipeline_on_spd(self):
-        """The specialized method and the general pipeline agree on SPD
-        inputs — the related-work comparison of Section 3."""
-        from repro import InversionConfig, invert
-
-        a = symmetric_positive_definite(48, seed=5)
-        general = invert(a, InversionConfig(nb=16, m0=4))
-        assert np.allclose(general.inverse, cholesky_invert(a), atol=1e-7)
 
 
 class TestNewtonSchulz:

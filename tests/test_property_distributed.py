@@ -1,48 +1,10 @@
-"""Property-based tests across the distributed layers: SystemML ops, the
-streaming protocol, Spark RDD algebra, and block-cyclic distribution."""
+"""Property-based tests across the distributed layers: the streaming
+protocol and Spark RDD algebra."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.mapreduce import MapReduceRuntime
 from repro.mapreduce.streaming import parse_kv_line
 from repro.spark import SparkContext
-from repro.systemml import MatrixOps, read_matrix, save_matrix
-
-
-class TestSystemMLProperties:
-    @given(
-        st.integers(1, 10),
-        st.integers(1, 10),
-        st.integers(1, 10),
-        st.integers(1, 6),
-        st.integers(0, 2**16),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_multiply_matches_numpy(self, rows, inner, cols, chunks, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((rows, inner))
-        b = rng.standard_normal((inner, cols))
-        rt = MapReduceRuntime()
-        ops = MatrixOps(rt, m0=4)
-        ha = save_matrix(rt.dfs, "/p/A", a, chunks=chunks)
-        hb = save_matrix(rt.dfs, "/p/B", b, chunks=chunks)
-        out = read_matrix(rt.dfs, ops.multiply(ha, hb, "/p/AB"))
-        rt.shutdown()
-        assert np.allclose(out, a @ b, atol=1e-9)
-
-    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**16))
-    @settings(max_examples=15, deadline=None)
-    def test_transpose_involution(self, rows, cols, chunks, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((rows, cols))
-        rt = MapReduceRuntime()
-        ops = MatrixOps(rt, m0=3)
-        h = save_matrix(rt.dfs, "/p/A", a, chunks=chunks)
-        back = ops.transpose(ops.transpose(h, "/p/t"), "/p/tt")
-        out = read_matrix(rt.dfs, back)
-        rt.shutdown()
-        assert np.array_equal(out, a)
 
 
 class TestStreamingProtocolProperties:

@@ -9,9 +9,7 @@ import pytest
 
 PACKAGES = [
     "repro",
-    "repro.adaptive",
     "repro.analysis",
-    "repro.apps",
     "repro.baselines",
     "repro.chaos",
     "repro.cluster",
@@ -23,7 +21,6 @@ PACKAGES = [
     "repro.mpi",
     "repro.scalapack",
     "repro.spark",
-    "repro.systemml",
     "repro.telemetry",
     "repro.workloads",
 ]
@@ -63,7 +60,7 @@ class TestDocsPresent:
 
     def test_examples_present(self):
         examples = list((REPO / "examples").glob("*.py"))
-        assert len(examples) >= 9
+        assert len(examples) >= 7
 
 
 class TestExamplesRun:
@@ -152,7 +149,7 @@ class TestOptionCensus:
 
         assert self._params(MatrixInverter) == ["config", "runtime", "fault_policy"]
         assert self._params(Pipeline) == ["runtime", "commit_log"]
-        assert self._params(DataflowScheduler) == ["dfs", "units", "model"]
+        assert self._params(DataflowScheduler) == ["dfs", "units"]
         assert self._params(ProcessPoolBackend) == ["max_workers"]
 
     def test_no_option_rides_the_descriptors(self):

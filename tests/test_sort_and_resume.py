@@ -150,12 +150,16 @@ class TestDistributedSolve:
                 inv.solve(random_invertible(rng, 16), np.zeros((16, 2, 2)))
             assert inv.runtime.history == []
 
-    def test_product_runs_as_jobs(self, rng):
+    def test_product_runs_on_the_driver(self, rng):
+        """The driver already holds the assembled inverse: ``A^-1 b`` is one
+        product there, not a write-back to the DFS and more jobs."""
         rt = MapReduceRuntime()
         a = random_invertible(rng, 32)
         inv = MatrixInverter(InversionConfig(nb=8, m0=4), runtime=rt)
-        inv.solve(a, np.ones(32))
-        assert any(j.name.startswith("multiply:") for j in rt.history)
+        x = inv.solve(a, np.ones(32))
+        assert np.allclose(a @ x, np.ones(32), atol=1e-8)
+        assert not any(j.name.startswith("multiply:") for j in rt.history)
+        assert not rt.dfs.exists("/solve")
         rt.shutdown()
 
 

@@ -232,12 +232,16 @@ class TestSparkInversion:
         a = random_invertible(rng, 64)
         first = inverter.invert(a)
         l2 = inverter.intermediates["/Root/L2"]
+        computed_before = sc.metrics.partitions_computed
         assert sc.evict(l2, 0)
         assert np.array_equal(
             sorted(x[0] for x in l2.collect()), sorted(x[0] for x in l2.collect())
         )
         assert first.residual(a) < 1e-9
         assert sc.metrics.recomputations >= 1
+        # Only the lost partition's lineage reran, not the whole run.
+        recomputed = sc.metrics.partitions_computed - computed_before
+        assert recomputed < computed_before / 4
 
     def test_non_square_rejected(self, rng):
         with pytest.raises(ValueError):
