@@ -103,7 +103,8 @@ profile:
 	$(PYTHON) scripts/profile_call.py --workload $(W) $(if $(SMOKE),--smoke) $(if $(CHILDREN),--children)
 
 # The memory high-water mark of one call: tracemalloc peak in n^2 units, the
-# allocation sites live at the peak and the DFS bytes by file class there.
+# peak inside each unit, the allocation sites live at the peak and the DFS
+# bytes by file class there.
 profile-mem:
 	@test -n "$(W)" || { echo "usage: make profile-mem W=<workload> [SMOKE=1]"; exit 2; }
 	$(PYTHON) scripts/profile_call.py --workload $(W) --memory $(if $(SMOKE),--smoke)

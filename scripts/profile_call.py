@@ -28,7 +28,9 @@ It needs the ``fork`` start method (a spawned worker re-imports the
 unwrapped loop), and a worker killed mid-attempt leaves no profile.
 
 ``--memory`` traces the call with :mod:`tracemalloc` instead and prints its
-peak in units of one ``n x n`` float64 matrix (``8 n^2`` bytes), the top
+peak in units of one ``n x n`` float64 matrix (``8 n^2`` bytes), the peak
+reached inside each unit (every job's map and reduce phase, the master
+phases, the leaf LU phases as one row), the top
 allocation sites live at the peak, and what the DFS held at the peak: live
 file bytes by file class (each payload once — replicas share it) and the
 block cache's views, split into views of a stored payload and private
@@ -207,45 +209,108 @@ class _PeakProbe:
             self.composition = dfs_composition(self.dfs)
 
 
-def memory_profile(workload: Workload, seed: int = 0) -> tuple[int, _PeakProbe]:
-    """Warm up, then trace two calls: (peak bytes, probe of the second)."""
+class _UnitPeaks:
+    """The traced peak reached inside each pipeline unit.
+
+    Every map or reduce phase of a job (``<job>[map]``, ``<job>[reduce]``)
+    and every master phase resets the tracemalloc peak on entry and files
+    it under its name on exit; the leaf LU phases share one row.  What runs
+    between units (the shuffle, commits and their deletes, the driver) is
+    filed under :attr:`BETWEEN`, so the largest row is the call's peak.
+    Units that overlap (the dataflow workload) share their peaks.
+    """
+
+    BETWEEN = "(between units)"
+
+    def __init__(self) -> None:
+        self.peaks: dict[str, int] = {}
+        self._undo: list = []
+
+    def _file(self, label: str) -> None:
+        peak = tracemalloc.get_traced_memory()[1]
+        self.peaks[label] = max(self.peaks.get(label, 0), peak)
+        tracemalloc.reset_peak()
+
+    def _wrap(self, owner: type, attr: str, label_of) -> None:
+        inner = getattr(owner, attr)
+
+        def unit(*args, **kwargs):
+            self._file(self.BETWEEN)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                self._file(label_of(*args))
+
+        setattr(owner, attr, unit)
+        self._undo.append(lambda: setattr(owner, attr, inner))
+
+    def __enter__(self) -> "_UnitPeaks":
+        from repro.mapreduce.master import JobTracker
+        from repro.mapreduce.pipeline import Pipeline
+
+        self._wrap(
+            JobTracker, "_run_phase", lambda _, conf, kind, *rest: f"{conf.name}[{kind.value}]"
+        )
+        self._wrap(
+            Pipeline,
+            "execute_phase",
+            lambda _, name, *rest: "master-lu (leaves)" if name.startswith("master-lu:") else name,
+        )
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file(self.BETWEEN)
+        for undo in self._undo:
+            undo()
+
+
+def memory_profile(
+    workload: Workload, seed: int = 0
+) -> tuple[int, _PeakProbe, dict[str, int]]:
+    """Warm up, then trace two calls: (peak bytes, probe of the second, the
+    first's peak per unit)."""
     a = np.random.default_rng(seed).standard_normal((workload.n, workload.n))
     config = repro.InversionConfig(**workload.config)
 
-    def traced_call(target: int | None) -> tuple[int, _PeakProbe]:
+    def traced_call(target: int | None) -> tuple[_UnitPeaks, _PeakProbe]:
         inverter = repro.MatrixInverter(config)
         probe = _PeakProbe(inverter.runtime.dfs, target)
         tracemalloc.start(8)
         sys.setprofile(probe)
         threading.setprofile(probe)
         try:
-            if workload.observed:
-                with repro.observe():
+            with _UnitPeaks() as units:
+                if workload.observed:
+                    with repro.observe():
+                        inverter.invert(a)
+                else:
                     inverter.invert(a)
-            else:
-                inverter.invert(a)
         finally:
             sys.setprofile(None)
             threading.setprofile(None)  # type: ignore[arg-type]
-            peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             inverter.close()
-        return peak, probe
+        return units, probe
 
     traced_call(None)  # warm-up, traced too: the first traced call runs higher
-    peak, first = traced_call(None)
+    units, first = traced_call(None)
     _, second = traced_call(int(first.seen * 0.995))
-    return peak, second
+    return max(units.peaks.values()), second, units.peaks
 
 
 def print_memory(workload: Workload, top: int) -> None:
-    peak, probe = memory_profile(workload)
+    peak, probe, unit_peaks = memory_profile(workload)
     unit = 8 * workload.n**2
     print(f"{workload.name}: n={workload.n} {workload.config}")
     print(
         f"tracemalloc peak: {peak / unit:.2f} n^2 ({peak / 2**20:.1f} MiB; "
-        f"n^2 = {unit / 2**20:.1f} MiB)"
+        f"n^2 = {unit / 2**20:.1f} MiB)\n"
     )
+    print(f"{'traced peak inside each unit':<34}{'n^2':>8}")
+    between = unit_peaks.pop(_UnitPeaks.BETWEEN, 0)
+    for name, nbytes in [*unit_peaks.items(), (_UnitPeaks.BETWEEN, between)]:
+        print(f"  {name:<32}{nbytes / unit:>8.2f}")
+    print()
     if probe.snapshot is None or probe.composition is None:
         print("the second pass never reached the first pass's peak")
         print("(a threaded run does not repeat; run again, or a serial workload)")

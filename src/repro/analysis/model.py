@@ -91,38 +91,42 @@ class PipelineModel:
                 return step
         raise KeyError(name)
 
-    def unit_needs(self) -> dict[str, frozenset[str]]:
-        """Each schedulable unit's external read set, by unit name: a unit
-        is one master phase or one whole job (map and reduce steps merge),
-        its needs every path its steps read and do not write themselves."""
+    def _unit_io(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        """Each schedulable unit's reads and writes, by unit name in plan
+        order: a unit is one master phase or one whole job (map and reduce
+        steps merge)."""
         reads: dict[str, set[str]] = {}
         writes: dict[str, set[str]] = {}
         for step in self.steps:
             unit = step.job or step.name
             reads.setdefault(unit, set()).update(step.reads)
             writes.setdefault(unit, set()).update(step.writes)
+        return reads, writes
+
+    def unit_needs(self) -> dict[str, frozenset[str]]:
+        """Each unit's external read set: every path its steps read and do
+        not write themselves."""
+        reads, writes = self._unit_io()
         return {unit: frozenset(reads[unit] - writes[unit]) for unit in reads}
 
     def outcome(self) -> frozenset[str]:
         """The files a run keeps: the input and the ``MapInput`` control
-        files (the verify job reads them), everything the final job reads
-        (it re-runs on every resume) — the factor files among them — and
-        what ``collect-output`` reads: ``FINAL/*`` and the perm files."""
+        files (the verify job reads them) and what ``collect-output`` reads:
+        ``FINAL/*`` and the perm files."""
         keep = {self.layout.input_path} | _control_paths(self.layout)
-        for step in self.steps:
-            if step.job == "invert-final" or step.name == "collect-output":
-                keep |= step.reads
-        return frozenset(keep)
+        return frozenset(keep | self.find_step("collect-output").reads)
 
     def retirements(self) -> dict[str, tuple[str, ...]]:
-        """Per unit, the paths outside :meth:`outcome` it is the last reader
-        of in plan order — dead once it has committed.  Both runners commit
-        in plan order, so under either every other reader has committed
-        before it."""
+        """Per unit, the paths outside :meth:`outcome` it is the last to
+        read or write in plan order — dead once it has committed.  Both
+        runners commit in plan order, so under either every other reader has
+        committed before it.  The final job retires its own ``INV/*`` files
+        and the factors; a run without it (``lu``) keeps them."""
         keep = self.outcome()
+        reads, writes = self._unit_io()
         last: dict[str, str] = {}
-        for unit, needs in self.unit_needs().items():  # plan order
-            for path in needs - keep:
+        for unit in reads:  # plan order
+            for path in (reads[unit] | writes[unit]) - keep:
                 last[path] = unit
         retired: dict[str, list[str]] = {}
         for path, unit in last.items():

@@ -5,7 +5,7 @@ Two codecs, matching the paper's Table 3 which reports matrix sizes in both
 
 * **text** — one row per line, elements space-separated with full double
   precision (`repr`-roundtrippable).  This is the ``Root/a.txt`` input format.
-* **binary** — a 16-byte header (magic, rows, cols) followed by row-major
+* **binary** — a 16-byte header (magic, cols, rows) followed by row-major
   little-endian float64 data.  Intermediate pipeline files use this codec;
   it is the "binary (GB)" column of Table 3.
 

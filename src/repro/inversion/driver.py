@@ -320,7 +320,7 @@ class MatrixInverter:
 
         From the static model each unit takes its ``needs`` (the dataflow
         runner's readiness set) and the files it retires: those outside the
-        run's outcome it is the last reader of in plan order
+        run's outcome it is the last to read or write in plan order
         (:meth:`~repro.analysis.model.PipelineModel.retirements`), which its
         commit lists in its manifest and then deletes.  A matrix is held
         only while an uncommitted step still reads it.
@@ -400,9 +400,6 @@ class MatrixInverter:
                 add_phase(step, node, _combine)
         if final:
             add_job(invert_job(layout))
-            # Always re-runs on resume: its reducers' outputs feed
-            # collect-output, which is not itself resumable.
-            units[-1].done = False
         return units
 
     def _run(

@@ -13,6 +13,18 @@ Reduce phase: reducer ``p = j1 * f2 + j2`` multiplies its strided rows of
 block of ``C = U^-1 L^-1``.  The driver places each block at
 ``A^-1[rows, S[cols]]`` — the column permutation of Section 4.3.
 
+Files: L-side mapper ``j`` writes ``INV/L.j``, U-side mapper ``i`` writes
+``INV/U.i``, reducer ``p`` writes ``FINAL/A.p`` (its dense block).  An
+``INV`` file holds only the nonzero panels of its share, laid out as the
+reducers' product consumes them (:func:`_pack`): the inner dimension is cut
+into ``_PANEL``-wide panels ``[k0, k1)``, and panel ``p`` is the rows
+``k0:k1`` of the share's first ``c_p`` columns of ``L^-1`` — those starting
+before ``k1``; every later column is zero there.  The panels sit side by side
+in one ``min(_PANEL, n) x W`` matrix file (``W = sum c_p``), a short last
+panel zero-padded; ``INV/U.i`` is the same for the share's rows of ``U^-1``,
+transposed, ``W x min(_PANEL, n)``.  For ``n <= _PANEL`` that is the dense
+share.
+
 Verbatim from the paper: who owns which columns, rows and block, the files
 each task reads and writes, the mappers' Equation-4 multiplication count.
 Blocked: the mappers' kernels (:mod:`repro.linalg.triangular`) and the
@@ -57,20 +69,61 @@ def _indices(share: range) -> np.ndarray:
     return np.arange(share.start, share.stop, share.step, dtype=np.int64)
 
 
-def _l_mapper_columns(layout: Layout, j: int, n: int) -> np.ndarray:
+def _l_mapper_columns(layout: Layout, j: int, n: int) -> range:
     """Columns of L^-1 owned by L-side mapper ``j``."""
     cfg = layout.config
-    return _indices(_share(n, cfg.mhalf, j, cfg.block_wrap))
+    return _share(n, cfg.mhalf, j, cfg.block_wrap)
 
 
-def _u_mapper_rows(layout: Layout, i: int, n: int) -> np.ndarray:
+def _u_mapper_rows(layout: Layout, i: int, n: int) -> range:
     """Rows of U^-1 owned by U-side mapper ``i`` (0-based within the U half)."""
     cfg = layout.config
-    return _indices(_share(n, cfg.m0 - cfg.mhalf, i, cfg.block_wrap))
+    return _share(n, cfg.m0 - cfg.mhalf, i, cfg.block_wrap)
+
+
+# Inner-dimension width of one panel of the final product: narrower panels
+# skip more structural zeros but issue more, smaller GEMMs.
+_PANEL = 64
+
+
+def _panels(share: range, n: int) -> list[tuple[int, int, int, int]]:
+    """``(k0, k1, at, count)`` per panel ``[k0, k1)`` of the inner dimension:
+    the ``count`` indices of ``share`` below ``k1`` — the rows of ``U^-1`` or
+    columns of ``L^-1`` that have started by the panel's end — sit at
+    ``at:at + count`` of the packed share."""
+    panels, at = [], 0
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        count = len(range(share.start, min(share.stop, k1), share.step))
+        panels.append((k0, k1, at, count))
+        at += count
+    return panels
+
+
+def _packed_shape(panels: list[tuple[int, int, int, int]], columns: bool) -> tuple[int, int]:
+    """``(panel width, W)`` for a share of ``L^-1`` (``columns``), else its
+    transpose."""
+    k0, k1, _, _ = panels[0]
+    _, _, at, count = panels[-1]
+    return (k1 - k0, at + count) if columns else (at + count, k1 - k0)
+
+
+def _pack(share_rows: np.ndarray, share: range, n: int, *, columns: bool) -> np.ndarray:
+    """The stored form of a mapper's share (module docstring): row ``t`` of
+    ``share_rows`` is row ``share[t]`` of ``U^-1`` — or, with ``columns``,
+    column ``share[t]`` of ``L^-1`` — and each panel keeps the block of it
+    that the product multiplies."""
+    panels = _panels(share, n)
+    out = np.zeros(_packed_shape(panels, columns))
+    dest = out.T if columns else out
+    for k0, k1, at, count in panels:
+        dest[at : at + count, : k1 - k0] = share_rows[:count, k0:k1]
+    return out
 
 
 class InvertMapper(Mapper):
-    """Computes one mapper's share of ``L^-1`` columns or ``U^-1`` rows."""
+    """Computes one mapper's share of ``L^-1`` columns or ``U^-1`` rows and
+    stores its nonzero panels."""
 
     def __init__(self, layout: Layout) -> None:
         self.layout = layout
@@ -82,21 +135,27 @@ class InvertMapper(Mapper):
         tree = layout.plan.tree
         n = tree.n
 
-        if j < cfg.mhalf:
-            cols = _l_mapper_columns(layout, j, n)
+        columns = j < cfg.mhalf
+        if columns:
+            share = _l_mapper_columns(layout, j, n)
             lower = read_lower(layout, tree, ctx)
-            x = invert_lower_columns(lower, cols)  # n x k
-            # Column c of L^-1 costs ~ (n - c)^2 / 2 multiplications (Eq. 4).
-            ctx.report_flops(float(np.sum((n - cols) ** 2)) / 2.0)
-            ctx.write_bytes(layout.inv_l_path(j), formats.encode_matrix(x))
+            # Transposed view of the n x k kernel output: row t is column
+            # share[t] of L^-1.
+            x = invert_lower_columns(lower, _indices(share)).T
+            del lower
+            path = layout.inv_l_path(j)
         else:
             i = j - cfg.mhalf
-            rows = _u_mapper_rows(layout, i, n)
+            share = _u_mapper_rows(layout, i, n)
             upper = read_upper(layout, tree, ctx)
-            x = invert_upper_rows(upper, rows)  # k x n
-            # Row r of U^-1 is column r of (U^T)^-1: ~ (n - r)^2 / 2 mults.
-            ctx.report_flops(float(np.sum((n - rows) ** 2)) / 2.0)
-            ctx.write_bytes(layout.inv_u_path(i), formats.encode_matrix(x))
+            # k x n: a view of the kernel's n x k columns of (U^T)^-1.
+            x = invert_upper_rows(upper, _indices(share))
+            del upper
+            path = layout.inv_u_path(i)
+        # Column c of L^-1 (row c of U^-1, column c of (U^T)^-1) costs
+        # ~ (n - c)^2 / 2 multiplications (Eq. 4).
+        ctx.report_flops(float(np.sum((n - _indices(share)) ** 2)) / 2.0)
+        ctx.write_bytes(path, formats.encode_matrix(_pack(x, share, n, columns=columns)))
         ctx.emit(j, j)
 
 
@@ -109,10 +168,11 @@ def _overlap(a: range, b: range) -> range:
     return range(first, hi, step)
 
 
-def _positions(share: range, part: range) -> slice:
+def _positions(share: range, part: range, at: int) -> slice:
     """Where the elements of ``part`` (a non-empty sub-progression of
-    ``share``) sit within ``share``."""
-    return slice(share.index(part[0]), share.index(part[-1]) + 1, part.step // share.step)
+    ``share``) sit within ``share``, shifted by ``at``."""
+    first, last = share.index(part[0]), share.index(part[-1])
+    return slice(at + first, at + last + 1, part.step // share.step)
 
 
 def _gather(
@@ -125,29 +185,34 @@ def _gather(
     *,
     columns: bool,
 ) -> np.ndarray:
-    """The full-length rows ``want`` of the matrix whose rows the ``parts``
-    mappers wrote share by share to ``path(i)`` (``columns``: the same for
-    columns, i.e. on the transposes).  A reducer's share and a mapper's share
-    meet in an arithmetic progression, so each file lands by one strided
-    slice assignment; a file that is exactly ``want`` is returned as decoded —
-    a read-only view, which the reducer only multiplies."""
+    """The packed share ``want`` of the matrix whose ``parts`` mappers wrote
+    their packed shares to ``path(i)`` (``columns``: of ``L^-1``, else of
+    ``U^-1``).  A reducer's share and a mapper's share meet in an arithmetic
+    progression, so each (file, panel) lands by one strided slice
+    assignment; a file that is exactly ``want`` is returned as decoded — a
+    read-only view, which the reducer only multiplies."""
     shares = [_share(n, parts, i, wrap) for i in range(parts)]
     if want in shares:
         return ctx.read_matrix(path(shares.index(want)))
-    out = np.empty((n, len(want)) if columns else (len(want), n))
+    panels = _panels(want, n)
+    out = np.empty(_packed_shape(panels, columns))
     dest = out.T if columns else out
     for i, have in enumerate(shares):
         both = _overlap(want, have)
-        if both:
-            data = ctx.read_matrix(path(i))
-            src = data.T if columns else data
-            dest[_positions(want, both)] = src[_positions(have, both)]
+        if not both:
+            continue
+        data = ctx.read_matrix(path(i))
+        src = data.T if columns else data
+        for (_, k1, at, _), (_, _, have_at, _) in zip(panels, _panels(have, n)):
+            part = range(both.start, min(both.stop, k1), both.step)
+            if part:
+                dest[_positions(want, part, at)] = src[_positions(have, part, have_at)]
     return out
 
 
 def _gather_rows(ctx: TaskContext, layout: Layout, rows: range, n: int) -> np.ndarray:
-    """Assemble the requested full-length rows of ``U^-1`` from the strided
-    (or contiguous) mapper output files."""
+    """Assemble the requested rows of ``U^-1``, packed, from the strided (or
+    contiguous) mapper output files."""
     cfg = layout.config
     return _gather(
         ctx, rows, n, cfg.m0 - cfg.mhalf, cfg.block_wrap, layout.inv_u_path, columns=False
@@ -155,7 +220,7 @@ def _gather_rows(ctx: TaskContext, layout: Layout, rows: range, n: int) -> np.nd
 
 
 def _gather_cols(ctx: TaskContext, layout: Layout, cols: range, n: int) -> np.ndarray:
-    """Assemble the requested full-length columns of ``L^-1``."""
+    """Assemble the requested columns of ``L^-1``, packed."""
     cfg = layout.config
     return _gather(ctx, cols, n, cfg.mhalf, cfg.block_wrap, layout.inv_l_path, columns=True)
 
@@ -177,33 +242,26 @@ def reducer_indices(layout: Layout, p: int, n: int) -> tuple[np.ndarray, np.ndar
     return _indices(rows), _indices(cols)
 
 
-# Inner-dimension width of one panel of the final product: narrower panels
-# skip more structural zeros but issue more, smaller GEMMs.
-_PANEL = 64
-
-
 def _triangular_product(
-    u_rows: np.ndarray, rows: range, l_cols: np.ndarray, cols: range
+    u_packed: np.ndarray, rows: range, l_packed: np.ndarray, cols: range, n: int
 ) -> tuple[np.ndarray, int]:
-    """``u_rows @ l_cols`` without most of the structural zeros, and the
-    multiplications issued.
+    """``U^-1[rows] @ L^-1[:, cols]`` from the packed shares, without most of
+    the structural zeros, and the multiplications issued.
 
     Row ``r`` of ``U^-1`` is zero left of column ``r`` and column ``c`` of
     ``L^-1`` is zero above row ``c``, so entry ``(r, c)`` sums over
     ``k >= max(r, c)`` only.  The product is accumulated panel by panel over
     ``k``; with ascending shares, panel ``[k0, k1)`` reaches just the leading
-    corner of rows ``< k1`` by columns ``< k1`` of the block.
+    corner of rows ``< k1`` by columns ``< k1`` of the block — which is what
+    the packed shares hold for that panel.
     """
-    n = u_rows.shape[1]
     block = np.zeros((len(rows), len(cols)))
     mults = 0
-    for k0 in range(0, n, _PANEL):
-        k1 = min(k0 + _PANEL, n)
-        nr = len(range(rows.start, min(rows.stop, k1), rows.step))
-        nc = len(range(cols.start, min(cols.stop, k1), cols.step))
+    for (k0, k1, ru, nr), (_, _, cl, nc) in zip(_panels(rows, n), _panels(cols, n)):
         if nr and nc:
-            block[:nr, :nc] += u_rows[:nr, k0:k1] @ l_cols[k0:k1, :nc]
-            mults += nr * nc * (k1 - k0)
+            width = k1 - k0
+            block[:nr, :nc] += u_packed[ru : ru + nr, :width] @ l_packed[:width, cl : cl + nc]
+            mults += nr * nc * width
     return block, mults
 
 
@@ -222,9 +280,9 @@ class InvertReducer(Reducer):
         rows, cols = _reducer_shares(layout, p, n)
         if not rows or not cols:
             return
-        u_rows = _gather_rows(ctx, layout, rows, n)
-        l_cols = _gather_cols(ctx, layout, cols, n)
-        block, mults = _triangular_product(u_rows, rows, l_cols, cols)
+        u_packed = _gather_rows(ctx, layout, rows, n)
+        l_packed = _gather_cols(ctx, layout, cols, n)
+        block, mults = _triangular_product(u_packed, rows, l_packed, cols, n)
         ctx.report_flops(float(mults))
         ctx.write_bytes(layout.final_path(p), formats.encode_matrix(block))
 

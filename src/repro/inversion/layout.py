@@ -279,11 +279,13 @@ class Layout:
         return self.by_dir[node.dir]
 
     def inv_l_path(self, j: int) -> str:
-        """Final job: mapper j's strided columns of L^-1."""
+        """Final job: mapper j's strided columns of L^-1, as their nonzero
+        panels (:mod:`repro.inversion.invert_job`)."""
         return f"{self.plan.root}/INV/L.{j}"
 
     def inv_u_path(self, j: int) -> str:
-        """Final job: mapper (mhalf + j)'s strided rows of U^-1."""
+        """Final job: mapper (mhalf + j)'s strided rows of U^-1, as their
+        nonzero panels."""
         return f"{self.plan.root}/INV/U.{j}"
 
     def final_path(self, p: int) -> str:

@@ -29,8 +29,10 @@ def harness():
 class TestTable1:
     def test_measured_read_near_model(self):
         res = table1.run(n=128, nb=16, m0=4)
-        # Reads track the (l+3) n^2 model closely; writes pay the
-        # dense-square factor-file representation (~2.4x the packed count).
+        # Reads track the (l+3) n^2 model closely.  Writes run ~2.4x its
+        # 3/2 n^2: L2/U2, OUT and the leaf factors come to ~1.57 n^2, and the
+        # ingested input and the partition pieces (1.00 n^2 each) are
+        # written too; the leaf factors' zero halves are only 0.125 n^2.
         assert 0.5 < res.read_ratio < 2.0
         assert 1.0 < res.write_ratio < 3.0
 
@@ -47,9 +49,11 @@ class TestTable1:
 
 class TestTable2:
     def test_measured_read_near_model(self, harness):
+        """The ``INV`` files hold only their nonzero panels: writes measure
+        1.25x the model at n=128, where dense rectangles read 1.50."""
         res = table2.run(n=128, nb=16, m0=4, harness=harness)
         assert 0.5 < res.read_ratio < 2.5
-        assert 0.5 < res.write_ratio < 2.5
+        assert 0.5 < res.write_ratio < 1.4
 
     def test_mults_within_dense_factor(self, harness):
         """The final product skips structural zeros panel by panel, so the

@@ -16,6 +16,7 @@ from repro.inversion.invert_job import (
     _gather_cols,
     _gather_rows,
     _l_mapper_columns,
+    _pack,
     _reducer_shares,
     _triangular_product,
     _u_mapper_rows,
@@ -256,7 +257,9 @@ class TestFinalJobGathers:
     block wrap a reducer's stride (``f1`` rows, ``f2`` columns) meets the
     mappers' (``m0/2``) in every way: equal (m0=4; rows at m0=6, 8), dividing
     it (m0=16; columns at m0=8, 12), divided by it (m0=2) and neither (2 vs 3
-    columns at m0=6, 4 vs 6 rows at m0=12)."""
+    columns at m0=6, 4 vs 6 rows at m0=12).  Every order here is at most one
+    panel, where a packed share is the dense one (``TestPackedShares`` covers
+    longer ones)."""
 
     @pytest.fixture(
         params=[
@@ -338,16 +341,185 @@ def _panel_multiplications(rows, cols, n):
     return total
 
 
+def _dense_triangular_product(u_rows, rows, l_cols, cols):
+    """The product over dense shares — ``u_rows`` is ``len(rows) x n``,
+    ``l_cols`` is ``n x len(cols)`` — as it was before the shares were
+    stored packed (reference)."""
+    n = u_rows.shape[1]
+    block = np.zeros((len(rows), len(cols)))
+    mults = 0
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        nr = len(range(rows.start, min(rows.stop, k1), rows.step))
+        nc = len(range(cols.start, min(cols.stop, k1), cols.step))
+        if nr and nc:
+            block[:nr, :nc] += u_rows[:nr, k0:k1] @ l_cols[k0:k1, :nc]
+            mults += nr * nc * (k1 - k0)
+    return block, mults
+
+
+def _packed_width(share, n):
+    """Brute force: per panel, every index of ``share`` below its end."""
+    return sum(sum(s < min(k0 + _PANEL, n) for s in share) for k0 in range(0, n, _PANEL))
+
+
+def _unpack(packed, share, n, *, columns):
+    """The dense ``len(share) x n`` share back from its packed form: each
+    panel's block in place, zero wherever no panel holds the entry.  A
+    short last panel's padding must be zeros."""
+    src = packed.T if columns else packed
+    dense = np.zeros((len(share), n))
+    at = 0
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        count = sum(s < k1 for s in share)
+        dense[:count, k0:k1] = src[at : at + count, : k1 - k0]
+        assert not src[at : at + count, k1 - k0 :].any()
+        at += count
+    assert at == src.shape[0]
+    return dense
+
+
+def _triangular_factors(rng, n):
+    """A ``U^-1``-shaped and an ``L^-1``-shaped matrix: the mappers' output
+    is triangular, and the packed shares keep only where it can be nonzero."""
+    return np.triu(rng.standard_normal((n, n))), np.tril(rng.standard_normal((n, n)))
+
+
+def _packed_final_job(layout, n, rng):
+    """A fake reducer context holding every mapper's packed ``INV`` file."""
+    uinv, linv = _triangular_factors(rng, n)
+    ctx = _FakeTaskContext()
+    for i in range(layout.config.m0 - layout.config.mhalf):
+        rows = _u_mapper_rows(layout, i, n)
+        ctx.files[layout.inv_u_path(i)] = encode_matrix(_pack(uinv[rows], rows, n, columns=False))
+    for j in range(layout.config.mhalf):
+        cols = _l_mapper_columns(layout, j, n)
+        ctx.files[layout.inv_l_path(j)] = encode_matrix(
+            _pack(linv[:, cols].T, cols, n, columns=True)
+        )
+    return layout, n, ctx, uinv, linv
+
+
+class TestPackedShares:
+    """``_pack`` and ``_gather`` are pure copies: every share, packed by a
+    mapper or gathered by a reducer, unpacks to the dense share bit for bit.
+    The orders sit below, at, and off a multiple of ``_PANEL``; at m0=8 with
+    block wrap a reducer's columns (stride 2) straddle two L files (stride
+    4), and at m0=6 its rows (stride 3) meet the U files' (stride 3) while
+    its columns (stride 2) meet the L files' (stride 3) in neither way."""
+
+    @pytest.fixture(
+        params=[
+            (m0, wrap, n)
+            for m0 in (2, 4, 6, 8)
+            for wrap in (True, False)
+            for n in (7, 64, 130, 200)
+        ],
+        ids=lambda p: f"m0={p[0]}-wrap={p[1]}-n={p[2]}",
+    )
+    def packed_job(self, request, rng):
+        m0, wrap, n = request.param
+        return _packed_final_job(make_layout(n=n, nb=64, m0=m0, block_wrap=wrap), n, rng)
+
+    def test_mapper_shares_round_trip(self, packed_job):
+        layout, n, ctx, uinv, linv = packed_job
+        cfg = layout.config
+        sides = [
+            (layout.inv_u_path(i), _u_mapper_rows(layout, i, n), uinv, False)
+            for i in range(cfg.m0 - cfg.mhalf)
+        ] + [
+            (layout.inv_l_path(j), _l_mapper_columns(layout, j, n), linv.T, True)
+            for j in range(cfg.mhalf)
+        ]
+        for path, share, rows_of, columns in sides:
+            packed = decode_matrix(ctx.files[path])
+            assert np.array_equal(_unpack(packed, share, n, columns=columns), rows_of[share])
+            height, width = min(_PANEL, n), _packed_width(share, n)
+            assert packed.shape == ((height, width) if columns else (width, height))
+            # The file is its panel count, and nothing else.
+            assert len(ctx.files[path]) == 16 + 8 * height * width
+
+    def test_reducer_shares_round_trip(self, packed_job):
+        layout, n, ctx, uinv, linv = packed_job
+        for p in range(layout.config.m0):
+            rows, cols = _reducer_shares(layout, p, n)
+            if not rows or not cols:
+                continue
+            for gather, want, rows_of, columns in (
+                (_gather_rows, rows, uinv, False),
+                (_gather_cols, cols, linv.T, True),
+            ):
+                got = gather(ctx, layout, want, n)
+                assert np.array_equal(got, _pack(rows_of[want], want, n, columns=columns))
+                assert np.array_equal(_unpack(got, want, n, columns=columns), rows_of[want])
+                # Either a private array or, zero-copy, one decoded file.
+                assert got.flags.writeable == got.flags.owndata
+
+    def test_reducer_product_matches_the_dense_shares(self, packed_job):
+        layout, n, ctx, uinv, linv = packed_job
+        reducer = InvertReducer(layout)
+        for p in range(layout.config.m0):
+            reducer.reduce(ctx, p, iter(()))
+            rows, cols = reducer_indices(layout, p, n)
+            if rows.size and cols.size:
+                block = ctx.written[layout.final_path(p)]
+                assert np.allclose(block, uinv[rows] @ linv[:, cols], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 130, 200])
+    def test_m0_4_operands_are_the_stored_files(self, rng, n):
+        """At m0=4 with block wrap every reducer's share is a mapper's, so
+        both operands of its product are views of the decoded files."""
+        layout, _, ctx, _, _ = _packed_final_job(make_layout(n=n, nb=64, m0=4), n, rng)
+        for p in range(4):
+            rows, cols = _reducer_shares(layout, p, n)
+            for gather, want in ((_gather_rows, rows), (_gather_cols, cols)):
+                ctx.reads.clear()
+                got = gather(ctx, layout, want, n)
+                (path,) = ctx.reads
+                assert np.shares_memory(got, decode_matrix(ctx.files[path]))
+
+    @pytest.mark.parametrize("m0", [4, 8])
+    def test_stored_files_are_their_panels(self, m0):
+        """In a real run every ``INV`` file is ``16 + 8 H W`` bytes: the
+        header, then ``H = min(64, n)`` by ``W`` (its panel counts) doubles."""
+        from repro.workloads import diagonally_dominant
+
+        n = 200
+        cfg = InversionConfig(nb=50, m0=m0)
+        layout = make_layout(n=n, nb=50, m0=m0)
+        runtime = MapReduceRuntime()
+        dfs, sizes = runtime.dfs, {}
+
+        def record(paths):
+            for path in paths:
+                if "/INV/" in path:
+                    sizes[path] = len(dfs.read_bytes(path))
+
+        dfs.publish_listeners.append(record)
+        with MatrixInverter(config=cfg, runtime=runtime) as inverter:
+            inverter.invert(diagonally_dominant(n, seed=3))
+        runtime.shutdown()
+        shares = {layout.inv_l_path(j): _l_mapper_columns(layout, j, n) for j in range(m0 // 2)}
+        shares.update({layout.inv_u_path(i): _u_mapper_rows(layout, i, n) for i in range(m0 // 2)})
+        assert sizes == {
+            path: 16 + 8 * min(_PANEL, n) * _packed_width(share, n)
+            for path, share in shares.items()
+        }
+
+
 class TestTriangularProduct:
-    """The reducers' panelled ``U^-1 L^-1`` against the dense product, and
-    the multiplications it reports against a count of what it multiplied."""
+    """The reducers' panelled ``U^-1 L^-1`` on packed shares against the
+    dense product and against the same panelled product over dense shares,
+    and the multiplications it reports against a count of what it
+    multiplied."""
 
     @pytest.mark.parametrize("n", [7, 64, 130])
     @pytest.mark.parametrize("m0", [2, 4, 6, 8])
     @pytest.mark.parametrize("wrap", [True, False], ids=["wrap", "contiguous"])
     def test_every_reducer_share(self, rng, wrap, m0, n):
         layout = make_layout(n=n, nb=64, m0=m0, block_wrap=wrap)
-        uinv, linv = np.triu(rng.standard_normal((n, n))), np.tril(rng.standard_normal((n, n)))
+        uinv, linv = _triangular_factors(rng, n)
         exact = issued = 0
         for p in range(m0):
             rows, cols = _reducer_shares(layout, p, n)
@@ -355,13 +527,17 @@ class TestTriangularProduct:
                 continue
             u_rows = uinv[rows.start : rows.stop : rows.step]
             l_cols = linv[:, cols.start : cols.stop : cols.step]
-            u_rows.setflags(write=False)
-            l_cols.setflags(write=False)
-            block, mults = _triangular_product(u_rows, rows, l_cols, cols)
+            u_packed = _pack(u_rows, rows, n, columns=False)
+            l_packed = _pack(l_cols.T, cols, n, columns=True)
+            u_packed.setflags(write=False)
+            l_packed.setflags(write=False)
+            block, mults = _triangular_product(u_packed, rows, l_packed, cols, n)
+            reference, reference_mults = _dense_triangular_product(u_rows, rows, l_cols, cols)
             tol = n * np.finfo(float).eps * np.abs(u_rows).max() * np.abs(l_cols).max()
             assert np.abs(block - u_rows @ l_cols).max() <= tol
+            assert np.abs(block - reference).max() <= tol
             assert block.flags.c_contiguous and block.flags.writeable
-            assert mults == _panel_multiplications(rows, cols, n)
+            assert mults == reference_mults == _panel_multiplications(rows, cols, n)
             exact += sum(n - max(r, c) for r in rows for c in cols)
             issued += mults
         # the shares tile the matrix: Table 2's product term, then panel slack

@@ -7,7 +7,9 @@ file (no split, no join, cache views into the stored payload), and each
 intermediate is deleted once the last step reading it has committed.  And
 after a run, the files under the work root are exactly the run's outcome set
 (:meth:`repro.analysis.model.PipelineModel.outcome`) plus, with the output
-commit on, one manifest per committed step.
+commit on, one manifest per committed step.  The final job retires its
+``INV`` files and the factors at its commit, so it resumes by its manifest
+like every other step; ``lu``, which has no final job, keeps the factors.
 """
 
 import gc
@@ -18,14 +20,18 @@ import pytest
 
 from repro import InversionConfig, invert
 from repro.analysis import build_model
+from repro.chaos import DriverCrashError
+from repro.dfs import fsck
 from repro.dfs.commit import COMMIT_DIR
-from repro.inversion import MatrixInverter
+from repro.inversion import MatrixInverter, driver
 from repro.mapreduce import MapReduceRuntime
 
 #: Traced peak of one smoke-shape call, in units of one ``n x n`` float64
-#: matrix, as measured when retirement landed (8.02 before it: the 1 MiB
-#: block split plus every intermediate kept to the end).
-MEASURED_PEAK_N2 = 6.56
+#: matrix, as measured when the final job's ``INV`` files became their
+#: nonzero panels and the final job started retiring them and the factors
+#: (6.56 before; 8.02 before retirement, with the 1 MiB block split and
+#: every intermediate kept to the end).
+MEASURED_PEAK_N2 = 5.24
 
 
 def test_peak_of_one_call_stays_in_budget():
@@ -78,21 +84,87 @@ def test_invert_leaves_exactly_the_outcome_set(options):
 
 
 def test_lu_keeps_the_factor_files():
+    """The final job retires the factors; ``lu`` has no final job, so it
+    leaves the outcome set less ``FINAL/*``, plus every factor file."""
     n = 48
     config = InversionConfig(nb=6, m0=4)
     a = np.random.default_rng(2).standard_normal((n, n)) + n * np.eye(n)
     model = build_model(n, config)
-    final = {
-        path
-        for step in model.steps
-        if step.job == "invert-final"
-        for path in step.writes
-    }
+    final_map = model.find_step("invert-final[map]")
+    final_reduce = model.find_step("invert-final[reduce]")
+    assert set(model.retirements()["invert-final"]) >= final_map.reads - model.outcome()
     runtime = MapReduceRuntime()
     with MatrixInverter(config=config, runtime=runtime) as inverter:
         factors = inverter.lu(a)
         files = _data_files(runtime.dfs, config.root)
     runtime.shutdown()
-    assert files == model.outcome() - final
+    assert files == (model.outcome() - final_reduce.writes) | final_map.reads
     lower, upper = factors.lower, factors.upper
     assert np.allclose(lower @ upper, a[factors.perm], atol=1e-8)
+
+
+def _final_launches(runtime):
+    return sum(job.name == "invert-final" for job in runtime.history)
+
+
+def _resume_case():
+    n = 48
+    config = InversionConfig(nb=6, m0=4)
+    a = np.random.default_rng(3).standard_normal((n, n)) + n * np.eye(n)
+    return a, config, build_model(n, config), invert(a, config).inverse
+
+
+def test_crash_after_the_final_manifest_resumes_without_rerunning_it(monkeypatch):
+    """The final job is keyed on its manifest like every other unit: a
+    driver crash in ``collect-output`` resumes from ``FINAL/*`` and the perm
+    files alone, without a second ``invert-final``."""
+    a, config, model, clean = _resume_case()
+    real = driver.read_final_inverse
+
+    def crash_once(layout, reader):
+        monkeypatch.setattr(driver, "read_final_inverse", real)
+        raise DriverCrashError("injected crash in collect-output")
+
+    monkeypatch.setattr(driver, "read_final_inverse", crash_once)
+    runtime = MapReduceRuntime()
+    with MatrixInverter(config=config, runtime=runtime) as inverter:
+        with pytest.raises(DriverCrashError):
+            inverter.invert(a)
+        # Committed: its INV files and the factors are already gone.
+        assert _data_files(runtime.dfs, config.root) == model.outcome()
+        result = inverter.invert(a, resume=True)
+    runtime.shutdown()
+    assert _final_launches(runtime) == 1
+    assert result.inverse.tobytes() == clean.tobytes()
+
+
+def test_crash_between_the_final_manifest_and_its_deletes(monkeypatch):
+    """A crash after the final job's manifest but before its deletes leaves
+    what it retires — ``INV/*`` and the factors — as ``retired-file``
+    debris, which the resume-time fsck removes."""
+    a, config, model, clean = _resume_case()
+    retired = set(model.retirements()["invert-final"])
+    assert any("/INV/" in path for path in retired)
+    runtime = MapReduceRuntime()
+    dfs = runtime.dfs
+    real_delete = dfs.delete
+
+    def crash_before_retiring(path, **kwargs):
+        if path in retired:
+            monkeypatch.setattr(dfs, "delete", real_delete)
+            raise DriverCrashError(f"injected crash before deleting {path}")
+        real_delete(path, **kwargs)
+
+    monkeypatch.setattr(dfs, "delete", crash_before_retiring)
+    with MatrixInverter(config=config, runtime=runtime) as inverter:
+        with pytest.raises(DriverCrashError):
+            inverter.invert(a)
+        debris = fsck(dfs, root=config.root, repair=False).issues
+        assert {issue.kind for issue in debris} == {"retired-file"}
+        assert {issue.path for issue in debris} == retired
+        result = inverter.invert(a, resume=True)
+        assert _data_files(dfs, config.root) == model.outcome()
+        assert fsck(dfs, root=config.root, repair=False).clean
+    runtime.shutdown()
+    assert _final_launches(runtime) == 1
+    assert result.inverse.tobytes() == clean.tobytes()
