@@ -12,11 +12,13 @@ One warm-up call, then one profiled call of the workload exactly as
 ``benchmarks/e2e/child.py`` makes it (same input generator, same
 ``InversionConfig``).  Printed: total function calls, self time grouped by
 source file (``src/repro/<package>/<file>``; everything else under its
-top-level package), and the top rows by self time.
+top-level package), the top rows by self time, and under them the profiled
+call's DFS ledger (read ops, files opened, cache hits and misses, write ops,
+bytes read).
 
-Call counts are deterministic for the serial workloads, so they are the
-number to compare across revisions; ``tests/test_call_budget.py`` pins the
-smoke shape of ``deep_n512_nb16``.  This only *imports* the harness's
+Call counts and the ledger are deterministic for the serial workloads, so
+they are the numbers to compare across revisions; ``tests/test_call_budget.py``
+pins the smoke shape of ``deep_n512_nb16``.  This only *imports* the harness's
 ``spec.py``; nothing under ``benchmarks/e2e/`` is written.
 
 ``--children`` also profiles the pool workers of the profiled call (the
@@ -87,27 +89,39 @@ def profile_children(out_dir: str) -> None:
 
 def profile_workload(
     workload: Workload, seed: int = 0, children_dir: str | None = None
-) -> pstats.Stats:
-    """Warm up once, then profile one call; the profile of that call alone.
-    With ``children_dir``, that call's pool workers are profiled too."""
+) -> tuple[pstats.Stats, repro.dfs.IOSnapshot]:
+    """Warm up once, then profile one call: the profile of that call alone
+    and its DFS ledger.  With ``children_dir``, that call's pool workers are
+    profiled too."""
     a = np.random.default_rng(seed).standard_normal((workload.n, workload.n))
     config = repro.InversionConfig(**workload.config)
 
-    def call() -> None:
+    def call() -> repro.InversionResult:
         if workload.observed:
             with repro.observe():
-                repro.invert(a, config)
-        else:
-            repro.invert(a, config)
+                return repro.invert(a, config)
+        return repro.invert(a, config)
 
     call()
     if children_dir is not None:
         profile_children(children_dir)
     profiler = cProfile.Profile()
     profiler.enable()
-    call()
+    result = call()
     profiler.disable()
-    return pstats.Stats(profiler)
+    return pstats.Stats(profiler), result.io
+
+
+#: The DFS ledger fields printed under the driver's table.
+LEDGER = (
+    "read_ops", "files_opened", "cache_hits", "cache_misses", "write_ops", "bytes_read",
+)
+
+
+def print_ledger(io) -> None:
+    """The profiled call's DFS ledger (``InversionResult.io``)."""
+    fields = "  ".join(f"{name} {getattr(io, name):,}" for name in LEDGER)
+    print(f"DFS ledger of the profiled call:  {fields}")
 
 
 def source_group(filename: str) -> str:
@@ -354,12 +368,15 @@ def main() -> int:
         return 0
     print(f"{workload.name}: n={workload.n} {workload.config}")
     if not args.children:
-        print_profile("", profile_workload(workload), args.top)
+        stats, io = profile_workload(workload)
+        print_profile("", stats, args.top)
+        print_ledger(io)
         return 0
     with tempfile.TemporaryDirectory() as children_dir:
-        driver = profile_workload(workload, children_dir=children_dir)
+        driver, io = profile_workload(workload, children_dir=children_dir)
         dumps = sorted(pathlib.Path(children_dir).glob("worker-*.prof"))
         print_profile("driver: ", driver, args.top)
+        print_ledger(io)
         if not dumps:
             print("no worker profiles (not a process-pool workload, or no fork)")
             return 1

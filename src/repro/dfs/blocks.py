@@ -99,11 +99,12 @@ class DataNode:
         with self._lock:
             return self._blocks.get(block_id)
 
-    def fetch(self, block_id: BlockId) -> tuple[bytes | None, bool]:
-        """The stored payload and whether it is marked verified, read
-        together so a concurrent ``corrupt`` cannot slip between them."""
+    def fetch(self, block_id: BlockId) -> tuple[bool, bytes | None, bool]:
+        """Whether the node is alive, the stored payload and whether it is
+        marked verified, read together under one lock so a concurrent
+        ``corrupt`` or kill cannot slip between them."""
         with self._lock:
-            return self._blocks.get(block_id), block_id in self._verified
+            return self._alive, self._blocks.get(block_id), block_id in self._verified
 
     def mark_verified(self, block_id: BlockId, payload: bytes) -> None:
         """Remember that ``payload`` matched the checksum — unless the
@@ -220,10 +221,10 @@ class BlockStore:
         corrupt_seen = False
         for node_idx in replicas:
             node = self.datanodes[node_idx]
-            if not node.alive:
+            alive, payload, verified = node.fetch(info.block_id)
+            if not alive:
                 statuses.append((node_idx, "dead"))
                 continue
-            payload, verified = node.fetch(info.block_id)
             if payload is None:
                 statuses.append((node_idx, "missing"))
                 continue

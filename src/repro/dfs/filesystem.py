@@ -208,14 +208,17 @@ class DFS:
 
     def _read_bytes(self, path: str, *, local: bool = False) -> bytes:
         entry = self.namenode.get_file(path)
-        self.stats.record_open()
-        if len(entry.blocks) == 1:
-            # Single-block file: the stored payload *is* the file content —
-            # return it directly instead of copying it through b"".join.
-            data = self.blocks.read_block(entry.blocks[0])
-        else:
-            data = b"".join(self.blocks.read_block(info) for info in entry.blocks)
-        self.stats.record_read(len(data), local=local)
+        try:
+            if len(entry.blocks) == 1:
+                # Single-block file: the stored payload *is* the file content —
+                # return it directly instead of copying it through b"".join.
+                data = self.blocks.read_block(entry.blocks[0])
+            else:
+                data = b"".join(self.blocks.read_block(info) for info in entry.blocks)
+        except BaseException:
+            self.stats.record_open()  # opened, but no byte came back
+            raise
+        self.stats.record_read(len(data), local=local)  # counts the open too
         return data
 
     def read_text(self, path: str, *, local: bool = False) -> str:
@@ -238,41 +241,43 @@ class DFS:
         entry = self.namenode.get_file(path)
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
-        self.stats.record_open()
         end = offset + length
         blocks = entry.blocks
-        if len(blocks) == 1 and length and offset < blocks[0].length:
-            # Single-block file (every matrix file under the default block
-            # size): the range is one slice of the one payload.
-            data = self.blocks.read_block(blocks[0])
-            if offset or end < len(data):
-                data = data[offset:end]
-            self.stats.record_read(len(data), local=local)
-            return data
-        # Collect whole payloads or memoryview slices — no intermediate
-        # bytearray, so the bytes are copied at most once (b"".join) and not
-        # at all when the range hits exactly one whole block.
-        parts: list[bytes | memoryview] = []
-        pos = 0
-        for info in blocks:
-            block_start, block_end = pos, pos + info.length
-            pos = block_end
-            if block_end <= offset:
-                continue
-            if block_start >= end:
-                break
-            payload = self.blocks.read_block(info)
-            lo = max(offset - block_start, 0)
-            hi = min(end - block_start, info.length)
-            if lo == 0 and hi == info.length:
-                parts.append(payload)
+        try:
+            if len(blocks) == 1 and length and offset < blocks[0].length:
+                # Single-block file (every matrix file under the default block
+                # size): the range is one slice of the one payload, a bytes
+                # copy unless it is the whole payload.
+                data = self.blocks.read_block(blocks[0])
+                if offset or end < len(data):
+                    data = data[offset:end]
             else:
-                parts.append(memoryview(payload)[lo:hi])
-        nbytes = sum(len(p) for p in parts)
-        self.stats.record_read(nbytes, local=local)
-        if len(parts) == 1 and isinstance(parts[0], bytes):
-            return parts[0]
-        return b"".join(parts)
+                # Collect whole payloads or memoryview slices — no
+                # intermediate bytearray, so the bytes are copied at most once
+                # (b"".join) and not at all when the range is one whole block.
+                parts: list[bytes | memoryview] = []
+                pos = 0
+                for info in blocks:
+                    block_start, block_end = pos, pos + info.length
+                    pos = block_end
+                    if block_end <= offset:
+                        continue
+                    if block_start >= end:
+                        break
+                    payload = self.blocks.read_block(info)
+                    lo = max(offset - block_start, 0)
+                    hi = min(end - block_start, info.length)
+                    if lo == 0 and hi == info.length:
+                        parts.append(payload)
+                    else:
+                        parts.append(memoryview(payload)[lo:hi])
+                whole = len(parts) == 1 and isinstance(parts[0], bytes)
+                data = parts[0] if whole else b"".join(parts)
+        except BaseException:
+            self.stats.record_open()  # opened, but no byte came back
+            raise
+        self.stats.record_read(len(data), local=local)  # counts the open too
+        return data
 
     # -- namespace -----------------------------------------------------------
 

@@ -100,7 +100,9 @@ class IOStats:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_read(self, nbytes: int, *, local: bool = False) -> None:
+        """One read op: the file's open and the bytes it returned."""
         with self._lock:
+            self.files_opened += 1
             self.bytes_read += nbytes
             self.read_ops += 1
             if not local:
@@ -178,6 +180,7 @@ class IOStats:
             self.files_created += 1
 
     def record_open(self) -> None:
+        """An open whose read raised; a read that returns is :meth:`record_read`."""
         with self._lock:
             self.files_opened += 1
 

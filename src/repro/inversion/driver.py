@@ -48,8 +48,7 @@ from ..telemetry.spans import SpanKind, current_tracer
 from .config import InversionConfig
 from .factors import (
     combine_factors,
-    read_lower,
-    read_perm,
+    read_lower_and_perm,
     read_upper,
     write_leaf_factors,
 )
@@ -446,10 +445,11 @@ class MatrixInverter:
                 run_in_order(units)
             if not final:
                 tree = layout.plan.tree
+                lower, perm = read_lower_and_perm(layout, tree, master)
                 return LUFactors(
-                    lower=read_lower(layout, tree, master),
+                    lower=lower,
                     upper=read_upper(layout, tree, master),
-                    perm=read_perm(layout, tree, master),
+                    perm=perm,
                     plan=layout.plan,
                     record=pipeline.record,
                 )

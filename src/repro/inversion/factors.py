@@ -74,28 +74,42 @@ def read_lower(layout: Layout, node: PlanNode, reader, out=None) -> np.ndarray:
     The recursion writes every level straight into one destination: ``out``
     (a ``node.n x node.n`` writable array) when given, else a fresh array —
     or, for a factor stored as a single file, the decoded read-only view.
+    ``P2`` comes out of the ``L3`` walk, so each permutation file under the
+    right subtree is read once, not once per level.
     """
+    return _lower(layout, node, reader, out, with_perm=False)[0]
+
+
+def read_lower_and_perm(
+    layout: Layout, node: PlanNode, reader, out=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`read_lower` and :func:`read_perm` of ``node`` in one walk, every
+    permutation file under it read once."""
+    return _lower(layout, node, reader, out, with_perm=True)
+
+
+def _lower(layout: Layout, node: PlanNode, reader, out, *, with_perm: bool):
+    """``(L, P)`` of ``node``; ``P`` is ``None`` unless ``with_perm``."""
     nl = layout.of(node)
     if reader.exists(nl.l_path):
         # Via the reader's matrix method (not raw bytes) so a decoded-block
         # cache on the DFS serves repeated factor reads from memory.
-        stored = reader.read_matrix(nl.l_path)
-        if out is None:
-            return stored
-        out[...] = stored
-        return out
+        lower = reader.read_matrix(nl.l_path)
+        if out is not None:
+            out[...] = lower
+            lower = out
+        return lower, read_perm(layout, node, reader) if with_perm else None
     if node.is_leaf:
         raise FileNotFoundError(f"leaf factors missing: {nl.l_path}")
     n1 = node.n1
     if out is None:
         out = np.empty((node.n, node.n))
-    read_lower(layout, node.child1, reader, out[:n1, :n1])
+    _, p1 = _lower(layout, node.child1, reader, out[:n1, :n1], with_perm=with_perm)
     l2 = nl.l2.read(reader)
-    p2 = read_perm(layout, node.child2, reader)
+    _, p2 = _lower(layout, node.child2, reader, out[n1:, n1:], with_perm=True)
     out[n1:, :n1] = permutation.apply_rows(p2, l2)
-    read_lower(layout, node.child2, reader, out[n1:, n1:])
     out[:n1, n1:] = 0.0
-    return out
+    return out, permutation.augment(p1, p2) if with_perm else None
 
 
 def read_upper(layout: Layout, node: PlanNode, reader, out=None) -> np.ndarray:
@@ -142,9 +156,8 @@ def combine_factors(layout: Layout, node: PlanNode, reader, writer) -> int:
     Returns the number of bytes written (the combine's serial I/O).
     """
     nl = layout.of(node)
-    lower = read_lower(layout, node, reader)
+    lower, perm = read_lower_and_perm(layout, node, reader)
     upper = read_upper(layout, node, reader)
-    perm = read_perm(layout, node, reader)
     l_data = formats.encode_matrix(lower)
     stored_u = upper.T if layout.config.transpose_u else upper
     u_data = formats.encode_matrix(stored_u)

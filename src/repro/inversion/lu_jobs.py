@@ -39,7 +39,7 @@ from ..mapreduce import (
     TaskContext,
     TaskFactory,
 )
-from .factors import read_lower, read_perm, read_upper
+from .factors import read_lower_and_perm, read_upper
 from .layout import Layout
 from .plan import PlanNode
 
@@ -200,8 +200,7 @@ class LUJobMapper(Mapper):
             jc = j - mhalf
             c1, c2 = chunks[jc]
             if c2 > c1:
-                l1 = read_lower(self.layout, node.child1, ctx)
-                p1 = read_perm(self.layout, node.child1, ctx)
+                l1, p1 = read_lower_and_perm(self.layout, node.child1, ctx)
                 a2 = nl.a2.sub(0, n1, c1, c2).read(ctx)
                 u2 = blocked_forward_substitute(
                     l1, permutation.apply_rows(p1, a2), unit_diagonal=True

@@ -53,12 +53,20 @@ class BlockRef:
     def read_part(self, reader: MatrixReader) -> np.ndarray:
         """Fetch this ref's rectangle from its file.
 
-        Whole-row spans are fetched with a range read (only the needed rows
-        cross the wire); column sub-ranges read the file and slice, which is
-        what a row-major store must do.
+        A rectangle that is its whole file is one matrix read (served by the
+        decoded-block cache when one is attached); other whole-row spans are
+        fetched with a range read (only the needed rows cross the wire);
+        column sub-ranges read the file and slice, which is what a row-major
+        store must do.
         """
         fr2 = self.fr1 + self.rows
         fc2 = self.fc1 + self.cols
+        if (self.fr1, self.fc1, fr2, fc2) == (0, 0, self.file_rows, self.file_cols):
+            data = reader.read_matrix(self.path)
+            data = data.T if self.transposed else data
+            if data.shape != (self.rows, self.cols):
+                raise ValueError(f"{self.path} holds {data.shape}, not {(self.rows, self.cols)}")
+            return data
         if self.transposed:
             # File stores the transpose: logical (row, col) = file (col, row).
             if self.fr1 == 0 and fr2 == self.file_rows and self.file_rows > 0:
@@ -136,17 +144,13 @@ class Region:
             ic1, ic2 = max(b.c1, c1), min(bc2, c2)
             if ir1 >= ir2 or ic1 >= ic2:
                 continue
-            clipped.append(
-                replace(
-                    b,
-                    r1=ir1 - r1,
-                    c1=ic1 - c1,
-                    rows=ir2 - ir1,
-                    cols=ic2 - ic1,
-                    fr1=b.fr1 + (ir1 - b.r1),
-                    fc1=b.fc1 + (ic1 - b.c1),
-                )
-            )
+            # Positional, not ``dataclasses.replace``: this runs per block
+            # per sub-region, and replace re-inspects the fields every call.
+            clipped.append(BlockRef(
+                b.path, ir1 - r1, ic1 - c1, ir2 - ir1, ic2 - ic1,
+                b.fr1 + (ir1 - b.r1), b.fc1 + (ic1 - b.c1),
+                b.file_rows, b.file_cols, b.transposed,
+            ))
         return Region(r2 - r1, c2 - c1, tuple(clipped))
 
     def read(self, reader: MatrixReader, out: np.ndarray | None = None) -> np.ndarray:

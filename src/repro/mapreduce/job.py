@@ -130,9 +130,9 @@ class AccountedIO:
 class TaskContext(AccountedIO):
     """Execution context handed to mapper/reducer code.
 
-    Wraps the shared DFS with per-task byte accounting (trace + counters)
-    and carries the emit buffer, counters, and the job's parameter
-    dictionary.
+    Wraps the shared DFS with per-task byte accounting (on the trace, added
+    to the counters by :meth:`count_io` when the attempt ends) and carries
+    the emit buffer, counters, and the job's parameter dictionary.
     """
 
     def __init__(
@@ -173,11 +173,17 @@ class TaskContext(AccountedIO):
 
     def _account_read(self, nbytes: int) -> None:
         self.trace.bytes_read += nbytes
-        self.counters.increment(FILESYSTEM_GROUP, BYTES_READ, nbytes)
 
     def _account_write(self, nbytes: int) -> None:
         self.trace.bytes_written += nbytes
-        self.counters.increment(FILESYSTEM_GROUP, BYTES_WRITTEN, nbytes)
+
+    def count_io(self) -> None:
+        """Add the attempt's traced bytes to its counters: once, when the
+        attempt's code is done, not on every read and write."""
+        for name, nbytes in ((BYTES_READ, self.trace.bytes_read),
+                             (BYTES_WRITTEN, self.trace.bytes_written)):
+            if nbytes:
+                self.counters.increment(FILESYSTEM_GROUP, name, nbytes)
 
 
 class Mapper:

@@ -98,6 +98,7 @@ def run_map_attempt(
         trace.bytes_shuffled += shuffled
         counters.increment(TASK_GROUP, SHUFFLE_BYTES, shuffled)
 
+    ctx.count_io()
     trace.wall_seconds = time.perf_counter() - start
     return MapAttemptResult(
         attempt_id,
@@ -140,6 +141,7 @@ def run_reduce_attempt(
 
     output = list(ctx.emitted)
     counters.increment(TASK_GROUP, REDUCE_OUTPUT_RECORDS, len(output))
+    ctx.count_io()
     trace.wall_seconds = time.perf_counter() - start
     return ReduceAttemptResult(
         attempt_id,

@@ -1,7 +1,7 @@
 """The toll of a round, pinned: function calls of one deep inversion.
 
 ``deep_n512_nb16`` is the benchmark workload whose wall clock is mostly
-per-operation overhead (33 jobs, 260 tasks, ~2 800 DFS reads on a small
+per-operation overhead (33 jobs, 260 tasks, ~800 DFS reads on a small
 matrix), and interpreter function calls are what that overhead is made of.
 Its smoke shape (n=128, nb=4, m0=4: the same 33 jobs and the same operation
 counts) runs here under cProfile against a stated budget, so a change that
@@ -16,17 +16,24 @@ import cProfile
 import pstats
 
 import numpy as np
+import pytest
 
 from repro import InversionConfig, invert
 
-#: 314 385 calls measured here at the PR that introduced the flat namespace
-#: index (617 071 at its parent), plus 15 % headroom.  The count is
+#: 278 744 calls measured here at the PR that made a whole-file read one DFS
+#: op (337 396 at its parent), plus 10 % headroom.  The count is
 #: deterministic for a serial run on one interpreter version; the headroom is
 #: for other versions and for honest small additions, not for a second walk.
-CALL_BUDGET = 362_000
+CALL_BUDGET = 306_618
+
+#: DFS read ops of the smoke shape: one per physical read — a whole-file
+#: rectangle is one ``read_matrix``, a permutation file is read once per
+#: assembly, and the cache serves repeats.  2 827 before that PR.
+READ_OPS = 826
 
 
-def test_deep_smoke_shape_stays_under_its_call_budget():
+@pytest.fixture(scope="module")
+def profiled_run():
     a = np.random.default_rng(0).standard_normal((128, 128))
     config = InversionConfig(nb=4, m0=4)
     warm = invert(a, config)  # imports, lazy set-up
@@ -36,8 +43,18 @@ def test_deep_smoke_shape_stays_under_its_call_budget():
     profiler.disable()
     assert result.record.num_jobs == 33  # the shape the budget was measured on
     np.testing.assert_array_equal(result.inverse, warm.inverse)
-    calls = pstats.Stats(profiler).total_calls  # type: ignore[attr-defined]
+    return result, pstats.Stats(profiler).total_calls  # type: ignore[attr-defined]
+
+
+def test_deep_smoke_shape_stays_under_its_call_budget(profiled_run):
+    _, calls = profiled_run
     assert calls <= CALL_BUDGET, (
         f"{calls} function calls for one deep inversion, budget {CALL_BUDGET}: "
         "run `make profile W=deep_n512_nb16` and compare with docs/performance.md"
     )
+
+
+def test_deep_smoke_shape_reads_are_pinned(profiled_run):
+    io = profiled_run[0].io
+    assert io.read_ops == READ_OPS
+    assert io.files_opened == io.read_ops  # every open is one read op

@@ -216,11 +216,20 @@ class TestVerifyOnce:
         info = store.write_block(b"swap")
         node = store.datanodes[info.replicas[0]]
         node.put(info.block_id, b"swap"[:])
-        stale, verified = node.fetch(info.block_id)
-        assert not verified
+        alive, stale, verified = node.fetch(info.block_id)
+        assert alive and not verified
         node.corrupt(info.block_id)
         node.mark_verified(info.block_id, stale)  # a reader that lost the race
-        assert node.fetch(info.block_id)[1] is False
+        assert node.fetch(info.block_id)[2] is False
+
+    def test_fetch_reports_liveness_with_the_payload(self, store):
+        info = store.write_block(b"alive?")
+        node = store.datanodes[info.replicas[0]]
+        assert node.fetch(info.block_id) == (True, b"alive?", True)
+        store.kill_datanode(node.node_id)
+        alive, payload, _ = node.fetch(info.block_id)
+        assert not alive and payload == b"alive?"  # dead, not dropped
+        assert store.read_block(info) == b"alive?"  # served by a live replica
 
     def test_scrub_never_trusts_the_mark(self):
         dfs = DFS(num_datanodes=4, replication=3, block_size=64, seed=0)

@@ -131,6 +131,31 @@ class TestAccounting:
         delta = dfs.stats.snapshot() - before
         assert delta.bytes_read == 200
 
+    def test_a_read_is_one_open_and_one_op(self, dfs):
+        dfs.write_bytes("/acc", b"v" * 100)
+        before = dfs.stats.snapshot()
+        dfs.read_bytes("/acc")
+        dfs.read_range("/acc", 10, 20)
+        delta = dfs.stats.snapshot() - before
+        assert delta.read_ops == delta.files_opened == 2
+
+    @pytest.mark.parametrize("read", [
+        lambda dfs: dfs.read_bytes("/lost"),
+        lambda dfs: dfs.read_range("/lost", 4, 8),
+    ], ids=["whole", "range"])
+    def test_a_read_of_an_all_dead_block_still_counts_its_open(self, dfs, read):
+        from repro.dfs.blocks import BlockMissingError
+
+        dfs.write_bytes("/lost", b"u" * 64)
+        (info,) = dfs.namenode.get_file("/lost").blocks
+        for node in info.replicas:
+            dfs.blocks.kill_datanode(node)
+        before = dfs.stats.snapshot()
+        with pytest.raises(BlockMissingError):
+            read(dfs)
+        delta = dfs.stats.snapshot() - before
+        assert (delta.files_opened, delta.read_ops, delta.bytes_read) == (1, 0, 0)
+
 
 class TestNamespaceOps:
     def test_glob(self, dfs):

@@ -8,7 +8,14 @@ import pytest
 from repro import InversionConfig
 from repro.dfs import DFS
 from repro.inversion import MatrixInverter
-from repro.inversion.factors import perm_from_bytes, perm_to_bytes, read_lower, read_perm, read_upper
+from repro.inversion.factors import (
+    perm_from_bytes,
+    perm_to_bytes,
+    read_lower,
+    read_lower_and_perm,
+    read_perm,
+    read_upper,
+)
 from repro.dfs.formats import decode_matrix, encode_matrix
 from repro.inversion.invert_job import (
     _PANEL,
@@ -175,6 +182,33 @@ class TestFactorAssembly:
         assert np.array_equal(
             read_upper(layout, layout.plan.tree, reader), factors.upper
         )
+
+    def test_each_perm_file_is_read_once_per_assembly(self, run):
+        """Depth 3: ``P2`` of every level comes out of the ``L3`` walk, so
+        the right spine's permutation files are not re-read per level."""
+        from repro.analysis.model import lower_read_paths
+
+        a, factors, layout, reader = run
+        tree = layout.plan.tree
+        assert layout.plan.depth == 3
+        perm_reads = []
+        read_bytes = reader.read_bytes
+
+        def logged(path):
+            perm_reads.append(path)
+            return read_bytes(path)
+
+        reader.read_bytes = logged
+        lower, perm = read_lower_and_perm(layout, tree, reader)
+        leaves = tree.leaves()
+        assert sorted(perm_reads) == sorted(layout.of(leaf).p_path for leaf in leaves)
+        assert np.array_equal(lower, factors.lower) and np.array_equal(perm, factors.perm)
+        del perm_reads[:]
+        read_lower(layout, tree, reader)  # the perms of every right subtree
+        assert len(perm_reads) == len(set(perm_reads))
+        assert set(perm_reads) == lower_read_paths(layout, tree) & {
+            layout.of(leaf).p_path for leaf in leaves
+        }
 
     def test_missing_leaf_factors_raise(self):
         layout = make_layout(n=8, nb=16)  # single leaf
@@ -625,10 +659,17 @@ class _LoggingReader:
         return logged
 
 
+def _reads(log):
+    """``(method, path)`` of every read in a :class:`_LoggingReader` log."""
+    return [(call[0], call[1]) for call in log if call[0].startswith("read_")]
+
+
 class TestInPlaceAssembly:
     """``read_lower`` / ``read_upper`` / ``Region.read`` assemble straight into
-    one destination; against the level-by-level references they must return
-    the same arrays from the same reads in the same order."""
+    one destination.  Against the level-by-level references they must return
+    the same arrays; a factor reads exactly the files the static model names
+    for it, no permutation file twice; a region reads each block once, a
+    whole-file rectangle as one ``read_matrix``."""
 
     #: (n, nb, m0) of ``tests/test_edge_geometries.py``.
     GEOMETRIES = [
@@ -690,33 +731,56 @@ class TestInPlaceAssembly:
 
     @staticmethod
     def _check(new, ref, reader):
-        """Same array from the same reads; private and writable, or one
-        decoded file's read-only view."""
+        """Same array as the reference; private and writable, or one decoded
+        file's read-only view.  Returns it with the reads ``new`` made."""
         got = new(reader)
-        new_log = reader.take_log()
+        reads = _reads(reader.take_log())
         want = ref(reader)
-        assert new_log == reader.take_log()
+        reader.take_log()
         assert got.shape == want.shape and np.array_equal(got, want)
         assert got.flags.c_contiguous == want.flags.c_contiguous
         if not got.flags.writeable:
-            assert sum(1 for call in new_log if call[0].startswith("read_")) == 1
-        return got
+            assert len(reads) == 1
+        return got, reads
+
+    @staticmethod
+    def _assert_model_reads(reads, expected, perm_paths):
+        assert {path for _, path in reads} == expected
+        perm_reads = [path for _, path in reads if path in perm_paths]
+        assert len(perm_reads) == len(set(perm_reads)), "a permutation file read twice"
 
     def test_factors_match_the_level_by_level_reference(self, finished_run, reader):
+        from repro.analysis.model import lower_read_paths, perm_read_paths, upper_read_paths
+
         layout, _ = finished_run
         tree = layout.plan.tree
-        for node in tree.internal_nodes() + tree.leaves():
-            lower = self._check(
+        nodes = tree.internal_nodes() + tree.leaves()
+        perm_paths = {layout.of(node).p_path for node in nodes}
+        for node in nodes:
+            lower, reads = self._check(
                 lambda r: read_lower(layout, node, r),
                 lambda r: _ref_read_lower(layout, node, r),
                 reader,
             )
-            upper = self._check(
+            self._assert_model_reads(reads, lower_read_paths(layout, node), perm_paths)
+            upper, reads = self._check(
                 lambda r: read_upper(layout, node, r),
                 lambda r: _ref_read_upper(layout, node, r),
                 reader,
             )
+            self._assert_model_reads(reads, upper_read_paths(layout, node), perm_paths)
             assert is_lower_triangular(lower) and is_upper_triangular(upper)
+
+            both, perm = read_lower_and_perm(layout, node, reader)
+            reads = _reads(reader.take_log())
+            assert np.array_equal(both, lower)
+            assert np.array_equal(perm, read_perm(layout, node, reader))
+            reader.take_log()
+            self._assert_model_reads(
+                reads,
+                lower_read_paths(layout, node) | perm_read_paths(layout, node),
+                perm_paths,
+            )
 
     def test_regions_match_the_copying_reference(self, finished_run, reader):
         layout, snapshot = finished_run
@@ -736,9 +800,13 @@ class TestInPlaceAssembly:
                 region.sub(rows // 2, rows, cols // 3, cols),
                 region.sub(0, rows, 0, 0),
             ) + tuple(Region(b.rows, b.cols, (replace(b, r1=0, c1=0),)) for b in region.blocks):
-                got = self._check(
+                got, reads = self._check(
                     sub.read, lambda r: _ref_region_read(sub, r), reader
                 )
+                assert sorted(path for _, path in reads) == sorted(b.path for b in sub.blocks)
+                for b in sub.blocks:
+                    if (b.fr1, b.fc1, b.rows, b.cols) == (0, 0, b.file_rows, b.file_cols):
+                        assert reads.count(("read_matrix", b.path)) == 1
                 if len(sub.blocks) != 1:
                     assert got.flags.writeable and got.flags.owndata
 

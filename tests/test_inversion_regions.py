@@ -153,6 +153,50 @@ class TestIOEfficiency:
         assert len(region.file_paths()) == 3
 
 
+class TestWholeFileRectangle:
+    """A rectangle that is its whole file is read as a matrix: one DFS op
+    with the cache off, none from a warm cache, no header range-read."""
+
+    @staticmethod
+    def read_ops(dfs, region):
+        from repro.inversion.driver import MasterIO
+
+        before = dfs.stats.snapshot()
+        got = region.read(MasterIO(dfs))
+        return got, (dfs.stats.snapshot() - before).read_ops
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_one_read_op_with_the_cache_off(self, dfs, rng, transposed):
+        m = rng.standard_normal((6, 4))
+        formats.write_matrix(dfs, "/w", m.T if transposed else m)
+        got, ops = self.read_ops(dfs, Region.single("/w", 6, 4, transposed=transposed))
+        assert np.array_equal(got, m) and ops == 1
+
+    def test_no_read_op_from_a_warm_cache(self, dfs, rng):
+        dfs.attach_cache(1 << 20)
+        m = rng.standard_normal((6, 4))
+        formats.write_matrix(dfs, "/w", m)
+        region = Region.single("/w", 6, 4)
+        assert self.read_ops(dfs, region)[1] == 1  # the miss reads through
+        got, ops = self.read_ops(dfs, region)
+        assert np.array_equal(got, m) and ops == 0
+
+    def test_a_row_slice_still_range_reads(self, dfs, rng):
+        m = rng.standard_normal((6, 4))
+        formats.write_matrix(dfs, "/w", m)
+        got, ops = self.read_ops(dfs, Region.single("/w", 6, 4).sub(1, 3, 0, 4))
+        assert np.array_equal(got, m[1:3]) and ops == 2  # header, then the rows
+
+    @pytest.mark.parametrize("rows, cols, transposed", [(4, 5, False), (5, 4, True)])
+    def test_a_stored_shape_that_disagrees_with_the_ref_raises(
+        self, dfs, reader, rng, rows, cols, transposed
+    ):
+        formats.write_matrix(dfs, "/bad", rng.standard_normal((5, 4)))
+        region = Region.single("/bad", rows, cols, transposed=transposed)
+        with pytest.raises(ValueError, match="/bad"):
+            region.read(reader)
+
+
 class TestStacking:
     def test_vertical(self, dfs, reader, rng):
         top = rng.standard_normal((3, 4))
