@@ -16,6 +16,12 @@ top-level package), the top rows by self time, and under them the profiled
 call's DFS ledger (read ops, files opened, cache hits and misses, write ops,
 bytes read).
 
+For ``observed_n512_nb16``, whose calls run inside ``repro.observe()``, it
+also prints the profiled call's spans by kind and the DFS records folded into
+them by op — the read and export records together equal the ledger's read
+ops.  Against ``deep_n512_nb16``, its untraced twin, that is the telemetry's
+cost.
+
 Call counts and the ledger are deterministic for the serial workloads, so
 they are the numbers to compare across revisions; ``tests/test_call_budget.py``
 pins the smoke shape of ``deep_n512_nb16``.  This only *imports* the harness's
@@ -89,27 +95,27 @@ def profile_children(out_dir: str) -> None:
 
 def profile_workload(
     workload: Workload, seed: int = 0, children_dir: str | None = None
-) -> tuple[pstats.Stats, repro.dfs.IOSnapshot]:
-    """Warm up once, then profile one call: the profile of that call alone
-    and its DFS ledger.  With ``children_dir``, that call's pool workers are
-    profiled too."""
+) -> tuple[pstats.Stats, repro.dfs.IOSnapshot, repro.Observation | None]:
+    """Warm up once, then profile one call: the profile of that call alone,
+    its DFS ledger and, for an observed workload, its observation.  With
+    ``children_dir``, that call's pool workers are profiled too."""
     a = np.random.default_rng(seed).standard_normal((workload.n, workload.n))
     config = repro.InversionConfig(**workload.config)
 
-    def call() -> repro.InversionResult:
+    def call() -> tuple[repro.InversionResult, repro.Observation | None]:
         if workload.observed:
-            with repro.observe():
-                return repro.invert(a, config)
-        return repro.invert(a, config)
+            with repro.observe() as obs:
+                return repro.invert(a, config), obs
+        return repro.invert(a, config), None
 
     call()
     if children_dir is not None:
         profile_children(children_dir)
     profiler = cProfile.Profile()
     profiler.enable()
-    result = call()
+    result, obs = call()
     profiler.disable()
-    return pstats.Stats(profiler), result.io
+    return pstats.Stats(profiler), result.io, obs
 
 
 #: The DFS ledger fields printed under the driver's table.
@@ -118,10 +124,28 @@ LEDGER = (
 )
 
 
-def print_ledger(io) -> None:
-    """The profiled call's DFS ledger (``InversionResult.io``)."""
+def print_ledger(io, obs: repro.Observation | None) -> None:
+    """The profiled call's DFS ledger (``InversionResult.io``) and, when the
+    call was observed, its spans by kind and the DFS records folded into
+    them (plus the tracer's root list) by op."""
     fields = "  ".join(f"{name} {getattr(io, name):,}" for name in LEDGER)
     print(f"DFS ledger of the profiled call:  {fields}")
+    if obs is None:
+        return
+    spans: dict[str, int] = defaultdict(int)
+    records: dict[str, int] = defaultdict(int)
+    for span in obs.spans:
+        spans[span.kind.value] += 1
+        for op, *_ in span.io:
+            records[op] += 1
+    for op, *_ in obs.root_io:
+        records[op] += 1
+
+    def line(counts: dict[str, int]) -> str:
+        return "  ".join(f"{name} {count:,}" for name, count in counts.items())
+
+    print(f"telemetry: {len(obs.spans):,} spans:  {line(spans)}")
+    print(f"           {sum(records.values()):,} folded DFS records:  {line(records)}")
 
 
 def source_group(filename: str) -> str:
@@ -368,15 +392,15 @@ def main() -> int:
         return 0
     print(f"{workload.name}: n={workload.n} {workload.config}")
     if not args.children:
-        stats, io = profile_workload(workload)
+        stats, io, obs = profile_workload(workload)
         print_profile("", stats, args.top)
-        print_ledger(io)
+        print_ledger(io, obs)
         return 0
     with tempfile.TemporaryDirectory() as children_dir:
-        driver, io = profile_workload(workload, children_dir=children_dir)
+        driver, io, obs = profile_workload(workload, children_dir=children_dir)
         dumps = sorted(pathlib.Path(children_dir).glob("worker-*.prof"))
         print_profile("driver: ", driver, args.top)
-        print_ledger(io)
+        print_ledger(io, obs)
         if not dumps:
             print("no worker profiles (not a process-pool workload, or no fork)")
             return 1

@@ -526,43 +526,44 @@ def lint_dataflow(
 class ReplayStats:
     """What a span-export replay saw and how it mapped onto the model."""
 
-    total_read_spans: int = 0
+    total_reads: int = 0
     attributed: int = 0
     matched: int = 0
     commit_internal: int = 0
+    export: int = 0
     unattributed: int = 0
     observed_edges: set[tuple[str, str]] = field(default_factory=set)
 
     def summary(self) -> str:
         return (
-            f"{self.total_read_spans} dfs.read span(s): "
+            f"{self.total_reads} dfs read(s): "
             f"{self.attributed} attributed to pipeline steps, "
             f"{self.matched} matched the static DAG, "
             f"{len(self.observed_edges)} distinct observed edge(s), "
             f"{self.commit_internal} commit-internal, "
+            f"{self.export} process-pool export, "
             f"{self.unattributed} outside the pipeline"
         )
 
 
 def _owning_step(span: "Span", by_id: dict[str, "Span"]) -> str | None:
-    """The model step name a DFS span executed under, resolved by walking
-    the span's ancestor chain (task → job, or master phase)."""
+    """The model step name a DFS read folded into ``span`` executed under,
+    resolved by walking from ``span`` up its ancestor chain (task → job, or
+    master phase)."""
     from ..telemetry.spans import SpanKind
 
     phase: str | None = None
-    cur = span
-    while cur.parent_id is not None:
-        cur = by_id.get(cur.parent_id)  # type: ignore[assignment]
-        if cur is None:
-            return None
+    cur: "Span | None" = span
+    while cur is not None:
         if cur.kind is SpanKind.TASK:
             phase = str(cur.attrs.get("phase", "")) or phase
         elif cur.kind is SpanKind.JOB:
             return f"{cur.name}[{phase}]" if phase else cur.name
         elif cur.kind is SpanKind.MASTER_PHASE:
             return cur.name
-        elif cur.kind is SpanKind.COMMIT or cur.kind is SpanKind.DFS_REPAIR:
+        elif cur.kind is SpanKind.DFS_REPAIR:
             return None
+        cur = by_id.get(cur.parent_id) if cur.parent_id is not None else None
     return None
 
 
@@ -571,15 +572,18 @@ def replay_spans(
 ) -> tuple[list[Finding], ReplayStats]:
     """DF008: replay a recorded span export against the static DAG.
 
-    Every observed DFS read is attributed to its pipeline step via the span
-    hierarchy (task → job, or enclosing master phase) and checked against
-    that step's modeled read set.  An observed edge the model missed means
-    the model under-approximates the real dataflow — exactly the failure a
-    DAG scheduler must never inherit — and is an error.  Model reads never
-    observed are fine: the model is a deliberate over-approximation (it
-    unions all tasks of a step).
+    Every observed DFS read record is attributed to its pipeline step via
+    the span it was folded into (task → job, or master phase) and checked
+    against that step's modeled read set.  An observed edge the model missed
+    means the model under-approximates the real dataflow — exactly the
+    failure a DAG scheduler must never inherit — and is an error.  Model
+    reads never observed are fine: the model is a deliberate
+    over-approximation (it unions all tasks of a step).  Reads of the commit
+    protocol's own files, and the process pool's namespace export (``export``
+    records: the driver reading what a wave's workers will map), are counted
+    apart.
     """
-    from ..telemetry.spans import SpanKind
+    from ..telemetry.spans import READ_OPS
 
     by_id = {span.span_id: span for span in spans}
     step_names = {step.name for step in model.steps}
@@ -590,26 +594,29 @@ def replay_spans(
     missing: dict[tuple[str, str], int] = {}
     unmodeled: dict[str, int] = {}
     for span in spans:
-        if span.kind is not SpanKind.DFS_READ:
-            continue
-        stats.total_read_spans += 1
-        path = span.name
-        if path.startswith(STAGING_ROOT + "/") or path.startswith(commit_prefix):
-            stats.commit_internal += 1
-            continue
-        step = _owning_step(span, by_id)
-        if step is None:
-            stats.unattributed += 1
-            continue
-        stats.attributed += 1
-        if step not in step_names:
-            unmodeled[step] = unmodeled.get(step, 0) + 1
-            continue
-        stats.observed_edges.add((step, path))
-        if path in reads_of[step]:
-            stats.matched += 1
-        else:
-            missing[(step, path)] = missing.get((step, path), 0) + 1
+        for op, path, _, _ in span.io:
+            if op not in READ_OPS:
+                continue
+            stats.total_reads += 1
+            if path.startswith(STAGING_ROOT + "/") or path.startswith(commit_prefix):
+                stats.commit_internal += 1
+                continue
+            if op == "export":
+                stats.export += 1
+                continue
+            step = _owning_step(span, by_id)
+            if step is None:
+                stats.unattributed += 1
+                continue
+            stats.attributed += 1
+            if step not in step_names:
+                unmodeled[step] = unmodeled.get(step, 0) + 1
+                continue
+            stats.observed_edges.add((step, path))
+            if path in reads_of[step]:
+                stats.matched += 1
+            else:
+                missing[(step, path)] = missing.get((step, path), 0) + 1
 
     findings: list[Finding] = []
     for step, count in sorted(unmodeled.items()):

@@ -33,7 +33,7 @@ memory.
 
 Accounting: cache hits are *logical* reads (task traces and Hadoop-style
 counters still see them) but not *physical* ones (no ``iostats.bytes_read``,
-no ``dfs.read`` span) — the same split real HDFS has between bytes an
+no DFS read record on a span) — the same split real HDFS has between bytes an
 application consumed and bytes a datanode served.  The reconcile auditor
 checks ``bytes requested == bytes served from cache + bytes read through``.
 """

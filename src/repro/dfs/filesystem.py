@@ -16,10 +16,10 @@ bytes read/written/transferred, synchronization-free file naming).
 from __future__ import annotations
 
 import fnmatch
-
+from time import perf_counter
 from typing import TYPE_CHECKING
 
-from ..telemetry.spans import SpanKind, current_tracer
+from ..telemetry.spans import fold_io
 from .blocks import DEFAULT_BLOCK_SIZE, BlockStore
 from .iostats import IOStats
 
@@ -177,15 +177,10 @@ class DFS:
         overwrite: bool = True,
         pending: bool = False,
     ) -> None:
-        tracer = current_tracer()
-        if not tracer.enabled:
-            with self.create(path, overwrite=overwrite, pending=pending) as w:
-                w.write(data)
-            return
-        with tracer.span(path, SpanKind.DFS_WRITE) as span:
-            with self.create(path, overwrite=overwrite, pending=pending) as w:
-                w.write(data)
-            span.set(bytes=len(data))
+        start = perf_counter()
+        with self.create(path, overwrite=overwrite, pending=pending) as w:
+            w.write(data)
+        fold_io("stage" if pending else "write", path, len(data), start)
 
     def stage_bytes(self, path: str, data: bytes) -> None:
         """Write ``path`` as a pending (invisible) staging file."""
@@ -197,16 +192,10 @@ class DFS:
 
     # -- reads ---------------------------------------------------------------
 
-    def read_bytes(self, path: str, *, local: bool = False) -> bytes:
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return self._read_bytes(path, local=local)
-        with tracer.span(path, SpanKind.DFS_READ) as span:
-            data = self._read_bytes(path, local=local)
-            span.set(bytes=len(data))
-            return data
-
-    def _read_bytes(self, path: str, *, local: bool = False) -> bytes:
+    def read_bytes(self, path: str, *, local: bool = False, op: str = "read") -> bytes:
+        """Read the whole file.  ``op`` is the telemetry record's op: the
+        process pool's namespace export reads as ``"export"``."""
+        start = perf_counter()
         entry = self.namenode.get_file(path)
         try:
             if len(entry.blocks) == 1:
@@ -218,7 +207,9 @@ class DFS:
         except BaseException:
             self.stats.record_open()  # opened, but no byte came back
             raise
-        self.stats.record_read(len(data), local=local)  # counts the open too
+        nbytes = len(data)
+        self.stats.record_read(nbytes, local=local)  # counts the open too
+        fold_io(op, path, nbytes, start)
         return data
 
     def read_text(self, path: str, *, local: bool = False) -> str:
@@ -227,17 +218,7 @@ class DFS:
     def read_range(self, path: str, offset: int, length: int, *, local: bool = False) -> bytes:
         """Read ``length`` bytes starting at ``offset``, touching only the
         blocks that overlap the range (HDFS range-read semantics)."""
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return self._read_range(path, offset, length, local=local)
-        with tracer.span(path, SpanKind.DFS_READ) as span:
-            data = self._read_range(path, offset, length, local=local)
-            span.set(bytes=len(data), offset=offset)
-            return data
-
-    def _read_range(
-        self, path: str, offset: int, length: int, *, local: bool = False
-    ) -> bytes:
+        start = perf_counter()
         entry = self.namenode.get_file(path)
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
@@ -276,7 +257,9 @@ class DFS:
         except BaseException:
             self.stats.record_open()  # opened, but no byte came back
             raise
-        self.stats.record_read(len(data), local=local)  # counts the open too
+        nbytes = len(data)
+        self.stats.record_read(nbytes, local=local)  # counts the open too
+        fold_io("read", path, nbytes, start)
         return data
 
     # -- namespace -----------------------------------------------------------
@@ -330,13 +313,9 @@ class DFS:
             self.namenode.get_file(src, include_pending=True).length
             for src, _ in pairs
         )
-        tracer = current_tracer()
-        if tracer.enabled:
-            with tracer.span(normalize(pairs[0][1]), SpanKind.COMMIT) as span:
-                displaced = self.namenode.publish(pairs)
-                span.set(files=len(pairs), bytes=nbytes)
-        else:
-            displaced = self.namenode.publish(pairs)
+        start = perf_counter()
+        displaced = self.namenode.publish(pairs)
+        fold_io("publish", pairs[0][1], nbytes, start)
         self._gc_entries(displaced)
         self.stats.record_publish(nbytes, files=len(pairs))
         if self.publish_listeners:

@@ -135,10 +135,7 @@ class HealthMonitor:
             raise ValueError("max_rounds must be >= 1")
         from ..telemetry.spans import SpanKind, current_tracer
 
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return self._repair(max_rounds)
-        with tracer.span("dfs-repair", SpanKind.DFS_REPAIR) as span:
+        with current_tracer().span("dfs-repair", SpanKind.DFS_REPAIR) as span:
             report = self._repair(max_rounds)
             span.set(
                 rounds=report.rounds,

@@ -308,9 +308,10 @@ class ShmExporter:
     exported: unchanged ``(path, generation)`` pairs are re-used verbatim
     (no copy, no read accounting), while new or rewritten files are read
     through the normal accounted DFS read path — so the export shows up in
-    iostats and DFS_READ spans as the one physical read it is, and worker
-    reads against the segments cost nothing — and appended into one fresh
-    segment per wave-delta, unless their generation was adopted.
+    iostats and as an ``export`` record on the wave span as the one physical read it
+    is, and worker reads against the segments cost nothing — and appended
+    into one fresh segment per wave-delta, unless their generation was
+    adopted.
 
     Overwritten or deleted files leave garbage bytes behind in old
     segments.  A segment none of whose files is live (or pending adoption)
@@ -375,7 +376,7 @@ class ShmExporter:
             payloads: list[tuple[str, int, bytes]] = []
             for path, generation in fresh:
                 try:
-                    data = self.dfs.read_bytes(path)
+                    data = self.dfs.read_bytes(path, op="export")
                 except Exception as exc:
                     self._errors[path] = (generation, str(exc))
                     errors[path] = str(exc)

@@ -415,8 +415,8 @@ class JobTracker:
             outcome: Any, idx: int, attempt_id: TaskAttemptId, node: int, wave_span
         ) -> Any:
             """Land one out-of-process outcome: replay its write-back through
-            the accounted DFS paths under the attempt's TASK span (DFS_WRITE
-            spans of the replay nest there via the ambient context).
+            the accounted DFS paths under the attempt's TASK span (the
+            replay's write records fold into it via the ambient context).
 
             Mirrors the in-process thunk contract — the attempt result on
             success, the exception object on failure — so the outcome

@@ -31,7 +31,7 @@ from typing import IO, TYPE_CHECKING, Any
 
 from .exporters import JsonLinesExporter, SpanExporter
 from .metrics import MetricsRegistry
-from .spans import NULL_TRACER, NullTracer, Tracer, activate, deactivate
+from .spans import NULL_TRACER, IORecord, NullTracer, Tracer, activate, deactivate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .reconcile import ReconciliationReport
@@ -108,6 +108,11 @@ class Observation:
         return self.tracer.spans
 
     @property
+    def root_io(self) -> list[IORecord]:
+        """DFS operations that ran under no open span."""
+        return self.tracer.root_io
+
+    @property
     def metrics(self) -> MetricsRegistry:
         return self.tracer.metrics
 
@@ -156,6 +161,7 @@ class Observation:
             self.spans,
             result.record,
             io=result.io,
+            root_io=self.root_io,
             replication_factor=replication_factor,
             expected_job_count=result.num_jobs,
             tolerance=DEFAULT_TOLERANCE if tolerance is None else tolerance,

@@ -69,6 +69,7 @@ def run_traced_inversion(
         obs.spans,
         result.record,
         io=result.io,
+        root_io=obs.root_io,
         replication_factor=dfs_replication_factor(runtime.dfs),
         expected_job_count=expected,
         model_lu_cost=(

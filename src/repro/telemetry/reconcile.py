@@ -3,7 +3,8 @@
 Telemetry that cannot be trusted is worse than none, so the subsystem ships
 its own auditor.  Three independent accounting layers observe every run:
 
-1. **spans** — per-task-attempt byte attributes recorded by the tracer;
+1. **spans** — per-task-attempt byte attributes and the DFS records folded
+   into each span by the tracer;
 2. **Counters** — the engine's Hadoop-style per-job counter groups;
 3. **IOStats** — the DFS's byte-level ledger (which also sees replication
    traffic and master-side I/O).
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from .spans import Span, SpanKind
+from .spans import READ_OPS, WRITE_OPS, IORecord, Span, SpanKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dfs.iostats import IOSnapshot
@@ -80,11 +81,12 @@ class JobReconciliation:
 
 @dataclass
 class TotalsReconciliation:
-    """Run-level DFS spans vs the DFS ledger.
+    """Run-level DFS records vs the DFS ledger.
 
-    Sums the byte attributes of every ``dfs.read``/``dfs.write`` span (plus
-    repair-span copy traffic) — the tracer's own view of the filesystem — and
-    compares against the :class:`~repro.dfs.iostats.IOSnapshot` delta.
+    Sums the bytes of every read and write record folded into the spans and
+    the tracer's root list (plus repair-span copy traffic) — the tracer's
+    own view of the filesystem — and compares against the
+    :class:`~repro.dfs.iostats.IOSnapshot` delta.
     """
 
     span_bytes_read: int = 0
@@ -255,6 +257,7 @@ def reconcile_run(
     record: "PipelineRecord",
     *,
     io: "IOSnapshot | None" = None,
+    root_io: Sequence[IORecord] = (),
     replication_factor: int = 1,
     expected_job_count: int | None = None,
     model_lu_cost: "tuple[float, float] | None" = None,
@@ -263,9 +266,11 @@ def reconcile_run(
     """Audit one run's spans against its engine-side accounting.
 
     ``record`` supplies the per-job Counters (and master-phase I/O); ``io``
-    the DFS ledger delta for the run; ``model_lu_cost`` the Table-1 closed
-    forms as ``(read_bytes, write_bytes)`` for the run's LU stage (pass
-    ``None`` to skip the model check).
+    the DFS ledger delta for the run, explained by the DFS records folded
+    into ``spans`` plus ``root_io`` (the tracer's records from under no
+    span); ``model_lu_cost`` the Table-1 closed forms as ``(read_bytes,
+    write_bytes)`` for the run's LU stage (pass ``None`` to skip the model
+    check).
     """
     from ..mapreduce.counters import BYTES_READ, BYTES_WRITTEN, FILESYSTEM_GROUP
 
@@ -327,12 +332,15 @@ def reconcile_run(
         totals.bytes_staged = io.bytes_staged
         totals.bytes_published = io.bytes_published
         totals.bytes_discarded = io.bytes_discarded
+        records = [r for span in spans for r in span.io]
+        records += root_io
+        for op, _, nbytes, _ in records:
+            if op in READ_OPS:
+                totals.span_bytes_read += nbytes
+            elif op in WRITE_OPS:
+                totals.span_bytes_written += nbytes
         for span in spans:
-            if span.kind is SpanKind.DFS_READ:
-                totals.span_bytes_read += int(span.attrs.get("bytes", 0))
-            elif span.kind is SpanKind.DFS_WRITE:
-                totals.span_bytes_written += int(span.attrs.get("bytes", 0))
-            elif span.kind is SpanKind.DFS_REPAIR:
+            if span.kind is SpanKind.DFS_REPAIR:
                 totals.repair_bytes += int(span.attrs.get("bytes_copied", 0))
         report.totals = totals
 

@@ -1,20 +1,27 @@
 """Hierarchical spans and the tracer that records them.
 
 A *span* is one timed region of a run — the whole run, one MapReduce job, one
-scheduling wave, one task attempt, one DFS operation — carrying a trace ID
-(shared by every span of one tree), its own span ID, its parent's span ID,
-wall-clock times, and free-form attributes.  The hierarchy mirrors the
-pipeline's structure::
+scheduling wave, one task attempt, one master phase, one repair — carrying a
+trace ID (shared by every span of one tree), its own span ID, its parent's
+span ID, wall-clock times, and free-form attributes.  The hierarchy mirrors
+the pipeline's structure::
 
     run
     ├── master-phase (write-input, master-lu:..., collect-output)
     ├── job (partition)
     │   ├── wave (map, wave 0)
-    │   │   ├── task attempt ── dfs.read / dfs.write spans
+    │   │   ├── task attempt
     │   │   └── ...
     │   └── wave (reduce, wave 0) ...
     ├── job (lu:/Root/A1) ...
     └── job (invert-final)
+
+A DFS operation opens no span of its own: :func:`fold_io` appends one
+``(op, path, nbytes, seconds)`` record to the span open on its thread — a
+task attempt's reads and writes land on its task span, a master phase's on
+the phase span, the process pool's namespace export (op ``"export"``) on
+the wave span.  An
+operation under no open span folds into the tracer's root list.
 
 Two tracers exist:
 
@@ -23,15 +30,14 @@ Two tracers exist:
 * :data:`NULL_TRACER` — the disabled recorder.  Every span it hands out is
   the one shared inert :data:`NULL_SPAN`, so instrumented code has a single
   path — open the span, set attributes, close it — that records nothing
-  when telemetry is off.  Per-byte hot paths (DFS block I/O) may still test
-  ``enabled`` to skip building attributes; nothing selects between two ways
-  of *doing the work* on it.
+  when telemetry is off.
 
 Parenting is ambient within a thread: entering a span makes it the current
 parent (a :mod:`contextvars` variable) for spans opened below it.  Worker
 threads do not inherit the driver's context, so the engine passes the parent
 span explicitly when it crosses an executor boundary (job → wave → task), and
-everything *inside* a task attempt (DFS I/O) nests via the task's own thread.
+everything *inside* a task attempt (DFS I/O) folds into the task's span via
+the task's own thread.
 """
 
 from __future__ import annotations
@@ -59,14 +65,25 @@ class SpanKind(enum.Enum):
     WAVE = "wave"
     TASK = "task"
     MASTER_PHASE = "master-phase"
-    DFS_READ = "dfs.read"
-    DFS_WRITE = "dfs.write"
     DFS_REPAIR = "dfs.repair"
-    COMMIT = "dfs.commit"
     INTERNAL = "internal"
 
 
-@dataclass
+#: One DFS operation folded into a span: ``(op, path, nbytes, seconds)``.
+#: ``op`` is ``"read"``, ``"export"`` (the process pool's namespace export
+#: reading a file for the workers), ``"write"``, ``"stage"`` (a pending
+#: write) or ``"publish"`` (path: the batch's first destination; nbytes: its
+#: total).
+IORecord = tuple[str, str, int, float]
+
+#: Record ops whose bytes the DFS ledger counts as read.
+READ_OPS = ("read", "export")
+
+#: Record ops whose bytes the DFS ledger counts as written.
+WRITE_OPS = ("write", "stage")
+
+
+@dataclass(slots=True)
 class Span:
     """One finished (or in-flight) timed region."""
 
@@ -80,6 +97,10 @@ class Span:
     attrs: dict[str, Any] = field(default_factory=dict)
     status: str = "ok"  # "ok" | "error"
     error: str | None = None
+    #: DFS operations folded in while the span was open.  Appended only by
+    #: the thread that entered the span (the only thread whose ambient span
+    #: it is), so it needs no lock.
+    io: list[IORecord] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
@@ -103,6 +124,7 @@ class Span:
             "status": self.status,
             "error": self.error,
             "attrs": dict(self.attrs),
+            "io": list(self.io),
         }
 
     @staticmethod
@@ -118,6 +140,10 @@ class Span:
             attrs=dict(d.get("attrs", {})),
             status=str(d.get("status", "ok")),
             error=d.get("error"),
+            io=[
+                (str(op), str(path), int(nbytes), float(seconds))
+                for op, path, nbytes, seconds in d.get("io", ())
+            ],
         )
 
 
@@ -167,6 +193,10 @@ class NullTracer:
         return []
 
     @property
+    def root_io(self) -> list[IORecord]:
+        return []
+
+    @property
     def metrics(self) -> MetricsRegistry:
         return _NULL_METRICS
 
@@ -199,6 +229,22 @@ def current_span() -> Span | None:
     return _CURRENT_SPAN.get()
 
 
+def fold_io(op: str, path: str, nbytes: int, start: float) -> None:
+    """Fold one finished DFS operation (begun at ``perf_counter`` time
+    ``start``) into the span open on this thread, or into the active
+    tracer's root list when no span is open.  With telemetry off this is
+    one contextvar read."""
+    tracer = _ACTIVE_TRACER.get()
+    if not tracer.enabled:
+        return
+    record = (op, path, nbytes, time.perf_counter() - start)
+    span = _CURRENT_SPAN.get()
+    if span is None:
+        tracer._fold_root(record)  # type: ignore[union-attr]
+    else:
+        span.io.append(record)
+
+
 class _OpenSpan:
     """Context manager returned by :meth:`Tracer.span`.
 
@@ -217,7 +263,8 @@ class _OpenSpan:
 
     def __enter__(self) -> Span:
         self._span.start = time.perf_counter()
-        self._tracer_token = _ACTIVE_TRACER.set(self._tracer)
+        if _ACTIVE_TRACER.get() is not self._tracer:
+            self._tracer_token = _ACTIVE_TRACER.set(self._tracer)
         self._span_token = _CURRENT_SPAN.set(self._span)
         return self._span
 
@@ -239,8 +286,8 @@ class Tracer:
     Every finished span is appended to the in-memory list (the queryable
     read path) and handed to each exporter.  Span durations also feed the
     tracer's :class:`~repro.telemetry.metrics.MetricsRegistry` as
-    per-kind histograms, so basic latency metrics exist without any extra
-    instrumentation.
+    per-kind histograms, folded in whenever :attr:`metrics` is read, so
+    basic latency metrics exist without any extra instrumentation.
     """
 
     enabled = True
@@ -253,9 +300,11 @@ class Tracer:
     ) -> None:
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
         self.exporters: tuple[SpanExporter, ...] = exporters
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._spans: list[Span] = []  # guarded-by: _lock
+        self._root_io: list[IORecord] = []  # guarded-by: _lock
+        self._observed = 0  # guarded-by: _lock
         self._ids = itertools.count(1)  # guarded-by: _lock
 
     # -- recording -----------------------------------------------------------
@@ -293,19 +342,40 @@ class Tracer:
     def _finish(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-        self.metrics.histogram(
-            f"span.{span.kind.value}.seconds", DURATION_BUCKETS
-        ).observe(span.duration)
         for exporter in self.exporters:
             exporter.on_end(span)
 
+    def _fold_root(self, record: IORecord) -> None:
+        # Unit threads of the dataflow scheduler run with no open span, so
+        # the root list is shared across threads.
+        with self._lock:
+            self._root_io.append(record)
+
     # -- read path -----------------------------------------------------------
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The tracer's registry, with a ``span.<kind>.seconds`` duration
+        histogram observation for every span finished so far."""
+        with self._lock:
+            for span in self._spans[self._observed :]:
+                self._metrics.histogram(
+                    f"span.{span.kind.value}.seconds", DURATION_BUCKETS
+                ).observe(span.duration)
+            self._observed = len(self._spans)
+        return self._metrics
 
     @property
     def spans(self) -> list[Span]:
         """Finished spans, in completion order (copy; safe to mutate)."""
         with self._lock:
             return list(self._spans)
+
+    @property
+    def root_io(self) -> list[IORecord]:
+        """DFS operations that ran under no open span (copy)."""
+        with self._lock:
+            return list(self._root_io)
 
     def spans_of(self, kind: SpanKind) -> list[Span]:
         return [s for s in self.spans if s.kind is kind]
@@ -368,14 +438,18 @@ def deactivate(token: contextvars.Token[Any]) -> None:
 
 
 __all__ = [
+    "IORecord",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
     "Span",
     "SpanKind",
     "Tracer",
+    "READ_OPS",
+    "WRITE_OPS",
     "activate",
     "current_span",
     "current_tracer",
     "deactivate",
+    "fold_io",
 ]

@@ -35,13 +35,9 @@ def roots_of(spans: Sequence[Span]) -> list[Span]:
     )
 
 
-def render_tree(
-    spans: Sequence[Span],
-    *,
-    max_depth: int | None = None,
-    skip_kinds: tuple[SpanKind, ...] = (SpanKind.DFS_READ, SpanKind.DFS_WRITE),
-) -> str:
-    """Indented span tree with durations and I/O attributes."""
+def render_tree(spans: Sequence[Span], *, max_depth: int | None = None) -> str:
+    """Indented span tree with durations, I/O attributes and each span's
+    folded DFS operations (count and bytes)."""
     index = _children_index(spans)
     lines: list[str] = []
 
@@ -50,6 +46,9 @@ def render_tree(
         for key in ("bytes_read", "bytes_written", "tasks", "node", "attempt"):
             if key in span.attrs:
                 extras.append(f"{key}={span.attrs[key]}")
+        if span.io:
+            nbytes = sum(record[2] for record in span.io)
+            extras.append(f"dfs_ops={len(span.io)} dfs_bytes={nbytes}")
         status = "" if span.status == "ok" else f"  !! {span.error}"
         suffix = f"  [{', '.join(extras)}]" if extras else ""
         return (
@@ -58,8 +57,6 @@ def render_tree(
         )
 
     def walk(span: Span, depth: int) -> None:
-        if span.kind in skip_kinds:
-            return
         lines.append("  " * depth + describe(span))
         if max_depth is not None and depth + 1 > max_depth:
             return

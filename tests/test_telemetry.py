@@ -16,8 +16,16 @@ from repro.mapreduce import (
     RuntimeConfig,
     TaskKind,
 )
-from repro.telemetry import NULL_TRACER, SpanKind, current_tracer
+from repro.telemetry import (
+    NULL_TRACER,
+    Span,
+    SpanKind,
+    current_span,
+    current_tracer,
+    read_jsonl,
+)
 from repro.telemetry.cli import main as trace_main, run_traced_inversion
+from repro.telemetry.reconcile import dfs_replication_factor
 
 from conftest import random_invertible
 
@@ -163,6 +171,15 @@ class TestReconciliation:
             assert row.write_delta <= report.tolerance
         assert report.totals is not None
         assert report.totals.replication_factor >= 1
+        # The run totals are the folded read/write records, not a zero that
+        # happens to match.
+        totals = report.totals
+        assert totals.span_bytes_read == totals.iostats_bytes_read > 0
+        assert (
+            totals.span_bytes_written * totals.replication_factor
+            == totals.iostats_bytes_written
+            > 0
+        )
 
     def test_cli_json_mode(self, capsys):
         code = trace_main(["--n", "48", "--nb", "16", "--json"])
@@ -170,6 +187,10 @@ class TestReconciliation:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["job_spans"] == payload["expected_job_spans"]
+        # Structural spans only: DFS operations are records, not spans.
+        assert set(payload["span_counts"]) == {
+            "run", "job", "wave", "task", "master-phase"
+        }
 
     def test_commit_ledger_reconciles_to_zero(self):
         """With the output-commit protocol on (the default), the staging
@@ -182,6 +203,129 @@ class TestReconciliation:
         assert totals.bytes_staged == totals.bytes_published + totals.bytes_discarded
         assert totals.commit_delta == 0.0
         assert "output commit" in report.format()
+
+
+class TestFoldedIO:
+    """A DFS operation opens no span: it folds one record into the span open
+    on its thread, and the records account for the DFS ledger exactly."""
+
+    STRUCTURAL = {
+        SpanKind.RUN, SpanKind.JOB, SpanKind.WAVE, SpanKind.TASK,
+        SpanKind.MASTER_PHASE,
+    }
+
+    @staticmethod
+    def observed_invert(a, executor="serial", **config):
+        with observe() as obs:
+            with MatrixInverter(
+                InversionConfig(executor=executor, **config)
+            ) as inverter:
+                result = inverter.invert(a)
+                replication = dfs_replication_factor(inverter.runtime.dfs)
+        return obs, result, replication
+
+    def test_span_count_is_the_structural_closed_form(self):
+        """deep_n512_nb16's smoke shape: 33 jobs, 260 tasks — 393 spans."""
+        a = np.random.default_rng(0).standard_normal((128, 128))
+        obs, result, _ = self.observed_invert(a, nb=4, m0=4)
+        jobs = result.record.job_results
+        waves = sum(1 + bool(job.reduce_traces) for job in jobs)
+        tasks = sum(job.attempts_launched for job in jobs)
+        phases = len(result.record.master_phases)
+        assert len(obs.spans) == 1 + len(jobs) + waves + tasks + phases == 393
+        assert {s.kind for s in obs.spans} == self.STRUCTURAL
+
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    def test_records_account_for_the_dfs_ledger(self, executor):
+        a = random_invertible(np.random.default_rng(3), 48)
+        obs, result, replication = self.observed_invert(a, executor, nb=16, m0=4)
+        records = [r for span in obs.spans for r in span.io] + obs.root_io
+        reads = [r for r in records if r[0] in ("read", "export")]
+        written = sum(r[2] for r in records if r[0] in ("write", "stage"))
+        io = result.io
+        assert len(reads) == io.read_ops > 0
+        # Only the process pool's driver exports the namespace, on wave spans.
+        exports = {s.kind for s in obs.spans if any(r[0] == "export" for r in s.io)}
+        assert exports == ({SpanKind.WAVE} if executor == "processes" else set())
+        assert sum(r[2] for r in reads) == io.bytes_read
+        assert written * replication == io.bytes_written
+        published = [r for r in records if r[0] == "publish"]
+        assert sum(r[2] for r in published) == io.bytes_published
+
+    def test_dfs_op_outside_any_span_lands_in_the_root_list(self, dfs):
+        with observe() as obs:
+            dfs.write_bytes("/x", b"abc")
+            assert dfs.read_range("/x", 1, 2) == b"bc"
+        assert obs.spans == []
+        assert [r[:3] for r in obs.root_io] == [("write", "/x", 3), ("read", "/x", 2)]
+        assert all(r[3] >= 0.0 for r in obs.root_io)
+
+    def test_records_survive_dict_and_jsonl_round_trips(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        a = random_invertible(np.random.default_rng(3), 48)
+        with observe(jsonl=path) as obs:
+            with MatrixInverter(InversionConfig(nb=16, m0=4)) as inverter:
+                inverter.invert(a)
+        spans = obs.spans
+        assert sum(len(s.io) for s in spans) > 0
+        for span in spans:
+            assert Span.from_dict(span.to_dict()) == span
+            assert Span.from_dict(json.loads(json.dumps(span.to_dict()))) == span
+        loaded = {s.span_id: s.io for s in read_jsonl(path)}
+        assert loaded == {s.span_id: s.io for s in spans}
+
+    def test_threads_fold_only_into_spans_their_own_thread_opened(
+        self, monkeypatch
+    ):
+        import threading
+
+        import repro.dfs.filesystem as filesystem
+        from repro.telemetry import spans as spans_module
+
+        opened_by: dict[str, int] = {}
+        folds: list[tuple[str, int]] = []
+        enter = spans_module._OpenSpan.__enter__
+        fold = filesystem.fold_io
+
+        def tracking_enter(self):
+            span = enter(self)
+            opened_by[span.span_id] = threading.get_ident()
+            return span
+
+        def tracking_fold(op, path, nbytes, start):
+            span = current_span()
+            if span is not None:
+                folds.append((span.span_id, threading.get_ident()))
+            fold(op, path, nbytes, start)
+
+        monkeypatch.setattr(spans_module._OpenSpan, "__enter__", tracking_enter)
+        monkeypatch.setattr(filesystem, "fold_io", tracking_fold)
+        a = random_invertible(np.random.default_rng(3), 48)
+        obs, _, _ = self.observed_invert(
+            a, "threads", nb=16, m0=4, schedule="dataflow"
+        )
+        assert len(folds) == sum(len(s.io) for s in obs.spans)
+        assert len({thread for _, thread in folds}) > 1  # really threaded
+        assert all(opened_by[span_id] == thread for span_id, thread in folds)
+
+    def test_render_tree_shows_folded_io(self):
+        a = random_invertible(np.random.default_rng(3), 48)
+        obs, _, _ = self.observed_invert(a, nb=16, m0=4)
+        tree = obs.render_tree()
+        assert "dfs_ops=" in tree and "dfs_bytes=" in tree
+        assert tree.count("\n") + 1 == len(obs.spans)
+
+    def test_duration_histograms_cover_every_span(self):
+        a = random_invertible(np.random.default_rng(3), 48)
+        obs, _, _ = self.observed_invert(a, nb=16, m0=4)
+        histograms = obs.metrics.to_dict()["histograms"]
+        counts = {name: h["count"] for name, h in histograms.items()}
+        assert sum(counts.values()) == len(obs.spans)
+        assert counts["span.task.seconds"] == sum(
+            s.kind is SpanKind.TASK for s in obs.spans
+        )
+        # Reading the registry again adds nothing.
+        assert obs.metrics.to_dict()["histograms"] == histograms
 
 
 class TestFailureCorrelation:
