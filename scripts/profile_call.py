@@ -13,8 +13,9 @@ One warm-up call, then one profiled call of the workload exactly as
 ``InversionConfig``).  Printed: total function calls, self time grouped by
 source file (``src/repro/<package>/<file>``; everything else under its
 top-level package), the top rows by self time, and under them the profiled
-call's DFS ledger (read ops, files opened, cache hits and misses, write ops,
-bytes read).
+call's DFS ledger in two lines: the read half (read ops, files opened, cache
+hits and misses, bytes read) and the write half (files created, write ops,
+files deleted, bytes staged, published and discarded).
 
 For ``observed_n512_nb16``, whose calls run inside ``repro.observe()``, it
 also prints the profiled call's spans by kind and the DFS records folded into
@@ -118,9 +119,14 @@ def profile_workload(
     return pstats.Stats(profiler), result.io, obs
 
 
-#: The DFS ledger fields printed under the driver's table.
+#: The DFS ledger fields printed under the driver's table: a round's reads,
+#: then its writes, commits and retirements.
 LEDGER = (
-    "read_ops", "files_opened", "cache_hits", "cache_misses", "write_ops", "bytes_read",
+    ("read_ops", "files_opened", "cache_hits", "cache_misses", "bytes_read"),
+    (
+        "files_created", "write_ops", "files_deleted",
+        "bytes_staged", "bytes_published", "bytes_discarded",
+    ),
 )
 
 
@@ -128,8 +134,9 @@ def print_ledger(io, obs: repro.Observation | None) -> None:
     """The profiled call's DFS ledger (``InversionResult.io``) and, when the
     call was observed, its spans by kind and the DFS records folded into
     them (plus the tracer's root list) by op."""
-    fields = "  ".join(f"{name} {getattr(io, name):,}" for name in LEDGER)
-    print(f"DFS ledger of the profiled call:  {fields}")
+    for half, names in zip(("reads ", "writes"), LEDGER):
+        fields = "  ".join(f"{name} {getattr(io, name):,}" for name in names)
+        print(f"DFS ledger of the profiled call, {half}:  {fields}")
     if obs is None:
         return
     spans: dict[str, int] = defaultdict(int)

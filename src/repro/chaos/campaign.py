@@ -38,7 +38,7 @@ import numpy as np
 
 from ..analysis import build_model
 from ..dfs.filesystem import DFS
-from ..dfs.fsck import fsck, sound_manifests
+from ..dfs.fsck import fsck, orphaned_blocks, sound_manifests
 from ..inversion.config import InversionConfig
 from ..inversion.driver import InversionResult, MatrixInverter
 from ..mapreduce.master import JobFailedError
@@ -235,6 +235,7 @@ def _check_no_orphans(dfs: DFS, config: InversionConfig, n: int) -> InvariantRes
             ("orphan file(s)", orphans),
             ("retired file(s) still present", undead),
             ("live file(s) missing", missing),
+            ("orphaned block(s)", [str(info.block_id) for info in orphaned_blocks(dfs)]),
         )
         if paths
     ]
@@ -244,7 +245,7 @@ def _check_no_orphans(dfs: DFS, config: InversionConfig, n: int) -> InvariantRes
         detail=(
             "; ".join(problems)
             or f"{len(actual)} files under {config.root}: exactly the "
-            f"predicted set less {len(retired)} retired"
+            f"predicted set less {len(retired)} retired, no orphaned block"
         ),
     )
 

@@ -16,7 +16,7 @@ from .commit import (
     staging_dir,
     staging_path,
 )
-from .filesystem import DFS, DFSWriter
+from .filesystem import DFS
 from .fsck import FsckIssue, FsckReport, fsck
 from .health import HealthMonitor, HealthReport, RepairReport
 from .iostats import IOSnapshot, IOStats
@@ -35,7 +35,6 @@ __all__ = [
     "matrixmarket",
     "DEFAULT_BLOCK_CACHE_BYTES",
     "DFS",
-    "DFSWriter",
     "DFSError",
     "DataNode",
     "BlockCache",

@@ -20,7 +20,7 @@ import itertools
 import random
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: Block size of a DFS built without an explicit one: the 64 MB
@@ -39,14 +39,14 @@ class BlockMissingError(IOError):
     """Raised when no healthy replica of a block can be located."""
 
 
-@dataclass(frozen=True)
-class BlockId:
-    """Opaque identifier of one stored block."""
+class BlockId(int):
+    """Opaque identifier of one stored block: an ``int``, so it hashes and
+    compares in C on every datanode and registry lookup."""
 
-    value: int
+    __slots__ = ()
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"blk_{self.value:012d}"
+    def __str__(self) -> str:
+        return f"blk_{int(self):012d}"
 
 
 @dataclass
@@ -169,6 +169,9 @@ class BlockStore:
         self._rng = random.Random(seed)  # guarded-by: _lock
         self._blocks: dict[BlockId, BlockInfo] = {}  # guarded-by: _lock
         self._failure_epoch = 0  # guarded-by: _lock
+        #: Ids of the live datanodes, so placing a write takes no datanode
+        #: lock; only ``kill_datanode``/``revive_datanode`` change liveness.
+        self._live = tuple(range(num_datanodes))  # guarded-by: _lock
 
     @property
     def failure_epoch(self) -> int:
@@ -182,23 +185,21 @@ class BlockStore:
     # -- placement ---------------------------------------------------------
 
     def _choose_replicas(self) -> tuple[int, ...]:  # requires-lock: _lock
-        live = [dn.node_id for dn in self.datanodes if dn.alive]
+        live = self._live
         if not live:
             raise BlockMissingError("no live datanodes available for write")
-        k = min(self.replication, len(live))
         start = self._rng.randrange(len(live))
-        return tuple(live[(start + i) % len(live)] for i in range(k))
+        # ``replication`` consecutive live nodes from ``start``, wrapping.
+        return (live + live)[start : start + min(self.replication, len(live))]
 
     def write_block(self, payload: bytes) -> BlockInfo:
-        with self._lock:
-            block_id = BlockId(next(self._next_id))
-            replicas = self._choose_replicas()
         checksum = zlib.crc32(payload)
+        with self._lock:
+            replicas = self._choose_replicas()
+            block_id = BlockId(next(self._next_id))
+            info = self._blocks[block_id] = BlockInfo(block_id, len(payload), checksum, replicas)
         for node_idx in replicas:
             self.datanodes[node_idx].put(block_id, payload, verified=True)
-        info = BlockInfo(block_id=block_id, length=len(payload), checksum=checksum, replicas=replicas)
-        with self._lock:
-            self._blocks[block_id] = info
         return info
 
     def read_block(self, info: BlockInfo) -> bytes:
@@ -352,13 +353,15 @@ class BlockStore:
     # -- fault hooks --------------------------------------------------------
 
     def kill_datanode(self, node_id: int) -> None:
-        with self._lock:
-            self.datanodes[node_id].alive = False
-            self._failure_epoch += 1
+        self._set_alive(node_id, False)
 
     def revive_datanode(self, node_id: int) -> None:
+        self._set_alive(node_id, True)
+
+    def _set_alive(self, node_id: int, alive: bool) -> None:
         with self._lock:
-            self.datanodes[node_id].alive = True
+            self.datanodes[node_id].alive = alive
+            self._live = tuple(dn.node_id for dn in self.datanodes if dn.alive)
             self._failure_epoch += 1
 
     def corrupt_replica(self, info: BlockInfo, node_id: int) -> bool:
@@ -374,3 +377,8 @@ class BlockStore:
     def block_count(self) -> int:
         with self._lock:
             return len(self._blocks)
+
+    def stored_blocks(self) -> list[BlockInfo]:
+        """Every block in the registry, referenced by a file or not (fsck)."""
+        with self._lock:
+            return list(self._blocks.values())

@@ -105,8 +105,7 @@ def _self_check(as_json: bool) -> int:
     # A healthy published file the debris must not disturb.
     scope_src = staging_path("attempt-good", f"{root}/data/keep.bin")
     dfs.stage_bytes(scope_src, b"k" * 64)
-    dfs.publish([(scope_src, f"{root}/data/keep.bin")])
-    dfs.discard_staging("/_tmp/attempt-good")
+    dfs.publish([(scope_src, f"{root}/data/keep.bin")], "/_tmp/attempt-good")
     clean = fsck(dfs, root=root, repair=False)
     check("pristine cluster -> clean report", clean.clean, clean.format())
 
@@ -139,12 +138,21 @@ def _self_check(as_json: bool) -> int:
             ).encode(),
         )
 
+    # Category 5: a stored block no file references (a leaked write).
+    dfs.blocks.write_block(b"o" * 8)
+
     found = fsck(dfs, root=root, repair=False)
     kinds = {i.kind for i in found.issues}
     check(
-        "seeded debris -> all four categories detected",
+        "seeded debris -> all five categories detected",
         kinds
-        == {"orphaned-staging", "unsealed-file", "invalid-manifest", "retired-file"},
+        == {
+            "orphaned-staging",
+            "unsealed-file",
+            "invalid-manifest",
+            "retired-file",
+            "orphaned-block",
+        },
         str(sorted(kinds)),
     )
     check(

@@ -73,11 +73,11 @@ class CommitScope:
         self.staged.append((src, final_path))
 
     def publish(self) -> list[str]:
-        """Atomically move every staged file to its final path."""
-        self.dfs.publish(list(self.staged))
+        """Atomically move every staged file to its final path and drop the
+        staging directory."""
+        self.dfs.publish(list(self.staged), staging_dir(self.tag))
         published = [dst for _, dst in self.staged]
         self.staged.clear()
-        self.dfs.discard_staging(staging_dir(self.tag))
         return published
 
     def abort(self) -> None:
@@ -109,13 +109,12 @@ class CommitLog:
                 "step": step,
                 "published": sorted(published),
                 "retired": sorted(retired),
-            },
-            indent=0,
+            }
         ).encode("utf-8")
-        src = staging_path(f"manifest-{_quote(step)}", self.path(step))
+        tag = f"manifest-{_quote(step)}"
+        src = staging_path(tag, self.path(step))
         self.dfs.stage_bytes(src, payload)
-        self.dfs.publish([(src, self.path(step))])
-        self.dfs.discard_staging(staging_dir(f"manifest-{_quote(step)}"))
+        self.dfs.publish([(src, self.path(step))], staging_dir(tag))
 
     def committed(self, step: str) -> bool:
         return self.dfs.exists(self.path(step))

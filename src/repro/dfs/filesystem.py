@@ -3,8 +3,8 @@
 This is the interface the MapReduce engine and the inversion pipeline program
 against.  Semantics mirror the HDFS client:
 
-* files are written once (create + append while the writer is open), split
-  into blocks, and replicated;
+* files are written whole and once: split into blocks, replicated, and
+  only then named, so a failed write leaves no name and no block;
 * reads fetch whole files or byte ranges, reassembled from blocks;
 * every byte moved is reported to :class:`~repro.dfs.iostats.IOStats`.
 
@@ -20,7 +20,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING
 
 from ..telemetry.spans import fold_io
-from .blocks import DEFAULT_BLOCK_SIZE, BlockStore
+from .blocks import DEFAULT_BLOCK_SIZE, BlockInfo, BlockStore
 from .iostats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,72 +34,6 @@ from .namenode import (
     NotADirectory,
     normalize,
 )
-
-
-class DFSWriter:
-    """Write handle buffering appends into block-sized chunks."""
-
-    def __init__(self, dfs: "DFS", entry: FileEntry) -> None:
-        self._dfs = dfs
-        self._entry = entry
-        self._buffer = bytearray()
-        # Sub-block remainder kept as the caller's immutable bytes object
-        # (zero copies until flush).  Invariant: when _tail is set, _buffer
-        # is empty — a subsequent write folds the tail back into the buffer.
-        self._tail: bytes | None = None
-        self._closed = False
-
-    def write(self, data: bytes) -> int:
-        if self._closed:
-            raise ValueError("write to closed DFS file")
-        block_size = self._dfs.blocks.block_size
-        if self._tail is not None:
-            self._buffer.extend(self._tail)
-            self._tail = None
-        mv = memoryview(data)
-        if self._buffer:
-            take = min(block_size - len(self._buffer), len(mv))
-            self._buffer.extend(mv[:take])
-            mv = mv[take:]
-            if len(self._buffer) == block_size:
-                self._flush_block(bytes(self._buffer))
-                self._buffer.clear()
-        # Full blocks flush straight from the caller's data: one slice into
-        # the immutable payload instead of buffer-extend plus re-slice.
-        while len(mv) >= block_size:
-            self._flush_block(bytes(mv[:block_size]))
-            mv = mv[block_size:]
-        if len(mv):
-            if not self._buffer and len(mv) == len(data) and isinstance(data, bytes):
-                # Whole write fits under a block and nothing is buffered: keep
-                # the caller's bytes as-is (the common one-write-per-file case
-                # costs zero copies end to end).
-                self._tail = data
-            else:
-                self._buffer.extend(mv)
-        return len(data)
-
-    def _flush_block(self, chunk: bytes) -> None:
-        info = self._dfs.blocks.write_block(chunk)
-        self._entry.blocks.append(info)
-        self._dfs.stats.record_write(len(chunk), replication=len(info.replicas))
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        if self._tail is not None:
-            self._flush_block(self._tail)
-            self._tail = None
-        elif self._buffer:
-            self._flush_block(bytes(self._buffer))
-            self._buffer.clear()
-        self._closed = True
-
-    def __enter__(self) -> "DFSWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class DFS:
@@ -154,20 +88,30 @@ class DFS:
     # -- writes --------------------------------------------------------------
 
     def create(
-        self, path: str, *, overwrite: bool = True, pending: bool = False
-    ) -> DFSWriter:
-        """Open ``path`` for writing, creating parent directories.
+        self,
+        path: str,
+        blocks: list[BlockInfo],
+        *,
+        overwrite: bool = True,
+        pending: bool = False,
+    ) -> None:
+        """Name a file made of already stored ``blocks`` — one namenode call
+        and one ledger update; the file it replaces is collected.
 
         ``pending=True`` creates the file unsealed: invisible to readers
         until :meth:`publish` (or ``namenode.seal``) makes it visible —
         the first phase of the two-phase output commit.
         """
-        if self.fault_hooks:
-            for hook in list(self.fault_hooks):
-                hook("create", normalize(path))
-        entry = self.namenode.create_file(path, overwrite=overwrite, pending=pending)
-        self.stats.record_create()
-        return DFSWriter(self, entry)
+        displaced = self.namenode.create_file(
+            path, blocks, overwrite=overwrite, pending=pending
+        )
+        nbytes = replicated = 0
+        for info in blocks:
+            nbytes += info.length
+            replicated += info.length * len(info.replicas)
+        self.stats.record_file(nbytes, replicated, len(blocks), pending=pending)
+        if displaced:
+            self._gc_entries(displaced)
 
     def write_bytes(
         self,
@@ -177,15 +121,33 @@ class DFS:
         overwrite: bool = True,
         pending: bool = False,
     ) -> None:
+        """Write a whole file: its blocks first, then its name.  A write
+        that fails leaves the old file (if any) in place and no block
+        stored; a file under one block keeps ``data`` as its payload."""
         start = perf_counter()
-        with self.create(path, overwrite=overwrite, pending=pending) as w:
-            w.write(data)
+        if self.fault_hooks:
+            for hook in list(self.fault_hooks):
+                hook("create", normalize(path))
+        size = self.blocks.block_size
+        data = data if isinstance(data, bytes) else bytes(data)
+        if 0 < len(data) <= size:
+            chunks = [data]  # the caller's bytes are the payload: no copy
+        else:
+            chunks = [data[i : i + size] for i in range(0, len(data), size)]
+        blocks: list[BlockInfo] = []
+        try:
+            for chunk in chunks:
+                blocks.append(self.blocks.write_block(chunk))
+            self.create(path, blocks, overwrite=overwrite, pending=pending)
+        except BaseException:
+            for info in blocks:
+                self.blocks.delete_block(info)
+            raise
         fold_io("stage" if pending else "write", path, len(data), start)
 
     def stage_bytes(self, path: str, data: bytes) -> None:
         """Write ``path`` as a pending (invisible) staging file."""
         self.write_bytes(path, data, pending=True)
-        self.stats.record_stage(len(data))
 
     def write_text(self, path: str, text: str, *, overwrite: bool = True) -> None:
         self.write_bytes(path, text.encode("utf-8"), overwrite=overwrite)
@@ -287,8 +249,10 @@ class DFS:
     def file_size(self, path: str) -> int:
         return self.namenode.get_file(path).length
 
-    def delete(self, path: str, *, recursive: bool = False) -> None:
-        self._gc_entries(self.namenode.delete(path, recursive=recursive))
+    def delete(self, *paths: str, recursive: bool = False) -> None:
+        """Delete every path in one namenode call, or none if one is not
+        there (a commit's retirements go in one call)."""
+        self._gc_entries(self.namenode.delete(*paths, recursive=recursive))
 
     def rename(self, src: str, dst: str, *, overwrite: bool = False) -> None:
         # The moved entries keep their generations, hence their cached views.
@@ -296,28 +260,27 @@ class DFS:
 
     # -- two-phase commit -----------------------------------------------------
 
-    def publish(self, pairs: list[tuple[str, str]]) -> None:
-        """Atomically move-and-seal staged files onto their final paths.
+    def publish(self, pairs: list[tuple[str, str]], staging: str) -> None:
+        """Atomically move-and-seal staged files onto their final paths and
+        drop the writer's ``staging`` directory.
 
         One namenode operation covers every ``(staged, final)`` pair:
         readers observe none or all of the published files, never a torn
         prefix.  Existing destinations (debris from a crashed earlier
-        publish) are replaced and their blocks collected.
+        publish) are replaced and their blocks collected, as is anything
+        left in ``staging``.
         """
         if not pairs:
+            self.discard_staging(staging)
             return
         if self.fault_hooks:
             for hook in list(self.fault_hooks):
                 hook("publish", normalize(pairs[0][1]))
-        nbytes = sum(
-            self.namenode.get_file(src, include_pending=True).length
-            for src, _ in pairs
-        )
         start = perf_counter()
-        displaced = self.namenode.publish(pairs)
+        nbytes, displaced = self.namenode.publish(pairs, staging)
         fold_io("publish", pairs[0][1], nbytes, start)
-        self._gc_entries(displaced)
         self.stats.record_publish(nbytes, files=len(pairs))
+        self._gc_entries(displaced)
         if self.publish_listeners:
             # After the namenode publish: the destinations are sealed and
             # visible, so a listener-triggered reader can never observe a
@@ -359,9 +322,7 @@ class DFS:
             else:
                 pending_bytes += entry.length
                 pending_files += 1
-        self.stats.record_delete(len(entries))
-        if pending_files:
-            self.stats.record_discard(pending_bytes, files=pending_files)
+        self.stats.record_delete(len(entries), pending_bytes, pending_files)
         if sealed and self.cache is not None:
             self.cache.drop(sealed)
 
@@ -421,4 +382,4 @@ class DFS:
         return "\n".join(lines)
 
 
-__all__ = ["DFS", "DFSWriter", "FileNotFound", "IsADirectory"]
+__all__ = ["DFS", "FileNotFound", "IsADirectory"]

@@ -2,7 +2,8 @@
 
 After a driver crash the namespace can hold four kinds of debris, all of
 them invisible to (or ignorable by) a correct resume but worth deleting so
-the commit ledger and the final tree stay clean:
+the commit ledger and the final tree stay clean, and the block store a
+fifth:
 
 ``orphaned-staging``
     Any file under ``/_tmp`` — by definition uncommitted output whose
@@ -21,8 +22,12 @@ the commit ledger and the final tree stay clean:
     A file a sound manifest retires that still exists: the driver died
     between writing the manifest and deleting the file.  No uncommitted
     step reads it.
+``orphaned-block``
+    A stored block no file entry, sealed or pending, references: space a
+    write or an overwrite leaked.  Repair collects it, as the namenode does
+    for a block a datanode's block report lists and no file owns.
 
-:func:`fsck` detects all four; with ``repair=True`` (the default) it also
+:func:`fsck` detects all five; with ``repair=True`` (the default) it also
 rolls them back.  ``invert(resume=True)`` runs a repairing fsck before
 trusting any on-DFS state.
 """
@@ -36,6 +41,7 @@ from typing import TYPE_CHECKING
 from .commit import COMMIT_DIR, STAGING_ROOT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .blocks import BlockInfo
     from .filesystem import DFS
 
 
@@ -88,7 +94,8 @@ class FsckReport:
         ]
         if self.clean:
             lines.append("  clean — no orphaned staging, unsealed files, "
-                         "invalid manifests or retired files left behind")
+                         "invalid manifests, retired files or orphaned "
+                         "blocks left behind")
         for issue in self.issues:
             action = "repaired" if issue.repaired else "found"
             lines.append(
@@ -163,7 +170,31 @@ def fsck(dfs: "DFS", *, root: str = "/Root", repair: bool = True) -> FsckReport:
             )
             if repair:
                 dfs.delete(path)
+
+    # 5. Stored blocks that no file entry references.
+    for info in orphaned_blocks(dfs):
+        report.issues.append(
+            FsckIssue(
+                kind="orphaned-block",
+                path=str(info.block_id),
+                detail=f"{info.length} B stored, no file references it",
+                repaired=repair,
+            )
+        )
+        if repair:
+            dfs.blocks.delete_block(info)
     return report
+
+
+def orphaned_blocks(dfs: "DFS") -> list[BlockInfo]:
+    """Stored blocks no file entry, sealed or pending, references."""
+    nn = dfs.namenode
+    owned = {
+        info.block_id
+        for path in nn.walk_files("/", include_pending=True)
+        for info in nn.get_file(path, include_pending=True).blocks
+    }
+    return [info for info in dfs.blocks.stored_blocks() if info.block_id not in owned]
 
 
 def sound_manifests(
@@ -208,4 +239,4 @@ def sound_manifests(
     return sound, invalid
 
 
-__all__ = ["FsckIssue", "FsckReport", "fsck", "sound_manifests"]
+__all__ = ["FsckIssue", "FsckReport", "fsck", "orphaned_blocks", "sound_manifests"]

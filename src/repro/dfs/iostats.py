@@ -16,7 +16,7 @@ is remote unless the caller declares locality.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -45,32 +45,11 @@ class IOSnapshot:
     files_discarded: int = 0
 
     def __sub__(self, other: "IOSnapshot") -> "IOSnapshot":
-        return IOSnapshot(
-            bytes_read=self.bytes_read - other.bytes_read,
-            bytes_written=self.bytes_written - other.bytes_written,
-            bytes_transferred=self.bytes_transferred - other.bytes_transferred,
-            files_created=self.files_created - other.files_created,
-            files_opened=self.files_opened - other.files_opened,
-            files_deleted=self.files_deleted - other.files_deleted,
-            read_ops=self.read_ops - other.read_ops,
-            write_ops=self.write_ops - other.write_ops,
-            repair_copies=self.repair_copies - other.repair_copies,
-            corrupt_replicas_dropped=(
-                self.corrupt_replicas_dropped - other.corrupt_replicas_dropped
-            ),
-            cache_hits=self.cache_hits - other.cache_hits,
-            cache_misses=self.cache_misses - other.cache_misses,
-            cache_bytes_requested=(
-                self.cache_bytes_requested - other.cache_bytes_requested
-            ),
-            cache_bytes_served=self.cache_bytes_served - other.cache_bytes_served,
-            cache_bytes_missed=self.cache_bytes_missed - other.cache_bytes_missed,
-            bytes_staged=self.bytes_staged - other.bytes_staged,
-            bytes_published=self.bytes_published - other.bytes_published,
-            bytes_discarded=self.bytes_discarded - other.bytes_discarded,
-            files_published=self.files_published - other.files_published,
-            files_discarded=self.files_discarded - other.files_discarded,
-        )
+        return IOSnapshot(*(getattr(self, k) - getattr(other, k) for k in _FIELDS))
+
+
+#: Every counter, in declaration order: :class:`IOStats` keeps the same names.
+_FIELDS = tuple(f.name for f in fields(IOSnapshot))
 
 
 @dataclass
@@ -108,12 +87,19 @@ class IOStats:
             if not local:
                 self.bytes_transferred += nbytes
 
-    def record_write(self, nbytes: int, *, replication: int = 1) -> None:
+    def record_file(self, nbytes: int, replicated: int, blocks: int, *, pending: bool) -> None:
+        """One whole-file write: ``nbytes`` of content stored as ``blocks``
+        blocks, ``replicated`` bytes over all their replicas.  A pending
+        file's bytes also enter the staging ledger, which keeps
+        ``staged == published + discarded`` once the namespace is quiescent."""
         with self._lock:
-            self.bytes_written += nbytes * replication
-            self.write_ops += 1
+            self.files_created += 1
+            self.bytes_written += replicated
+            self.write_ops += blocks
             # First replica is local to the writer; the rest cross the network.
-            self.bytes_transferred += nbytes * max(replication - 1, 0)
+            self.bytes_transferred += replicated - nbytes
+            if pending:
+                self.bytes_staged += nbytes
 
     def record_replication(self, nbytes: int) -> None:
         """Maintenance traffic: block copies made to restore replication."""
@@ -153,85 +139,31 @@ class IOStats:
             self.cache_misses += 1
             self.cache_bytes_missed += nbytes
 
-    def record_stage(self, nbytes: int) -> None:
-        """Logical bytes written into the staging namespace as pending files
-        (their physical write is accounted by :meth:`record_write` as usual;
-        this ledger tracks commit-protocol conservation:
-        ``staged == published + discarded`` once the namespace is quiescent)."""
-        with self._lock:
-            self.bytes_staged += nbytes
-
     def record_publish(self, nbytes: int, *, files: int) -> None:
         """Staged bytes atomically renamed to their final paths."""
         with self._lock:
             self.bytes_published += nbytes
             self.files_published += files
 
-    def record_discard(self, nbytes: int, *, files: int) -> None:
-        """Staged bytes deleted without publication (losing or aborted
-        attempts, fsck rollback) — debited from the staging ledger so the
-        reconciliation term stays exact."""
-        with self._lock:
-            self.bytes_discarded += nbytes
-            self.files_discarded += files
-
-    def record_create(self) -> None:
-        with self._lock:
-            self.files_created += 1
-
     def record_open(self) -> None:
         """An open whose read raised; a read that returns is :meth:`record_read`."""
         with self._lock:
             self.files_opened += 1
 
-    def record_delete(self, count: int = 1) -> None:
+    def record_delete(self, count: int, discarded_bytes: int, discarded_files: int) -> None:
+        """Files deleted; the pending ones among them were staged and never
+        published (losing or aborted attempts, fsck rollback), so their
+        bytes are debited from the staging ledger as discarded."""
         with self._lock:
             self.files_deleted += count
+            self.bytes_discarded += discarded_bytes
+            self.files_discarded += discarded_files
 
     def snapshot(self) -> IOSnapshot:
         with self._lock:
-            return IOSnapshot(
-                bytes_read=self.bytes_read,
-                bytes_written=self.bytes_written,
-                bytes_transferred=self.bytes_transferred,
-                files_created=self.files_created,
-                files_opened=self.files_opened,
-                files_deleted=self.files_deleted,
-                read_ops=self.read_ops,
-                write_ops=self.write_ops,
-                repair_copies=self.repair_copies,
-                corrupt_replicas_dropped=self.corrupt_replicas_dropped,
-                cache_hits=self.cache_hits,
-                cache_misses=self.cache_misses,
-                cache_bytes_requested=self.cache_bytes_requested,
-                cache_bytes_served=self.cache_bytes_served,
-                cache_bytes_missed=self.cache_bytes_missed,
-                bytes_staged=self.bytes_staged,
-                bytes_published=self.bytes_published,
-                bytes_discarded=self.bytes_discarded,
-                files_published=self.files_published,
-                files_discarded=self.files_discarded,
-            )
+            return IOSnapshot(*(getattr(self, k) for k in _FIELDS))
 
     def reset(self) -> None:
         with self._lock:
-            self.bytes_read = 0
-            self.bytes_written = 0
-            self.bytes_transferred = 0
-            self.files_created = 0
-            self.files_opened = 0
-            self.files_deleted = 0
-            self.read_ops = 0
-            self.write_ops = 0
-            self.repair_copies = 0
-            self.corrupt_replicas_dropped = 0
-            self.cache_hits = 0
-            self.cache_misses = 0
-            self.cache_bytes_requested = 0
-            self.cache_bytes_served = 0
-            self.cache_bytes_missed = 0
-            self.bytes_staged = 0
-            self.bytes_published = 0
-            self.bytes_discarded = 0
-            self.files_published = 0
-            self.files_discarded = 0
+            for k in _FIELDS:
+                setattr(self, k, 0)

@@ -156,8 +156,15 @@ class NameNode:
     # -- operations ----------------------------------------------------------
 
     def create_file(
-        self, path: str, *, overwrite: bool = False, pending: bool = False
-    ) -> FileEntry:
+        self,
+        path: str,
+        blocks: list[BlockInfo] | None = None,
+        *,
+        overwrite: bool = False,
+        pending: bool = False,
+    ) -> list[FileEntry]:
+        """Place a file made of ``blocks`` at ``path``; returns the entry it
+        displaced (for block GC), if any."""
         path = normalize(path)
         with self._lock:
             parent, name = self._parent_dir(path, create=True)
@@ -170,10 +177,11 @@ class NameNode:
                 # fresh generation supersedes it.
                 if not overwrite and existing.sealed:
                     raise FileAlreadyExists(path)
-            entry = FileEntry(name=name, generation=self._next_generation, sealed=not pending)
+            parent.children[name] = self._index[path] = FileEntry(
+                name, blocks or [], self._next_generation, not pending
+            )
             self._next_generation += 1
-            parent.children[name] = self._index[path] = entry
-            return entry
+            return [] if existing is None else [existing]
 
     def seal(self, path: str) -> FileEntry:
         """Make a pending file visible (the second phase of a direct write)."""
@@ -223,19 +231,23 @@ class NameNode:
                 raise NotADirectory(path)
             return sorted(node.children)
 
-    def delete(self, path: str, *, recursive: bool = False) -> list[FileEntry]:
-        """Remove a path; returns all file entries removed (for block GC)."""
-        path = normalize(path)
+    def delete(self, *paths: str, recursive: bool = False) -> list[FileEntry]:
+        """Remove every path, or none if one cannot go; returns all file
+        entries removed (for block GC)."""
+        found: list[tuple[str, DirEntry, str]] = []
+        removed: list[FileEntry] = []
         with self._lock:
-            parent, name = self._parent_dir(path, create=False)
-            node = parent.children.get(name)
-            if node is None:
-                raise FileNotFound(path)
-            if isinstance(node, DirEntry) and node.children and not recursive:
-                raise DirectoryNotEmpty(path)
-            del parent.children[name]
-            removed: list[FileEntry] = []
-            self._unindex(path, node, removed)
+            for path in dict.fromkeys(map(normalize, paths)):
+                parent, name = self._parent_dir(path, create=False)
+                node = parent.children.get(name)
+                if node is None:
+                    raise FileNotFound(path)
+                if isinstance(node, DirEntry) and node.children and not recursive:
+                    raise DirectoryNotEmpty(path)
+                found.append((path, parent, name))
+            for path, parent, name in found:
+                if path in self._index:  # not inside a subtree already gone
+                    self._unindex(path, parent.children.pop(name), removed)
             return removed
 
     def rename(self, src: str, dst: str, *, overwrite: bool = False) -> list[FileEntry]:
@@ -279,16 +291,23 @@ class NameNode:
         self._reindex(src, dst, node)
         return displaced
 
-    def publish(self, pairs: list[tuple[str, str]]) -> list[FileEntry]:
-        """Atomically move-and-seal staged files to their final paths.
+    def publish(
+        self, pairs: list[tuple[str, str]], staging: str
+    ) -> tuple[int, list[FileEntry]]:
+        """Atomically move-and-seal staged files to their final paths, then
+        drop the writer's ``staging`` directory (whatever it still holds is
+        an unpublished file).
 
         All sources are validated before anything moves, then every rename
         happens under the one namespace lock — concurrent readers observe
         either none or all of the published files.  Destinations are
         overwritten (a re-publish after a crash must win over debris).
-        Returns displaced file entries for block GC.
+        Returns the bytes moved and the file entries displaced or dropped
+        (for block GC).
         """
         pairs = [(normalize(src), normalize(dst)) for src, dst in pairs]
+        staging = normalize(staging)
+        nbytes = 0
         with self._lock:
             for src, dst in pairs:
                 node = self._index.get(src)
@@ -298,10 +317,14 @@ class NameNode:
                     raise IsADirectory(src)
                 if isinstance(self._index.get(dst), DirEntry):
                     raise IsADirectory(dst)
+                nbytes += node.length
             displaced: list[FileEntry] = []
             for src, dst in pairs:
                 displaced.extend(self._rename_locked(src, dst, overwrite=True, seal=True))
-            return displaced
+            if staging in self._index:
+                parent, name = self._parent_dir(staging, create=False)
+                self._unindex(staging, parent.children.pop(name), displaced)
+            return nbytes, displaced
 
     def _files_under(self, path: str) -> list[tuple[str, FileEntry]]:  # requires-lock: _lock
         """Every ``(path, entry)`` under ``path``, pending included,

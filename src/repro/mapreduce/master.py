@@ -564,9 +564,12 @@ class JobTracker:
                     if idx in still_pending:
                         # First success wins; later duplicates are discarded.
                         # Task commit: atomically publish the winner's staged
-                        # files to their final paths before recording success.
-                        if staged:
-                            self.dfs.publish(list(staged))
+                        # files to their final paths, dropping its staging
+                        # directory, before recording success.
+                        if staged is not None:
+                            self.dfs.publish(
+                                list(staged), staging_dir(f"attempt-{attempt_id}")
+                            )
                             stats.published.extend(dst for _, dst in staged)
                         results[idx] = outcome  # lint: ignore[CN008]
                         still_pending.discard(idx)  # lint: ignore[CN008]
@@ -574,7 +577,7 @@ class JobTracker:
                         # each task's bytes exactly once even under
                         # speculation.
                         span_of(idx, attempt_id).set(committed=True)
-                    if staged is not None:
+                    elif staged is not None:
                         self.dfs.discard_staging(
                             staging_dir(f"attempt-{attempt_id}")
                         )

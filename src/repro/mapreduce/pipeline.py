@@ -131,10 +131,10 @@ class Pipeline:
     ) -> None:
         if self.commit_log is not None and published is not None:
             self.commit_log.record(step, published, retired)
-        # After the manifest: a crash in between leaves files a sound
-        # manifest retires, which fsck deletes.
-        for path in retired:
-            self.runtime.dfs.delete(path)
+        # After the manifest, in one call: a crash in between leaves files
+        # a sound manifest retires, which fsck deletes.
+        if retired:
+            self.runtime.dfs.delete(*retired)
 
     def run_job(self, conf: JobConf) -> JobResult:
         result = self.execute_job(conf)

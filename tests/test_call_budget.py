@@ -20,16 +20,21 @@ import pytest
 
 from repro import InversionConfig, invert
 
-#: 278 744 calls measured here at the PR that made a whole-file read one DFS
-#: op (337 396 at its parent), plus 10 % headroom.  The count is
-#: deterministic for a serial run on one interpreter version; the headroom is
-#: for other versions and for honest small additions, not for a second walk.
-CALL_BUDGET = 306_618
+#: 235 022 calls measured here at the change that made a file write, a
+#: commit and a commit's retirements one DFS op each (280 014 at its parent),
+#: plus 10 % headroom.  The count is deterministic for a serial run on one
+#: interpreter version; the headroom is for other versions and for honest
+#: small additions, not for a second walk.
+CALL_BUDGET = 258_524
 
 #: DFS read ops of the smoke shape: one per physical read — a whole-file
 #: rectangle is one ``read_matrix``, a permutation file is read once per
 #: assembly, and the cache serves repeats.  2 827 before that PR.
 READ_OPS = 826
+
+#: DFS write ops of the smoke shape: one per block stored, and every file
+#: here is one block, so one per file created.
+WRITE_OPS = 455
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +63,9 @@ def test_deep_smoke_shape_reads_are_pinned(profiled_run):
     io = profiled_run[0].io
     assert io.read_ops == READ_OPS
     assert io.files_opened == io.read_ops  # every open is one read op
+
+
+def test_deep_smoke_shape_writes_are_pinned(profiled_run):
+    io = profiled_run[0].io
+    assert io.write_ops == io.files_created == WRITE_OPS
+    assert io.bytes_staged == io.bytes_published + io.bytes_discarded

@@ -168,6 +168,32 @@ class TestEndToEndProtocol:
                 assert not path.startswith(STAGING_ROOT)
         runtime.shutdown()
 
+    def test_a_commit_drops_its_staging_dir_inside_its_publish(self, rng):
+        """Each publish fires its hook once and, by the time its listeners
+        run, has dropped exactly the publishing writer's staging directory:
+        no ``/_tmp/attempt-*`` outlives its task commit."""
+        dfs, runtime = small_cluster()
+        events: list[tuple[str, set[str]]] = []
+
+        def tmp_dirs() -> set[str]:
+            return set(dfs.list_dir(STAGING_ROOT)) if dfs.is_dir(STAGING_ROOT) else set()
+
+        def hook(op: str, path: str) -> None:
+            if op == "publish":
+                events.append(("hook", tmp_dirs()))
+
+        dfs.fault_hooks.append(hook)
+        dfs.publish_listeners.append(lambda paths: events.append(("sealed", tmp_dirs())))
+        with MatrixInverter(config=InversionConfig(nb=2, m0=2), runtime=runtime) as inverter:
+            inverter.invert(random_invertible(rng, 8))
+        runtime.shutdown()
+        assert [kind for kind, _ in events] == ["hook", "sealed"] * (len(events) // 2)
+        dropped = [before - after for (_, before), (_, after) in zip(events[::2], events[1::2])]
+        assert all(len(gone) == 1 for gone in dropped)
+        tasks = [tag for gone in dropped for tag in gone if tag.startswith("attempt-")]
+        assert tasks and len(set(tasks)) == len(tasks)  # one drop per task commit
+        assert not tmp_dirs()
+
     def test_commit_off_stages_nothing(self, rng):
         dfs, runtime = small_cluster()
         config = InversionConfig(nb=2, m0=2, output_commit=False)

@@ -157,7 +157,7 @@ class TestReadThrough:
         displaced = dfs.namenode.get_file("/Root/out.bin").generation
         used = cache.used_bytes
         dfs.stage_bytes("/_tmp/t/Root/out.bin", formats.encode_matrix(new))
-        dfs.publish([("/_tmp/t/Root/out.bin", "/Root/out.bin")])
+        dfs.publish([("/_tmp/t/Root/out.bin", "/Root/out.bin")], "/_tmp/t")
         assert cache.get(displaced) is None
         assert len(cache) == 1 and cache.used_bytes == used - old.nbytes
         got, _ = cache.read_through(dfs, "/Root/out.bin")
@@ -175,8 +175,7 @@ class TestReadThrough:
         for i in range(100):
             dfs.stage_bytes(f"/_tmp/a{i}/Root/f{i}.bin", payload)
             dfs.stage_bytes(f"/_tmp/a{i}/Root/lost{i}.bin", payload)
-            dfs.publish([(f"/_tmp/a{i}/Root/f{i}.bin", f"/Root/f{i}.bin")])
-            dfs.discard_staging(f"/_tmp/a{i}")
+            dfs.publish([(f"/_tmp/a{i}/Root/f{i}.bin", f"/Root/f{i}.bin")], f"/_tmp/a{i}")
         assert cache.stats() == snapshot  # no lookup, no drop, no eviction
         assert list(cache._entries) == order
         for path in warm:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dfs import DFS, FileNotFound, formats
-from repro.dfs.blocks import DEFAULT_BLOCK_SIZE
+from repro.dfs import DFS, FileNotFound, IsADirectory, formats
+from repro.dfs.blocks import DEFAULT_BLOCK_SIZE, BlockMissingError
 
 
 class TestRoundTrips:
@@ -27,18 +27,6 @@ class TestRoundTrips:
         assert dfs.read_bytes("/big") == data
         entry = dfs.namenode.get_file("/big")
         assert len(entry.blocks) == 4
-
-    def test_writer_context_manager_flushes(self, dfs):
-        with dfs.create("/w") as w:
-            w.write(b"part1")
-            w.write(b"part2")
-        assert dfs.read_bytes("/w") == b"part1part2"
-
-    def test_write_after_close_rejected(self, dfs):
-        w = dfs.create("/w")
-        w.close()
-        with pytest.raises(ValueError):
-            w.write(b"late")
 
 
 class TestWholeFileBlocks:
@@ -190,3 +178,141 @@ class TestNamespaceOps:
         dfs.write_bytes("/f", b"one")
         dfs.write_bytes("/f", b"two")
         assert dfs.read_bytes("/f") == b"two"
+
+
+class CountingLock:
+    """A lock stub that counts its acquisitions."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.count = 0
+
+    def __enter__(self):
+        self.count += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self.inner.__exit__(*exc)
+
+
+class TestWriteIsOneOp:
+    """A whole-file write: its blocks first, then one namenode call and one
+    ledger update; a failed write names nothing and keeps no block."""
+
+    def test_overwrite_collects_the_file_it_replaces(self):
+        dfs = DFS(num_datanodes=3, replication=2)
+        dfs.write_bytes("/z", b"a" * 1000)
+        dfs.write_bytes("/z", b"a" * 1000)
+        assert dfs.total_stored_bytes() == 2000  # one file, two replicas
+        dfs.delete("/z")
+        assert dfs.total_stored_bytes() == 0
+        assert dfs.blocks.block_count == 0
+
+    def test_superseded_pending_file_is_discarded_from_the_ledger(self, dfs):
+        dfs.stage_bytes("/_tmp/t/p", b"x" * 10)
+        dfs.stage_bytes("/_tmp/t/p", b"y" * 20)  # a retried writer's debris
+        dfs.publish([("/_tmp/t/p", "/p")], "/_tmp/t")
+        s = dfs.stats
+        assert (s.bytes_staged, s.bytes_published, s.bytes_discarded) == (30, 20, 10)
+        assert s.bytes_staged == s.bytes_published + s.bytes_discarded
+        assert dfs.blocks.block_count == 1
+
+    def test_overwrite_drops_the_replaced_files_cached_view(self, dfs, rng):
+        cache = dfs.attach_cache(1 << 20)
+        formats.write_matrix(dfs, "/m", rng.standard_normal((4, 4)))
+        cache.read_through(dfs, "/m")
+        old = dfs.namenode.get_file("/m").generation
+        assert cache.get(old) is not None
+        formats.write_matrix(dfs, "/m", rng.standard_normal((4, 4)))
+        assert cache.get(old) is None
+        assert cache.used_bytes == 0
+
+    def test_failed_write_keeps_the_old_file(self):
+        dfs = DFS(num_datanodes=2, replication=2, block_size=4)
+        dfs.write_bytes("/x", b"old-contents")
+        stored = dfs.blocks.block_count
+        for node in (0, 1):
+            dfs.blocks.kill_datanode(node)
+        with pytest.raises(BlockMissingError):
+            dfs.write_bytes("/x", b"new-contents")
+        for node in (0, 1):
+            dfs.blocks.revive_datanode(node)
+        assert dfs.read_bytes("/x") == b"old-contents"
+        assert dfs.blocks.block_count == stored
+
+    def test_write_failing_on_its_second_block_stores_nothing(self, dfs, monkeypatch):
+        dfs.write_bytes("/keep", b"k")
+        before = (dfs.blocks.block_count, dfs.total_stored_bytes(), dfs.stats.snapshot())
+        write_block = dfs.blocks.write_block
+        calls = []
+
+        def second_fails(payload):
+            calls.append(len(payload))
+            if len(calls) == 2:
+                raise BlockMissingError("injected")
+            return write_block(payload)
+
+        monkeypatch.setattr(dfs.blocks, "write_block", second_fails)
+        with pytest.raises(BlockMissingError):
+            dfs.write_bytes("/big", bytes(3 * dfs.blocks.block_size))
+        assert len(calls) == 2
+        assert not dfs.namenode.exists("/big", include_pending=True)
+        assert (dfs.blocks.block_count, dfs.total_stored_bytes(), dfs.stats.snapshot()) == before
+
+    def test_write_into_a_directory_stores_nothing(self, dfs):
+        dfs.write_bytes("/d/f", b"x")
+        with pytest.raises(IsADirectory):
+            dfs.write_bytes("/d", b"y" * 10)
+        assert dfs.blocks.block_count == 1
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_one_ledger_update_per_whole_file_write(self, dfs, pending):
+        dfs.write_bytes("/warm", b"w")
+        dfs.stats._lock = lock = CountingLock(dfs.stats._lock)
+        dfs.write_bytes("/f", b"x" * 100, pending=pending)
+        assert lock.count == 1
+        s = dfs.stats
+        assert s.bytes_staged == (100 if pending else 0)
+
+    def test_placing_a_write_takes_no_datanode_lock(self, dfs):
+        locks = []
+        for node in dfs.blocks.datanodes:
+            node._lock = CountingLock(node._lock)
+            locks.append(node._lock)
+        dfs.write_bytes("/f", b"x" * 100)
+        (info,) = dfs.namenode.get_file("/f").blocks
+        # One acquisition per replica stored (``DataNode.put``), none to
+        # choose them.
+        assert [lock.count for lock in locks] == [
+            int(i in info.replicas) for i in range(len(locks))
+        ]
+
+    def test_no_write_lands_on_a_dead_datanode(self):
+        dfs = DFS(num_datanodes=3, replication=2, seed=0)
+        dfs.blocks.kill_datanode(1)
+        for i in range(20):
+            dfs.write_bytes(f"/dead/{i}", b"x")
+        placed = {
+            node
+            for path in dfs.list_files("/dead")
+            for info in dfs.namenode.get_file(path).blocks
+            for node in info.replicas
+        }
+        assert placed == {0, 2}
+        assert dfs.blocks.datanodes[1].block_count == 0
+        dfs.blocks.revive_datanode(1)
+        for i in range(20):
+            dfs.write_bytes(f"/live/{i}", b"x")
+        assert dfs.blocks.datanodes[1].block_count > 0
+
+    def test_a_batched_delete_is_all_or_nothing(self, dfs):
+        dfs.write_bytes("/a", b"1")
+        dfs.write_bytes("/b", b"2")
+        with pytest.raises(FileNotFound):
+            dfs.delete("/a", "/ghost", "/b")
+        assert dfs.exists("/a") and dfs.exists("/b")
+        before = dfs.stats.files_deleted
+        dfs.delete("/a", "/b")
+        assert not dfs.exists("/a") and not dfs.exists("/b")
+        assert dfs.stats.files_deleted == before + 2
+        assert dfs.blocks.block_count == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.dfs.blocks import BlockId, BlockInfo
 from repro.dfs.namenode import (
     DFSError,
     DirEntry,
@@ -53,9 +54,17 @@ class TestCreate:
             nn.create_file("/f")
 
     def test_overwrite_allowed_when_requested(self, nn):
-        first = nn.create_file("/f")
-        second = nn.create_file("/f", overwrite=True)
-        assert second is not first
+        assert nn.create_file("/f") == []
+        first = nn.get_file("/f")
+        displaced = nn.create_file("/f", overwrite=True)
+        assert displaced == [first]  # returned for block GC
+        assert nn.get_file("/f") is not first
+
+    def test_create_file_holds_the_blocks_it_is_given(self, nn):
+        blocks = [BlockInfo(BlockId(7), 5, 0, (0,))]
+        nn.create_file("/f", blocks)
+        assert nn.get_file("/f").blocks == blocks
+        assert nn.get_file("/f").length == 5
 
     def test_create_over_directory_rejected(self, nn):
         nn.mkdirs("/d")
@@ -134,7 +143,8 @@ class TestRename:
 
     def test_rename_overwrite_returns_displaced_entry(self, nn):
         nn.create_file("/a")
-        old = nn.create_file("/b")
+        nn.create_file("/b")
+        old = nn.get_file("/b")
         displaced = nn.rename("/a", "/b", overwrite=True)
         assert displaced == [old]
         assert not nn.exists("/a")
@@ -149,13 +159,15 @@ class TestRename:
 
     def test_rename_onto_pending_file_never_blocks(self, nn):
         nn.create_file("/a")
-        pending = nn.create_file("/b", pending=True)
+        nn.create_file("/b", pending=True)
+        pending = nn.get_file("/b", include_pending=True)
         displaced = nn.rename("/a", "/b")  # no overwrite needed
         assert displaced == [pending]
         assert nn.is_file("/b")
 
     def test_renamed_entries_keep_their_generation(self, nn):
-        entry = nn.create_file("/a")
+        nn.create_file("/a")
+        entry = nn.get_file("/a")
         nn.rename("/a", "/b")
         assert nn.get_file("/b").generation == entry.generation
 
@@ -199,8 +211,9 @@ class TestPendingLifecycle:
         # A crashed writer's half-written file must not make the retry fail.
         nn.create_file("/f", pending=True)
         nn.create_file("/f", pending=True)  # no overwrite flag needed
-        entry = nn.create_file("/f")
-        assert nn.get_file("/f") is entry
+        superseded = nn.get_file("/f", include_pending=True)
+        assert nn.create_file("/f") == [superseded]  # returned for block GC
+        assert nn.get_file("/f").sealed
 
     def test_sealed_file_still_requires_overwrite(self, nn):
         nn.create_file("/f")
@@ -212,22 +225,34 @@ class TestPublish:
     def test_publish_moves_and_seals_every_pair(self, nn):
         nn.create_file("/_tmp/t/Root/a", pending=True)
         nn.create_file("/_tmp/t/Root/b", pending=True)
-        nn.publish([("/_tmp/t/Root/a", "/Root/a"), ("/_tmp/t/Root/b", "/Root/b")])
+        nn.publish([("/_tmp/t/Root/a", "/Root/a"), ("/_tmp/t/Root/b", "/Root/b")], "/_tmp/t")
         assert nn.is_file("/Root/a") and nn.is_file("/Root/b")
         assert nn.get_file("/Root/a").sealed
         assert nn.pending_files("/Root") == []
 
+    def test_publish_returns_the_bytes_moved_and_drops_the_staging_dir(self, nn):
+        block = BlockInfo(BlockId(1), 10, 0, (0,))
+        nn.create_file("/_tmp/t/Root/a", [block], pending=True)
+        nn.create_file("/_tmp/t/Root/unpublished", [block], pending=True)
+        leftover = nn.get_file("/_tmp/t/Root/unpublished", include_pending=True)
+        nbytes, displaced = nn.publish([("/_tmp/t/Root/a", "/Root/a")], "/_tmp/t")
+        assert nbytes == 10
+        assert displaced == [leftover]  # dropped with the staging dir, for GC
+        assert not nn.exists("/_tmp/t")
+        assert nn.is_file("/Root/a")
+
     def test_publish_replaces_sealed_destination(self, nn):
-        debris = nn.create_file("/Root/a")  # an earlier publish's output
+        nn.create_file("/Root/a")  # an earlier publish's output
+        debris = nn.get_file("/Root/a")
         nn.create_file("/_tmp/t/Root/a", pending=True)
-        displaced = nn.publish([("/_tmp/t/Root/a", "/Root/a")])
+        _, displaced = nn.publish([("/_tmp/t/Root/a", "/Root/a")], "/_tmp/t")
         assert debris in displaced
 
     def test_publish_validates_all_before_moving_any(self, nn):
         # Second pair is bad (missing source): the first must not move either.
         nn.create_file("/_tmp/t/Root/a", pending=True)
         with pytest.raises(FileNotFound):
-            nn.publish([("/_tmp/t/Root/a", "/Root/a"), ("/_tmp/t/Root/b", "/Root/b")])
+            nn.publish([("/_tmp/t/Root/a", "/Root/a"), ("/_tmp/t/Root/b", "/Root/b")], "/_tmp/t")
         assert not nn.exists("/Root/a")
         assert nn.exists("/_tmp/t/Root/a", include_pending=True)
 
@@ -236,7 +261,7 @@ class TestPublish:
         nn.create_file("/_tmp/t/Root/b", pending=True)
         nn.mkdirs("/Root/b")
         with pytest.raises(IsADirectory):
-            nn.publish([("/_tmp/t/Root/a", "/Root/a"), ("/_tmp/t/Root/b", "/Root/b")])
+            nn.publish([("/_tmp/t/Root/a", "/Root/a"), ("/_tmp/t/Root/b", "/Root/b")], "/_tmp/t")
         assert not nn.exists("/Root/a")
 
 
@@ -308,7 +333,7 @@ class TreeWalkNameNode:
             node = child
         return node, parts[-1]
 
-    def create_file(self, path, *, overwrite=False, pending=False):
+    def create_file(self, path, blocks=None, *, overwrite=False, pending=False):
         parent, name = self._parent_dir(path, create=True)
         existing = parent.children.get(name)
         if existing is not None:
@@ -316,10 +341,12 @@ class TreeWalkNameNode:
                 raise IsADirectory(path)
             if not overwrite and existing.sealed:
                 raise FileAlreadyExists(path)
-        entry = FileEntry(name=name, generation=self._next_generation, sealed=not pending)
+        entry = FileEntry(
+            name=name, blocks=blocks or [], generation=self._next_generation, sealed=not pending
+        )
         self._next_generation += 1
         parent.children[name] = entry
-        return entry
+        return [] if existing is None else [existing]
 
     def seal(self, path):
         node = self.get_file(path, include_pending=True)
@@ -368,13 +395,25 @@ class TreeWalkNameNode:
             raise NotADirectory(path)
         return sorted(node.children)
 
-    def delete(self, path, *, recursive=False):
+    def delete(self, *paths, recursive=False):
+        """All or nothing: every path is checked before any is removed."""
+        paths = list(dict.fromkeys(split_join(p) for p in paths))
+        for path in paths:
+            parent, name = self._parent_dir(path, create=False)
+            node = parent.children.get(name)
+            if node is None:
+                raise FileNotFound(path)
+            if isinstance(node, DirEntry) and node.children and not recursive:
+                raise DirectoryNotEmpty(path)
+        removed = []
+        for path in paths:
+            if self._walk(path) is not None:  # not inside a subtree already gone
+                removed.extend(self._delete_one(path))
+        return removed
+
+    def _delete_one(self, path):
         parent, name = self._parent_dir(path, create=False)
-        node = parent.children.get(name)
-        if node is None:
-            raise FileNotFound(path)
-        if isinstance(node, DirEntry) and node.children and not recursive:
-            raise DirectoryNotEmpty(path)
+        node = parent.children[name]
         del parent.children[name]
         removed = []
 
@@ -411,7 +450,8 @@ class TreeWalkNameNode:
         dst_parent.children[dst_name] = node
         return displaced
 
-    def publish(self, pairs):
+    def publish(self, pairs, staging):
+        nbytes = 0
         for src, dst in pairs:
             node = self._walk(src)
             if node is None:
@@ -420,10 +460,13 @@ class TreeWalkNameNode:
                 raise IsADirectory(src)
             if isinstance(self._walk(dst), DirEntry):
                 raise IsADirectory(dst)
+            nbytes += node.length
         displaced = []
         for src, dst in pairs:
             displaced.extend(self.rename(src, dst, overwrite=True, seal=True))
-        return displaced
+        if self._walk(staging) is not None:
+            displaced.extend(self._delete_one(split_join(staging)))
+        return nbytes, displaced
 
     def walk_files(self, path="/", *, include_pending=False):
         node = self._walk(path)
@@ -453,7 +496,7 @@ def describe(value):
         return ("file", value.name, value.generation, value.sealed)
     if isinstance(value, DirEntry):
         return ("dir", value.name, sorted(value.children))
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [describe(v) for v in value]
     return value
 
@@ -537,13 +580,20 @@ class NamespaceMachine(RuleBasedStateMachine):
     def delete(self, path, recursive):
         self.both(lambda nn: nn.delete(path, recursive=recursive))
 
+    @rule(batch=st.lists(paths, min_size=1, max_size=3), recursive=st.booleans())
+    def delete_many(self, batch, recursive):
+        self.both(lambda nn: nn.delete(*batch, recursive=recursive))
+
     @rule(src=paths, dst=paths, overwrite=st.booleans())
     def rename(self, src, dst, overwrite):
         self.both(lambda nn: nn.rename(src, dst, overwrite=overwrite))
 
-    @rule(pairs=st.lists(st.tuples(paths, paths), min_size=1, max_size=3))
-    def publish(self, pairs):
-        self.both(lambda nn: nn.publish(pairs))
+    @rule(
+        pairs=st.lists(st.tuples(paths, paths), min_size=1, max_size=3),
+        staging=st.sampled_from(CANONICAL),
+    )
+    def publish(self, pairs, staging):
+        self.both(lambda nn: nn.publish(pairs, staging))
 
     @invariant()
     def index_is_exactly_the_reachable_paths(self):

@@ -2,9 +2,9 @@
 
 Four debris categories a driver crash can leave behind — orphaned staging
 files, unsealed files outside staging, manifests that lie about what was
-published, and files a manifest retired that were never deleted — plus the
-CLI self-check and the auto-fsck that ``invert(resume=True)`` runs before
-trusting any on-DFS state.
+published, and files a manifest retired that were never deleted — and the
+stored blocks no file references, plus the CLI self-check and the auto-fsck
+that ``invert(resume=True)`` runs before trusting any on-DFS state.
 """
 
 import json
@@ -65,6 +65,34 @@ class TestDetection:
             i.kind == "invalid-manifest" and "half.bin" in i.detail
             for i in report.issues
         )
+
+
+class TestOrphanedBlocks:
+    """A stored block no file entry references is leaked space: fsck names
+    it and repair collects it, as a block report does."""
+
+    def test_leaked_block_found_and_collected(self, dfs):
+        dfs.write_bytes("/Root/keep.bin", b"healthy")
+        dfs.stage_bytes("/_tmp/t/Root/p.bin", b"pending")  # owned, not leaked
+        leaked = dfs.blocks.write_block(b"no file owns me")
+        found = fsck(dfs, repair=False)
+        assert [(i.kind, i.path) for i in found.issues if i.kind == "orphaned-block"] == [
+            ("orphaned-block", str(leaked.block_id))
+        ]
+        assert dfs.blocks.block_count == 3
+        fsck(dfs, repair=True)
+        assert fsck(dfs, repair=False).clean
+        assert dfs.blocks.block_count == 1
+        assert dfs.read_bytes("/Root/keep.bin") == b"healthy"
+
+    def test_overwrites_and_retries_leave_no_orphaned_block(self, dfs):
+        dfs.write_bytes("/Root/a", b"v1")
+        dfs.write_bytes("/Root/a", b"v2")
+        dfs.stage_bytes("/_tmp/t/Root/b", b"try 1")
+        dfs.stage_bytes("/_tmp/t/Root/b", b"try 2")
+        dfs.publish([("/_tmp/t/Root/b", "/Root/b")], "/_tmp/t")
+        assert fsck(dfs, repair=False).clean
+        assert dfs.blocks.block_count == 2
 
 
 class TestRetiredFiles:
@@ -186,11 +214,13 @@ class TestResumeAutoFsck:
         step, retired = "lu:/Root/A1", model.retirements()["lu:/Root/A1"]
         delete = dfs.delete
 
-        def crash_at_retirement(path, **kwargs):
-            if path == retired[0]:
+        def crash_at_retirement(*paths, **kwargs):
+            # The step's retirements are one batched call: dying at its
+            # entry deletes none of them.
+            if retired[0] in paths:
                 dfs.delete = delete
-                raise DriverCrashError(f"crash before deleting {path}")
-            delete(path, **kwargs)
+                raise DriverCrashError(f"crash before deleting {paths}")
+            delete(*paths, **kwargs)
 
         dfs.delete = crash_at_retirement
         inverter = MatrixInverter(config=config, runtime=runtime)

@@ -149,11 +149,13 @@ def test_crash_between_the_final_manifest_and_its_deletes(monkeypatch):
     dfs = runtime.dfs
     real_delete = dfs.delete
 
-    def crash_before_retiring(path, **kwargs):
-        if path in retired:
+    def crash_before_retiring(*paths, **kwargs):
+        # The final job's retirements are one batched call: dying at its
+        # entry deletes none of them.
+        if retired & set(paths):
             monkeypatch.setattr(dfs, "delete", real_delete)
-            raise DriverCrashError(f"injected crash before deleting {path}")
-        real_delete(path, **kwargs)
+            raise DriverCrashError(f"injected crash before deleting {paths}")
+        real_delete(*paths, **kwargs)
 
     monkeypatch.setattr(dfs, "delete", crash_before_retiring)
     with MatrixInverter(config=config, runtime=runtime) as inverter:

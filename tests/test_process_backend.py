@@ -390,7 +390,7 @@ class TestAdoptedSegments:
             name, staged = land_result_segment(
                 dfs, exporter, "attempt-a", {"/p/x": b"x" * 300, "/p/y": b"yy"}
             )
-            dfs.publish(staged)
+            dfs.publish(staged, staging_dir("attempt-a"))
             reads = dfs.stats.read_ops
             manifest = exporter.sync()
             assert manifest.files["/p/x"].segment == name
@@ -464,7 +464,7 @@ class TestAdoptedSegments:
                 dfs, exporter, "attempt-r",
                 {"/p/first": bytes(300), "/p/second": bytes(200)},
             )
-            dfs.publish(staged)
+            dfs.publish(staged, staging_dir("attempt-r"))
             exporter.sync()
             dfs.delete("/p/first")
             exporter.sync()
@@ -487,7 +487,7 @@ class TestAdoptedSegments:
                 dfs, exporter, "attempt-c",
                 {"/p/big": bytes(1000), "/p/kept": b"kept"},
             )
-            dfs.publish(staged)
+            dfs.publish(staged, staging_dir("attempt-c"))
             exporter.sync()
             dfs.delete("/p/big")  # 1000 garbage bytes > 500
             exporter.sync()
