@@ -56,7 +56,7 @@ from .dataflow import (
 )
 from .procsafety import analyze_procsafety_files, default_procsafety_files
 from .model import PipelineModel, build_model
-from .planlint import lint_plan
+from .planlint import lint_model, lint_plan
 from .purity import analyze_job, analyze_module
 from .source import ModuleSource
 
@@ -81,10 +81,11 @@ def lint_pipeline(
 ) -> tuple[list[Finding], PipelineModel]:
     """All pipeline analyzers: plan rules, block-dataflow defect rules
     (DF002/3/4/6/7 — the structural DF001/DF005 reports are ``--dataflow``
-    mode's business), and task purity.  This is what the driver pre-flight
-    runs."""
-    findings, model = lint_plan(n, config)
-    findings.extend(lint_dataflow(model))
+    mode's business), and task purity.  One block DAG serves both rule
+    families.  This is what the driver pre-flight runs."""
+    model = build_model(n, config)
+    dag = build_block_dag(model)
+    findings = lint_model(model, dag) + lint_dataflow(model, dag)
     for conf in pipeline_job_confs(model.layout):
         findings.extend(analyze_job(conf))
     return findings, model

@@ -21,6 +21,9 @@ inverse (non-conformable block shapes):
            ``_commit`` manifest directory — both are private to the
            two-phase output commit; steps exchange data only through
            published final paths.
+
+PL003–PL005 read the block DAG the DF rules read (:func:`lint_model` takes
+one a caller already built), so the step sets are replayed once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from ..inversion.plan import (
     total_job_count,
 )
 from ..inversion.regions import Region
+from .dataflow import BlockDAG, build_block_dag
 from .findings import Finding
 from .model import PipelineModel, build_model
 
@@ -73,12 +77,9 @@ def _region_shape_findings(
     name: str, region: Region | None, rows: int, cols: int, where: str
 ) -> list[Finding]:
     """Shape + tiling check of one layout region."""
-    findings: list[Finding] = []
     if region is None:
-        findings.append(
-            Finding.of("PL002", f"{name} region missing", location=where)
-        )
-        return findings
+        return [Finding.of("PL002", f"{name} region missing", location=where)]
+    findings: list[Finding] = []
     if (region.rows, region.cols) != (rows, cols):
         findings.append(
             Finding.of(
@@ -112,7 +113,7 @@ def _region_shape_findings(
                     f"{name} block {ref.path} reads rows "
                     f"[{ref.fr1}, {ref.fr1 + ref.rows}) x cols "
                     f"[{ref.fc1}, {ref.fc1 + ref.cols}) of a "
-                    f"{frows}x{fcols} file",
+                    f"{ref.file_rows}x{ref.file_cols} file",
                     location=where,
                 )
             )
@@ -162,44 +163,39 @@ def _check_shapes(model: PipelineModel) -> list[Finding]:
     return findings
 
 
-def _check_dataflow(model: PipelineModel) -> list[Finding]:
-    """PL003/PL004/PL005: replay the step sequence over path sets only."""
+def _check_block_flow(dag: BlockDAG) -> list[Finding]:
+    """PL003/PL004/PL005, read off the block DAG: reads no earlier step
+    writes, paths with a second writer, and writes no step reads."""
     findings: list[Finding] = []
-    written_by: dict[str, str] = {}
-    read_paths: set[str] = set()
-
-    for step in model.steps:
-        for path in sorted(step.reads):
-            if path not in written_by:
-                findings.append(
-                    Finding.of(
-                        "PL003",
-                        f"step {step.name!r} reads {path}, which no earlier "
-                        "step writes",
-                        location=step.name,
-                        hint="a producing step is missing from the pipeline, "
-                        "writes a different path, or the path is staged but "
-                        "never published",
-                    )
+    rewrites: dict[str, list[str]] = {}
+    for path, names in dag.writers.items():
+        for name in names[1:]:
+            rewrites.setdefault(name, []).append(path)
+    for name in dag.stages:
+        for path in sorted(dag.late_reads.get(name, {})):
+            findings.append(
+                Finding.of(
+                    "PL003",
+                    f"step {name!r} reads {path}, which no earlier step writes",
+                    location=name,
+                    hint="a producing step is missing from the pipeline, "
+                    "writes a different path, or the path is staged but "
+                    "never published",
                 )
-            read_paths.add(path)
-        for path in sorted(step.writes):
-            if path in written_by:
-                findings.append(
-                    Finding.of(
-                        "PL004",
-                        f"{path} written by both {written_by[path]!r} and "
-                        f"{step.name!r}",
-                        location=step.name,
-                        hint="Section 5.2: no two writers may share a file; "
-                        "give each task its own output path",
-                    )
+            )
+        for path in sorted(rewrites.get(name, [])):
+            findings.append(
+                Finding.of(
+                    "PL004",
+                    f"{path} written by both {dag.producers[path]!r} and "
+                    f"{name!r}",
+                    location=name,
+                    hint="Section 5.2: no two writers may share a file; "
+                    "give each task its own output path",
                 )
-            else:
-                written_by[path] = step.name
-
-    for path, writer in sorted(written_by.items()):
-        if path not in read_paths:
+            )
+    for path, writer in sorted(dag.producers.items()):
+        if path not in dag.consumers:
             findings.append(
                 Finding.of(
                     "PL005",
@@ -338,12 +334,13 @@ def _check_staging_isolation(model: PipelineModel) -> list[Finding]:
     return findings
 
 
-def lint_model(model: PipelineModel) -> list[Finding]:
-    """Run every plan rule over a pipeline model."""
+def lint_model(model: PipelineModel, dag: BlockDAG | None = None) -> list[Finding]:
+    """Run every plan rule over a pipeline model (``dag``: its block DAG,
+    when the caller already built it)."""
     findings: list[Finding] = []
     findings.extend(_check_job_count(model))
     findings.extend(_check_shapes(model))
-    findings.extend(_check_dataflow(model))
+    findings.extend(_check_block_flow(dag or build_block_dag(model)))
     findings.extend(_check_transpose(model))
     findings.extend(_check_grid(model))
     findings.extend(_check_intermediate_count(model))

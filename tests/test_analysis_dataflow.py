@@ -18,6 +18,7 @@ from repro.analysis import (
     build_block_dag,
     build_model,
     lint_dataflow,
+    lint_model,
     render_barrier_slack,
     render_text,
     replay_spans,
@@ -58,6 +59,43 @@ def test_block_dag_is_exposed_on_the_model():
     assert dag.stages == reference.stages
     assert dag.producers == reference.producers
     assert dag.deps == reference.deps
+
+
+def test_lint_pipeline_replays_the_steps_once(monkeypatch):
+    """The plan rules (PL003-PL005) and the DF defect rules read one block
+    DAG: each ``lint_pipeline`` call builds it exactly once."""
+    import sys
+
+    from repro.analysis import dataflow, lint_pipeline
+
+    calls = []
+    original = dataflow.build_block_dag
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.analysis") and hasattr(module, "build_block_dag"):
+            monkeypatch.setattr(module, "build_block_dag", counted)
+    for n, config in ((8, InversionConfig(nb=2, m0=2)), (256, InversionConfig(nb=64))):
+        calls.clear()
+        lint_pipeline(n, config)
+        assert len(calls) == 1
+
+
+def test_plan_and_dataflow_rules_read_the_same_late_reads():
+    """A producer moved after its consumer: PL003 reports each late read the
+    DAG records, DF002 the steps whose late reads have a producer."""
+    model = build_model(256, InversionConfig(nb=64))
+    first = next(i for i, s in enumerate(model.steps) if s.name.startswith("lu:"))
+    model.steps.insert(1, model.steps.pop(first))
+    dag = build_block_dag(model)
+    pl003 = [f for f in lint_model(model, dag) if f.rule == "PL003"]
+    assert len(pl003) == sum(len(reads) for reads in dag.late_reads.values()) > 0
+    assert {f.location for f in pl003} == set(dag.late_reads)
+    df002 = {f.location for f in lint_dataflow(model, dag) if f.rule == "DF002"}
+    assert df002 and df002 <= set(dag.late_reads)
 
 
 def test_edges_aggregate_paths_per_step_pair():
