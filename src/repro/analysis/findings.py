@@ -139,8 +139,8 @@ RULES: dict[str, RuleSpec] = {
         RuleSpec("PS003", Severity.ERROR,
                  "module-global state mutated from task code"),
         RuleSpec("PS004", Severity.ERROR,
-                 "in-place mutation of a borrowed DFS read view (read "
-                 "without writable=True)"),
+                 "in-place mutation of a borrowed (zero-copy) DFS read "
+                 "view; mutate a private copy instead"),
         RuleSpec("PS005", Severity.WARNING,
                  "borrowed DFS read view escapes the task scope (returned, "
                  "stored on self, or appended to a captured container)"),
