@@ -32,9 +32,8 @@ The three source analyzers (``PU``/``CN``/``PS``) stand on one internal
 source-walking core, :mod:`~repro.analysis.source`.
 
 The driver runs :func:`preflight_check` once per run, before anything
-launches (opt out with ``InversionConfig(preflight=False)``); it is the
-run path's single call into this package, and it covers the dataflow
-scheduler too.
+launches; it is the run path's single call into this package, and it
+covers the dataflow scheduler too.
 """
 
 from .cli import lint_pipeline, lint_source_file

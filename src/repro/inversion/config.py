@@ -44,12 +44,6 @@ class InversionConfig:
     input_format:
         "binary" (default) or "text" — Table 3 reports both sizes; text
         reproduces the paper's a.txt ingestion.
-    preflight:
-        Statically validate the pipeline before running it (plan/dataflow
-        linter + mapper/reducer purity checker, :mod:`repro.analysis`).
-        The whole workflow is predefined (Section 5), so every defect the
-        pre-flight catches would otherwise be a deep runtime failure.
-        On by default; opt out for deliberately corrupted ablation runs.
     retry:
         :class:`~repro.mapreduce.retry.RetryPolicy` of every job the
         pipeline launches: the per-task attempt budget (Hadoop's
@@ -98,7 +92,6 @@ class InversionConfig:
     pivot: bool = True
     root: str = "/Root"
     input_format: str = "binary"
-    preflight: bool = True
     retry: RetryPolicy = RetryPolicy()
     block_cache_bytes: int = DEFAULT_BLOCK_CACHE_BYTES
     output_commit: bool = True

@@ -213,17 +213,15 @@ class MatrixInverter:
         control files).
 
         The plan is statically validated by the :mod:`repro.analysis`
-        pre-flight unless ``config.preflight`` is off (raises
-        :class:`~repro.analysis.PreflightError` on defects).  The static
-        model comes back too — the pre-flight's own, or with pre-flight off
-        one built here: every unit's ``needs`` and retired files come from
-        it.
+        pre-flight first (raises :class:`~repro.analysis.PreflightError` on
+        defects).  The pre-flight's model comes back too: every unit's
+        ``needs`` and retired files come from it.
         """
         self._configure_cache()
         cfg = self.config
-        from ..analysis import build_model, preflight_check
+        from ..analysis import preflight_check
 
-        model = (preflight_check if cfg.preflight else build_model)(n, cfg)
+        model = preflight_check(n, cfg)
         layout = model.layout
         layout.plan.validate()
         dfs = self.runtime.dfs

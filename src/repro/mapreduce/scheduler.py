@@ -118,7 +118,7 @@ class SchedulerStallError(RuntimeError):
     """No unit is ready or running yet the schedule is incomplete.
 
     Either the dependency structure has a cycle (the driver's pre-flight
-    rejects one unless ``preflight=False``) or a unit depends on a path
+    rejects one before any unit runs) or a unit depends on a path
     nothing publishes — the diagnostic lists every stuck unit with its
     missing blocks.
     """

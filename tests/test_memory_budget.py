@@ -60,7 +60,7 @@ def _data_files(dfs, root):
         {},
         {"separate_files": False},
         {"block_wrap": False, "transpose_u": False},
-        {"output_commit": False, "preflight": False},
+        {"output_commit": False},
         {"schedule": "dataflow", "executor": "threads", "num_workers": 2},
     ],
     ids=["default", "combined", "naive", "no-commit", "dataflow"],

@@ -119,7 +119,7 @@ class TestOptionCensus:
 
         assert self._fields(InversionConfig) == [
             "nb", "m0", "separate_files", "block_wrap", "transpose_u", "pivot",
-            "root", "input_format", "preflight", "retry", "block_cache_bytes",
+            "root", "input_format", "retry", "block_cache_bytes",
             "output_commit", "executor", "num_workers", "schedule",
         ]
         assert self._fields(RuntimeConfig) == [
