@@ -2,14 +2,15 @@
 
 Usage:  PYTHONPATH=src python scripts/lint_summary.py
 
-Five sweeps, one line each:
+Five sweeps, one line each, and each rule family runs once:
 
-* **PL** — plan dataflow rules at the acceptance configuration.
+* **PL** — plan rules over the acceptance configuration's model.
 * **DF** — block-dataflow defect rules (write-before-read, dead blocks,
-  redundant reads, cycles, generation order) over the acceptance plan's
-  block DAG.
-* **PU** — task-purity rules over the shipped examples and experiment
-  drivers (plus the pipeline's own job confs, linted alongside PL).
+  redundant reads, cycles, generation order) over the same model's block
+  DAG (built once, read by PL too).
+* **PU** — task-purity rules over the pipeline's own job confs, the shipped
+  examples and the experiment drivers (source mode, which also plan-lints
+  any configuration a file spells out literally).
 * **CN** — lock-discipline rules over the engine's threaded modules; a
   ``THREADED_MODULES`` entry that no longer exists on disk (a rename that
   missed the list would silently shrink the sweep) is an error here.
@@ -32,15 +33,18 @@ from repro.analysis import (  # noqa: E402
     Finding,
     Severity,
     analyze_concurrency_files,
+    analyze_job,
     analyze_procsafety_files,
+    build_block_dag,
     build_model,
     default_procsafety_files,
     default_threaded_files,
     lint_dataflow,
-    lint_pipeline,
+    lint_model,
     lint_source_file,
     missing_threaded_modules,
 )
+from repro.analysis.cli import pipeline_job_confs  # noqa: E402
 
 
 def main() -> int:
@@ -48,18 +52,23 @@ def main() -> int:
     all_findings = []
 
     t0 = time.perf_counter()
-    pl_pu, _model = lint_pipeline(4096)
-    rows.append(("PL+PU", "pipeline n=4096 nb=512", 1, pl_pu, time.perf_counter() - t0))
+    model = build_model(4096)
+    dag = build_block_dag(model)
+    pl = lint_model(model, dag)
+    rows.append(("PL", "pipeline n=4096 nb=512", 1, pl, time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    df = lint_dataflow(build_model(4096))
+    df = lint_dataflow(model, dag)
     rows.append(("DF", "block DAG n=4096 nb=512", 1, df, time.perf_counter() - t0))
 
     source_paths = sorted((ROOT / "examples").glob("*.py"))
     source_paths += sorted((ROOT / "src" / "repro" / "experiments").glob("*.py"))
     t0 = time.perf_counter()
-    pu = [f for p in source_paths for f in lint_source_file(p)]
-    rows.append(("PU", "examples + experiments", len(source_paths), pu, time.perf_counter() - t0))
+    pu = [f for conf in pipeline_job_confs(model.layout) for f in analyze_job(conf)]
+    pu += [f for p in source_paths for f in lint_source_file(p)]
+    rows.append(
+        ("PU", "pipeline tasks + sources", 1 + len(source_paths), pu, time.perf_counter() - t0)
+    )
 
     cn_paths = [p for p in default_threaded_files() if p.is_file()]
     t0 = time.perf_counter()
