@@ -10,8 +10,8 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Process-pool backend subset: backend conformance over every registered
-# executor plus the shared-memory DFS / crash-recovery battery.
+# Process-pool backend subset: backend conformance over the serial, threads
+# and processes executors plus the shared-memory DFS / crash-recovery battery.
 test-processes:
 	$(PYTHON) -m pytest tests/test_backends_conformance.py tests/test_process_backend.py
 

@@ -40,14 +40,13 @@ ATTEMPT_DEADLINE = 0.05
 
 #: Backoff used by retry-heavy schedules: real sleeps, kept tiny — the point
 #: is to exercise the backoff code path and its counters, not to wait.
-FAST_BACKOFF = RetryPolicy(base_delay=0.002, backoff=2.0, max_delay=0.02, jitter=0.5)
+FAST_BACKOFF = RetryPolicy(base_delay=0.002, max_delay=0.02, jitter=0.5)
 
 #: Backoff plus a per-attempt deadline and a deeper attempt budget: the full
 #: hardening configuration.
 DEADLINE_RETRY = RetryPolicy(
     max_attempts=6,
     base_delay=0.002,
-    backoff=2.0,
     max_delay=0.02,
     jitter=0.5,
     attempt_deadline=ATTEMPT_DEADLINE,

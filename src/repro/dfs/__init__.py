@@ -2,8 +2,8 @@
 
 Provides the storage layer the paper's pipeline runs against: a namenode
 namespace, replicated block storage with checksums, byte-level I/O accounting
-(Tables 1/2 reason about bytes read/written/transferred), and the matrix
-text/binary codecs of Table 3.
+(Tables 1/2 reason about bytes read/written/transferred), and the binary
+matrix codec of Table 3.
 """
 
 from .blocks import BlockCorruptionError, BlockMissingError, BlockStore, DataNode

@@ -1,13 +1,8 @@
 """Matrix serialization for DFS files.
 
-Two codecs, matching the paper's Table 3 which reports matrix sizes in both
-*text* and *binary* form:
-
-* **text** — one row per line, elements space-separated with full double
-  precision (`repr`-roundtrippable).  This is the ``Root/a.txt`` input format.
-* **binary** — a 16-byte header (magic, cols, rows) followed by row-major
-  little-endian float64 data.  Intermediate pipeline files use this codec;
-  it is the "binary (GB)" column of Table 3.
+One codec: a 16-byte header (magic, cols, rows) followed by row-major
+little-endian float64 data.  The input ``Root/a.bin`` and every intermediate
+pipeline file use it; it is the "binary (GB)" column of Table 3.
 
 Row-range readers let a mapper fetch only its share of rows — Section 5.2's
 "each map function reads an equal number of consecutive rows ... to increase
@@ -99,45 +94,6 @@ def read_rows(
     data = dfs.read_range(path, offset, (r2 - r1) * row_bytes, local=local)
     view = np.frombuffer(data, dtype=np.float64).reshape(r2 - r1, cols)
     return view.copy() if writable else view
-
-
-# -- text codec ---------------------------------------------------------------
-
-
-def encode_matrix_text(matrix: np.ndarray) -> str:
-    """Serialize a matrix as the ``a.txt`` whitespace text format."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    return "\n".join(" ".join(repr(float(v)) for v in row) for row in m) + "\n"
-
-
-def decode_matrix_text(text: str) -> np.ndarray:
-    """Inverse of :func:`encode_matrix_text`."""
-    rows = [
-        [float(tok) for tok in line.split()]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    if not rows:
-        return np.zeros((0, 0))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged rows in text matrix")
-    return np.array(rows, dtype=np.float64)
-
-
-def write_matrix_text(dfs: DFS, path: str, matrix: np.ndarray) -> None:
-    dfs.write_text(path, encode_matrix_text(matrix))
-
-
-def read_matrix_text(dfs: DFS, path: str, *, local: bool = False) -> np.ndarray:
-    return decode_matrix_text(dfs.read_text(path, local=local))
-
-
-def text_size_bytes(matrix: np.ndarray) -> int:
-    """Size the matrix would occupy in text form (Table 3's "Text (GB)")."""
-    return len(encode_matrix_text(matrix).encode("utf-8"))
 
 
 def binary_size_bytes(n_rows: int, n_cols: int) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ..dfs.cache import DEFAULT_BLOCK_CACHE_BYTES
 from ..linalg.blockwrap import factor_grid
+from ..mapreduce.backends import EXECUTORS
 from ..mapreduce.retry import RetryPolicy
 
 
@@ -36,14 +37,8 @@ class InversionConfig:
         off, reducers use the naive row-slab scheme reading all of U2.
     transpose_u:
         Section 6.3 — store U factors transposed (row-major locality).
-    pivot:
-        Partial pivoting within diagonal blocks (the paper always pivots;
-        off only for numerical experiments).
     root:
         DFS work directory (the paper's "Root").
-    input_format:
-        "binary" (default) or "text" — Table 3 reports both sizes; text
-        reproduces the paper's a.txt ingestion.
     retry:
         :class:`~repro.mapreduce.retry.RetryPolicy` of every job the
         pipeline launches: the per-task attempt budget (Hadoop's
@@ -67,9 +62,8 @@ class InversionConfig:
         ``schedule="dataflow"`` are refused.
     executor:
         Execution backend for task attempts: ``"serial"`` (default),
-        ``"threads"``, or ``"processes"`` — any name registered with
-        :func:`~repro.mapreduce.register_backend`.  Only consulted when the
-        driver builds its own runtime; an explicitly passed runtime wins.
+        ``"threads"`` or ``"processes"``.  Only consulted when the driver
+        builds its own runtime; an explicitly passed runtime wins.
     num_workers:
         Worker-pool width for the driver-built runtime.  ``None`` (default)
         sizes the pool to ``m0`` — one slot per simulated compute node.
@@ -89,9 +83,7 @@ class InversionConfig:
     separate_files: bool = True
     block_wrap: bool = True
     transpose_u: bool = True
-    pivot: bool = True
     root: str = "/Root"
-    input_format: str = "binary"
     retry: RetryPolicy = RetryPolicy()
     block_cache_bytes: int = DEFAULT_BLOCK_CACHE_BYTES
     output_commit: bool = True
@@ -108,8 +100,11 @@ class InversionConfig:
             raise ValueError("m0 must be >= 2 (half map L2', half map U2)")
         if self.m0 % 2:
             raise ValueError("m0 must be even (Section 5.3 splits mappers in half)")
-        if self.input_format not in ("binary", "text"):
-            raise ValueError(f"unknown input_format {self.input_format!r}")
+        if self.executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {self.executor!r} "
+                f"(use one of {', '.join(EXECUTORS)})"
+            )
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError("num_workers must be >= 1 (or None for m0)")
         if self.schedule not in ("barrier", "dataflow"):

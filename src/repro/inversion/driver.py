@@ -236,13 +236,12 @@ class MatrixInverter:
             if dfs.exists(layout.input_path):
                 # Resuming a previous run of the same matrix: keep the DFS
                 # state and skip the ingestion phase entirely.
-                if cfg.input_format == "binary":
-                    stored = formats.matrix_shape(dfs, layout.input_path)
-                    if stored != (n, n):
-                        raise ValueError(
-                            f"cannot resume: stored input is {stored}, new "
-                            f"input is {(n, n)}"
-                        )
+                stored = formats.matrix_shape(dfs, layout.input_path)
+                if stored != (n, n):
+                    raise ValueError(
+                        f"cannot resume: stored input is {stored}, new "
+                        f"input is {(n, n)}"
+                    )
                 return layout, pipeline, master, model
         if dfs.exists(cfg.root):
             dfs.delete(cfg.root, recursive=True)
@@ -272,20 +271,15 @@ class MatrixInverter:
 
     def _leaf_lu(self, layout: Layout, node: PlanNode, master: MasterIO) -> None:
         """Algorithm 1 on the master: LU-decompose one leaf block."""
-        cfg = self.config
         nl = layout.of(node)
-        if node is not layout.plan.tree:
-            block = nl.matrix.read(master)
         # Single-leaf plan (n <= nb): no partition job ran, so the master
         # reads the input file directly.
-        elif cfg.input_format == "binary":
+        if node is layout.plan.tree:
             block = master.read_matrix(layout.input_path)
         else:
-            block = formats.decode_matrix_text(
-                master.read_bytes(layout.input_path).decode("utf-8")
-            )
-        lu = lu_decompose(block, pivot=cfg.pivot)
-        write_leaf_factors(master, nl, lu, transpose_u=cfg.transpose_u)
+            block = nl.matrix.read(master)
+        lu = lu_decompose(block)
+        write_leaf_factors(master, nl, lu, transpose_u=self.config.transpose_u)
 
     def _units(
         self,
@@ -471,11 +465,6 @@ class MatrixInverter:
             scheduler_report=report,
         )
 
-    def _encoded_input(self, a: np.ndarray) -> bytes:
-        if self.config.input_format == "binary":
-            return formats.encode_matrix(a)
-        return formats.encode_matrix_text(a).encode("utf-8")
-
     # -- public operations ---------------------------------------------------------
 
     def invert(self, a: np.ndarray, *, resume: bool = False) -> InversionResult:
@@ -494,7 +483,7 @@ class MatrixInverter:
         return self._run(
             "invert",
             a.shape[0],
-            ("write-input", lambda: self._encoded_input(a)),
+            ("write-input", lambda: formats.encode_matrix(a)),
             resume=resume,
             span_attrs={"resume": resume},
         )
@@ -522,8 +511,6 @@ class MatrixInverter:
         rows, cols = formats.matrix_shape(dfs, path)
         if rows != cols:
             raise ValueError(f"matrix at {path} is {rows}x{cols}, not square")
-        if self.config.input_format != "binary":
-            raise ValueError("invert_path requires binary input_format")
         return self._run(
             "invert-path",
             rows,
@@ -556,7 +543,7 @@ class MatrixInverter:
         return self._run(
             "lu",
             a.shape[0],
-            ("write-input", lambda: self._encoded_input(a)),
+            ("write-input", lambda: formats.encode_matrix(a)),
             final=False,
         )
 

@@ -294,8 +294,7 @@ class Layout:
 
     @property
     def input_path(self) -> str:
-        ext = "bin" if self.config.input_format == "binary" else "txt"
-        return f"{self.plan.root}/a.{ext}"
+        return f"{self.plan.root}/a.bin"
 
     def map_input_path(self, j: int) -> str:
         """Section 5.1 control file carrying worker id j."""

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-import numpy as np
-
 from ..dfs import formats
 from ..linalg import permutation
 from ..linalg.blockwrap import contiguous_ranges
@@ -98,22 +96,13 @@ class PartitionMapper(Mapper):
     def __init__(self, layout: Layout) -> None:
         self.layout = layout
 
-    def _read_my_rows(self, ctx: TaskContext, g1: int, g2: int) -> np.ndarray:
-        cfg = self.layout.config
-        if cfg.input_format == "binary":
-            return ctx.read_rows(self.layout.input_path, g1, g2)
-        # Text input has no row index; the mapper scans the file and keeps
-        # its rows (Hadoop's text splits behave the same way at line level).
-        full = formats.decode_matrix_text(ctx.read_text(self.layout.input_path))
-        return full[g1:g2]
-
     def map(self, ctx: TaskContext, split: InputSplit) -> None:
         j = worker_id(ctx, split)
         g1, g2 = self.layout.mapper_row_ranges()[j]
         ctx.emit(j, j)
         if g2 <= g1:
             return
-        rows = self._read_my_rows(ctx, g1, g2)
+        rows = ctx.read_rows(self.layout.input_path, g1, g2)
         n_total = self.layout.total_n
 
         for node in self.layout.plan.tree.input_nodes():

@@ -41,12 +41,7 @@ class VerifyMapper(Mapper):
         if r2 <= r1:
             ctx.emit("max", 0.0)
             return
-        if layout.config.input_format == "binary":
-            rows = ctx.read_rows(layout.input_path, r1, r2)
-        else:
-            from ..dfs import formats
-
-            rows = formats.decode_matrix_text(ctx.read_text(layout.input_path))[r1:r2]
+        rows = ctx.read_rows(layout.input_path, r1, r2)
         inverse = read_final_inverse(layout, ctx)
         identity_rows = np.zeros((r2 - r1, n))
         identity_rows[np.arange(r2 - r1), np.arange(r1, r2)] = 1.0

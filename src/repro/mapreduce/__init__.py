@@ -2,8 +2,9 @@
 
 Implements the full programming model the inversion pipeline targets: mappers
 and reducers with contexts, a hash-partitioned sorted shuffle with combiner
-support, a JobTracker with retry and speculative execution, fault injection,
-Hadoop-style counters, and multi-job pipelines with master-side phases.
+support, a JobTracker with retry and a hedged retry of timed-out tasks, fault
+injection, Hadoop-style counters, and multi-job pipelines with master-side
+phases.
 """
 
 from .counters import Counters
@@ -18,9 +19,7 @@ from .backends import (
     TaskTimeoutError,
     ThreadPoolBackend,
     WorkerCrashError,
-    available_backends,
     make_executor,
-    register_backend,
 )
 from .faults import (
     ComposedFaults,
@@ -117,10 +116,8 @@ __all__ = [
     "TaskTrace",
     "ThreadPoolBackend",
     "WorkerCrashError",
-    "available_backends",
     "default_partitioner",
     "make_executor",
-    "register_backend",
     "run_in_order",
     "splits_for_workers",
 ]

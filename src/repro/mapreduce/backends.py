@@ -10,11 +10,7 @@ JobTracker and whatever executes its attempts:
   objects (closures over the DFS) or must be picklable descriptors, which
   read DFS payloads from shared segments (:mod:`repro.dfs.shm`).
 
-Backends register by name in a factory registry (:func:`register_backend`)
-so embedders can plug their own pools in behind :func:`make_executor`
-without touching the engine.
-
-Three built-ins:
+:func:`make_executor` builds one of three backends by name:
 
 * :class:`SerialExecutor` — inline, deterministic; the default for tests
   and reproducible experiment runs.
@@ -610,41 +606,24 @@ class ProcessPoolBackend:
             self._dispose_worker(slot, kill=True)
 
 
-# -- registry ------------------------------------------------------------------
+# -- factory -------------------------------------------------------------------
 
-_BACKENDS: dict[str, Callable[[int], ExecutionBackend]] = {}
+_FACTORIES: dict[str, Callable[[int], ExecutionBackend]] = {
+    "serial": lambda max_workers: SerialExecutor(),
+    "threads": ThreadPoolBackend,
+    "processes": ProcessPoolBackend,
+}
 
-
-def register_backend(
-    name: str,
-    factory: Callable[[int], ExecutionBackend],
-    *,
-    replace: bool = False,
-) -> None:
-    """Register ``factory(max_workers) -> backend`` under ``name``."""
-    if not replace and name in _BACKENDS:
-        raise ValueError(f"backend {name!r} is already registered")
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKENDS)
+#: The backend names :func:`make_executor` accepts.
+EXECUTORS = tuple(_FACTORIES)
 
 
 def make_executor(kind: str, max_workers: int = 8) -> ExecutionBackend:
-    """Factory keyed by registered name (``serial``/``threads``/``processes``
-    plus anything added via :func:`register_backend`)."""
-    factory = _BACKENDS.get(kind)
-    if factory is None:
-        known = ", ".join(repr(name) for name in available_backends())
+    """Build the ``serial``, ``threads`` or ``processes`` backend."""
+    if kind not in EXECUTORS:
+        known = ", ".join(repr(name) for name in EXECUTORS)
         raise ValueError(f"unknown executor kind {kind!r} (use one of {known})")
-    return factory(max_workers)
-
-
-register_backend("serial", lambda max_workers: SerialExecutor())
-register_backend("threads", ThreadPoolBackend)
-register_backend("processes", ProcessPoolBackend)
+    return _FACTORIES[kind](max_workers)
 
 
 __all__ = [
@@ -655,7 +634,5 @@ __all__ = [
     "TaskTimeoutError",
     "ThreadPoolBackend",
     "WorkerCrashError",
-    "available_backends",
     "make_executor",
-    "register_backend",
 ]

@@ -18,11 +18,10 @@ machinery Section 7.4's end-to-end fault story depends on:
   worker node; consecutive failures on one node temporarily blacklist it
   (Hadoop's ``mapred.max.tracker.failures``), and a retried task always
   avoids the node where it last failed when an alternative exists.
-* **Speculative execution** — when enabled, every task gets a duplicate
-  attempt per wave and the first success commits; a task whose last attempt
-  *timed out* also gets a speculative duplicate on retry even when global
-  speculation is off, masking slow nodes the way Section 7.4 credits for the
-  8-hour (vs 5-hour) fault run completing at all.
+* **Hedged retry** — a task whose last attempt *timed out* gets two
+  copies in the next wave and the first success commits, masking slow nodes
+  the way Section 7.4 credits for the 8-hour (vs 5-hour) fault run
+  completing at all.
 """
 
 from __future__ import annotations
@@ -133,33 +132,32 @@ class JobFailedError(RuntimeError):
         return [a.node for a in self.attempts if a.node is not None]
 
 
+#: Consecutive task failures on one node before it is blacklisted (Hadoop's
+#: ``mapred.max.tracker.failures``).
+MAX_NODE_FAILURES = 3
+#: Scheduling waves a blacklisted node sits out before decaying back in.
+BLACKLIST_WINDOW = 3
+
+
 class NodeHealth:
     """Per-node failure tracking with temporary blacklisting and decay.
 
-    A node accumulating ``max_failures`` consecutive task failures is
-    blacklisted for ``blacklist_window`` scheduling waves; any success resets
+    A node accumulating ``MAX_NODE_FAILURES`` consecutive task failures is
+    blacklisted for ``BLACKLIST_WINDOW`` scheduling waves; any success resets
     its count, and when a blacklist expires the count is cleared so the node
     gets a fresh chance (decay).  With every node blacklisted the tracker
     schedules on all of them — degraded beats deadlocked.
 
     All mutable state is guarded by ``_lock``: the tracker mutates health
-    from its scheduling loop while speculative/timed-out attempt bookkeeping
-    and chaos-campaign snapshots may read it from other threads (CN001 —
+    from its scheduling loop while timed-out attempt bookkeeping and
+    chaos-campaign snapshots may read it from other threads (CN001 —
     blacklist decay reads were previously lock-free).
     """
 
-    def __init__(
-        self, num_nodes: int, max_failures: int = 3, blacklist_window: int = 3
-    ) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes < 1:
             raise ValueError("need at least one node")
-        if max_failures < 1:
-            raise ValueError("max_failures must be >= 1")
-        if blacklist_window < 1:
-            raise ValueError("blacklist_window must be >= 1")
         self.num_nodes = num_nodes
-        self.max_failures = max_failures
-        self.blacklist_window = blacklist_window
         self._lock = threading.Lock()
         self.consecutive_failures = [0] * num_nodes  # guarded-by: _lock
         self.total_failures = [0] * num_nodes  # guarded-by: _lock
@@ -172,10 +170,10 @@ class NodeHealth:
             self.consecutive_failures[node] += 1
             self.total_failures[node] += 1
             if (
-                self.consecutive_failures[node] >= self.max_failures
+                self.consecutive_failures[node] >= MAX_NODE_FAILURES
                 and self._blacklist_left[node] == 0
             ):
-                self._blacklist_left[node] = self.blacklist_window
+                self._blacklist_left[node] = BLACKLIST_WINDOW
                 self.blacklist_events += 1
 
     def record_success(self, node: int) -> None:
@@ -253,19 +251,13 @@ class JobTracker:
         dfs: DFS,
         executor: ExecutionBackend,
         fault_policy: FaultPolicy | None = None,
-        speculative: bool = False,
         num_nodes: int | None = None,
-        max_node_failures: int = 3,
-        blacklist_window: int = 3,
     ) -> None:
         self.dfs = dfs
         self.executor = executor
         self.fault_policy = fault_policy or FailNever()
-        self.speculative = speculative
         self.node_health = NodeHealth(
-            num_nodes if num_nodes is not None else max(executor.max_workers, 1),
-            max_failures=max_node_failures,
-            blacklist_window=blacklist_window,
+            num_nodes if num_nodes is not None else max(executor.max_workers, 1)
         )
         #: Lazily-built shared-memory exporter for out-of-process backends
         #: (:class:`~repro.dfs.shm.ShmExporter`); segments live for the
@@ -461,12 +453,12 @@ class JobTracker:
             if delay > 0:
                 self._sleep(delay)
                 stats.backoff_seconds += delay
-            # Build the wave: one attempt per pending task, plus a speculative
-            # duplicate when globally enabled or when the task just timed out
-            # (a hung attempt hints at a slow node; hedge the retry).
+            # Build the wave: one attempt per pending task, two when the task
+            # just timed out (a hung attempt hints at a slow node; hedge the
+            # retry).
             wave: list[tuple[int, TaskAttemptId, int]] = []
             for idx in pending:
-                copies = 2 if (self.speculative or idx in timed_out_tasks) else 1
+                copies = 2 if idx in timed_out_tasks else 1
                 for _ in range(copies):
                     attempt_no = next_attempt[idx]
                     if attempt_no >= policy.max_attempts:

@@ -41,20 +41,10 @@ class RuntimeConfig:
 
     num_workers: int = 4
     executor: str = "serial"  # "serial" | "threads" | "processes"
-    speculative: bool = False
-    #: Consecutive task failures on one node before it is blacklisted
-    #: (Hadoop's ``mapred.max.tracker.failures``).
-    max_node_failures: int = 3
-    #: Scheduling waves a blacklisted node sits out before decaying back in.
-    blacklist_window: int = 3
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.max_node_failures < 1:
-            raise ValueError("max_node_failures must be >= 1")
-        if self.blacklist_window < 1:
-            raise ValueError("blacklist_window must be >= 1")
 
 
 class MapReduceRuntime:
@@ -73,10 +63,7 @@ class MapReduceRuntime:
             self.dfs,
             self._executor,
             fault_policy=fault_policy,
-            speculative=self.config.speculative,
             num_nodes=self.config.num_workers,
-            max_node_failures=self.config.max_node_failures,
-            blacklist_window=self.config.blacklist_window,
         )
         self._job_ids = itertools.count(1)
         # Serializes the launch preamble (before_job hooks, repair pass,

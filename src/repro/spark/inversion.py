@@ -100,7 +100,6 @@ class SparkInversionConfig:
 
     nb: int = 64
     chunks: int = 4  # parallel chunks per stage (the Hadoop version's mhalf)
-    pivot: bool = True
 
     def __post_init__(self) -> None:
         if self.nb < 1 or self.chunks < 1:
@@ -141,7 +140,7 @@ class SparkMatrixInverter:
         cfg = self.config
         if n <= cfg.nb:
             block = _collect_matrix(rdd, n, n)
-            res = lu_decompose(block, pivot=cfg.pivot)
+            res = lu_decompose(block)
             return res.lower(), res.upper(), res.perm
 
         n1, n2 = split_order(n)

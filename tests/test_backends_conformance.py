@@ -1,12 +1,11 @@
-"""Backend-conformance suite: every registered ExecutionBackend honours the
-same contract.
+"""Backend-conformance suite: every ExecutionBackend honours the same
+contract.
 
 The JobTracker is backend-agnostic — it relies on ``run_all`` returning
 results *positionally*, exceptions being returned (never raised) on a
 task's behalf, deadlines measured from attempt start, and ``shutdown``
-being idempotent.  These tests pin that contract over every backend in the
-registry, so a new backend plugged in via ``register_backend`` gets the
-whole battery for free.
+being idempotent.  These tests pin that contract over every backend
+``make_executor`` builds.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from repro.mapreduce.backends import (
     ProcessPoolBackend,
     SerialExecutor,
     TaskTimeoutError,
+    EXECUTORS,
     ThreadPoolBackend,
-    available_backends,
     make_executor,
-    register_backend,
 )
 
 BUILTIN_BACKENDS = ("serial", "threads", "processes")
@@ -54,7 +52,7 @@ def backend(request):
 
 class TestConformance:
     def test_registry_has_builtins(self):
-        assert set(BUILTIN_BACKENDS) <= set(available_backends())
+        assert EXECUTORS == BUILTIN_BACKENDS
 
     def test_satisfies_protocol(self, backend):
         assert isinstance(backend, ExecutionBackend)
@@ -174,32 +172,29 @@ class TestProcessDeadline:
 
 class TestRegistry:
     def test_make_executor_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown executor kind"):
+        with pytest.raises(
+            ValueError,
+            match="unknown executor kind 'quantum' "
+            r"\(use one of 'serial', 'threads', 'processes'\)",
+        ):
             make_executor("quantum")
 
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", lambda n: SerialExecutor())
-
-    def test_register_replace_and_custom(self):
-        calls = []
-
-        def factory(max_workers: int):
-            calls.append(max_workers)
-            return SerialExecutor()
-
-        register_backend("test-custom", factory)
+    def test_make_executor_passes_the_pool_width(self):
+        ex = make_executor("threads", 3)
         try:
-            ex = make_executor("test-custom", 3)
-            assert calls == [3]
-            assert isinstance(ex, SerialExecutor)
-            register_backend(
-                "test-custom", lambda n: SerialExecutor(), replace=True
-            )
+            assert isinstance(ex, ThreadPoolBackend)
+            assert ex.max_workers == 3
         finally:
-            from repro.mapreduce import backends
+            ex.shutdown()
 
-            backends._BACKENDS.pop("test-custom", None)
+
+    def test_inversion_config_checks_the_executor_name(self):
+        from repro import InversionConfig
+
+        for name in EXECUTORS:
+            assert InversionConfig(executor=name).executor == name
+        with pytest.raises(ValueError, match="unknown executor 'procesess'"):
+            InversionConfig(executor="procesess")
 
 
 class TestPackageExports:
@@ -211,8 +206,8 @@ class TestPackageExports:
             "ProcessPoolBackend",
             "TaskSerializationError",
             "WorkerCrashError",
-            "available_backends",
             "make_executor",
-            "register_backend",
         ):
             assert hasattr(mr, name)
+        assert "register_backend" not in mr.__all__
+        assert "available_backends" not in mr.__all__

@@ -17,6 +17,7 @@ from repro.chaos import (
     schedule_by_name,
 )
 from repro.chaos.cli import main as chaos_main
+from repro.chaos.schedule import DEADLINE_RETRY, FAST_BACKOFF
 from repro.dfs import DFS
 from repro.mapreduce.job import JobConf, splits_for_workers
 
@@ -50,6 +51,21 @@ class TestSchedules:
     def test_unknown_schedule_name(self):
         with pytest.raises(KeyError):
             schedule_by_name("does-not-exist")
+
+    @pytest.mark.parametrize("policy", [FAST_BACKOFF, DEADLINE_RETRY])
+    def test_backoff_delays_are_pinned(self, policy):
+        # The schedules' exact retry sleeps: a change here moves every
+        # campaign's backoff timing.
+        assert [policy.delay_for(a, key="3:map:1") for a in range(1, 9)] == [
+            0.0018677060848259616,
+            0.0025559289242504,
+            0.004752906147565904,
+            0.013446659519673944,
+            0.018488192823363513,
+            0.012510591622560888,
+            0.012158561565950179,
+            0.01656208324398894,
+        ]
 
 
 class TestNemesis:

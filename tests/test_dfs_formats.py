@@ -30,9 +30,7 @@ class TestBinaryCodec:
         with pytest.raises(ValueError):
             formats.encode_matrix(np.zeros(3))
 
-    @pytest.mark.parametrize(
-        "encode", [formats.encode_matrix, formats.encode_matrix_text]
-    )
+    @pytest.mark.parametrize("encode", [formats.encode_matrix])
     def test_non_2d_sequence_reports_the_converted_shape(self, encode):
         with pytest.raises(ValueError, match=r"expected a 2-D array, got shape \(2,\)"):
             encode([1.0, 2.0])
@@ -142,36 +140,14 @@ class TestDfsHelpers:
             formats.read_rows(dfs, "/m", 3, 9)
 
 
-class TestTextCodec:
-    def test_roundtrip(self, rng):
-        m = rng.standard_normal((5, 8))
-        out = formats.decode_matrix_text(formats.encode_matrix_text(m))
-        assert np.array_equal(out, m)  # repr(float) round-trips exactly
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
-            formats.decode_matrix_text("1 2 3\n4 5\n")
-
-    def test_empty_text(self):
-        assert formats.decode_matrix_text("").shape == (0, 0)
-
-    def test_blank_lines_skipped(self):
-        m = formats.decode_matrix_text("1 2\n\n3 4\n")
-        assert np.array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_dfs_text_roundtrip(self, dfs, rng):
-        m = rng.standard_normal((4, 4))
-        formats.write_matrix_text(dfs, "/t", m)
-        assert np.array_equal(formats.read_matrix_text(dfs, "/t"), m)
-
-
 class TestSizes:
     def test_binary_size_formula(self):
         assert formats.binary_size_bytes(10, 10) == 16 + 800
 
-    def test_text_larger_than_binary(self, rng):
+    def test_text_larger_than_binary(self):
         """Table 3: text representation is ~2.5x the binary one."""
-        m = rng.standard_normal((50, 50))
-        text = formats.text_size_bytes(m)
+        from repro.workloads.suite import TEXT_BYTES_PER_ELEMENT
+
+        text = TEXT_BYTES_PER_ELEMENT * 50 * 50
         binary = formats.binary_size_bytes(50, 50)
         assert text > 1.5 * binary

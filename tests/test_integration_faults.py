@@ -106,19 +106,26 @@ class TestThreadedFaults:
         rt.shutdown()
 
     def test_speculative_threaded_pipeline(self, rng):
-        from repro.mapreduce import RuntimeConfig
+        from repro.mapreduce import DelayAttempt, RetryPolicy, RuntimeConfig
 
+        # Every task's first attempt hangs past the deadline, so every retry
+        # wave hedges each task with two copies.
         rt = MapReduceRuntime(
-            config=RuntimeConfig(num_workers=4, executor="threads", speculative=True)
+            config=RuntimeConfig(num_workers=4, executor="threads"),
+            fault_policy=DelayAttempt(seconds=0.3),
         )
         a = random_invertible(rng, 48)
-        result = invert(a, InversionConfig(nb=16, m0=4), runtime=rt)
+        cfg = InversionConfig(
+            nb=16, m0=4, retry=RetryPolicy(attempt_deadline=0.1)
+        )
+        result = invert(a, cfg, runtime=rt)
         assert result.residual(a) < 1e-9
-        # Speculation doubled the launched attempts.
         total_tasks = sum(
             len(j.map_traces) + len(j.reduce_traces)
             for j in result.record.job_results
         )
+        timed_out = sum(j.attempts_timed_out for j in result.record.job_results)
         launched = sum(j.attempts_launched for j in result.record.job_results)
-        assert launched == 2 * total_tasks
+        assert timed_out == total_tasks
+        assert launched == 3 * total_tasks
         rt.shutdown()

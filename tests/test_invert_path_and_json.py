@@ -55,16 +55,6 @@ class TestInvertPath:
             inv.invert_path("/m.bin")
         rt.shutdown()
 
-    def test_text_config_rejected(self, rng):
-        rt = MapReduceRuntime()
-        formats.write_matrix(rt.dfs, "/m.bin", random_invertible(rng, 8))
-        inv = MatrixInverter(
-            InversionConfig(nb=8, m0=4, input_format="text"), runtime=rt
-        )
-        with pytest.raises(ValueError, match="binary"):
-            inv.invert_path("/m.bin")
-        rt.shutdown()
-
 
 class TestHistoryJson:
     def test_report_round_trips_through_json(self, rng):

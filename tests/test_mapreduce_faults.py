@@ -1,8 +1,14 @@
-"""Fault tolerance: retries, permanent failures, speculative execution."""
+"""Fault tolerance: retries, permanent failures, the hedged retry of a
+timed-out task."""
+
+import dataclasses
 
 import pytest
 
+from repro import observe
 from repro.mapreduce import (
+    ComposedFaults,
+    DelayAttempt,
     FailAlways,
     FailNever,
     FailOnce,
@@ -20,6 +26,7 @@ from repro.mapreduce import (
     splits_for_workers,
 )
 from repro.mapreduce.counters import FAILED_MAPS, LAUNCHED_MAPS, TASK_GROUP
+from repro.telemetry.spans import SpanKind
 
 
 class EchoMapper(Mapper):
@@ -152,20 +159,46 @@ class TestUserExceptions:
 
 
 class TestSpeculativeExecution:
+    """A task whose attempt timed out is retried as two hedged copies."""
+
+    @staticmethod
+    def hedged_conf():
+        return dataclasses.replace(
+            simple_conf(), retry=RetryPolicy(attempt_deadline=0.05)
+        )
+
     def test_duplicate_attempts_mask_single_failure(self, dfs):
-        """With speculation on, the duplicate of a failing first attempt
-        completes the task in the same wave — no retry wave needed."""
-        policy = FailOnce(job_substring="echo", kind=TaskKind.MAP, task_index=0)
-        rt = runtime_with(dfs, policy, speculative=True)
-        result = rt.run_job(simple_conf())
+        """Task 0's first attempt hangs past the deadline; of its two copies
+        in the retry wave one fails and the other completes the task — no
+        third wave needed."""
+        policy = ComposedFaults(
+            DelayAttempt(
+                seconds=0.5, job_substring="echo", kind=TaskKind.MAP, task_index=0
+            ),
+            FailOnce(
+                job_substring="echo", kind=TaskKind.MAP, task_index=0,
+                failing_attempt=1,
+            ),
+        )
+        rt = runtime_with(dfs, policy)
+        with observe() as obs:
+            result = rt.run_job(self.hedged_conf())
         assert result.succeeded
-        # 3 tasks x 2 speculative copies in one wave.
-        assert result.counters.value(TASK_GROUP, LAUNCHED_MAPS) == 6
-        assert result.attempts_failed >= 1
+        # 3 first attempts + 2 hedged copies of task 0, in two waves.
+        assert result.counters.value(TASK_GROUP, LAUNCHED_MAPS) == 5
+        assert result.attempts_failed == 2  # the timeout and one copy
+        map_waves = [
+            s for s in obs.spans
+            if s.kind is SpanKind.WAVE and s.attrs["phase"] == "map"
+        ]
+        assert len(map_waves) == 2
 
     def test_duplicate_results_committed_once(self, dfs):
-        rt = runtime_with(dfs, FailNever(), speculative=True)
-        result = rt.run_job(simple_conf())
+        policy = DelayAttempt(seconds=0.5, job_substring="echo", kind=TaskKind.MAP)
+        rt = runtime_with(dfs, policy)
+        result = rt.run_job(self.hedged_conf())
+        # Every map task ran twice after its timeout; each output once.
+        assert result.counters.value(TASK_GROUP, LAUNCHED_MAPS) == 3 + 3 * 2
         for j in range(3):
             assert result.reduce_outputs[j] == [(j, [j])]
 

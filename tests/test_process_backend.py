@@ -433,20 +433,23 @@ class TestAdoptedSegments:
 
     def test_losing_speculative_attempts_unlinked_at_next_sync(self):
         dfs = DFS(num_datanodes=4, replication=3, seed=7)
+        # Both first attempts hang past the deadline and are killed before
+        # they stage anything; the retry wave runs each task twice.
         rt = MapReduceRuntime(
             dfs=dfs,
-            config=RuntimeConfig(
-                num_workers=2, executor="processes", speculative=True
-            ),
+            config=RuntimeConfig(num_workers=2, executor="processes"),
+            fault_policy=DelayAttempt(seconds=2.0, job_substring="big"),
         )
         try:
             conf = JobConf(
                 name="big", mapper_factory=BigOutputMapper,
                 splits=splits_for_workers(2),
+                retry=RetryPolicy(attempt_deadline=0.5),
             )
             result = rt.run_job(conf)
-            assert result.attempts_launched == 4
-            assert len(leaked_dev_shm()) == 4  # every attempt landed
+            assert result.attempts_launched == 2 + 4
+            assert result.attempts_timed_out == 2
+            assert len(leaked_dev_shm()) == 4  # every hedged copy landed
             manifest = rt._tracker._export_namespace()
             winners = {shm_file(f.segment) for f in manifest.files.values()}
             assert len(winners) == 2

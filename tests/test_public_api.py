@@ -62,6 +62,18 @@ class TestDocsPresent:
         examples = list((REPO / "examples").glob("*.py"))
         assert len(examples) >= 7
 
+    def test_api_reference_in_sync(self):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_docs", REPO / "scripts" / "gen_api_docs.py"
+        )
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        assert (REPO / "docs" / "api.md").read_text() == gen.render(), (
+            "docs/api.md is stale: run python scripts/gen_api_docs.py"
+        )
+
 
 class TestExamplesRun:
     """Smoke-run the two fastest examples end-to-end as subprocesses."""
@@ -118,17 +130,14 @@ class TestOptionCensus:
         from repro.mapreduce import RetryPolicy, RuntimeConfig
 
         assert self._fields(InversionConfig) == [
-            "nb", "m0", "separate_files", "block_wrap", "transpose_u", "pivot",
-            "root", "input_format", "retry", "block_cache_bytes",
-            "output_commit", "executor", "num_workers", "schedule",
+            "nb", "m0", "separate_files", "block_wrap", "transpose_u",
+            "root", "retry", "block_cache_bytes", "output_commit", "executor",
+            "num_workers", "schedule",
         ]
-        assert self._fields(RuntimeConfig) == [
-            "num_workers", "executor", "speculative", "max_node_failures",
-            "blacklist_window",
-        ]
+        assert self._fields(RuntimeConfig) == ["num_workers", "executor"]
         assert self._fields(RetryPolicy) == [
-            "max_attempts", "base_delay", "backoff", "max_delay", "jitter",
-            "seed", "attempt_deadline",
+            "max_attempts", "base_delay", "max_delay", "jitter",
+            "attempt_deadline",
         ]
 
     def test_job_conf_run_policy(self):

@@ -2,10 +2,13 @@
 and failure-history reporting."""
 
 import time
+from collections import Counter
 
 import pytest
 
+from repro import observe
 from repro.mapreduce import (
+    ComposedFaults,
     DelayAttempt,
     FailAlways,
     FailOnce,
@@ -26,6 +29,8 @@ from repro.mapreduce import (
 from repro.mapreduce.counters import TASK_GROUP
 from repro.mapreduce.counters import TIMED_OUT_MAPS
 from repro.mapreduce.backends import SerialExecutor, ThreadPoolBackend
+from repro.mapreduce.master import BLACKLIST_WINDOW, MAX_NODE_FAILURES
+from repro.telemetry.spans import SpanKind
 
 
 class EchoMapper(Mapper):
@@ -49,6 +54,11 @@ def simple_conf(num_workers=3, retry=RetryPolicy()):
     )
 
 
+def blacklist(health, node):
+    for _ in range(MAX_NODE_FAILURES):
+        health.record_failure(node)
+
+
 def runtime_with(dfs, policy, **cfg):
     return MapReduceRuntime(
         dfs=dfs, config=RuntimeConfig(**cfg), fault_policy=policy
@@ -62,7 +72,7 @@ class TestRetryPolicy:
         assert policy.delay_for(5) == 0.0
 
     def test_exponential_growth_capped(self):
-        policy = RetryPolicy(base_delay=1.0, backoff=2.0, max_delay=5.0)
+        policy = RetryPolicy(base_delay=1.0, max_delay=5.0)
         assert policy.delay_for(1) == 1.0
         assert policy.delay_for(2) == 2.0
         assert policy.delay_for(3) == 4.0
@@ -70,23 +80,18 @@ class TestRetryPolicy:
         assert policy.delay_for(10) == 5.0
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=1.0, backoff=1.0, jitter=0.5, seed=7)
+        policy = RetryPolicy(base_delay=1.0, jitter=0.5)
         first = policy.delay_for(1, key="job:map:0")
         assert first == policy.delay_for(1, key="job:map:0")  # same inputs
         assert 0.5 <= first <= 1.0  # jitter only shrinks, by at most 50%
         other = policy.delay_for(1, key="job:map:1")
         assert other != first  # different key, different draw
 
-    def test_seed_changes_jitter(self):
-        a = RetryPolicy(base_delay=1.0, backoff=1.0, jitter=0.9, seed=0)
-        b = RetryPolicy(base_delay=1.0, backoff=1.0, jitter=0.9, seed=1)
-        assert a.delay_for(1, key="k") != b.delay_for(1, key="k")
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"base_delay": -1.0},
-            {"backoff": 0.5},
+            {"max_attempts": 0},
             {"max_delay": -1.0},
             {"jitter": 1.5},
             {"attempt_deadline": 0.0},
@@ -99,42 +104,44 @@ class TestRetryPolicy:
 
 class TestNodeHealth:
     def test_blacklist_after_consecutive_failures(self):
-        health = NodeHealth(num_nodes=3, max_failures=2, blacklist_window=2)
-        health.record_failure(1)
+        health = NodeHealth(num_nodes=3)
+        for _ in range(MAX_NODE_FAILURES - 1):
+            health.record_failure(1)
         assert not health.is_blacklisted(1)
         health.record_failure(1)
         assert health.is_blacklisted(1)
         assert health.blacklisted_nodes() == [1]
 
     def test_success_resets_consecutive_count(self):
-        health = NodeHealth(num_nodes=2, max_failures=2)
-        health.record_failure(0)
+        health = NodeHealth(num_nodes=2)
+        for _ in range(MAX_NODE_FAILURES - 1):
+            health.record_failure(0)
         health.record_success(0)
         health.record_failure(0)
         assert not health.is_blacklisted(0)
 
     def test_blacklist_decays_after_window(self):
-        health = NodeHealth(num_nodes=2, max_failures=1, blacklist_window=2)
-        health.record_failure(0)
-        assert health.is_blacklisted(0)
-        health.tick()
-        assert health.is_blacklisted(0)
+        health = NodeHealth(num_nodes=2)
+        blacklist(health, 0)
+        for _ in range(BLACKLIST_WINDOW - 1):
+            health.tick()
+            assert health.is_blacklisted(0)
         health.tick()
         assert not health.is_blacklisted(0)
         # Decay also forgave the consecutive count: one more failure needed.
         assert health.consecutive_failures[0] == 0
 
     def test_pick_node_skips_blacklisted_and_avoided(self):
-        health = NodeHealth(num_nodes=3, max_failures=1)
-        health.record_failure(0)
+        health = NodeHealth(num_nodes=3)
+        blacklist(health, 0)
         for _ in range(10):
             node = health.pick_node(avoid=1)
             assert node == 2
 
     def test_all_blacklisted_degrades_instead_of_deadlocking(self):
-        health = NodeHealth(num_nodes=2, max_failures=1)
-        health.record_failure(0)
-        health.record_failure(1)
+        health = NodeHealth(num_nodes=2)
+        blacklist(health, 0)
+        blacklist(health, 1)
         assert health.pick_node() in (0, 1)
 
 
@@ -179,21 +186,39 @@ class TestDeadlines:
         assert sorted(result.reduce_outputs) == [0, 1, 2]
 
     def test_timed_out_task_gets_speculative_retry(self, dfs):
-        policy = DelayAttempt(seconds=0.5, job_substring="echo", attempts_below=1)
-        rt = runtime_with(dfs, policy, speculative=True)
-        result = rt.run_job(
-            simple_conf(retry=RetryPolicy(attempt_deadline=0.05))
+        # Map task 0's first attempt hangs past the deadline, task 1's fails
+        # outright and task 2's succeeds.  After a timeout the task is
+        # marked slow: the retry wave hedges it with two copies, and runs
+        # the merely failed task once.
+        policy = ComposedFaults(
+            DelayAttempt(
+                seconds=0.5, job_substring="echo", kind=TaskKind.MAP, task_index=0
+            ),
+            FailOnce(job_substring="echo", kind=TaskKind.MAP, task_index=1),
         )
+        rt = runtime_with(dfs, policy)
+        with observe() as obs:
+            result = rt.run_job(
+                simple_conf(retry=RetryPolicy(attempt_deadline=0.05))
+            )
         assert result.succeeded
-        # After a timeout the task is marked slow: the next wave launches two
-        # copies of it even though only one is strictly needed.
-        assert result.attempts_launched > 3 + result.attempts_failed
+        assert result.attempts_timed_out == 1
+        (retry_wave,) = [
+            s for s in obs.spans
+            if s.kind is SpanKind.WAVE and s.attrs["phase"] == "map"
+            and s.attrs["wave"] == 1
+        ]
+        copies = Counter(
+            s.attrs["task"] for s in obs.spans
+            if s.kind is SpanKind.TASK and s.parent_id == retry_wave.span_id
+        )
+        assert copies == {0: 2, 1: 1}
 
 
 class TestBackoff:
     def test_backoff_sleeps_are_recorded(self, dfs):
         policy = FailOnce(job_substring="echo", kind=TaskKind.MAP, task_index=0)
-        retry = RetryPolicy(base_delay=0.01, backoff=2.0, max_delay=0.05)
+        retry = RetryPolicy(base_delay=0.01, max_delay=0.05)
         rt = runtime_with(dfs, policy)
         result = rt.run_job(simple_conf(retry=retry))
         assert result.succeeded
@@ -211,11 +236,14 @@ class TestBackoff:
 class TestBlacklisting:
     def test_sick_node_is_blacklisted_and_job_completes(self, dfs):
         policy = FailOnNode(node_id=1)
-        rt = runtime_with(dfs, policy, num_workers=3, max_node_failures=2)
-        result = rt.run_job(simple_conf(retry=RetryPolicy(max_attempts=6)))
+        rt = runtime_with(dfs, policy, num_workers=3)
+        # Six tasks on three nodes: two of each wave land on the sick node.
+        result = rt.run_job(
+            simple_conf(num_workers=6, retry=RetryPolicy(max_attempts=6))
+        )
         assert result.succeeded
         health = rt.node_health
-        assert health.total_failures[1] >= 2
+        assert health.total_failures[1] >= MAX_NODE_FAILURES
         assert health.blacklist_events >= 1
         # Healthy nodes never failed anything.
         assert health.total_failures[0] == 0
@@ -224,9 +252,9 @@ class TestBlacklisting:
     def test_retry_avoids_the_node_that_just_failed(self, dfs):
         # Even before blacklisting kicks in, a retry is routed away from the
         # node the task last failed on, so FailOnNode costs one failure per
-        # task, not max_node_failures of them.
+        # task, not MAX_NODE_FAILURES of them.
         policy = FailOnNode(node_id=0)
-        rt = runtime_with(dfs, policy, num_workers=3, max_node_failures=10)
+        rt = runtime_with(dfs, policy, num_workers=3)
         result = rt.run_job(simple_conf(retry=RetryPolicy(max_attempts=3)))
         assert result.succeeded
         health = rt.node_health

@@ -111,6 +111,19 @@ class TestResume:
             )
         rt.shutdown()
 
+    def test_resume_shape_check_names_both_shapes(self, rng):
+        with MapReduceRuntime() as rt:
+            cfg = InversionConfig(nb=16, m0=4)
+            MatrixInverter(cfg, runtime=rt).invert(random_invertible(rng, 32))
+            with pytest.raises(
+                ValueError,
+                match=r"^cannot resume: stored input is \(32, 32\), "
+                r"new input is \(48, 48\)$",
+            ):
+                MatrixInverter(cfg, runtime=rt).invert(
+                    random_invertible(rng, 48), resume=True
+                )
+
 
 class TestDistributedSolve:
     def test_vector_rhs(self, rng):

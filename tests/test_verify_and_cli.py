@@ -81,12 +81,6 @@ class TestDistributedVerification:
         assert moved.bytes_staged == 0 and moved.files_published == 0
         assert not dfs.namenode.exists("/_tmp", include_pending=True)
 
-    def test_text_input_mode(self, rng):
-        a = random_invertible(rng, 40)
-        with MatrixInverter(InversionConfig(nb=16, m0=4, input_format="text")) as inv:
-            result = inv.invert(a)
-            assert inv.distributed_residual(result) < 1e-9
-
 
 class TestCLI:
     def test_invert_command(self, capsys):
