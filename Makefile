@@ -2,18 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs profile profile-mem experiments examples coverage clean
+.PHONY: install test test-processes lint chaos chaos-processes trace-demo check bench-e2e bench-e2e-smoke bench-e2e-compare bench-pairs profile profile-mem experiments experiments-fast examples coverage clean
 
 install:
 	pip install -e .
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Process-pool backend subset: backend conformance over the serial, threads
 # and processes executors plus the shared-memory DFS / crash-recovery battery.
 test-processes:
-	$(PYTHON) -m pytest tests/test_backends_conformance.py tests/test_process_backend.py
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_backends_conformance.py tests/test_process_backend.py
 
 # Static analysis. The repro linter (plan dataflow + block DAG/barrier
 # slack + mapper/reducer purity + lock discipline + process safety) needs
@@ -110,13 +110,13 @@ profile-mem:
 	$(PYTHON) scripts/profile_call.py --workload $(W) --memory $(if $(SMOKE),--smoke)
 
 experiments:
-	$(PYTHON) -m repro.experiments.run_all
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.run_all
 
 experiments-fast:
-	$(PYTHON) -m repro.experiments.run_all --fast
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.run_all --fast
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; done; echo "all examples ran"
+	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f > /dev/null || exit 1; done; echo "all examples ran"
 
 clean:
 	rm -rf src/repro.egg-info .pytest_cache

@@ -4,8 +4,7 @@
 The package implements the paper's contribution — recursive block-LU matrix
 inversion as a pipeline of MapReduce jobs — together with every substrate it
 runs on (a MapReduce engine, an HDFS-like DFS, a cluster simulator) and the
-baselines it is evaluated against (a ScaLAPACK-style MPI implementation,
-Gauss-Jordan elimination).
+baseline it is evaluated against (a ScaLAPACK-style MPI implementation).
 
 Quickstart
 ----------

@@ -15,7 +15,7 @@ the AST, without importing the analyzed code.
 Task-boundary code is discovered structurally:
 
 * classes that look like mappers/reducers (``Mapper``/``Reducer`` bases or a
-  ``map``/``map_record``/``reduce`` method) — their task methods and
+  ``map``/``reduce`` method) — their task methods and
   ``__init__`` captures;
 * functions/lambdas passed to ``FnMapper``/``FnReducer``;
 * ``mapper_factory``/``reducer_factory``/``combiner_factory`` keywords of

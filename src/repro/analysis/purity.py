@@ -221,7 +221,7 @@ def analyze_module(module: ModuleSource) -> list[Finding]:
     """Purity findings for every task callable of an already parsed module.
 
     Analyzes (a) methods of classes that look like mappers/reducers
-    (subclass naming or a ``map``/``map_record``/``reduce`` method) and
+    (subclass naming or a ``map``/``reduce`` method) and
     (b) functions passed to ``FnMapper``/``FnReducer`` anywhere in the file.
     Driver-side code is deliberately not checked: seeding generators or
     timing on the master is fine — only task bodies must be pure.

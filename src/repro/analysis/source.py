@@ -48,8 +48,8 @@ API_PARAMS = frozenset({"self", "cls", "ctx", "context"})
 
 #: Methods the engine calls on a mapper/reducer, and the subset that runs
 #: once per record (``setup``/``cleanup`` legitimately build per-task state).
-TASK_METHODS = ("setup", "map", "map_record", "reduce", "cleanup")
-RECORD_METHODS = ("map", "map_record", "reduce")
+TASK_METHODS = ("setup", "map", "reduce", "cleanup")
+RECORD_METHODS = ("map", "reduce")
 
 _FACTORY_KEYWORDS = ("mapper_factory", "reducer_factory", "combiner_factory")
 

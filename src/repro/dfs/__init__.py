@@ -29,10 +29,9 @@ from .namenode import (
     NameNode,
     NotADirectory,
 )
-from . import formats, matrixmarket
+from . import formats
 
 __all__ = [
-    "matrixmarket",
     "DEFAULT_BLOCK_CACHE_BYTES",
     "DFS",
     "DFSError",

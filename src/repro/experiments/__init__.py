@@ -10,7 +10,6 @@
 ``sec72``             Section 7.2 — numerical accuracy
 ``sec74``             Section 7.4 — the very large matrix + faults
 ``sec75``             Section 7.5 — ScaLAPACK head-to-head
-``sec8_spark``        Section 8 — the Spark port, measured
 ``launch_overhead``   Section 7.2 — HaLoop / launch-cost study
 ====================  ==========================================
 
@@ -26,7 +25,6 @@ from . import (
     sec72,
     sec74,
     sec75,
-    sec8_spark,
     table1,
     table2,
     table3,
@@ -40,7 +38,6 @@ __all__ = [
     "fig7",
     "fig8",
     "sec72",
-    "sec8_spark",
     "sec74",
     "sec75",
     "table1",

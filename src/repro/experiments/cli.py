@@ -19,7 +19,6 @@ ARTIFACTS: dict[tuple[str, str], str] = {
     ("section", "7.2"): "sec72",
     ("section", "7.4"): "sec74",
     ("section", "7.5"): "sec75",
-    ("section", "8"): "sec8_spark",
     ("study", "launch-overhead"): "launch_overhead",
 }
 

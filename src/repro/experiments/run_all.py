@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 import time
 
-from . import fig6, fig7, fig8, sec72, sec74, sec75, sec8_spark, table1, table2, table3
+from . import fig6, fig7, fig8, sec72, sec74, sec75, table1, table2, table3
 from .harness import ExperimentHarness
 
 
@@ -79,12 +79,6 @@ def main(fast: bool = False) -> None:
                     m0_medium=4 if fast else 64,
                     harness=harness,
                 )
-            ),
-        ),
-        (
-            "Section 8 (Spark)",
-            lambda: sec8_spark.format_result(
-                sec8_spark.run(n=96 if fast else 160, nb=24 if fast else 40, harness=harness)
             ),
         ),
         (

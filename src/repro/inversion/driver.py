@@ -30,7 +30,7 @@ from ..dfs.filesystem import DFS
 from ..dfs.fsck import fsck
 from ..dfs.iostats import IOSnapshot
 from ..linalg import verify
-from ..linalg.lu import lu_decompose, lu_flop_count
+from ..linalg.lu import SingularMatrixError, lu_decompose, lu_flop_count
 from ..mapreduce import (
     DataflowScheduler,
     JobConf,
@@ -278,7 +278,10 @@ class MatrixInverter:
             block = master.read_matrix(layout.input_path)
         else:
             block = nl.matrix.read(master)
-        lu = lu_decompose(block)
+        try:
+            lu = lu_decompose(block)
+        except SingularMatrixError as e:
+            raise SingularMatrixError(f"leaf {node.dir} (global row offset {node.row0}): {e}") from e
         write_leaf_factors(master, nl, lu, transpose_u=self.config.transpose_u)
 
     def _units(

@@ -11,7 +11,6 @@ from .condest import (
 )
 from .lu import LUResult, SingularMatrixError, lu_decompose, lu_flop_count, solve_lu
 from .refine import RefinementResult, newton_schulz_refine
-from .tile_lu import TileTaskCount, tile_lu, tile_task_counts
 from .triangular import (
     back_substitute,
     blocked_back_substitute,
@@ -30,14 +29,11 @@ __all__ = [
     "LUResult",
     "RefinementResult",
     "SingularMatrixError",
-    "TileTaskCount",
     "condition_estimate",
     "estimate_inverse_one_norm",
     "expected_residual_bound",
     "newton_schulz_refine",
     "one_norm",
-    "tile_lu",
-    "tile_task_counts",
     "back_substitute",
     "blocked_back_substitute",
     "blocked_forward_substitute",

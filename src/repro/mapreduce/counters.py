@@ -16,7 +16,6 @@ TASK_GROUP = "TaskCounters"
 
 BYTES_READ = "BYTES_READ"
 BYTES_WRITTEN = "BYTES_WRITTEN"
-MAP_INPUT_RECORDS = "MAP_INPUT_RECORDS"
 MAP_OUTPUT_RECORDS = "MAP_OUTPUT_RECORDS"
 COMBINE_INPUT_RECORDS = "COMBINE_INPUT_RECORDS"
 COMBINE_OUTPUT_RECORDS = "COMBINE_OUTPUT_RECORDS"

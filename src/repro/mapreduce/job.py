@@ -91,11 +91,6 @@ class AccountedIO:
     def write_text(self, path: str, text: str) -> None:
         self.write_bytes(path, text.encode("utf-8"))
 
-    def read_bytes_range(self, path: str, offset: int, length: int) -> bytes:
-        data = self.dfs.read_range(path, offset, length)
-        self._account_read(len(data))
-        return data
-
     def read_matrix(self, path: str) -> np.ndarray:
         """Read a binary matrix file, served from the worker-shared decoded
         cache when one is attached to the DFS.
@@ -187,32 +182,12 @@ class TaskContext(AccountedIO):
 
 
 class Mapper:
-    """Base mapper.  Override :meth:`map`; or, for record-oriented text jobs,
-    override :meth:`map_record` and let the default :meth:`map` drive it
-    (the default honours byte-range splits — see
-    :func:`text_input_splits`)."""
+    """Base mapper.  Override :meth:`map`, called once per input split."""
 
     def setup(self, ctx: TaskContext) -> None:  # noqa: B027 - intentional hook
         pass
 
     def map(self, ctx: TaskContext, split: InputSplit) -> None:
-        if split.path is None:
-            raise NotImplementedError(
-                "override map(), or give the split a text-file path for "
-                "record-oriented mapping"
-            )
-        if isinstance(split.payload, tuple) and len(split.payload) == 2:
-            start, length = split.payload
-            text = ctx.read_bytes_range(split.path, start, length).decode("utf-8")
-        else:
-            text = ctx.read_text(split.path)
-        for offset, line in enumerate(text.splitlines()):
-            from .counters import MAP_INPUT_RECORDS, TASK_GROUP
-
-            ctx.increment(TASK_GROUP, MAP_INPUT_RECORDS)
-            self.map_record(ctx, offset, line)
-
-    def map_record(self, ctx: TaskContext, key: Any, value: str) -> None:
         raise NotImplementedError
 
     def cleanup(self, ctx: TaskContext) -> None:  # noqa: B027
@@ -248,15 +223,6 @@ class JobConf:
     reducer_factory: Callable[[], Reducer] | None = None
     combiner_factory: Callable[[], Reducer] | None = None
     num_reduce_tasks: int = 1
-    partitioner: Callable[[Any, int], int] = default_partitioner
-    sort_keys: bool = True
-    #: Secondary sort (Hadoop's grouping comparator): when set, pairs are
-    #: *sorted* by their full key but *grouped* by ``grouping_fn(key)``, so a
-    #: reducer sees one group per natural key with values arriving in
-    #: composite-key order.  The reducer receives the first composite key of
-    #: the group.  Route with a partitioner on the natural key so a group
-    #: never splits across reducers.
-    grouping_fn: Callable[[Any], Any] | None = None
     params: dict[str, Any] = field(default_factory=dict)
     #: Attempt budget, backoff and per-attempt deadline (:class:`RetryPolicy`);
     #: the default retries immediately, up to four attempts, with no
@@ -279,48 +245,6 @@ class JobConf:
     @property
     def is_map_only(self) -> bool:
         return self.reducer_factory is None
-
-
-def text_input_splits(
-    dfs: DFS, path: str, target_split_bytes: int
-) -> list[InputSplit]:
-    """Line-aligned byte-range splits of one text file — what Hadoop's
-    TextInputFormat computes from block boundaries.
-
-    Each split's payload is ``(start, length)``; the default
-    :meth:`Mapper.map` reads exactly that range, so a large file fans out
-    over several mappers without any mapper scanning the whole file.
-    Boundaries are moved forward to the next newline so no record is split
-    or duplicated.
-    """
-    if target_split_bytes < 1:
-        raise ValueError("target_split_bytes must be >= 1")
-    size = dfs.file_size(path)
-    if size == 0:
-        return [InputSplit(index=0, path=path, payload=(0, 0))]
-    splits: list[InputSplit] = []
-    start = 0
-    index = 0
-    while start < size:
-        end = min(start + target_split_bytes, size)
-        if end < size:
-            # Advance to the next newline so the boundary is line-aligned.
-            probe_at = end
-            while probe_at < size:
-                probe = dfs.read_range(path, probe_at, 1024)
-                nl = probe.find(b"\n")
-                if nl >= 0:
-                    end = probe_at + nl + 1
-                    break
-                probe_at += len(probe)
-            else:
-                end = size
-        splits.append(
-            InputSplit(index=index, path=path, payload=(start, end - start), length=end - start)
-        )
-        start = end
-        index += 1
-    return splits
 
 
 def splits_for_workers(num_workers: int) -> list[InputSplit]:

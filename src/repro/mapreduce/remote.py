@@ -229,7 +229,7 @@ def ensure_remote_runnable(conf: JobConf) -> Pickled:
     except Exception as exc:
         raise TaskSerializationError(
             f"job {conf.name!r} cannot run on a process backend: {exc!r}. "
-            f"Factories, partitioners, and params must be picklable (no "
+            f"Factories and params must be picklable (no "
             f"lambdas or closures over live objects) — run `python -m repro "
             f"lint --procsafety` for the static diagnosis."
         ) from None

@@ -1,7 +1,7 @@
 """Shuffle phase: partition, sort, combine, and group map outputs.
 
 Implements the contract between map and reduce: every pair a mapper emits is
-routed to exactly one reduce partition by the job's partitioner; within a
+routed to exactly one reduce partition by the hash of its key; within a
 partition, pairs are sorted by key and grouped so the reducer sees each key
 once with all its values.  An optional combiner runs on each map task's local
 output before it is "sent", shrinking shuffle traffic exactly as in Hadoop.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pickle
 from collections import defaultdict
-from typing import Any, Callable
+from typing import Any
 
 from .counters import (
     COMBINE_INPUT_RECORDS,
@@ -19,7 +19,7 @@ from .counters import (
     Counters,
     TASK_GROUP,
 )
-from .job import JobConf, TaskContext
+from .job import JobConf, TaskContext, default_partitioner
 from .types import TaskAttemptId, TaskTrace
 
 
@@ -40,56 +40,22 @@ def _sorted_keys(keys: list[Any]) -> list[Any]:
 
 
 def partition_pairs(
-    pairs: list[tuple[Any, Any]],
-    partitioner: Callable[[Any, int], int],
-    num_partitions: int,
+    pairs: list[tuple[Any, Any]], num_partitions: int
 ) -> dict[int, list[tuple[Any, Any]]]:
-    """Route each pair to its reduce partition."""
+    """Route each pair to its reduce partition by key hash."""
     buckets: dict[int, list[tuple[Any, Any]]] = defaultdict(list)
     for key, value in pairs:
-        p = partitioner(key, num_partitions)
-        if not 0 <= p < num_partitions:
-            raise ValueError(
-                f"partitioner returned {p} for key {key!r}, "
-                f"outside [0, {num_partitions})"
-            )
-        buckets[p].append((key, value))
+        buckets[default_partitioner(key, num_partitions)].append((key, value))
     return dict(buckets)
 
-def sort_and_group(
-    pairs: list[tuple[Any, Any]],
-    *,
-    sort_keys: bool = True,
-    grouping_fn: Callable[[Any], Any] | None = None,
-) -> list[tuple[Any, list[Any]]]:
-    """Group pairs by key, sorting keys when requested (Hadoop always sorts;
-    disabling the sort preserves arrival order for order-insensitive jobs).
 
-    With ``grouping_fn`` (Hadoop's grouping comparator / secondary sort),
-    pairs are sorted by their full *composite* key but grouped by
-    ``grouping_fn(key)``: the reducer sees one group per natural key, whose
-    values arrive in composite-key order, keyed by the group's first
-    composite key.
-    """
-    if grouping_fn is not None:
-        ordered = sorted(pairs, key=lambda kv: _sort_key(kv[0])) if sort_keys else pairs
-        groups: list[tuple[Any, list[Any]]] = []
-        index: dict[Any, int] = {}
-        for key, value in ordered:
-            natural = grouping_fn(key)
-            if natural not in index:
-                index[natural] = len(groups)
-                groups.append((key, []))
-            groups[index[natural]][1].append(value)
-        return groups
+def sort_and_group(pairs: list[tuple[Any, Any]]) -> list[tuple[Any, list[Any]]]:
+    """Group pairs by key, keys in sorted order and values in arrival order
+    within a key (Hadoop always sorts)."""
     grouped: dict[Any, list[Any]] = defaultdict(list)
-    order: list[Any] = []
     for key, value in pairs:
-        if key not in grouped:
-            order.append(key)
         grouped[key].append(value)
-    keys = _sorted_keys(list(grouped)) if sort_keys else order
-    return [(k, grouped[k]) for k in keys]
+    return [(k, grouped[k]) for k in _sorted_keys(list(grouped))]
 
 
 def run_combiner(
@@ -109,7 +75,7 @@ def run_combiner(
     saved = list(ctx.emitted)
     ctx.emitted.clear()
     combiner.setup(ctx)
-    for key, values in sort_and_group(pairs, sort_keys=conf.sort_keys):
+    for key, values in sort_and_group(pairs):
         combiner.reduce(ctx, key, iter(values))
     combiner.cleanup(ctx)
     combined = list(ctx.emitted)

@@ -93,7 +93,7 @@ def run_map_attempt(
         partitions: dict[int, list[tuple[Any, Any]]] = {}
     else:
         pairs = run_combiner(conf, pairs, ctx)
-        partitions = partition_pairs(pairs, conf.partitioner, conf.num_reduce_tasks)
+        partitions = partition_pairs(pairs, conf.num_reduce_tasks)
         shuffled = sum(shuffle_size_bytes(batch) for batch in partitions.values())
         trace.bytes_shuffled += shuffled
         counters.increment(TASK_GROUP, SHUFFLE_BYTES, shuffled)
@@ -130,9 +130,7 @@ def run_reduce_attempt(
 
     reducer = conf.reducer_factory()
     reducer.setup(ctx)
-    groups = sort_and_group(
-        partition, sort_keys=conf.sort_keys, grouping_fn=conf.grouping_fn
-    )
+    groups = sort_and_group(partition)
     counters.increment(TASK_GROUP, REDUCE_INPUT_RECORDS, len(partition))
     counters.increment(TASK_GROUP, REDUCE_INPUT_GROUPS, len(groups))
     for key, values in groups:

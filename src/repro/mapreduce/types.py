@@ -66,7 +66,6 @@ class InputSplit:
     index: int
     payload: Any = None
     path: str | None = None
-    length: int = 0
 
 
 @dataclass

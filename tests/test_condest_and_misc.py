@@ -1,4 +1,4 @@
-"""Condition estimation, plan description, and the newest Spark ops."""
+"""Condition estimation and plan description."""
 
 import numpy as np
 import pytest
@@ -83,29 +83,3 @@ class TestPlanDescribe:
         assert "/Root/A1" in text and "master LU" in text
         assert text.count("leaf") == len(plan.tree.leaves())
 
-
-class TestNewSparkOps:
-    def test_glom(self):
-        from repro.spark import SparkContext
-
-        sc = SparkContext()
-        parts = sc.parallelize(range(6), 3).glom().collect()
-        assert parts == [[0, 1], [2, 3], [4, 5]]
-
-    def test_zip_with_index(self):
-        from repro.spark import SparkContext
-
-        sc = SparkContext()
-        out = sc.parallelize("abcd", 3).zip_with_index().collect()
-        assert out == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
-
-    def test_aggregate(self):
-        from repro.spark import SparkContext
-
-        sc = SparkContext()
-        total, count = sc.parallelize(range(10), 4).aggregate(
-            (0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        assert (total, count) == (45, 10)

@@ -1,5 +1,4 @@
-"""Gauss-Jordan-on-MapReduce (the rejected design, measured) and the blocked
-triangular solvers."""
+"""The blocked triangular solvers and the kernels' speed guards."""
 
 import os
 import subprocess
@@ -9,85 +8,12 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.baselines.gauss_jordan_mr import gauss_jordan_mapreduce_invert
 from repro.linalg import (
     blocked_back_substitute,
     blocked_forward_substitute,
     back_substitute,
     forward_substitute,
 )
-from repro.mapreduce import MapReduceRuntime
-
-from conftest import random_invertible
-
-
-class TestGaussJordanMR:
-    @pytest.mark.parametrize("n, m0", [(8, 2), (20, 4), (33, 4)])
-    def test_inverse_correct(self, rng, n, m0):
-        a = random_invertible(rng, n)
-        res = gauss_jordan_mapreduce_invert(a, m0=m0)
-        assert np.allclose(res.inverse, np.linalg.inv(a), atol=1e-8)
-
-    def test_exactly_n_jobs(self, rng):
-        """Section 4.2's claim, measured: n sequential jobs."""
-        a = random_invertible(rng, 24)
-        res = gauss_jordan_mapreduce_invert(a, m0=4)
-        assert res.num_jobs == 24
-        assert len(res.record.job_results) == 24
-
-    def test_job_explosion_vs_block_lu(self, rng):
-        """The paper's core argument: at the same order, block LU needs
-        2^d + 1 jobs versus Gauss-Jordan's n."""
-        from repro import InversionConfig, invert
-
-        n = 32
-        a = random_invertible(rng, n)
-        gj = gauss_jordan_mapreduce_invert(a, m0=4)
-        blu = invert(a, InversionConfig(nb=8, m0=4))
-        assert gj.num_jobs == n
-        assert blu.num_jobs == 5
-        assert np.allclose(gj.inverse, blu.inverse, atol=1e-7)
-
-    def test_launch_overhead_dominates_gj_at_scale(self, rng):
-        """Replayed on a cluster with Hadoop's launch cost, Gauss-Jordan's
-        n-job pipeline loses to block LU even with identical arithmetic."""
-        from repro import InversionConfig, invert
-        from repro.cluster import ClusterSpec, ScaleFactors, simulate_record
-
-        n = 32
-        a = random_invertible(rng, n)
-        gj = gauss_jordan_mapreduce_invert(a, m0=4)
-        blu = invert(a, InversionConfig(nb=8, m0=4))
-        cluster = ClusterSpec(4)
-        scale = ScaleFactors.for_order(n, 4096)
-        t_gj = simulate_record(gj.record, cluster, scale).makespan
-        t_blu = simulate_record(blu.record, cluster, scale).makespan
-        assert t_gj > t_blu
-        # And at true paper scale the job count alone (n vs 2^d+1) decides:
-        # 16384 launches vs 9.
-        assert 16384 * cluster.job_launch_overhead > t_blu
-
-    def test_pivoting_within_slab(self, rng):
-        a = random_invertible(rng, 16)
-        a[0, 0] = 0.0  # needs a local pivot swap at step 0
-        res = gauss_jordan_mapreduce_invert(a, m0=4)
-        assert res.residual(a) < 1e-8
-
-    def test_singular_detected(self):
-        from repro.linalg import SingularMatrixError
-        from repro.mapreduce import JobFailedError
-
-        with pytest.raises((SingularMatrixError, JobFailedError)):
-            gauss_jordan_mapreduce_invert(np.ones((8, 8)), m0=2)
-
-    def test_shared_runtime_not_shut_down(self, rng):
-        rt = MapReduceRuntime()
-        a = random_invertible(rng, 12)
-        gauss_jordan_mapreduce_invert(a, runtime=rt, m0=2)
-        # Runtime still usable.
-        gauss_jordan_mapreduce_invert(a, runtime=rt, m0=2)
-        assert rt.jobs_run() == 24
-        rt.shutdown()
 
 
 class TestBlockedSolvers:

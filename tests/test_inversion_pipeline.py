@@ -103,11 +103,10 @@ class TestCorrectness:
         assert res.residual(a) < 1e-9
 
     def test_singular_matrix_fails_cleanly(self):
-        from repro.mapreduce import JobFailedError
         from repro.linalg import SingularMatrixError
 
         a = np.ones((32, 32))
-        with pytest.raises((SingularMatrixError, JobFailedError)):
+        with pytest.raises(SingularMatrixError):
             invert(a, InversionConfig(nb=8, m0=4))
 
 

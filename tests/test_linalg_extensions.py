@@ -1,55 +1,12 @@
-"""Tile LU and Newton-Schulz refinement (a related-work kernel and the
-numerical-stability extension)."""
+"""Newton-Schulz refinement (the numerical-stability extension)."""
 
 import numpy as np
 import pytest
 
-from repro.linalg import (
-    lu_decompose,
-    newton_schulz_refine,
-    tile_lu,
-    tile_task_counts,
-)
-from repro.linalg.verify import lu_residual
+from repro.linalg import newton_schulz_refine
 from repro.workloads import ill_conditioned
 
 from conftest import random_invertible
-
-
-class TestTileLU:
-    @pytest.mark.parametrize("n, tile", [(16, 4), (30, 7), (64, 16), (10, 32), (33, 8)])
-    def test_pa_equals_lu(self, rng, n, tile):
-        a = random_invertible(rng, n)
-        res, _ = tile_lu(a, tile=tile)
-        assert lu_residual(a, res.lower(), res.upper(), res.perm) < 1e-9
-
-    def test_single_tile_equals_plain_lu(self, rng):
-        a = random_invertible(rng, 12)
-        tiled, counts = tile_lu(a, tile=12)
-        plain = lu_decompose(a)
-        assert np.allclose(tiled.lu, plain.lu)
-        assert np.array_equal(tiled.perm, plain.perm)
-        assert counts.getrf == 1 and counts.trsm == 0 and counts.gemm == 0
-
-    def test_task_counts_match_closed_form(self, rng):
-        a = random_invertible(rng, 40)
-        _, counts = tile_lu(a, tile=10)
-        expected = tile_task_counts(40, 10)
-        assert counts.getrf == expected.getrf == 4
-        assert counts.trsm == expected.trsm == 12
-        assert counts.gemm == expected.gemm == 14
-
-    def test_rescues_zero_leading_element(self, rng):
-        a = random_invertible(rng, 24)
-        a[0, 0] = 0.0
-        res, _ = tile_lu(a, tile=6)
-        assert lu_residual(a, res.lower(), res.upper(), res.perm) < 1e-9
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            tile_lu(rng.standard_normal((3, 4)))
-        with pytest.raises(ValueError):
-            tile_lu(np.eye(4), tile=0)
 
 
 class TestNewtonSchulz:

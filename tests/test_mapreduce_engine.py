@@ -26,8 +26,8 @@ from repro.mapreduce.shuffle import (
 
 
 class WordCountMapper(Mapper):
-    def map_record(self, ctx, key, value):
-        for word in value.split():
+    def map(self, ctx, split):
+        for word in ctx.read_text(split.path).split():
             ctx.emit(word, 1)
 
 
@@ -128,26 +128,17 @@ class TestMapOnly:
 class TestShuffle:
     def test_partition_routing_complete(self):
         pairs = [(i, i) for i in range(100)]
-        buckets = partition_pairs(pairs, default_partitioner, 7)
+        buckets = partition_pairs(pairs, 7)
         total = sum(len(v) for v in buckets.values())
         assert total == 100
         for p, bucket in buckets.items():
             for k, _ in bucket:
                 assert default_partitioner(k, 7) == p
 
-    def test_bad_partitioner_detected(self):
-        with pytest.raises(ValueError, match="partitioner"):
-            partition_pairs([(1, 1)], lambda k, n: n + 5, 4)
-
     def test_sort_and_group(self):
         pairs = [("b", 1), ("a", 2), ("b", 3), ("a", 4)]
         groups = sort_and_group(pairs)
         assert groups == [("a", [2, 4]), ("b", [1, 3])]
-
-    def test_group_without_sort_preserves_arrival(self):
-        pairs = [("b", 1), ("a", 2), ("b", 3)]
-        groups = sort_and_group(pairs, sort_keys=False)
-        assert [k for k, _ in groups] == ["b", "a"]
 
     def test_merge_preserves_map_order_within_partition(self):
         m1 = {0: [("k", 1)]}

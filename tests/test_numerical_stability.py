@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import InversionConfig, invert
-from repro.linalg import SingularMatrixError
+from repro.linalg import SingularMatrixError, lu_decompose
 from repro.linalg.verify import PAPER_RESIDUAL_BOUND, identity_residual
 from repro.mapreduce import JobFailedError
 from repro.workloads import (
@@ -96,8 +96,45 @@ class TestFailureModes:
         assert res.residual(a) > PAPER_RESIDUAL_BOUND
 
     def test_exactly_singular_matrix_raises(self):
-        with pytest.raises((SingularMatrixError, JobFailedError)):
+        with pytest.raises(SingularMatrixError):
             invert(np.ones((32, 32)), CFG)
+
+    @pytest.mark.parametrize(
+        "executor, schedule",
+        [
+            ("serial", "barrier"),
+            ("threads", "barrier"),
+            ("threads", "dataflow"),
+            ("processes", "barrier"),
+            ("processes", "dataflow"),
+        ],
+    )
+    def test_singular_leaf_fails_on_its_one_factorization(
+        self, monkeypatch, executor, schedule
+    ):
+        """Leaf LU runs on the driver, not in a task: the first singular leaf
+        raises on its only factorization, nothing is retried, and the error
+        names the leaf."""
+        import repro.inversion.driver as driver
+
+        calls = []
+
+        def counting_lu(block):
+            calls.append(block.shape)
+            return lu_decompose(block)
+
+        monkeypatch.setattr(driver, "lu_decompose", counting_lu)
+        a = random_dense(256, seed=0)
+        a[200:] = 0.0
+        cfg = InversionConfig(
+            nb=16, m0=4, executor=executor, num_workers=2, schedule=schedule
+        )
+        with pytest.raises(
+            SingularMatrixError, match=r"^leaf /Root/\S+ \(global row offset 192\): zero pivot"
+        ):
+            invert(a, cfg)
+        # Leaves are factorized in row order; row 200 is in the 13th.
+        assert len(calls) == 200 // 16 + 1
 
     def test_cross_block_pivot_limitation_documented(self):
         """An invertible matrix whose leading diagonal block is singular
@@ -105,7 +142,7 @@ class TestFailureModes:
         the block boundary) — the scheme's known limitation."""
         a = needs_cross_block_pivot(32)
         assert np.linalg.matrix_rank(a) == 32
-        with pytest.raises((SingularMatrixError, JobFailedError)):
+        with pytest.raises(SingularMatrixError):
             invert(a, InversionConfig(nb=8, m0=4))
 
     def test_same_matrix_fine_when_leaf_covers_it(self):

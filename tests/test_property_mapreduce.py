@@ -21,7 +21,7 @@ class TestPartitioning:
     def test_partitioning_is_a_partition(self, pairs, nparts):
         """Every pair lands in exactly one bucket; nothing lost, nothing
         duplicated, every bucket index valid."""
-        buckets = partition_pairs(pairs, default_partitioner, nparts)
+        buckets = partition_pairs(pairs, nparts)
         rebuilt = [p for bucket in buckets.values() for p in bucket]
         assert PyCounter(rebuilt) == PyCounter(pairs)
         assert all(0 <= b < nparts for b in buckets)
@@ -34,7 +34,7 @@ class TestPartitioning:
     @given(pairs_lists, st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
     def test_same_key_same_bucket(self, pairs, nparts):
-        buckets = partition_pairs(pairs, default_partitioner, nparts)
+        buckets = partition_pairs(pairs, nparts)
         seen: dict = {}
         for b, bucket in buckets.items():
             for k, _ in bucket:
@@ -60,7 +60,7 @@ class TestGrouping:
     @settings(max_examples=100, deadline=None)
     def test_values_keep_arrival_order_within_key(self, pairs):
         groups = dict(
-            (repr(k), vs) for k, vs in sort_and_group(pairs, sort_keys=False)
+            (repr(k), vs) for k, vs in sort_and_group(pairs)
         )
         arrival: dict = {}
         for k, v in pairs:
@@ -81,7 +81,7 @@ class TestMerge:
         """The shuffle pipeline (per-map partition -> merge -> group) sees
         exactly the concatenated pairs, regardless of how maps split them."""
         partitioned = [
-            partition_pairs(pairs, default_partitioner, nparts) for pairs in per_map
+            partition_pairs(pairs, nparts) for pairs in per_map
         ]
         merged = merge_map_outputs(partitioned, nparts)
         rebuilt = [p for bucket in merged.values() for p in bucket]

@@ -1,5 +1,4 @@
-"""Distributed sort (custom partitioner), pipeline resume, distributed solve,
-and the Gantt renderer."""
+"""Pipeline resume, distributed solve, and the Gantt renderer."""
 
 import numpy as np
 import pytest
@@ -8,54 +7,8 @@ from repro import InversionConfig
 from repro.inversion import MatrixInverter
 from repro.mapreduce import FailNever, JobFailedError, MapReduceRuntime, TaskKind
 from repro.mapreduce.faults import FailAlways
-from repro.mapreduce.sort import (
-    RangePartitioner,
-    distributed_sort,
-    sample_split_points,
-)
 
 from conftest import random_invertible
-
-
-class TestRangePartitioner:
-    def test_split_points_ordered(self):
-        pts = sample_split_points(list(range(100)), 4)
-        assert pts == sorted(pts)
-        assert len(pts) == 3
-
-    def test_single_partition_no_points(self):
-        assert sample_split_points([3, 1, 2], 1) == []
-
-    def test_routing_respects_ranges(self):
-        p = RangePartitioner([10, 20])
-        assert p(5, 3) == 0
-        assert p(10, 3) == 1
-        assert p(15, 3) == 1
-        assert p(25, 3) == 2
-
-    def test_too_many_points_rejected(self):
-        with pytest.raises(ValueError):
-            RangePartitioner([1, 2, 3])(0, 2)
-
-
-class TestDistributedSort:
-    def test_sorts_integers(self, runtime, rng):
-        data = rng.integers(0, 10_000, 500).tolist()
-        assert distributed_sort(runtime, data) == sorted(data)
-
-    def test_sorts_strings(self, runtime):
-        data = ["pear", "apple", "fig", "banana", "date", "cherry"]
-        assert distributed_sort(runtime, data, num_partitions=2) == sorted(data)
-
-    def test_skewed_input(self, runtime):
-        data = [1] * 100 + [2] * 5 + list(range(100, 120))
-        assert distributed_sort(runtime, data, num_partitions=3) == sorted(data)
-
-    def test_empty(self, runtime):
-        assert distributed_sort(runtime, []) == []
-
-    def test_more_partitions_than_keys(self, runtime):
-        assert distributed_sort(runtime, [2, 1], num_partitions=8) == [1, 2]
 
 
 class TestResume:

@@ -138,8 +138,9 @@ class TestCLIDescribe:
         assert "jobs=1" in out
 
     def test_section8_artifact(self, capsys):
-        assert cli_main(["section", "8"]) == 0
-        assert "Spark" in capsys.readouterr().out
+        """Section 8 is the paper's future work, not a regenerated artifact."""
+        assert cli_main(["section", "8"]) == 2
+        assert "unknown section '8'" in capsys.readouterr().err
 
     def test_study_artifact(self, capsys):
         assert cli_main(["study", "launch-overhead"]) == 0
