@@ -93,8 +93,8 @@ bench-e2e-compare:
 # 1..N) — medians, quartiles and wins per side for the four end-to-end
 # metrics.  Only invokes the harness.
 bench-pairs:
-	@test -n "$(W)" -a -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10]"; exit 2; }
-	$(PYTHON) scripts/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(or $(N),10)
+	@test -n "$(W)" -a -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10] [JSON=path]"; exit 2; }
+	$(PYTHON) scripts/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(or $(N),10) $(if $(JSON),--json $(JSON))
 
 # Where the calls go: cProfile of one call.  CHILDREN=1 also profiles the
 # process pool's workers and prints them merged below the driver.

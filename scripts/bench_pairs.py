@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of one end-to-end benchmark workload.
 
-Usage:  python scripts/bench_pairs.py --workload W --parent REV [--pairs 10]
-        make bench-pairs W=paper_n1024_m8 PARENT=HEAD~1 N=10
+Usage:  python scripts/bench_pairs.py --workload W --parent REV [--pairs 10] [--json PATH]
+        make bench-pairs W=paper_n1024_m8 PARENT=HEAD~1 N=10 [JSON=PATH]
 
 ``git archive REV`` is unpacked into a temporary directory, ``__pycache__``
 is stripped from that tree and from this one (a tree with ``.pyc`` files
@@ -13,6 +13,8 @@ the other), and for seeds 1..N each tree runs its own
 the parent first on odd seeds, the change first on even ones.  Printed per
 end-to-end metric: each side's median and quartiles, the relative change of
 the medians, and how many pairs each side won (ties count for neither).
+``--json PATH`` also writes those numbers, with every pair's values, as one
+JSON document (``docs/perf/`` keeps the ones a change cites).
 
 This only *invokes* the harness; nothing under ``benchmarks/e2e/`` is
 written except its ignored ``out/`` directory.
@@ -56,20 +58,41 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
     return {name: cell["value"] for name, cell in result["metrics"].items()}
 
 
-def report(parent: list[dict[str, float]], change: list[dict[str, float]]) -> None:
-    print(f"\n{'metric':<15}{'parent median [q1, q3]':>34}{'change median [q1, q3]':>34}"
-          f"{'delta':>9}  wins parent/change")  # fmt: skip
+def summarize(parent: list[dict[str, float]], change: list[dict[str, float]]) -> dict:
+    """Per end-to-end metric: each side's median and quartiles, the relative
+    change of the medians, the wins of each side (ties count for neither)
+    and the ``[parent, change]`` value of every pair."""
+    summary = {}
     for name in parent[0]:
         a = [run[name] for run in parent]
         b = [run[name] for run in change]
+        sides = {}
+        for side, values in (("parent", a), ("change", b)):
+            q1, q3 = quartiles(values)
+            sides[side] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+        summary[name] = {
+            **sides,
+            "delta": statistics.median(b) / statistics.median(a) - 1.0,
+            "wins": {
+                "parent": sum(x < y for x, y in zip(a, b)),
+                "change": sum(y < x for x, y in zip(a, b)),
+            },
+            "pairs": [[x, y] for x, y in zip(a, b)],
+        }
+    return summary
+
+
+def report(summary: dict) -> None:
+    print(f"\n{'metric':<15}{'parent median [q1, q3]':>34}{'change median [q1, q3]':>34}"
+          f"{'delta':>9}  wins parent/change")  # fmt: skip
+    for name, row in summary.items():
         cells = [
-            f"{statistics.median(v):.4g} [{q1:.4g}, {q3:.4g}]"
-            for v, (q1, q3) in ((a, quartiles(a)), (b, quartiles(b)))
+            f"{row[side]['median']:.4g} [{row[side]['q1']:.4g}, {row[side]['q3']:.4g}]"
+            for side in ("parent", "change")
         ]
-        delta = statistics.median(b) / statistics.median(a) - 1.0
-        wins_a = sum(x < y for x, y in zip(a, b))
-        wins_b = sum(y < x for x, y in zip(a, b))
-        print(f"{name:<15}{cells[0]:>34}{cells[1]:>34}{delta:>+9.1%}  {wins_a}/{wins_b}")
+        wins = row["wins"]
+        print(f"{name:<15}{cells[0]:>34}{cells[1]:>34}{row['delta']:>+9.1%}"
+              f"  {wins['parent']}/{wins['change']}")  # fmt: skip
 
 
 def main() -> int:
@@ -78,6 +101,7 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--json", type=pathlib.Path, help="also write the table's numbers here")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -99,7 +123,17 @@ def main() -> int:
             print(f"seed {seed}: invert_wall_s parent {wall['parent']:.4f}"
                   f"  change {wall['change']:.4f}", flush=True)  # fmt: skip
         print(f"\n{args.workload}: {args.pairs} alternating pairs against {args.parent}")
-        report(runs["parent"], runs["change"])
+        summary = summarize(runs["parent"], runs["change"])
+        report(summary)
+    if args.json is not None:
+        document = {
+            "workload": args.workload,
+            "parent": args.parent,
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "metrics": summary,
+        }
+        args.json.write_text(json.dumps(document, indent=1) + "\n")
     return 0
 
 

@@ -152,7 +152,9 @@ def _combined(node: PlanNode, config: InversionConfig) -> bool:
 
 
 def lower_read_paths(layout: Layout, node: PlanNode) -> set[str]:
-    """Every path :func:`repro.inversion.factors.read_lower` touches."""
+    """Every path :func:`repro.inversion.factors.read_lower` touches: the
+    files of the pieces a kernel walks — each child's, the node's ``L2'``
+    chunks, and the right subtree's permutations for ``P2`` — each once."""
     nl = layout.of(node)
     if _combined(node, layout.config):
         return {nl.l_path}
@@ -167,7 +169,8 @@ def lower_read_paths(layout: Layout, node: PlanNode) -> set[str]:
 
 
 def upper_read_paths(layout: Layout, node: PlanNode) -> set[str]:
-    """Every path :func:`repro.inversion.factors.read_upper` touches."""
+    """Every path :func:`repro.inversion.factors.read_upper` touches: each
+    child's files and the node's ``U2`` chunks, each once."""
     nl = layout.of(node)
     if _combined(node, layout.config):
         return {nl.u_path}
@@ -181,7 +184,9 @@ def upper_read_paths(layout: Layout, node: PlanNode) -> set[str]:
 
 
 def perm_read_paths(layout: Layout, node: PlanNode) -> set[str]:
-    """Every path :func:`repro.inversion.factors.read_perm` touches."""
+    """Every path :func:`repro.inversion.factors.read_perm` touches (and
+    :func:`~repro.inversion.factors.read_lower_and_perm` adds to
+    :func:`lower_read_paths`)."""
     nl = layout.of(node)
     if _combined(node, layout.config):
         return {nl.p_path}

@@ -47,6 +47,7 @@ from ..mapreduce.job import AccountedIO
 from ..telemetry.spans import SpanKind, current_tracer
 from .config import InversionConfig
 from .factors import (
+    assemble,
     combine_factors,
     read_lower_and_perm,
     read_upper,
@@ -442,8 +443,8 @@ class MatrixInverter:
                 tree = layout.plan.tree
                 lower, perm = read_lower_and_perm(layout, tree, master)
                 return LUFactors(
-                    lower=lower,
-                    upper=read_upper(layout, tree, master),
+                    lower=assemble(lower),
+                    upper=assemble(read_upper(layout, tree, master)),
                     perm=perm,
                     plan=layout.plan,
                     record=pipeline.record,

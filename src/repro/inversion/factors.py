@@ -1,4 +1,4 @@
-"""Recursive assembly of the distributed L, U, and P factors.
+"""Reading the distributed L, U, and P factors as their stored pieces.
 
 With the separate-files optimization (Section 6.1), a decomposed block's
 factors are never combined on disk: the lower factor of an internal node is
@@ -6,11 +6,15 @@ factors are never combined on disk: the lower factor of an internal node is
     L = [[ L1,       0  ],
          [ P2 L2',   L3 ]]
 
-with ``L1``/``L3`` recursively assembled from the children and ``L2'`` read
-from the node's ``L2/L.<j>`` part files; the row permutation ``P2`` is applied
-*as the data is read* ("L2 is constructed only as it is read from HDFS",
-Section 5.3).  Analogously ``U = [[U1, U2], [0, U3]]`` and
-``P = augment(P1, P2)``.
+with ``L1``/``L3`` the children's factors and ``L2'`` the node's
+``L2/L.<j>`` part files.  The readers return that tree
+(:class:`repro.linalg.triangular.Triangle`) with the parts as decoded views
+and ``P2`` alongside, and the triangular kernels solve against it piece by
+piece, applying ``P2`` to the rows of each product ("L2 is constructed only
+as it is read from HDFS", Section 5.3) — no task builds the dense factor.
+Analogously ``U = [[U1, U2], [0, U3]]`` and ``P = augment(P1, P2)``.
+:func:`assemble` builds the dense matrix for the callers that return or
+write one.
 
 When the optimization is off, the master combines each internal node's
 factors into ``<dir>/OUT/{l.bin, u.bin|ut.bin, p.bin}`` after its subtree
@@ -25,6 +29,7 @@ import numpy as np
 from ..dfs import formats
 from ..linalg import permutation
 from ..linalg.lu import LUResult
+from ..linalg.triangular import Triangle
 from .layout import Layout, NodeLayout
 from .plan import PlanNode
 from .regions import MatrixReader
@@ -68,72 +73,63 @@ def write_leaf_factors(
     writer.write_bytes(layout_node.p_path, perm_to_bytes(lu.perm))
 
 
-def read_lower(layout: Layout, node: PlanNode, reader, out=None) -> np.ndarray:
-    """Assemble the full lower factor of ``node`` (unit diagonal explicit).
+def read_lower(layout: Layout, node: PlanNode, reader) -> np.ndarray | Triangle:
+    """The lower factor of ``node`` (unit diagonal explicit) as the tree of
+    its stored pieces, every file read once.
 
-    The recursion writes every level straight into one destination: ``out``
-    (a ``node.n x node.n`` writable array) when given, else a fresh array —
-    or, for a factor stored as a single file, the decoded read-only view.
-    ``P2`` comes out of the ``L3`` walk, so each permutation file under the
-    right subtree is read once, not once per level.
+    A factor stored as a single file — a leaf, or a combined node — is its
+    decoded read-only view.  Otherwise a :class:`Triangle` of ``L1``, the
+    ``L2'`` chunk views and ``L3``, with ``P2`` the permutation of the right
+    subtree, applied by whoever uses the block.  ``P2`` comes out of the
+    ``L3`` walk, so each permutation file under the right subtree is read
+    once, not once per level.  :func:`assemble` makes it dense.
     """
-    return _lower(layout, node, reader, out, with_perm=False)[0]
+    return _lower(layout, node, reader, with_perm=False)[0]
 
 
-def read_lower_and_perm(
-    layout: Layout, node: PlanNode, reader, out=None
-) -> tuple[np.ndarray, np.ndarray]:
+def read_lower_and_perm(layout: Layout, node: PlanNode, reader) -> tuple:
     """:func:`read_lower` and :func:`read_perm` of ``node`` in one walk, every
     permutation file under it read once."""
-    return _lower(layout, node, reader, out, with_perm=True)
+    return _lower(layout, node, reader, with_perm=True)
 
 
-def _lower(layout: Layout, node: PlanNode, reader, out, *, with_perm: bool):
+def _lower(layout: Layout, node: PlanNode, reader, *, with_perm: bool):
     """``(L, P)`` of ``node``; ``P`` is ``None`` unless ``with_perm``."""
     nl = layout.of(node)
     if reader.exists(nl.l_path):
         # Via the reader's matrix method (not raw bytes) so a decoded-block
         # cache on the DFS serves repeated factor reads from memory.
         lower = reader.read_matrix(nl.l_path)
-        if out is not None:
-            out[...] = lower
-            lower = out
         return lower, read_perm(layout, node, reader) if with_perm else None
     if node.is_leaf:
         raise FileNotFoundError(f"leaf factors missing: {nl.l_path}")
-    n1 = node.n1
-    if out is None:
-        out = np.empty((node.n, node.n))
-    _, p1 = _lower(layout, node.child1, reader, out[:n1, :n1], with_perm=with_perm)
-    l2 = nl.l2.read(reader)
-    _, p2 = _lower(layout, node.child2, reader, out[n1:, n1:], with_perm=True)
-    out[n1:, :n1] = permutation.apply_rows(p2, l2)
-    out[:n1, n1:] = 0.0
-    return out, permutation.augment(p1, p2) if with_perm else None
+    l1, p1 = _lower(layout, node.child1, reader, with_perm=with_perm)
+    chunks = tuple([(b.r1, b.r1 + b.rows, b.read_part(reader)) for b in nl.l2.blocks])
+    l3, p2 = _lower(layout, node.child2, reader, with_perm=True)
+    lower = Triangle(node.n1, l1, l3, chunks, p2)
+    return lower, permutation.augment(p1, p2) if with_perm else None
 
 
-def read_upper(layout: Layout, node: PlanNode, reader, out=None) -> np.ndarray:
-    """Assemble the full upper factor of ``node`` (``out`` as in
-    :func:`read_lower`)."""
+def read_upper(layout: Layout, node: PlanNode, reader) -> np.ndarray | Triangle:
+    """The upper factor of ``node`` as the tree of its stored pieces
+    (:func:`read_lower`'s; the ``U2`` chunks are column chunks, and views of
+    the stored transposes under Section 6.3)."""
     nl = layout.of(node)
     if reader.exists(nl.u_path):
         stored = reader.read_matrix(nl.u_path)
-        if layout.config.transpose_u:
-            stored = stored.T
-        if out is None:
-            return stored
-        out[...] = stored
-        return out
+        return stored.T if layout.config.transpose_u else stored
     if node.is_leaf:
         raise FileNotFoundError(f"leaf factors missing: {nl.u_path}")
-    n1 = node.n1
-    if out is None:
-        out = np.empty((node.n, node.n))
-    read_upper(layout, node.child1, reader, out[:n1, :n1])
-    nl.u2.read(reader, out[:n1, n1:])
-    read_upper(layout, node.child2, reader, out[n1:, n1:])
-    out[n1:, :n1] = 0.0
-    return out
+    u1 = read_upper(layout, node.child1, reader)
+    chunks = tuple([(b.c1, b.c1 + b.cols, b.read_part(reader)) for b in nl.u2.blocks])
+    return Triangle(node.n1, u1, read_upper(layout, node.child2, reader), chunks, lower=False)
+
+
+def assemble(factor: np.ndarray | Triangle) -> np.ndarray:
+    """A factor read by :func:`read_lower` / :func:`read_upper` as one dense
+    matrix, for the callers that return or write it whole (``lu()`` and
+    :func:`combine_factors`); a single stored file is its read-only view."""
+    return factor.dense() if type(factor) is Triangle else factor
 
 
 def read_perm(layout: Layout, node: PlanNode, reader) -> np.ndarray:
@@ -157,7 +153,8 @@ def combine_factors(layout: Layout, node: PlanNode, reader, writer) -> int:
     """
     nl = layout.of(node)
     lower, perm = read_lower_and_perm(layout, node, reader)
-    upper = read_upper(layout, node, reader)
+    lower = assemble(lower)
+    upper = assemble(read_upper(layout, node, reader))
     l_data = formats.encode_matrix(lower)
     stored_u = upper.T if layout.config.transpose_u else upper
     u_data = formats.encode_matrix(stored_u)

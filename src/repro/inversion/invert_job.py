@@ -27,9 +27,10 @@ share.
 
 Verbatim from the paper: who owns which columns, rows and block, the files
 each task reads and writes, the mappers' Equation-4 multiplication count.
-Blocked: the mappers' kernels (:mod:`repro.linalg.triangular`) and the
-reducers' product, formed panel by panel so that most structural zeros of the
-triangular inverses are never multiplied (:func:`_triangular_product`); the
+Blocked: the mappers' kernels (:mod:`repro.linalg.triangular`, solving
+against the factors' stored pieces) and the reducers' product, formed panel
+by panel so that most structural zeros of the triangular inverses are never
+multiplied, one output tile at a time (:func:`_triangular_product`); the
 reducers report the multiplications they issued, so the job's total sits
 between Table 2's ``2/3 n^3`` and the dense product's ``4/3 n^3``.
 """
@@ -242,6 +243,11 @@ def reducer_indices(layout: Layout, p: int, n: int) -> tuple[np.ndarray, np.ndar
     return _indices(rows), _indices(cols)
 
 
+# Rows and columns of one output tile of a reducer's block: the tile's
+# running sum stays in cache while the panels stream through it.
+_TILE = 256
+
+
 def _triangular_product(
     u_packed: np.ndarray, rows: range, l_packed: np.ndarray, cols: range, n: int
 ) -> tuple[np.ndarray, int]:
@@ -253,15 +259,37 @@ def _triangular_product(
     ``k >= max(r, c)`` only.  The product is accumulated panel by panel over
     ``k``; with ascending shares, panel ``[k0, k1)`` reaches just the leading
     corner of rows ``< k1`` by columns ``< k1`` of the block — which is what
-    the packed shares hold for that panel.
+    the packed shares hold for that panel.  The block is formed one
+    ``_TILE``-square output tile at a time, each summed over the panels that
+    reach it in a small contiguous buffer (the block itself when it is one
+    tile), so no panel makes a block-sized temporary or a block-sized
+    ``+=``; every entry sees the same panel products in the same order.
     """
-    block = np.zeros((len(rows), len(cols)))
+    row_panels, col_panels = _panels(rows, n), _panels(cols, n)
+    one_tile = len(rows) <= _TILE and len(cols) <= _TILE
+    block = np.empty((len(rows), len(cols)))
+    tile_buf = block.reshape(-1) if one_tile else np.empty(_TILE * _TILE)
+    prod_buf = np.empty(min(_TILE, len(rows)) * min(_TILE, len(cols)))
     mults = 0
-    for (k0, k1, ru, nr), (_, _, cl, nc) in zip(_panels(rows, n), _panels(cols, n)):
-        if nr and nc:
-            width = k1 - k0
-            block[:nr, :nc] += u_packed[ru : ru + nr, :width] @ l_packed[:width, cl : cl + nc]
-            mults += nr * nc * width
+    for t0 in range(0, len(rows), _TILE):
+        t1 = min(t0 + _TILE, len(rows))
+        for s0 in range(0, len(cols), _TILE):
+            s1 = min(s0 + _TILE, len(cols))
+            tile = tile_buf[: (t1 - t0) * (s1 - s0)].reshape(t1 - t0, s1 - s0)
+            tile[...] = 0.0
+            for (k0, k1, ru, nr), (_, _, cl, nc) in zip(row_panels, col_panels):
+                if nr > t0 and nc > s0:
+                    a, b, width = min(nr, t1) - t0, min(nc, s1) - s0, k1 - k0
+                    prod = prod_buf[: a * b].reshape(a, b)
+                    np.matmul(
+                        u_packed[ru + t0 : ru + t0 + a, :width],
+                        l_packed[:width, cl + s0 : cl + s0 + b],
+                        out=prod,
+                    )
+                    tile[:a, :b] += prod
+                    mults += a * b * width
+            if not one_tile:
+                block[t0:t1, s0:s1] = tile
     return block, mults
 
 

@@ -14,7 +14,9 @@ Two job types:
   (``L2' U1 = A3``); the other half each compute a column chunk of ``U2``
   from ``A2``, ``L1``, and ``P1`` (``L1 U2 = P1 A2``).  Mappers emit the
   control pair ``(j, j)``; reducer *j* computes its block-wrap cell of the
-  Schur complement ``B = A4 - L2' U2`` and writes it to ``OUT``.
+  Schur complement ``B = A4 - L2' U2`` and writes it to ``OUT``.  The
+  mappers read ``U1`` / ``L1`` as the trees of their stored pieces
+  (:mod:`.factors`) and the triangular kernels solve against those.
 
 Mapper/reducer factories close over the precomputed :class:`Layout`; a real
 Hadoop deployment ships the same information through the job configuration
@@ -174,7 +176,8 @@ class LUJobMapper(Mapper):
         chunks = contiguous_ranges(n2, mhalf)
 
         if j < mhalf:
-            # L2' rows: solve  X U1 = A3[chunk]  row-independently (Eq. 6).
+            # L2' rows: solve  X U1 = A3[chunk]  row-independently (Eq. 6),
+            # against U1's stored pieces (and L1's below): no dense factor.
             r1, r2 = chunks[j]
             if r2 > r1:
                 u1 = read_upper(self.layout, node.child1, ctx)

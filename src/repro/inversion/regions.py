@@ -153,11 +153,10 @@ class Region:
             ))
         return Region(r2 - r1, c2 - c1, tuple(clipped))
 
-    def read(self, reader: MatrixReader, out: np.ndarray | None = None) -> np.ndarray:
+    def read(self, reader: MatrixReader) -> np.ndarray:
         """Assemble the region's content (raises if the tiling has gaps).
 
-        Every block's rectangle is copied once, into ``out`` (a writable
-        ``rows x cols`` array) when given, else into a fresh array.  A region
+        Every block's rectangle is copied once, into a fresh array.  A region
         that is exactly one file rectangle is returned as read — a read-only
         view over the stored bytes — when that view is already row-major; a
         transposed or column-sliced rectangle is still copied, so kernels
@@ -167,10 +166,9 @@ class Region:
             raise ValueError(
                 f"region {self.rows}x{self.cols} is not fully covered by its blocks"
             )
-        if out is None:
-            if len(self.blocks) == 1:
-                return np.ascontiguousarray(self.blocks[0].read_part(reader))
-            out = np.empty((self.rows, self.cols))
+        if len(self.blocks) == 1:
+            return np.ascontiguousarray(self.blocks[0].read_part(reader))
+        out = np.empty((self.rows, self.cols))
         for b in self.blocks:
             out[b.r1 : b.r1 + b.rows, b.c1 : b.c1 + b.cols] = b.read_part(reader)
         return out

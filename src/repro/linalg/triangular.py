@@ -18,9 +18,14 @@ time — kept as the reference the tests compare against and called from no
 (Table 2) are the paper's.  Blocked: the arithmetic inside one task is
 scheduled for BLAS-3.  Equation 4 is forward substitution on
 ``L X = I[:, columns]``, and there is one blocked recursion for forward
-substitution in this module, :func:`_solve_lower`: split
-``L = [[L11, 0], [L21, L22]]`` on a grid of ``_LEAF``-row blocks, solve the
-top half, fold it into the bottom half with one GEMM, solve the bottom half.
+substitution in this module, :func:`_forward_in_place`: split
+``L = [[L11, 0], [L21, L22]]``, solve the top half, fold it into the bottom
+half with GEMMs, solve the bottom half.  ``L`` is a dense array or a
+:class:`Triangle`, the tree of a factor's stored pieces (Section 6.1: the
+pipeline never combines them): a tree node splits where the plan split it,
+and its ``L21`` is folded in one GEMM per stored chunk with the row
+permutation ``P2`` applied to the product rows; a dense block splits on a
+grid of ``_LEAF``-row blocks.  A node of at most ``_LEAF`` rows is one leaf.
 A single ``_LEAF``-row diagonal block is solved by GEMMs too
 (:func:`_leaf_solve`): the inverses of *all* diagonal blocks of a factor are
 computed once per kernel call as one stack (:func:`_leaf_blocks` — Equation 4
@@ -63,16 +68,20 @@ def is_upper_triangular(m: np.ndarray, tol: float = 0.0) -> bool:
     return bool(np.all(np.abs(np.tril(m, k=-1)) <= tol))
 
 
+def _singular(idx: int) -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(f"triangular matrix singular: zero diagonal at {idx}")
+
+
 def _check_invertible_diagonal(diag: np.ndarray) -> None:
     if np.any(diag == 0.0):
-        idx = int(np.argmax(diag == 0.0))
-        raise np.linalg.LinAlgError(f"triangular matrix singular: zero diagonal at {idx}")
+        raise _singular(int(np.argmax(diag == 0.0)))
 
 
 def _rhs_matrix(b: np.ndarray, n: int, what: str) -> tuple[np.ndarray, bool]:
-    """Private float64 ``n x k`` copy of a right-hand side (and whether it
-    was a vector)."""
-    x = np.array(b, dtype=np.float64)
+    """Private row-major float64 ``n x k`` copy of a right-hand side (and
+    whether it was a vector).  Row-major whatever ``b`` is: every blocked
+    update then reads and writes whole rows of it, not strided columns."""
+    x = np.array(b, dtype=np.float64, order="C")
     one_d = x.ndim == 1
     if one_d:
         x = x[:, None]
@@ -128,39 +137,154 @@ def back_substitute(u: np.ndarray, b: np.ndarray, *, unit_diagonal: bool = False
 _LEAF = 32
 
 
-def _leaf_blocks(l: np.ndarray, block: int, unit_diagonal: bool) -> tuple[np.ndarray, int]:
-    """The diagonal blocks of lower-triangular ``l`` and their inverses as one
-    ``(2, m, p, p)`` array (``[0]`` the blocks, ``[1]`` the inverses), and the
-    rows per block: ``block``, or all of a factor smaller than that, which
-    does not pay for a full block.  Every check runs before any arithmetic.
+class Triangle:
+    """A triangular matrix held as the tree of its stored pieces.
 
-    Only the lower triangle of ``l`` is read; ``unit_diagonal`` overrides its
-    diagonal.  ``p`` is the power of two at or above the block width, and all
-    padding is the identity, its own inverse.  Equation 4 on 1x1 blocks is a
-    reciprocal; from there ``[[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1,
-    D^-1]]`` doubles the width of every finished inverse of the stack at once
-    (two batched ``matmul`` per level, ``log2 p`` levels), in place: at
-    half-width ``h`` the ``C`` corners still hold ``l``.
+    ``[[T1, 0], [T21, T2]]`` (``lower``) or ``[[T1, T12], [0, T2]]``, split
+    after ``n1`` rows: the diagonal children ``child1`` / ``child2`` are
+    dense arrays or trees themselves, and the off-diagonal block is kept as
+    the ``chunks`` it is stored in — ``(lo, hi, piece)`` holds its rows
+    ``lo:hi`` (``lower``) or its columns ``lo:hi`` of the stacked pieces.
+    With ``perm``, row ``i`` (column ``i``) of the block is row ``perm[i]``
+    of the stacked pieces: ``T21 = P2 L2'`` of Section 5.3, where ``P2``
+    is applied as the block is used.  The pieces are only read, so they may
+    be read-only views of decoded files.  A dense array is the one-leaf tree.
     """
-    if block < 1:
-        raise ValueError("block must be >= 1")
-    if not unit_diagonal:
-        _check_invertible_diagonal(np.diag(l))
-    n = l.shape[0]
-    leaf = max(min(block, n), 1)
-    p = 1 << (leaf - 1).bit_length()
-    m = -(-n // leaf)
+
+    __slots__ = ("shape", "n1", "child1", "child2", "chunks", "perm", "lower")
+
+    def __init__(
+        self,
+        n1: int,
+        child1: "np.ndarray | Triangle",
+        child2: "np.ndarray | Triangle",
+        chunks: tuple,
+        perm: np.ndarray | None = None,
+        *,
+        lower: bool = True,
+    ) -> None:
+        n = n1 + child2.shape[0]
+        self.shape = (n, n)
+        self.n1 = n1
+        self.child1 = child1
+        self.child2 = child2
+        self.chunks = chunks
+        self.perm = perm
+        self.lower = lower
+
+    @property
+    def T(self) -> "Triangle":
+        """The transpose, as a tree of the same pieces (transposed views)."""
+        return Triangle(
+            self.n1,
+            self.child1.T,
+            self.child2.T,
+            tuple([(lo, hi, piece.T) for lo, hi, piece in self.chunks]),
+            self.perm,
+            lower=not self.lower,
+        )
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The assembled matrix, written into ``out`` (a writable ``n x n``
+        array) when given, else into a fresh array."""
+        n1 = self.n1
+        if out is None:
+            out = np.empty(self.shape)
+        for child, dest in ((self.child1, out[:n1, :n1]), (self.child2, out[n1:, n1:])):
+            if type(child) is Triangle:
+                child.dense(dest)
+            else:
+                dest[...] = child
+        off = out[n1:, :n1] if self.lower else out[:n1, n1:].T
+        (out[:n1, n1:] if self.lower else out[n1:, :n1])[...] = 0.0
+        stacked = off if self.perm is None else np.empty(off.shape)
+        for lo, hi, piece in self.chunks:
+            stacked[lo:hi] = piece if self.lower else piece.T
+        if self.perm is not None:
+            off[...] = stacked[self.perm]
+        return out
+
+
+def _lower_operand(l) -> "np.ndarray | Triangle":
+    if type(l) is Triangle:
+        if not l.lower:
+            raise TriangularShapeError("an upper Triangle is solved through its transpose")
+        return l
+    return _check_square(l, "L")
+
+
+def _walk(l, origin: int, block: int, steps: list, diag: list) -> None:
+    """Append the steps of solving with lower ``l`` (rows ``origin`` on of
+    the whole) to ``steps``, in the order the depth-first recursion takes
+    them, and the diagonal blocks its leaf steps solve to ``diag``.
+
+    At a tree node of more than ``block`` rows: child 1, one update with
+    the node's stored chunks and ``P2``, child 2.  A node of at most ``block`` rows is assembled and
+    solved as one leaf; a dense block is split on its own ``block``-row grid
+    (:func:`_walk_dense`).  A module-level function on purpose: a
+    self-recursive closure is a reference cycle that keeps the operand alive
+    until the cyclic collector runs.
+    """
+    if type(l) is Triangle:
+        if l.shape[0] > block:
+            mid = origin + l.n1
+            _walk(l.child1, origin, block, steps, diag)
+            steps.append((origin, mid, origin + l.shape[0], l.chunks, l.perm))
+            _walk(l.child2, mid, block, steps, diag)
+            return
+        l = l.dense()
+    if len(l):
+        _walk_dense(l, origin, block, 0, -(-len(l) // block), steps, diag)
+
+
+def _walk_dense(
+    l: np.ndarray, origin: int, leaf: int, b0: int, b1: int, steps: list, diag: list
+) -> None:
+    """:func:`_walk` on leaf blocks ``b0:b1`` of a dense ``l``: split
+    ``[[L11, 0], [L21, L22]]`` on the leaf grid, solve L11, one GEMM
+    ``X2 -= L21 X1``, solve L22."""
+    lo, hi = b0 * leaf, min(b1 * leaf, len(l))
+    if b1 - b0 == 1:
+        steps.append((origin + lo, origin + hi))
+        diag.append((origin + lo, l[lo:hi, lo:hi]))
+        return
+    bm = (b0 + b1) // 2
+    mid = bm * leaf
+    _walk_dense(l, origin, leaf, b0, bm, steps, diag)
+    steps.append((origin + lo, origin + mid, origin + hi, ((0, hi - mid, l[mid:hi, lo:mid]),), None))
+    _walk_dense(l, origin, leaf, bm, b1, steps, diag)
+
+
+def _leaf_blocks(diag: list, unit_diagonal: bool) -> np.ndarray:
+    """The diagonal blocks ``diag`` (``(row, block)`` pairs, lower
+    triangular) and their inverses as one ``(2, m, p, p)`` array (``[0]``
+    the blocks, ``[1]`` the inverses).  Every check runs before any
+    arithmetic.
+
+    Only the lower triangle of each block is read; ``unit_diagonal``
+    overrides its diagonal.  ``p`` is the power of two at or above the
+    widest block, and all padding is the identity, its own inverse.
+    Equation 4 on 1x1 blocks is a reciprocal; from there ``[[A, 0], [C,
+    D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]`` doubles the width of every
+    finished inverse of the stack at once (two batched ``matmul`` per level,
+    ``log2 p`` levels), in place: at half-width ``h`` the ``C`` corners
+    still hold the blocks.
+    """
+    m = len(diag)
+    p = 1 << (max([len(b) for _, b in diag], default=1) - 1).bit_length()
     pair = np.zeros((2, m, p, p))
-    diag = np.einsum("aii->ai", pair[0])
-    diag[...] = 1.0
-    for i, lo in enumerate(range(0, n, leaf)):
-        hi = min(lo + leaf, n)
-        pair[0, i, : hi - lo, : hi - lo] = l[lo:hi, lo:hi]
+    diagonal = np.einsum("aii->ai", pair[0])
+    diagonal[...] = 1.0
+    for i, (_, b) in enumerate(diag):
+        pair[0, i, : len(b), : len(b)] = b
     if unit_diagonal:
-        diag[...] = 1.0
+        diagonal[...] = 1.0
+    elif not diagonal.all():
+        i, j = divmod(int(np.argmin(diagonal != 0.0)), p)
+        raise _singular(diag[i][0] + j)
     pair[:] = np.tril(pair[0])
     inv = pair[1]
-    np.einsum("aii->ai", inv)[...] = 1.0 / diag
+    np.einsum("aii->ai", inv)[...] = 1.0 / diagonal
     h = 1
     while h < p:
         q = p // (2 * h)
@@ -169,7 +293,17 @@ def _leaf_blocks(l: np.ndarray, block: int, unit_diagonal: bool) -> tuple[np.nda
         a, c, d = blocks[..., :h, :h], blocks[..., h:, :h], blocks[..., h:, h:]
         c[...] = -(d @ c @ a)
         h *= 2
-    return pair, leaf
+    return pair
+
+
+def _dense_leaf_blocks(l: np.ndarray, block: int, unit_diagonal: bool) -> tuple[np.ndarray, int]:
+    """:func:`_leaf_blocks` of dense ``l`` on its ``block``-row grid, and
+    the rows per block: ``block``, or all of a factor smaller than that."""
+    if block < 1:
+        raise ValueError("block must be >= 1")
+    leaf = max(min(block, len(l)), 1)
+    diag = [(lo, l[lo : lo + leaf, lo : lo + leaf]) for lo in range(0, len(l), leaf)]
+    return _leaf_blocks(diag, unit_diagonal), leaf
 
 
 def _leaf_solve(tri: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,50 +316,12 @@ def _leaf_solve(tri: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _solve_lower(
-    l: np.ndarray,
-    x: np.ndarray,
-    leaves: np.ndarray,
-    leaf: int,
-    b0: int,
-    b1: int,
-    starts: np.ndarray,
-) -> None:
-    """Overwrite leaf blocks ``b0:b1`` of ``x`` (rows ``b0 * leaf`` up to
-    ``b1 * leaf``) with those of the solution of ``L X = B``, given the rows
-    above already solved and folded in.
-
-    ``starts`` is ascending; column *t* of ``B`` is zero above row
-    ``starts[t]``, so the solution is too, and at rows ``lo:hi`` only the
-    leading ``searchsorted(starts, hi)`` columns are touched.  The recursion
-    is on ``L = [[L11, 0], [L21, L22]]``, split on the leaf grid: solve L11,
-    one GEMM ``X2 -= L21 X1`` over the columns already started above ``mid``,
-    solve L22 — depth first, so the working set is one half-block (Cosme et
-    al.).  A single leaf is :func:`_leaf_solve` with block ``b0`` of
-    ``leaves`` (:func:`_leaf_blocks`).  A module-level function on purpose: a
-    self-recursive closure is a reference cycle that keeps ``l`` and ``x``
-    alive until the cyclic collector runs.
-    """
-    lo, hi = b0 * leaf, min(b1 * leaf, l.shape[0])
-    if b1 - b0 == 1:
-        k = int(np.searchsorted(starts, hi))
-        tri, inv = leaves[:, b0, : hi - lo, : hi - lo]
-        x[lo:hi, :k] = _leaf_solve(tri, inv, x[lo:hi, :k])
-        return
-    bm = (b0 + b1) // 2
-    mid = bm * leaf
-    _solve_lower(l, x, leaves, leaf, b0, bm, starts)
-    k = int(np.searchsorted(starts, mid))
-    x[mid:hi, :k] -= l[mid:hi, lo:mid] @ x[lo:mid, :k]
-    _solve_lower(l, x, leaves, leaf, bm, b1, starts)
-
-
 def _solve_upper(
     u: np.ndarray, x: np.ndarray, leaves: np.ndarray, leaf: int, b0: int, b1: int
 ) -> None:
-    """Mirror of :func:`_solve_lower` for ``U X = B``, every column active:
-    solve U22, ``X1 -= U12 X2``, solve U11.  ``leaves`` are those of ``U^T``,
-    so a leaf applies them transposed."""
+    """Overwrite leaf blocks ``b0:b1`` of ``x`` with those of the solution of
+    ``U X = B``, every column active: solve U22, ``X1 -= U12 X2``, solve
+    U11.  ``leaves`` are those of ``U^T``, so a leaf applies them transposed."""
     lo, hi = b0 * leaf, min(b1 * leaf, u.shape[0])
     if b1 - b0 == 1:
         tri, inv = leaves[:, b0, : hi - lo, : hi - lo]
@@ -239,34 +335,71 @@ def _solve_upper(
 
 
 def _forward_in_place(
-    l: np.ndarray, x: np.ndarray, starts: np.ndarray, unit_diagonal: bool, block: int = _LEAF
+    l: np.ndarray | Triangle,
+    x: np.ndarray,
+    starts: np.ndarray,
+    unit_diagonal: bool,
+    block: int = _LEAF,
 ) -> None:
-    """Overwrite ``x`` with the solution of ``L X = x`` (``starts`` as in
-    :func:`_solve_lower`)."""
-    leaves, leaf = _leaf_blocks(l, block, unit_diagonal)
-    if len(x):
-        _solve_lower(l, x, leaves, leaf, 0, leaves.shape[1], starts)
+    """Overwrite ``x`` with the solution of ``L X = x``, ``L`` dense or a
+    lower :class:`Triangle`.
+
+    ``starts`` is ascending; column *t* of ``x`` is zero above row
+    ``starts[t]``, so the solution is too, and a step ending at row ``hi``
+    touches only the leading ``searchsorted(starts, hi)`` columns.  The
+    steps are :func:`_walk`'s: a leaf is :func:`_leaf_solve` with its block
+    of the :func:`_leaf_blocks` stack; an update is one GEMM per chunk of
+    the off-diagonal block, ``X2 -= P2 (chunk X1)`` — depth first, so the
+    working set is one half-block (Cosme et al.).
+    """
+    if block < 1:
+        raise ValueError("block must be >= 1")
+    steps: list = []
+    diag: list = []
+    _walk(l, 0, block, steps, diag)
+    pair = _leaf_blocks(diag, unit_diagonal)
+    i = 0
+    for step in steps:
+        if len(step) == 2:
+            lo, hi = step
+            k = int(np.searchsorted(starts, hi))
+            tri, inv = pair[:, i, : hi - lo, : hi - lo]
+            x[lo:hi, :k] = _leaf_solve(tri, inv, x[lo:hi, :k])
+            i += 1
+        else:
+            lo, mid, hi, chunks, perm = step
+            k = int(np.searchsorted(starts, mid))
+            x1 = x[lo:mid, :k]
+            if perm is None:
+                for a, b, piece in chunks:
+                    x[mid + a : mid + b, :k] -= piece @ x1
+            else:
+                products = np.empty((hi - mid, k))
+                for a, b, piece in chunks:
+                    np.matmul(piece, x1, out=products[a:b])
+                x[mid:hi, :k] -= products[perm]
 
 
 def blocked_forward_substitute(
-    l: np.ndarray,
+    l: np.ndarray | Triangle,
     b: np.ndarray,
     *,
     unit_diagonal: bool = False,
     block: int = _LEAF,
 ) -> np.ndarray:
-    """Recursive blocked solve of ``L Y = B``.
+    """Recursive blocked solve of ``L Y = B``, ``L`` dense or a lower
+    :class:`Triangle`.
 
     The row-by-row kernel issues O(n) small BLAS-1/2 calls; this variant
-    recurses on ``L = [[L11, 0], [L21, L22]]`` — solve L11, one big GEMM
-    update, solve L22 — and solves a ``block``-row diagonal block by GEMMs
-    with its inverse (:func:`_leaf_solve`), so all of the work is
-    matrix-matrix products.  Same solution up to roundoff.  It is
-    :func:`_solve_lower` with every column active from row 0;
+    recurses on ``L = [[L11, 0], [L21, L22]]`` — solve L11, one GEMM update
+    per stored chunk of L21, solve L22 — and solves a ``block``-row diagonal
+    block by GEMMs with its inverse (:func:`_leaf_solve`), so all of the
+    work is matrix-matrix products.  Same solution up to roundoff.  It is
+    :func:`_forward_in_place` with every column active from row 0;
     :func:`invert_lower_columns` is the same recursion on the identity's
     columns.  Only the lower triangle of ``l`` is read.
     """
-    l = _check_square(l, "L")
+    l = _lower_operand(l)
     y, one_d = _rhs_matrix(b, l.shape[0], "L")
     _forward_in_place(l, y, np.zeros(y.shape[1], dtype=np.int64), unit_diagonal, block)
     return y[:, 0] if one_d else y
@@ -283,7 +416,7 @@ def blocked_back_substitute(
     only the upper triangle of ``u`` is read)."""
     u = _check_square(u, "U")
     x, one_d = _rhs_matrix(b, u.shape[0], "U")
-    leaves, leaf = _leaf_blocks(u.T, block, unit_diagonal)
+    leaves, leaf = _dense_leaf_blocks(u.T, block, unit_diagonal)
     if len(x):
         _solve_upper(u, x, leaves, leaf, 0, leaves.shape[1])
     return x[:, 0] if one_d else x
@@ -292,7 +425,7 @@ def blocked_back_substitute(
 # -- inversion (Equation 4) ----------------------------------------------------
 
 
-def invert_lower_columns(l: np.ndarray, columns: np.ndarray | list[int]) -> np.ndarray:
+def invert_lower_columns(l: np.ndarray | Triangle, columns: np.ndarray | list[int]) -> np.ndarray:
     """Columns ``columns`` of ``L^-1`` via Equation 4.
 
     Returns an ``n x len(columns)`` array; column *t* of the result is column
@@ -300,14 +433,15 @@ def invert_lower_columns(l: np.ndarray, columns: np.ndarray | list[int]) -> np.n
     the final inversion job (Section 5.4 assigns each mapper a strided set of
     columns for load balance).
 
-    Solved as ``L X = I[:, columns]`` by :func:`_solve_lower`: column *c* of
-    ``L^-1`` is zero above row *c*, so with the columns in ascending order
-    each row block works on a leading slice of ``X`` only, the off-diagonal
-    work is one GEMM per level, and the ``_LEAF``-row diagonal blocks are
-    solved by :func:`_leaf_solve`.  ``columns`` may be unsorted, repeated or
-    empty; ``l`` is only read.
+    Solved as ``L X = I[:, columns]`` by :func:`_forward_in_place`: column
+    *c* of ``L^-1`` is zero above row *c*, so with the columns in ascending
+    order each row block works on a leading slice of ``X`` only, the
+    off-diagonal work is one GEMM per stored chunk per level, and the
+    ``_LEAF``-row diagonal blocks are solved by :func:`_leaf_solve`.  ``l``
+    is dense or a lower :class:`Triangle`, and is only read; ``columns`` may
+    be unsorted, repeated or empty.
     """
-    l = _check_square(l, "L")
+    l = _lower_operand(l)
     cols = np.asarray(columns, dtype=np.int64)
     n = l.shape[0]
     if cols.size and (cols.min() < 0 or cols.max() >= n):
@@ -337,13 +471,15 @@ def invert_upper(u: np.ndarray) -> np.ndarray:
     return invert_lower(u.T).T
 
 
-def invert_upper_rows(u: np.ndarray, rows: np.ndarray | list[int]) -> np.ndarray:
+def invert_upper_rows(u: np.ndarray | Triangle, rows: np.ndarray | list[int]) -> np.ndarray:
     """Rows ``rows`` of ``U^-1`` — one mapper's share in the final job.
 
     Row *i* of ``U^-1`` is column *i* of ``(U^T)^-1``; computed via the
-    column kernel on the transpose and returned as ``len(rows) x n``.
+    column kernel on the transpose (of the dense ``u`` or of an upper
+    :class:`Triangle`) and returned as ``len(rows) x n``.
     """
-    u = _check_square(u, "U")
+    if type(u) is not Triangle:
+        u = _check_square(u, "U")
     return invert_lower_columns(u.T, rows).T
 
 

@@ -9,6 +9,7 @@ from repro import InversionConfig
 from repro.dfs import DFS
 from repro.inversion import MatrixInverter
 from repro.inversion.factors import (
+    assemble,
     perm_from_bytes,
     perm_to_bytes,
     read_lower,
@@ -34,6 +35,7 @@ from repro.inversion.plan import InversionPlan
 from repro.inversion.regions import Region
 from repro.linalg.blockwrap import contiguous_ranges
 from repro.linalg import is_lower_triangular, is_upper_triangular, permutation
+from repro.linalg.triangular import Triangle
 from repro.mapreduce import MapReduceRuntime
 
 from conftest import random_invertible
@@ -163,8 +165,8 @@ class TestFactorAssembly:
 
     def test_assembled_factors_triangular(self, run):
         a, factors, layout, reader = run
-        lower = read_lower(layout, layout.plan.tree, reader)
-        upper = read_upper(layout, layout.plan.tree, reader)
+        lower = assemble(read_lower(layout, layout.plan.tree, reader))
+        upper = assemble(read_upper(layout, layout.plan.tree, reader))
         assert is_lower_triangular(lower)
         assert is_upper_triangular(upper)
         assert np.allclose(np.diag(lower), 1.0)
@@ -177,10 +179,10 @@ class TestFactorAssembly:
     def test_assembly_matches_driver_output(self, run):
         a, factors, layout, reader = run
         assert np.array_equal(
-            read_lower(layout, layout.plan.tree, reader), factors.lower
+            assemble(read_lower(layout, layout.plan.tree, reader)), factors.lower
         )
         assert np.array_equal(
-            read_upper(layout, layout.plan.tree, reader), factors.upper
+            assemble(read_upper(layout, layout.plan.tree, reader)), factors.upper
         )
 
     def test_each_perm_file_is_read_once_per_assembly(self, run):
@@ -202,7 +204,8 @@ class TestFactorAssembly:
         lower, perm = read_lower_and_perm(layout, tree, reader)
         leaves = tree.leaves()
         assert sorted(perm_reads) == sorted(layout.of(leaf).p_path for leaf in leaves)
-        assert np.array_equal(lower, factors.lower) and np.array_equal(perm, factors.perm)
+        assert np.array_equal(assemble(lower), factors.lower)
+        assert np.array_equal(perm, factors.perm)
         del perm_reads[:]
         read_lower(layout, tree, reader)  # the perms of every right subtree
         assert len(perm_reads) == len(set(perm_reads))
@@ -665,11 +668,12 @@ def _reads(log):
 
 
 class TestInPlaceAssembly:
-    """``read_lower`` / ``read_upper`` / ``Region.read`` assemble straight into
-    one destination.  Against the level-by-level references they must return
-    the same arrays; a factor reads exactly the files the static model names
-    for it, no permutation file twice; a region reads each block once, a
-    whole-file rectangle as one ``read_matrix``."""
+    """The dense assembly of what ``read_lower`` / ``read_upper`` read fills
+    one destination, and ``Region.read`` copies each block once.  Against
+    the level-by-level references they must give the same arrays; a factor
+    reads exactly the files the static model names for it, no permutation
+    file twice; a region reads each block once, a whole-file rectangle as
+    one ``read_matrix``."""
 
     #: (n, nb, m0) of ``tests/test_edge_geometries.py``.
     GEOMETRIES = [
@@ -758,13 +762,13 @@ class TestInPlaceAssembly:
         perm_paths = {layout.of(node).p_path for node in nodes}
         for node in nodes:
             lower, reads = self._check(
-                lambda r: read_lower(layout, node, r),
+                lambda r: assemble(read_lower(layout, node, r)),
                 lambda r: _ref_read_lower(layout, node, r),
                 reader,
             )
             self._assert_model_reads(reads, lower_read_paths(layout, node), perm_paths)
             upper, reads = self._check(
-                lambda r: read_upper(layout, node, r),
+                lambda r: assemble(read_upper(layout, node, r)),
                 lambda r: _ref_read_upper(layout, node, r),
                 reader,
             )
@@ -773,7 +777,7 @@ class TestInPlaceAssembly:
 
             both, perm = read_lower_and_perm(layout, node, reader)
             reads = _reads(reader.take_log())
-            assert np.array_equal(both, lower)
+            assert np.array_equal(assemble(both), lower)
             assert np.array_equal(perm, read_perm(layout, node, reader))
             reader.take_log()
             self._assert_model_reads(
@@ -811,12 +815,18 @@ class TestInPlaceAssembly:
                     assert got.flags.writeable and got.flags.owndata
 
     def test_out_destination_is_filled_in_place(self, finished_run, reader):
+        """A tree of pieces assembles into one destination, its subtrees
+        included; a factor stored as one file is its decoded view."""
         layout, _ = finished_run
         tree = layout.plan.tree
         for read, ref in ((read_lower, _ref_read_lower), (read_upper, _ref_read_upper)):
+            factor = read(layout, tree, reader)
+            if type(factor) is not Triangle:
+                assert not factor.flags.writeable
+                continue
             # NaN-filled, so a cell the assembly skipped would show.
             frame = np.full((tree.n + 2, tree.n + 2), np.nan)
             out = frame[1:-1, 1:-1]
-            assert read(layout, tree, reader, out) is out
+            assert factor.dense(out) is out
             assert np.array_equal(out, ref(layout, tree, reader))
             assert np.isnan(frame[0]).all() and np.isnan(frame[:, -1]).all()

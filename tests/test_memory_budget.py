@@ -27,11 +27,12 @@ from repro.inversion import MatrixInverter, driver
 from repro.mapreduce import MapReduceRuntime
 
 #: Traced peak of one smoke-shape call, in units of one ``n x n`` float64
-#: matrix, as measured when the final job's ``INV`` files became their
-#: nonzero panels and the final job started retiring them and the factors
-#: (6.56 before; 8.02 before retirement, with the 1 MiB block split and
-#: every intermediate kept to the end).
-MEASURED_PEAK_N2 = 5.24
+#: matrix, as measured when the triangular kernels started solving against
+#: the factors' stored pieces instead of an assembled copy (5.21 before;
+#: 6.56 before the final job's ``INV`` files became their nonzero panels;
+#: 8.02 before retirement, with the 1 MiB block split and every
+#: intermediate kept to the end).
+MEASURED_PEAK_N2 = 4.97
 
 
 def test_peak_of_one_call_stays_in_budget():
@@ -48,6 +49,36 @@ def test_peak_of_one_call_stays_in_budget():
         tracemalloc.stop()
     assert np.allclose(result.inverse @ a, np.eye(n), atol=1e-8)
     assert peak / (8 * n * n) < MEASURED_PEAK_N2 * 1.10
+
+
+def test_final_mappers_peak_below_the_final_reducers(monkeypatch):
+    """The final mappers hold the factor pieces and their share of an
+    inverse, never an assembled ``n x n`` factor: their phase peaks below
+    the reducers', which hold the gathered panels and their block."""
+    from repro.mapreduce.master import JobTracker
+
+    n = 384
+    config = InversionConfig(nb=48, m0=4)
+    a = np.random.default_rng(0).standard_normal((n, n))
+    peaks = {}
+    run_phase = JobTracker._run_phase
+
+    def traced(self, conf, kind, *args, **kwargs):
+        tracemalloc.reset_peak()
+        try:
+            return run_phase(self, conf, kind, *args, **kwargs)
+        finally:
+            peaks[f"{conf.name}[{kind.value}]"] = tracemalloc.get_traced_memory()[1]
+
+    invert(a, config)
+    gc.collect()
+    monkeypatch.setattr(JobTracker, "_run_phase", traced)
+    tracemalloc.start()
+    try:
+        invert(a, config)
+    finally:
+        tracemalloc.stop()
+    assert peaks["invert-final[map]"] < peaks["invert-final[reduce]"]
 
 
 def _data_files(dfs, root):
