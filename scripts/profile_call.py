@@ -15,7 +15,10 @@ source file (``src/repro/<package>/<file>``; everything else under its
 top-level package), the top rows by self time, and under them the profiled
 call's DFS ledger in two lines: the read half (read ops, files opened, cache
 hits and misses, bytes read) and the write half (files created, write ops,
-files deleted, bytes staged, published and discarded).
+files deleted, bytes staged, published and discarded).  Under the ledger, the
+call's ``zlib.crc32`` calls (from the profile) and the bytes the block store
+checksummed (counted by a stand-in for ``zlib`` in ``repro.dfs.blocks``):
+both zero on a fault-free call, so a CRC back on the write or read path shows.
 
 For ``observed_n512_nb16``, whose calls run inside ``repro.observe()``, it
 also prints the profiled call's spans by kind and the DFS records folded into
@@ -61,6 +64,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import zlib
 from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -94,12 +98,25 @@ def profile_children(out_dir: str) -> None:
     backends._worker_main = profiled_worker_main
 
 
+class CrcBytes:
+    """Stands in for ``zlib`` in :mod:`repro.dfs.blocks`, summing the bytes
+    every ``crc32`` call there covers."""
+
+    def __init__(self) -> None:
+        self.nbytes = 0
+
+    def crc32(self, data, value: int = 0) -> int:
+        self.nbytes += len(data)
+        return zlib.crc32(data, value)
+
+
 def profile_workload(
     workload: Workload, seed: int = 0, children_dir: str | None = None
-) -> tuple[pstats.Stats, repro.dfs.IOSnapshot, repro.Observation | None]:
+) -> tuple[pstats.Stats, repro.dfs.IOSnapshot, repro.Observation | None, int]:
     """Warm up once, then profile one call: the profile of that call alone,
-    its DFS ledger and, for an observed workload, its observation.  With
-    ``children_dir``, that call's pool workers are profiled too."""
+    its DFS ledger, for an observed workload its observation, and the bytes
+    the block store checksummed.  With ``children_dir``, that call's pool
+    workers are profiled too."""
     a = np.random.default_rng(seed).standard_normal((workload.n, workload.n))
     config = repro.InversionConfig(**workload.config)
 
@@ -112,11 +129,17 @@ def profile_workload(
     call()
     if children_dir is not None:
         profile_children(children_dir)
+    crc = CrcBytes()
+    blocks = repro.dfs.blocks
+    blocks.zlib, real_zlib = crc, blocks.zlib  # type: ignore[assignment]
     profiler = cProfile.Profile()
-    profiler.enable()
-    result, obs = call()
-    profiler.disable()
-    return pstats.Stats(profiler), result.io, obs
+    try:
+        profiler.enable()
+        result, obs = call()
+        profiler.disable()
+    finally:
+        blocks.zlib = real_zlib
+    return pstats.Stats(profiler), result.io, obs, crc.nbytes
 
 
 #: The DFS ledger fields printed under the driver's table: a round's reads,
@@ -130,13 +153,21 @@ LEDGER = (
 )
 
 
-def print_ledger(io, obs: repro.Observation | None) -> None:
-    """The profiled call's DFS ledger (``InversionResult.io``) and, when the
-    call was observed, its spans by kind and the DFS records folded into
-    them (plus the tracer's root list) by op."""
+def print_ledger(
+    io, obs: repro.Observation | None, stats: pstats.Stats, crc_bytes: int
+) -> None:
+    """The profiled call's DFS ledger (``InversionResult.io``), its CRC
+    work and, when the call was observed, its spans by kind and the DFS
+    records folded into them (plus the tracer's root list) by op."""
     for half, names in zip(("reads ", "writes"), LEDGER):
         fields = "  ".join(f"{name} {getattr(io, name):,}" for name in names)
         print(f"DFS ledger of the profiled call, {half}:  {fields}")
+    crc_calls = sum(
+        ncalls
+        for (_, _, name), (_, ncalls, *_) in stats.stats.items()  # type: ignore[attr-defined]
+        if name == "<built-in method zlib.crc32>"
+    )
+    print(f"zlib.crc32 in the profiled call:  calls {crc_calls:,}  bytes {crc_bytes:,}")
     if obs is None:
         return
     spans: dict[str, int] = defaultdict(int)
@@ -399,15 +430,15 @@ def main() -> int:
         return 0
     print(f"{workload.name}: n={workload.n} {workload.config}")
     if not args.children:
-        stats, io, obs = profile_workload(workload)
+        stats, io, obs, crc_bytes = profile_workload(workload)
         print_profile("", stats, args.top)
-        print_ledger(io, obs)
+        print_ledger(io, obs, stats, crc_bytes)
         return 0
     with tempfile.TemporaryDirectory() as children_dir:
-        driver, io, obs = profile_workload(workload, children_dir=children_dir)
+        driver, io, obs, crc_bytes = profile_workload(workload, children_dir=children_dir)
         dumps = sorted(pathlib.Path(children_dir).glob("worker-*.prof"))
         print_profile("driver: ", driver, args.top)
-        print_ledger(io, obs)
+        print_ledger(io, obs, driver, crc_bytes)
         if not dumps:
             print("no worker profiles (not a process-pool workload, or no fork)")
             return 1

@@ -2,16 +2,18 @@
 
 Files in the DFS are split into fixed-size blocks, each replicated onto
 ``replication`` distinct datanodes, mirroring HDFS.  Blocks carry a CRC32
-checksum, and no payload is served that has not matched it: a replica's
-stored payload is an immutable ``bytes`` object, so once that object has
-matched the checksum — when ``write_block``/``rereplicate`` place it, or on
-the first read that serves it — the datanode remembers so and later reads of
-the same object skip the CRC.  Anything that changes a replica
+checksum, and no payload is served unless it is the object that was written
+or has matched that object's checksum.  ``write_block`` computes no CRC: the
+block's :class:`BlockInfo` keeps a reference to the immutable ``bytes``
+object every replica was given, and takes the checksum from it the first
+time a check needs one.  Each datanode marks the replicas it holds that are
+that object, or a copy that matched; a read of a marked replica skips the
+CRC, so a fault-free run checksums nothing.  Anything that changes a replica
 (``DataNode.put`` of unverified data, ``corrupt``, ``drop``) forgets the
-mark, so the next read re-verifies; scrubs (``replica_status``, the
-``HealthMonitor``) never consult it and checksum every replica every time.
-Corruption injected by tests is therefore detected exactly as Hadoop's client
-would detect it.
+mark, so the next read checks that replica against the reference; scrubs
+(``replica_status``, the ``HealthMonitor``) never consult the mark and
+checksum every replica every time.  Corruption injected by tests is
+therefore detected exactly as Hadoop's client would detect it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import itertools
 import random
 import threading
 import zlib
-from dataclasses import dataclass
 
 
 #: Block size of a DFS built without an explicit one: the 64 MB
@@ -49,14 +50,43 @@ class BlockId(int):
         return f"blk_{int(self):012d}"
 
 
-@dataclass
 class BlockInfo:
-    """Metadata the namenode keeps per block."""
+    """Metadata the namenode keeps per block.
 
-    block_id: BlockId
-    length: int
-    checksum: int
-    replicas: tuple[int, ...]  # datanode indices holding this block
+    A block written by :meth:`BlockStore.write_block` holds the stored
+    payload object itself, shared with every replica it was placed on, and
+    ``checksum`` is the CRC-32 of that object, computed on first access and
+    cached; ``delete_block`` drops the payload.  One built with an explicit
+    ``checksum`` carries no payload.
+    """
+
+    __slots__ = ("block_id", "length", "replicas", "_checksum", "_payload", "__weakref__")
+
+    def __init__(
+        self,
+        block_id: BlockId,
+        length: int,
+        checksum: int | None,
+        replicas: tuple[int, ...],  # datanode indices holding this block
+        payload: bytes | None = None,
+    ) -> None:
+        self.block_id = block_id
+        self.length = length
+        self.replicas = replicas
+        self._checksum = checksum
+        self._payload = payload
+
+    @property
+    def checksum(self) -> int:
+        """CRC-32 of the written payload.  Racing first accesses compute the
+        same value from their own local reference, so either store wins."""
+        checksum = self._checksum
+        if checksum is None:
+            payload = self._payload
+            if payload is None:
+                raise BlockMissingError(f"{self.block_id} was deleted")
+            checksum = self._checksum = zlib.crc32(payload)
+        return checksum
 
 
 class DataNode:
@@ -193,11 +223,15 @@ class BlockStore:
         return (live + live)[start : start + min(self.replication, len(live))]
 
     def write_block(self, payload: bytes) -> BlockInfo:
-        checksum = zlib.crc32(payload)
+        """Place ``payload`` on ``replication`` datanodes, every replica
+        marked verified: each is the object the block's checksum is taken
+        from, so there is nothing to check it against yet."""
         with self._lock:
             replicas = self._choose_replicas()
             block_id = BlockId(next(self._next_id))
-            info = self._blocks[block_id] = BlockInfo(block_id, len(payload), checksum, replicas)
+            info = self._blocks[block_id] = BlockInfo(
+                block_id, len(payload), None, replicas, payload
+            )
         for node_idx in replicas:
             self.datanodes[node_idx].put(block_id, payload, verified=True)
         return info
@@ -205,9 +239,10 @@ class BlockStore:
     def read_block(self, info: BlockInfo) -> bytes:
         """Read one healthy replica, skipping dead nodes and corrupt copies.
 
-        A replica is checksummed unless its datanode has this payload object
-        marked as already verified (see the module docstring); a payload that
-        passes here is marked, one that fails is skipped as corrupt.
+        A replica is checksummed against ``info.checksum`` unless its
+        datanode has this payload object marked as verified (see the module
+        docstring); a payload that passes here is marked, one that fails is
+        skipped as corrupt.
 
         When no replica is usable the error spells out each replica's fate
         (dead node / payload missing / corrupt) so an operator — or a chaos
@@ -254,6 +289,8 @@ class BlockStore:
             self._blocks.pop(info.block_id, None)
         for node_idx in replicas:
             self.datanodes[node_idx].drop(info.block_id)
+        # Only once no replica is left that a scrub could check against it.
+        info._payload = None
 
     # -- re-replication ------------------------------------------------------
     #

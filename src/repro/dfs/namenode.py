@@ -334,15 +334,21 @@ class NameNode:
         if node is None:
             raise FileNotFound(path)
         found: list[tuple[str, FileEntry]] = []
-
-        def recurse(prefix: str, entry: FileEntry | DirEntry) -> None:
+        # An explicit stack, children pushed in reverse so they pop sorted: a
+        # self-referencing nested function would be a reference cycle that
+        # keeps every walked entry alive until the next full collection.
+        stack: list[tuple[str, FileEntry | DirEntry]] = [
+            ("" if base == "/" else base, node)
+        ]
+        while stack:
+            prefix, entry = stack.pop()
             if isinstance(entry, FileEntry):
                 found.append((prefix, entry))
-                return
-            for name in sorted(entry.children):
-                recurse(f"{prefix}/{name}", entry.children[name])
-
-        recurse("" if base == "/" else base, node)
+                continue
+            children = entry.children
+            stack.extend(
+                (f"{prefix}/{name}", children[name]) for name in sorted(children, reverse=True)
+            )
         return found
 
     def walk_files(self, path: str = "/", *, include_pending: bool = False) -> list[str]:

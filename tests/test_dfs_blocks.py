@@ -1,8 +1,10 @@
 """Block store: placement, replication, checksums, failures."""
 
+import gc
 import sys
 import threading
 import time
+import weakref
 import zlib
 
 import numpy as np
@@ -91,6 +93,31 @@ class TestCorruption:
         with pytest.raises(BlockCorruptionError):
             store.read_block(info)
 
+    def test_every_replica_corrupted_before_the_first_read_raises(self, store):
+        info = store.write_block(b"never served")
+        for node_idx in info.replicas:
+            assert store.corrupt_replica(info, node_idx)
+        with pytest.raises(BlockCorruptionError) as err:
+            store.read_block(info)
+        for node_idx in info.replicas:
+            assert f"datanode {node_idx}: corrupt" in str(err.value)
+
+    def test_two_of_three_corrupted_before_the_first_read_serves_the_third(self, store):
+        info = store.write_block(b"one survivor")
+        for node_idx in info.replicas[:2]:
+            assert store.corrupt_replica(info, node_idx)
+        served = store.read_block(info)
+        assert served == b"one survivor"
+        assert served is store.datanodes[info.replicas[2]].get(info.block_id)
+
+    def test_checksum_is_the_written_payloads_after_every_replica_is_replaced(self, store):
+        original = b"the written bytes"
+        info = store.write_block(original)
+        for node_idx in info.replicas:
+            store.datanodes[node_idx].put(info.block_id, b"replaced copy")
+        assert info.checksum == zlib.crc32(original)
+        assert {status for _, status in store.replica_status(info)} == {"corrupt"}
+
     def test_corrupt_missing_block_returns_false(self, store):
         info = store.write_block(b"x")
         absent = [i for i in range(5) if i not in info.replicas]
@@ -104,6 +131,14 @@ class TestDeletion:
         for dn in store.datanodes:
             assert dn.get(info.block_id) is None
         assert store.block_count == 0
+
+    def test_delete_releases_the_written_payload(self, store):
+        payload = bytes(range(64)) * 2
+        baseline = sys.getrefcount(payload)
+        info = store.write_block(payload)
+        assert sys.getrefcount(payload) > baseline
+        store.delete_block(info)
+        assert sys.getrefcount(payload) == baseline
 
     def test_stored_bytes_accounting(self, store):
         store.write_block(b"12345678")
@@ -134,7 +169,7 @@ class TestVerifyOnce:
         info = store.write_block(b"written once")
         for _ in range(3):
             assert store.read_block(info) == b"written once"
-        assert crc_calls == [("write_block", 12)]
+        assert crc_calls == []
 
     def test_corrupting_the_replica_just_served_fails_over(self, store):
         info = store.write_block(b"fail over")
@@ -192,7 +227,10 @@ class TestVerifyOnce:
         node.put(info.block_id, b"0riginal")  # unverified, and wrong
         del crc_calls[:]
         assert store.read_block(info) == b"original"
-        assert crc_calls == [("read_block", 8)]
+        assert crc_calls == [("read_block", 8), ("checksum", 8)]
+        del crc_calls[:]
+        assert store.read_block(info) == b"original"
+        assert crc_calls == [("read_block", 8)]  # the reference is cached
         assert store.replica_status(info)[0] == (info.replicas[0], "corrupt")
 
     def test_put_over_a_verified_replica_forgets_the_mark(self, store):
@@ -209,8 +247,9 @@ class TestVerifyOnce:
         node.put(info.block_id, bytes(bytearray(b"verify me")))  # unverified copy
         del crc_calls[:]
         store.read_block(info)
+        assert crc_calls == [("read_block", 9), ("checksum", 9)]
         store.read_block(info)
-        assert crc_calls == [("read_block", 9)]
+        assert crc_calls == [("read_block", 9), ("checksum", 9)]
 
     def test_mark_is_not_set_for_a_payload_that_was_replaced(self, store):
         info = store.write_block(b"swap")
@@ -248,7 +287,7 @@ class TestVerifyOnce:
         del crc_calls[:]
         store.replica_status(info)
         store.replica_status(info)
-        assert crc_calls == [("_scrub_locked", 8)] * 6
+        assert crc_calls == [("_scrub_locked", 8), ("checksum", 8)] + [("_scrub_locked", 8)] * 5
 
     def test_readers_racing_a_corruptor_never_see_a_bad_payload(self):
         store = BlockStore(num_datanodes=3, replication=3, seed=1)
@@ -317,11 +356,62 @@ class TestVerifyOnce:
             ]
             assert store.read_block(info) == payload
 
+    def test_first_checksum_races_readers_and_a_delete(self):
+        """Readers of unverified copies all take the block's first checksum
+        while the block is deleted: each read returns the written bytes or
+        reports the block missing, and a checksum taken is the right one."""
+        store = BlockStore(num_datanodes=3, replication=3, seed=1)
+        # Large enough that crc32 releases the GIL mid-checksum.
+        payload = bytes(range(256)) * 256
+        expected = zlib.crc32(payload)
+        errors: list[BaseException] = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(40):
+                info = store.write_block(payload)
+                for node_idx in info.replicas:
+                    store.datanodes[node_idx].put(info.block_id, bytes(bytearray(payload)))
+                start = threading.Barrier(5)
+
+                def reader(info=info, start=start):
+                    try:
+                        start.wait(timeout=10)
+                        if store.read_block(info) != payload:
+                            errors.append(AssertionError("wrong bytes served"))
+                    except BlockMissingError:
+                        pass
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
+
+                def deleter(info=info, start=start):
+                    try:
+                        start.wait(timeout=10)
+                        store.delete_block(info)
+                    except BaseException as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=reader) for _ in range(4)]
+                threads.append(threading.Thread(target=deleter))
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                try:
+                    assert info.checksum == expected
+                except BlockMissingError:  # deleted before any read checked it
+                    pass
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors
+        assert store.block_count == 0
+
 
 class TestCrcCountGuard:
     def test_fault_free_invert_checksums_written_bytes_only(self, crc_calls):
-        """Every stored byte is checksummed once, by the write that stored
-        it; no fault-free read pays for a CRC."""
+        """No fault-free write or read pays for a CRC: every replica read is
+        the written object, and only a check against it takes a checksum."""
         from repro import InversionConfig, invert
 
         rng = np.random.default_rng(5)
@@ -330,10 +420,38 @@ class TestCrcCountGuard:
             a, InversionConfig(nb=16, m0=4, block_cache_bytes=0, output_commit=False)
         )
         assert np.allclose(result.inverse @ a, np.eye(96), atol=1e-8)
-        assert crc_calls
-        assert {name for name, _ in crc_calls} == {"write_block"}
-        # One CRC per block written, over its logical bytes (the ledger counts
-        # every replica's copy).
-        assert len(crc_calls) == result.io.write_ops
-        replication = DFS().blocks.replication
-        assert sum(size for _, size in crc_calls) * replication == result.io.bytes_written
+        assert result.io.write_ops > 0
+        assert crc_calls == []
+
+
+class TestPayloadLifetime:
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    def test_no_block_outlives_its_call(self, monkeypatch, executor):
+        """A ``BlockInfo`` holds its payload, so one that outlives its call
+        keeps a matrix alive; with the cycle collector off, every block a
+        call wrote must be gone once the call returns."""
+        from repro import InversionConfig, invert
+
+        calls: list[list[weakref.ref]] = []
+        write_block = BlockStore.write_block
+
+        def recording(self, payload):
+            info = write_block(self, payload)
+            calls[-1].append(weakref.ref(info))
+            return info
+
+        monkeypatch.setattr(BlockStore, "write_block", recording)
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((64, 64)) + 64 * np.eye(64)
+        config = InversionConfig(nb=16, m0=4, executor=executor, num_workers=2)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                calls.append([])
+                invert(a, config)
+            alive = [ref() for refs in calls for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert all(calls)
+        assert alive == []

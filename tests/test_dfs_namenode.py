@@ -1,5 +1,7 @@
 """Namenode namespace semantics."""
 
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -96,6 +98,20 @@ class TestListing:
         nn.create_file("/r/x")
         nn.create_file("/r/sub/y")
         assert nn.walk_files("/r") == ["/r/sub/y", "/r/x"]
+
+    def test_walking_leaves_no_cycle_that_keeps_entries_alive(self):
+        nn = NameNode()
+        for path in ("/r/b", "/r/a/z", "/r/a/y", "/s"):
+            nn.create_file(path, [BlockInfo(BlockId(1), 1, 0, (0,))])
+        entry = weakref.ref(nn.get_file("/r/a/y"))
+        gc.collect()
+        gc.disable()
+        try:
+            assert nn.walk_files("/") == ["/r/a/y", "/r/a/z", "/r/b", "/s"]
+            del nn
+            assert entry() is None
+        finally:
+            gc.enable()
 
 
 class TestDelete:
