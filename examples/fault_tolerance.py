@@ -9,8 +9,8 @@ Run with:  python examples/fault_tolerance.py
 
 import numpy as np
 
-from repro import InversionConfig, invert
-from repro.mapreduce import FailOnce, MapReduceRuntime, TaskKind
+from repro import InversionConfig, MatrixInverter
+from repro.mapreduce import FailOnce, TaskKind
 from repro.mapreduce.counters import FAILED_MAPS, LAUNCHED_MAPS, TASK_GROUP
 
 
@@ -22,11 +22,11 @@ def main() -> None:
     policy = FailOnce(
         job_substring="invert-final", kind=TaskKind.MAP, task_index=1
     )
-    runtime = MapReduceRuntime(fault_policy=policy)
+    config = InversionConfig(nb=40, m0=4)
     print("running the pipeline with an injected mapper failure in the "
           "final inversion job...")
-    result = invert(a, InversionConfig(nb=40, m0=4), runtime=runtime)
-    runtime.shutdown()
+    with MatrixInverter(config, fault_policy=policy) as inverter:
+        result = inverter.invert(a)
 
     final = next(j for j in result.record.job_results if j.name == "invert-final")
     launched = final.counters.value(TASK_GROUP, LAUNCHED_MAPS)
@@ -40,13 +40,12 @@ def main() -> None:
     # The same failure made permanent kills the job cleanly.
     from repro.mapreduce import FailAlways, JobFailedError
 
-    runtime = MapReduceRuntime(fault_policy=FailAlways(kind=TaskKind.MAP, task_index=1))
-    try:
-        invert(a, InversionConfig(nb=40, m0=4), runtime=runtime)
-    except JobFailedError as exc:
-        print(f"\npermanent failure path: {exc}")
-    finally:
-        runtime.shutdown()
+    policy = FailAlways(kind=TaskKind.MAP, task_index=1)
+    with MatrixInverter(config, fault_policy=policy) as inverter:
+        try:
+            inverter.invert(a)
+        except JobFailedError as exc:
+            print(f"\npermanent failure path: {exc}")
 
 
 if __name__ == "__main__":

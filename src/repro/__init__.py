@@ -34,7 +34,6 @@ from .telemetry import (
     HistoryReport,
     MetricsRegistry,
     Observation,
-    TraceConfig,
     observe,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "LUResult",
     "MetricsRegistry",
     "Observation",
-    "TraceConfig",
     "invert",
     "lu_decompose",
     "observe",

@@ -42,8 +42,8 @@ from ..dfs.fsck import fsck, orphaned_blocks, sound_manifests
 from ..inversion.config import InversionConfig
 from ..inversion.driver import InversionResult, MatrixInverter
 from ..mapreduce.master import JobFailedError
-from ..mapreduce.runtime import MapReduceRuntime, RuntimeConfig
-from ..telemetry.api import TraceConfig, observe
+from ..mapreduce.runtime import MapReduceRuntime
+from ..telemetry.api import observe
 from .events import DriverCrashError, Nemesis
 from .schedule import FaultSchedule, builtin_schedules
 
@@ -272,23 +272,21 @@ def run_schedule(
 
     a = campaign_matrix(n, seed)
     dfs = DFS(num_datanodes=num_datanodes, replication=replication, seed=seed)
-    runtime = MapReduceRuntime(
-        dfs=dfs,
-        config=RuntimeConfig(num_workers=m0, executor=executor),
-        fault_policy=schedule.make_task_faults(seed),
+    config = InversionConfig(
+        nb=nb, m0=m0, retry=schedule.retry, schedule=scheduler, executor=executor
     )
+    inverter = MatrixInverter(
+        config, dfs=dfs, fault_policy=schedule.make_task_faults(seed)
+    )
+    runtime = inverter.runtime
     nemesis = Nemesis(schedule.events, dfs, seed)
     # The nemesis legitimately holds the DFS handle: before_job hooks run
     # driver-side (the master process), never inside a worker, so the handle
     # does not cross a process boundary.
     runtime.before_job.append(nemesis)  # lint: ignore[PS002]
-    config = InversionConfig(
-        nb=nb, m0=m0, retry=schedule.retry, schedule=scheduler
-    )
-    inverter = MatrixInverter(config=config, runtime=runtime)
     # Deterministic trace ID: same schedule + seed must reproduce the same
     # outcome dict bit-for-bit (the campaign's determinism invariant).
-    observation = observe(TraceConfig(trace_id=f"chaos-{schedule.name}-seed{seed}"))
+    observation = observe(trace_id=f"chaos-{schedule.name}-seed{seed}")
     outcome.trace_id = observation.trace_id
 
     try:
@@ -326,7 +324,7 @@ def run_schedule(
     finally:
         outcome.events_log = list(nemesis.ctx.log)
         outcome.wall_seconds = time.perf_counter() - start
-        runtime.shutdown()
+        inverter.close()
     return outcome
 
 
@@ -443,13 +441,11 @@ class SweepReport:
 
 
 def _sweep_cluster(
-    seed: int, m0: int, num_datanodes: int, replication: int
-) -> tuple[DFS, MapReduceRuntime]:
+    config: InversionConfig, seed: int, num_datanodes: int, replication: int
+) -> tuple[DFS, MatrixInverter]:
+    """A fresh cluster and an inverter on it."""
     dfs = DFS(num_datanodes=num_datanodes, replication=replication, seed=seed)
-    runtime = MapReduceRuntime(
-        dfs=dfs, config=RuntimeConfig(num_workers=m0, executor="serial")
-    )
-    return dfs, runtime
+    return dfs, MatrixInverter(config, dfs=dfs)
 
 
 def _run_crash_point(
@@ -459,12 +455,11 @@ def _run_crash_point(
     *,
     seed: int,
     n: int,
-    m0: int,
     num_datanodes: int,
     replication: int,
 ) -> CrashPointOutcome:
     """Fresh cluster, crash armed at ``point``, invert + resume, full audit."""
-    dfs, runtime = _sweep_cluster(seed, m0, num_datanodes, replication)
+    dfs, inverter = _sweep_cluster(config, seed, num_datanodes, replication)
     remaining = [point.index]
 
     def crash_hook(op: str, path: str) -> None:
@@ -479,7 +474,6 @@ def _run_crash_point(
         )
 
     dfs.fault_hooks.append(crash_hook)
-    inverter = MatrixInverter(config=config, runtime=runtime)
     crashed = False
     try:
         try:
@@ -495,11 +489,11 @@ def _run_crash_point(
             detail=f"{type(exc).__name__}: {exc}",
         )
     finally:
-        runtime.shutdown()
+        inverter.close()
 
     checks = [
         _check_correctness(a, result),
-        _check_job_accounting(runtime, result, crashed),
+        _check_job_accounting(inverter.runtime, result, crashed),
         _check_no_orphans(dfs, config, n),
     ]
     audit = fsck(dfs, root=config.root, repair=False)
@@ -556,16 +550,16 @@ def run_crash_point_sweep(
     config = InversionConfig(nb=nb, m0=m0, schedule=scheduler)
 
     points: list[CrashPoint] = []
-    dfs, runtime = _sweep_cluster(seed, m0, num_datanodes, replication)
+    dfs, inverter = _sweep_cluster(config, seed, num_datanodes, replication)
 
     def record_hook(op: str, path: str) -> None:
         points.append(CrashPoint(index=len(points), op=op, path=path))
 
     dfs.fault_hooks.append(record_hook)
     try:
-        baseline = MatrixInverter(config=config, runtime=runtime).invert(a)
+        baseline = inverter.invert(a)
     finally:
-        runtime.shutdown()
+        inverter.close()
     if baseline.residual(a) > RESIDUAL_TOL:
         raise RuntimeError(
             "crash-point sweep baseline run is not numerically clean; "
@@ -581,7 +575,6 @@ def run_crash_point_sweep(
                 config,
                 seed=seed,
                 n=n,
-                m0=m0,
                 num_datanodes=num_datanodes,
                 replication=replication,
             )

@@ -42,16 +42,13 @@ def _crashed_cluster(seed: int, crash_at: int) -> tuple[DFS, str, int]:
     """A scratch cluster holding the wreckage of a mid-write driver crash."""
     from ..inversion.config import InversionConfig
     from ..inversion.driver import MatrixInverter
-    from ..mapreduce.runtime import MapReduceRuntime, RuntimeConfig
 
     rng = np.random.RandomState(seed)
     n = 8
     a = rng.standard_normal((n, n)) + n * np.eye(n)
     config = InversionConfig(nb=2, m0=2)
     dfs = DFS(num_datanodes=3, replication=2, seed=seed)
-    runtime = MapReduceRuntime(
-        dfs=dfs, config=RuntimeConfig(num_workers=2, executor="serial")
-    )
+    inverter = MatrixInverter(config, dfs=dfs)
     remaining = [crash_at]
 
     def crash_hook(op: str, path: str) -> None:
@@ -63,11 +60,11 @@ def _crashed_cluster(seed: int, crash_at: int) -> tuple[DFS, str, int]:
 
     dfs.fault_hooks.append(crash_hook)
     try:
-        MatrixInverter(config=config, runtime=runtime).invert(a)
+        inverter.invert(a)
     except _InjectedCrash:
         pass
     finally:
-        runtime.shutdown()
+        inverter.close()
     return dfs, config.root, n
 
 

@@ -25,7 +25,7 @@ Repair traffic is surfaced through the existing
 
 :class:`~repro.mapreduce.runtime.MapReduceRuntime` runs a repair pass
 automatically before each job whenever the cluster topology changed since the
-last check (``RuntimeConfig.auto_repair``), which is what lets the chaos
+last check, which is what lets the chaos
 campaigns kill datanodes mid-pipeline and still finish with full replication.
 """
 

@@ -23,7 +23,6 @@ import numpy as np
 from ..cluster import ClusterSpec, EC2_MEDIUM, NodeSpec, ScaleFactors, simulate_record
 from ..cluster.simulator import SimulationReport
 from ..inversion import InversionConfig, InversionResult, MatrixInverter
-from ..mapreduce import MapReduceRuntime, RuntimeConfig
 from ..mapreduce.faults import FaultPolicy
 from ..workloads.generators import random_dense
 
@@ -81,16 +80,11 @@ class ExperimentHarness:
             # pin the mode so a changed default can never skew the
             # reproduced step sequence or timings.
             schedule="barrier",
+            executor=self.executor,
+            num_workers=self.num_workers,
         )
-        runtime = MapReduceRuntime(
-            config=RuntimeConfig(num_workers=self.num_workers, executor=self.executor),
-            fault_policy=fault_policy,
-        )
-        try:
-            inverter = MatrixInverter(config=config, runtime=runtime)
+        with MatrixInverter(config, fault_policy=fault_policy) as inverter:
             result = inverter.invert(a)
-        finally:
-            runtime.shutdown()
         if fault_policy is None and matrix is None:
             self._cache[key] = result
         return result

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..cluster.costmodel import BYTES_PER_ELEMENT, ours_lu_cost, scalapack_lu_cost
 from ..inversion import InversionConfig, MatrixInverter
-from ..mapreduce import MapReduceRuntime, RuntimeConfig
 from ..workloads.generators import random_dense
 from .report import format_table
 
@@ -54,19 +53,13 @@ class Table1Result:
 def run(n: int = 256, nb: int = 32, m0: int = 8, seed: int = 0) -> Table1Result:
     """Execute the LU stage and compare its I/O against the Table 1 model."""
     a = random_dense(n, seed=seed)
-    runtime = MapReduceRuntime(config=RuntimeConfig(num_workers=4))
-    try:
-        inverter = MatrixInverter(
-            # Cache off: Table 1 models physical DFS reads.  Commit off:
-            # manifest metadata would perturb the paper's byte accounting.
-            config=InversionConfig(
-                nb=nb, m0=m0, block_cache_bytes=0, output_commit=False
-            ),
-            runtime=runtime,
-        )
+    # Cache off: Table 1 models physical DFS reads.  Commit off: manifest
+    # metadata would perturb the paper's byte accounting.
+    config = InversionConfig(
+        nb=nb, m0=m0, block_cache_bytes=0, output_commit=False, num_workers=4
+    )
+    with MatrixInverter(config) as inverter:
         factors = inverter.lu(a)
-    finally:
-        runtime.shutdown()
 
     read_b = write_b = mults = 0.0
     for trace in factors.record.all_traces():

@@ -62,11 +62,11 @@ class InversionConfig:
         ``schedule="dataflow"`` are refused.
     executor:
         Execution backend for task attempts: ``"serial"`` (default),
-        ``"threads"`` or ``"processes"``.  Only consulted when the driver
-        builds its own runtime; an explicitly passed runtime wins.
+        ``"threads"`` or ``"processes"``.
     num_workers:
-        Worker-pool width for the driver-built runtime.  ``None`` (default)
-        sizes the pool to ``m0`` — one slot per simulated compute node.
+        Worker-pool width of the runtime, and its simulated node count.
+        ``None`` (default) sizes the pool to ``m0`` — one slot per
+        simulated compute node.
     schedule:
         Which runner executes the driver's one unit list
         (:mod:`repro.mapreduce.scheduler`), for ``invert``, ``invert_path``

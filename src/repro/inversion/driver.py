@@ -37,7 +37,6 @@ from ..mapreduce import (
     MapReduceRuntime,
     Pipeline,
     PipelineRecord,
-    RuntimeConfig,
     SchedulerReport,
     UnitSpec,
     run_in_order,
@@ -142,43 +141,44 @@ class LUFactors:
 class MatrixInverter:
     """Public API: invert (or LU-decompose) matrices on a MapReduce runtime.
 
+    Every inverter builds and owns its :class:`MapReduceRuntime`, so
+    ``config`` is the one route from an inversion to its runtime: the
+    backend is ``config.executor`` and the pool width (and simulated node
+    count) ``config.num_workers``, or ``config.m0`` — one slot per compute
+    node — when that is ``None``.
+
     Parameters
     ----------
     config:
         Pipeline tunables (:class:`InversionConfig`).  Defaults match the
         paper's setup scaled down (nb=64, m0=4, all optimizations on).
-    runtime:
-        An existing :class:`MapReduceRuntime` to run on; when omitted a
-        fresh runtime with its own DFS is created (and shut down by
-        ``close``), sized and backed per ``config.num_workers`` /
-        ``config.executor``.
+    dfs:
+        The cluster's file system; a fresh :class:`~repro.dfs.filesystem.DFS`
+        when omitted.  Bring one to choose its datanodes, replication or
+        fault hooks, or to resume on the cluster an earlier inverter ran on.
     fault_policy:
-        Optional fault injection (only used when the runtime is created here).
+        Optional task-level fault injection for every job this inverter runs.
     """
 
     def __init__(
         self,
         config: InversionConfig | None = None,
-        runtime: MapReduceRuntime | None = None,
+        *,
+        dfs: DFS | None = None,
         fault_policy: FaultPolicy | None = None,
     ) -> None:
         self.config = config or InversionConfig()
-        self._owns_runtime = runtime is None
-        # The driver-built runtime is derived from the inversion config: one
-        # worker slot per compute node unless num_workers overrides it.
-        self.runtime = runtime or MapReduceRuntime(
-            config=RuntimeConfig(
-                num_workers=self.config.num_workers or self.config.m0,
-                executor=self.config.executor,
-            ),
+        self.runtime = MapReduceRuntime(
+            dfs,
+            executor=self.config.executor,
+            num_workers=self.config.num_workers or self.config.m0,
             fault_policy=fault_policy,
         )
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        if self._owns_runtime:
-            self.runtime.shutdown()
+        self.runtime.shutdown()
 
     def __enter__(self) -> "MatrixInverter":
         return self
@@ -598,11 +598,7 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 def invert(
     a: np.ndarray,
     config: InversionConfig | None = None,
-    runtime: MapReduceRuntime | None = None,
 ) -> InversionResult:
-    """One-call convenience: invert ``a`` on a fresh (or given) runtime."""
-    inverter = MatrixInverter(config=config, runtime=runtime)
-    try:
+    """One-call convenience: invert ``a`` on a fresh runtime."""
+    with MatrixInverter(config) as inverter:
         return inverter.invert(a)
-    finally:
-        inverter.close()

@@ -47,7 +47,7 @@ from .job import (
 from .master import AttemptFailure, JobFailedError, JobTracker, NodeHealth
 from .pipeline import MasterPhase, Pipeline, PipelineRecord
 from .retry import RetryPolicy
-from .runtime import MapReduceRuntime, RuntimeConfig
+from .runtime import MapReduceRuntime
 from .scheduler import (
     DataflowScheduler,
     SchedulerReport,
@@ -99,7 +99,6 @@ __all__ = [
     "ProcessPoolBackend",
     "Reducer",
     "RetryPolicy",
-    "RuntimeConfig",
     "SchedulerReport",
     "SchedulerStallError",
     "ScriptedFault",

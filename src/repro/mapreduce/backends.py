@@ -170,7 +170,9 @@ class ThreadPoolBackend:
     The collector first waits — uncharged — for the attempt to actually
     begin, then gives it ``deadline`` seconds of its own; an attempt that
     never starts because every slot is held by an abandoned hung attempt is
-    cancelled and reported as starved rather than waiting forever.
+    cancelled and reported as starved rather than waiting forever.  Threads
+    cannot be killed, so once any attempt was abandoned :meth:`shutdown`
+    detaches the pool instead of joining a thread that may never return.
     """
 
     in_process = True
@@ -183,6 +185,9 @@ class ThreadPoolBackend:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
         self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
+        self._lock = threading.Lock()
+        # Timed-out attempts left running on pool threads.
+        self._abandoned = 0  # guarded-by: _lock
 
     def run_all(
         self,
@@ -259,6 +264,8 @@ class ThreadPoolBackend:
                     # are idempotent per-attempt staging files).
                     fut.cancel()
                     abandoned += 1
+                    with self._lock:
+                        self._abandoned += 1
                     outcome = TaskTimeoutError(deadline)
                 except Exception as exc:
                     outcome = exc
@@ -268,7 +275,11 @@ class ThreadPoolBackend:
         return results
 
     def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
+        with self._lock:
+            detach = self._abandoned > 0
+        # A detached pool's idle threads exit on their own; an abandoned
+        # attempt's thread exits when its task finally returns.
+        self._pool.shutdown(wait=not detach, cancel_futures=detach)
 
 
 # -- process pool -------------------------------------------------------------

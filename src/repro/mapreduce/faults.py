@@ -38,24 +38,11 @@ class FaultPolicy:
         # __dict__ directly: works for plain and frozen policy classes.
         names = self.__dict__.setdefault("_job_names", {})
         names[job_id] = name
-        # Legacy slot: hand-written policies (tests, notebooks) read
-        # ``self.job_name`` in should_fail.  Last-writer-wins is the old
-        # single-slot behaviour; name-scoped code uses job_name_for instead.
-        self.__dict__["job_name"] = name
 
     def job_name_for(self, attempt: TaskAttemptId) -> str:
-        """The name of the job ``attempt`` belongs to (``""`` if unknown).
-
-        Prefers :meth:`note_job` registrations; falls back to the legacy
-        mutable ``job_name`` attribute so policies configured by hand in
-        tests keep working.
-        """
-        names = self.__dict__.get("_job_names")
-        if names is not None:
-            name = names.get(attempt.task.job)
-            if name is not None:
-                return name
-        return getattr(self, "job_name", None) or ""
+        """The name :meth:`note_job` registered for the job ``attempt``
+        belongs to (``""`` if none)."""
+        return self.__dict__.get("_job_names", {}).get(attempt.task.job, "")
 
     def should_fail(self, attempt: TaskAttemptId) -> bool:
         return False
@@ -130,9 +117,11 @@ class FailNever(FaultPolicy):
 class FailOnce(FaultPolicy):
     """Fail specific task attempts exactly once (attempt 0 by default).
 
-    ``targets`` maps ``(job_name_substring, kind, task_index)`` to the attempt
-    number that should fail; retries succeed, reproducing the paper's
-    "mapper failed, was rescheduled, job completed" scenario.
+    Attempt ``failing_attempt`` of task ``(kind, task_index)`` fails in every
+    job whose name contains ``job_substring`` (so callers can target "the
+    final inversion job" without knowing exact generated names); retries
+    succeed, reproducing the paper's "mapper failed, was rescheduled, job
+    completed" scenario.
     """
 
     job_substring: str
@@ -141,10 +130,6 @@ class FailOnce(FaultPolicy):
     failing_attempt: int = 0
     _fired: set[str] = field(default_factory=set)  # guarded-by: _lock
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    # Job names are matched by substring so callers can target "the first LU
-    # job" or "the final inversion job" without knowing exact generated names.
-    job_name: str | None = None  # set by the master before dispatch
 
     def should_fail(self, attempt: TaskAttemptId) -> bool:
         if attempt.task.kind is not self.kind:
@@ -170,7 +155,6 @@ class FailAlways(FaultPolicy):
 
     kind: TaskKind
     task_index: int
-    job_name: str | None = None
 
     def should_fail(self, attempt: TaskAttemptId) -> bool:
         return attempt.task.kind is self.kind and attempt.task.index == self.task_index
@@ -182,7 +166,6 @@ class FailRandomly(FaultPolicy):
 
     rate: float
     seed: int = 0
-    job_name: str | None = None
     _rng: random.Random = field(init=False, repr=False)  # guarded-by: _lock
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -210,7 +193,6 @@ class FailOnNode(FaultPolicy):
     node_id: int
     kind: TaskKind | None = None
     job_substring: str = ""
-    job_name: str | None = None
 
     def should_fail_at(self, attempt: TaskAttemptId, node: int | None) -> bool:
         if node != self.node_id:
@@ -238,7 +220,6 @@ class DelayAttempt(FaultPolicy):
     #: only attempts numbered strictly below this hang; retries run clean.
     attempts_below: int = 1
     job_substring: str = ""
-    job_name: str | None = None
 
     def should_delay(self, attempt: TaskAttemptId) -> bool:
         if self.kind is not None and attempt.task.kind is not self.kind:
@@ -264,26 +245,12 @@ class DelayAttempt(FaultPolicy):
 class ComposedFaults(FaultPolicy):
     """Apply several fault policies in order (chaos schedules compose faults).
 
-    ``job_name`` assignment fans out to every child policy that carries one,
-    preserving the master's name-scoping protocol.
+    :meth:`note_job` fans out to every child policy, preserving the
+    master's name-scoping protocol.
     """
 
     def __init__(self, *policies: FaultPolicy) -> None:
         self.policies = list(policies)
-
-    @property
-    def job_name(self) -> str | None:
-        for policy in self.policies:
-            name = getattr(policy, "job_name", None)
-            if name is not None:
-                return name
-        return None
-
-    @job_name.setter
-    def job_name(self, name: str | None) -> None:
-        for policy in self.policies:
-            if hasattr(policy, "job_name"):
-                policy.job_name = name
 
     def note_job(self, job_id, name: str) -> None:
         super().note_job(job_id, name)

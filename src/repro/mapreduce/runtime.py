@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from ..dfs.filesystem import DFS
@@ -35,35 +34,32 @@ from .backends import make_executor
 from .types import JobId, JobResult
 
 
-@dataclass
-class RuntimeConfig:
-    """Knobs of a simulated Hadoop deployment."""
-
-    num_workers: int = 4
-    executor: str = "serial"  # "serial" | "threads" | "processes"
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-
-
 class MapReduceRuntime:
-    """Runs jobs and keeps their results for replay on the simulated cluster."""
+    """Runs jobs and keeps their results for replay on the simulated cluster.
+
+    ``executor`` names the backend (``"serial"``, ``"threads"`` or
+    ``"processes"``) and ``num_workers`` its pool width, which is also the
+    number of simulated nodes the tracker schedules attempts onto.
+    """
 
     def __init__(
         self,
         dfs: DFS | None = None,
-        config: RuntimeConfig | None = None,
+        *,
+        executor: str = "serial",
+        num_workers: int = 4,
         fault_policy: FaultPolicy | None = None,
     ) -> None:
-        self.config = config or RuntimeConfig()
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        self.num_workers = num_workers
         self.dfs = dfs if dfs is not None else DFS()
-        self._executor = make_executor(self.config.executor, self.config.num_workers)
+        self._executor = make_executor(executor, num_workers)
         self._tracker = JobTracker(
             self.dfs,
             self._executor,
             fault_policy=fault_policy,
-            num_nodes=self.config.num_workers,
+            num_nodes=num_workers,
         )
         self._job_ids = itertools.count(1)
         # Serializes the launch preamble (before_job hooks, repair pass,
@@ -77,10 +73,6 @@ class MapReduceRuntime:
         #: Repair passes triggered by topology changes, in order.
         self.repair_log: list[RepairReport] = []
         self._repair_epoch = self.dfs.blocks.failure_epoch
-
-    @property
-    def num_workers(self) -> int:
-        return self.config.num_workers
 
     @property
     def node_health(self):
@@ -148,4 +140,4 @@ class MapReduceRuntime:
         self.shutdown()
 
 
-__all__ = ["MapReduceRuntime", "RuntimeConfig", "JobFailedError"]
+__all__ = ["MapReduceRuntime", "JobFailedError"]

@@ -31,7 +31,7 @@ instrumentation site sees the no-op tracer, whose spans are one shared inert
 object.
 """
 
-from .api import Observation, TraceConfig, observe
+from .api import Observation, observe
 from .exporters import (
     InMemoryExporter,
     JsonLinesExporter,
@@ -93,7 +93,6 @@ __all__ = [
     "SpanKind",
     "TimelineExporter",
     "TotalsReconciliation",
-    "TraceConfig",
     "Tracer",
     "critical_path",
     "current_span",

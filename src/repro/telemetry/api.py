@@ -1,4 +1,4 @@
-"""The public instrumentation surface: :class:`TraceConfig` and :func:`observe`.
+"""The public instrumentation surface: :func:`observe`.
 
 There is one way in: :func:`observe` instruments a ``with`` block ambiently —
 every driver, runtime, executor, DFS, and chaos campaign running inside the
@@ -9,71 +9,25 @@ block emits into one span tree::
     print(obs.render_timeline())
     print(obs.metrics.format())
 
-A :class:`TraceConfig` passed to :func:`observe` says *how* (fixed trace ID,
-JSONL sink, extra exporters).  No engine configuration object carries one:
-the engine resolves the tracer with
+Its keywords say *how*: a fixed ``trace_id`` and a ``jsonl`` sink.  No engine
+configuration object carries a tracer: the engine resolves it with
 :func:`~repro.telemetry.spans.current_tracer` in the driving thread and
 hands it (and parent spans) explicitly across thread boundaries, so a live
 tracer never rides a config that gets pickled to pool workers.
-
-A single ``TraceConfig`` owns a single lazily-created
-:class:`~repro.telemetry.spans.Tracer` (and through it a
-:class:`~repro.telemetry.metrics.MetricsRegistry`), so observing two blocks
-with the same config funnels them into the same trace tree.
 """
 
 from __future__ import annotations
 
 import contextvars
 import pathlib
-from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any
 
-from .exporters import JsonLinesExporter, SpanExporter
+from .exporters import JsonLinesExporter
 from .metrics import MetricsRegistry
-from .spans import NULL_TRACER, IORecord, NullTracer, Tracer, activate, deactivate
+from .spans import IORecord, Tracer, activate, deactivate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .reconcile import ReconciliationReport
-
-
-@dataclass
-class TraceConfig:
-    """Declarative telemetry configuration.
-
-    Attributes
-    ----------
-    enabled:
-        Master switch.  ``False`` resolves to the no-op tracer: no spans,
-        no metrics, no allocations on the hot path.
-    trace_id:
-        Fixed trace ID (random when ``None``) — set it to correlate a run
-        with an external system's ID.
-    jsonl_path:
-        When set, every finished span is also streamed to this file as one
-        JSON object per line (:class:`~repro.telemetry.exporters.JsonLinesExporter`).
-    exporters:
-        Additional exporters to attach.
-    """
-
-    enabled: bool = True
-    trace_id: str | None = None
-    jsonl_path: str | pathlib.Path | None = None
-    exporters: tuple[SpanExporter, ...] = ()
-    _tracer: "Tracer | None" = field(
-        default=None, repr=False, compare=False, init=False
-    )
-
-    def tracer(self) -> "Tracer | NullTracer":
-        """The (lazily created, cached) tracer this config describes."""
-        if not self.enabled:
-            return NULL_TRACER
-        if self._tracer is None:
-            exporters = tuple(self.exporters)
-            if self.jsonl_path is not None:
-                exporters += (JsonLinesExporter(self.jsonl_path),)
-            self._tracer = Tracer(trace_id=self.trace_id, exporters=exporters)
-        return self._tracer
 
 
 class Observation:
@@ -83,9 +37,8 @@ class Observation:
     callers rarely need to touch the lower layers.
     """
 
-    def __init__(self, config: TraceConfig) -> None:
-        self.config = config
-        self.tracer = config.tracer()
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
         self._token: contextvars.Token[Any] | None = None
 
     # -- context management ----------------------------------------------------
@@ -98,8 +51,7 @@ class Observation:
         if self._token is not None:
             deactivate(self._token)
             self._token = None
-        if isinstance(self.tracer, Tracer):
-            self.tracer.close()
+        self.tracer.close()
 
     # -- read path -------------------------------------------------------------
 
@@ -169,11 +121,16 @@ class Observation:
 
 
 def observe(
-    config: TraceConfig | None = None,
     *,
     jsonl: str | pathlib.Path | IO[str] | None = None,
+    trace_id: str | None = None,
 ) -> Observation:
     """Instrument everything inside a ``with`` block.
+
+    ``jsonl`` (a path or a writable text stream) also streams every
+    finished span to it as one JSON object per line; ``trace_id`` fixes the
+    trace ID (random when ``None``) to correlate a run with an external
+    system's ID.
 
     >>> import numpy as np, repro
     >>> with repro.observe() as obs:
@@ -181,17 +138,8 @@ def observe(
     >>> len(obs.spans) > 0
     True
     """
-    if config is None:
-        exporters: tuple[SpanExporter, ...] = ()
-        jsonl_path: str | pathlib.Path | None = None
-        if isinstance(jsonl, (str, pathlib.Path)):
-            jsonl_path = jsonl
-        elif jsonl is not None:
-            exporters = (JsonLinesExporter(jsonl),)
-        config = TraceConfig(jsonl_path=jsonl_path, exporters=exporters)
-    elif jsonl is not None:
-        raise ValueError("pass jsonl via TraceConfig when supplying a config")
-    return Observation(config)
+    exporters = (JsonLinesExporter(jsonl),) if jsonl is not None else ()
+    return Observation(Tracer(trace_id=trace_id, exporters=exporters))
 
 
-__all__ = ["Observation", "TraceConfig", "observe"]
+__all__ = ["Observation", "observe"]

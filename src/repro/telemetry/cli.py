@@ -41,25 +41,20 @@ def run_traced_inversion(
     from ..cluster.costmodel import BYTES_PER_ELEMENT, ours_lu_cost
     from ..inversion import InversionConfig, MatrixInverter
     from ..inversion.plan import is_full_tree, total_job_count
-    from ..mapreduce import MapReduceRuntime, RuntimeConfig
     from ..workloads.generators import random_dense
-    from .api import TraceConfig, observe
+    from .api import observe
     from .reconcile import dfs_replication_factor, reconcile_run
 
     a = random_dense(n, seed=seed)
-    runtime = MapReduceRuntime(
-        config=RuntimeConfig(num_workers=m0, executor=executor)
+    inverter = MatrixInverter(
+        InversionConfig(nb=nb, m0=m0, executor=executor, schedule=schedule)
     )
-    obs = observe(TraceConfig(jsonl_path=jsonl))
+    obs = observe(jsonl=jsonl)
     try:
         with obs:
-            inverter = MatrixInverter(
-                config=InversionConfig(nb=nb, m0=m0, schedule=schedule),
-                runtime=runtime,
-            )
             result = inverter.invert(a)
     finally:
-        runtime.shutdown()
+        inverter.close()
 
     expected = (
         total_job_count(n, nb) if is_full_tree(n, nb) else result.plan.num_jobs
@@ -70,7 +65,7 @@ def run_traced_inversion(
         result.record,
         io=result.io,
         root_io=obs.root_io,
-        replication_factor=dfs_replication_factor(runtime.dfs),
+        replication_factor=dfs_replication_factor(inverter.runtime.dfs),
         expected_job_count=expected,
         model_lu_cost=(
             cost.read * BYTES_PER_ELEMENT,

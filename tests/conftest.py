@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dfs import DFS
-from repro.mapreduce import MapReduceRuntime, RuntimeConfig
+from repro.mapreduce import MapReduceRuntime
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def dfs() -> DFS:
 
 @pytest.fixture
 def runtime(dfs: DFS) -> MapReduceRuntime:
-    rt = MapReduceRuntime(dfs=dfs, config=RuntimeConfig(num_workers=4, executor="serial"))
+    rt = MapReduceRuntime(dfs=dfs, num_workers=4, executor="serial")
     yield rt
     rt.shutdown()
 
@@ -29,7 +29,7 @@ def runtime(dfs: DFS) -> MapReduceRuntime:
 @pytest.fixture
 def threaded_runtime(dfs: DFS) -> MapReduceRuntime:
     rt = MapReduceRuntime(
-        dfs=dfs, config=RuntimeConfig(num_workers=4, executor="threads")
+        dfs=dfs, num_workers=4, executor="threads"
     )
     yield rt
     rt.shutdown()

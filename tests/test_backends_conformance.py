@@ -78,6 +78,13 @@ class TestConformance:
         assert isinstance(out[0], TaskTimeoutError)
         assert out[1] == 36
 
+    def test_shutdown_does_not_wait_out_a_timed_out_attempt(self, backend):
+        out = backend.run_all([partial(nap_then, 5.0, 1)], deadline=0.1)
+        assert isinstance(out[0], TaskTimeoutError)
+        start = time.perf_counter()
+        backend.shutdown()
+        assert time.perf_counter() - start < 0.5
+
     def test_fast_tasks_pass_under_deadline(self, backend):
         out = backend.run_all(
             [partial(nap_then, 0.01, i) for i in range(3)], deadline=5.0

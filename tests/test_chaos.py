@@ -179,8 +179,8 @@ class TestCampaign:
 
         observations = []
 
-        def recording_observe(config):
-            observations.append(campaign_observe(config))
+        def recording_observe(**kwargs):
+            observations.append(campaign_observe(**kwargs))
             return observations[-1]
 
         campaign_observe = campaign.observe

@@ -24,17 +24,12 @@ from repro.dfs import (
 from repro.dfs.commit import COMMIT_DIR
 from repro.dfs.fsck import sound_manifests
 from repro.inversion import MatrixInverter
-from repro.mapreduce import MapReduceRuntime, RuntimeConfig
 
 from conftest import random_invertible
 
 
-def small_cluster(seed: int = 0) -> tuple[DFS, MapReduceRuntime]:
-    dfs = DFS(num_datanodes=3, replication=2, block_size=1 << 16, seed=seed)
-    runtime = MapReduceRuntime(
-        dfs=dfs, config=RuntimeConfig(num_workers=2, executor="serial")
-    )
-    return dfs, runtime
+def small_cluster(seed: int = 0) -> DFS:
+    return DFS(num_datanodes=3, replication=2, block_size=1 << 16, seed=seed)
 
 
 def crash_once_at(dfs: DFS, substring: str) -> None:
@@ -122,11 +117,11 @@ class TestCommitLog:
 
 class TestEndToEndProtocol:
     def test_inversion_with_commit_leaves_conserved_ledger(self, rng):
-        dfs, runtime = small_cluster()
+        dfs = small_cluster()
         config = InversionConfig(nb=2, m0=2)
         assert config.output_commit  # protocol is on by default
         a = random_invertible(rng, 8)
-        with MatrixInverter(config=config, runtime=runtime) as inverter:
+        with MatrixInverter(config, dfs=dfs) as inverter:
             result = inverter.invert(a)
         assert result.residual(a) < 1e-8
         stats = dfs.stats
@@ -137,42 +132,39 @@ class TestEndToEndProtocol:
         # No staging debris, no unsealed files, manifests all valid.
         report = fsck(dfs, root=config.root, repair=False)
         assert report.clean, report.format()
-        runtime.shutdown()
 
     def test_every_step_has_a_manifest(self, rng):
-        dfs, runtime = small_cluster()
+        dfs = small_cluster()
         config = InversionConfig(nb=2, m0=2)
         a = random_invertible(rng, 8)
-        with MatrixInverter(config=config, runtime=runtime) as inverter:
+        with MatrixInverter(config, dfs=dfs) as inverter:
             inverter.invert(a)
         log = CommitLog(dfs, config.root)
         for job in ("partition", "lu:/Root", "lu:/Root/A1", "lu:/Root/OUT", "invert-final"):
             assert log.committed(f"job:{job}"), job
         assert log.committed("phase:write-input")
-        runtime.shutdown()
 
     def test_job_results_report_published_paths(self, rng):
-        dfs, runtime = small_cluster()
+        dfs = small_cluster()
         config = InversionConfig(nb=2, m0=2)
         a = random_invertible(rng, 8)
-        with MatrixInverter(config=config, runtime=runtime) as inverter:
+        with MatrixInverter(config, dfs=dfs) as inverter:
             inverter.invert(a)
-        assert runtime.history
+        assert inverter.runtime.history
         sound, _ = sound_manifests(dfs, config.root)
         retired = {path for _, paths in sound.values() for path in paths}
         assert retired
-        for job_result in runtime.history:
+        for job_result in inverter.runtime.history:
             for path in job_result.published_paths:
                 # Still there, or deleted after its last reader committed.
                 assert dfs.exists(path) != (path in retired), path
                 assert not path.startswith(STAGING_ROOT)
-        runtime.shutdown()
 
     def test_a_commit_drops_its_staging_dir_inside_its_publish(self, rng):
         """Each publish fires its hook once and, by the time its listeners
         run, has dropped exactly the publishing writer's staging directory:
         no ``/_tmp/attempt-*`` outlives its task commit."""
-        dfs, runtime = small_cluster()
+        dfs = small_cluster()
         events: list[tuple[str, set[str]]] = []
 
         def tmp_dirs() -> set[str]:
@@ -184,9 +176,8 @@ class TestEndToEndProtocol:
 
         dfs.fault_hooks.append(hook)
         dfs.publish_listeners.append(lambda paths: events.append(("sealed", tmp_dirs())))
-        with MatrixInverter(config=InversionConfig(nb=2, m0=2), runtime=runtime) as inverter:
+        with MatrixInverter(InversionConfig(nb=2, m0=2), dfs=dfs) as inverter:
             inverter.invert(random_invertible(rng, 8))
-        runtime.shutdown()
         assert [kind for kind, _ in events] == ["hook", "sealed"] * (len(events) // 2)
         dropped = [before - after for (_, before), (_, after) in zip(events[::2], events[1::2])]
         assert all(len(gone) == 1 for gone in dropped)
@@ -195,15 +186,14 @@ class TestEndToEndProtocol:
         assert not tmp_dirs()
 
     def test_commit_off_stages_nothing(self, rng):
-        dfs, runtime = small_cluster()
+        dfs = small_cluster()
         config = InversionConfig(nb=2, m0=2, output_commit=False)
         a = random_invertible(rng, 8)
-        with MatrixInverter(config=config, runtime=runtime) as inverter:
+        with MatrixInverter(config, dfs=dfs) as inverter:
             result = inverter.invert(a)
         assert result.residual(a) < 1e-8
         assert dfs.stats.bytes_staged == 0
         assert not dfs.exists(f"{config.root}/{COMMIT_DIR}")
-        runtime.shutdown()
 
 
 class TestCrashResume:
@@ -212,11 +202,11 @@ class TestCrashResume:
         staged but before its U factor, then resume.  Without manifests a
         resume probing for file existence could mistake the torn leaf for
         done; with the protocol the whole step re-runs."""
-        dfs, runtime = small_cluster()
+        dfs = small_cluster()
         config = InversionConfig(nb=2, m0=2)
         a = random_invertible(rng, 8)
         crash_once_at(dfs, "/OUT/ut.bin")  # L staged first, U next
-        inverter = MatrixInverter(config=config, runtime=runtime)
+        inverter = MatrixInverter(config, dfs=dfs)
         with pytest.raises(DriverCrashError):
             inverter.invert(a)
         # The crash left a staged L with no U and no manifest for the step.
@@ -231,10 +221,10 @@ class TestCrashResume:
         assert dfs.stats.bytes_staged == (
             dfs.stats.bytes_published + dfs.stats.bytes_discarded
         )
-        runtime.shutdown()
+        inverter.close()
 
     def test_crash_at_publish_resumes_clean(self, rng):
-        dfs, runtime = small_cluster()
+        dfs = small_cluster()
         config = InversionConfig(nb=2, m0=2)
         a = random_invertible(rng, 8)
 
@@ -250,10 +240,10 @@ class TestCrashResume:
             raise DriverCrashError(f"injected crash at publish {path}")
 
         dfs.fault_hooks.append(hook)
-        inverter = MatrixInverter(config=config, runtime=runtime)
+        inverter = MatrixInverter(config, dfs=dfs)
         with pytest.raises(DriverCrashError):
             inverter.invert(a)
         result = inverter.invert(a, resume=True)
         assert result.residual(a) < 1e-8
         assert fsck(dfs, root=config.root, repair=False).clean
-        runtime.shutdown()
+        inverter.close()

@@ -29,7 +29,6 @@ from repro.linalg.triangular import (
     invert_lower_columns,
     invert_upper_rows,
 )
-from repro.mapreduce import MapReduceRuntime
 from repro.workloads import diagonally_dominant
 
 #: ``(n, nb)`` of ``tests/test_edge_geometries.py``, and one deeper shape
@@ -56,18 +55,17 @@ def finished_run(request):
     # Real pivots, so P2 moves rows; nb=1 leaves cannot pivot at all.
     a = diagonally_dominant(n, seed=n) if nb == 1 else np.random.default_rng(n).standard_normal((n, n))
     cfg = InversionConfig(nb=nb, m0=m0, transpose_u=transpose_u, separate_files=separate_files)
-    runtime = MapReduceRuntime()
-    dfs, snapshot = runtime.dfs, DFS()
+    dfs, snapshot = DFS(), DFS()
 
     def copy(paths):
         for path in paths:
             snapshot.write_bytes(path, dfs.read_bytes(path))
 
     dfs.publish_listeners.append(copy)
-    result = MatrixInverter(config=cfg, runtime=runtime).invert(a)
+    with MatrixInverter(cfg, dfs=dfs) as inverter:
+        result = inverter.invert(a)
     assert np.allclose(result.inverse @ a, np.eye(n), atol=1e-7)
     yield Layout(result.plan, cfg, n), snapshot
-    runtime.shutdown()
 
 
 class _LoggingReader:

@@ -15,7 +15,6 @@ from repro import InversionConfig
 from repro.dfs import DFS, CommitLog, fsck, staging_path
 from repro.dfs.cli import main as dfs_main
 from repro.inversion import MatrixInverter
-from repro.mapreduce import MapReduceRuntime, RuntimeConfig
 
 from conftest import random_invertible
 
@@ -172,12 +171,9 @@ class TestRepair:
 class TestResumeAutoFsck:
     def test_resume_repairs_before_trusting_manifests(self, rng):
         dfs = DFS(num_datanodes=3, replication=2, block_size=1 << 16, seed=0)
-        runtime = MapReduceRuntime(
-            dfs=dfs, config=RuntimeConfig(num_workers=2, executor="serial")
-        )
         config = InversionConfig(nb=2, m0=2)
         a = random_invertible(rng, 8)
-        inverter = MatrixInverter(config=config, runtime=runtime)
+        inverter = MatrixInverter(config, dfs=dfs)
         first = inverter.invert(a)
         # Simulate crash debris on the completed tree: an orphaned staging
         # file and a manifest lying about a file that was never published.
@@ -194,7 +190,7 @@ class TestResumeAutoFsck:
         # The lying manifest was dropped and the final job re-ran.
         assert log.committed("job:invert-final")
         assert "/Root/ghost.bin" not in log.published("job:invert-final")
-        runtime.shutdown()
+        inverter.close()
 
 
     def test_crash_between_manifest_and_retirement(self, rng):
@@ -205,9 +201,6 @@ class TestResumeAutoFsck:
         from repro.chaos import DriverCrashError
 
         dfs = DFS(num_datanodes=3, replication=2, block_size=1 << 16, seed=0)
-        runtime = MapReduceRuntime(
-            dfs=dfs, config=RuntimeConfig(num_workers=2, executor="serial")
-        )
         config = InversionConfig(nb=2, m0=2)
         a = random_invertible(rng, 8)
         model = build_model(8, config)
@@ -223,20 +216,20 @@ class TestResumeAutoFsck:
             delete(*paths, **kwargs)
 
         dfs.delete = crash_at_retirement
-        inverter = MatrixInverter(config=config, runtime=runtime)
+        inverter = MatrixInverter(config, dfs=dfs)
         with pytest.raises(DriverCrashError):
             inverter.invert(a)
         log = CommitLog(dfs, config.root)
         assert log.committed(f"job:{step}")
         report = fsck(dfs, root=config.root, repair=False)
         assert sorted(i.path for i in report.issues if i.kind == "retired-file") == list(retired)
-        launched = len(runtime.history)
+        launched = len(inverter.runtime.history)
         result = inverter.invert(a, resume=True)
         assert result.residual(a) < 1e-8
-        assert step not in [job.name for job in runtime.history[launched:]]
+        assert step not in [job.name for job in inverter.runtime.history[launched:]]
         assert fsck(dfs, root=config.root, repair=False).clean
         assert not any(dfs.exists(path) for path in retired)
-        runtime.shutdown()
+        inverter.close()
 
 
 class TestCLI:

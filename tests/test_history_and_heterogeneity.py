@@ -3,27 +3,21 @@
 import numpy as np
 import pytest
 
-from repro import InversionConfig, invert
+from repro import InversionConfig, MatrixInverter
 from repro.cluster import ClusterSpec, ScaleFactors, simulate_record
 from repro.cluster.simulator import node_speed_factors
-from repro.mapreduce import (
-    FailOnce,
-    HistoryReport,
-    MapReduceRuntime,
-    TaskKind,
-)
+from repro.mapreduce import FailOnce, HistoryReport, TaskKind
 
 from conftest import random_invertible
 
 
 @pytest.fixture(scope="module")
 def executed():
-    rt = MapReduceRuntime()
     rng = np.random.default_rng(3)
     a = rng.random((96, 96)) + 0.1 * np.eye(96)
-    result = invert(a, InversionConfig(nb=24, m0=4), runtime=rt)
-    yield rt, result
-    rt.shutdown()
+    with MatrixInverter(InversionConfig(nb=24, m0=4)) as inv:
+        result = inv.invert(a)
+    return inv.runtime, result
 
 
 class TestHistory:
@@ -45,17 +39,15 @@ class TestHistory:
         assert "totals:" in text
 
     def test_failures_reported(self):
-        rt = MapReduceRuntime(
-            fault_policy=FailOnce(
-                job_substring="invert-final", kind=TaskKind.MAP, task_index=0
-            )
+        policy = FailOnce(
+            job_substring="invert-final", kind=TaskKind.MAP, task_index=0
         )
         rng = np.random.default_rng(4)
         a = rng.random((48, 48)) + 0.1 * np.eye(48)
-        invert(a, InversionConfig(nb=16, m0=4), runtime=rt)
-        report = HistoryReport.of(rt.history)
+        with MatrixInverter(InversionConfig(nb=16, m0=4), fault_policy=policy) as inv:
+            inv.invert(a)
+        report = HistoryReport.of(inv.runtime.history)
         assert report.total_failed_attempts == 1
-        rt.shutdown()
 
 
 class TestHeterogeneity:

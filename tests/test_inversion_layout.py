@@ -36,7 +36,6 @@ from repro.inversion.regions import Region
 from repro.linalg.blockwrap import contiguous_ranges
 from repro.linalg import is_lower_triangular, is_upper_triangular, permutation
 from repro.linalg.triangular import Triangle
-from repro.mapreduce import MapReduceRuntime
 
 from conftest import random_invertible
 
@@ -134,9 +133,9 @@ class TestLayoutStructure:
 class TestFactorAssembly:
     @pytest.fixture
     def run(self, rng):
-        runtime = MapReduceRuntime()
         cfg = InversionConfig(nb=16, m0=4)
-        inverter = MatrixInverter(config=cfg, runtime=runtime)
+        inverter = MatrixInverter(cfg)
+        runtime = inverter.runtime
         a = random_invertible(rng, 72)
         factors = inverter.lu(a)
         layout = factors.plan, factors
@@ -161,7 +160,7 @@ class TestFactorAssembly:
 
         inv_layout = Layout(factors.plan, cfg, 72)
         yield a, factors, inv_layout, Reader()
-        runtime.shutdown()
+        inverter.close()
 
     def test_assembled_factors_triangular(self, run):
         a, factors, layout, reader = run
@@ -525,8 +524,7 @@ class TestPackedShares:
         n = 200
         cfg = InversionConfig(nb=50, m0=m0)
         layout = make_layout(n=n, nb=50, m0=m0)
-        runtime = MapReduceRuntime()
-        dfs, sizes = runtime.dfs, {}
+        dfs, sizes = DFS(), {}
 
         def record(paths):
             for path in paths:
@@ -534,9 +532,8 @@ class TestPackedShares:
                     sizes[path] = len(dfs.read_bytes(path))
 
         dfs.publish_listeners.append(record)
-        with MatrixInverter(config=cfg, runtime=runtime) as inverter:
+        with MatrixInverter(cfg, dfs=dfs) as inverter:
             inverter.invert(diagonally_dominant(n, seed=3))
-        runtime.shutdown()
         shares = {layout.inv_l_path(j): _l_mapper_columns(layout, j, n) for j in range(m0 // 2)}
         shares.update({layout.inv_u_path(i): _u_mapper_rows(layout, i, n) for i in range(m0 // 2)})
         assert sizes == {
@@ -710,19 +707,18 @@ class TestInPlaceAssembly:
         cfg = InversionConfig(
             nb=nb, m0=m0, transpose_u=transpose_u, separate_files=separate_files
         )
-        runtime = MapReduceRuntime()
-        dfs, snapshot = runtime.dfs, DFS()
+        dfs, snapshot = DFS(), DFS()
 
         def copy(paths):
             for path in paths:
                 snapshot.write_bytes(path, dfs.read_bytes(path))
 
         dfs.publish_listeners.append(copy)
-        result = MatrixInverter(config=cfg, runtime=runtime).invert(a)
+        with MatrixInverter(cfg, dfs=dfs) as inverter:
+            result = inverter.invert(a)
         assert np.allclose(result.inverse @ a, np.eye(n), atol=1e-8)
         assert set(dfs.list_files(cfg.root)) < set(snapshot.list_files(cfg.root))
         yield Layout(result.plan, cfg, n), snapshot
-        runtime.shutdown()
 
     @pytest.fixture(params=[True, False], ids=["cache", "nocache"])
     def reader(self, request, finished_run):

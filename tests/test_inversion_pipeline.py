@@ -1,5 +1,7 @@
 """End-to-end pipeline tests: inversion, LU, ablations, fault tolerance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from repro import InversionConfig, invert
 from repro.inversion import MatrixInverter, total_job_count
 from repro.inversion.plan import is_full_tree
 from repro.linalg import verify
-from repro.mapreduce import (
-    FailOnce,
-    MapReduceRuntime,
-    RuntimeConfig,
-    TaskKind,
+from repro.dfs import DFS
+from repro.mapreduce import FailOnce, TaskKind
+from repro.mapreduce.backends import (
+    EXECUTORS,
+    ProcessPoolBackend,
+    SerialExecutor,
+    ThreadPoolBackend,
 )
 
 from conftest import random_invertible
@@ -81,9 +85,8 @@ class TestCorrectness:
         """A NaN/inf entry used to come back as a silent NaN inverse."""
         a = poison(random_invertible(rng, 16))
         cfg = InversionConfig(nb=4, m0=2)
-        runtime = MapReduceRuntime(config=RuntimeConfig(num_workers=2, executor="serial"))
-        try:
-            inverter = MatrixInverter(cfg, runtime=runtime)
+        with MatrixInverter(cfg) as inverter:
+            runtime = inverter.runtime
             pattern = rf"non-finite entry .* at \(row {where[0]}, col {where[1]}\)"
             for call in (inverter.invert, inverter.lu):
                 with pytest.raises(ValueError, match=pattern):
@@ -92,8 +95,6 @@ class TestCorrectness:
                 inverter.solve(a, np.ones(16))
             assert runtime.dfs.list_files("/") == []  # nothing under cfg.root either
             assert runtime.jobs_run() == 0
-        finally:
-            runtime.shutdown()
 
     def test_finite_input_is_not_touched(self, rng):
         a = random_invertible(rng, 16)
@@ -149,20 +150,40 @@ class TestRuntimes:
         a = random_invertible(rng, 80)
         cfg = InversionConfig(nb=20, m0=4)
         serial = invert(a, cfg)
-        rt = MapReduceRuntime(config=RuntimeConfig(num_workers=4, executor="threads"))
-        threaded = invert(a, cfg, runtime=rt)
-        rt.shutdown()
+        threaded = invert(a, replace(cfg, executor="threads"))
         assert np.allclose(serial.inverse, threaded.inverse)
 
     def test_reusing_runtime_cleans_previous_root(self, rng):
-        rt = MapReduceRuntime()
         cfg = InversionConfig(nb=16, m0=4)
         a1, a2 = random_invertible(rng, 40), random_invertible(rng, 48)
-        r1 = invert(a1, cfg, runtime=rt)
-        r2 = invert(a2, cfg, runtime=rt)
+        with MatrixInverter(cfg) as inv:
+            r1 = inv.invert(a1)
+            r2 = inv.invert(a2)
         assert r1.residual(a1) < 1e-9
         assert r2.residual(a2) < 1e-9
-        rt.shutdown()
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_config_builds_the_runtime(self, rng, executor):
+        """The inverter's runtime honours every argument: the config's
+        backend and width, the caller's DFS and the fault policy."""
+        backends = {
+            "serial": SerialExecutor,
+            "threads": ThreadPoolBackend,
+            "processes": ProcessPoolBackend,
+        }
+        dfs = DFS(num_datanodes=3, replication=2)
+        cfg = InversionConfig(nb=16, m0=4, executor=executor, num_workers=2)
+        policy = FailOnce(job_substring="invert-final", kind=TaskKind.MAP, task_index=1)
+        a = random_invertible(rng, 48)
+        with MatrixInverter(cfg, dfs=dfs, fault_policy=policy) as inv:
+            runtime = inv.runtime
+            assert isinstance(runtime._executor, backends[executor])
+            assert runtime.num_workers == runtime.node_health.num_nodes == 2
+            assert runtime.dfs is dfs
+            result = inv.invert(a)
+        assert dfs.exists(cfg.root)
+        assert sum(j.attempts_failed for j in result.record.job_results) == 1
+        assert result.residual(a) < 1e-9
 
     def test_inverter_context_manager(self, rng):
         with MatrixInverter(InversionConfig(nb=16, m0=4)) as inv:
@@ -177,20 +198,18 @@ class TestFaultTolerance:
         policy = FailOnce(
             job_substring="invert-final", kind=TaskKind.MAP, task_index=1
         )
-        rt = MapReduceRuntime(fault_policy=policy)
         a = random_invertible(rng, 64)
-        res = invert(a, InversionConfig(nb=16, m0=4), runtime=rt)
-        rt.shutdown()
+        with MatrixInverter(InversionConfig(nb=16, m0=4), fault_policy=policy) as inv:
+            res = inv.invert(a)
         assert res.residual(a) < 1e-9
         failed = sum(j.attempts_failed for j in res.record.job_results)
         assert failed == 1
 
     def test_lu_job_reducer_failure_recovers(self, rng):
         policy = FailOnce(job_substring="lu:", kind=TaskKind.REDUCE, task_index=0)
-        rt = MapReduceRuntime(fault_policy=policy)
         a = random_invertible(rng, 64)
-        res = invert(a, InversionConfig(nb=16, m0=4), runtime=rt)
-        rt.shutdown()
+        with MatrixInverter(InversionConfig(nb=16, m0=4), fault_policy=policy) as inv:
+            res = inv.invert(a)
         assert res.residual(a) < 1e-9
 
 

@@ -6,31 +6,31 @@ import numpy as np
 import pytest
 
 from repro import InversionConfig
-from repro.dfs import formats
+from repro.dfs import DFS, formats
 from repro.inversion import MatrixInverter
-from repro.mapreduce import HistoryReport, MapReduceRuntime
+from repro.mapreduce import HistoryReport
 
 from conftest import random_invertible
 
 
 class TestInvertPath:
     def test_inverts_dfs_resident_matrix(self, rng):
-        rt = MapReduceRuntime()
+        dfs = DFS()
         a = random_invertible(rng, 64)
-        formats.write_matrix(rt.dfs, "/warehouse/matrix.bin", a)
-        inv = MatrixInverter(InversionConfig(nb=16, m0=4), runtime=rt)
-        result = inv.invert_path("/warehouse/matrix.bin")
+        formats.write_matrix(dfs, "/warehouse/matrix.bin", a)
+        with MatrixInverter(InversionConfig(nb=16, m0=4), dfs=dfs) as inv:
+            result = inv.invert_path("/warehouse/matrix.bin")
         assert result.residual(a) < 1e-9
         # The caller's file is untouched.
-        assert np.array_equal(formats.read_matrix(rt.dfs, "/warehouse/matrix.bin"), a)
-        rt.shutdown()
+        assert np.array_equal(formats.read_matrix(dfs, "/warehouse/matrix.bin"), a)
 
     def test_output_of_one_job_feeds_inversion(self, rng):
         """The Section 1 workflow: a MapReduce job produces the matrix, the
         pipeline inverts it in place on the same DFS."""
         from repro.mapreduce import FnMapper, JobConf, splits_for_workers
 
-        rt = MapReduceRuntime()
+        inv = MatrixInverter(InversionConfig(nb=16, m0=4))
+        rt = inv.runtime
         n = 48
 
         def produce(ctx, split):
@@ -41,32 +41,27 @@ class TestInvertPath:
 
         rt.run_job(JobConf(name="etl", mapper_factory=lambda: FnMapper(produce),
                            splits=splits_for_workers(2)))
-        inv = MatrixInverter(InversionConfig(nb=16, m0=4), runtime=rt)
         result = inv.invert_path("/etl/out.bin")
         a = formats.read_matrix(rt.dfs, "/etl/out.bin")
         assert result.residual(a) < 1e-9
-        rt.shutdown()
+        inv.close()
 
     def test_non_square_rejected(self, rng):
-        rt = MapReduceRuntime()
-        formats.write_matrix(rt.dfs, "/m.bin", rng.standard_normal((4, 6)))
-        inv = MatrixInverter(InversionConfig(nb=8, m0=4), runtime=rt)
-        with pytest.raises(ValueError, match="square"):
-            inv.invert_path("/m.bin")
-        rt.shutdown()
+        with MatrixInverter(InversionConfig(nb=8, m0=4)) as inv:
+            formats.write_matrix(inv.runtime.dfs, "/m.bin", rng.standard_normal((4, 6)))
+            with pytest.raises(ValueError, match="square"):
+                inv.invert_path("/m.bin")
 
 
 class TestHistoryJson:
     def test_report_round_trips_through_json(self, rng):
-        from repro import invert
-
-        rt = MapReduceRuntime()
         a = random_invertible(rng, 48)
-        invert(a, InversionConfig(nb=16, m0=4), runtime=rt)
+        with MatrixInverter(InversionConfig(nb=16, m0=4)) as inv:
+            inv.invert(a)
+        rt = inv.runtime
         report = HistoryReport.of(rt.history)
         payload = json.dumps([vars(j) for j in report.jobs])
         decoded = json.loads(payload)
         assert len(decoded) == len(rt.history)
         assert decoded[0]["name"] == "partition"
         assert all("bytes_read" in j for j in decoded)
-        rt.shutdown()

@@ -13,7 +13,6 @@ from repro.mapreduce import (
     Mapper,
     MapReduceRuntime,
     Reducer,
-    RuntimeConfig,
     splits_for_workers,
 )
 from repro.mapreduce.counters import TASK_GROUP, MAP_OUTPUT_RECORDS
@@ -202,7 +201,7 @@ class TestValidation:
 
     def test_runtime_config_validated(self):
         with pytest.raises(ValueError):
-            RuntimeConfig(num_workers=0)
+            MapReduceRuntime(num_workers=0)
 
     def test_fn_reducer_adapter(self, runtime, dfs):
         dfs.write_text("/in/a", "x x x")

@@ -21,7 +21,6 @@ from repro.mapreduce import (
     Mapper,
     Reducer,
     RetryPolicy,
-    RuntimeConfig,
     TaskKind,
     splits_for_workers,
 )
@@ -51,9 +50,7 @@ def simple_conf(num_workers=3, max_attempts=4):
 
 
 def runtime_with(dfs, policy, **cfg):
-    return MapReduceRuntime(
-        dfs=dfs, config=RuntimeConfig(**cfg), fault_policy=policy
-    )
+    return MapReduceRuntime(dfs=dfs, **cfg, fault_policy=policy)
 
 
 class TestRetry:

@@ -21,10 +21,9 @@ import pytest
 from repro import InversionConfig, invert
 from repro.analysis import build_model
 from repro.chaos import DriverCrashError
-from repro.dfs import fsck
+from repro.dfs import DFS, fsck
 from repro.dfs.commit import COMMIT_DIR
 from repro.inversion import MatrixInverter, driver
-from repro.mapreduce import MapReduceRuntime
 
 #: Traced peak of one smoke-shape call, in units of one ``n x n`` float64
 #: matrix, as measured when the triangular kernels started solving against
@@ -101,17 +100,15 @@ def test_invert_leaves_exactly_the_outcome_set(options):
     config = InversionConfig(nb=6, m0=4, **options)
     a = np.random.default_rng(1).standard_normal((n, n)) + n * np.eye(n)
     model = build_model(n, config)
-    runtime = MapReduceRuntime()
-    with MatrixInverter(config=config, runtime=runtime) as inverter:
+    with MatrixInverter(config) as inverter:
         result = inverter.invert(a)
         assert np.allclose(result.inverse @ a, np.eye(n), atol=1e-8)
-        dfs = runtime.dfs
+        dfs = inverter.runtime.dfs
         assert _data_files(dfs, config.root) == model.outcome()
         manifests = set(dfs.list_files(config.root)) - model.outcome()
         assert manifests == model.manifest_writes
         # Everything a finished run is asked for afterwards is still there.
         assert inverter.distributed_residual(result) < 1e-8
-    runtime.shutdown()
 
 
 def test_lu_keeps_the_factor_files():
@@ -124,11 +121,9 @@ def test_lu_keeps_the_factor_files():
     final_map = model.find_step("invert-final[map]")
     final_reduce = model.find_step("invert-final[reduce]")
     assert set(model.retirements()["invert-final"]) >= final_map.reads - model.outcome()
-    runtime = MapReduceRuntime()
-    with MatrixInverter(config=config, runtime=runtime) as inverter:
+    with MatrixInverter(config) as inverter:
         factors = inverter.lu(a)
-        files = _data_files(runtime.dfs, config.root)
-    runtime.shutdown()
+        files = _data_files(inverter.runtime.dfs, config.root)
     assert files == (model.outcome() - final_reduce.writes) | final_map.reads
     lower, upper = factors.lower, factors.upper
     assert np.allclose(lower @ upper, a[factors.perm], atol=1e-8)
@@ -157,15 +152,13 @@ def test_crash_after_the_final_manifest_resumes_without_rerunning_it(monkeypatch
         raise DriverCrashError("injected crash in collect-output")
 
     monkeypatch.setattr(driver, "read_final_inverse", crash_once)
-    runtime = MapReduceRuntime()
-    with MatrixInverter(config=config, runtime=runtime) as inverter:
+    with MatrixInverter(config) as inverter:
         with pytest.raises(DriverCrashError):
             inverter.invert(a)
         # Committed: its INV files and the factors are already gone.
-        assert _data_files(runtime.dfs, config.root) == model.outcome()
+        assert _data_files(inverter.runtime.dfs, config.root) == model.outcome()
         result = inverter.invert(a, resume=True)
-    runtime.shutdown()
-    assert _final_launches(runtime) == 1
+    assert _final_launches(inverter.runtime) == 1
     assert result.inverse.tobytes() == clean.tobytes()
 
 
@@ -176,8 +169,7 @@ def test_crash_between_the_final_manifest_and_its_deletes(monkeypatch):
     a, config, model, clean = _resume_case()
     retired = set(model.retirements()["invert-final"])
     assert any("/INV/" in path for path in retired)
-    runtime = MapReduceRuntime()
-    dfs = runtime.dfs
+    dfs = DFS()
     real_delete = dfs.delete
 
     def crash_before_retiring(*paths, **kwargs):
@@ -189,7 +181,7 @@ def test_crash_between_the_final_manifest_and_its_deletes(monkeypatch):
         real_delete(*paths, **kwargs)
 
     monkeypatch.setattr(dfs, "delete", crash_before_retiring)
-    with MatrixInverter(config=config, runtime=runtime) as inverter:
+    with MatrixInverter(config, dfs=dfs) as inverter:
         with pytest.raises(DriverCrashError):
             inverter.invert(a)
         debris = fsck(dfs, root=config.root, repair=False).issues
@@ -198,6 +190,5 @@ def test_crash_between_the_final_manifest_and_its_deletes(monkeypatch):
         result = inverter.invert(a, resume=True)
         assert _data_files(dfs, config.root) == model.outcome()
         assert fsck(dfs, root=config.root, repair=False).clean
-    runtime.shutdown()
-    assert _final_launches(runtime) == 1
+    assert _final_launches(inverter.runtime) == 1
     assert result.inverse.tobytes() == clean.tobytes()

@@ -39,7 +39,6 @@ from repro.mapreduce import (
     ProcessPoolBackend,
     Reducer,
     RetryPolicy,
-    RuntimeConfig,
     ScriptedFault,
     TaskFactory,
     TaskKind,
@@ -79,7 +78,7 @@ def leaked_dev_shm() -> list[str]:
 def process_runtime():
     dfs = DFS(num_datanodes=4, replication=3, seed=7)
     rt = MapReduceRuntime(
-        dfs=dfs, config=RuntimeConfig(num_workers=2, executor="processes")
+        dfs=dfs, num_workers=2, executor="processes"
     )
     yield rt
     rt.shutdown()
@@ -228,7 +227,7 @@ class TestFaultRecovery:
         dfs = DFS(num_datanodes=4, replication=3, seed=7)
         rt = MapReduceRuntime(
             dfs=dfs,
-            config=RuntimeConfig(num_workers=2, executor="processes"),
+            num_workers=2, executor="processes",
             fault_policy=DelayAttempt(
                 seconds=10.0, kind=TaskKind.MAP, attempts_below=1
             ),
@@ -437,7 +436,7 @@ class TestAdoptedSegments:
         # they stage anything; the retry wave runs each task twice.
         rt = MapReduceRuntime(
             dfs=dfs,
-            config=RuntimeConfig(num_workers=2, executor="processes"),
+            num_workers=2, executor="processes",
             fault_policy=DelayAttempt(seconds=2.0, job_substring="big"),
         )
         try:
@@ -619,7 +618,7 @@ class TestExportKeepsItsChecks:
         reads it.  Returns (dfs, job 2's error or None)."""
         dfs = DFS(num_datanodes=4, replication=3, seed=7)
         rt = MapReduceRuntime(
-            dfs=dfs, config=RuntimeConfig(num_workers=2, executor=executor)
+            dfs=dfs, num_workers=2, executor=executor
         )
         try:
             rt.run_job(

@@ -166,14 +166,13 @@ class TestOptionCensus:
 
     def test_config_dataclasses(self):
         from repro import InversionConfig
-        from repro.mapreduce import RetryPolicy, RuntimeConfig
+        from repro.mapreduce import RetryPolicy
 
         assert self._fields(InversionConfig) == [
             "nb", "m0", "separate_files", "block_wrap", "transpose_u",
             "root", "retry", "block_cache_bytes", "output_commit", "executor",
             "num_workers", "schedule",
         ]
-        assert self._fields(RuntimeConfig) == ["num_workers", "executor"]
         assert self._fields(RetryPolicy) == [
             "max_attempts", "base_delay", "max_delay", "jitter",
             "attempt_deadline",
@@ -191,13 +190,42 @@ class TestOptionCensus:
         assert self._fields(JobConf) == what + ["retry", "output_commit"]
 
     def test_constructor_parameters(self):
-        from repro.inversion import MatrixInverter
-        from repro.mapreduce import DataflowScheduler, Pipeline, ProcessPoolBackend
+        import inspect
 
-        assert self._params(MatrixInverter) == ["config", "runtime", "fault_policy"]
+        from repro import observe
+        from repro.inversion import MatrixInverter
+        from repro.mapreduce import (
+            DataflowScheduler,
+            MapReduceRuntime,
+            Pipeline,
+            ProcessPoolBackend,
+        )
+
+        assert self._params(MatrixInverter) == ["config", "dfs", "fault_policy"]
+        assert self._params(MapReduceRuntime) == [
+            "dfs", "executor", "num_workers", "fault_policy",
+        ]
+        assert list(inspect.signature(observe).parameters) == ["jsonl", "trace_id"]
         assert self._params(Pipeline) == ["runtime", "commit_log"]
         assert self._params(DataflowScheduler) == ["dfs", "units"]
         assert self._params(ProcessPoolBackend) == ["max_workers"]
+
+    def test_fault_policies_carry_no_job_name(self):
+        import dataclasses
+
+        from repro.mapreduce.faults import FaultPolicy
+
+        policies, todo = [], [FaultPolicy]
+        while todo:
+            cls = todo.pop()
+            policies.append(cls)
+            todo.extend(cls.__subclasses__())
+        policies = [cls for cls in policies if cls.__module__.startswith("repro.")]
+        assert len(policies) > 5
+        for cls in policies:
+            assert not hasattr(cls, "job_name"), cls
+            if dataclasses.is_dataclass(cls):
+                assert "job_name" not in self._fields(cls), cls
 
     def test_no_option_rides_the_descriptors(self):
         from repro.chaos import FaultSchedule

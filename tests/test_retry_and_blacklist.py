@@ -21,7 +21,6 @@ from repro.mapreduce import (
     NodeHealth,
     Reducer,
     RetryPolicy,
-    RuntimeConfig,
     TaskKind,
     TaskTimeoutError,
     splits_for_workers,
@@ -60,9 +59,7 @@ def blacklist(health, node):
 
 
 def runtime_with(dfs, policy, **cfg):
-    return MapReduceRuntime(
-        dfs=dfs, config=RuntimeConfig(**cfg), fault_policy=policy
-    )
+    return MapReduceRuntime(dfs=dfs, **cfg, fault_policy=policy)
 
 
 class TestRetryPolicy:

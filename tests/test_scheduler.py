@@ -23,8 +23,6 @@ from repro.inversion import MatrixInverter
 from repro.mapreduce import (
     DataflowScheduler,
     JobResult,
-    MapReduceRuntime,
-    RuntimeConfig,
     SchedulerStallError,
     UnitSpec,
     run_in_order,
@@ -33,12 +31,8 @@ from repro.mapreduce import (
 from conftest import random_invertible
 
 
-def small_cluster(executor: str = "serial", workers: int = 2):
-    dfs = DFS(num_datanodes=3, replication=2, block_size=1 << 16, seed=0)
-    runtime = MapReduceRuntime(
-        dfs=dfs, config=RuntimeConfig(num_workers=workers, executor=executor)
-    )
-    return dfs, runtime
+def small_cluster() -> DFS:
+    return DFS(num_datanodes=3, replication=2, block_size=1 << 16, seed=0)
 
 
 def publish_unit(dfs, name, needs, writes, log=None, body=None):
@@ -157,15 +151,17 @@ def run_both(executor, separate_files, op):
     ``{schedule: (op's result, sorted manifest paths)}``."""
     out = {}
     for schedule in ("barrier", "dataflow"):
-        dfs, rt = small_cluster(executor)
+        dfs = small_cluster()
         cfg = InversionConfig(
-            nb=4, m0=2, schedule=schedule, separate_files=separate_files
+            nb=4,
+            m0=2,
+            schedule=schedule,
+            separate_files=separate_files,
+            executor=executor,
         )
-        try:
-            result = op(MatrixInverter(cfg, runtime=rt))
-            out[schedule] = (result, sorted(dfs.list_files("/Root/_commit")))
-        finally:
-            rt.shutdown()
+        with MatrixInverter(cfg, dfs=dfs) as inverter:
+            result = op(inverter)
+        out[schedule] = (result, sorted(dfs.list_files("/Root/_commit")))
     return out
 
 
@@ -270,13 +266,10 @@ class TestDataflowInversion:
 
     def test_resume_requires_output_commit(self, rng):
         a = random_invertible(rng, 8)
-        dfs, rt = small_cluster()
         cfg = InversionConfig(nb=2, m0=2, output_commit=False)
-        try:
+        with MatrixInverter(cfg, dfs=small_cluster()) as inverter:
             with pytest.raises(ValueError, match="output_commit"):
-                MatrixInverter(cfg, runtime=rt).invert(a, resume=True)
-        finally:
-            rt.shutdown()
+                inverter.invert(a, resume=True)
 
     def test_model_built_once_per_invert(self, rng, monkeypatch):
         """The dataflow runner takes unit ``needs`` from the model the
@@ -304,12 +297,9 @@ class TestDataflowInversion:
             analysis, "preflight_check", counting(analysis.preflight_check)
         )
         a = random_invertible(rng, 16)
-        dfs, rt = small_cluster()
         cfg = InversionConfig(nb=4, m0=2, schedule="dataflow")
-        try:
-            result = MatrixInverter(cfg, runtime=rt).invert(a)
-        finally:
-            rt.shutdown()
+        with MatrixInverter(cfg, dfs=small_cluster()) as inverter:
+            result = inverter.invert(a)
         assert result.residual(a) < 1e-9
         assert calls.count("build_model") == 1
         assert calls.count("preflight_check") == 1
@@ -325,11 +315,8 @@ class TestDataflowInversion:
         report predicted, with dataflow's sync-point count."""
         a = random_invertible(rng, 16)
         cfg = InversionConfig(nb=4, m0=2, schedule="dataflow")
-        dfs, rt = small_cluster()
-        try:
-            result = MatrixInverter(cfg, runtime=rt).invert(a)
-        finally:
-            rt.shutdown()
+        with MatrixInverter(cfg, dfs=small_cluster()) as inverter:
+            result = inverter.invert(a)
         model = build_model(16, InversionConfig(nb=4, m0=2))
         dag = build_block_dag(model)
         report = result.scheduler_report
@@ -377,8 +364,8 @@ class TestDataflowInversion:
 
     def test_crash_between_sibling_subtrees_resumes(self, rng):
         a = random_invertible(rng, 8)
-        dfs, rt = small_cluster("threads")
-        cfg = InversionConfig(nb=2, m0=2, schedule="dataflow")
+        dfs = small_cluster()
+        cfg = InversionConfig(nb=2, m0=2, schedule="dataflow", executor="threads")
 
         def hook(op, path):
             if op == "create" and "/Root/OUT/A1" in path:
@@ -386,12 +373,12 @@ class TestDataflowInversion:
                 raise DriverCrashError(f"injected crash at {op} {path}")
 
         dfs.fault_hooks.append(hook)
-        try:
+        with MatrixInverter(cfg, dfs=dfs) as first:
             with pytest.raises(DriverCrashError):
-                MatrixInverter(cfg, runtime=rt).invert(a)
-            result = MatrixInverter(cfg, runtime=rt).invert(a, resume=True)
-        finally:
-            rt.shutdown()
+                first.invert(a)
+        # A new driver on the same cluster resumes.
+        with MatrixInverter(cfg, dfs=dfs) as second:
+            result = second.invert(a, resume=True)
         assert result.residual(a) < 1e-9
         # The first subtree's committed work was skipped, not re-run.
         assert "lu:/Root/A1" in result.scheduler_report.skipped
@@ -400,11 +387,8 @@ class TestDataflowInversion:
     @pytest.mark.parametrize("executor", ["threads", "processes"])
     def test_backends_run_dataflow(self, rng, executor):
         a = random_invertible(rng, 16)
-        dfs, rt = small_cluster(executor)
-        cfg = InversionConfig(nb=4, m0=2, schedule="dataflow")
-        try:
-            result = MatrixInverter(cfg, runtime=rt).invert(a)
-        finally:
-            rt.shutdown()
+        cfg = InversionConfig(nb=4, m0=2, schedule="dataflow", executor=executor)
+        with MatrixInverter(cfg, dfs=small_cluster()) as inverter:
+            result = inverter.invert(a)
         assert result.residual(a) < 1e-9
         assert result.scheduler_report.launch_order

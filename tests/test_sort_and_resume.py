@@ -5,7 +5,7 @@ import pytest
 
 from repro import InversionConfig
 from repro.inversion import MatrixInverter
-from repro.mapreduce import FailNever, JobFailedError, MapReduceRuntime, TaskKind
+from repro.mapreduce import JobFailedError, TaskKind
 from repro.mapreduce.faults import FailAlways
 
 from conftest import random_invertible
@@ -18,23 +18,18 @@ class TestResume:
 
         class FailJob(FailAlways):
             def should_fail(self, attempt):
-                return (self.job_name or "").startswith(
+                return self.job_name_for(attempt).startswith(
                     crash_job_prefix
                 ) and super().should_fail(attempt)
 
-        rt = MapReduceRuntime(
-            fault_policy=FailJob(kind=TaskKind.REDUCE, task_index=0)
-        )
-        inv = MatrixInverter(cfg, runtime=rt)
-        with pytest.raises(JobFailedError):
-            inv.invert(a)
-        jobs_at_crash = len(rt.history)
-        # "New driver" on the same cluster: disable the fault, resume.
-        rt._tracker.fault_policy = FailNever()
-        result = MatrixInverter(cfg, runtime=rt).invert(a, resume=True)
-        jobs_resumed = len(rt.history) - jobs_at_crash
-        rt.shutdown()
-        return a, result, jobs_resumed
+        policy = FailJob(kind=TaskKind.REDUCE, task_index=0)
+        with MatrixInverter(cfg, fault_policy=policy) as first:
+            with pytest.raises(JobFailedError):
+                first.invert(a)
+        # A new driver on the same cluster, without the fault, resumes.
+        with MatrixInverter(cfg, dfs=first.runtime.dfs) as second:
+            result = second.invert(a, resume=True)
+        return a, result, len(second.runtime.history)
 
     def test_resume_after_late_crash_skips_completed_work(self, rng):
         a, result, jobs_resumed = self._crash_then_resume(rng, "lu:/Root/OUT")
@@ -46,36 +41,32 @@ class TestResume:
         assert result.residual(a) < 1e-9
 
     def test_resume_of_untouched_root_runs_everything(self, rng):
-        rt = MapReduceRuntime()
         a = random_invertible(rng, 48)
         cfg = InversionConfig(nb=16, m0=4)
-        result = MatrixInverter(cfg, runtime=rt).invert(a, resume=True)
+        with MatrixInverter(cfg) as inv:
+            result = inv.invert(a, resume=True)
         assert result.residual(a) < 1e-9
         assert result.num_jobs == result.plan.num_jobs
-        rt.shutdown()
 
     def test_resume_rejects_different_matrix_order(self, rng):
-        rt = MapReduceRuntime()
         cfg = InversionConfig(nb=16, m0=4)
-        MatrixInverter(cfg, runtime=rt).invert(random_invertible(rng, 48))
-        with pytest.raises(ValueError, match="resume"):
-            MatrixInverter(cfg, runtime=rt).invert(
-                random_invertible(rng, 64), resume=True
-            )
-        rt.shutdown()
+        with MatrixInverter(cfg) as first:
+            first.invert(random_invertible(rng, 48))
+        with MatrixInverter(cfg, dfs=first.runtime.dfs) as second:
+            with pytest.raises(ValueError, match="resume"):
+                second.invert(random_invertible(rng, 64), resume=True)
 
     def test_resume_shape_check_names_both_shapes(self, rng):
-        with MapReduceRuntime() as rt:
-            cfg = InversionConfig(nb=16, m0=4)
-            MatrixInverter(cfg, runtime=rt).invert(random_invertible(rng, 32))
+        cfg = InversionConfig(nb=16, m0=4)
+        with MatrixInverter(cfg) as first:
+            first.invert(random_invertible(rng, 32))
+        with MatrixInverter(cfg, dfs=first.runtime.dfs) as second:
             with pytest.raises(
                 ValueError,
                 match=r"^cannot resume: stored input is \(32, 32\), "
                 r"new input is \(48, 48\)$",
             ):
-                MatrixInverter(cfg, runtime=rt).invert(
-                    random_invertible(rng, 48), resume=True
-                )
+                second.invert(random_invertible(rng, 48), resume=True)
 
 
 class TestDistributedSolve:
@@ -119,23 +110,22 @@ class TestDistributedSolve:
     def test_product_runs_on_the_driver(self, rng):
         """The driver already holds the assembled inverse: ``A^-1 b`` is one
         product there, not a write-back to the DFS and more jobs."""
-        rt = MapReduceRuntime()
         a = random_invertible(rng, 32)
-        inv = MatrixInverter(InversionConfig(nb=8, m0=4), runtime=rt)
-        x = inv.solve(a, np.ones(32))
+        with MatrixInverter(InversionConfig(nb=8, m0=4)) as inv:
+            x = inv.solve(a, np.ones(32))
+        rt = inv.runtime
         assert np.allclose(a @ x, np.ones(32), atol=1e-8)
         assert not any(j.name.startswith("multiply:") for j in rt.history)
         assert not rt.dfs.exists("/solve")
-        rt.shutdown()
 
 
 class TestGantt:
     def test_gantt_renders_all_jobs(self, rng):
         from repro.cluster import ClusterSpec, ScaleFactors, simulate_record
 
-        rt = MapReduceRuntime()
         a = random_invertible(rng, 48)
-        result = MatrixInverter(InversionConfig(nb=16, m0=4), runtime=rt).invert(a)
+        with MatrixInverter(InversionConfig(nb=16, m0=4)) as inv:
+            result = inv.invert(a)
         report = simulate_record(
             result.record, ClusterSpec(4), ScaleFactors(flops=1e5, bytes=10)
         )
@@ -143,7 +133,6 @@ class TestGantt:
         assert text.count("|") >= 2 * result.num_jobs
         assert "invert-final" in text
         assert "=" in text and "#" in text
-        rt.shutdown()
 
     def test_gantt_empty(self):
         from repro.cluster.simulator import SimulationReport

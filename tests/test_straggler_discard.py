@@ -21,7 +21,6 @@ from repro.mapreduce import (
     MapReduceRuntime,
     Reducer,
     RetryPolicy,
-    RuntimeConfig,
     splits_for_workers,
 )
 from repro.mapreduce.counters import TASK_GROUP, TIMED_OUT_MAPS
@@ -95,7 +94,7 @@ class TestStragglerAccounting:
         StragglerMapper.straggler_done.clear()
         StragglerMapper.release.clear()
         rt = MapReduceRuntime(
-            dfs=dfs, config=RuntimeConfig(num_workers=1, executor="serial")
+            dfs=dfs, num_workers=1, executor="serial"
         )
         conf = JobConf(
             name="straggler-probe",
@@ -136,7 +135,7 @@ class TestStragglerAccounting:
         StragglerMapper.straggler_done.clear()
         StragglerMapper.release.clear()
         rt = MapReduceRuntime(
-            dfs=dfs, config=RuntimeConfig(num_workers=1, executor="serial")
+            dfs=dfs, num_workers=1, executor="serial"
         )
         conf = JobConf(
             name="straggler-dfs",

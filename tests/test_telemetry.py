@@ -6,14 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import InversionConfig, MetricsRegistry, TraceConfig, observe
+from repro import InversionConfig, MetricsRegistry, observe
 from repro.inversion import MatrixInverter
 from repro.inversion.plan import total_job_count
 from repro.mapreduce import (
     FailAlways,
     JobFailedError,
     MapReduceRuntime,
-    RuntimeConfig,
     TaskKind,
 )
 from repro.telemetry import (
@@ -31,18 +30,12 @@ from conftest import random_invertible
 
 
 def traced_inversion(n=48, nb=16, m0=4, seed=3):
-    """One small observed inversion; returns (observation, result, runtime)."""
+    """One small observed inversion; returns (observation, result)."""
     rng = np.random.default_rng(seed)
     a = random_invertible(rng, n)
-    runtime = MapReduceRuntime(config=RuntimeConfig(num_workers=m0))
-    try:
+    with MatrixInverter(InversionConfig(nb=nb, m0=m0)) as inverter:
         with observe() as obs:
-            inverter = MatrixInverter(
-                config=InversionConfig(nb=nb, m0=m0), runtime=runtime
-            )
             result = inverter.invert(a)
-    finally:
-        runtime.shutdown()
     return obs, result
 
 
@@ -137,9 +130,6 @@ class TestDisabledTelemetry:
             inverter.invert(a)
         assert current_tracer() is NULL_TRACER
         assert NULL_TRACER.spans == []
-
-    def test_disabled_config_resolves_to_null_tracer(self):
-        assert TraceConfig(enabled=False).tracer() is NULL_TRACER
 
     def test_disabled_path_allocates_nothing_in_telemetry(self):
         """With telemetry off, instrumentation sites must not allocate inside
@@ -332,12 +322,12 @@ class TestFailureCorrelation:
     def test_job_failed_error_carries_trace_and_span(self, dfs):
         runtime = MapReduceRuntime(
             dfs=dfs,
-            config=RuntimeConfig(num_workers=3),
+            num_workers=3,
             fault_policy=FailAlways(kind=TaskKind.MAP, task_index=0),
         )
         from test_mapreduce_faults import simple_conf
 
-        with observe(TraceConfig(trace_id="failtrace")):
+        with observe(trace_id="failtrace"):
             with pytest.raises(JobFailedError) as excinfo:
                 runtime.run_job(simple_conf(max_attempts=2))
         err = excinfo.value
@@ -356,7 +346,7 @@ class TestFailureCorrelation:
 
         with MapReduceRuntime(
             dfs=dfs,
-            config=RuntimeConfig(num_workers=3, executor=executor),
+            num_workers=3, executor=executor,
             fault_policy=FailAlways(kind=TaskKind.MAP, task_index=0),
         ) as runtime:
             with pytest.raises(JobFailedError) as excinfo:

@@ -40,14 +40,12 @@ class TestDistributedVerification:
         from repro.dfs import formats
 
         a = random_invertible(rng, 48)
-        runtime = MapReduceRuntime()
-        inv = MatrixInverter(InversionConfig(nb=16, m0=4), runtime=runtime)
-        result = inv.invert(a)
-        path = result.layout.final_path(0)
-        block = formats.read_matrix(runtime.dfs, path)
-        formats.write_matrix(runtime.dfs, path, block + 1.0)
-        assert inv.distributed_residual(result) > 0.5
-        runtime.shutdown()
+        with MatrixInverter(InversionConfig(nb=16, m0=4)) as inv:
+            result = inv.invert(a)
+            path = result.layout.final_path(0)
+            block = formats.read_matrix(inv.runtime.dfs, path)
+            formats.write_matrix(inv.runtime.dfs, path, block + 1.0)
+            assert inv.distributed_residual(result) > 0.5
 
     @pytest.mark.parametrize("budget", [1, 2])
     def test_verify_job_honours_the_runs_retry(self, rng, budget):
