@@ -1,19 +1,27 @@
 """LU decomposition with partial pivoting — Algorithm 1 of the paper.
 
 This is the single-node kernel the pipeline runs on the master for blocks of
-order <= nb.  The factorization is computed in place: after the call, the
-strict lower triangle holds ``L`` (unit diagonal implied) and the upper
-triangle holds ``U``, exactly the storage convention Algorithm 1 describes.
-The pivoting permutation is returned as the compact row array ``S`` with
-``(PA)_i = A_{S[i]}`` so that ``P A = L U``.
+order <= nb.  The result packs both factors: the strict lower triangle holds
+``L`` (unit diagonal implied) and the upper triangle holds ``U``, exactly the
+storage convention Algorithm 1 describes.  The pivoting permutation is
+returned as the compact row array ``S`` with ``(PA)_i = A_{S[i]}`` so that
+``P A = L U``.
 
-Verbatim from Algorithm 1: the pivot rule (largest ``|element|`` of the
-column at and below the diagonal, first on ties), the multiplier scaling and
-the rank-1 elimination step.  Blocked: the rank-1 step reaches only the
-columns of the current ``_PANEL``-wide panel; everything to the right of a
-finished panel receives that panel's updates at once, as one unit-lower solve
-``U12 = L11^-1 A12`` and one GEMM ``A22 -= L21 U12`` (right-looking).  Each
-column's pivot search therefore sees the same values as in the paper's
+Compiled: where numpy's LAPACK is ``scipy-openblas`` (its Linux wheels),
+the factorization is LAPACK's unblocked ``dgetf2``
+(:mod:`._getf2`), which is Algorithm 1 itself — the pivot is the first
+largest ``|element|`` of the column at and below the diagonal, then the row
+swap, the multiplier scaling and the rank-1 update.  Not the blocked
+``dgetrf``: its recursive panels sum in an order that costs accuracy on
+ill-conditioned leaves (docs/performance.md, "The leaf LU is compiled").
+
+Panelled NumPy where that symbol is absent, and for ``pivot=False``: the
+rank-1 step reaches only the columns of the current ``_PANEL``-wide panel;
+everything to the right of a finished panel receives that panel's updates at
+once, as one unit-lower solve ``U12 = L11^-1 A12`` and one GEMM
+``A22 -= L21 U12`` (right-looking).
+
+Either way each column's pivot search sees the same values as in the paper's
 listing up to summation order, so ``perm`` is Algorithm 1's, and the
 operation count is the same n^3/3 multiplications.
 """
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import permutation
+from . import _getf2, permutation
 from .triangular import _forward_in_place, blocked_back_substitute, blocked_forward_substitute
 
 # Columns eliminated by rank-1 updates before one GEMM folds them into the
@@ -82,17 +90,51 @@ def lu_decompose(
         Partial pivoting on (the paper always pivots; ``False`` is provided
         for tests demonstrating why pivoting matters).
     pivot_tol:
-        Pivots with absolute value <= this are treated as zero.
+        Pivots with absolute value <= this are treated as zero; finite and
+        >= 0.
 
     Raises
     ------
     SingularMatrixError
         If the best available pivot in some column is (near-)zero, NaN or
         infinite.
+    ValueError
+        If ``a`` is not square or ``pivot_tol`` is negative or not finite.
     """
+    if not 0.0 <= pivot_tol < np.inf:  # also catches NaN
+        raise ValueError(f"pivot_tol must be finite and >= 0, got {pivot_tol!r}")
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"LU needs a square matrix, got shape {a.shape}")
+    if pivot and _getf2.DGETF2 is not None:
+        return _compiled(a, pivot_tol)
+    return _panelled(a, pivot, pivot_tol)
+
+
+def _bad_pivot(i: int, pivot_val: float, pivot_tol: float) -> SingularMatrixError:
+    kind = "zero" if abs(pivot_val) <= pivot_tol else "non-finite"
+    return SingularMatrixError(f"{kind} pivot at step {i} (|pivot|={abs(pivot_val):.3e})")
+
+
+def _compiled(a: np.ndarray, pivot_tol: float) -> LUResult:
+    """``dgetf2`` on a Fortran-order copy; ``U``'s diagonal holds the pivots
+    in step order, so the first bad one is the step the loop stops at."""
+    lu_f, ipiv = _getf2.getf2(a)
+    lu = np.ascontiguousarray(lu_f)
+    d = np.abs(lu.diagonal())
+    bad = np.flatnonzero(~((d > pivot_tol) & (d < np.inf)))  # NaN fails both
+    if bad.size:
+        i = int(bad[0])
+        raise _bad_pivot(i, lu[i, i], pivot_tol)
+    # ipiv's 1-based sequential swaps -> the compact S.
+    perm = list(range(a.shape[0]))
+    for i, j in enumerate(ipiv.tolist()):
+        j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+    return LUResult(lu=lu, perm=np.array(perm, dtype=np.int64))
+
+
+def _panelled(a: np.ndarray, pivot: bool, pivot_tol: float) -> LUResult:
     n = a.shape[0]
     lu = a.copy()
     perm = permutation.identity(n)
@@ -111,10 +153,7 @@ def lu_decompose(
                     perm[i], perm[j] = perm[j], perm[i]
             pivot_val = lu[i, i]
             if not pivot_tol < abs(pivot_val) < np.inf:  # also catches NaN
-                kind = "zero" if abs(pivot_val) <= pivot_tol else "non-finite"
-                raise SingularMatrixError(
-                    f"{kind} pivot at step {i} (|pivot|={abs(pivot_val):.3e})"
-                )
+                raise _bad_pivot(i, pivot_val, pivot_tol)
             # Lines 6-8: scale the multipliers.
             lu[i + 1 :, i] /= pivot_val
             # Lines 9-13: the rank-1 update, on the panel's own columns only.

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.linalg import lu_decompose, solve_lu
+from repro import InversionConfig, invert
+from repro.linalg import _getf2, lu_decompose, solve_lu
 from repro.linalg.lu import SingularMatrixError, lu_flop_count, lu_reconstruct
 from repro.linalg import permutation, verify
 from repro.workloads import ill_conditioned, needs_cross_block_pivot, random_dense
@@ -28,6 +29,13 @@ def algorithm1_lu(a):
         lu[i + 1 :, i] /= lu[i, i]
         lu[i + 1 :, i + 1 :] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 :])
     return lu, perm
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """The panelled NumPy loop: the kernel where numpy's LAPACK exports no
+    ``dgetf2``."""
+    monkeypatch.setattr(_getf2, "DGETF2", None)
 
 
 class TestFactorization:
@@ -123,6 +131,13 @@ class TestErrors:
         with pytest.raises(SingularMatrixError, match="zero pivot at step 1 "):
             lu_decompose(np.ones((40, 40)))
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, -np.inf])
+    def test_pivot_tol_must_be_finite_and_non_negative(self, tol):
+        # was: -1 accepted the exact zero pivot of ones((3, 3)) and divided
+        # by it; NaN failed every matrix at step 0
+        with pytest.raises(ValueError, match="pivot_tol must be finite and >= 0"):
+            lu_decompose(np.ones((3, 3)), pivot_tol=tol)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (5, 7), (39, 39), (20, 35), (39, 0)])
     def test_non_finite_entry_raises_never_returns_nan(self, bad, where):
@@ -179,6 +194,62 @@ class TestSolve:
         a = random_invertible(rng, 150)
         x_true = rng.standard_normal((150, 2))
         assert np.allclose(solve_lu(lu_decompose(a), a @ x_true), x_true, atol=1e-8)
+
+
+# The classes above run the compiled kernel where numpy provides it; these
+# run the same tests on the NumPy fallback.
+@pytest.mark.usefixtures("numpy_kernel")
+class TestErrorsNumpyKernel(TestErrors):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestPanelledAgainstAlgorithm1NumpyKernel(TestPanelledAgainstAlgorithm1):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestSolveNumpyKernel(TestSolve):
+    pass
+
+
+class TestCompiledKernel:
+    def test_scipy_openblas_numpy_runs_dgetf2(self, monkeypatch):
+        """A numpy that links scipy-openblas must not fall back silently."""
+        try:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        except TypeError:
+            pytest.skip("numpy < 1.26 has no show_config(mode='dicts')")
+        if lapack != "scipy-openblas":
+            pytest.skip(f"numpy's LAPACK is {lapack}")
+        assert _getf2.DGETF2 is not None
+        real, calls = _getf2.DGETF2, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_getf2, "DGETF2", counting)
+        a = random_dense(128, seed=3)
+        res = lu_decompose(a)
+        assert len(calls) == 1
+        assert np.array_equal(res.perm, algorithm1_lu(a)[1])
+        assert res.lu.flags.c_contiguous
+        # and the pipeline's leaves, four of order 16 here
+        a = random_dense(64, seed=4)
+        assert invert(a, InversionConfig(nb=16, m0=4)).residual(a) < 1e-10
+        assert len(calls) == 1 + 4
+
+    def test_pivot_false_runs_the_numpy_loop(self, monkeypatch):
+        monkeypatch.setattr(_getf2, "DGETF2", lambda *args: pytest.fail("dgetf2 called"))
+        res = lu_decompose(np.array([[2.0, 1.0], [4.0, 3.0]]), pivot=False)
+        assert np.array_equal(res.perm, [0, 1])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_orders(self, n):
+        a = np.full((n, n), 3.0)
+        res = lu_decompose(a)
+        assert np.array_equal(res.lu, a) and res.perm.tolist() == list(range(n))
 
 
 class TestAccounting:
