@@ -22,7 +22,10 @@ both zero on a fault-free call, so a CRC back on the write or read path shows.
 Then the call's leaf LU: ``lu_decompose`` calls, their cumulative seconds
 (under the profiler's overhead), and which kernel ran them, ``dgetf2`` from
 numpy's OpenBLAS or the ``numpy`` fallback loop (``-`` if none ran on the
-profiled thread).
+profiled thread).  Under it, the call's triangular leaves (Equation 4 and
+the LU jobs' solves): leaf steps, the cumulative seconds of the steps (and
+of the fallback's stack of inverted blocks), and which kernel solved them,
+``dtrsm`` from numpy's OpenBLAS or the ``numpy`` inverted-block fallback.
 
 For ``observed_n512_nb16``, whose calls run inside ``repro.observe()``, it
 also prints the profiled call's spans by kind and the DFS records folded into
@@ -173,6 +176,7 @@ def print_ledger(
     )
     print(f"zlib.crc32 in the profiled call:  calls {crc_calls:,}  bytes {crc_bytes:,}")
     print_leaf_lu(stats)
+    print_triangular_leaves(stats)
     if obs is None:
         return
     spans: dict[str, int] = defaultdict(int)
@@ -207,6 +211,29 @@ def print_leaf_lu(stats: pstats.Stats) -> None:
             compiled += ncalls
     kernel = "dgetf2" if compiled else "numpy" if calls else "-"
     print(f"leaf LU in the profiled call:  kernel {kernel}  calls {calls:,}  seconds {seconds:.4f}")
+
+
+def print_triangular_leaves(stats: pstats.Stats) -> None:
+    """The call's triangular leaf steps (``_Leaves.solve`` in
+    ``repro.linalg.triangular``), their cumulative seconds plus those of the
+    fallback's ``_leaf_blocks`` stacks, and the kernel that solved them:
+    ``dtrsm`` when ``repro.linalg._openblas.trsm`` was entered, else the
+    inverted-block fallback; ``-`` when no leaf ran on the profiled
+    thread."""
+    calls, seconds, compiled = 0, 0.0, 0
+    for (filename, _, name), (_, ncalls, _, cumtime, _) in stats.stats.items():  # type: ignore[attr-defined]
+        if filename.endswith(os.path.join("repro", "linalg", "triangular.py")):
+            if name == "solve":
+                calls += ncalls
+                seconds += cumtime
+            elif name == "_leaf_blocks":
+                seconds += cumtime
+        elif filename.endswith(os.path.join("repro", "linalg", "_openblas.py")) and name == "trsm":
+            compiled += ncalls
+    kernel = "dtrsm" if compiled else "numpy" if calls else "-"
+    print(
+        f"triangular leaves in the profiled call:  kernel {kernel}  calls {calls:,}  seconds {seconds:.4f}"
+    )
 
 
 def source_group(filename: str) -> str:

@@ -9,7 +9,7 @@ returned as the compact row array ``S`` with ``(PA)_i = A_{S[i]}`` so that
 
 Compiled: where numpy's LAPACK is ``scipy-openblas`` (its Linux wheels),
 the factorization is LAPACK's unblocked ``dgetf2``
-(:mod:`._getf2`), which is Algorithm 1 itself — the pivot is the first
+(:mod:`._openblas`), which is Algorithm 1 itself — the pivot is the first
 largest ``|element|`` of the column at and below the diagonal, then the row
 swap, the multiplier scaling and the rank-1 update.  Not the blocked
 ``dgetrf``: its recursive panels sum in an order that costs accuracy on
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _getf2, permutation
+from . import _openblas, permutation
 from .triangular import _forward_in_place, blocked_back_substitute, blocked_forward_substitute
 
 # Columns eliminated by rank-1 updates before one GEMM folds them into the
@@ -106,7 +106,7 @@ def lu_decompose(
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"LU needs a square matrix, got shape {a.shape}")
-    if pivot and _getf2.DGETF2 is not None:
+    if pivot and _openblas.DGETF2 is not None:
         return _compiled(a, pivot_tol)
     return _panelled(a, pivot, pivot_tol)
 
@@ -119,7 +119,7 @@ def _bad_pivot(i: int, pivot_val: float, pivot_tol: float) -> SingularMatrixErro
 def _compiled(a: np.ndarray, pivot_tol: float) -> LUResult:
     """``dgetf2`` on a Fortran-order copy; ``U``'s diagonal holds the pivots
     in step order, so the first bad one is the step the loop stops at."""
-    lu_f, ipiv = _getf2.getf2(a)
+    lu_f, ipiv = _openblas.getf2(a)
     lu = np.ascontiguousarray(lu_f)
     d = np.abs(lu.diagonal())
     bad = np.flatnonzero(~((d > pivot_tol) & (d < np.inf)))  # NaN fails both

@@ -25,17 +25,20 @@ half with GEMMs, solve the bottom half.  ``L`` is a dense array or a
 pipeline never combines them): a tree node splits where the plan split it,
 and its ``L21`` is folded in one GEMM per stored chunk with the row
 permutation ``P2`` applied to the product rows; a dense block splits on a
-grid of ``_LEAF``-row blocks.  A node of at most ``_LEAF`` rows is one leaf.
-A single ``_LEAF``-row diagonal block is solved by GEMMs too
-(:func:`_leaf_solve`): the inverses of *all* diagonal blocks of a factor are
-computed once per kernel call as one stack (:func:`_leaf_blocks` — Equation 4
-on 1x1 blocks, then the 2x2 block-inverse identity at half-widths 1, 2, 4,
-..., batched over the stack), so no Python loop runs over rows.  Column *c*
-of ``L^-1`` is zero above row *c*, so with the columns in ascending order
-every step works on a leading slice of ``X`` and the zeros are never
-multiplied.  :func:`blocked_forward_substitute` is the same recursion with
-every column active from row 0.  The result is that of the row loop up to
-roundoff.
+grid of ``_LEAF``-row blocks.  A node of at most ``_LEAF`` rows is one leaf,
+solved in place on its rows of ``X`` by one BLAS ``dtrsm`` call from the
+OpenBLAS numpy already loads (:mod:`._openblas`), so no Python loop runs
+over rows.  Where numpy's BLAS exports no ``dtrsm`` (Accelerate, MKL), the
+leaves are solved by GEMMs instead (:func:`_leaf_solve`): the inverses of
+*all* diagonal blocks of a factor are computed once per kernel call as one
+stack (:func:`_leaf_blocks` — Equation 4 on 1x1 blocks, then the 2x2
+block-inverse identity at half-widths 1, 2, 4, ..., batched over the
+stack).  :class:`_Leaves` is the one place the two leaf kernels differ, and
+it checks the factor's diagonal before either runs.  Column *c* of ``L^-1``
+is zero above row *c*, so with the columns in ascending order every step
+works on a leading slice of ``X`` and the zeros are never multiplied.
+:func:`blocked_forward_substitute` is the same recursion with every column
+active from row 0.  The result is that of the row loop up to roundoff.
 
 Upper-triangular inversion reuses the lower kernel on the transpose
 (Section 6.3: the implementation always stores ``U`` transposed), so
@@ -45,6 +48,8 @@ Upper-triangular inversion reuses the lower kernel on the transpose
 from __future__ import annotations
 
 import numpy as np
+
+from . import _openblas
 
 
 class TriangularShapeError(ValueError):
@@ -68,13 +73,16 @@ def is_upper_triangular(m: np.ndarray, tol: float = 0.0) -> bool:
     return bool(np.all(np.abs(np.tril(m, k=-1)) <= tol))
 
 
-def _singular(idx: int) -> np.linalg.LinAlgError:
-    return np.linalg.LinAlgError(f"triangular matrix singular: zero diagonal at {idx}")
-
-
 def _check_invertible_diagonal(diag: np.ndarray) -> None:
-    if np.any(diag == 0.0):
-        raise _singular(int(np.argmax(diag == 0.0)))
+    """Raise ``LinAlgError`` naming the first entry of ``diag`` (a factor's
+    whole diagonal) that is zero or not finite.  The one check of every
+    kernel here, run before any arithmetic: ``dtrsm`` checks nothing, and an
+    infinite or NaN diagonal would otherwise come back as NaNs."""
+    if diag.all() and np.isfinite(diag).all():
+        return
+    i = int(np.argmax((diag == 0.0) | ~np.isfinite(diag)))
+    kind = "zero" if diag[i] == 0.0 else "non-finite"
+    raise np.linalg.LinAlgError(f"triangular matrix singular: {kind} diagonal at {i}")
 
 
 def _rhs_matrix(b: np.ndarray, n: int, what: str) -> tuple[np.ndarray, bool]:
@@ -131,10 +139,11 @@ def back_substitute(u: np.ndarray, b: np.ndarray, *, unit_diagonal: bool = False
 
 # -- blocked (BLAS-3) substitution ---------------------------------------------
 
-# Rows of the diagonal blocks solved by GEMMs with their inverse instead of
-# being split further; chosen from the measured accuracy/speed table in
-# docs/performance.md ("The leaves"), not a tuning knob.
-_LEAF = 32
+# Rows of the diagonal blocks solved as one leaf instead of being split
+# further, by either leaf kernel; chosen from the measured accuracy/speed
+# table in docs/performance.md ("The triangular leaves are compiled"), not a
+# tuning knob.
+_LEAF = 64
 
 
 class Triangle:
@@ -256,10 +265,9 @@ def _walk_dense(
 
 
 def _leaf_blocks(diag: list, unit_diagonal: bool) -> np.ndarray:
-    """The diagonal blocks ``diag`` (``(row, block)`` pairs, lower
-    triangular) and their inverses as one ``(2, m, p, p)`` array (``[0]``
-    the blocks, ``[1]`` the inverses).  Every check runs before any
-    arithmetic.
+    """The fallback leaf kernel's stack: the diagonal blocks ``diag``
+    (``(row, block)`` pairs, lower triangular) and their inverses as one
+    ``(2, m, p, p)`` array (``[0]`` the blocks, ``[1]`` the inverses).
 
     Only the lower triangle of each block is read; ``unit_diagonal``
     overrides its diagonal.  ``p`` is the power of two at or above the
@@ -279,9 +287,6 @@ def _leaf_blocks(diag: list, unit_diagonal: bool) -> np.ndarray:
         pair[0, i, : len(b), : len(b)] = b
     if unit_diagonal:
         diagonal[...] = 1.0
-    elif not diagonal.all():
-        i, j = divmod(int(np.argmin(diagonal != 0.0)), p)
-        raise _singular(diag[i][0] + j)
     pair[:] = np.tril(pair[0])
     inv = pair[1]
     np.einsum("aii->ai", inv)[...] = 1.0 / diagonal
@@ -296,36 +301,58 @@ def _leaf_blocks(diag: list, unit_diagonal: bool) -> np.ndarray:
     return pair
 
 
-def _dense_leaf_blocks(l: np.ndarray, block: int, unit_diagonal: bool) -> tuple[np.ndarray, int]:
-    """:func:`_leaf_blocks` of dense ``l`` on its ``block``-row grid, and
-    the rows per block: ``block``, or all of a factor smaller than that."""
-    if block < 1:
-        raise ValueError("block must be >= 1")
-    leaf = max(min(block, len(l)), 1)
-    diag = [(lo, l[lo : lo + leaf, lo : lo + leaf]) for lo in range(0, len(l), leaf)]
-    return _leaf_blocks(diag, unit_diagonal), leaf
-
-
 def _leaf_solve(tri: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tri^-1 b`` for one leaf block: a GEMM with the inverse, then one
-    step of iterative refinement against the block itself.  ``inv @ b`` alone
-    leaves a residual that grows with the block's condition number; the
-    correction brings it back to substitution's (docs/performance.md)."""
+    """``tri^-1 b`` for one leaf block of the fallback kernel: a GEMM with
+    the inverse, then one step of iterative refinement against the block
+    itself.  ``inv @ b`` alone leaves a residual that grows with the block's
+    condition number; the correction brings it back to substitution's
+    (docs/performance.md)."""
     y = inv @ b
     y += inv @ (b - tri @ y)
     return y
 
 
+class _Leaves:
+    """The leaf step of one kernel call.
+
+    ``diag`` holds the ``(row, block)`` diagonal blocks the recursion
+    solves as leaves, lower triangular, in order and together covering the
+    factor's rows from 0.  On construction the factor's diagonal is checked
+    (:func:`_check_invertible_diagonal`, skipped for ``unit_diagonal``)
+    before any arithmetic, and the leaf kernel is chosen: one in-place
+    ``dtrsm`` per leaf where numpy's OpenBLAS exports it
+    (:mod:`._openblas`), else the :func:`_leaf_blocks` stack and
+    :func:`_leaf_solve`.  This is the only place the two kernels differ.
+    """
+
+    __slots__ = ("diag", "unit_diagonal", "stack")
+
+    def __init__(self, diag: list, unit_diagonal: bool) -> None:
+        if diag and not unit_diagonal:
+            _check_invertible_diagonal(np.concatenate([b.diagonal() for _, b in diag]))
+        self.diag = diag
+        self.unit_diagonal = unit_diagonal
+        self.stack = None if _openblas.DTRSM is not None else _leaf_blocks(diag, unit_diagonal)
+
+    def solve(self, i: int, b: np.ndarray, transpose: bool = False) -> None:
+        """Overwrite ``b`` with ``L^-1 b`` (with ``transpose``, ``L^-T b``),
+        ``L`` leaf ``i``."""
+        if self.stack is None:
+            _openblas.trsm(self.diag[i][1], b, self.unit_diagonal, transpose)
+            return
+        tri, inv = self.stack[:, i, : len(b), : len(b)]
+        b[...] = _leaf_solve(tri.T, inv.T, b) if transpose else _leaf_solve(tri, inv, b)
+
+
 def _solve_upper(
-    u: np.ndarray, x: np.ndarray, leaves: np.ndarray, leaf: int, b0: int, b1: int
+    u: np.ndarray, x: np.ndarray, leaves: _Leaves, leaf: int, b0: int, b1: int
 ) -> None:
     """Overwrite leaf blocks ``b0:b1`` of ``x`` with those of the solution of
     ``U X = B``, every column active: solve U22, ``X1 -= U12 X2``, solve
     U11.  ``leaves`` are those of ``U^T``, so a leaf applies them transposed."""
     lo, hi = b0 * leaf, min(b1 * leaf, u.shape[0])
     if b1 - b0 == 1:
-        tri, inv = leaves[:, b0, : hi - lo, : hi - lo]
-        x[lo:hi] = _leaf_solve(tri.T, inv.T, x[lo:hi])
+        leaves.solve(b0, x[lo:hi], transpose=True)
         return
     bm = (b0 + b1) // 2
     mid = bm * leaf
@@ -347,9 +374,9 @@ def _forward_in_place(
     ``starts`` is ascending; column *t* of ``x`` is zero above row
     ``starts[t]``, so the solution is too, and a step ending at row ``hi``
     touches only the leading ``searchsorted(starts, hi)`` columns.  The
-    steps are :func:`_walk`'s: a leaf is :func:`_leaf_solve` with its block
-    of the :func:`_leaf_blocks` stack; an update is one GEMM per chunk of
-    the off-diagonal block, ``X2 -= P2 (chunk X1)`` — depth first, so the
+    steps are :func:`_walk`'s: a leaf is the :class:`_Leaves` step on its
+    rows of ``x`` (one ``dtrsm``); an update is one GEMM per chunk of the
+    off-diagonal block, ``X2 -= P2 (chunk X1)`` — depth first, so the
     working set is one half-block (Cosme et al.).
     """
     if block < 1:
@@ -357,14 +384,12 @@ def _forward_in_place(
     steps: list = []
     diag: list = []
     _walk(l, 0, block, steps, diag)
-    pair = _leaf_blocks(diag, unit_diagonal)
+    leaves = _Leaves(diag, unit_diagonal)
     i = 0
     for step in steps:
         if len(step) == 2:
             lo, hi = step
-            k = int(np.searchsorted(starts, hi))
-            tri, inv = pair[:, i, : hi - lo, : hi - lo]
-            x[lo:hi, :k] = _leaf_solve(tri, inv, x[lo:hi, :k])
+            leaves.solve(i, x[lo:hi, : int(np.searchsorted(starts, hi))])
             i += 1
         else:
             lo, mid, hi, chunks, perm = step
@@ -393,8 +418,8 @@ def blocked_forward_substitute(
     The row-by-row kernel issues O(n) small BLAS-1/2 calls; this variant
     recurses on ``L = [[L11, 0], [L21, L22]]`` — solve L11, one GEMM update
     per stored chunk of L21, solve L22 — and solves a ``block``-row diagonal
-    block by GEMMs with its inverse (:func:`_leaf_solve`), so all of the
-    work is matrix-matrix products.  Same solution up to roundoff.  It is
+    block with one ``dtrsm`` (:class:`_Leaves`), so all of the work is
+    BLAS-3.  Same solution up to roundoff.  It is
     :func:`_forward_in_place` with every column active from row 0;
     :func:`invert_lower_columns` is the same recursion on the identity's
     columns.  Only the lower triangle of ``l`` is read.
@@ -416,9 +441,14 @@ def blocked_back_substitute(
     only the upper triangle of ``u`` is read)."""
     u = _check_square(u, "U")
     x, one_d = _rhs_matrix(b, u.shape[0], "U")
-    leaves, leaf = _dense_leaf_blocks(u.T, block, unit_diagonal)
-    if len(x):
-        _solve_upper(u, x, leaves, leaf, 0, leaves.shape[1])
+    if block < 1:
+        raise ValueError("block must be >= 1")
+    n = len(u)
+    leaf = max(min(block, n), 1)
+    lower = u.T
+    diag = [(lo, lower[lo : lo + leaf, lo : lo + leaf]) for lo in range(0, n, leaf)]
+    if n:
+        _solve_upper(u, x, _Leaves(diag, unit_diagonal), leaf, 0, len(diag))
     return x[:, 0] if one_d else x
 
 
@@ -436,8 +466,8 @@ def invert_lower_columns(l: np.ndarray | Triangle, columns: np.ndarray | list[in
     Solved as ``L X = I[:, columns]`` by :func:`_forward_in_place`: column
     *c* of ``L^-1`` is zero above row *c*, so with the columns in ascending
     order each row block works on a leading slice of ``X`` only, the
-    off-diagonal work is one GEMM per stored chunk per level, and the
-    ``_LEAF``-row diagonal blocks are solved by :func:`_leaf_solve`.  ``l``
+    off-diagonal work is one GEMM per stored chunk per level, and each
+    ``_LEAF``-row diagonal block is one :class:`_Leaves` step.  ``l``
     is dense or a lower :class:`Triangle`, and is only read; ``columns`` may
     be unsorted, repeated or empty.
     """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import InversionConfig, invert
-from repro.linalg import _getf2, lu_decompose, solve_lu
+from repro.linalg import _openblas, lu_decompose, solve_lu
 from repro.linalg.lu import SingularMatrixError, lu_flop_count, lu_reconstruct
 from repro.linalg import permutation, verify
 from repro.workloads import ill_conditioned, needs_cross_block_pivot, random_dense
@@ -35,7 +35,7 @@ def algorithm1_lu(a):
 def numpy_kernel(monkeypatch):
     """The panelled NumPy loop: the kernel where numpy's LAPACK exports no
     ``dgetf2``."""
-    monkeypatch.setattr(_getf2, "DGETF2", None)
+    monkeypatch.setattr(_openblas, "DGETF2", None)
 
 
 class TestFactorization:
@@ -222,14 +222,14 @@ class TestCompiledKernel:
             pytest.skip("numpy < 1.26 has no show_config(mode='dicts')")
         if lapack != "scipy-openblas":
             pytest.skip(f"numpy's LAPACK is {lapack}")
-        assert _getf2.DGETF2 is not None
-        real, calls = _getf2.DGETF2, []
+        assert _openblas.DGETF2 is not None
+        real, calls = _openblas.DGETF2, []
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(_getf2, "DGETF2", counting)
+        monkeypatch.setattr(_openblas, "DGETF2", counting)
         a = random_dense(128, seed=3)
         res = lu_decompose(a)
         assert len(calls) == 1
@@ -241,7 +241,7 @@ class TestCompiledKernel:
         assert len(calls) == 1 + 4
 
     def test_pivot_false_runs_the_numpy_loop(self, monkeypatch):
-        monkeypatch.setattr(_getf2, "DGETF2", lambda *args: pytest.fail("dgetf2 called"))
+        monkeypatch.setattr(_openblas, "DGETF2", lambda *args: pytest.fail("dgetf2 called"))
         res = lu_decompose(np.array([[2.0, 1.0], [4.0, 3.0]]), pivot=False)
         assert np.array_equal(res.perm, [0, 1])
 
