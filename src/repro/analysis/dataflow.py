@@ -84,6 +84,38 @@ class BlockEdge:
     paths: tuple[str, ...]
 
 
+#: Depth-first colours of :meth:`BlockDAG.find_cycle`.
+_WHITE, _GREY, _BLACK = 0, 1, 2
+
+
+def _cycle_from(
+    node: str,
+    successors: dict[str, set[str]],
+    color: dict[str, int],
+    parent: dict[str, str],
+) -> list[str] | None:
+    """Depth-first search from ``node`` for a back edge; the cycle it
+    closes as ``[a, b, ..., a]``.  Module level, not a closure in
+    ``find_cycle``: a nested function that calls itself is a reference cycle
+    through its own cell."""
+    color[node] = _GREY
+    for succ in sorted(successors.get(node, ())):
+        if color.get(succ, _WHITE) == _GREY:
+            cycle = [succ, node]
+            cur = node
+            while cur != succ:
+                cur = parent[cur]
+                cycle.append(cur)
+            return list(reversed(cycle))
+        if color.get(succ, _WHITE) == _WHITE:
+            parent[succ] = node
+            found = _cycle_from(succ, successors, color, parent)
+            if found:
+                return found
+    color[node] = _BLACK
+    return None
+
+
 @dataclass
 class BlockDAG:
     """The block-granularity dependency DAG of one pipeline.
@@ -201,32 +233,12 @@ class BlockDAG:
 
     def find_cycle(self) -> list[str] | None:
         """One dependency cycle as ``[a, b, ..., a]``, or ``None``."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self.stages}
+        color = {name: _WHITE for name in self.stages}
         parent: dict[str, str] = {}
         successors = self._successors()
-
-        def dfs(node: str) -> list[str] | None:
-            color[node] = GREY
-            for succ in sorted(successors.get(node, ())):
-                if color.get(succ, WHITE) == GREY:
-                    cycle = [succ, node]
-                    cur = node
-                    while cur != succ:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    return list(reversed(cycle))
-                if color.get(succ, WHITE) == WHITE:
-                    parent[succ] = node
-                    found = dfs(succ)
-                    if found:
-                        return found
-            color[node] = BLACK
-            return None
-
         for name in self.stages:
-            if color[name] == WHITE:
-                found = dfs(name)
+            if color[name] == _WHITE:
+                found = _cycle_from(name, successors, color, parent)
                 if found:
                     return found
         return None

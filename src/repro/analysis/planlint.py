@@ -31,7 +31,6 @@ from __future__ import annotations
 from ..dfs.commit import COMMIT_DIR, STAGING_ROOT
 from ..inversion.config import InversionConfig
 from ..inversion.plan import (
-    PlanNode,
     intermediate_file_count,
     is_full_tree,
     total_job_count,
@@ -124,8 +123,7 @@ def _check_shapes(model: PipelineModel) -> list[Finding]:
     """PL002: conformability of every job boundary in the recursion tree."""
     findings: list[Finding] = []
     layout = model.layout
-
-    def walk(node: PlanNode) -> None:
+    for node in model.plan.tree.preorder():
         nl = layout.of(node)
         where = node.dir
         if node.is_leaf:
@@ -135,7 +133,7 @@ def _check_shapes(model: PipelineModel) -> list[Finding]:
                         "matrix", nl.matrix, node.n, node.n, where
                     )
                 )
-            return
+            continue
         assert node.child1 is not None and node.child2 is not None
         n1, n2 = node.n1, node.n2
         if n1 + n2 != node.n or node.child1.n != n1 or node.child2.n != n2:
@@ -156,10 +154,6 @@ def _check_shapes(model: PipelineModel) -> list[Finding]:
         findings.extend(_region_shape_findings("L2", nl.l2, n2, n1, where))
         findings.extend(_region_shape_findings("U2", nl.u2, n1, n2, where))
         findings.extend(_region_shape_findings("OUT", nl.out, n2, n2, where))
-        walk(node.child1)
-        walk(node.child2)
-
-    walk(model.plan.tree)
     return findings
 
 
@@ -215,8 +209,7 @@ def _check_transpose(model: PipelineModel) -> list[Finding]:
     findings: list[Finding] = []
     flag = model.config.transpose_u
     layout = model.layout
-
-    def walk(node: PlanNode) -> None:
+    for node in model.plan.tree.preorder():
         nl = layout.of(node)
         wants_ut = nl.u_path.endswith("ut.bin")
         if wants_ut != flag:
@@ -239,12 +232,6 @@ def _check_transpose(model: PipelineModel) -> list[Finding]:
                             location=node.dir,
                         )
                     )
-        if not node.is_leaf:
-            assert node.child1 is not None and node.child2 is not None
-            walk(node.child1)
-            walk(node.child2)
-
-    walk(model.plan.tree)
     return findings
 
 

@@ -13,6 +13,7 @@ from .commit import (
     CommitLog,
     CommitScope,
     manifest_path,
+    mirrored_path,
     staging_dir,
     staging_path,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "formats",
     "fsck",
     "manifest_path",
+    "mirrored_path",
     "staging_dir",
     "staging_path",
 ]

@@ -8,6 +8,12 @@ multi-file rename (:meth:`repro.dfs.filesystem.DFS.publish`).  A crash at
 any point leaves either nothing visible or everything visible — never a
 torn prefix.
 
+The staging directory is flat: ``final`` is staged as the single entry
+``/_tmp/<tag>/<_quote(final)>``, so staging a file creates no directory
+chain and publishing it re-keys one entry out of one directory.  Fault
+hooks, which match path substrings, see a staged path in its *mirrored*
+spelling ``/_tmp/<tag><final>`` (:func:`mirrored_path`).
+
 Completed steps are recorded in a :class:`CommitLog`: a JSON manifest per
 step, written *last*, listing exactly the files the step published and the
 files it retired — intermediates it was the last reader of, deleted right
@@ -38,14 +44,36 @@ def staging_dir(tag: str) -> str:
     return f"{STAGING_ROOT}/{tag}"
 
 
-def staging_path(tag: str, final_path: str) -> str:
-    """Where ``final_path`` is staged while ``tag``'s writer is running."""
-    return f"{STAGING_ROOT}/{tag}{final_path}"
-
-
 def _quote(step: str) -> str:
-    """Flatten a step name into a single manifest-file component."""
+    """Flatten a step name or a path into a single path component."""
     return step.replace("%", "%25").replace("/", "%2F")
+
+
+def _unquote(name: str) -> str:
+    """Invert :func:`_quote`: every ``%`` there starts a ``%25`` or ``%2F``."""
+    return "%".join(part.replace("%2F", "/") for part in name.split("%25"))
+
+
+def staging_path(tag: str, final_path: str) -> str:
+    """Where ``final_path`` is staged while ``tag``'s writer is running: one
+    entry of the writer's flat staging directory."""
+    return f"{STAGING_ROOT}/{tag}/{_quote(final_path)}"
+
+
+def mirrored_path(path: str) -> str:
+    """``path`` as the DFS fault hooks see it.
+
+    A staged file ``/_tmp/<tag>/<_quote(final)>`` reads as
+    ``/_tmp/<tag><final>``, the final path under the writer's directory, so a
+    hook matching ``"/OUT/ut.bin"`` fires on the staged create as on the
+    publish.  Every other path comes back unchanged.
+    """
+    if not path.startswith(STAGING_ROOT + "/"):
+        return path
+    tag, sep, name = path[len(STAGING_ROOT) + 1 :].partition("/")
+    if not sep or not name.startswith("%2F") or "/" in name:
+        return path  # not one entry of a flat staging directory
+    return f"{STAGING_ROOT}/{tag}{_unquote(name)}"
 
 
 def manifest_path(root: str, step: str) -> str:
@@ -112,9 +140,10 @@ class CommitLog:
             }
         ).encode("utf-8")
         tag = f"manifest-{_quote(step)}"
-        src = staging_path(tag, self.path(step))
+        path = self.path(step)
+        src = staging_path(tag, path)
         self.dfs.stage_bytes(src, payload)
-        self.dfs.publish([(src, self.path(step))], staging_dir(tag))
+        self.dfs.publish([(src, path)], staging_dir(tag))
 
     def committed(self, step: str) -> bool:
         return self.dfs.exists(self.path(step))
@@ -138,6 +167,7 @@ __all__ = [
     "CommitLog",
     "CommitScope",
     "manifest_path",
+    "mirrored_path",
     "staging_dir",
     "staging_path",
 ]

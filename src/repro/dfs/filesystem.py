@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from ..telemetry.spans import fold_io
 from .blocks import DEFAULT_BLOCK_SIZE, BlockInfo, BlockStore
+from .commit import mirrored_path
 from .iostats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,8 +61,10 @@ class DFS:
         self.cache: "BlockCache | None" = None
         #: Fault-injection hooks fired as ``hook(op, path)`` before every
         #: file creation (``op="create"``) and atomic publish
-        #: (``op="publish"``).  Used by the chaos harness to crash the
-        #: driver at exact write/publish points; empty in production.
+        #: (``op="publish"``).  A staged create's ``path`` is its mirrored
+        #: spelling ``/_tmp/<tag><final>`` (:func:`~repro.dfs.commit.mirrored_path`),
+        #: a publish's the first final path.  Used by the chaos harness to
+        #: crash the driver at exact write/publish points; empty in production.
         self.fault_hooks: list = []
         #: Publish listeners fired as ``listener(paths)`` *after* every
         #: successful atomic publish, with the list of now-sealed final
@@ -126,8 +129,9 @@ class DFS:
         stored; a file under one block keeps ``data`` as its payload."""
         start = perf_counter()
         if self.fault_hooks:
+            hook_path = mirrored_path(normalize(path))
             for hook in list(self.fault_hooks):
-                hook("create", normalize(path))
+                hook("create", hook_path)
         size = self.blocks.block_size
         data = data if isinstance(data, bytes) else bytes(data)
         if 0 < len(data) <= size:

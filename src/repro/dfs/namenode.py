@@ -81,7 +81,10 @@ class FileEntry:
 
     @property
     def length(self) -> int:
-        return sum(b.length for b in self.blocks)
+        blocks = self.blocks
+        if len(blocks) == 1:  # every file under one block: most of them
+            return blocks[0].length
+        return sum(b.length for b in blocks)
 
 
 @dataclass
@@ -130,7 +133,10 @@ class NameNode:
         head, _, name = path.rpartition("/")
         if not name:
             raise DFSError("path refers to the root directory")
-        return self._dir(head or "/", create=create), name
+        parent = self._index.get(head or "/")
+        if not isinstance(parent, DirEntry):  # missing, or a file: the slow road
+            parent = self._dir(head or "/", create=create)
+        return parent, name
 
     def _unindex(  # requires-lock: _lock
         self, path: str, node: "FileEntry | DirEntry", removed: list[FileEntry]
@@ -262,34 +268,27 @@ class NameNode:
         """
         src, dst = normalize(src), normalize(dst)
         with self._lock:
-            return self._rename_locked(src, dst, overwrite=overwrite)
-
-    def _rename_locked(  # requires-lock: _lock
-        self, src: str, dst: str, *, overwrite: bool, seal: bool = False
-    ) -> list[FileEntry]:
-        src_parent, src_name = self._parent_dir(src, create=False)
-        node = src_parent.children.get(src_name)
-        if node is None:
-            raise FileNotFound(src)
-        if isinstance(node, DirEntry) and dst.startswith(src + "/"):
-            raise DFSError(f"cannot move directory {src!r} below itself")
-        dst_parent, dst_name = self._parent_dir(dst, create=True)
-        displaced: list[FileEntry] = []
-        existing = dst_parent.children.get(dst_name)
-        if existing is not None and existing is not node:
-            if isinstance(existing, DirEntry):
-                raise IsADirectory(dst)
-            # Invisible pending files never block a rename, same as create.
-            if not overwrite and existing.sealed:
-                raise FileAlreadyExists(dst)
-            displaced.append(existing)
-        del src_parent.children[src_name]
-        node.name = dst_name
-        if seal and isinstance(node, FileEntry):
-            node.sealed = True
-        dst_parent.children[dst_name] = node
-        self._reindex(src, dst, node)
-        return displaced
+            src_parent, src_name = self._parent_dir(src, create=False)
+            node = src_parent.children.get(src_name)
+            if node is None:
+                raise FileNotFound(src)
+            if isinstance(node, DirEntry) and dst.startswith(src + "/"):
+                raise DFSError(f"cannot move directory {src!r} below itself")
+            dst_parent, dst_name = self._parent_dir(dst, create=True)
+            displaced: list[FileEntry] = []
+            existing = dst_parent.children.get(dst_name)
+            if existing is not None and existing is not node:
+                if isinstance(existing, DirEntry):
+                    raise IsADirectory(dst)
+                # Invisible pending files never block a rename, same as create.
+                if not overwrite and existing.sealed:
+                    raise FileAlreadyExists(dst)
+                displaced.append(existing)
+            del src_parent.children[src_name]
+            node.name = dst_name
+            dst_parent.children[dst_name] = node
+            self._reindex(src, dst, node)
+            return displaced
 
     def publish(
         self, pairs: list[tuple[str, str]], staging: str
@@ -298,30 +297,46 @@ class NameNode:
         drop the writer's ``staging`` directory (whatever it still holds is
         an unpublished file).
 
-        All sources are validated before anything moves, then every rename
+        All sources are validated before anything moves, then every move
         happens under the one namespace lock — concurrent readers observe
-        either none or all of the published files.  Destinations are
-        overwritten (a re-publish after a crash must win over debris).
-        Returns the bytes moved and the file entries displaced or dropped
-        (for block GC).
+        either none or all of the published files.  A move re-keys one file
+        entry: out of its source directory (the writer's flat staging
+        directory) and into its destination's, an index hit unless that
+        directory is new.  Destinations are overwritten (a re-publish after
+        a crash must win over debris).  Returns the bytes moved and the file
+        entries displaced or dropped (for block GC).
         """
         pairs = [(normalize(src), normalize(dst)) for src, dst in pairs]
         staging = normalize(staging)
         nbytes = 0
         with self._lock:
+            index = self._index
             for src, dst in pairs:
-                node = self._index.get(src)
+                node = index.get(src)
                 if node is None:
                     raise FileNotFound(src)
                 if isinstance(node, DirEntry):
                     raise IsADirectory(src)
-                if isinstance(self._index.get(dst), DirEntry):
+                if isinstance(index.get(dst), DirEntry):
                     raise IsADirectory(dst)
                 nbytes += node.length
             displaced: list[FileEntry] = []
             for src, dst in pairs:
-                displaced.extend(self._rename_locked(src, dst, overwrite=True, seal=True))
-            if staging in self._index:
+                parent, name = self._parent_dir(dst, create=True)
+                existing = parent.children.get(name)
+                if isinstance(existing, DirEntry):
+                    raise IsADirectory(dst)
+                node = index.pop(src, None)
+                if node is None:  # named twice: the first pair moved it
+                    raise FileNotFound(src)
+                head, _, src_name = src.rpartition("/")
+                del index[head or "/"].children[src_name]  # type: ignore[union-attr]
+                if existing is not None and existing is not node:
+                    displaced.append(existing)
+                node.name = name
+                node.sealed = True  # type: ignore[union-attr]
+                parent.children[name] = index[dst] = node
+            if staging in index:
                 parent, name = self._parent_dir(staging, create=False)
                 self._unindex(staging, parent.children.pop(name), displaced)
             return nbytes, displaced

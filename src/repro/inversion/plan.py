@@ -106,6 +106,18 @@ class PlanNode:
             return [self]
         return self.child1.leaves() + self.child2.leaves()
 
+    def preorder(self) -> list["PlanNode"]:
+        """This node and every descendant, each before its children and the
+        ``child1`` subtree before the ``child2`` one."""
+        found: list[PlanNode] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            found.append(node)
+            if node.child1 is not None and node.child2 is not None:
+                stack += (node.child2, node.child1)
+        return found
+
     def internal_nodes(self) -> list["PlanNode"]:
         """Internal nodes in job execution order (child1 subtree, this node,
         child2 subtree) — the order the pipeline launches LU jobs."""
@@ -124,20 +136,22 @@ class PlanNode:
 
 def build_tree(n: int, nb: int, root_dir: str = "/Root") -> PlanNode:
     """Precompute the full recursion tree for an order-n inversion."""
+    return _build(root_dir.rstrip("/"), n, 0, "input", nb)
 
-    def build(dir_: str, size: int, row0: int, kind: str) -> PlanNode:
-        node = PlanNode(dir=dir_, n=size, row0=row0, kind=kind)
-        if size <= nb:
-            return node
-        n1, n2 = split_order(size)
-        node.n1, node.n2 = n1, n2
-        node.child1 = build(f"{dir_}/A1", n1, row0, kind)
-        # The second child factors the Schur complement, which the parent's
-        # job writes under dir/OUT (Figure 4).
-        node.child2 = build(f"{dir_}/OUT", n2, row0 + n1, "schur")
+
+def _build(dir_: str, size: int, row0: int, kind: str, nb: int) -> PlanNode:
+    # Module level, not a nested function: a closure that calls itself is a
+    # reference cycle through its own cell.
+    node = PlanNode(dir=dir_, n=size, row0=row0, kind=kind)
+    if size <= nb:
         return node
-
-    return build(root_dir.rstrip("/"), n, 0, "input")
+    n1, n2 = split_order(size)
+    node.n1, node.n2 = n1, n2
+    node.child1 = _build(f"{dir_}/A1", n1, row0, kind, nb)
+    # The second child factors the Schur complement, which the parent's
+    # job writes under dir/OUT (Figure 4).
+    node.child2 = _build(f"{dir_}/OUT", n2, row0 + n1, "schur", nb)
+    return node
 
 
 @dataclass

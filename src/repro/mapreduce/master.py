@@ -360,7 +360,7 @@ class JobTracker:
             """Run ``body`` — an in-process attempt, or the driver-side
             landing of a remote one — inside that attempt's TASK span."""
             with tracer.span(
-                str(attempt_id),
+                attempt_id.name,
                 SpanKind.TASK,
                 parent=wave_span,
                 attrs={
@@ -548,7 +548,7 @@ class JobTracker:
                         # timed-out zombie may re-create debris afterwards;
                         # it stays invisible under /_tmp until fsck).
                         self.dfs.discard_staging(
-                            staging_dir(f"attempt-{attempt_id}")
+                            staging_dir(f"attempt-{attempt_id.name}")
                         )
                         return
                     self.node_health.record_success(node)
@@ -557,10 +557,12 @@ class JobTracker:
                         # First success wins; later duplicates are discarded.
                         # Task commit: atomically publish the winner's staged
                         # files to their final paths, dropping its staging
-                        # directory, before recording success.
-                        if staged is not None:
+                        # directory, before recording success.  An attempt
+                        # that staged nothing (output commit off) has nothing
+                        # to publish.
+                        if staged:
                             self.dfs.publish(
-                                list(staged), staging_dir(f"attempt-{attempt_id}")
+                                list(staged), staging_dir(f"attempt-{attempt_id.name}")
                             )
                             stats.published.extend(dst for _, dst in staged)
                         results[idx] = outcome  # lint: ignore[CN008]
@@ -569,9 +571,9 @@ class JobTracker:
                         # each task's bytes exactly once even under
                         # speculation.
                         span_of(idx, attempt_id).set(committed=True)
-                    elif staged is not None:
+                    elif staged:
                         self.dfs.discard_staging(
-                            staging_dir(f"attempt-{attempt_id}")
+                            staging_dir(f"attempt-{attempt_id.name}")
                         )
 
                 self.executor.run_all(

@@ -61,7 +61,7 @@ def attempt_scope(dfs: DFS, conf: JobConf, attempt_id: TaskAttemptId) -> CommitS
     """The attempt's private staging scope (``None`` with the protocol off)."""
     if not conf.output_commit:
         return None
-    return CommitScope(dfs, f"attempt-{attempt_id}")
+    return CommitScope(dfs, f"attempt-{attempt_id.name}")
 
 
 def run_map_attempt(
@@ -74,7 +74,7 @@ def run_map_attempt(
 ) -> MapAttemptResult:
     """Run one map attempt to completion (exceptions propagate to the master)."""
     counters = Counters()
-    trace = TaskTrace(attempt=str(attempt_id), kind=TaskKind.MAP, node=node)
+    trace = TaskTrace(attempt=attempt_id.name, kind=TaskKind.MAP, node=node)
     scope = attempt_scope(dfs, conf, attempt_id)
     ctx = TaskContext(dfs, attempt_id, conf.params, trace, counters, scope=scope)
     start = time.perf_counter()
@@ -121,7 +121,7 @@ def run_reduce_attempt(
     if conf.reducer_factory is None:
         raise ValueError(f"job {conf.name!r} is map-only; no reduce to run")
     counters = Counters()
-    trace = TaskTrace(attempt=str(attempt_id), kind=TaskKind.REDUCE, node=node)
+    trace = TaskTrace(attempt=attempt_id.name, kind=TaskKind.REDUCE, node=node)
     scope = attempt_scope(dfs, conf, attempt_id)
     ctx = TaskContext(dfs, attempt_id, conf.params, trace, counters, scope=scope)
     start = time.perf_counter()

@@ -49,9 +49,15 @@ class TaskAttemptId:
 
     task: TaskId
     attempt: int
+    #: ``str(self)``, formatted once: the attempt's span, trace and staging
+    #: tag all carry it.
+    name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name", f"{self.task}_{self.attempt}")
 
     def __str__(self) -> str:
-        return f"{self.task}_{self.attempt}"
+        return self.name
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Chaos harness: schedules, nemesis mechanics, campaign invariants, CLI."""
 
 import json
+import pathlib
+import random
 
 import pytest
 
+from repro import InversionConfig
 from repro.chaos import (
+    ChaosContext,
+    CrashAtWrite,
     CrashDriver,
     DriverCrashError,
     FaultSchedule,
@@ -12,14 +17,19 @@ from repro.chaos import (
     Nemesis,
     ReviveDatanode,
     builtin_schedules,
+    campaign_matrix,
     run_campaign,
     run_schedule,
     schedule_by_name,
 )
 from repro.chaos.cli import main as chaos_main
 from repro.chaos.schedule import DEADLINE_RETRY, FAST_BACKOFF
-from repro.dfs import DFS
+from repro.dfs import DFS, STAGING_ROOT, mirrored_path
+from repro.inversion import MatrixInverter
 from repro.mapreduce.job import JobConf, splits_for_workers
+
+#: The crash sweep's 83 points at seed 0, ``[op, hook path]`` in order.
+SWEEP_POINTS = pathlib.Path(__file__).parent / "golden" / "crash_sweep_points.json"
 
 
 def _comparable(outcome):
@@ -259,10 +269,33 @@ class TestCrashPointSweep:
 
         sweep = run_crash_point_sweep(seed=0)
         assert sweep.ok, sweep.format()
-        # Every create and publish of the baseline run was crash-tested.
-        assert sweep.num_points > 50
-        assert {p.point.op for p in sweep.outcomes} == {"create", "publish"}
+        # Every create and publish of the baseline run was crash-tested, and
+        # the points are pinned as the fault hooks see them (a staged create
+        # in its mirrored spelling): a change to the staging layout or to
+        # the order of writes shows up here as a diff.
+        assert sweep.num_points == 83
+        pinned = json.loads(SWEEP_POINTS.read_text())
+        assert [[p.point.op, p.point.path] for p in sweep.outcomes] == pinned
         assert all(p.crashed for p in sweep.outcomes)
+
+    def test_crash_at_write_fires_on_the_staged_create(self):
+        """A match string names a final path; the hook fires on that file's
+        staged create, spelled ``/_tmp/<writer>/<final path>``, before it is
+        published — the leaf's L factor is staged, its U factor is not."""
+        dfs = DFS(num_datanodes=3, replication=2, seed=0)
+        ctx = ChaosContext(dfs=dfs, rng=random.Random(0))
+        CrashAtWrite(at_job=0, match="/OUT/ut.bin", op="create").apply(ctx)
+        inverter = MatrixInverter(InversionConfig(nb=2, m0=2), dfs=dfs)
+        with pytest.raises(DriverCrashError, match=r"at create /_tmp/[^/]+/Root/\S*OUT/ut\.bin$"):
+            inverter.invert(campaign_matrix(8, 0))
+        inverter.close()
+        staged = [
+            mirrored_path(path)
+            for path in dfs.namenode.pending_files(STAGING_ROOT)
+        ]
+        assert any(path.endswith("/OUT/l.bin") for path in staged), staged
+        assert not any(path.endswith("/OUT/ut.bin") for path in staged), staged
+        assert not dfs.exists("/Root/OUT/ut.bin")
 
     def test_sweep_report_serializes(self):
         from repro.chaos import run_crash_point_sweep

@@ -280,6 +280,29 @@ class TestPublish:
             nn.publish([("/_tmp/t/Root/a", "/Root/a"), ("/_tmp/t/Root/b", "/Root/b")], "/_tmp/t")
         assert not nn.exists("/Root/a")
 
+    def test_publish_from_a_flat_staging_dir_builds_the_final_dirs(self, nn):
+        nn.create_file("/Root/A1/old")  # an existing final directory
+        staged = {
+            "/_tmp/t/%2FRoot%2FA1%2Fx": "/Root/A1/x",
+            "/_tmp/t/%2FRoot%2FOUT%2FA2%2Fy": "/Root/OUT/A2/y",
+        }
+        for src in staged:
+            nn.create_file(src, pending=True)
+        assert nn.list_dir("/_tmp/t") == sorted(name.rsplit("/", 1)[1] for name in staged)
+        nn.publish(list(staged.items()), "/_tmp/t")
+        assert nn.walk_files("/Root") == ["/Root/A1/old", "/Root/A1/x", "/Root/OUT/A2/y"]
+        assert nn.list_dir("/_tmp") == []
+        for src, dst in staged.items():
+            assert not nn.exists(src, include_pending=True)
+            entry = nn.get_file(dst)
+            assert entry.sealed and entry.name == dst.rsplit("/", 1)[1]
+
+    def test_publish_of_a_file_onto_its_own_path_keeps_it(self, nn):
+        nn.create_file("/_tmp/t/x", pending=True)
+        entry = nn.get_file("/_tmp/t/x", include_pending=True)
+        _, displaced = nn.publish([("/_tmp/t/x", "/_tmp/t/x")], "/_tmp/u")
+        assert displaced == [] and nn.get_file("/_tmp/t/x") is entry
+
 
 # -- the flat index against the tree walk it replaced ---------------------------
 

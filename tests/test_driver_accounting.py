@@ -202,3 +202,31 @@ class TestRunIsReleased:
             assert dfs_ref() is None
         finally:
             gc.enable()
+
+    def test_invert_leaves_no_cyclic_garbage(self, rng):
+        """Plan building, plan lint and the dataflow cycle check walk the
+        recursion tree without self-referencing closures: a nested function
+        that calls itself is a cycle through its cell, and every plan or
+        layout object it captured would wait for the cyclic collector."""
+        import gc
+
+        from repro import invert
+
+        a = random_invertible(rng, 32)
+        config = InversionConfig(nb=8, m0=2)
+        invert(a, config)  # warm-up: module-level caches are not garbage
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = invert(a, config)
+            assert result.residual(a) < 1e-9
+            del result
+            gc.collect()
+            kept = sorted({type(obj).__name__ for obj in gc.garbage})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        plan_types = {"Layout", "InversionPlan", "PlanNode", "NodeLayout", "BlockRef", "Region"}
+        assert plan_types.isdisjoint(kept), kept
