@@ -19,6 +19,10 @@ files deleted, bytes staged, published and discarded).  Under the ledger, the
 call's ``zlib.crc32`` calls (from the profile) and the bytes the block store
 checksummed (counted by a stand-in for ``zlib`` in ``repro.dfs.blocks``):
 both zero on a fault-free call, so a CRC back on the write or read path shows.
+Under it, the matrix writes: the ``bytes.join`` and ``numpy.ascontiguousarray``
+calls made from ``repro/dfs/formats.py`` (0 when every written matrix goes
+straight into its payload) and the call's minor page faults (the
+``ru_minflt`` delta of this process), the first touches of fresh memory.
 Then the call's leaf LU: ``lu_decompose`` calls, their cumulative seconds
 (under the profiler's overhead), and which kernel ran them, ``dgetf2`` from
 numpy's OpenBLAS or the ``numpy`` fallback loop (``-`` if none ran on the
@@ -67,6 +71,7 @@ import os
 import pathlib
 import pstats
 import re
+import resource
 import sys
 import tempfile
 import threading
@@ -119,11 +124,11 @@ class CrcBytes:
 
 def profile_workload(
     workload: Workload, seed: int = 0, children_dir: str | None = None
-) -> tuple[pstats.Stats, repro.dfs.IOSnapshot, repro.Observation | None, int]:
+) -> tuple[pstats.Stats, repro.dfs.IOSnapshot, repro.Observation | None, int, int]:
     """Warm up once, then profile one call: the profile of that call alone,
-    its DFS ledger, for an observed workload its observation, and the bytes
-    the block store checksummed.  With ``children_dir``, that call's pool
-    workers are profiled too."""
+    its DFS ledger, for an observed workload its observation, the bytes
+    the block store checksummed and the call's minor page faults.  With
+    ``children_dir``, that call's pool workers are profiled too."""
     a = np.random.default_rng(seed).standard_normal((workload.n, workload.n))
     config = repro.InversionConfig(**workload.config)
 
@@ -141,12 +146,14 @@ def profile_workload(
     blocks.zlib, real_zlib = crc, blocks.zlib  # type: ignore[assignment]
     profiler = cProfile.Profile()
     try:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         profiler.enable()
         result, obs = call()
         profiler.disable()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     finally:
         blocks.zlib = real_zlib
-    return pstats.Stats(profiler), result.io, obs, crc.nbytes
+    return pstats.Stats(profiler), result.io, obs, crc.nbytes, faults
 
 
 #: The DFS ledger fields printed under the driver's table: a round's reads,
@@ -161,11 +168,12 @@ LEDGER = (
 
 
 def print_ledger(
-    io, obs: repro.Observation | None, stats: pstats.Stats, crc_bytes: int
+    io, obs: repro.Observation | None, stats: pstats.Stats, crc_bytes: int, faults: int
 ) -> None:
     """The profiled call's DFS ledger (``InversionResult.io``), its CRC
-    work and, when the call was observed, its spans by kind and the DFS
-    records folded into them (plus the tracer's root list) by op."""
+    work, its matrix-write copies and page faults and, when the call was
+    observed, its spans by kind and the DFS records folded into them (plus
+    the tracer's root list) by op."""
     for half, names in zip(("reads ", "writes"), LEDGER):
         fields = "  ".join(f"{name} {getattr(io, name):,}" for name in names)
         print(f"DFS ledger of the profiled call, {half}:  {fields}")
@@ -175,6 +183,7 @@ def print_ledger(
         if name == "<built-in method zlib.crc32>"
     )
     print(f"zlib.crc32 in the profiled call:  calls {crc_calls:,}  bytes {crc_bytes:,}")
+    print_matrix_writes(stats, faults)
     print_leaf_lu(stats)
     print_triangular_leaves(stats)
     if obs is None:
@@ -193,6 +202,30 @@ def print_ledger(
 
     print(f"telemetry: {len(obs.spans):,} spans:  {line(spans)}")
     print(f"           {sum(records.values()):,} folded DFS records:  {line(records)}")
+
+
+#: What an encoder copying a finished array calls on its way to a payload.
+ENCODE_COPIES = (
+    "<method 'join' of 'bytes' objects>",
+    "<built-in method numpy.ascontiguousarray>",
+)
+
+
+def print_matrix_writes(stats: pstats.Stats, faults: int) -> None:
+    """The ``bytes.join`` / ``numpy.ascontiguousarray`` calls whose caller is
+    in ``repro/dfs/formats.py``, and the call's minor page faults."""
+    formats = os.path.join("repro", "dfs", "formats.py")
+    copies = sum(
+        calls[1]
+        for (_, _, name), (*_, callers) in stats.stats.items()  # type: ignore[attr-defined]
+        if name in ENCODE_COPIES
+        for (filename, _, _), calls in callers.items()
+        if filename.endswith(formats)
+    )
+    print(
+        f"matrix writes in the profiled call:  join/ascontiguousarray from formats {copies:,}"
+        f"  minor page faults {faults:,}"
+    )
 
 
 def print_leaf_lu(stats: pstats.Stats) -> None:
@@ -480,15 +513,17 @@ def main() -> int:
         return 0
     print(f"{workload.name}: n={workload.n} {workload.config}")
     if not args.children:
-        stats, io, obs, crc_bytes = profile_workload(workload)
+        stats, io, obs, crc_bytes, faults = profile_workload(workload)
         print_profile("", stats, args.top)
-        print_ledger(io, obs, stats, crc_bytes)
+        print_ledger(io, obs, stats, crc_bytes, faults)
         return 0
     with tempfile.TemporaryDirectory() as children_dir:
-        driver, io, obs, crc_bytes = profile_workload(workload, children_dir=children_dir)
+        driver, io, obs, crc_bytes, faults = profile_workload(
+            workload, children_dir=children_dir
+        )
         dumps = sorted(pathlib.Path(children_dir).glob("worker-*.prof"))
         print_profile("driver: ", driver, args.top)
-        print_ledger(io, obs, driver, crc_bytes)
+        print_ledger(io, obs, driver, crc_bytes, faults)
         if not dumps:
             print("no worker profiles (not a process-pool workload, or no fork)")
             return 1

@@ -181,9 +181,15 @@ class DFS:
     def read_text(self, path: str, *, local: bool = False) -> str:
         return self.read_bytes(path, local=local).decode("utf-8")
 
-    def read_range(self, path: str, offset: int, length: int, *, local: bool = False) -> bytes:
+    def read_range(
+        self, path: str, offset: int, length: int, *, local: bool = False
+    ) -> bytes | memoryview:
         """Read ``length`` bytes starting at ``offset``, touching only the
-        blocks that overlap the range (HDFS range-read semantics)."""
+        blocks that overlap the range (HDFS range-read semantics).
+
+        A range inside one block is not copied: it comes back as a read-only
+        ``memoryview`` into the stored payload (the payload itself when it
+        is the whole block)."""
         start = perf_counter()
         entry = self.namenode.get_file(path)
         if offset < 0 or length < 0:
@@ -193,11 +199,10 @@ class DFS:
         try:
             if len(blocks) == 1 and length and offset < blocks[0].length:
                 # Single-block file (every matrix file under the default block
-                # size): the range is one slice of the one payload, a bytes
-                # copy unless it is the whole payload.
+                # size): the range is a view of the one payload.
                 data = self.blocks.read_block(blocks[0])
                 if offset or end < len(data):
-                    data = data[offset:end]
+                    data = memoryview(data)[offset:end]
             else:
                 # Collect whole payloads or memoryview slices — no
                 # intermediate bytearray, so the bytes are copied at most once

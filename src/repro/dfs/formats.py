@@ -7,10 +7,15 @@ pipeline file use it; it is the "binary (GB)" column of Table 3.
 Row-range readers let a mapper fetch only its share of rows — Section 5.2's
 "each map function reads an equal number of consecutive rows ... to increase
 I/O sequentiality".
+
+A writer that computes a matrix fills the file's payload in place
+(:func:`new_matrix`): the bytes object the DFS stores is allocated once,
+with its header, and the task's last pass over the result writes it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import struct
 
 import numpy as np
@@ -24,15 +29,65 @@ _HEADER = struct.Struct("<4sIQ")  # magic, cols, rows
 # -- binary codec -------------------------------------------------------------
 
 
+def _bind(name: str, argtypes: list, restype):
+    fn = ctypes.pythonapi[name]  # a private function object: no shared argtypes
+    fn.argtypes = argtypes
+    fn.restype = restype
+    return fn
+
+
+# PyBytes_FromStringAndSize(NULL, n): a new bytes object whose n bytes are
+# uninitialised; its creator may write them until the object is shared.
+_NEW_BYTES = _bind(
+    "PyBytes_FromStringAndSize", [ctypes.c_void_p, ctypes.c_ssize_t], ctypes.py_object
+)
+_BYTES_ADDRESS = _bind("PyBytes_AsString", [ctypes.py_object], ctypes.c_void_p)
+
+
+class _Body:
+    """The base of :func:`new_matrix`'s ``body``: the payload's float64 data
+    by address, holding the payload so that it outlives every view."""
+
+    __slots__ = ("payload", "__array_interface__")
+
+    def __init__(self, payload: bytes, address: int, rows: int, cols: int) -> None:
+        self.payload = payload
+        self.__array_interface__ = {
+            "data": (address, False),
+            "shape": (rows, cols),
+            "typestr": "<f8",
+            "version": 3,
+        }
+
+
+def new_matrix(rows: int, cols: int) -> tuple[bytes, np.ndarray]:
+    """A ``rows x cols`` matrix file to be filled in place: ``(payload, body)``.
+
+    ``payload`` is a new ``bytes`` object of ``16 + 8 rows cols`` bytes that
+    already carries the header; ``body`` is a writable C-ordered float64
+    view of the rest, uninitialised.  Fill ``body``, drop it, then write
+    ``payload``: from then on it is an ordinary immutable ``bytes``, shared by
+    the block store, the cache and every decoded view.
+    """
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative matrix shape {rows}x{cols}")
+    header = _HEADER.pack(_MAGIC, cols, rows)
+    payload = _NEW_BYTES(None, _HEADER.size + 8 * rows * cols)
+    address = _BYTES_ADDRESS(payload)
+    ctypes.memmove(address, header, _HEADER.size)
+    return payload, np.asarray(_Body(payload, address + _HEADER.size, rows, cols))
+
+
 def encode_matrix(matrix: np.ndarray) -> bytes:
-    """Serialize a 2-D float64 array to the binary matrix format."""
-    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    """Serialize a 2-D array to the binary matrix format (as float64).
+
+    The source is read once, strided or not, straight into the payload."""
+    m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    header = _HEADER.pack(_MAGIC, m.shape[1], m.shape[0])
-    # Join the header with the array's own buffer: a C-contiguous float64
-    # input is copied exactly once, straight into the payload.
-    return b"".join((header, m.data))
+    payload, body = new_matrix(*m.shape)
+    body[...] = m
+    return payload
 
 
 def decode_matrix(data: bytes, *, writable: bool = False) -> np.ndarray:

@@ -9,7 +9,9 @@ Resolution is one dictionary lookup: the namenode keeps a flat index from
 every canonical path to its entry, maintained by the four mutators
 (``create_file``, ``mkdirs``, ``delete``, ``rename``/``publish``) under the
 namespace lock, so the cost of an operation does not grow with the depth of
-the path.  ``DirEntry.children`` is what a directory *contains* (listing,
+the path.  A lookup tries the path as given and normalizes it only on a
+miss: every key is canonical, so a hit is the entry the canonical spelling
+names.  ``DirEntry.children`` is what a directory *contains* (listing,
 recursive delete, the sorted depth-first order of ``walk_files``), not how a
 path is found.  Only a directory that is not there costs more than a lookup:
 its missing tail is created, one component at a time, from the nearest
@@ -203,7 +205,9 @@ class NameNode:
 
     def get_file(self, path: str, *, include_pending: bool = False) -> FileEntry:
         with self._lock:
-            node = self._index.get(normalize(path))
+            node = self._index.get(path)
+            if node is None:
+                node = self._index.get(normalize(path))
             if node is None:
                 raise FileNotFound(path)
             if isinstance(node, DirEntry):
@@ -214,23 +218,32 @@ class NameNode:
 
     def exists(self, path: str, *, include_pending: bool = False) -> bool:
         with self._lock:
-            node = self._index.get(normalize(path))
+            node = self._index.get(path)
+            if node is None:
+                node = self._index.get(normalize(path))
             if isinstance(node, FileEntry) and not node.sealed:
                 return include_pending
             return node is not None
 
     def is_dir(self, path: str) -> bool:
         with self._lock:
-            return isinstance(self._index.get(normalize(path)), DirEntry)
+            node = self._index.get(path)
+            if node is None:
+                node = self._index.get(normalize(path))
+            return isinstance(node, DirEntry)
 
     def is_file(self, path: str, *, include_pending: bool = False) -> bool:
         with self._lock:
-            node = self._index.get(normalize(path))
+            node = self._index.get(path)
+            if node is None:
+                node = self._index.get(normalize(path))
             return isinstance(node, FileEntry) and (node.sealed or include_pending)
 
     def list_dir(self, path: str) -> list[str]:
         with self._lock:
-            node = self._index.get(normalize(path))
+            node = self._index.get(path)
+            if node is None:
+                node = self._index.get(normalize(path))
             if node is None:
                 raise FileNotFound(path)
             if isinstance(node, FileEntry):

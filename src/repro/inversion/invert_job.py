@@ -109,17 +109,21 @@ def _packed_shape(panels: list[tuple[int, int, int, int]], columns: bool) -> tup
     return (k1 - k0, at + count) if columns else (at + count, k1 - k0)
 
 
-def _pack(share_rows: np.ndarray, share: range, n: int, *, columns: bool) -> np.ndarray:
-    """The stored form of a mapper's share (module docstring): row ``t`` of
-    ``share_rows`` is row ``share[t]`` of ``U^-1`` — or, with ``columns``,
-    column ``share[t]`` of ``L^-1`` — and each panel keeps the block of it
-    that the product multiplies."""
-    panels = _panels(share, n)
-    out = np.zeros(_packed_shape(panels, columns))
+def _pack(
+    share_rows: np.ndarray, panels: list[tuple[int, int, int, int]], out: np.ndarray, *,
+    columns: bool,
+) -> None:
+    """Fill ``out`` (``_packed_shape(panels, columns)``) with the stored form
+    of a mapper's share (module docstring): row ``t`` of ``share_rows`` is
+    row ``share[t]`` of ``U^-1`` — or, with ``columns``, column ``share[t]``
+    of ``L^-1`` — and each panel of the share's ``panels`` keeps the block
+    of it that the product multiplies; a short last panel is zero-padded."""
     dest = out.T if columns else out
+    width = dest.shape[1]
     for k0, k1, at, count in panels:
         dest[at : at + count, : k1 - k0] = share_rows[:count, k0:k1]
-    return out
+        if k1 - k0 < width:
+            dest[at : at + count, k1 - k0 :] = 0.0
 
 
 class InvertMapper(Mapper):
@@ -156,7 +160,11 @@ class InvertMapper(Mapper):
         # Column c of L^-1 (row c of U^-1, column c of (U^T)^-1) costs
         # ~ (n - c)^2 / 2 multiplications (Eq. 4).
         ctx.report_flops(float(np.sum((n - _indices(share)) ** 2)) / 2.0)
-        ctx.write_bytes(path, formats.encode_matrix(_pack(x, share, n, columns=columns)))
+        panels = _panels(share, n)
+        payload, body = formats.new_matrix(*_packed_shape(panels, columns))
+        _pack(x, panels, body, columns=columns)
+        del body
+        ctx.write_bytes(path, payload)
         ctx.emit(j, j)
 
 
@@ -249,10 +257,12 @@ _TILE = 256
 
 
 def _triangular_product(
-    u_packed: np.ndarray, rows: range, l_packed: np.ndarray, cols: range, n: int
-) -> tuple[np.ndarray, int]:
-    """``U^-1[rows] @ L^-1[:, cols]`` from the packed shares, without most of
-    the structural zeros, and the multiplications issued.
+    u_packed: np.ndarray, rows: range, l_packed: np.ndarray, cols: range, n: int,
+    block: np.ndarray,
+) -> int:
+    """Write ``U^-1[rows] @ L^-1[:, cols]`` from the packed shares into the
+    C-ordered ``block`` (``len(rows) x len(cols)``), without most of the
+    structural zeros, and return the multiplications issued.
 
     Row ``r`` of ``U^-1`` is zero left of column ``r`` and column ``c`` of
     ``L^-1`` is zero above row ``c``, so entry ``(r, c)`` sums over
@@ -267,7 +277,6 @@ def _triangular_product(
     """
     row_panels, col_panels = _panels(rows, n), _panels(cols, n)
     one_tile = len(rows) <= _TILE and len(cols) <= _TILE
-    block = np.empty((len(rows), len(cols)))
     tile_buf = block.reshape(-1) if one_tile else np.empty(_TILE * _TILE)
     prod_buf = np.empty(min(_TILE, len(rows)) * min(_TILE, len(cols)))
     mults = 0
@@ -290,7 +299,7 @@ def _triangular_product(
                     mults += a * b * width
             if not one_tile:
                 block[t0:t1, s0:s1] = tile
-    return block, mults
+    return mults
 
 
 class InvertReducer(Reducer):
@@ -310,9 +319,11 @@ class InvertReducer(Reducer):
             return
         u_packed = _gather_rows(ctx, layout, rows, n)
         l_packed = _gather_cols(ctx, layout, cols, n)
-        block, mults = _triangular_product(u_packed, rows, l_packed, cols, n)
+        payload, block = formats.new_matrix(len(rows), len(cols))
+        mults = _triangular_product(u_packed, rows, l_packed, cols, n, block)
+        del block
         ctx.report_flops(float(mults))
-        ctx.write_bytes(layout.final_path(p), formats.encode_matrix(block))
+        ctx.write_bytes(layout.final_path(p), payload)
 
 
 def read_final_inverse(layout: Layout, reader) -> np.ndarray:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+import numpy as np
+
 from ..dfs import formats
 from ..linalg import permutation
 from ..linalg.blockwrap import contiguous_ranges
@@ -205,6 +207,16 @@ class LUJobMapper(Mapper):
         ctx.emit(j, j)
 
 
+def _schur(a4, l2, u2) -> bytes:
+    """The file of ``B = A4 - L2' U2``, computed in its own payload: the
+    product into the body, then the difference in place — the arithmetic of
+    ``a4 - l2 @ u2`` without its two block-sized temporaries."""
+    payload, b = formats.new_matrix(l2.shape[0], u2.shape[1])
+    np.matmul(l2, u2, out=b)
+    np.subtract(a4, b, out=b)
+    return payload
+
+
 class LUJobReducer(Reducer):
     """Reducer *j* computes its cell of the Schur complement
     ``B = A4 - L2' U2`` and writes it to the node's OUT directory."""
@@ -232,11 +244,8 @@ class LUJobReducer(Reducer):
             l2 = nl.l2.sub(r1, r2, 0, n1).read(ctx)
             u2 = nl.u2.sub(0, n1, c1, c2).read(ctx)
             a4 = nl.a4.sub(r1, r2, c1, c2).read(ctx)
-            b = a4 - l2 @ u2
             ctx.report_flops((r2 - r1) * (c2 - c1) * n1)
-            ctx.write_bytes(
-                f"{node.dir}/OUT/A.{j1}.{j2}", formats.encode_matrix(b)
-            )
+            ctx.write_bytes(f"{node.dir}/OUT/A.{j1}.{j2}", _schur(a4, l2, u2))
         else:
             # Naive row-slab scheme (block-wrap ablation): reducer p reads its
             # rows of L2'/A4 plus ALL of U2.
@@ -246,9 +255,8 @@ class LUJobReducer(Reducer):
             l2 = nl.l2.sub(r1, r2, 0, n1).read(ctx)
             u2 = nl.u2.read(ctx)
             a4 = nl.a4.sub(r1, r2, 0, n2).read(ctx)
-            b = a4 - l2 @ u2
             ctx.report_flops((r2 - r1) * n2 * n1)
-            ctx.write_bytes(f"{node.dir}/OUT/A.{p}", formats.encode_matrix(b))
+            ctx.write_bytes(f"{node.dir}/OUT/A.{p}", _schur(a4, l2, u2))
 
 
 def lu_job(layout: Layout, node: PlanNode) -> JobConf:

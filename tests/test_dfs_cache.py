@@ -273,13 +273,14 @@ class TestZeroCopy:
         assert dfs.read_range("/edge.bin", block, 2 * block) == data[block:]
 
     def test_read_range_sub_block_slices_via_memoryview(self, dfs):
-        """A sub-block range is carved with a memoryview, so the bytes are
-        copied exactly once (by the final join/cast), never twice through an
-        intermediate buffer."""
+        """A sub-block range is a memoryview into the stored payload: the
+        bytes are not copied at all."""
         dfs.write_bytes("/sub.bin", b"0123456789" * 10)
         out = dfs.read_range("/sub.bin", 7, 11)
         assert out == b"78901234567"
-        assert isinstance(out, bytes)
+        info = dfs.namenode.get_file("/sub.bin").blocks[0]
+        assert out.obj is dfs.blocks.read_block(info)
+        assert out.readonly
         # Accounting charges only the bytes handed back, not the whole block.
         before = dfs.stats.bytes_read
         dfs.read_range("/sub.bin", 0, 3)

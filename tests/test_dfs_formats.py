@@ -1,13 +1,19 @@
-"""Matrix codecs: binary and text round trips, range reads, sizes."""
+"""Matrix codecs: binary and text round trips, range reads, sizes, and
+the fill-in-place payload contract."""
 
+import pathlib
 import struct
+import sys
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro
 from repro.dfs import formats
+from repro.dfs.blocks import BlockStore
 
 
 class TestBinaryCodec:
@@ -86,6 +92,12 @@ class TestEncodeCopiesOnce:
         ),
         layout=st.sampled_from(sorted(_LAYOUTS)),
     )
+    @example(base=np.arange(12.0).reshape(3, 4), layout="c")
+    @example(base=np.arange(12.0).reshape(3, 4), layout="transposed")
+    @example(base=np.arange(30.0).reshape(5, 6), layout="col-strided")
+    @example(base=np.arange(12, dtype=np.float32).reshape(4, 3), layout="c")
+    @example(base=np.zeros((0, 4)), layout="c")
+    @example(base=np.zeros((4, 0)), layout="c")
     def test_bytes_identical_to_the_three_copy_encoder(self, base, layout):
         m = _LAYOUTS[layout](base)
         data = formats.encode_matrix(m)
@@ -104,6 +116,87 @@ class TestEncodeCopiesOnce:
         data = formats.encode_matrix(m)
         m[:] = 0.0
         assert np.array_equal(formats.decode_matrix(data), kept)
+
+
+class TestNewMatrix:
+    """``new_matrix``: a payload that carries its header and a writable view
+    of its body, filled in place."""
+
+    def test_body_is_a_writable_view_of_the_payload(self):
+        payload, body = formats.new_matrix(3, 5)
+        assert type(payload) is bytes and len(payload) == formats.binary_size_bytes(3, 5)
+        assert payload[:16] == struct.pack("<4sIQ", b"RMX1", 5, 3)
+        assert body.shape == (3, 5) and body.dtype == np.float64
+        assert body.flags.writeable and body.flags.c_contiguous and body.flags.aligned
+        body[...] = np.arange(15.0).reshape(3, 5)
+        del body
+        assert np.array_equal(formats.decode_matrix(payload), np.arange(15.0).reshape(3, 5))
+
+    def test_body_keeps_the_payload_alive(self):
+        payload, body = formats.new_matrix(2, 2)
+        held = sys.getrefcount(payload)
+        del body  # the view's base held one reference to the payload
+        assert sys.getrefcount(payload) == held - 1
+
+    def test_rejects_a_negative_shape(self):
+        with pytest.raises(ValueError, match="negative"):
+            formats.new_matrix(-1, 3)
+
+
+def _spec_workloads():
+    """The benchmark's workloads (``benchmarks/e2e/spec.py``), imported, not run."""
+    e2e = str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "e2e")
+    sys.path.insert(0, e2e)
+    try:
+        import spec
+    finally:
+        sys.path.remove(e2e)
+    return spec.WORKLOADS
+
+
+class TestPayloadsStayAsWritten:
+    """A payload filled in place is never written to after the DFS stores
+    it: every block keeps the CRC-32 its payload had when it was written,
+    until it is deleted and at the end of the call.  One ``invert`` per
+    benchmark configuration, at its smoke order."""
+
+    @pytest.mark.parametrize("workload", _spec_workloads(), ids=lambda w: w.name)
+    def test_every_stored_payload_keeps_its_written_crc(self, monkeypatch, workload):
+        written, changed = {}, []
+        write_block, delete_block = BlockStore.write_block, BlockStore.delete_block
+
+        def check(store, info):
+            for node in info.replicas:
+                payload = store.datanodes[node].get(info.block_id)
+                if payload is not None and zlib.crc32(payload) != written[info]:
+                    changed.append(info.block_id)
+
+        def recording_write(store, payload):
+            info = write_block(store, payload)
+            written[info] = zlib.crc32(payload)
+            return info
+
+        def checking_delete(store, info):
+            if info in written:
+                check(store, info)
+                del written[info]
+            delete_block(store, info)
+
+        monkeypatch.setattr(BlockStore, "write_block", recording_write)
+        monkeypatch.setattr(BlockStore, "delete_block", checking_delete)
+        w = workload.smoke()
+        a = np.random.default_rng(0).standard_normal((w.n, w.n))
+        with repro.MatrixInverter(repro.InversionConfig(**w.config)) as inverter:
+            if w.observed:
+                with repro.observe():
+                    inverter.invert(a)
+            else:
+                inverter.invert(a)
+            store = inverter.runtime.dfs.blocks
+            assert written  # the call's outcome set is still stored
+            for info in list(written):
+                check(store, info)
+        assert changed == []
 
 
 class TestDfsHelpers:

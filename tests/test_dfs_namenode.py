@@ -44,6 +44,30 @@ class TestNormalize:
         assert normalize(raw) == expected
 
 
+class TestLookupSpellings:
+    """A lookup tries the path as given, then its canonical form: any
+    spelling of a path finds the entry the canonical one does."""
+
+    def test_non_canonical_spellings_resolve_to_the_same_entries(self, nn):
+        nn.create_file("/Root/a.bin")
+        entry = nn.get_file("/Root/a.bin")
+        for spelling in ("//Root/./a.bin", "Root/a.bin", "/Root//a.bin"):
+            assert nn.get_file(spelling) is entry
+            assert nn.exists(spelling) and nn.is_file(spelling)
+        for spelling in ("/Root/", "Root", "//Root/."):
+            assert nn.is_dir(spelling)
+            assert nn.list_dir(spelling) == ["a.bin"]
+
+    def test_a_miss_still_raises(self, nn):
+        nn.create_file("/Root/a.bin")
+        for spelling in ("/Root/b.bin", "//Root/./b.bin", "Root/b.bin/"):
+            with pytest.raises(FileNotFound):
+                nn.get_file(spelling)
+            assert not nn.exists(spelling)
+        with pytest.raises(FileNotFound):
+            nn.list_dir("/Nope/")
+
+
 class TestCreate:
     def test_create_file_makes_parents(self, nn):
         nn.create_file("/Root/A1/A2/file")

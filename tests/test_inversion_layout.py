@@ -25,6 +25,8 @@ from repro.inversion.invert_job import (
     _gather_rows,
     _l_mapper_columns,
     _pack,
+    _packed_shape,
+    _panels,
     _reducer_shares,
     _triangular_product,
     _u_mapper_rows,
@@ -394,6 +396,14 @@ def _dense_triangular_product(u_rows, rows, l_cols, cols):
     return block, mults
 
 
+def _packed(share_rows, share, n, *, columns):
+    """``_pack`` into a NaN-filled array: any entry it leaves unwritten shows."""
+    panels = _panels(share, n)
+    out = np.full(_packed_shape(panels, columns), np.nan)
+    _pack(share_rows, panels, out, columns=columns)
+    return out
+
+
 def _packed_width(share, n):
     """Brute force: per panel, every index of ``share`` below its end."""
     return sum(sum(s < min(k0 + _PANEL, n) for s in share) for k0 in range(0, n, _PANEL))
@@ -428,11 +438,11 @@ def _packed_final_job(layout, n, rng):
     ctx = _FakeTaskContext()
     for i in range(layout.config.m0 - layout.config.mhalf):
         rows = _u_mapper_rows(layout, i, n)
-        ctx.files[layout.inv_u_path(i)] = encode_matrix(_pack(uinv[rows], rows, n, columns=False))
+        ctx.files[layout.inv_u_path(i)] = encode_matrix(_packed(uinv[rows], rows, n, columns=False))
     for j in range(layout.config.mhalf):
         cols = _l_mapper_columns(layout, j, n)
         ctx.files[layout.inv_l_path(j)] = encode_matrix(
-            _pack(linv[:, cols].T, cols, n, columns=True)
+            _packed(linv[:, cols].T, cols, n, columns=True)
         )
     return layout, n, ctx, uinv, linv
 
@@ -487,7 +497,7 @@ class TestPackedShares:
                 (_gather_cols, cols, linv.T, True),
             ):
                 got = gather(ctx, layout, want, n)
-                assert np.array_equal(got, _pack(rows_of[want], want, n, columns=columns))
+                assert np.array_equal(got, _packed(rows_of[want], want, n, columns=columns))
                 assert np.array_equal(_unpack(got, want, n, columns=columns), rows_of[want])
                 # Either a private array or, zero-copy, one decoded file.
                 assert got.flags.writeable == got.flags.owndata
@@ -561,11 +571,12 @@ class TestTriangularProduct:
                 continue
             u_rows = uinv[rows.start : rows.stop : rows.step]
             l_cols = linv[:, cols.start : cols.stop : cols.step]
-            u_packed = _pack(u_rows, rows, n, columns=False)
-            l_packed = _pack(l_cols.T, cols, n, columns=True)
+            u_packed = _packed(u_rows, rows, n, columns=False)
+            l_packed = _packed(l_cols.T, cols, n, columns=True)
             u_packed.setflags(write=False)
             l_packed.setflags(write=False)
-            block, mults = _triangular_product(u_packed, rows, l_packed, cols, n)
+            block = np.full((len(rows), len(cols)), np.nan)
+            mults = _triangular_product(u_packed, rows, l_packed, cols, n, block)
             reference, reference_mults = _dense_triangular_product(u_rows, rows, l_cols, cols)
             tol = n * np.finfo(float).eps * np.abs(u_rows).max() * np.abs(l_cols).max()
             assert np.abs(block - u_rows @ l_cols).max() <= tol
