@@ -91,10 +91,12 @@ bench-e2e-compare:
 # workload (`git archive PARENT` into a temp dir, `__pycache__` stripped from
 # both trees, `run.py --workload W --seed s --seconds 12 --trace 0` for seeds
 # 1..N) — medians, quartiles and wins per side for the four end-to-end
-# metrics.  Only invokes the harness.
+# metrics.  Only invokes the harness.  SAME=1 alternates N ABBA pairs of
+# untraced calls of both trees in one process instead (the parent's
+# src/repro as `repro_parent`): wall medians, wins and minor faults per call.
 bench-pairs:
-	@test -n "$(W)" -a -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10] [JSON=path]"; exit 2; }
-	$(PYTHON) scripts/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(or $(N),10) $(if $(JSON),--json $(JSON))
+	@test -n "$(W)" -a -n "$(PARENT)" || { echo "usage: make bench-pairs W=<workload> PARENT=<rev> [N=10] [JSON=path] [SAME=1]"; exit 2; }
+	$(PYTHON) scripts/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(or $(N),10) $(if $(JSON),--json $(JSON)) $(if $(SAME),--same-process)
 
 # Where the calls go: cProfile of one call.  CHILDREN=1 also profiles the
 # process pool's workers and prints them merged below the driver.

@@ -16,12 +16,14 @@ top-level package), the top rows by self time, and under them the profiled
 call's DFS ledger in two lines: the read half (read ops, files opened, cache
 hits and misses, bytes read) and the write half (files created, write ops,
 files deleted, bytes staged, published and discarded).  Under the ledger, the
-call's ``zlib.crc32`` calls (from the profile) and the bytes the block store
-checksummed (counted by a stand-in for ``zlib`` in ``repro.dfs.blocks``):
-both zero on a fault-free call, so a CRC back on the write or read path shows.
-Under it, the matrix writes: the ``bytes.join`` and ``numpy.ascontiguousarray``
-calls made from ``repro/dfs/formats.py`` (0 when every written matrix goes
-straight into its payload) and the call's minor page faults (the
+call's namespace lookups (``DFS.exists`` calls; the driver's one root check
+on a serial call), then the call's ``zlib.crc32`` calls (from the profile)
+and the bytes the block store checksummed (counted by a stand-in for
+``zlib`` in ``repro.dfs.blocks``): both zero on a fault-free call, so a
+CRC back on the write or read path shows.  Under it, the matrix writes:
+the ``bytes.join`` and ``numpy.ascontiguousarray`` calls made from
+``repro/dfs/formats.py`` (0 when every written matrix goes straight into
+its payload) and the call's minor page faults (the
 ``ru_minflt`` delta of this process), the first touches of fresh memory.
 Then the call's leaf LU: ``lu_decompose`` calls, their cumulative seconds
 (under the profiler's overhead), and which kernel ran them, ``dgetf2`` from
@@ -177,6 +179,7 @@ def print_ledger(
     for half, names in zip(("reads ", "writes"), LEDGER):
         fields = "  ".join(f"{name} {getattr(io, name):,}" for name in names)
         print(f"DFS ledger of the profiled call, {half}:  {fields}")
+    print_namespace_lookups(stats)
     crc_calls = sum(
         ncalls
         for (_, _, name), (_, ncalls, *_) in stats.stats.items()  # type: ignore[attr-defined]
@@ -202,6 +205,18 @@ def print_ledger(
 
     print(f"telemetry: {len(obs.spans):,} spans:  {line(spans)}")
     print(f"           {sum(records.values()):,} folded DFS records:  {line(records)}")
+
+
+def print_namespace_lookups(stats: pstats.Stats) -> None:
+    """The call's ``DFS.exists`` calls: questions to the namespace that the
+    precomputed layout should already answer."""
+    filesystem = os.path.join("repro", "dfs", "filesystem.py")
+    calls = sum(
+        ncalls
+        for (filename, _, name), (_, ncalls, *_) in stats.stats.items()  # type: ignore[attr-defined]
+        if name == "exists" and filename.endswith(filesystem)
+    )
+    print(f"namespace lookups in the profiled call:  DFS.exists {calls:,}")
 
 
 #: What an encoder copying a finished array calls on its way to a payload.

@@ -94,7 +94,7 @@ _COPYING_CALLS = frozenset(
 _BLOCKING_METHODS = frozenset(
     {"result", "run_all", "read_block", "write_block", "read_bytes",
      "write_bytes", "read_range", "read_text", "write_text",
-     "rereplicate_all", "repair", "wait"}
+     "repair", "wait"}
 )
 
 #: Methods exempt from guarded-attribute checks on ``self`` — the object is

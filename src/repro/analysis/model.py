@@ -3,17 +3,18 @@
 Section 5's structural claim — "the number of jobs in the pipeline and the
 data movement between the jobs can be precisely determined before the start
 of the computation" — means the *entire* read/write set of every step is a
-pure function of ``(n, config)``.  :func:`build_model` computes it: the same
-step sequence the driver executes (master input write, partition job,
-in-order LU walk with master-side leaf decompositions, final inversion job,
-master output collection), with each MapReduce job split into its map and
-reduce phases so that intra-job dataflow (mappers write ``L2``/``U2``,
-reducers read them) is modeled too.
+pure function of ``(n, config)``.  :func:`build_model` computes it: the
+step sequence of a run (master input write, partition job, in-order LU walk
+with master-side leaf decompositions, final inversion job, master output
+collection), with each MapReduce job split into its map and reduce phases so
+that intra-job dataflow (mappers write ``L2``/``U2``, reducers read them) is
+modeled too.
 
-Nothing here touches a runtime or a DFS; the model exists so
-:mod:`repro.analysis.planlint` can validate the dataflow ahead of execution,
-and so tests can corrupt a model (drop a write, break the grid) and assert
-the linter catches it.
+Nothing here touches a runtime or a DFS.  The model is the one description
+of the pipeline: :mod:`repro.analysis.planlint` validates its dataflow ahead
+of execution, the driver schedules its units
+(:meth:`PipelineModel.units`), and tests corrupt a model (drop a write,
+break the grid) and assert the linter catches it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from dataclasses import dataclass, field
 
 from ..dfs.commit import manifest_path
 from ..inversion.config import InversionConfig
+from ..inversion.factors import (
+    factor_read_paths,
+    lower_read_paths,
+    perm_read_paths,
+    upper_read_paths,
+)
 from ..inversion.layout import Layout
 from ..inversion.plan import InversionPlan, PlanNode
 
@@ -34,6 +41,9 @@ class StepModel:
     ``"reduce"`` for the two phases of a MapReduce job; ``job`` names the
     job a map/reduce phase belongs to (``None`` for master phases), so the
     model's job count is ``len({s.job for s in steps if s.job})``.
+    ``node`` is the plan node the step runs on: the internal node of an
+    ``lu`` job, the leaf of a ``master-lu`` phase, the node a ``combine``
+    phase combines; ``None`` for the steps that span the whole pipeline.
     """
 
     name: str
@@ -41,6 +51,12 @@ class StepModel:
     reads: set[str] = field(default_factory=set)
     writes: set[str] = field(default_factory=set)
     job: str | None = None
+    node: PlanNode | None = None
+
+    @property
+    def unit(self) -> str:
+        """The schedulable unit this step belongs to: its job, or itself."""
+        return self.job or self.name
 
 
 @dataclass
@@ -91,16 +107,28 @@ class PipelineModel:
                 return step
         raise KeyError(name)
 
+    def units(self) -> list[StepModel]:
+        """The units a driver schedules, in plan order, each as its first
+        step: every job (by its map step) and every master phase but
+        ``write-input`` (the ingestion before them) and ``collect-output``
+        (the read-back after them).  The driver runs exactly this list, so
+        the pre-flight lints the steps that run."""
+        seen: set[str] = {"write-input", "collect-output"}
+        out: list[StepModel] = []
+        for step in self.steps:
+            if step.unit not in seen:
+                seen.add(step.unit)
+                out.append(step)
+        return out
+
     def _unit_io(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-        """Each schedulable unit's reads and writes, by unit name in plan
-        order: a unit is one master phase or one whole job (map and reduce
-        steps merge)."""
+        """Each unit's reads and writes, by unit name in plan order: a unit
+        is one master phase or one whole job (map and reduce steps merge)."""
         reads: dict[str, set[str]] = {}
         writes: dict[str, set[str]] = {}
         for step in self.steps:
-            unit = step.job or step.name
-            reads.setdefault(unit, set()).update(step.reads)
-            writes.setdefault(unit, set()).update(step.writes)
+            reads.setdefault(step.unit, set()).update(step.reads)
+            writes.setdefault(step.unit, set()).update(step.writes)
         return reads, writes
 
     def unit_needs(self) -> dict[str, frozenset[str]]:
@@ -143,68 +171,6 @@ class PipelineModel:
         return build_block_dag(self)
 
 
-def _combined(node: PlanNode, config: InversionConfig) -> bool:
-    """True when ``node``'s factors live in single combined files — always
-    for leaves (the master writes them), and for internal nodes when the
-    Section 6.1 separate-files optimization is off (a combine step merges
-    them)."""
-    return node.is_leaf or not config.separate_files
-
-
-def lower_read_paths(layout: Layout, node: PlanNode) -> set[str]:
-    """Every path :func:`repro.inversion.factors.read_lower` touches: the
-    files of the pieces a kernel walks — each child's, the node's ``L2'``
-    chunks, and the right subtree's permutations for ``P2`` — each once."""
-    nl = layout.of(node)
-    if _combined(node, layout.config):
-        return {nl.l_path}
-    assert node.child1 is not None and node.child2 is not None
-    assert nl.l2 is not None
-    return (
-        lower_read_paths(layout, node.child1)
-        | set(nl.l2.file_paths())
-        | perm_read_paths(layout, node.child2)
-        | lower_read_paths(layout, node.child2)
-    )
-
-
-def upper_read_paths(layout: Layout, node: PlanNode) -> set[str]:
-    """Every path :func:`repro.inversion.factors.read_upper` touches: each
-    child's files and the node's ``U2`` chunks, each once."""
-    nl = layout.of(node)
-    if _combined(node, layout.config):
-        return {nl.u_path}
-    assert node.child1 is not None and node.child2 is not None
-    assert nl.u2 is not None
-    return (
-        upper_read_paths(layout, node.child1)
-        | set(nl.u2.file_paths())
-        | upper_read_paths(layout, node.child2)
-    )
-
-
-def perm_read_paths(layout: Layout, node: PlanNode) -> set[str]:
-    """Every path :func:`repro.inversion.factors.read_perm` touches (and
-    :func:`~repro.inversion.factors.read_lower_and_perm` adds to
-    :func:`lower_read_paths`)."""
-    nl = layout.of(node)
-    if _combined(node, layout.config):
-        return {nl.p_path}
-    assert node.child1 is not None and node.child2 is not None
-    return perm_read_paths(layout, node.child1) | perm_read_paths(
-        layout, node.child2
-    )
-
-
-def factor_read_paths(layout: Layout, node: PlanNode) -> set[str]:
-    """Union of the L, U, and P read sets of ``node``."""
-    return (
-        lower_read_paths(layout, node)
-        | upper_read_paths(layout, node)
-        | perm_read_paths(layout, node)
-    )
-
-
 def _control_paths(layout: Layout) -> set[str]:
     """Section 5.1's ``MapInput/A.<j>`` control files (read by every job)."""
     return {layout.map_input_path(j) for j in range(layout.config.m0)}
@@ -230,7 +196,11 @@ def _invert_writes(layout: Layout) -> tuple[set[str], set[str]]:
 def _decompose_steps(
     layout: Layout, node: PlanNode, steps: list[StepModel]
 ) -> None:
-    """Algorithm 2's in-order walk, mirrored as model steps."""
+    """Algorithm 2 as an in-order walk of the plan tree: a ``master-lu``
+    phase per leaf (LU-decomposed on the master), an ``lu`` job per internal
+    node between its two subtrees and, for the Section 6.1 ablation
+    (``separate_files`` off), a ``combine`` phase after them.  The one walk:
+    the driver runs these steps (:meth:`PipelineModel.units`)."""
     cfg = layout.config
     nl = layout.of(node)
     if node.is_leaf:
@@ -247,6 +217,7 @@ def _decompose_steps(
                 kind="master",
                 reads=reads,
                 writes={nl.l_path, nl.u_path, nl.p_path},
+                node=node,
             )
         )
         return
@@ -263,6 +234,7 @@ def _decompose_steps(
             name=f"{job}[map]",
             kind="map",
             job=job,
+            node=node,
             reads=(
                 _control_paths(layout)
                 | factor_read_paths(layout, node.child1)
@@ -278,6 +250,7 @@ def _decompose_steps(
             name=f"{job}[reduce]",
             kind="reduce",
             job=job,
+            node=node,
             reads=(
                 set(nl.l2.file_paths())
                 | set(nl.u2.file_paths())
@@ -301,6 +274,7 @@ def _decompose_steps(
                     | factor_read_paths(layout, node.child2)
                 ),
                 writes={nl.l_path, nl.u_path, nl.p_path},
+                node=node,
             )
         )
 
@@ -310,8 +284,8 @@ def build_model(
 ) -> PipelineModel:
     """Compute the full pipeline model for an order-``n`` inversion.
 
-    Pure precomputation — mirrors :meth:`MatrixInverter.invert` step for
-    step but touches no runtime, no DFS, and no matrix data.
+    Pure precomputation — the steps :meth:`MatrixInverter.invert` runs,
+    with no runtime, no DFS, and no matrix data.
     """
     cfg = config or InversionConfig()
     if n < 1 or cfg.nb < 1:
@@ -393,8 +367,8 @@ def build_model(
 
     # Commit manifests: one per master phase and one per job, written by
     # the commit protocol when the two-phase output commit is on.  The
-    # phase names in ``steps`` mirror the driver's unit and phase names
-    # exactly, so deriving manifests from the steps keeps the two in sync.
+    # driver names its units and phases after these steps, so the
+    # manifests derived from them are the ones it writes.
     manifest_writes: set[str] = set()
     if cfg.output_commit:
         manifest_steps = [

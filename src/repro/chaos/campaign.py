@@ -44,7 +44,7 @@ from ..inversion.driver import InversionResult, MatrixInverter
 from ..mapreduce.master import JobFailedError
 from ..mapreduce.runtime import MapReduceRuntime
 from ..telemetry.api import observe
-from .events import DriverCrashError, Nemesis
+from .events import DriverCrashError, Nemesis, arm_crash
 from .schedule import FaultSchedule, builtin_schedules
 
 #: ``max |I - A·A⁻¹|`` bound for the campaign's well-conditioned inputs.
@@ -460,20 +460,7 @@ def _run_crash_point(
 ) -> CrashPointOutcome:
     """Fresh cluster, crash armed at ``point``, invert + resume, full audit."""
     dfs, inverter = _sweep_cluster(config, seed, num_datanodes, replication)
-    remaining = [point.index]
-
-    def crash_hook(op: str, path: str) -> None:
-        if remaining[0] > 0:
-            remaining[0] -= 1
-            return
-        # One-shot: the resumed driver repeats this exact write and must
-        # not die again.
-        dfs.fault_hooks.remove(crash_hook)
-        raise DriverCrashError(
-            f"injected crash at op #{point.index} ({op} {path})"
-        )
-
-    dfs.fault_hooks.append(crash_hook)
+    arm_crash(dfs, point.index)
     crashed = False
     try:
         try:

@@ -41,6 +41,27 @@ class DriverCrashError(RuntimeError):
     fatal = True
 
 
+def arm_crash(dfs: DFS, nth: int, *, op: str = "", match: str = "") -> None:
+    """Arm a one-shot driver crash on ``dfs``'s ``fault_hooks``: the hook
+    lets ``nth`` matching create/publish operations through (only ``op``
+    ones if given, only paths containing ``match`` if given), then removes
+    itself and raises :class:`DriverCrashError` at the next — so the resumed
+    driver's identical write goes through."""
+    remaining = nth
+
+    def hook(kind: str, path: str) -> None:
+        nonlocal remaining
+        if (op and kind != op) or (match and match not in path):
+            return
+        if remaining > 0:
+            remaining -= 1
+            return
+        dfs.fault_hooks.remove(hook)
+        raise DriverCrashError(f"injected driver crash at {kind} {path}")
+
+    dfs.fault_hooks.append(hook)
+
+
 @dataclass
 class ChaosContext:
     """State shared by a schedule's events: the victim DFS, a seeded RNG,
@@ -147,21 +168,7 @@ class CrashAtWrite(FaultEvent):
     op: str = ""
 
     def apply(self, ctx: ChaosContext) -> str:
-        remaining = [self.nth]
-        event = self
-
-        def hook(op: str, path: str) -> None:
-            if event.op and op != event.op:
-                return
-            if event.match and event.match not in path:
-                return
-            if remaining[0] > 0:
-                remaining[0] -= 1
-                return
-            ctx.dfs.fault_hooks.remove(hook)
-            raise DriverCrashError(f"injected driver crash at {op} {path}")
-
-        ctx.dfs.fault_hooks.append(hook)
+        arm_crash(ctx.dfs, self.nth, op=self.op, match=self.match)
         kind = self.op or "create/publish"
         target = f" touching {self.match!r}" if self.match else ""
         return f"armed one-shot crash at {kind} #{self.nth}{target}"
@@ -228,4 +235,5 @@ __all__ = [
     "Nemesis",
     "ReviveDatanode",
     "TornWrite",
+    "arm_crash",
 ]

@@ -31,15 +31,9 @@ from .filesystem import DFS
 from .fsck import fsck
 
 
-class _InjectedCrash(RuntimeError):
-    """Driver death injected at an exact write point (``fatal`` so the
-    engine re-raises it instead of retrying the attempt)."""
-
-    fatal = True
-
-
 def _crashed_cluster(seed: int, crash_at: int) -> tuple[DFS, str, int]:
     """A scratch cluster holding the wreckage of a mid-write driver crash."""
+    from ..chaos.events import DriverCrashError, arm_crash
     from ..inversion.config import InversionConfig
     from ..inversion.driver import MatrixInverter
 
@@ -49,19 +43,10 @@ def _crashed_cluster(seed: int, crash_at: int) -> tuple[DFS, str, int]:
     config = InversionConfig(nb=2, m0=2)
     dfs = DFS(num_datanodes=3, replication=2, seed=seed)
     inverter = MatrixInverter(config, dfs=dfs)
-    remaining = [crash_at]
-
-    def crash_hook(op: str, path: str) -> None:
-        if remaining[0] > 0:
-            remaining[0] -= 1
-            return
-        dfs.fault_hooks.remove(crash_hook)
-        raise _InjectedCrash(f"injected driver crash at {op} {path}")
-
-    dfs.fault_hooks.append(crash_hook)
+    arm_crash(dfs, crash_at)
     try:
         inverter.invert(a)
-    except _InjectedCrash:
+    except DriverCrashError:
         pass
     finally:
         inverter.close()

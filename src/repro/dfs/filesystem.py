@@ -337,45 +337,14 @@ class DFS:
 
     # -- replication maintenance ------------------------------------------------
 
-    def under_replicated_blocks(self) -> int:
-        """Blocks whose healthy replica count is below the target (what the
-        real namenode's replication monitor tracks)."""
-        target = min(
-            self.blocks.replication, sum(dn.alive for dn in self.blocks.datanodes)
-        )
-        count = 0
-        for path in self.namenode.walk_files("/"):
-            for info in self.namenode.get_file(path).blocks:
-                if self.blocks.live_replica_count(info) < target:
-                    count += 1
-        return count
-
     def health_monitor(self) -> "HealthMonitor":
         """A :class:`~repro.dfs.health.HealthMonitor` bound to this DFS —
-        the scan/scrub/repair driver that supersedes bare
-        :meth:`rereplicate_all` (it also invalidates corrupt replicas and
-        reports unrecoverable blocks instead of raising mid-pass)."""
+        the replication maintenance HDFS runs after a datanode death: scan
+        for under-replicated blocks, scrub corrupt replicas, re-replicate,
+        and report unrecoverable blocks instead of raising mid-pass."""
         from .health import HealthMonitor
 
         return HealthMonitor(self)
-
-    def rereplicate_all(self) -> int:
-        """Restore every under-replicated block; returns copies created.
-
-        This is the maintenance pass HDFS runs after a datanode death, and
-        what lets the Section 7.4 fault scenarios keep reading data with
-        nodes down.
-        """
-        made = 0
-        copied_bytes = 0
-        for path in self.namenode.walk_files("/"):
-            for info in self.namenode.get_file(path).blocks:
-                copies = self.blocks.rereplicate(info)
-                made += copies
-                copied_bytes += copies * info.length
-        if copied_bytes:
-            self.stats.record_replication(copied_bytes)
-        return made
 
     # -- convenience ---------------------------------------------------------
 

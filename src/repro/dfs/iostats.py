@@ -101,18 +101,11 @@ class IOStats:
             if pending:
                 self.bytes_staged += nbytes
 
-    def record_replication(self, nbytes: int) -> None:
-        """Maintenance traffic: block copies made to restore replication."""
-        with self._lock:
-            self.bytes_written += nbytes
-            self.bytes_transferred += nbytes
-
     def record_repair(
         self, *, copies: int = 0, corrupt_dropped: int = 0, nbytes: int = 0
     ) -> None:
-        """HealthMonitor repair work: re-replication copies (with their
-        byte traffic, accounted like :meth:`record_replication`) and corrupt
-        replicas invalidated."""
+        """HealthMonitor repair work: re-replication copies (their bytes
+        count as written and transferred) and corrupt replicas invalidated."""
         with self._lock:
             self.repair_copies += copies
             self.corrupt_replicas_dropped += corrupt_dropped

@@ -20,7 +20,7 @@ cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -296,10 +296,13 @@ class MatrixInverter:
         """The pipeline's schedulable units, in plan order — emitted once,
         for whichever runner ``config.schedule`` selects.
 
-        One unit per MapReduce job (map+reduce grouped: intra-job dataflow
-        is the JobTracker's business) and one per master phase: the
-        partition job (Algorithm 3), the steps of :func:`_algorithm2` and,
-        with ``final``, the inversion job.  The ingestion phase (already
+        The units are the static model's (:meth:`PipelineModel.units`), so
+        the pre-flight linted exactly what runs: one unit per MapReduce job
+        (map+reduce grouped: intra-job dataflow is the JobTracker's business)
+        and one per master phase — the partition job (Algorithm 3),
+        Algorithm 2's leaf decompositions, ``lu`` jobs and, for the Section
+        6.1 ablation, ``combine`` phases, and the inversion job, which
+        ``final`` off (``lu()``) stops before.  The ingestion phase (already
         run by ``_prepare``) and ``collect-output`` (runs after the units)
         are not units.
 
@@ -358,9 +361,7 @@ class MatrixInverter:
                 ),
             )
 
-        def add_phase(step: str, node: PlanNode, body, flops: float = 0.0) -> None:
-            name = f"{step}:{node.dir}"
-
+        def add_phase(name: str, node: PlanNode, body, flops: float = 0.0) -> None:
             def run(wait: float) -> tuple:
                 # Per-unit MasterIO: phase scoping and byte counters are
                 # mutable per-phase state, unshareable across unit threads.
@@ -382,19 +383,20 @@ class MatrixInverter:
                 lambda p, retired: pipeline.commit_phase(name, *p, retired),
             )
 
-        tree = layout.plan.tree
-        if not tree.is_leaf:
-            add_job(partition_job(layout))
-        for step, node in _algorithm2(tree):
-            if step == "lu":
+        for step in model.units():
+            node = step.node
+            if step.job == "partition":
+                add_job(partition_job(layout))
+            elif step.job == "invert-final":
+                if final:
+                    add_job(invert_job(layout))
+            elif step.job:
                 add_job(lu_job(layout, node))
-            elif step == "master-lu":
-                add_phase(step, node, self._leaf_lu, lu_flop_count(node.n))
-            elif not self.config.separate_files:
+            elif node.is_leaf:
+                add_phase(step.name, node, self._leaf_lu, lu_flop_count(node.n))
+            else:
                 # Section 6.1 ablation: serial combine on the master.
-                add_phase(step, node, _combine)
-        if final:
-            add_job(invert_job(layout))
+                add_phase(step.name, node, _combine)
         return units
 
     def _run(
@@ -550,25 +552,6 @@ class MatrixInverter:
             ("write-input", lambda: formats.encode_matrix(a)),
             final=False,
         )
-
-
-def _algorithm2(node: PlanNode) -> Iterator[tuple[str, PlanNode]]:
-    """Algorithm 2 as an in-order tree walk: a ``master-lu`` step per leaf
-    (LU-decomposed on the master), an ``lu`` job per internal node between
-    its two subtrees, and after them its ``combine`` slot — a step only for
-    the Section 6.1 ablation (``separate_files`` off).
-
-    Module-level on purpose: as a self-referencing closure inside ``_units``
-    it is a reference cycle that keeps the whole run (runtime, every DFS
-    block) alive until the cyclic collector gets to it.
-    """
-    if node.is_leaf:
-        yield "master-lu", node
-        return
-    yield from _algorithm2(node.child1)
-    yield "lu", node
-    yield from _algorithm2(node.child2)
-    yield "combine", node
 
 
 def _combine(layout: Layout, node: PlanNode, master: MasterIO) -> None:

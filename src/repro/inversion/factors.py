@@ -17,9 +17,13 @@ Analogously ``U = [[U1, U2], [0, U3]]`` and ``P = augment(P1, P2)``.
 write one.
 
 When the optimization is off, the master combines each internal node's
-factors into ``<dir>/OUT/{l.bin, u.bin|ut.bin, p.bin}`` after its subtree
-finishes; readers hit those files first, so the same functions serve both
-modes (and leaves, whose factors the master writes in the same layout).
+factors after its subtree finishes into ``<dir>/OUT/{l.bin, u.bin|ut.bin,
+p.bin}``, the files a leaf's factors are written to as well.  Which of the
+two forms a node's factors take is fixed by the configuration
+(:attr:`~repro.inversion.layout.NodeLayout.single_files`), so the readers
+never ask the DFS; a missing file raises the DFS's own error when read.
+:func:`lower_read_paths` and its siblings list the files each walk reads,
+for the static model (:mod:`repro.analysis.model`).
 """
 
 from __future__ import annotations
@@ -32,16 +36,6 @@ from ..linalg.lu import LUResult
 from ..linalg.triangular import Triangle
 from .layout import Layout, NodeLayout
 from .plan import PlanNode
-from .regions import MatrixReader
-
-
-class FactorReader(MatrixReader):
-    """Protocol extension: factor assembly also needs existence checks and
-    raw byte reads (for permutation files)."""
-
-    def exists(self, path: str) -> bool: ...
-
-    def read_bytes(self, path: str) -> bytes: ...
 
 
 def perm_to_bytes(perm: np.ndarray) -> bytes:
@@ -93,16 +87,16 @@ def read_lower_and_perm(layout: Layout, node: PlanNode, reader) -> tuple:
     return _lower(layout, node, reader, with_perm=True)
 
 
-def _lower(layout: Layout, node: PlanNode, reader, *, with_perm: bool):
-    """``(L, P)`` of ``node``; ``P`` is ``None`` unless ``with_perm``."""
+def _lower(layout: Layout, node: PlanNode, reader, *, with_perm: bool, pieces: bool = False):
+    """``(L, P)`` of ``node``; ``P`` is ``None`` unless ``with_perm``.  With
+    ``pieces`` the node itself is read as its pieces even where its factors
+    are single files (:func:`combine_factors`, before it writes them)."""
     nl = layout.of(node)
-    if reader.exists(nl.l_path):
+    if nl.single_files and not pieces:
         # Via the reader's matrix method (not raw bytes) so a decoded-block
         # cache on the DFS serves repeated factor reads from memory.
         lower = reader.read_matrix(nl.l_path)
         return lower, read_perm(layout, node, reader) if with_perm else None
-    if node.is_leaf:
-        raise FileNotFoundError(f"leaf factors missing: {nl.l_path}")
     l1, p1 = _lower(layout, node.child1, reader, with_perm=with_perm)
     chunks = tuple([(b.r1, b.r1 + b.rows, b.read_part(reader)) for b in nl.l2.blocks])
     l3, p2 = _lower(layout, node.child2, reader, with_perm=True)
@@ -115,11 +109,16 @@ def read_upper(layout: Layout, node: PlanNode, reader) -> np.ndarray | Triangle:
     (:func:`read_lower`'s; the ``U2`` chunks are column chunks, and views of
     the stored transposes under Section 6.3)."""
     nl = layout.of(node)
-    if reader.exists(nl.u_path):
+    if nl.single_files:
         stored = reader.read_matrix(nl.u_path)
         return stored.T if layout.config.transpose_u else stored
-    if node.is_leaf:
-        raise FileNotFoundError(f"leaf factors missing: {nl.u_path}")
+    return _upper_pieces(layout, node, reader)
+
+
+def _upper_pieces(layout: Layout, node: PlanNode, reader) -> Triangle:
+    """The upper factor of an internal ``node`` as its pieces, whatever
+    form its own files take (:func:`combine_factors`, before it writes them)."""
+    nl = layout.of(node)
     u1 = read_upper(layout, node.child1, reader)
     chunks = tuple([(b.c1, b.c1 + b.cols, b.read_part(reader)) for b in nl.u2.blocks])
     return Triangle(node.n1, u1, read_upper(layout, node.child2, reader), chunks, lower=False)
@@ -135,10 +134,8 @@ def assemble(factor: np.ndarray | Triangle) -> np.ndarray:
 def read_perm(layout: Layout, node: PlanNode, reader) -> np.ndarray:
     """Assemble the full pivot permutation of ``node`` (compact array S)."""
     nl = layout.of(node)
-    if reader.exists(nl.p_path):
+    if nl.single_files:
         return perm_from_bytes(reader.read_bytes(nl.p_path))
-    if node.is_leaf:
-        raise FileNotFoundError(f"leaf factors missing: {nl.p_path}")
     return permutation.augment(
         read_perm(layout, node.child1, reader),
         read_perm(layout, node.child2, reader),
@@ -149,12 +146,14 @@ def combine_factors(layout: Layout, node: PlanNode, reader, writer) -> int:
     """The *unoptimized* Section 6.1 path: serially combine an internal
     node's factor pieces into single files on the master.
 
-    Returns the number of bytes written (the combine's serial I/O).
+    The node's own files do not exist yet, so it is read as its pieces: its
+    children's (combined) factors and its ``L2``/``U2`` parts.  Returns the
+    number of bytes written (the combine's serial I/O).
     """
     nl = layout.of(node)
-    lower, perm = read_lower_and_perm(layout, node, reader)
+    lower, perm = _lower(layout, node, reader, with_perm=True, pieces=True)
     lower = assemble(lower)
-    upper = assemble(read_upper(layout, node, reader))
+    upper = assemble(_upper_pieces(layout, node, reader))
     l_data = formats.encode_matrix(lower)
     stored_u = upper.T if layout.config.transpose_u else upper
     u_data = formats.encode_matrix(stored_u)
@@ -163,3 +162,52 @@ def combine_factors(layout: Layout, node: PlanNode, reader, writer) -> int:
     writer.write_bytes(nl.u_path, u_data)
     writer.write_bytes(nl.p_path, p_data)
     return len(l_data) + len(u_data) + len(p_data)
+
+
+# -- the files each walk reads (the static model's read sets) ----------------
+
+
+def lower_read_paths(layout: Layout, node: PlanNode) -> set[str]:
+    """Every path :func:`read_lower` touches: the files of the pieces a
+    kernel walks — each child's, the node's ``L2'`` chunks, and the right
+    subtree's permutations for ``P2`` — each once."""
+    nl = layout.of(node)
+    if nl.single_files:
+        return {nl.l_path}
+    return (
+        lower_read_paths(layout, node.child1)
+        | set(nl.l2.file_paths())
+        | perm_read_paths(layout, node.child2)
+        | lower_read_paths(layout, node.child2)
+    )
+
+
+def upper_read_paths(layout: Layout, node: PlanNode) -> set[str]:
+    """Every path :func:`read_upper` touches: each child's files and the
+    node's ``U2`` chunks, each once."""
+    nl = layout.of(node)
+    if nl.single_files:
+        return {nl.u_path}
+    return (
+        upper_read_paths(layout, node.child1)
+        | set(nl.u2.file_paths())
+        | upper_read_paths(layout, node.child2)
+    )
+
+
+def perm_read_paths(layout: Layout, node: PlanNode) -> set[str]:
+    """Every path :func:`read_perm` touches (and :func:`read_lower_and_perm`
+    adds to :func:`lower_read_paths`)."""
+    nl = layout.of(node)
+    if nl.single_files:
+        return {nl.p_path}
+    return perm_read_paths(layout, node.child1) | perm_read_paths(layout, node.child2)
+
+
+def factor_read_paths(layout: Layout, node: PlanNode) -> set[str]:
+    """Union of the L, U, and P read sets of ``node``."""
+    return (
+        lower_read_paths(layout, node)
+        | upper_read_paths(layout, node)
+        | perm_read_paths(layout, node)
+    )

@@ -17,12 +17,15 @@ Naming follows Figure 4:
   complement ``OUT/A.<j1>.<j2>``;
 * factors of a decomposed block live at ``<dir>/OUT/{l.bin, u.bin|ut.bin,
   p.bin}`` — written by the master for leaves, and by the combining step for
-  internal nodes when the separate-files optimization is disabled.
+  internal nodes when the separate-files optimization is disabled.  Which of
+  the two a node's factors are — those single files, or the tree of its
+  children's factors and its own ``L2``/``U2`` parts — is
+  :attr:`NodeLayout.single_files`, fixed by the configuration like the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..linalg.blockwrap import contiguous_ranges
 from .config import InversionConfig
@@ -115,6 +118,11 @@ class NodeLayout:
     l_path: str = ""
     u_path: str = ""
     p_path: str = ""
+    # Whether the node's factors are read from those three files: always for
+    # a leaf (the master writes them), and for an internal node when the
+    # Section 6.1 separate-files optimization is off (its combine step
+    # writes them).  Otherwise they are read as the tree of their pieces.
+    single_files: bool = True
 
 
 class Layout:
@@ -156,6 +164,7 @@ class Layout:
         nl.l_path, nl.u_path, nl.p_path = factor_paths(
             node.dir, transpose_u=cfg.transpose_u
         )
+        nl.single_files = node.is_leaf or not cfg.separate_files
         self.by_dir[node.dir] = nl
 
         if node.is_leaf:

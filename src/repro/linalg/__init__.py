@@ -10,7 +10,6 @@ from .condest import (
     one_norm,
 )
 from .lu import LUResult, SingularMatrixError, lu_decompose, lu_flop_count, solve_lu
-from .refine import RefinementResult, newton_schulz_refine
 from .triangular import (
     back_substitute,
     blocked_back_substitute,
@@ -27,12 +26,10 @@ from .triangular import (
 
 __all__ = [
     "LUResult",
-    "RefinementResult",
     "SingularMatrixError",
     "condition_estimate",
     "estimate_inverse_one_norm",
     "expected_residual_bound",
-    "newton_schulz_refine",
     "one_norm",
     "back_substitute",
     "blocked_back_substitute",

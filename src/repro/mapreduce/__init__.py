@@ -8,9 +8,6 @@ phases.
 """
 
 from .counters import Counters
-
-# HistoryReport/JobSummary live in repro.telemetry.history; re-exported here.
-from ..telemetry.history import HistoryReport, JobSummary
 from .backends import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -62,7 +59,6 @@ from .types import (
     TaskAttemptId,
     TaskId,
     TaskKind,
-    TaskState,
     TaskTrace,
 )
 
@@ -73,8 +69,6 @@ __all__ = [
     "DataflowScheduler",
     "DelayAttempt",
     "ExecutionBackend",
-    "HistoryReport",
-    "JobSummary",
     "FailAlways",
     "FailNever",
     "FailOnNode",
@@ -111,7 +105,6 @@ __all__ = [
     "TaskContext",
     "TaskId",
     "TaskKind",
-    "TaskState",
     "TaskTrace",
     "ThreadPoolBackend",
     "WorkerCrashError",

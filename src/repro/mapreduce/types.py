@@ -12,14 +12,6 @@ class TaskKind(enum.Enum):
     REDUCE = "reduce"
 
 
-class TaskState(enum.Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    SUCCEEDED = "succeeded"
-    FAILED = "failed"
-    KILLED = "killed"
-
-
 @dataclass(frozen=True)
 class JobId:
     """Identifier of one job within a runtime, Hadoop-style ``job_0007``."""
@@ -91,11 +83,6 @@ class TaskTrace:
     bytes_shuffled: int = 0
     wall_seconds: float = 0.0
     node: int | None = None
-
-    def merge_io(self, *, read: int = 0, written: int = 0, shuffled: int = 0) -> None:
-        self.bytes_read += read
-        self.bytes_written += written
-        self.bytes_shuffled += shuffled
 
 
 @dataclass

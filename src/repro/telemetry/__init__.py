@@ -32,13 +32,7 @@ object.
 """
 
 from .api import Observation, observe
-from .exporters import (
-    InMemoryExporter,
-    JsonLinesExporter,
-    SpanExporter,
-    TimelineExporter,
-    read_jsonl,
-)
+from .exporters import JsonLinesExporter, SpanExporter, read_jsonl
 from .history import HistoryReport, JobSummary
 from .metrics import (
     Counter,
@@ -79,7 +73,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistoryReport",
-    "InMemoryExporter",
     "JobReconciliation",
     "JobSummary",
     "JsonLinesExporter",
@@ -91,7 +84,6 @@ __all__ = [
     "Span",
     "SpanExporter",
     "SpanKind",
-    "TimelineExporter",
     "TotalsReconciliation",
     "Tracer",
     "critical_path",

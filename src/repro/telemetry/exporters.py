@@ -2,15 +2,11 @@
 
 Exporters receive each span exactly once, when it ends (parents therefore
 arrive *after* their children — reconstruct trees by ``parent_id``, not by
-arrival order).  Three are provided:
-
-* :class:`InMemoryExporter` — keeps spans in a list; the default for tests
-  and programmatic inspection;
-* :class:`JsonLinesExporter` — one JSON object per line to a file or
-  file-like object, the interchange format ``python -m repro trace --jsonl``
-  writes and :func:`read_jsonl` loads back;
-* :class:`TimelineExporter` — collects spans and renders the human Gantt
-  timeline (:mod:`repro.telemetry.timeline`) on close.
+arrival order).  :class:`JsonLinesExporter` writes one JSON object per line
+to a file or file-like object, the interchange format ``python -m repro
+trace --jsonl`` writes and :func:`read_jsonl` loads back.  The tracer keeps
+its own finished spans, and :func:`~repro.telemetry.timeline.render_timeline`
+draws them.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import io
 import json
 import pathlib
 import threading
-from typing import IO, Iterable, Protocol
+from typing import IO, Protocol
 
 from .spans import Span
 
@@ -30,27 +26,6 @@ class SpanExporter(Protocol):
     def on_end(self, span: Span) -> None: ...  # noqa: E704 - protocol stub
 
     def close(self) -> None: ...  # noqa: E704 - protocol stub
-
-
-class InMemoryExporter:
-    """Collect finished spans in a list."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.spans: list[Span] = []  # guarded-by: _lock
-
-    def on_end(self, span: Span) -> None:
-        with self._lock:
-            self.spans.append(span)
-
-    def snapshot(self) -> list[Span]:
-        """Locked copy of the collected spans (safe to read while a run is
-        still finishing spans on worker threads)."""
-        with self._lock:
-            return list(self.spans)
-
-    def close(self) -> None:
-        return None
 
 
 class JsonLinesExporter:
@@ -95,32 +70,6 @@ class JsonLinesExporter:
                     self._stream = None
 
 
-class TimelineExporter:
-    """Buffer spans and render a human-readable timeline on close."""
-
-    def __init__(self, stream: IO[str] | None = None, width: int = 64) -> None:
-        self._lock = threading.Lock()
-        self.spans: list[Span] = []  # guarded-by: _lock
-        self.width = width
-        self._stream = stream
-
-    def on_end(self, span: Span) -> None:
-        with self._lock:
-            self.spans.append(span)
-
-    def render(self) -> str:
-        from .timeline import render_timeline
-
-        with self._lock:
-            spans = list(self.spans)
-        return render_timeline(spans, width=self.width)
-
-    def close(self) -> None:
-        if self._stream is not None:
-            self._stream.write(self.render() + "\n")
-            self._stream.flush()
-
-
 def read_jsonl(source: str | pathlib.Path | IO[str]) -> list[Span]:
     """Load spans written by :class:`JsonLinesExporter`."""
     if isinstance(source, (str, pathlib.Path)):
@@ -136,19 +85,8 @@ def read_jsonl(source: str | pathlib.Path | IO[str]) -> list[Span]:
     return spans
 
 
-def export_all(spans: Iterable[Span], exporter: SpanExporter) -> None:
-    """Replay already-finished spans through an exporter (used to produce a
-    ``--jsonl`` file after the fact from an in-memory tracer)."""
-    for span in spans:
-        exporter.on_end(span)
-    exporter.close()
-
-
 __all__ = [
-    "InMemoryExporter",
     "JsonLinesExporter",
     "SpanExporter",
-    "TimelineExporter",
-    "export_all",
     "read_jsonl",
 ]

@@ -6,7 +6,7 @@ totals.  Works from a runtime's history or any list of
 :class:`~repro.mapreduce.types.JobResult`.
 
 Lives in :mod:`repro.telemetry` (the run-accounting read path); also
-re-exported as ``repro.HistoryReport`` and from :mod:`repro.mapreduce`.
+re-exported as ``repro.HistoryReport``.
 """
 
 from __future__ import annotations

@@ -377,49 +377,12 @@ class Tracer:
         with self._lock:
             return list(self._root_io)
 
-    def spans_of(self, kind: SpanKind) -> list[Span]:
-        return [s for s in self.spans if s.kind is kind]
-
     def find(self, span_id: str) -> Span | None:
         with self._lock:
             for span in self._spans:
                 if span.span_id == span_id:
                     return span
         return None
-
-    def children_of(self, span: Span | str) -> list[Span]:
-        """Direct children of ``span`` among finished spans."""
-        parent_id = span.span_id if isinstance(span, Span) else span
-        return [s for s in self.spans if s.parent_id == parent_id]
-
-    def ancestors_of(self, span: Span) -> list[Span]:
-        """Chain of parents from ``span``'s parent up to the root."""
-        by_id = {s.span_id: s for s in self.spans}
-        out: list[Span] = []
-        cursor = span.parent_id
-        while cursor is not None and cursor in by_id:
-            parent = by_id[cursor]
-            out.append(parent)
-            cursor = parent.parent_id
-        return out
-
-    def descendants_of(self, span: Span | str) -> list[Span]:
-        """Every finished span transitively below ``span``."""
-        root_id = span.span_id if isinstance(span, Span) else span
-        spans = self.spans
-        children: dict[str | None, list[Span]] = {}
-        for s in spans:
-            children.setdefault(s.parent_id, []).append(s)
-        out: list[Span] = []
-        frontier = [root_id]
-        while frontier:
-            next_frontier: list[str] = []
-            for pid in frontier:
-                for child in children.get(pid, []):
-                    out.append(child)
-                    next_frontier.append(child.span_id)
-            frontier = next_frontier
-        return out
 
     def close(self) -> None:
         """Close every exporter (flushes file-backed ones)."""

@@ -2,9 +2,8 @@
 
 These renderers are what ``python -m repro trace`` prints.  They operate on a
 flat list of finished :class:`~repro.telemetry.spans.Span` objects (from a
-tracer, an :class:`~repro.telemetry.exporters.InMemoryExporter`, or a JSONL
-file) and never touch the engine, so a trace captured on one machine renders
-anywhere.
+tracer or a JSONL file) and never touch the engine, so a trace captured on
+one machine renders anywhere.
 """
 
 from __future__ import annotations

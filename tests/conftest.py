@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,3 +42,14 @@ def random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
     """A random dense matrix; shifted slightly so tests never hit an unlucky
     near-singular draw."""
     return rng.standard_normal((n, n)) + 0.1 * np.eye(n)
+
+
+def spec_workloads():
+    """The benchmark's workloads (``benchmarks/e2e/spec.py``), imported, not run."""
+    e2e = str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "e2e")
+    sys.path.insert(0, e2e)
+    try:
+        import spec
+    finally:
+        sys.path.remove(e2e)
+    return spec.WORKLOADS

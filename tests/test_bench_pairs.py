@@ -71,3 +71,19 @@ def test_json_document_is_the_printed_summary(bench_pairs, monkeypatch, tmp_path
         "metrics": json.loads(json.dumps(bench_pairs.summarize(PARENT, CHANGE))),
     }
     assert "invert_wall_s" in capsys.readouterr().out
+
+
+def test_same_process_summary(bench_pairs):
+    """``--same-process``: the wall row of :func:`summarize`, each side's
+    median minor faults per call, and the median of the pair ratios."""
+    runs = {
+        "parent": {"invert_wall_s": [r["invert_wall_s"] for r in PARENT], "minflt": [10, 12, 11, 13]},
+        "change": {"invert_wall_s": [r["invert_wall_s"] for r in CHANGE], "minflt": [9, 9, 8, 30]},
+    }
+    row = bench_pairs.summarize_same_process(runs)
+    wall = bench_pairs.summarize(PARENT, CHANGE)["invert_wall_s"]
+    for side in ("parent", "change"):
+        assert {k: v for k, v in row[side].items() if k != "minflt_median"} == wall[side]
+    assert (row["parent"]["minflt_median"], row["change"]["minflt_median"]) == (11.5, 9)
+    assert row["wins"] == wall["wins"] and row["pairs"] == wall["pairs"]
+    assert row["pair_ratio"] == pytest.approx((0.38 / 0.42 + 0.37 / 0.40) / 2 - 1.0)

@@ -69,3 +69,22 @@ def test_deep_smoke_shape_writes_are_pinned(profiled_run):
     io = profiled_run[0].io
     assert io.write_ops == io.files_created == WRITE_OPS
     assert io.bytes_staged == io.bytes_published + io.bytes_discarded
+
+
+def test_deep_smoke_shape_asks_the_namespace_once(monkeypatch):
+    """Where every factor lives is fixed by the configuration, so the
+    factor readers never probe the DFS: one call's only ``exists`` is the
+    driver's check for a previous run's root."""
+    from repro.dfs import DFS
+
+    a = np.random.default_rng(0).standard_normal((128, 128))
+    probes = []
+    exists = DFS.exists
+
+    def counted(dfs, path):
+        probes.append(path)
+        return exists(dfs, path)
+
+    monkeypatch.setattr(DFS, "exists", counted)
+    invert(a, InversionConfig(nb=4, m0=4))
+    assert probes == ["/Root"]

@@ -1,7 +1,6 @@
 """Matrix codecs: binary and text round trips, range reads, sizes, and
 the fill-in-place payload contract."""
 
-import pathlib
 import struct
 import sys
 import zlib
@@ -14,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 import repro
 from repro.dfs import formats
 from repro.dfs.blocks import BlockStore
+
+from conftest import spec_workloads
 
 
 class TestBinaryCodec:
@@ -143,24 +144,13 @@ class TestNewMatrix:
             formats.new_matrix(-1, 3)
 
 
-def _spec_workloads():
-    """The benchmark's workloads (``benchmarks/e2e/spec.py``), imported, not run."""
-    e2e = str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "e2e")
-    sys.path.insert(0, e2e)
-    try:
-        import spec
-    finally:
-        sys.path.remove(e2e)
-    return spec.WORKLOADS
-
-
 class TestPayloadsStayAsWritten:
     """A payload filled in place is never written to after the DFS stores
     it: every block keeps the CRC-32 its payload had when it was written,
     until it is deleted and at the end of the call.  One ``invert`` per
     benchmark configuration, at its smoke order."""
 
-    @pytest.mark.parametrize("workload", _spec_workloads(), ids=lambda w: w.name)
+    @pytest.mark.parametrize("workload", spec_workloads(), ids=lambda w: w.name)
     def test_every_stored_payload_keeps_its_written_crc(self, monkeypatch, workload):
         written, changed = {}, []
         write_block, delete_block = BlockStore.write_block, BlockStore.delete_block

@@ -80,7 +80,7 @@ class TestRepair:
         assert report.fully_repaired
         assert report.copies_made > 0
         assert report.bytes_copied > 0
-        assert dfs.under_replicated_blocks() == 0
+        assert dfs.health_monitor().scan().under_replicated == 0
         assert dfs.health_monitor().scan().healthy
 
     def test_repair_scrubs_corrupt_replicas(self):

@@ -1,4 +1,5 @@
-"""HDFS-style replication maintenance: detection and re-replication."""
+"""HDFS-style replication maintenance: detection and re-replication, through
+the DFS's :class:`~repro.dfs.health.HealthMonitor`."""
 
 import pytest
 
@@ -11,17 +12,21 @@ def dfs5() -> DFS:
     return DFS(num_datanodes=5, replication=3, block_size=256, seed=1)
 
 
+def under_replicated(dfs: DFS) -> int:
+    return dfs.health_monitor().scan().under_replicated
+
+
 class TestDetection:
     def test_healthy_cluster_has_none(self, dfs5):
         dfs5.write_bytes("/a", b"x" * 1000)
-        assert dfs5.under_replicated_blocks() == 0
+        assert under_replicated(dfs5) == 0
 
     def test_dead_node_flags_its_blocks(self, dfs5):
         dfs5.write_bytes("/a", b"x" * 1000)  # 4 blocks of 256
         entry = dfs5.namenode.get_file("/a")
         victim = entry.blocks[0].replicas[0]
         dfs5.blocks.kill_datanode(victim)
-        flagged = dfs5.under_replicated_blocks()
+        flagged = under_replicated(dfs5)
         expected = sum(1 for b in entry.blocks if victim in b.replicas)
         assert flagged == expected > 0
 
@@ -29,7 +34,7 @@ class TestDetection:
         dfs5.write_bytes("/a", b"y" * 100)
         info = dfs5.namenode.get_file("/a").blocks[0]
         dfs5.blocks.corrupt_replica(info, info.replicas[0])
-        assert dfs5.under_replicated_blocks() == 1
+        assert under_replicated(dfs5) == 1
 
 
 class TestRereplication:
@@ -37,9 +42,9 @@ class TestRereplication:
         dfs5.write_bytes("/a", b"z" * 500)
         info = dfs5.namenode.get_file("/a").blocks[0]
         dfs5.blocks.kill_datanode(info.replicas[0])
-        made = dfs5.rereplicate_all()
+        made = dfs5.health_monitor().repair().copies_made
         assert made >= 1
-        assert dfs5.under_replicated_blocks() == 0
+        assert under_replicated(dfs5) == 0
         assert dfs5.blocks.live_replica_count(info) == 3
 
     def test_accounts_maintenance_traffic(self, dfs5):
@@ -47,7 +52,7 @@ class TestRereplication:
         info = dfs5.namenode.get_file("/a").blocks[0]
         dfs5.blocks.kill_datanode(info.replicas[0])
         before = dfs5.stats.snapshot()
-        dfs5.rereplicate_all()
+        dfs5.health_monitor().repair()
         delta = dfs5.stats.snapshot() - before
         assert delta.bytes_transferred > 0
 
@@ -59,7 +64,7 @@ class TestRereplication:
         info = dfs5.namenode.get_file("/a").blocks[0]
         for _ in range(2):
             dfs5.blocks.kill_datanode(info.replicas[0])
-            dfs5.rereplicate_all()
+            dfs5.health_monitor().repair()
             assert dfs5.read_bytes("/a") == payload
 
     def test_no_source_raises(self, dfs5):
@@ -70,9 +75,20 @@ class TestRereplication:
         with pytest.raises(BlockMissingError):
             dfs5.blocks.rereplicate(info)
 
+    def test_no_source_is_reported_unrecoverable(self, dfs5):
+        """The monitor lists a block with no healthy source instead of
+        raising mid-pass."""
+        dfs5.write_bytes("/a", b"gone")
+        info = dfs5.namenode.get_file("/a").blocks[0]
+        for node in info.replicas:
+            dfs5.blocks.kill_datanode(node)
+        report = dfs5.health_monitor().repair()
+        assert report.unrecoverable == [str(info.block_id)]
+        assert not report.fully_repaired
+
     def test_idempotent_when_healthy(self, dfs5):
         dfs5.write_bytes("/a", b"fine" * 50)
-        assert dfs5.rereplicate_all() == 0
+        assert dfs5.health_monitor().repair().copies_made == 0
 
     def test_caps_at_live_node_count(self):
         dfs = DFS(num_datanodes=3, replication=3, seed=2)
@@ -80,5 +96,5 @@ class TestRereplication:
         info = dfs.namenode.get_file("/a").blocks[0]
         dfs.blocks.kill_datanode(info.replicas[0])
         # Only 2 live nodes remain; target degrades to 2, nothing to copy to.
-        assert dfs.rereplicate_all() == 0
-        assert dfs.under_replicated_blocks() == 0
+        assert dfs.health_monitor().repair().copies_made == 0
+        assert under_replicated(dfs) == 0

@@ -16,11 +16,18 @@ import numpy as np
 import pytest
 
 from repro import InversionConfig
-from repro.analysis.model import lower_read_paths, perm_read_paths, upper_read_paths
 from repro.dfs import DFS
 from repro.inversion import MatrixInverter
 from repro.inversion.driver import MasterIO
-from repro.inversion.factors import assemble, read_lower, read_lower_and_perm, read_upper
+from repro.inversion.factors import (
+    assemble,
+    lower_read_paths,
+    perm_read_paths,
+    read_lower,
+    read_lower_and_perm,
+    read_upper,
+    upper_read_paths,
+)
 from repro.inversion.layout import Layout
 from repro.linalg import triangular
 from repro.linalg.triangular import (
@@ -69,14 +76,12 @@ def finished_run(request):
 
 
 class _LoggingReader:
-    """The master's reader over the snapshot, every read path logged."""
+    """The master's reader over the snapshot, the path of every call logged
+    (an existence probe would show as an extra path)."""
 
     def __init__(self, dfs):
         self._io = MasterIO(dfs)
         self.paths = []
-
-    def exists(self, path):
-        return self._io.exists(path)
 
     def __getattr__(self, name):
         method = getattr(self._io, name)

@@ -6,7 +6,8 @@ import pytest
 from repro import InversionConfig, MatrixInverter
 from repro.cluster import ClusterSpec, ScaleFactors, simulate_record
 from repro.cluster.simulator import node_speed_factors
-from repro.mapreduce import FailOnce, HistoryReport, TaskKind
+from repro.mapreduce import FailOnce, TaskKind
+from repro.telemetry import HistoryReport
 
 from conftest import random_invertible
 

@@ -34,7 +34,7 @@ class TestDatanodeFailures:
         with MatrixInverter(cfg, dfs=dfs) as first:
             result = first.invert(a)
         dfs.blocks.kill_datanode(1)
-        dfs.rereplicate_all()
+        dfs.health_monitor().repair()
         dfs.blocks.kill_datanode(2)
         # All pipeline outputs still readable: a new driver re-verifies from
         # DFS state.

@@ -157,9 +157,6 @@ class TestFactorAssembly:
 
                 return formats.read_rows(runtime.dfs, path, r1, r2)
 
-            def exists(self, path):
-                return runtime.dfs.exists(path)
-
         inv_layout = Layout(factors.plan, cfg, 72)
         yield a, factors, inv_layout, Reader()
         inverter.close()
@@ -189,7 +186,7 @@ class TestFactorAssembly:
     def test_each_perm_file_is_read_once_per_assembly(self, run):
         """Depth 3: ``P2`` of every level comes out of the ``L3`` walk, so
         the right spine's permutation files are not re-read per level."""
-        from repro.analysis.model import lower_read_paths
+        from repro.inversion.factors import lower_read_paths
 
         a, factors, layout, reader = run
         tree = layout.plan.tree
@@ -218,8 +215,8 @@ class TestFactorAssembly:
         layout = make_layout(n=8, nb=16)  # single leaf
 
         class Empty:
-            def exists(self, path):
-                return False
+            def read_matrix(self, path):
+                raise FileNotFoundError(path)
 
         with pytest.raises(FileNotFoundError):
             read_lower(layout, layout.plan.tree, Empty())
@@ -761,7 +758,7 @@ class TestInPlaceAssembly:
         assert len(perm_reads) == len(set(perm_reads)), "a permutation file read twice"
 
     def test_factors_match_the_level_by_level_reference(self, finished_run, reader):
-        from repro.analysis.model import lower_read_paths, perm_read_paths, upper_read_paths
+        from repro.inversion.factors import lower_read_paths, perm_read_paths, upper_read_paths
 
         layout, _ = finished_run
         tree = layout.plan.tree

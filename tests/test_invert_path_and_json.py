@@ -8,7 +8,7 @@ import pytest
 from repro import InversionConfig
 from repro.dfs import DFS, formats
 from repro.inversion import MatrixInverter
-from repro.mapreduce import HistoryReport
+from repro.telemetry import HistoryReport
 
 from conftest import random_invertible
 
