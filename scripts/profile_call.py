@@ -16,9 +16,12 @@ top-level package), the top rows by self time, and under them the profiled
 call's DFS ledger in two lines: the read half (read ops, files opened, cache
 hits and misses, bytes read) and the write half (files created, write ops,
 files deleted, bytes staged, published and discarded).  Under the ledger, the
-call's namespace lookups (``DFS.exists`` calls; the driver's one root check
-on a serial call), then the call's ``zlib.crc32`` calls (from the profile)
-and the bytes the block store checksummed (counted by a stand-in for
+call's pre-flight: whether the plan and DF rules ran (``ran``) or their
+verdict came from the process's table of linted ``(n, config)`` pairs
+(``from the table``, as on every warm call: only the purity rules run),
+and the seconds ``preflight_check`` took.  Then the call's namespace
+lookups (``DFS.exists`` calls; the driver's one root check on a serial
+call), then the call's ``zlib.crc32`` calls (from the profile) and the bytes the block store checksummed (counted by a stand-in for
 ``zlib`` in ``repro.dfs.blocks``): both zero on a fault-free call, so a
 CRC back on the write or read path shows.  Under it, the matrix writes:
 the ``bytes.join`` and ``numpy.ascontiguousarray`` calls made from
@@ -179,6 +182,7 @@ def print_ledger(
     for half, names in zip(("reads ", "writes"), LEDGER):
         fields = "  ".join(f"{name} {getattr(io, name):,}" for name in names)
         print(f"DFS ledger of the profiled call, {half}:  {fields}")
+    print_preflight(stats)
     print_namespace_lookups(stats)
     crc_calls = sum(
         ncalls
@@ -205,6 +209,21 @@ def print_ledger(
 
     print(f"telemetry: {len(obs.spans):,} spans:  {line(spans)}")
     print(f"           {sum(records.values()):,} folded DFS records:  {line(records)}")
+
+
+def print_preflight(stats: pstats.Stats) -> None:
+    """Where the call's pre-flight took the plan and DF rules' verdict
+    from: ``from the table`` when ``build_model`` was not entered (the
+    warm-up kept the pair, so only the purity rules ran), ``ran`` when it
+    was; and the cumulative seconds of ``preflight_check``."""
+    built, seconds = False, 0.0
+    for (filename, _, name), (_, _, _, cumtime, _) in stats.stats.items():  # type: ignore[attr-defined]
+        if name == "build_model" and filename.endswith(os.path.join("repro", "analysis", "model.py")):
+            built = True
+        elif name == "preflight_check" and filename.endswith(os.path.join("repro", "analysis", "__init__.py")):
+            seconds += cumtime
+    source = "ran" if built else "from the table"
+    print(f"pre-flight of the profiled call:  plan and DF rules {source}  seconds {seconds:.4f}")
 
 
 def print_namespace_lookups(stats: pstats.Stats) -> None:

@@ -33,10 +33,16 @@ source-walking core, :mod:`~repro.analysis.source`.
 
 The driver runs :func:`preflight_check` once per run, before anything
 launches; it is the run path's single call into this package, and it
-covers the dataflow scheduler too.
+covers the dataflow scheduler too.  The plan and DF rules judge
+``(n, config)`` alone, so they run on the first call of each pair in a
+process; the purity rules judge code and run on every call.
 """
 
-from .cli import lint_pipeline, lint_source_file
+import threading
+from collections import OrderedDict
+
+from ..inversion.config import InversionConfig
+from .cli import lint_pipeline, lint_plan_and_dataflow, lint_source_file, lint_tasks
 from .concurrency import (
     THREADED_MODULES,
     ConcurrencyAnalyzer,
@@ -124,6 +130,17 @@ __all__ = [
 ]
 
 
+#: Most ``(n, config)`` pairs whose linted model a process keeps.
+PLAN_TABLE_SIZE = 16
+
+# ``(n, config)`` -> (the model, its plan and DF findings), least recently
+# used first.  Only models that passed every rule are stored.  A
+# ``MatrixInverter`` lives for one call in ``repro.invert`` and in the
+# benchmark harness, so a memo on it would never be read twice.
+_plans: OrderedDict = OrderedDict()  # guarded-by: _plans_lock
+_plans_lock = threading.Lock()
+
+
 def preflight_check(n: int, config=None) -> "PipelineModel":
     """Validate a pipeline before running it; raise on error findings.
 
@@ -132,8 +149,29 @@ def preflight_check(n: int, config=None) -> "PipelineModel":
     order-``n`` inversion under ``config`` and raises
     :class:`PreflightError` if any error-severity finding is produced.
     Returns the validated model so the caller can reuse the precomputation.
+
+    The model and its plan and DF findings depend on ``(n, config)`` alone:
+    the first call that passes keeps them (:data:`PLAN_TABLE_SIZE` pairs),
+    later calls reuse them and run only the purity rules.  Nothing of a run
+    is kept, and the model is shared, so it is read, never changed.
     """
-    findings, model = lint_pipeline(n, config)
+    key = (n, config or InversionConfig())
+    with _plans_lock:
+        entry = _plans.get(key)
+        if entry is not None:
+            _plans.move_to_end(key)
+    if entry is None:
+        static, model = lint_plan_and_dataflow(*key)
+    else:
+        model, static = entry
+    findings = [*static, *lint_tasks(model.layout)]
     if has_errors(findings):
         raise PreflightError(findings)
+    if entry is None:
+        with _plans_lock:
+            # A racing first call may have stored its model meanwhile; keep
+            # one, so every run of the pair shares it.
+            model, _ = _plans.setdefault(key, (model, tuple(static)))
+            while len(_plans) > PLAN_TABLE_SIZE:
+                _plans.popitem(last=False)
     return model

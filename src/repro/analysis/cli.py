@@ -81,14 +81,28 @@ def lint_pipeline(
 ) -> tuple[list[Finding], PipelineModel]:
     """All pipeline analyzers: plan rules, block-dataflow defect rules
     (DF002/3/4/6/7 — the structural DF001/DF005 reports are ``--dataflow``
-    mode's business), and task purity.  One block DAG serves both rule
-    families.  This is what the driver pre-flight runs."""
+    mode's business), and task purity.  This is what the driver pre-flight
+    runs, the first two once per ``(n, config)``."""
+    findings, model = lint_plan_and_dataflow(n, config)
+    return findings + lint_tasks(model.layout), model
+
+
+def lint_plan_and_dataflow(
+    n: int, config: InversionConfig | None = None
+) -> tuple[list[Finding], PipelineModel]:
+    """The rules that judge ``(n, config)``: the plan rules and the DF
+    defect rules, over one block DAG."""
     model = build_model(n, config)
     dag = build_block_dag(model)
-    findings = lint_model(model, dag) + lint_dataflow(model, dag)
-    for conf in pipeline_job_confs(model.layout):
+    return lint_model(model, dag) + lint_dataflow(model, dag), model
+
+
+def lint_tasks(layout) -> list[Finding]:
+    """The rules that judge code: task purity over one conf per task class."""
+    findings: list[Finding] = []
+    for conf in pipeline_job_confs(layout):
         findings.extend(analyze_job(conf))
-    return findings, model
+    return findings
 
 
 # -- source mode -----------------------------------------------------------------

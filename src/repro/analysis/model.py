@@ -19,7 +19,9 @@ break the grid) and assert the linter catches it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..dfs.commit import manifest_path
 from ..inversion.config import InversionConfig
@@ -64,7 +66,11 @@ class PipelineModel:
     """The precomputed pipeline of one inversion, ready for linting.
 
     Mutable by design: tests corrupt a model — remove a write, change
-    :attr:`grid` — and assert the linter reports the seeded defect.
+    :attr:`grid` — and assert the linter reports the seeded defect.  Its
+    schedule (:meth:`units`, :meth:`unit_needs`, :meth:`retirements`) is
+    worked out on first use and kept, because the pre-flight hands one
+    model to every run of its ``(n, config)``; a model is not changed once
+    that has been read.
     """
 
     config: InversionConfig
@@ -107,35 +113,26 @@ class PipelineModel:
                 return step
         raise KeyError(name)
 
-    def units(self) -> list[StepModel]:
+    def units(self) -> tuple[StepModel, ...]:
         """The units a driver schedules, in plan order, each as its first
         step: every job (by its map step) and every master phase but
         ``write-input`` (the ingestion before them) and ``collect-output``
         (the read-back after them).  The driver runs exactly this list, so
         the pre-flight lints the steps that run."""
-        seen: set[str] = {"write-input", "collect-output"}
-        out: list[StepModel] = []
-        for step in self.steps:
-            if step.unit not in seen:
-                seen.add(step.unit)
-                out.append(step)
-        return out
+        return self._schedule[0]
 
-    def _unit_io(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-        """Each unit's reads and writes, by unit name in plan order: a unit
-        is one master phase or one whole job (map and reduce steps merge)."""
-        reads: dict[str, set[str]] = {}
-        writes: dict[str, set[str]] = {}
-        for step in self.steps:
-            reads.setdefault(step.unit, set()).update(step.reads)
-            writes.setdefault(step.unit, set()).update(step.writes)
-        return reads, writes
-
-    def unit_needs(self) -> dict[str, frozenset[str]]:
+    def unit_needs(self) -> Mapping[str, frozenset[str]]:
         """Each unit's external read set: every path its steps read and do
         not write themselves."""
-        reads, writes = self._unit_io()
-        return {unit: frozenset(reads[unit] - writes[unit]) for unit in reads}
+        return self._schedule[1]
+
+    def retirements(self) -> Mapping[str, tuple[str, ...]]:
+        """Per unit, the paths outside :meth:`outcome` it is the last to
+        read or write in plan order — dead once it has committed.  Both
+        runners commit in plan order, so under either every other reader has
+        committed before it.  The final job retires its own ``INV/*`` files
+        and the factors; a run without it (``lu``) keeps them."""
+        return self._schedule[2]
 
     def outcome(self) -> frozenset[str]:
         """The files a run keeps: the input and the ``MapInput`` control
@@ -144,14 +141,29 @@ class PipelineModel:
         keep = {self.layout.input_path} | _control_paths(self.layout)
         return frozenset(keep | self.find_step("collect-output").reads)
 
-    def retirements(self) -> dict[str, tuple[str, ...]]:
-        """Per unit, the paths outside :meth:`outcome` it is the last to
-        read or write in plan order — dead once it has committed.  Both
-        runners commit in plan order, so under either every other reader has
-        committed before it.  The final job retires its own ``INV/*`` files
-        and the factors; a run without it (``lu``) keeps them."""
+    @cached_property
+    def _schedule(
+        self,
+    ) -> tuple[
+        tuple[StepModel, ...],
+        Mapping[str, frozenset[str]],
+        Mapping[str, tuple[str, ...]],
+    ]:
+        """:meth:`units`, :meth:`unit_needs` and :meth:`retirements`, from
+        one pass over each unit's reads and writes (a unit is one master
+        phase or one whole job: map and reduce steps merge)."""
+        seen: set[str] = {"write-input", "collect-output"}
+        units: list[StepModel] = []
+        reads: dict[str, set[str]] = {}
+        writes: dict[str, set[str]] = {}
+        for step in self.steps:
+            if step.unit not in seen:
+                seen.add(step.unit)
+                units.append(step)
+            reads.setdefault(step.unit, set()).update(step.reads)
+            writes.setdefault(step.unit, set()).update(step.writes)
+        needs = {unit: frozenset(reads[unit] - writes[unit]) for unit in reads}
         keep = self.outcome()
-        reads, writes = self._unit_io()
         last: dict[str, str] = {}
         for unit in reads:  # plan order
             for path in (reads[unit] | writes[unit]) - keep:
@@ -159,7 +171,11 @@ class PipelineModel:
         retired: dict[str, list[str]] = {}
         for path, unit in last.items():
             retired.setdefault(unit, []).append(path)
-        return {unit: tuple(sorted(paths)) for unit, paths in retired.items()}
+        return (
+            tuple(units),
+            needs,
+            {unit: tuple(sorted(paths)) for unit, paths in retired.items()},
+        )
 
     def block_dag(self):
         """The block-granularity dependency DAG over this pipeline's steps
@@ -178,17 +194,13 @@ def _control_paths(layout: Layout) -> set[str]:
 
 def _invert_writes(layout: Layout) -> tuple[set[str], set[str]]:
     """(mapper writes, reducer writes) of the final inversion job."""
-    from ..inversion.invert_job import reducer_indices
-
     cfg = layout.config
-    n = layout.plan.tree.n
     map_writes = {layout.inv_l_path(j) for j in range(cfg.mhalf)} | {
         layout.inv_u_path(i) for i in range(cfg.m0 - cfg.mhalf)
     }
     reduce_writes: set[str] = set()
-    for p in range(cfg.m0):
-        rows, cols = reducer_indices(layout, p, n)
-        if rows.size and cols.size:
+    for p, (rows, cols) in enumerate(layout.reducer_shares):
+        if rows and cols:
             reduce_writes.add(layout.final_path(p))
     return map_writes, reduce_writes
 

@@ -216,7 +216,9 @@ class MatrixInverter:
         The plan is statically validated by the :mod:`repro.analysis`
         pre-flight first (raises :class:`~repro.analysis.PreflightError` on
         defects).  The pre-flight's model comes back too: every unit's
-        ``needs`` and retired files come from it.
+        ``needs`` and retired files come from it.  It is the one model of
+        this ``(n, config)`` in the process, shared with every other run of
+        the pair, so nothing here changes it or its layout.
         """
         self._configure_cache()
         cfg = self.config

@@ -43,7 +43,6 @@ from collections.abc import Callable
 import numpy as np
 
 from ..dfs import formats
-from ..linalg.blockwrap import contiguous_ranges
 from ..linalg.triangular import invert_lower_columns, invert_upper_rows
 from ..mapreduce import (
     InputSplit,
@@ -58,28 +57,8 @@ from .layout import Layout
 from .lu_jobs import pipeline_job, worker_id
 
 
-def _share(n: int, parts: int, part: int, wrap: bool) -> range:
-    """Indices of ``0..n`` owned by ``part`` of ``parts``: strided under block
-    wrap (Section 5.4), a contiguous range otherwise."""
-    if wrap:
-        return range(part, n, parts)
-    return range(*contiguous_ranges(n, parts)[part])
-
-
 def _indices(share: range) -> np.ndarray:
     return np.arange(share.start, share.stop, share.step, dtype=np.int64)
-
-
-def _l_mapper_columns(layout: Layout, j: int, n: int) -> range:
-    """Columns of L^-1 owned by L-side mapper ``j``."""
-    cfg = layout.config
-    return _share(n, cfg.mhalf, j, cfg.block_wrap)
-
-
-def _u_mapper_rows(layout: Layout, i: int, n: int) -> range:
-    """Rows of U^-1 owned by U-side mapper ``i`` (0-based within the U half)."""
-    cfg = layout.config
-    return _share(n, cfg.m0 - cfg.mhalf, i, cfg.block_wrap)
 
 
 # Inner-dimension width of one panel of the final product: narrower panels
@@ -142,7 +121,7 @@ class InvertMapper(Mapper):
 
         columns = j < cfg.mhalf
         if columns:
-            share = _l_mapper_columns(layout, j, n)
+            share = layout.l_shares[j]
             lower = read_lower(layout, tree, ctx)
             # Transposed view of the n x k kernel output: row t is column
             # share[t] of L^-1.
@@ -151,7 +130,7 @@ class InvertMapper(Mapper):
             path = layout.inv_l_path(j)
         else:
             i = j - cfg.mhalf
-            share = _u_mapper_rows(layout, i, n)
+            share = layout.u_shares[i]
             upper = read_upper(layout, tree, ctx)
             # k x n: a view of the kernel's n x k columns of (U^T)^-1.
             x = invert_upper_rows(upper, _indices(share))
@@ -188,19 +167,17 @@ def _gather(
     ctx: TaskContext,
     want: range,
     n: int,
-    parts: int,
-    wrap: bool,
+    shares: tuple[range, ...],
     path: Callable[[int], str],
     *,
     columns: bool,
 ) -> np.ndarray:
-    """The packed share ``want`` of the matrix whose ``parts`` mappers wrote
-    their packed shares to ``path(i)`` (``columns``: of ``L^-1``, else of
+    """The packed share ``want`` of the matrix whose mappers wrote their
+    packed ``shares`` to ``path(i)`` (``columns``: of ``L^-1``, else of
     ``U^-1``).  A reducer's share and a mapper's share meet in an arithmetic
     progression, so each (file, panel) lands by one strided slice
     assignment; a file that is exactly ``want`` is returned as decoded — a
     read-only view, which the reducer only multiplies."""
-    shares = [_share(n, parts, i, wrap) for i in range(parts)]
     if want in shares:
         return ctx.read_matrix(path(shares.index(want)))
     panels = _panels(want, n)
@@ -222,32 +199,18 @@ def _gather(
 def _gather_rows(ctx: TaskContext, layout: Layout, rows: range, n: int) -> np.ndarray:
     """Assemble the requested rows of ``U^-1``, packed, from the strided (or
     contiguous) mapper output files."""
-    cfg = layout.config
-    return _gather(
-        ctx, rows, n, cfg.m0 - cfg.mhalf, cfg.block_wrap, layout.inv_u_path, columns=False
-    )
+    return _gather(ctx, rows, n, layout.u_shares, layout.inv_u_path, columns=False)
 
 
 def _gather_cols(ctx: TaskContext, layout: Layout, cols: range, n: int) -> np.ndarray:
     """Assemble the requested columns of ``L^-1``, packed."""
-    cfg = layout.config
-    return _gather(ctx, cols, n, cfg.mhalf, cfg.block_wrap, layout.inv_l_path, columns=True)
+    return _gather(ctx, cols, n, layout.l_shares, layout.inv_l_path, columns=True)
 
 
-def _reducer_shares(layout: Layout, p: int, n: int) -> tuple[range, range]:
-    """:func:`reducer_indices` as ranges, which :func:`_gather` intersects."""
-    cfg = layout.config
-    if cfg.block_wrap:
-        f1, f2 = cfg.grid
-        j1, j2 = divmod(p, f2)
-        return _share(n, f1, j1, True), _share(n, f2, j2, True)
-    return _share(n, cfg.m0, p, False), range(n)
-
-
-def reducer_indices(layout: Layout, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def reducer_indices(layout: Layout, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows of U^-1, cols of L^-1) owned by final-job reducer ``p`` — shared
     with the driver, which uses the same function to place blocks."""
-    rows, cols = _reducer_shares(layout, p, n)
+    rows, cols = layout.reducer_shares[p]
     return _indices(rows), _indices(cols)
 
 
@@ -314,7 +277,7 @@ class InvertReducer(Reducer):
         p = int(key)
         layout = self.layout
         n = layout.plan.tree.n
-        rows, cols = _reducer_shares(layout, p, n)
+        rows, cols = layout.reducer_shares[p]
         if not rows or not cols:
             return
         u_packed = _gather_rows(ctx, layout, rows, n)
@@ -336,7 +299,7 @@ def read_final_inverse(layout: Layout, reader) -> np.ndarray:
     out = np.zeros((n, n))
     perm = read_perm(layout, layout.plan.tree, reader)
     for p in range(layout.config.m0):
-        rows, cols = reducer_indices(layout, p, n)
+        rows, cols = reducer_indices(layout, p)
         if rows.size == 0 or cols.size == 0:
             continue
         block = reader.read_matrix(layout.final_path(p))

@@ -26,6 +26,7 @@ Naming follows Figure 4:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..linalg.blockwrap import contiguous_ranges
 from .config import InversionConfig
@@ -98,6 +99,36 @@ def _chunk_files(
     return Region(region_rows, region_cols, tuple(refs))
 
 
+def _share(n: int, parts: int, part: int, wrap: bool) -> range:
+    """Indices of ``0..n`` owned by ``part`` of ``parts``: strided under block
+    wrap (Section 5.4), a contiguous range otherwise."""
+    if wrap:
+        return range(part, n, parts)
+    return range(*contiguous_ranges(n, parts)[part])
+
+
+class SchurCell(NamedTuple):
+    """What one LU reducer reads and writes: its rows of ``L2'``, columns of
+    ``U2`` and cell of ``A4``, and the ``OUT`` file of ``B = A4 - L2' U2``
+    it computes from them."""
+
+    path: str
+    l2: Region
+    u2: Region
+    a4: Region
+
+
+class LUTaskRegions(NamedTuple):
+    """What each task of one node's LU job reads, cut from the node's
+    regions (Section 5.2's recorded indices): L-side mapper j's rows of
+    ``A3``, U-side mapper j's columns of ``A2`` and reducer p's cell;
+    ``None`` where a share is empty."""
+
+    a3_rows: tuple[Region | None, ...]
+    a2_cols: tuple[Region | None, ...]
+    cells: tuple[SchurCell | None, ...]
+
+
 @dataclass
 class NodeLayout:
     """Everything one plan node's tasks need to locate their data."""
@@ -134,6 +165,25 @@ class Layout:
         self.total_n = total_n
         self.by_dir: dict[str, NodeLayout] = {}
         self._build(plan.tree, source=None)
+        # Node directory -> its LU job's task regions, cut on first use.
+        self._lu_regions: dict[str, LUTaskRegions] = {}
+        # The final job's shares (Section 5.4): the columns of L^-1 each
+        # L-side mapper computes, the rows of U^-1 each U-side mapper does,
+        # and each reducer's (rows of U^-1, columns of L^-1).
+        n, wrap = plan.tree.n, config.block_wrap
+        mhalf, uhalf = config.mhalf, config.m0 - config.mhalf
+        self.l_shares = tuple(_share(n, mhalf, j, wrap) for j in range(mhalf))
+        self.u_shares = tuple(_share(n, uhalf, i, wrap) for i in range(uhalf))
+        if wrap:
+            f1, f2 = config.grid
+            self.reducer_shares = tuple(
+                (_share(n, f1, j1, True), _share(n, f2, j2, True))
+                for j1, j2 in (divmod(p, f2) for p in range(config.m0))
+            )
+        else:
+            self.reducer_shares = tuple(
+                (_share(n, config.m0, p, False), range(n)) for p in range(config.m0)
+            )
 
     # -- chunk helpers --------------------------------------------------------
 
@@ -281,6 +331,70 @@ class Layout:
             child1_source = nl.matrix.sub(0, n1, 0, n1)
         self._build(node.child1, child1_source)
         self._build(node.child2, nl.out)
+
+    def lu_regions(self, node: PlanNode) -> LUTaskRegions:
+        """The regions each task of internal ``node``'s LU job reads.
+
+        Cut once per layout, on first use: the pre-flight keeps one layout
+        per ``(n, config)``, so every later run reads the same regions,
+        whose tiling :meth:`Region.read` has then checked already.  A
+        pickled layout (a process-pool job's conf) leaves them out and its
+        copy cuts the one node its job runs on."""
+        regions = self._lu_regions.get(node.dir)
+        if regions is None:
+            # Two tasks on two threads may both cut; setdefault keeps one.
+            regions = self._lu_regions.setdefault(node.dir, self._cut_lu_regions(node))
+        return regions
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_lu_regions": {}}
+
+    def _cut_lu_regions(self, node: PlanNode) -> LUTaskRegions:
+        cfg = self.config
+        nl = self.of(node)
+        n1, n2 = node.n1, node.n2
+        assert nl.a2 is not None and nl.a3 is not None and nl.a4 is not None
+        assert nl.l2 is not None and nl.u2 is not None
+        chunks = contiguous_ranges(n2, cfg.mhalf)
+        a3_rows = tuple(
+            nl.a3.sub(r1, r2, 0, n1) if r2 > r1 else None for r1, r2 in chunks
+        )
+        a2_cols = tuple(
+            nl.a2.sub(0, n1, c1, c2) if c2 > c1 else None for c1, c2 in chunks
+        )
+        # Reducer p's cell of B = A4 - L2' U2: its block-wrap grid cell
+        # (Section 6.2), or under the ablation its row slab, which reads
+        # all of U2.
+        cells: list[SchurCell | None] = []
+        if cfg.block_wrap:
+            f1, f2 = cfg.grid
+            row_ranges, col_ranges = contiguous_ranges(n2, f1), contiguous_ranges(n2, f2)
+            for p in range(cfg.m0):
+                j1, j2 = divmod(p, f2)
+                (r1, r2), (c1, c2) = row_ranges[j1], col_ranges[j2]
+                cells.append(
+                    SchurCell(
+                        f"{node.dir}/OUT/A.{j1}.{j2}",
+                        nl.l2.sub(r1, r2, 0, n1),
+                        nl.u2.sub(0, n1, c1, c2),
+                        nl.a4.sub(r1, r2, c1, c2),
+                    )
+                    if r2 > r1 and c2 > c1
+                    else None
+                )
+        else:
+            for p, (r1, r2) in enumerate(contiguous_ranges(n2, cfg.m0)):
+                cells.append(
+                    SchurCell(
+                        f"{node.dir}/OUT/A.{p}",
+                        nl.l2.sub(r1, r2, 0, n1),
+                        nl.u2,
+                        nl.a4.sub(r1, r2, 0, n2),
+                    )
+                    if r2 > r1
+                    else None
+                )
+        return LUTaskRegions(a3_rows, a2_cols, tuple(cells))
 
     # -- accessors --------------------------------------------------------------
 

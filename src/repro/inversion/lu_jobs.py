@@ -172,34 +172,33 @@ class LUJobMapper(Mapper):
         j = worker_id(ctx, split)
         cfg = self.layout.config
         node = self.node
-        nl = self.layout.of(node)
-        n1, n2 = node.n1, node.n2
+        regions = self.layout.lu_regions(node)
+        n1 = node.n1
         mhalf = cfg.mhalf
-        chunks = contiguous_ranges(n2, mhalf)
 
         if j < mhalf:
             # L2' rows: solve  X U1 = A3[chunk]  row-independently (Eq. 6),
             # against U1's stored pieces (and L1's below): no dense factor.
-            r1, r2 = chunks[j]
-            if r2 > r1:
+            rows = regions.a3_rows[j]
+            if rows is not None:
                 u1 = read_upper(self.layout, node.child1, ctx)
-                a3 = nl.a3.sub(r1, r2, 0, n1).read(ctx)
+                a3 = rows.read(ctx)
                 x = blocked_forward_substitute(u1.T, a3.T).T
-                ctx.report_flops((r2 - r1) * n1 * n1 / 2)
+                ctx.report_flops(rows.rows * n1 * n1 / 2)
                 ctx.write_bytes(
                     f"{node.dir}/L2/L.{j}", formats.encode_matrix(x)
                 )
         else:
             # U2 columns: solve  L1 U2[chunk] = (P1 A2)[chunk]  (Eq. 6).
             jc = j - mhalf
-            c1, c2 = chunks[jc]
-            if c2 > c1:
+            cols = regions.a2_cols[jc]
+            if cols is not None:
                 l1, p1 = read_lower_and_perm(self.layout, node.child1, ctx)
-                a2 = nl.a2.sub(0, n1, c1, c2).read(ctx)
+                a2 = cols.read(ctx)
                 u2 = blocked_forward_substitute(
                     l1, permutation.apply_rows(p1, a2), unit_diagonal=True
                 )
-                ctx.report_flops((c2 - c1) * n1 * n1 / 2)
+                ctx.report_flops(cols.cols * n1 * n1 / 2)
                 stored = u2.T if cfg.transpose_u else u2
                 ctx.write_bytes(
                     f"{node.dir}/U2/U.{jc}", formats.encode_matrix(stored)
@@ -228,35 +227,16 @@ class LUJobReducer(Reducer):
     def reduce(self, ctx: TaskContext, key, values) -> None:
         for _ in values:  # drain the control values
             pass
-        p = int(key)
-        cfg = self.layout.config
-        node = self.node
-        nl = self.layout.of(node)
-        n1, n2 = node.n1, node.n2
-
-        if cfg.block_wrap:
-            f1, f2 = cfg.grid
-            j1, j2 = divmod(p, f2)
-            r1, r2 = contiguous_ranges(n2, f1)[j1]
-            c1, c2 = contiguous_ranges(n2, f2)[j2]
-            if r2 <= r1 or c2 <= c1:
-                return
-            l2 = nl.l2.sub(r1, r2, 0, n1).read(ctx)
-            u2 = nl.u2.sub(0, n1, c1, c2).read(ctx)
-            a4 = nl.a4.sub(r1, r2, c1, c2).read(ctx)
-            ctx.report_flops((r2 - r1) * (c2 - c1) * n1)
-            ctx.write_bytes(f"{node.dir}/OUT/A.{j1}.{j2}", _schur(a4, l2, u2))
-        else:
-            # Naive row-slab scheme (block-wrap ablation): reducer p reads its
-            # rows of L2'/A4 plus ALL of U2.
-            r1, r2 = contiguous_ranges(n2, cfg.m0)[p]
-            if r2 <= r1:
-                return
-            l2 = nl.l2.sub(r1, r2, 0, n1).read(ctx)
-            u2 = nl.u2.read(ctx)
-            a4 = nl.a4.sub(r1, r2, 0, n2).read(ctx)
-            ctx.report_flops((r2 - r1) * n2 * n1)
-            ctx.write_bytes(f"{node.dir}/OUT/A.{p}", _schur(a4, l2, u2))
+        # Its block-wrap cell, or under the ablation its row slab and all
+        # of U2 (:meth:`Layout.lu_regions`).
+        cell = self.layout.lu_regions(self.node).cells[int(key)]
+        if cell is None:
+            return
+        l2 = cell.l2.read(ctx)
+        u2 = cell.u2.read(ctx)
+        a4 = cell.a4.read(ctx)
+        ctx.report_flops(cell.l2.rows * cell.u2.cols * cell.l2.cols)
+        ctx.write_bytes(cell.path, _schur(a4, l2, u2))
 
 
 def lu_job(layout: Layout, node: PlanNode) -> JobConf:

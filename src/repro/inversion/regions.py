@@ -14,6 +14,7 @@ accounted to the reading task.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -117,7 +118,14 @@ class Region:
         )
 
     def covered(self) -> bool:
-        """True iff the blocks tile the region exactly (no gaps, no overlap)."""
+        """True iff the blocks tile the region exactly (no gaps, no overlap).
+
+        Worked out once per region: a layout's regions serve every run of
+        their ``(n, config)``, and :meth:`read` asks on every read."""
+        return self._tiled
+
+    @cached_property
+    def _tiled(self) -> bool:
         area = sum(b.rows * b.cols for b in self.blocks)
         if area != self.rows * self.cols:
             return False
@@ -162,7 +170,7 @@ class Region:
         transposed or column-sliced rectangle is still copied, so kernels
         downstream see the operand layout they always saw.
         """
-        if not self.covered():
+        if not self._tiled:
             raise ValueError(
                 f"region {self.rows}x{self.cols} is not fully covered by its blocks"
             )

@@ -20,12 +20,13 @@ import pytest
 
 from repro import InversionConfig, invert
 
-#: 202 893 calls measured here at the change that staged each writer's files
-#: in one flat directory (224 076 at its parent), plus 10 % headroom.
-#: The count is deterministic for a serial run on one interpreter version;
-#: the headroom is for other versions and for honest small additions, not
-#: for a second walk.
-CALL_BUDGET = 223_183
+#: 152 575 calls measured here at the change that plans once per
+#: ``(n, config)`` (192 174 at its parent, which rebuilt and re-linted the
+#: pipeline model and re-cut every task's regions on every call), plus 10 %
+#: headroom.  The count is deterministic for a serial run on one interpreter
+#: version; the headroom is for other versions and for honest small
+#: additions, not for a second walk.
+CALL_BUDGET = 167_833
 
 #: DFS read ops of the smoke shape: one per physical read — a whole-file
 #: rectangle is one ``read_matrix``, a permutation file is read once per

@@ -23,13 +23,10 @@ from repro.inversion.invert_job import (
     InvertReducer,
     _gather_cols,
     _gather_rows,
-    _l_mapper_columns,
     _pack,
     _packed_shape,
     _panels,
-    _reducer_shares,
     _triangular_product,
-    _u_mapper_rows,
     reducer_indices,
 )
 from repro.inversion.layout import Layout, factor_paths
@@ -312,17 +309,17 @@ class TestFinalJobGathers:
         uinv, linv = np.triu(rng.standard_normal((n, n))), np.tril(rng.standard_normal((n, n)))
         ctx = _FakeTaskContext()
         for i in range(m0 - layout.config.mhalf):
-            ctx.files[layout.inv_u_path(i)] = encode_matrix(uinv[_u_mapper_rows(layout, i, n)])
+            ctx.files[layout.inv_u_path(i)] = encode_matrix(uinv[layout.u_shares[i]])
         for j in range(layout.config.mhalf):
-            ctx.files[layout.inv_l_path(j)] = encode_matrix(linv[:, _l_mapper_columns(layout, j, n)])
+            ctx.files[layout.inv_l_path(j)] = encode_matrix(linv[:, layout.l_shares[j]])
         return layout, n, ctx, uinv, linv
 
     def test_same_arrays_from_the_same_reads(self, final_job):
         layout, n, ctx, uinv, linv = final_job
         for p in range(layout.config.m0):
             (rows, cols), (row_idx, col_idx) = (
-                _reducer_shares(layout, p, n),
-                reducer_indices(layout, p, n),
+                layout.reducer_shares[p],
+                reducer_indices(layout, p),
             )
             assert list(rows) == list(row_idx) and list(cols) == list(col_idx)
             if not rows or not cols:
@@ -349,7 +346,7 @@ class TestFinalJobGathers:
         reducer = InvertReducer(layout)
         for p in range(layout.config.m0):
             reducer.reduce(ctx, p, iter(()))
-            rows, cols = reducer_indices(layout, p, n)
+            rows, cols = reducer_indices(layout, p)
             if rows.size and cols.size:
                 block = ctx.written[layout.final_path(p)]
                 assert np.allclose(block, uinv[rows] @ linv[:, cols], rtol=1e-12, atol=1e-12)
@@ -434,10 +431,10 @@ def _packed_final_job(layout, n, rng):
     uinv, linv = _triangular_factors(rng, n)
     ctx = _FakeTaskContext()
     for i in range(layout.config.m0 - layout.config.mhalf):
-        rows = _u_mapper_rows(layout, i, n)
+        rows = layout.u_shares[i]
         ctx.files[layout.inv_u_path(i)] = encode_matrix(_packed(uinv[rows], rows, n, columns=False))
     for j in range(layout.config.mhalf):
-        cols = _l_mapper_columns(layout, j, n)
+        cols = layout.l_shares[j]
         ctx.files[layout.inv_l_path(j)] = encode_matrix(
             _packed(linv[:, cols].T, cols, n, columns=True)
         )
@@ -469,10 +466,10 @@ class TestPackedShares:
         layout, n, ctx, uinv, linv = packed_job
         cfg = layout.config
         sides = [
-            (layout.inv_u_path(i), _u_mapper_rows(layout, i, n), uinv, False)
+            (layout.inv_u_path(i), layout.u_shares[i], uinv, False)
             for i in range(cfg.m0 - cfg.mhalf)
         ] + [
-            (layout.inv_l_path(j), _l_mapper_columns(layout, j, n), linv.T, True)
+            (layout.inv_l_path(j), layout.l_shares[j], linv.T, True)
             for j in range(cfg.mhalf)
         ]
         for path, share, rows_of, columns in sides:
@@ -486,7 +483,7 @@ class TestPackedShares:
     def test_reducer_shares_round_trip(self, packed_job):
         layout, n, ctx, uinv, linv = packed_job
         for p in range(layout.config.m0):
-            rows, cols = _reducer_shares(layout, p, n)
+            rows, cols = layout.reducer_shares[p]
             if not rows or not cols:
                 continue
             for gather, want, rows_of, columns in (
@@ -504,7 +501,7 @@ class TestPackedShares:
         reducer = InvertReducer(layout)
         for p in range(layout.config.m0):
             reducer.reduce(ctx, p, iter(()))
-            rows, cols = reducer_indices(layout, p, n)
+            rows, cols = reducer_indices(layout, p)
             if rows.size and cols.size:
                 block = ctx.written[layout.final_path(p)]
                 assert np.allclose(block, uinv[rows] @ linv[:, cols], rtol=1e-12, atol=1e-12)
@@ -515,7 +512,7 @@ class TestPackedShares:
         both operands of its product are views of the decoded files."""
         layout, _, ctx, _, _ = _packed_final_job(make_layout(n=n, nb=64, m0=4), n, rng)
         for p in range(4):
-            rows, cols = _reducer_shares(layout, p, n)
+            rows, cols = layout.reducer_shares[p]
             for gather, want in ((_gather_rows, rows), (_gather_cols, cols)):
                 ctx.reads.clear()
                 got = gather(ctx, layout, want, n)
@@ -541,8 +538,8 @@ class TestPackedShares:
         dfs.publish_listeners.append(record)
         with MatrixInverter(cfg, dfs=dfs) as inverter:
             inverter.invert(diagonally_dominant(n, seed=3))
-        shares = {layout.inv_l_path(j): _l_mapper_columns(layout, j, n) for j in range(m0 // 2)}
-        shares.update({layout.inv_u_path(i): _u_mapper_rows(layout, i, n) for i in range(m0 // 2)})
+        shares = {layout.inv_l_path(j): layout.l_shares[j] for j in range(m0 // 2)}
+        shares.update({layout.inv_u_path(i): layout.u_shares[i] for i in range(m0 // 2)})
         assert sizes == {
             path: 16 + 8 * min(_PANEL, n) * _packed_width(share, n)
             for path, share in shares.items()
@@ -563,7 +560,7 @@ class TestTriangularProduct:
         uinv, linv = _triangular_factors(rng, n)
         exact = issued = 0
         for p in range(m0):
-            rows, cols = _reducer_shares(layout, p, n)
+            rows, cols = layout.reducer_shares[p]
             if not rows or not cols:
                 continue
             u_rows = uinv[rows.start : rows.stop : rows.step]
@@ -596,7 +593,7 @@ class TestTriangularProduct:
         a = random_dense(n, seed=4)
         layout = make_layout(n=n, nb=40, m0=m0)
         product = sum(
-            _panel_multiplications(*_reducer_shares(layout, p, n), n) for p in range(m0)
+            _panel_multiplications(*layout.reducer_shares[p], n) for p in range(m0)
         )
         mappers = sum(k * k for k in range(1, n + 1))  # Equation 4, both factors
         for executor in ("serial", "threads", "processes"):

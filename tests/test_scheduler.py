@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro import InversionConfig
@@ -273,7 +274,11 @@ class TestDataflowInversion:
 
     def test_model_built_once_per_invert(self, rng, monkeypatch):
         """The dataflow runner takes unit ``needs`` from the model the
-        pre-flight already built."""
+        pre-flight already built, and the pre-flight builds it once per
+        ``(n, config)``: a second invert of the pair reuses it, though it
+        still runs one pre-flight."""
+        from collections import OrderedDict
+
         import repro.analysis as analysis
         import repro.analysis.cli as analysis_cli
         import repro.analysis.model as model_module
@@ -296,6 +301,8 @@ class TestDataflowInversion:
         monkeypatch.setattr(
             analysis, "preflight_check", counting(analysis.preflight_check)
         )
+        # An empty table: an earlier test may have run this pair already.
+        monkeypatch.setattr(analysis, "_plans", OrderedDict())
         a = random_invertible(rng, 16)
         cfg = InversionConfig(nb=4, m0=2, schedule="dataflow")
         with MatrixInverter(cfg, dfs=small_cluster()) as inverter:
@@ -303,6 +310,11 @@ class TestDataflowInversion:
         assert result.residual(a) < 1e-9
         assert calls.count("build_model") == 1
         assert calls.count("preflight_check") == 1
+        with MatrixInverter(cfg, dfs=small_cluster()) as inverter:
+            again = inverter.invert(a)
+        np.testing.assert_array_equal(again.inverse, result.inverse)
+        assert calls.count("build_model") == 1
+        assert calls.count("preflight_check") == 2
 
     def test_dataflow_requires_output_commit(self):
         with pytest.raises(ValueError, match="output_commit"):
